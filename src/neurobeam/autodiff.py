@@ -3,7 +3,9 @@
 The engine is define-by-run: each operation returns a ``Tensor`` that
 records its parent tensors and a closure mapping the output gradient to
 parent gradients.  ``backward`` walks the graph once in reverse
-topological order and accumulates into ``Tensor.grad``.
+topological order and accumulates into ``Tensor.grad``; an interior
+node's gradient is released once it has been propagated, so only leaf
+gradients should be read after the walk.
 
 Complex quantities elsewhere in the package are carried as (real, imag)
 pairs of ``Tensor``s, so the engine itself only ever sees real arrays.
@@ -49,10 +51,11 @@ class Tensor:
     def item(self):
         return self.data.item()
 
-    def accumulate(self, g):
+    def accumulate(self, g, index=...):
+        """Add ``g`` into ``grad[index]``, allocating a zero gradient first."""
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
-        self.grad += g
+        self.grad[index] += g
 
     def zero_grad(self):
         self.grad = None
@@ -126,12 +129,13 @@ def _topo_order(root):
 
 
 def backward(loss):
-    """Populate ``grad`` for every tensor the scalar ``loss`` depends on.
+    """Populate ``grad`` for every leaf tensor the scalar ``loss`` depends on.
 
-    Interior (non-leaf) gradients are recomputed from scratch on every
-    call; leaf gradients accumulate across calls until explicitly
-    cleared, so zeroing the leaves and re-running reproduces identical
-    gradients.
+    Each interior (non-leaf) gradient is released as soon as it has been
+    propagated to its parents, so after the call only leaf ``grad``s are
+    set; the graph itself is kept and can be walked again. Leaf
+    gradients accumulate across calls until explicitly cleared, so
+    zeroing the leaves and re-running reproduces identical gradients.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
@@ -145,6 +149,7 @@ def backward(loss):
     for node in reversed(order):
         if node._backward is not None:
             node._backward(node.grad)
+            node.grad = None
 
 
 def _unbroadcast(g, shape):
@@ -247,13 +252,13 @@ def log(a):
     return Tensor(out_data, (a,), backward_fn)
 
 
+def sigmoid_array(x):
+    """Logistic function of a numpy array, in the overflow-free tanh form."""
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
 def sigmoid(a):
-    x = a.data
-    out_data = np.empty_like(x)
-    pos = x >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out_data[~pos] = ex / (1.0 + ex)
+    out_data = sigmoid_array(a.data)
 
     def backward_fn(g):
         if a.needs_grad:
@@ -371,17 +376,15 @@ def concat(parts, axis):
 
 
 def narrow(a, axis, start, length):
-    """Slice ``length`` entries from ``start`` along ``axis``."""
+    """Slice ``length`` entries from ``start`` along ``axis``, as a view."""
     idx = [slice(None)] * a.ndim
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
-    out_data = a.data[idx].copy()
+    out_data = a.data[idx]
 
     def backward_fn(g):
         if a.needs_grad:
-            full = np.zeros_like(a.data)
-            full[idx] = g
-            a.accumulate(full)
+            a.accumulate(g, idx)
 
     return Tensor(out_data, (a,), backward_fn)
 

@@ -2,14 +2,17 @@
 
 Complex tensors are (real, imag) pairs of real tensors; every complex
 layer applies the complex product rule through real building blocks, so
-the engine differentiates the wiring for free. Feature maps are laid out
-[batch x channels x freq x time]; convolutions stride the frequency axis
-and are causal along time (past-only padding).
+the engine differentiates the wiring for free. A complex conv or deconv
+is one real conv of [re; im] stacked on the channel axis with the real
+block kernel [[Wr, -Wi], [Wi, Wr]]; each real conv is one im2col GEMM.
+Feature maps are laid out [batch x channels x freq x time]; convolutions
+stride the frequency axis and are causal along time (past-only padding).
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -54,73 +57,86 @@ def _conv_out_size(n, k, stride, pad):
     return (n + pad[0] + pad[1] - k) // stride + 1
 
 
-def _pad_map(x, pad_f, pad_t):
-    return np.pad(x, ((0, 0), (0, 0), pad_f, pad_t))
+def _patches(x, kernel, stride, pad_f, pad_t, out_ft):
+    """im2col: [B x C x F x T] -> [B x C*kf*kt x fo*to] patch matrix.
+
+    Column (u, v) holds the receptive field xpad[b, :, u*sf:u*sf+kf,
+    v*st:v*st+kt], flattened in (c, i, j) order to match a [O x C x kf x kt]
+    kernel reshaped to [O x C*kf*kt].
+    """
+    kf, kt = kernel
+    sf, st = stride
+    fo, to = out_ft
+    xp = np.pad(x, ((0, 0), (0, 0), pad_f, pad_t))
+    win = sliding_window_view(xp, (kf, kt), axis=(2, 3))[:, :, : sf * fo : sf, : st * to : st]
+    b, c = x.shape[:2]
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kf * kt, fo * to)
 
 
 def conv2d_raw(x, w, stride, pad_f, pad_t):
     """out[b,o,u,v] = sum_{c,i,j} w[o,c,i,j] * xpad[b,c, u*sf+i, v*st+j]."""
-    sf, st = stride
-    _, _, kf, kt = w.shape
-    xp = _pad_map(x, pad_f, pad_t)
-    fo = _conv_out_size(x.shape[2], kf, sf, pad_f)
-    to = _conv_out_size(x.shape[3], kt, st, pad_t)
-    out = np.zeros((x.shape[0], w.shape[0], fo, to), dtype=x.dtype)
-    for i in range(kf):
-        for j in range(kt):
-            xs = xp[:, :, i : i + sf * fo : sf, j : j + st * to : st]
-            out += np.tensordot(w[:, :, i, j], xs, axes=([1], [1])).transpose(1, 0, 2, 3)
-    return out
+    o, _, kf, kt = w.shape
+    fo = _conv_out_size(x.shape[2], kf, stride[0], pad_f)
+    to = _conv_out_size(x.shape[3], kt, stride[1], pad_t)
+    cols = _patches(x, (kf, kt), stride, pad_f, pad_t, (fo, to))
+    return np.matmul(w.reshape(o, -1), cols).reshape(x.shape[0], o, fo, to)
 
 
 def conv2d_input_adjoint(g, w, stride, pad_f, pad_t, in_ft):
     """Adjoint of conv2d_raw with respect to its input (scatter-add)."""
     sf, st = stride
-    _, _, kf, kt = w.shape
+    b, o, fo, to = g.shape
+    _, c, kf, kt = w.shape
     fi, ti = in_ft
-    fo, to = g.shape[2], g.shape[3]
+    cols = np.matmul(w.reshape(o, -1).T, g.reshape(b, o, fo * to)).reshape(b, c, kf, kt, fo, to)
     xp_grad = np.zeros(
-        (g.shape[0], w.shape[1], fi + pad_f[0] + pad_f[1], ti + pad_t[0] + pad_t[1]),
-        dtype=g.dtype,
+        (b, c, fi + pad_f[0] + pad_f[1], ti + pad_t[0] + pad_t[1]), dtype=cols.dtype
     )
     for i in range(kf):
         for j in range(kt):
-            contrib = np.tensordot(w[:, :, i, j], g, axes=([0], [1]))
-            xp_grad[:, :, i : i + sf * fo : sf, j : j + st * to : st] += contrib.transpose(
-                1, 0, 2, 3
-            )
+            xp_grad[:, :, i : i + sf * fo : sf, j : j + st * to : st] += cols[:, :, i, j]
     return xp_grad[:, :, pad_f[0] : pad_f[0] + fi, pad_t[0] : pad_t[0] + ti]
 
 
 def conv2d_kernel_adjoint(x, g, stride, pad_f, pad_t, kshape):
     """Adjoint of conv2d_raw with respect to its kernel (correlation)."""
-    sf, st = stride
-    _, _, kf, kt = kshape
-    fo, to = g.shape[2], g.shape[3]
-    xp = _pad_map(x, pad_f, pad_t)
-    gw = np.zeros(kshape, dtype=g.dtype)
-    for i in range(kf):
-        for j in range(kt):
-            xs = xp[:, :, i : i + sf * fo : sf, j : j + st * to : st]
-            gw[:, :, i, j] = np.tensordot(g, xs, axes=([0, 2, 3], [0, 2, 3]))
-    return gw
+    b, o, fo, to = g.shape
+    cols = _patches(x, kshape[2:], stride, pad_f, pad_t, (fo, to))
+    gw = np.tensordot(g.reshape(b, o, fo * to), cols, axes=([0, 2], [0, 2]))
+    return gw.reshape(kshape)
 
 
-def conv2d(x, w, stride, pad_f, pad_t):
-    """Strided 2-d convolution as an autodiff op."""
-    out_data = conv2d_raw(x.data, w.data, stride, pad_f, pad_t)
-    in_ft = (x.shape[2], x.shape[3])
+def _conv_op(out_data, x, w, bias, input_grad, kernel_grad):
+    """Wrap a conv kernel's output as an op; ``bias`` (or None) is added
+    per output channel in place."""
+    parents = (x, w)
+    if bias is not None:
+        out_data += bias.data.reshape(1, -1, 1, 1)
+        parents += (bias,)
 
     def backward_fn(g):
         if x.needs_grad:
-            x.accumulate(conv2d_input_adjoint(g, w.data, stride, pad_f, pad_t, in_ft))
+            x.accumulate(input_grad(g))
         if w.needs_grad:
-            w.accumulate(conv2d_kernel_adjoint(x.data, g, stride, pad_f, pad_t, w.shape))
+            w.accumulate(kernel_grad(g))
+        if bias is not None and bias.needs_grad:
+            bias.accumulate(g.sum(axis=(0, 2, 3)))
 
-    return Tensor(out_data, (x, w), backward_fn)
+    return Tensor(out_data, parents, backward_fn)
 
 
-def conv2d_transpose(x, w, stride, pad_f, pad_t, out_ft):
+def conv2d(x, w, stride, pad_f, pad_t, bias=None):
+    """Strided 2-d convolution as an autodiff op, with an optional
+    per-output-channel bias."""
+    in_ft = (x.shape[2], x.shape[3])
+    return _conv_op(
+        conv2d_raw(x.data, w.data, stride, pad_f, pad_t), x, w, bias,
+        lambda g: conv2d_input_adjoint(g, w.data, stride, pad_f, pad_t, in_ft),
+        lambda g: conv2d_kernel_adjoint(x.data, g, stride, pad_f, pad_t, w.shape),
+    )
+
+
+def conv2d_transpose(x, w, stride, pad_f, pad_t, out_ft, bias=None):
     """Transposed convolution: the exact adjoint of ``conv2d``.
 
     ``out_ft`` declares the output spatial size, which must map back to
@@ -135,29 +151,44 @@ def conv2d_transpose(x, w, stride, pad_f, pad_t, out_ft):
             f"declared output {out_ft} maps to {(expect_f, expect_t)}, "
             f"but input is {(x.shape[2], x.shape[3])}"
         )
-    out_data = conv2d_input_adjoint(x.data, w.data, stride, pad_f, pad_t, out_ft)
+    return _conv_op(
+        conv2d_input_adjoint(x.data, w.data, stride, pad_f, pad_t, out_ft), x, w, bias,
+        lambda g: conv2d_raw(g, w.data, stride, pad_f, pad_t),
+        lambda g: conv2d_kernel_adjoint(g, x.data, stride, pad_f, pad_t, w.shape),
+    )
 
-    def backward_fn(g):
-        if x.needs_grad:
-            x.accumulate(conv2d_raw(g, w.data, stride, pad_f, pad_t))
-        if w.needs_grad:
-            w.accumulate(conv2d_kernel_adjoint(g, x.data, stride, pad_f, pad_t, w.shape))
 
-    return Tensor(out_data, (x, w), backward_fn)
+# ---------------------------------------------------------------------------
+# Complex maps in real block form
+# ---------------------------------------------------------------------------
+
+def complex_stack(x):
+    """[re; im] on the channel axis: the real form of a complex feature map."""
+    return ad.concat([x.re, x.im], axis=1)
+
+
+def complex_split(t):
+    """Inverse of ``complex_stack``; both halves are views of ``t``."""
+    half = t.shape[1] // 2
+    return ComplexTensor(ad.narrow(t, 1, 0, half), ad.narrow(t, 1, half, half))
+
+
+def block_kernel(w_r, w_i):
+    """Real block form [[Wr, -Wi], [Wi, Wr]] of the complex kernel Wr + jWi.
+
+    Applied to a stacked map it gives the stacked complex product
+    (Wr xr - Wi xi; Wi xr + Wr xi); its adjoint is the conjugate
+    transpose, so ``conv2d_transpose`` with the same block is the
+    complex deconvolution.
+    """
+    top = ad.concat([w_r, ad.neg(w_i)], axis=1)
+    bottom = ad.concat([w_i, w_r], axis=1)
+    return ad.concat([top, bottom], axis=0)
 
 
 # ---------------------------------------------------------------------------
 # Fused LSTM (single op with hand-written backprop-through-time)
 # ---------------------------------------------------------------------------
-
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
 
 def lstm(x, wx, wh, b):
     """Unidirectional LSTM over a [T x D] sequence, zero initial state.
@@ -179,10 +210,10 @@ def lstm(x, wx, wh, b):
     c_prev = np.zeros(hidden, dtype=x.dtype)
     for t in range(t_len):
         a = pre[t] + wh.data @ h_prev
-        gi[t] = _sigmoid(a[:hidden])
-        gf[t] = _sigmoid(a[hidden : 2 * hidden])
+        gi[t] = ad.sigmoid_array(a[:hidden])
+        gf[t] = ad.sigmoid_array(a[hidden : 2 * hidden])
         gg[t] = np.tanh(a[2 * hidden : 3 * hidden])
-        go[t] = _sigmoid(a[3 * hidden :])
+        go[t] = ad.sigmoid_array(a[3 * hidden :])
         cs[t] = gf[t] * c_prev + gi[t] * gg[t]
         tcs[t] = np.tanh(cs[t])
         hs[t] = go[t] * tcs[t]
@@ -239,7 +270,9 @@ def zeros_param(shape, dtype):
 # ---------------------------------------------------------------------------
 
 class ComplexConv2d:
-    """Complex convolution: (Wr + jWi) * (xr + jxi) via four real convs."""
+    """Complex convolution (Wr + jWi) * (xr + jxi) + (br + jbi), computed as
+    one real conv of the stacked map [xr; xi] with the block kernel
+    [[Wr, -Wi], [Wi, Wr]] and the stacked bias [br; bi]."""
 
     def __init__(self, in_ch, out_ch, kernel, stride, rng, dtype, causal=True):
         kf, kt = kernel
@@ -256,14 +289,11 @@ class ComplexConv2d:
         return {"w_r": self.w_r, "w_i": self.w_i, "b_r": self.b_r, "b_i": self.b_i}
 
     def __call__(self, x):
-        rr = conv2d(x.re, self.w_r, self.stride, self.pad_f, self.pad_t)
-        ii = conv2d(x.im, self.w_i, self.stride, self.pad_f, self.pad_t)
-        ri = conv2d(x.re, self.w_i, self.stride, self.pad_f, self.pad_t)
-        ir = conv2d(x.im, self.w_r, self.stride, self.pad_f, self.pad_t)
-        out_ch = self.w_r.shape[0]
-        br = ad.reshape(self.b_r, (1, out_ch, 1, 1))
-        bi = ad.reshape(self.b_i, (1, out_ch, 1, 1))
-        return ComplexTensor(rr - ii + br, ri + ir + bi)
+        out = conv2d(
+            complex_stack(x), block_kernel(self.w_r, self.w_i), self.stride,
+            self.pad_f, self.pad_t, bias=ad.concat([self.b_r, self.b_i], axis=0),
+        )
+        return complex_split(out)
 
 
 class ComplexConvTranspose2d:
@@ -271,7 +301,9 @@ class ComplexConvTranspose2d:
 
     With matching geometry, <conv(x), y> == <x, deconv(y)> under the real
     inner product on (re, im) pairs. The frequency axis upsamples by the
-    stride; time is causal (the adjoint of an anti-causal pad).
+    stride; time is causal (the adjoint of an anti-causal pad). It is one
+    real transposed conv of the stacked map [xr; xi] with the same block
+    kernel as ``ComplexConv2d``, whose adjoint is the conjugate transpose.
     """
 
     def __init__(self, in_ch, out_ch, kernel, stride, rng, dtype):
@@ -290,15 +322,11 @@ class ComplexConvTranspose2d:
 
     def __call__(self, x):
         out_ft = (x.shape[2] * self.stride[0], x.shape[3])
-        args = (self.stride, self.pad_f, self.pad_t, out_ft)
-        rr = conv2d_transpose(x.re, self.w_r, *args)
-        ii = conv2d_transpose(x.im, self.w_i, *args)
-        ri = conv2d_transpose(x.re, self.w_i, *args)
-        ir = conv2d_transpose(x.im, self.w_r, *args)
-        out_ch = self.w_r.shape[1]
-        br = ad.reshape(self.b_r, (1, out_ch, 1, 1))
-        bi = ad.reshape(self.b_i, (1, out_ch, 1, 1))
-        return ComplexTensor(rr + ii + br, ir - ri + bi)
+        out = conv2d_transpose(
+            complex_stack(x), block_kernel(self.w_r, self.w_i), self.stride,
+            self.pad_f, self.pad_t, out_ft, bias=ad.concat([self.b_r, self.b_i], axis=0),
+        )
+        return complex_split(out)
 
 
 class ComplexBatchNorm:

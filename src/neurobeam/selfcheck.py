@@ -14,7 +14,18 @@ from . import autodiff as ad
 from .arraygeom import ArrayGeometry, ZoneGrid, steering_set, uca_positions, zone_of_angle
 from .dsp import StftConfig, Waveform, istft, stft
 from .gradcheck import check_gradients
-from .layers import conv2d, conv2d_transpose, lstm
+from .layers import (
+    ComplexTensor,
+    block_kernel,
+    complex_split,
+    complex_stack,
+    conv2d,
+    conv2d_input_adjoint,
+    conv2d_kernel_adjoint,
+    conv2d_raw,
+    conv2d_transpose,
+    lstm,
+)
 from .losses import bce_loss, si_snr_tensor, synthesize_waveform
 from .metrics import loc_metrics
 
@@ -22,20 +33,16 @@ GRAD_TOLERANCE = 1e-4
 
 
 def _complex_conv_build(stride, pad_f, pad_t, transpose=False, out_ft=None):
-    def build(xr, xi, wr, wi):
+    def build(xr, xi, wr, wi, br, bi):
+        x = complex_stack(ComplexTensor(xr, xi))
+        w = block_kernel(wr, wi)
+        bias = ad.concat([br, bi], axis=0)
         if transpose:
-            rr = conv2d_transpose(xr, wr, stride, pad_f, pad_t, out_ft)
-            ii = conv2d_transpose(xi, wi, stride, pad_f, pad_t, out_ft)
-            ri = conv2d_transpose(xr, wi, stride, pad_f, pad_t, out_ft)
-            ir = conv2d_transpose(xi, wr, stride, pad_f, pad_t, out_ft)
-            re, im = rr + ii, ir - ri
+            out = conv2d_transpose(x, w, stride, pad_f, pad_t, out_ft, bias=bias)
         else:
-            rr = conv2d(xr, wr, stride, pad_f, pad_t)
-            ii = conv2d(xi, wi, stride, pad_f, pad_t)
-            ri = conv2d(xr, wi, stride, pad_f, pad_t)
-            ir = conv2d(xi, wr, stride, pad_f, pad_t)
-            re, im = rr - ii, ri + ir
-        return ad.reduce_sum(re * re) + ad.reduce_sum(im * im)
+            out = conv2d(x, w, stride, pad_f, pad_t, bias=bias)
+        y = complex_split(out)
+        return ad.reduce_sum(y.re * y.re) + ad.reduce_sum(y.im * y.im)
 
     return build
 
@@ -71,12 +78,14 @@ def gradient_cases(seed=0):
     cases.append((
         "complex_conv2d",
         _complex_conv_build((2, 1), (2, 2), (1, 0)),
-        [r(1, 2, 8, 4), r(1, 2, 8, 4), 0.3 * r(3, 2, 5, 2), 0.3 * r(3, 2, 5, 2)],
+        [r(1, 2, 8, 4), r(1, 2, 8, 4), 0.3 * r(3, 2, 5, 2), 0.3 * r(3, 2, 5, 2),
+         0.1 * r(3), 0.1 * r(3)],
     ))
     cases.append((
         "complex_deconv2d",
         _complex_conv_build((2, 1), (2, 2), (0, 1), transpose=True, out_ft=(8, 4)),
-        [r(1, 3, 4, 4), r(1, 3, 4, 4), 0.3 * r(3, 2, 5, 2), 0.3 * r(3, 2, 5, 2)],
+        [r(1, 3, 4, 4), r(1, 3, 4, 4), 0.3 * r(3, 2, 5, 2), 0.3 * r(3, 2, 5, 2),
+         0.1 * r(2), 0.1 * r(2)],
     ))
     cases.append((
         "complex_batchnorm",
@@ -204,18 +213,24 @@ def _check_metrics():
 
 
 def _check_adjoint():
+    """<conv(x, w), y> == <x, input_adjoint(y, w)> == <w, kernel_adjoint(x, y)>."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([13])))
-    from .layers import conv2d_raw, conv2d_input_adjoint
-
     x = rng.standard_normal((1, 2, 8, 4))
     w = rng.standard_normal((3, 2, 5, 2))
-    y = rng.standard_normal((1, 3, 4, 4))
-    fwd = conv2d_raw(x, w, (2, 1), (2, 2), (1, 0))
-    adj = conv2d_input_adjoint(y, w, (2, 1), (2, 2), (1, 0), (8, 4))
-    lhs = float(np.sum(fwd * y))
-    rhs = float(np.sum(x * adj))
-    dev = abs(lhs - rhs) / max(abs(lhs), 1e-12)
-    return [("conv_adjoint_identity", dev < 1e-10, f"dev {dev:.2e}")]
+    pad_f, pad_t = (2, 2), (1, 0)
+    results = []
+    for stride, suffix in (((2, 1), ""), ((1, 1), "_stride1")):
+        fwd = conv2d_raw(x, w, stride, pad_f, pad_t)
+        y = rng.standard_normal(fwd.shape)
+        lhs = float(np.sum(fwd * y))
+        scale = max(abs(lhs), 1e-12)
+        adj_x = conv2d_input_adjoint(y, w, stride, pad_f, pad_t, (8, 4))
+        adj_w = conv2d_kernel_adjoint(x, y, stride, pad_f, pad_t, w.shape)
+        dev_x = abs(lhs - float(np.sum(x * adj_x))) / scale
+        dev_w = abs(lhs - float(np.sum(w * adj_w))) / scale
+        results.append((f"conv_adjoint_identity{suffix}", dev_x < 1e-10, f"dev {dev_x:.2e}"))
+        results.append((f"conv_kernel_adjoint_identity{suffix}", dev_w < 1e-10, f"dev {dev_w:.2e}"))
+    return results
 
 
 def run_selfcheck(corrupt_op=None):

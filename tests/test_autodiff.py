@@ -47,6 +47,17 @@ def test_grads_accumulate_without_zeroing(rng):
     assert np.allclose(x.grad, 2 * first)
 
 
+def test_backward_releases_interior_grads_and_reruns(rng):
+    x = Tensor(rng.standard_normal(4))
+    h = ad.sigmoid(x) * x
+    y = ad.reduce_sum(h)
+    backward(y)
+    assert h.grad is None and y.grad is None
+    first = x.grad.copy()
+    backward(y)
+    assert np.allclose(x.grad, 2 * first)
+
+
 def test_constants_are_skipped(rng):
     c = constant(rng.standard_normal(3))
     x = Tensor(rng.standard_normal(3))

@@ -141,6 +141,93 @@ def test_complex_linearity_of_linear_layers():
         assert np.allclose(fax, alpha * fx, atol=1e-12)
 
 
+def test_complex_conv_output_halves_are_views_of_one_map():
+    rng = _rng(16)
+    layer = ComplexConv2d(2, 3, (5, 2), (2, 1), rng, np.float64)
+    out = layer(_complex_from(rng, (1, 2, 8, 4)))
+    assert not np.shares_memory(out.re.data, out.im.data)
+    assert out.re.data.base is not None and out.re.data.base is out.im.data.base
+
+
+# ---------------------------------------------------------------------------
+# real conv kernels against a direct nested-loop reference
+# ---------------------------------------------------------------------------
+
+def _windows(fo, to, stride, kernel):
+    """(u, v, frequency slice, time slice) of every output position."""
+    (sf, st), (kf, kt) = stride, kernel
+    for u in range(fo):
+        for v in range(to):
+            yield u, v, slice(u * sf, u * sf + kf), slice(v * st, v * st + kt)
+
+
+def _ref_conv(x, w, stride, pad_f, pad_t):
+    xp = np.pad(x, ((0, 0), (0, 0), pad_f, pad_t))
+    o, _, kf, kt = w.shape
+    fo = (xp.shape[2] - kf) // stride[0] + 1
+    to = (xp.shape[3] - kt) // stride[1] + 1
+    out = np.zeros((x.shape[0], o, fo, to))
+    for b in range(x.shape[0]):
+        for oc in range(o):
+            for u, v, fs, ts in _windows(fo, to, stride, (kf, kt)):
+                out[b, oc, u, v] = np.sum(w[oc] * xp[b, :, fs, ts])
+    return out
+
+
+def _ref_input_adjoint(g, w, stride, pad_f, pad_t, in_ft):
+    b_n, o, fo, to = g.shape
+    kf, kt = w.shape[2:]
+    xp = np.zeros((b_n, w.shape[1], in_ft[0] + sum(pad_f), in_ft[1] + sum(pad_t)))
+    for b in range(b_n):
+        for oc in range(o):
+            for u, v, fs, ts in _windows(fo, to, stride, (kf, kt)):
+                xp[b, :, fs, ts] += w[oc] * g[b, oc, u, v]
+    return xp[:, :, pad_f[0] : pad_f[0] + in_ft[0], pad_t[0] : pad_t[0] + in_ft[1]]
+
+
+def _ref_kernel_adjoint(x, g, stride, pad_f, pad_t, kshape):
+    xp = np.pad(x, ((0, 0), (0, 0), pad_f, pad_t))
+    b_n, o, fo, to = g.shape
+    gw = np.zeros(kshape)
+    for b in range(b_n):
+        for oc in range(o):
+            for u, v, fs, ts in _windows(fo, to, stride, kshape[2:]):
+                gw[oc] += g[b, oc, u, v] * xp[b, :, fs, ts]
+    return gw
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("causal", [True, False])
+@pytest.mark.parametrize("kernel", [(1, 1), (3, 3), (5, 2)])
+@pytest.mark.parametrize("stride", [(1, 1), (2, 1), (2, 2)])
+@pytest.mark.parametrize("batch", [1, 2])
+def test_conv_kernels_match_nested_loop_reference(batch, stride, kernel, causal, dtype):
+    from neurobeam.layers import conv2d_input_adjoint, conv2d_kernel_adjoint, conv2d_raw
+
+    rng = _rng(100 + 7 * batch + 3 * stride[0] + 5 * stride[1] + kernel[0] + 11 * kernel[1])
+    kf, kt = kernel
+    c, o = rng.integers(1, 4, size=2)
+    f_in, t_in = rng.integers(max(kf, 2), 10), rng.integers(max(kt, 2), 8)
+    pad_f = ((kf - 1) // 2, kf // 2)
+    pad_t = (kt - 1, 0) if causal else (0, kt - 1)
+    x = rng.standard_normal((batch, c, f_in, t_in))
+    w = rng.standard_normal((o, c, kf, kt))
+    ref = _ref_conv(x, w, stride, pad_f, pad_t)
+    g = rng.standard_normal(ref.shape)
+    ref_x = _ref_input_adjoint(g, w, stride, pad_f, pad_t, (f_in, t_in))
+    ref_w = _ref_kernel_adjoint(x, g, stride, pad_f, pad_t, w.shape)
+
+    xd, wd, gd = x.astype(dtype), w.astype(dtype), g.astype(dtype)
+    got = conv2d_raw(xd, wd, stride, pad_f, pad_t)
+    got_x = conv2d_input_adjoint(gd, wd, stride, pad_f, pad_t, (f_in, t_in))
+    got_w = conv2d_kernel_adjoint(xd, gd, stride, pad_f, pad_t, w.shape)
+    tol = 100 * np.finfo(dtype).eps
+    for have, want in ((got, ref), (got_x, ref_x), (got_w, ref_w)):
+        assert have.dtype == dtype
+        assert have.shape == want.shape
+        assert np.abs(have - want).max() <= tol * (np.abs(want).max() + 1.0)
+
+
 # ---------------------------------------------------------------------------
 # batch norm / prelu / magnitude
 # ---------------------------------------------------------------------------
