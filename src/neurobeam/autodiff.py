@@ -7,8 +7,9 @@ topological order and accumulates into ``Tensor.grad``; an interior
 node's gradient is released once it has been propagated, so only leaf
 gradients should be read after the walk.
 
-Complex quantities elsewhere in the package are carried as (real, imag)
-pairs of ``Tensor``s, so the engine itself only ever sees real arrays.
+Complex quantities elsewhere in the package are carried as real tensors
+(stacked [re; im] maps, or their halves), so the engine itself only ever
+sees real arrays.
 Gradients accumulate across ``backward`` calls until explicitly cleared,
 which makes a zero-then-rerun reproduce identical gradients.
 """
@@ -52,8 +53,15 @@ class Tensor:
         return self.data.item()
 
     def accumulate(self, g, index=...):
-        """Add ``g`` into ``grad[index]``, allocating a zero gradient first."""
+        """Add ``g`` into ``grad[index]``.
+
+        A first full-shape gradient is stored as a copy cast to this
+        tensor's dtype; a first partial one lands in a zero gradient.
+        """
         if self.grad is None:
+            if index is ... and g.shape == self.data.shape:
+                self.grad = np.array(g, dtype=self.data.dtype)
+                return
             self.grad = np.zeros_like(self.data)
         self.grad[index] += g
 
@@ -280,20 +288,27 @@ def clip(a, lo, hi):
 
 
 def prelu(a, slope, axis):
-    """x if x > 0 else slope * x, with a learnable slope along ``axis``."""
+    """x if x > 0 else slope * x, with a learnable slope along ``axis``.
+
+    The per-element scale (1 or the slope) is kept from the forward pass,
+    so the input gradient is one product; the slope gradient is reduced
+    over the contiguous blocks before and after ``axis``.
+    """
+    channels = slope.data.shape[0]
     bshape = [1] * a.ndim
-    bshape[axis] = slope.data.shape[0]
-    s = slope.data.reshape(bshape)
-    pos = a.data > 0
-    out_data = np.where(pos, a.data, s * a.data)
+    bshape[axis] = channels
+    # Built from two masks: a broadcast np.where is several times slower.
+    scale = (a.data <= 0) * slope.data.reshape(bshape)
+    scale += a.data > 0
+    out_data = a.data * scale
 
     def backward_fn(g):
         if a.needs_grad:
-            a.accumulate(np.where(pos, g, s * g))
+            a.accumulate(g * scale)
         if slope.needs_grad:
-            gs = np.where(pos, 0.0, g * a.data)
-            reduce_axes = tuple(i for i in range(a.ndim) if i != axis)
-            slope.accumulate(gs.sum(axis=reduce_axes))
+            post = int(np.prod(a.shape[axis + 1:]))
+            gs = (g * np.minimum(a.data, 0)).reshape(-1, channels, post)
+            slope.accumulate(gs.sum(axis=2).sum(axis=0))
 
     return Tensor(out_data, (a, slope), backward_fn)
 

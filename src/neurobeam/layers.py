@@ -1,12 +1,18 @@
 """Complex-valued network layers on top of the autodiff engine.
 
-Complex tensors are (real, imag) pairs of real tensors; every complex
-layer applies the complex product rule through real building blocks, so
-the engine differentiates the wiring for free. A complex conv or deconv
-is one real conv of [re; im] stacked on the channel axis with the real
-block kernel [[Wr, -Wi], [Wi, Wr]]; each real conv is one im2col GEMM.
-Feature maps are laid out [batch x channels x freq x time]; convolutions
-stride the frequency axis and are causal along time (past-only padding).
+A complex feature map is carried in stacked real-block form: one real
+tensor [batch x 2C x freq x time] holding the C real channels, then the
+C imaginary ones. Each layer is one op on that tensor: a complex conv or
+deconv is one real conv (an im2col GEMM) with the block kernel
+[[Wr, -Wi], [Wi, Wr]], complex batch norm is one batch norm with the
+gammas [gamma_r; gamma_i] and betas [beta_r; beta_i], and PReLU is one
+PReLU with the slopes [slope_r; slope_i]. ``ComplexTensor`` is the
+(real, imag) view of a stacked tensor: ``complex_split`` takes views of
+the halves and ``complex_stack`` hands the same tensor back, so maps pass
+from layer to layer without copies; the halves are read only where a
+consumer needs them (the complex LSTM, the model output).
+Convolutions stride the frequency axis and are causal along time
+(past-only padding).
 """
 
 from __future__ import annotations
@@ -19,15 +25,20 @@ from .autodiff import Tensor
 
 
 class ComplexTensor:
-    """A complex array carried as (real, imag) autodiff tensors."""
+    """A complex array carried as (real, imag) autodiff tensors.
 
-    __slots__ = ("re", "im")
+    ``stacked`` is the real-block tensor [re; im] that ``complex_split``
+    took the halves from, or None when the halves were built apart.
+    """
 
-    def __init__(self, re, im):
+    __slots__ = ("re", "im", "stacked")
+
+    def __init__(self, re, im, stacked=None):
         if re.shape != im.shape:
             raise ValueError(f"real/imag shapes differ: {re.shape} vs {im.shape}")
         self.re = re
         self.im = im
+        self.stacked = stacked
 
     @property
     def shape(self):
@@ -158,19 +169,73 @@ def conv2d_transpose(x, w, stride, pad_f, pad_t, out_ft, bias=None):
     )
 
 
+def _channel_sum(a):
+    """Sum of a [B x C x ...] array over every axis but the channels."""
+    return a.reshape(a.shape[0], a.shape[1], -1).sum(axis=2).sum(axis=0)
+
+
+def batch_norm(x, gamma, beta, eps, stats=None):
+    """Per-channel batch norm of a [B x C x F x T] map as one op.
+
+    With ``stats=None`` each channel is standardized by its own mean and
+    biased variance over (batch, freq, time); with ``stats=(mean, var)``
+    those frozen statistics are used. Either way the forward pass is one
+    per-channel scale-and-shift, (x - mean) * gamma * inv_std + beta.
+    Returns the output tensor and the (mean, var) it used. The input
+    gradient is the closed form (Ioffe & Szegedy, 2015)
+    gamma * inv_std * (g - mean(g) - xh * mean(g * xh)), or
+    gamma * inv_std * g under frozen statistics.
+    """
+    cshape = (1, -1, 1, 1)
+    n = x.data.size // x.shape[1]
+    if stats is None:
+        mean = _channel_sum(x.data) / n
+        out_data = x.data - mean.reshape(cshape)
+        var = _channel_sum(out_data * out_data) / n
+    else:
+        mean, var = stats
+        out_data = x.data - mean.reshape(cshape)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    k = gamma.data * inv_std
+    out_data *= k.reshape(cshape)
+    out_data += beta.data.reshape(cshape)
+
+    def backward_fn(g):
+        xh = (x.data - mean.reshape(cshape)) * inv_std.reshape(cshape)
+        g_sum = _channel_sum(g)
+        gx_sum = _channel_sum(g * xh)
+        if x.needs_grad:
+            dx = g * k.reshape(cshape)
+            if stats is None:
+                xh *= (k * gx_sum / n).reshape(cshape)
+                xh += (k * g_sum / n).reshape(cshape)
+                dx -= xh
+            x.accumulate(dx)
+        if gamma.needs_grad:
+            gamma.accumulate(gx_sum)
+        if beta.needs_grad:
+            beta.accumulate(g_sum)
+
+    return Tensor(out_data, (x, gamma, beta), backward_fn), mean, var
+
+
 # ---------------------------------------------------------------------------
 # Complex maps in real block form
 # ---------------------------------------------------------------------------
 
 def complex_stack(x):
-    """[re; im] on the channel axis: the real form of a complex feature map."""
+    """[re; im] on axis 1 (channels of a map, features of a sequence): the
+    real form of a complex tensor. A split tensor hands back the tensor
+    it was split from, with no copy."""
+    if x.stacked is not None:
+        return x.stacked
     return ad.concat([x.re, x.im], axis=1)
 
 
 def complex_split(t):
     """Inverse of ``complex_stack``; both halves are views of ``t``."""
     half = t.shape[1] // 2
-    return ComplexTensor(ad.narrow(t, 1, 0, half), ad.narrow(t, 1, half, half))
+    return ComplexTensor(ad.narrow(t, 1, 0, half), ad.narrow(t, 1, half, half), stacked=t)
 
 
 def block_kernel(w_r, w_i):
@@ -330,11 +395,14 @@ class ComplexConvTranspose2d:
 
 
 class ComplexBatchNorm:
-    """Per-channel standardization applied independently to re and im.
+    """Per-channel standardization of re and im, as one batch norm of the
+    stacked map [re; im] with gammas [gamma_r; gamma_i] and betas
+    [beta_r; beta_i].
 
     Training mode normalizes with current-batch statistics over
     (batch, freq, time) and tracks running averages; eval mode applies the
-    frozen running statistics, which keeps inference causal.
+    frozen running statistics, which keeps inference causal. The re and
+    im running buffers are the two halves of one stacked buffer.
     """
 
     def __init__(self, channels, dtype, eps=1e-5, momentum=0.1):
@@ -344,10 +412,12 @@ class ComplexBatchNorm:
         self.beta_r = zeros_param(channels, dtype)
         self.gamma_i = Tensor(np.ones(channels, dtype=dtype))
         self.beta_i = zeros_param(channels, dtype)
-        self.running_mean_r = np.zeros(channels, dtype=dtype)
-        self.running_var_r = np.ones(channels, dtype=dtype)
-        self.running_mean_i = np.zeros(channels, dtype=dtype)
-        self.running_var_i = np.ones(channels, dtype=dtype)
+        self.running_mean = np.zeros(2 * channels, dtype=dtype)
+        self.running_var = np.ones(2 * channels, dtype=dtype)
+        self.running_mean_r = self.running_mean[:channels]
+        self.running_mean_i = self.running_mean[channels:]
+        self.running_var_r = self.running_var[:channels]
+        self.running_var_i = self.running_var[channels:]
 
     def params(self):
         return {
@@ -365,37 +435,23 @@ class ComplexBatchNorm:
         for name, arr in values.items():
             getattr(self, name)[...] = arr
 
-    def _normalize(self, t, gamma, beta, rmean, rvar, training):
-        channels = gamma.shape[0]
-        cshape = (1, channels, 1, 1)
-        if training:
-            mu = ad.reduce_mean(t, axis=(0, 2, 3), keepdims=True)
-            centered = t - mu
-            var = ad.reduce_mean(centered * centered, axis=(0, 2, 3), keepdims=True)
-            m = self.momentum
-            rmean *= 1.0 - m
-            rmean += m * mu.data.reshape(channels)
-            rvar *= 1.0 - m
-            rvar += m * var.data.reshape(channels)
-        else:
-            mu = ad.constant(rmean.reshape(cshape))
-            centered = t - mu
-            var = ad.constant(rvar.reshape(cshape))
-        xh = centered / ad.sqrt(var + self.eps)
-        return xh * ad.reshape(gamma, cshape) + ad.reshape(beta, cshape)
-
     def __call__(self, x, training):
-        re = self._normalize(
-            x.re, self.gamma_r, self.beta_r, self.running_mean_r, self.running_var_r, training
-        )
-        im = self._normalize(
-            x.im, self.gamma_i, self.beta_i, self.running_mean_i, self.running_var_i, training
-        )
-        return ComplexTensor(re, im)
+        gamma = ad.concat([self.gamma_r, self.gamma_i], axis=0)
+        beta = ad.concat([self.beta_r, self.beta_i], axis=0)
+        stats = None if training else (self.running_mean, self.running_var)
+        out, mean, var = batch_norm(complex_stack(x), gamma, beta, self.eps, stats)
+        if training:
+            m = self.momentum
+            self.running_mean *= 1.0 - m
+            self.running_mean += m * mean
+            self.running_var *= 1.0 - m
+            self.running_var += m * var
+        return complex_split(out)
 
 
 class ComplexPReLU:
-    """PReLU applied independently to real and imaginary parts."""
+    """PReLU of re and im with their own slopes, as one PReLU of the
+    stacked map [re; im] with the slopes [slope_r; slope_i]."""
 
     def __init__(self, channels, dtype, axis=1, init=0.25):
         self.axis = axis
@@ -406,10 +462,8 @@ class ComplexPReLU:
         return {"slope_r": self.slope_r, "slope_i": self.slope_i}
 
     def __call__(self, x):
-        return ComplexTensor(
-            ad.prelu(x.re, self.slope_r, self.axis),
-            ad.prelu(x.im, self.slope_i, self.axis),
-        )
+        slope = ad.concat([self.slope_r, self.slope_i], axis=0)
+        return complex_split(ad.prelu(complex_stack(x), slope, self.axis))
 
 
 class Linear:
@@ -425,6 +479,10 @@ class Linear:
 
 
 class ComplexLinear:
+    """(Wr + jWi) x + (br + jbi) over the last axis of a [T x D] sequence,
+    as one real matmul of [xr, xi] with the block matrix
+    [[Wr, -Wi], [Wi, Wr]] and the stacked bias [br; bi]."""
+
     def __init__(self, in_features, out_features, rng, dtype):
         self.w_r = uniform_init(rng, (out_features, in_features), in_features, dtype)
         self.w_i = uniform_init(rng, (out_features, in_features), in_features, dtype)
@@ -435,11 +493,9 @@ class ComplexLinear:
         return {"w_r": self.w_r, "w_i": self.w_i, "b_r": self.b_r, "b_i": self.b_i}
 
     def __call__(self, x):
-        wrt = ad.transpose(self.w_r, (1, 0))
-        wit = ad.transpose(self.w_i, (1, 0))
-        re = ad.matmul(x.re, wrt) - ad.matmul(x.im, wit) + self.b_r
-        im = ad.matmul(x.re, wit) + ad.matmul(x.im, wrt) + self.b_i
-        return ComplexTensor(re, im)
+        w = block_kernel(self.w_r, self.w_i)
+        out = ad.matmul(complex_stack(x), ad.transpose(w, (1, 0)))
+        return complex_split(out + ad.concat([self.b_r, self.b_i], axis=0))
 
 
 class RealLSTM:

@@ -27,6 +27,8 @@ from .layers import (
     ComplexPReLU,
     ComplexTensor,
     Linear,
+    complex_split,
+    complex_stack,
 )
 
 MAGNITUDE_EPS = 1e-12
@@ -189,9 +191,9 @@ class NlmHead:
         h = self.block2(h, training)
         n_zones = self.cfg.zones
         _, _, f2, t_len = h.shape
-        re = ad.reshape(h.re, (n_zones, 2, f2, t_len))
-        im = ad.reshape(h.im, (n_zones, 2, f2, t_len))
-        power = ad.reduce_sum(re * re + im * im, axis=1)
+        stacked = complex_stack(h)
+        squares = ad.reshape(stacked * stacked, (2, n_zones, 2, f2, t_len))
+        power = ad.reduce_sum(squares, axis=(0, 2))
         mag = ad.sqrt(power + MAGNITUDE_EPS)
         score = ad.reduce_mean(mag, axis=1)  # [N x T]
         flat = ad.reshape(score, (n_zones * t_len, 1))
@@ -291,10 +293,8 @@ class MimoDccrn:
         )
 
         for block, skip in zip(self.decoder, skips[::-1]):
-            merged = ComplexTensor(
-                ad.concat([h.re, skip.re], axis=1), ad.concat([h.im, skip.im], axis=1)
-            )
-            h = block(merged, training)
+            merged = ad.concat([h.re, skip.re, h.im, skip.im], axis=1)
+            h = block(complex_split(merged), training)
         return h
 
     def forward_weights(self, spec_data, training=False):

@@ -15,6 +15,7 @@ from .arraygeom import ArrayGeometry, ZoneGrid, steering_set, uca_positions, zon
 from .dsp import StftConfig, Waveform, istft, stft
 from .gradcheck import check_gradients
 from .layers import (
+    ComplexBatchNorm,
     ComplexTensor,
     block_kernel,
     complex_split,
@@ -47,15 +48,18 @@ def _complex_conv_build(stride, pad_f, pad_t, transpose=False, out_ft=None):
     return build
 
 
-def _batchnorm_build(eps=1e-5):
-    def build(x, gamma, beta):
-        mu = ad.reduce_mean(x, axis=(0, 2, 3), keepdims=True)
-        centered = x - mu
-        var = ad.reduce_mean(centered * centered, axis=(0, 2, 3), keepdims=True)
-        xh = centered / ad.sqrt(var + eps)
-        c = gamma.shape[0]
-        out = xh * ad.reshape(gamma, (1, c, 1, 1)) + ad.reshape(beta, (1, c, 1, 1))
-        return ad.reduce_sum(out * out)
+def _complex_batchnorm_build(training, weight, running=None):
+    """Weighted squares of a ``ComplexBatchNorm`` output; the map and the
+    layer's four parameter vectors are the inputs, ``running`` (or None)
+    its running statistics."""
+
+    def build(xr, xi, gamma_r, gamma_i, beta_r, beta_i):
+        bn = ComplexBatchNorm(gamma_r.shape[0], xr.dtype)
+        bn.gamma_r, bn.gamma_i, bn.beta_r, bn.beta_i = gamma_r, gamma_i, beta_r, beta_i
+        if running is not None:
+            bn.set_buffers(running)
+        y = complex_stack(bn(ComplexTensor(xr, xi), training))
+        return ad.reduce_sum(y * y * ad.constant(weight))
 
     return build
 
@@ -87,15 +91,30 @@ def gradient_cases(seed=0):
         [r(1, 3, 4, 4), r(1, 3, 4, 4), 0.3 * r(3, 2, 5, 2), 0.3 * r(3, 2, 5, 2),
          0.1 * r(2), 0.1 * r(2)],
     ))
+    bn_params = [1.0 + 0.1 * r(3), 1.0 + 0.1 * r(3), 0.1 * r(3), 0.1 * r(3)]
     cases.append((
         "complex_batchnorm",
-        _batchnorm_build(),
-        [r(1, 3, 4, 5), 1.0 + 0.1 * r(3), 0.1 * r(3)],
+        _complex_batchnorm_build(True, r(1, 6, 4, 5)),
+        [r(1, 3, 4, 5), r(1, 3, 4, 5), *bn_params],
+    ))
+    running = {
+        "running_mean_r": 0.3 * r(3), "running_mean_i": 0.3 * r(3),
+        "running_var_r": 0.5 + rng.uniform(size=3), "running_var_i": 0.5 + rng.uniform(size=3),
+    }
+    cases.append((
+        "complex_batchnorm_eval",
+        _complex_batchnorm_build(False, r(1, 6, 4, 5), running),
+        [r(1, 3, 4, 5), r(1, 3, 4, 5), *bn_params],
     ))
     cases.append((
         "prelu",
         lambda x, s: ad.reduce_sum(ad.prelu(x, s, 1) * ad.prelu(x, s, 1)),
         [r(2, 3, 4), 0.25 + 0.1 * r(3)],
+    ))
+    cases.append((
+        "prelu_map",
+        lambda x, s: ad.reduce_sum(ad.prelu(x, s, 1) * ad.prelu(x, s, 1)),
+        [r(2, 4, 3, 5), 0.25 + 0.1 * r(4)],
     ))
     cases.append((
         "complex_lstm",

@@ -102,7 +102,12 @@ def _save(out_dir, model, adam, cfg, step):
 
 
 def training_step(model, adam, cfg, stft_cfg, entry, base_dir, steering=None):
-    """One optimization step on one mixture; returns the loss breakdown."""
+    """One optimization step on one mixture.
+
+    Returns ``(breakdown, fault)``: ``fault`` is None when the update was
+    applied, else why it was not (a non-finite loss, or the first
+    parameter whose gradient is non-finite), with the parameters untouched.
+    """
     trn = cfg.training
     noisy = read_wav(base_dir / entry["noisy_path"])
     target = read_wav(base_dir / entry["target_path"])
@@ -135,18 +140,21 @@ def training_step(model, adam, cfg, stft_cfg, entry, base_dir, steering=None):
         gamma=trn.gamma,
     )
     if not np.isfinite(breakdown.total):
-        return breakdown, False
+        return breakdown, "non-finite loss"
     adam.zero_grad()
     ad.backward(loss)
+    for name, p in model.params().items():
+        if p.grad is not None and not np.all(np.isfinite(p.grad)):
+            return breakdown, f"non-finite gradient of {name}"
     adam.step()
-    return breakdown, True
+    return breakdown, None
 
 
 def train(cfg, manifest_path, out_dir, resume=None):
     """Run the configured number of steps; returns the per-step log.
 
-    On a non-finite loss the last finite-state checkpoint is kept on disk
-    and ``TrainingDiverged`` is raised.
+    On a non-finite loss or parameter gradient the last finite-state
+    checkpoint is kept on disk and ``TrainingDiverged`` is raised.
     """
     manifest_path = Path(manifest_path)
     out_dir = Path(out_dir)
@@ -183,7 +191,7 @@ def train(cfg, manifest_path, out_dir, resume=None):
         for step in range(start, cfg.training.steps):
             t0 = time.perf_counter()
             entry = entries[step % len(entries)]
-            breakdown, ok = training_step(
+            breakdown, fault = training_step(
                 model, adam, cfg, stft_cfg, entry, base_dir, steering
             )
             if cfg.training.debug_nan_at_step == step:
@@ -191,14 +199,14 @@ def train(cfg, manifest_path, out_dir, resume=None):
                     breakdown.si_snr_db, breakdown.loss_sisnr, breakdown.loss_bce,
                     float("nan"), breakdown.gamma,
                 )
-                ok = False
-            if not ok:
+                fault = "non-finite loss"
+            if fault is not None:
                 # Parameters predate the poisoned update; keep them if finite.
                 if all(np.all(np.isfinite(p.data)) for p in model.params().values()):
                     _save(out_dir, model, adam, cfg, step)
                 raise TrainingDiverged(
                     step,
-                    f"non-finite loss at step {step} "
+                    f"{fault} at step {step} "
                     f"(bce={breakdown.loss_bce}, sisnr={breakdown.loss_sisnr}); "
                     f"last finite checkpoint retained at {out_dir / CHECKPOINT_NAME}",
                 )

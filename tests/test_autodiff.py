@@ -81,6 +81,18 @@ def test_dtype_preserved_float32():
     assert x.grad.dtype == np.float32
 
 
+def test_first_gradient_is_a_copy_in_the_tensor_dtype():
+    x = Tensor(np.zeros((2, 3), dtype=np.float32))
+    g = np.arange(6.0).reshape(2, 3)
+    x.accumulate(g)
+    g[...] = -1.0
+    assert x.grad.dtype == np.float32
+    assert np.array_equal(x.grad, np.arange(6.0).reshape(2, 3))
+    x.accumulate(np.ones((2, 3)))
+    assert x.grad.dtype == np.float32
+    assert np.array_equal(x.grad, np.arange(1.0, 7.0).reshape(2, 3))
+
+
 @pytest.mark.parametrize(
     "name,build,shapes",
     [

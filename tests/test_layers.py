@@ -13,6 +13,8 @@ from neurobeam.layers import (
     ComplexLinear,
     ComplexTensor,
     complex_magnitude,
+    complex_split,
+    complex_stack,
     conv2d,
     conv2d_transpose,
     lstm,
@@ -274,6 +276,76 @@ def test_batchnorm_eval_uses_running_stats():
     before = bn.running_mean_r.copy()
     bn(y, training=False)
     assert np.array_equal(bn.running_mean_r, before)
+
+
+def _composite_batchnorm(t, gamma, beta, rmean, rvar, training, eps=1e-5, momentum=0.1):
+    """Reference: batch norm of one part composed from autodiff primitives."""
+    channels = gamma.shape[0]
+    cshape = (1, channels, 1, 1)
+    if training:
+        mu = ad.reduce_mean(t, axis=(0, 2, 3), keepdims=True)
+        centered = t - mu
+        var = ad.reduce_mean(centered * centered, axis=(0, 2, 3), keepdims=True)
+        rmean *= 1.0 - momentum
+        rmean += momentum * mu.data.reshape(channels)
+        rvar *= 1.0 - momentum
+        rvar += momentum * var.data.reshape(channels)
+    else:
+        mu = ad.constant(rmean.reshape(cshape))
+        centered = t - mu
+        var = ad.constant(rvar.reshape(cshape))
+    xh = centered / ad.sqrt(var + eps)
+    return xh * ad.reshape(gamma, cshape) + ad.reshape(beta, cshape)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 2])
+def test_fused_batchnorm_matches_composite_formula(batch, dtype):
+    g = _rng(30 + batch)
+    c, shape = 3, (batch, 3, 6, 5)
+    bn = ComplexBatchNorm(c, dtype)
+    for p in bn.params().values():
+        p.data = (p.data + 0.2 * g.standard_normal(c)).astype(dtype)
+    ref_params = {k: Tensor(p.data.copy()) for k, p in bn.params().items()}
+    ref_buffers = {k: b.copy() for k, b in bn.buffers().items()}
+
+    def close(have, want):
+        assert have.dtype == dtype
+        tol = 200 * np.finfo(dtype).eps
+        assert np.abs(have - want).max() <= tol * (np.abs(want).max() + 1.0)
+
+    for training in (True, True, False):
+        arrays = [(2.0 + 3.0 * g.standard_normal(shape)).astype(dtype) for _ in range(2)]
+        weight = g.standard_normal((2,) + shape).astype(dtype)
+        x = ComplexTensor(Tensor(arrays[0].copy()), Tensor(arrays[1].copy()))
+        out = bn(x, training)
+        backward(ad.reduce_sum(out.re * ad.constant(weight[0]))
+                 + ad.reduce_sum(out.im * ad.constant(weight[1])))
+        parts = []
+        for part, arr, w in (("r", arrays[0], weight[0]), ("i", arrays[1], weight[1])):
+            t = Tensor(arr.copy())
+            y = _composite_batchnorm(
+                t, ref_params[f"gamma_{part}"], ref_params[f"beta_{part}"],
+                ref_buffers[f"running_mean_{part}"], ref_buffers[f"running_var_{part}"],
+                training,
+            )
+            backward(ad.reduce_sum(y * ad.constant(w)))
+            parts.append((y, t))
+        close(out.re.data, parts[0][0].data)
+        close(out.im.data, parts[1][0].data)
+        close(x.re.grad, parts[0][1].grad)
+        close(x.im.grad, parts[1][1].grad)
+        for name, b in bn.buffers().items():
+            close(b, ref_buffers[name])
+    for name, p in bn.params().items():  # summed over the three calls
+        close(p.grad, ref_params[name].grad)
+
+
+def test_complex_stack_of_split_is_the_same_tensor():
+    t = Tensor(_rng(33).standard_normal((1, 4, 3, 2)))
+    halves = complex_split(t)
+    assert complex_stack(halves) is t
+    assert np.array_equal(halves.re.data, t.data[:, :2]) and np.array_equal(halves.im.data, t.data[:, 2:])
 
 
 def test_complex_magnitude(rng):

@@ -93,6 +93,36 @@ def test_nan_abort_keeps_checkpoint(tmp_path, toy_dataset):
     assert (tmp_path / "run" / CHECKPOINT_NAME).exists()
 
 
+def test_nan_gradient_with_finite_loss_aborts_before_update(tmp_path, toy_dataset, monkeypatch):
+    from neurobeam import training
+    from neurobeam.checkpoint import load_checkpoint
+
+    models, backward_calls = [], []
+    real_build, real_backward = training.build_model, ad.backward
+
+    def recording_build(cfg):
+        models.append(real_build(cfg))
+        return models[-1]
+
+    def poisoned_backward(loss):
+        real_backward(loss)
+        backward_calls.append(loss)
+        if len(backward_calls) == 2:  # step 1: the loss stays finite
+            models[0].params()["dec2.bn.gamma_r"].grad[0] = np.nan
+
+    monkeypatch.setattr(training, "build_model", recording_build)
+    monkeypatch.setattr(ad, "backward", poisoned_backward)
+    cfg = config_from_dict(toy_config_dict(steps=4, checkpoint_every=100))
+    with pytest.raises(TrainingDiverged, match="non-finite gradient of dec2.bn.gamma_r at step 1"):
+        train(cfg, toy_dataset["manifest"], tmp_path / "run")
+    assert np.isfinite(backward_calls[1].item())
+    arrays, meta = load_checkpoint(tmp_path / "run" / CHECKPOINT_NAME)
+    assert meta["train_step"] == 1
+    for name, p in models[0].params().items():
+        assert np.all(np.isfinite(p.data)), name
+        assert np.array_equal(arrays[f"param.{name}"], p.data), name
+
+
 def test_empty_manifest_rejected(tmp_path):
     manifest = tmp_path / "manifest.jsonl"
     manifest.write_text("")
