@@ -48,6 +48,13 @@ def uca_positions(num_mics, radius):
     return np.stack([radius * np.cos(angles), radius * np.sin(angles), np.zeros(num_mics)], axis=1)
 
 
+def array_geometry(mics, radius_m, speed_of_sound=SPEED_OF_SOUND, positions=None):
+    """The configured array: explicit ``positions`` [M x 3], else a UCA."""
+    if positions is None:
+        positions = uca_positions(mics, radius_m)
+    return ArrayGeometry(np.asarray(positions, dtype=np.float64), speed_of_sound)
+
+
 def doa_unit_vector(azimuth_deg):
     theta = np.deg2rad(azimuth_deg)
     return np.array([np.cos(theta), np.sin(theta), 0.0])

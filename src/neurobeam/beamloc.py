@@ -4,11 +4,12 @@ Filter weights are stored in conjugated form, so both the beamformer
 output and the steered response are plain (non-conjugated) products:
 enhanced(t,f) = sum_m w[m,t,f] * y[m,t,f], and the distortionless index
 of zone n is the frequency-averaged |sum_m w[m,t,f] * a[n,f,m]|.
+These are the only forward implementations: the training ops in
+``losses`` call them and add only the adjoints.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,30 +21,33 @@ from .layers import ComplexTensor
 DEFAULT_VAD_THRESHOLD = 0.5
 
 
+def beamform(weights, data):
+    """sum_m w[m,t,f] * y[m,t,f]: filters and spectra [M x T x F] -> [T x F]."""
+    if weights.shape != data.shape:
+        raise ValueError(f"weights shape {weights.shape} != spectrogram shape {data.shape}")
+    return np.einsum("mtf,mtf->tf", weights, data)
+
+
 def filter_and_sum(weights, spec):
     """Apply per-channel filters and sum across microphones -> 1-channel."""
-    if weights.shape != spec.data.shape:
-        raise ValueError(f"weights shape {weights.shape} != spectrogram shape {spec.data.shape}")
-    out = np.einsum("mtf,mtf->tf", weights, spec.data)
-    return Spectrogram(out[np.newaxis], spec.config, spec.sample_rate)
+    return Spectrogram(beamform(weights, spec.data)[np.newaxis], spec.config, spec.sample_rate)
 
 
-def splm_map(weights, steering, band=None):
-    """Distortionless index per zone: [T x N] frequency-averaged |w^H a|.
-
-    ``steering`` is [N x F x M]; ``band`` optionally restricts the average
-    to a (lo, hi) bin range (high bins of a small array are spatially
-    aliased; the default averages the full band).
-    """
+def steered_response(weights, steering):
+    """[F x T x N] response sum_m w[m,t,f] * a[n,f,m] of [M x T x F] filters
+    to [N x F x M] steering vectors: one batched matmul over frequency."""
     n_zones, f_bins, mics = steering.shape
     if weights.shape[0] != mics or weights.shape[2] != f_bins:
         raise ValueError(
             f"weights [M x T x F] = {weights.shape} incompatible with steering "
             f"[N x F x M] = {steering.shape}"
         )
-    sel = slice(*band) if band is not None else slice(None)
-    resp = np.einsum("mtf,nfm->tnf", weights[:, :, sel], steering[:, sel, :])
-    return np.abs(resp).mean(axis=2)
+    return np.matmul(weights.transpose(2, 1, 0), steering.transpose(1, 2, 0))
+
+
+def splm_map(weights, steering):
+    """Distortionless index per zone: [T x N] frequency-averaged |w^H a|."""
+    return np.abs(steered_response(weights, steering)).mean(axis=0)
 
 
 def localize(zmap):
@@ -90,7 +94,6 @@ def enhance_utterance(
     geometry,
     stft_cfg,
     vad_threshold=DEFAULT_VAD_THRESHOLD,
-    band=None,
 ):
     """Full enhancement + localization pass over one utterance.
 
@@ -110,7 +113,7 @@ def enhance_utterance(
         steering = steering_set(
             geometry, ZoneGrid(zones), stft_cfg.frequencies(noisy.sample_rate)
         )
-        zmap = splm_map(weights, steering, band=band)
+        zmap = splm_map(weights, steering)
     elif mode == "nlm":
         w_img = np.ascontiguousarray(weights.transpose(0, 2, 1))[np.newaxis]
         zmap = model.localize(
@@ -124,15 +127,13 @@ def enhance_utterance(
 def write_localization_csv(path, result, frame_times):
     """Per-frame CSV: frame_index, time_s, zone, vad, then one zone score each."""
     zmap = result.zmap
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["frame_index", "time_s", "zone", "vad"]
-            + [f"z_{n + 1}" for n in range(zmap.shape[1])]
-        )
-        for t in range(zmap.shape[0]):
-            writer.writerow(
-                [t, f"{frame_times[t]:.6f}", int(result.zone_track[t]),
-                 f"{result.vad_track[t]:.6f}"]
-                + [f"{v:.6f}" for v in zmap[t]]
-            )
+    t_frames, zones = zmap.shape
+    table = np.column_stack([
+        np.arange(t_frames), np.asarray(frame_times)[:t_frames],
+        result.zone_track, result.vad_track, zmap,
+    ])
+    header = ["frame_index", "time_s", "zone", "vad"] + [f"z_{n + 1}" for n in range(zones)]
+    np.savetxt(
+        path, table, fmt=["%d", "%.6f", "%d"] + ["%.6f"] * (zones + 1), delimiter=",",
+        newline="\r\n", header=",".join(header), comments="",
+    )

@@ -12,7 +12,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
-from .arraygeom import ArrayGeometry, uca_positions
+from .arraygeom import array_geometry
 from .dsp import StftConfig
 from .model import MimoDccrnConfig, NlmConfig
 from .roomsim import DatasetConfig
@@ -129,17 +129,7 @@ class RunConfig:
         return StftConfig(self.stft.window_length, self.stft.hop, self.stft.fft_size)
 
     def geometry(self):
-        if self.array.positions is not None:
-            import numpy as np
-
-            return ArrayGeometry(
-                np.asarray(self.array.positions, dtype=np.float64),
-                self.array.speed_of_sound,
-            )
-        return ArrayGeometry(
-            uca_positions(self.array.mics, self.array.radius_m),
-            self.array.speed_of_sound,
-        )
+        return array_geometry(**dataclasses.asdict(self.array))
 
     def dataset_config(self):
         return DatasetConfig(

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.io import wavfile
 
 DEFAULT_SAMPLE_RATE = 16000
@@ -108,12 +109,8 @@ class StftConfig:
     def _cola_deviation(self):
         """Relative ripple of the tiled squared window on interior samples."""
         frames = 4 * max(2, -(-self.window_length // self.hop))
-        total = self.window_length + (frames - 1) * self.hop
-        acc = np.zeros(total)
-        wsq = self.window**2
-        for t in range(frames):
-            acc[t * self.hop : t * self.hop + self.window_length] += wsq
-        interior = acc[self.window_length : total - self.window_length]
+        acc = wola_normalizer(self, frames)
+        interior = acc[self.window_length : acc.shape[0] - self.window_length]
         return (interior.max() - interior.min()) / interior.mean()
 
     @property
@@ -163,35 +160,37 @@ class Spectrogram:
 
 
 def frame_signal(x, cfg):
-    """Gather windowed frames [T x window_length] of a 1-d signal."""
-    n = x.shape[0]
-    t_frames = num_frames(n, cfg.window_length, cfg.hop)
-    frames = np.zeros((t_frames, cfg.window_length), dtype=np.float64)
-    for t in range(t_frames):
-        chunk = x[t * cfg.hop : t * cfg.hop + cfg.window_length]
-        frames[t, : chunk.shape[0]] = chunk
+    """Windowed frames [... x T x window_length] of signals [... x n], read
+    through one strided view; input shorter than a window is zero-padded."""
+    n = x.shape[-1]
+    if n < cfg.window_length:
+        pad = [(0, 0)] * (x.ndim - 1) + [(0, cfg.window_length - n)]
+        x = np.pad(x, pad)
+    frames = sliding_window_view(x, cfg.window_length, axis=-1)[..., :: cfg.hop, :]
     return frames * cfg.window
 
 
-def stft(wave, cfg):
-    """One-sided STFT of every channel; frames zero-padded to fft_size."""
-    if wave.num_samples == 0:
-        raise ValueError("cannot analyze an empty waveform")
-    chans = []
-    for m in range(wave.channels):
-        frames = frame_signal(wave.samples[m], cfg)
-        chans.append(np.fft.rfft(frames, n=cfg.fft_size, axis=1))
-    return Spectrogram(np.stack(chans), cfg, wave.sample_rate)
+def overlap_add(frames, cfg):
+    """Window frames [... x T x window_length] and sum them hop apart into
+    [... x window_length + (T-1)*hop]: the adjoint of ``frame_signal``.
+
+    One add per hop-long block of the window (the last zero-padded), last
+    block first, so each output sample sums its frames in time order.
+    """
+    *lead, t_frames, length = frames.shape
+    k = -(-length // cfg.hop)
+    blocks = np.zeros((*lead, t_frames, k * cfg.hop))
+    np.multiply(frames, cfg.window, out=blocks[..., :length])
+    blocks = blocks.reshape(*lead, t_frames, k, cfg.hop)
+    out = np.zeros((*lead, t_frames + k - 1, cfg.hop))
+    for j in reversed(range(k)):
+        out[..., j : j + t_frames, :] += blocks[..., j, :]
+    return out.reshape(*lead, -1)[..., : length + (t_frames - 1) * cfg.hop]
 
 
 def wola_normalizer(cfg, n_frames):
     """Per-sample sum of squared synthesis windows for a frame count."""
-    total = cfg.window_length + (n_frames - 1) * cfg.hop
-    acc = np.zeros(total)
-    wsq = cfg.window**2
-    for t in range(n_frames):
-        acc[t * cfg.hop : t * cfg.hop + cfg.window_length] += wsq
-    return acc
+    return overlap_add(np.broadcast_to(cfg.window, (n_frames, cfg.window_length)), cfg)
 
 
 def wola_inverse(cfg, n_frames):
@@ -203,14 +202,19 @@ def wola_inverse(cfg, n_frames):
     return inv
 
 
-def overlap_add(frames, cfg):
-    """Weighted overlap-add of time frames [T x window_length] -> 1-d signal."""
-    n_frames = frames.shape[0]
-    total = cfg.window_length + (n_frames - 1) * cfg.hop
-    out = np.zeros(total)
-    for t in range(n_frames):
-        out[t * cfg.hop : t * cfg.hop + cfg.window_length] += frames[t] * cfg.window
-    return out * wola_inverse(cfg, n_frames)
+def stft(wave, cfg):
+    """One-sided STFT of every channel; frames zero-padded to fft_size."""
+    if wave.num_samples == 0:
+        raise ValueError("cannot analyze an empty waveform")
+    frames = frame_signal(wave.samples, cfg)
+    return Spectrogram(np.fft.rfft(frames, n=cfg.fft_size, axis=-1), cfg, wave.sample_rate)
+
+
+def synthesize(spectra, cfg):
+    """Weighted overlap-add of one-sided spectra [... x T x F], normalized
+    by the squared windows covering each sample (``wola_inverse``)."""
+    frames = np.fft.irfft(spectra, n=cfg.fft_size, axis=-1)[..., : cfg.window_length]
+    return overlap_add(frames, cfg) * wola_inverse(cfg, frames.shape[-2])
 
 
 def istft(spec):
@@ -220,12 +224,7 @@ def istft(spec):
     analysis dropped are not resynthesized. Samples within one window of
     either edge are only partially covered and are not guaranteed exact.
     """
-    cfg = spec.config
-    chans = []
-    for m in range(spec.channels):
-        time_frames = np.fft.irfft(spec.data[m], n=cfg.fft_size, axis=1)
-        chans.append(overlap_add(time_frames[:, : cfg.window_length], cfg))
-    return Waveform(np.stack(chans), spec.sample_rate)
+    return Waveform(synthesize(spec.data, spec.config), spec.sample_rate)
 
 
 # ---------------------------------------------------------------------------

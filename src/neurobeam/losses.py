@@ -1,7 +1,9 @@
 """Training objectives: scale-invariant SNR on waveforms and binary
-cross-entropy on zone maps, plus the differentiable synthesis pieces
-(overlap-add inverse STFT, filter-and-sum, steered zone map) that connect
-the filter tensor to those objectives.
+cross-entropy on zone maps, plus the autodiff ops (overlap-add inverse
+STFT, filter-and-sum, steered zone map) that connect the filter tensor
+to those objectives. Each op's forward is the inference code itself
+(``dsp.synthesize``, ``beamloc.beamform``, ``beamloc.steered_response``);
+the op adds only the analytic adjoint.
 
 The printed SI-SNR definition in the source material uses 20*log10 of an
 energy ratio, twice the usual convention; ``convention`` selects
@@ -18,8 +20,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .beamloc import beamform, steered_response
+from .dsp import frame_signal, synthesize, wola_inverse
 from .layers import ComplexTensor
-from .dsp import wola_inverse
 
 SI_SNR_CLAMP_DB = 60.0
 BCE_EPS = 1e-7
@@ -112,86 +115,71 @@ def total_loss(bce, sisnr_loss, gamma=1.0):
 # ---------------------------------------------------------------------------
 
 def synthesize_waveform(spec_re, spec_im, cfg):
-    """Overlap-add inverse STFT as one autodiff op.
-
-    Inputs are [T x F] tensors of one-sided spectra; the forward pass
-    matches ``dsp.istft`` exactly and the backward pass applies the
-    analytic adjoint of irfft -> window -> overlap-add -> normalize.
-    """
+    """``dsp.synthesize`` of [T x F] one-sided spectra as one autodiff op;
+    the backward is its adjoint: normalize, ``dsp.frame_signal``, rfft."""
     t_frames, f_bins = spec_re.shape
     if f_bins != cfg.num_bins:
         raise ValueError(f"expected {cfg.num_bins} bins, got {f_bins}")
-    length = cfg.window_length + (t_frames - 1) * cfg.hop
-    inv_norm = wola_inverse(cfg, t_frames)
-
-    window = cfg.window
-    nfft = cfg.fft_size
     spectra = spec_re.data.astype(np.float64) + 1j * spec_im.data.astype(np.float64)
-    frames = np.fft.irfft(spectra, n=nfft, axis=1)[:, : cfg.window_length] * window
-    out = np.zeros(length)
-    for t in range(t_frames):
-        out[t * cfg.hop : t * cfg.hop + cfg.window_length] += frames[t]
-    out *= inv_norm
+    nfft = cfg.fft_size
 
     def backward_fn(g):
-        gn = g * inv_norm
-        gframes = np.zeros((t_frames, nfft))
-        for t in range(t_frames):
-            gframes[t, : cfg.window_length] = (
-                gn[t * cfg.hop : t * cfg.hop + cfg.window_length] * window
-            )
+        gframes = frame_signal(g * wola_inverse(cfg, t_frames), cfg)
         spec_grad = np.fft.rfft(gframes, n=nfft, axis=1) * (2.0 / nfft)
         # DC and Nyquist are purely real and appear once in the full
         # spectrum, so they take half weight and no imaginary gradient.
         spec_grad[:, 0] *= 0.5
         spec_grad[:, -1] *= 0.5
         if spec_re.needs_grad:
-            spec_re.accumulate(spec_grad.real.astype(spec_re.dtype))
+            spec_re.accumulate(spec_grad.real)
         if spec_im.needs_grad:
             gi = spec_grad.imag
             gi[:, 0] = 0.0
             gi[:, -1] = 0.0
-            spec_im.accumulate(gi.astype(spec_im.dtype))
+            spec_im.accumulate(gi)
 
-    out_t = Tensor(
-        out.astype(spec_re.dtype), (spec_re, spec_im), backward_fn
-    )
-    return out_t
+    out = synthesize(spectra, cfg).astype(spec_re.dtype)
+    return Tensor(out, (spec_re, spec_im), backward_fn)
+
+
+def _weights_op(weights, out, grad_fn):
+    """One op from filter tensors [M x F x T] to the array ``out``;
+    ``grad_fn(g)`` is the complex gradient d/d re + j d/d im of the weights."""
+
+    def backward_fn(g):
+        grad = grad_fn(g)
+        if weights.re.needs_grad:
+            weights.re.accumulate(grad.real)
+        if weights.im.needs_grad:
+            weights.im.accumulate(grad.imag)
+
+    return Tensor(out.astype(weights.re.dtype), (weights.re, weights.im), backward_fn)
 
 
 def filter_and_sum_tensor(weights, spec_data):
-    """Differentiable beamformer output: [M x F x T] filters applied to a
-    fixed spectrogram [M x T x F] -> ([T x F], [T x F]) tensor pair."""
+    """``beamloc.beamform`` of [M x F x T] filter tensors and a fixed
+    spectrogram [M x T x F] -> ([T x F], [T x F]) views of one [re; im] op
+    output; the weights' complex gradient is g * conj(y)."""
     y = np.asarray(spec_data)
-    mics, t_len, f_bins = y.shape
-    if weights.shape != (mics, f_bins, t_len):
-        raise ValueError(f"weights shape {weights.shape} != {(mics, f_bins, t_len)}")
-    dtype = weights.re.dtype
-    y_re = ad.constant(np.ascontiguousarray(y.real.transpose(0, 2, 1), dtype=dtype))
-    y_im = ad.constant(np.ascontiguousarray(y.imag.transpose(0, 2, 1), dtype=dtype))
-    out_re = ad.reduce_sum(weights.re * y_re - weights.im * y_im, axis=0)
-    out_im = ad.reduce_sum(weights.re * y_im + weights.im * y_re, axis=0)
-    return ComplexTensor(ad.transpose(out_re, (1, 0)), ad.transpose(out_im, (1, 0)))
+    out = beamform(weights.to_numpy().transpose(0, 2, 1), y)
+    t_len = out.shape[0]
+    stacked = _weights_op(
+        weights, np.concatenate([out.real, out.imag]),
+        lambda g: ((g[:t_len] + 1j * g[t_len:]) * np.conj(y)).transpose(0, 2, 1),
+    )
+    return ComplexTensor(ad.narrow(stacked, 0, 0, t_len), ad.narrow(stacked, 0, t_len, t_len))
 
 
 def splm_map_tensor(weights, steering):
-    """Differentiable distortionless index: [M x F x T] filters against
-    [N x F x M] steering vectors -> [T x N] zone map."""
-    n_zones, f_bins, mics = steering.shape
-    if weights.shape != (mics, f_bins, weights.shape[2]):
-        raise ValueError("weights must be [M x F x T]")
-    dtype = weights.re.dtype
-    t_len = weights.shape[2]
-    a = steering.transpose(2, 1, 0)  # [M x F x N]
-    a_re = ad.constant(np.ascontiguousarray(a.real, dtype=dtype))
-    a_im = ad.constant(np.ascontiguousarray(a.imag, dtype=dtype))
-    parts = []
-    for n in range(n_zones):
-        an_re = ad.narrow(a_re, 2, n, 1)  # [M x F x 1], broadcasts over time
-        an_im = ad.narrow(a_im, 2, n, 1)
-        resp_re = ad.reduce_sum(weights.re * an_re - weights.im * an_im, axis=0)
-        resp_im = ad.reduce_sum(weights.re * an_im + weights.im * an_re, axis=0)
-        mag = ad.sqrt(resp_re * resp_re + resp_im * resp_im + 1e-24)
-        parts.append(ad.reduce_mean(mag, axis=0, keepdims=True))  # [1 x T]
-    zmap = ad.concat(parts, axis=0)  # [N x T]
-    return ad.transpose(zmap, (1, 0))
+    """``beamloc.splm_map`` of [M x F x T] filter tensors and [N x F x M]
+    steering vectors -> [T x N]. With r the steered response, the weights'
+    complex gradient is sum_n (g/F) (r/|r|) conj(a), r/|r| = 0 at r = 0."""
+    r = steered_response(weights.to_numpy().transpose(0, 2, 1), steering)  # [F x T x N]
+
+    def grad_fn(g):
+        mag = np.abs(r)
+        unit = np.divide(r, mag, out=np.zeros_like(r), where=mag > 0)
+        grad = np.matmul(unit * (g / r.shape[0]), np.conj(steering).transpose(1, 0, 2))
+        return grad.transpose(2, 0, 1)
+
+    return _weights_op(weights, np.abs(r).mean(axis=0), grad_fn)

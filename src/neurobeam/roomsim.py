@@ -326,13 +326,8 @@ def synthesize_mixture(
 
     noisy = rev_speech + scaled_intf + scaled_noise
 
-    t_frames = num_frames(n, stft_cfg.window_length, stft_cfg.hop)
-    track = np.full(t_frames, np.nan)
     az = target_src.azimuth_deg(center)
-    for t in range(t_frames):
-        lo, hi = t * stft_cfg.hop, t * stft_cfg.hop + stft_cfg.window_length
-        if lo < off + sig.shape[0] and hi > off:
-            track[t] = az
+    track = azimuth_track(n, off, sig.shape[0], az, stft_cfg)
 
     parts = None
     if keep_parts:
@@ -439,7 +434,7 @@ def _azimuth_choices(grid):
 
 def _build_record(cfg, index):
     """One dataset record from its derived PRNG stream; draw order is fixed."""
-    from .arraygeom import ArrayGeometry, uca_positions
+    from .arraygeom import array_geometry
     from .dsp import read_wav
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.master_seed, index])))
@@ -457,10 +452,7 @@ def _build_record(cfg, index):
     seed = int(rng.integers(2**63))
 
     room = RoomSpec(cfg.rooms[scenario], t60)
-    if cfg.positions is not None:
-        geometry = ArrayGeometry(np.asarray(cfg.positions, dtype=np.float64))
-    else:
-        geometry = ArrayGeometry(uca_positions(cfg.mics, cfg.radius_m))
+    geometry = array_geometry(cfg.mics, cfg.radius_m, positions=cfg.positions)
     target_src = placement_from_azimuth(room, target_az, target_dist, "target")
     intf_src = placement_from_azimuth(room, intf_az, cfg.interference_distance_m, "interference")
 
@@ -468,7 +460,12 @@ def _build_record(cfg, index):
         files = sorted(Path(cfg.speech_dir).glob("*.wav"))
         if not files:
             raise ValueError(f"no WAV files in speech_dir {cfg.speech_dir}")
-        speech = read_wav(files[int(rng.integers(len(files)))])
+        path = files[int(rng.integers(len(files)))]
+        speech = read_wav(path)
+        if speech.sample_rate != cfg.sample_rate:
+            raise ValueError(f"speech file {path} is not at {cfg.sample_rate} Hz")
+        if speech.num_samples < int(round(cfg.speech_len_s * cfg.sample_rate)):
+            raise ValueError(f"speech file {path} is shorter than speech_len_s={cfg.speech_len_s}")
     else:
         speech = speech_surrogate(rng, cfg.speech_len_s, cfg.sample_rate)
     interference = interference_surrogate(rng, cfg.duration_s, cfg.sample_rate)
@@ -545,16 +542,18 @@ def load_manifest(path):
     return entries
 
 
+def azimuth_track(num_samples, offset, length, azimuth_deg, stft_cfg):
+    """Per-frame azimuth of a source active on samples [offset, offset + length)
+    of a recording: NaN for the frames that do not overlap them."""
+    starts = stft_cfg.hop * np.arange(num_frames(num_samples, stft_cfg.window_length, stft_cfg.hop))
+    active = (starts < offset + length) & (starts + stft_cfg.window_length > offset)
+    return np.where(active, azimuth_deg, np.nan)
+
+
 def azimuth_track_from_entry(entry, stft_cfg):
     """Rebuild the per-frame azimuth/inactive track from manifest fields."""
-    fs = entry["sample_rate"]
-    n = int(round(entry["duration_s"] * fs))
-    off = int(round(entry["speech_offset_s"] * fs))
-    speech_smp = int(round(entry["speech_len_s"] * fs))
-    t_frames = num_frames(n, stft_cfg.window_length, stft_cfg.hop)
-    track = np.full(t_frames, np.nan)
-    for t in range(t_frames):
-        lo, hi = t * stft_cfg.hop, t * stft_cfg.hop + stft_cfg.window_length
-        if lo < off + speech_smp and hi > off:
-            track[t] = entry["target_azimuth_deg"]
-    return track
+    n, off, length = (
+        int(round(entry[key] * entry["sample_rate"]))
+        for key in ("duration_s", "speech_offset_s", "speech_len_s")
+    )
+    return azimuth_track(n, off, length, entry["target_azimuth_deg"], stft_cfg)

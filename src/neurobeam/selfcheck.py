@@ -27,7 +27,9 @@ from .layers import (
     conv2d_transpose,
     lstm,
 )
-from .losses import bce_loss, si_snr_tensor, synthesize_waveform
+from .losses import (
+    bce_loss, filter_and_sum_tensor, si_snr_tensor, splm_map_tensor, synthesize_waveform,
+)
 from .metrics import loc_metrics
 
 GRAD_TOLERANCE = 1e-4
@@ -162,6 +164,21 @@ def gradient_cases(seed=0):
         return bce_loss(z, ad.sigmoid(logits)) + 1.0 * ad.neg(si_snr_tensor(wave, ref))
 
     cases.append(("total_loss", total_build, [r(4, 5), r(4, 5), r(4, 3)]))
+
+    spec = r(3, 4, 5) + 1j * r(3, 4, 5)  # [M x T x F]
+    steering = np.exp(2j * np.pi * rng.uniform(size=(6, 5, 3)))  # [N x F x M]
+    weight = ad.constant(r(4, 6))
+
+    def fas_build(wr, wi):
+        out = filter_and_sum_tensor(ComplexTensor(wr, wi), spec)
+        return ad.reduce_sum(out.re * out.im)
+
+    cases.append(("filter_and_sum", fas_build, [r(3, 5, 4), r(3, 5, 4)]))
+    cases.append((
+        "splm_map",
+        lambda wr, wi: ad.reduce_sum(splm_map_tensor(ComplexTensor(wr, wi), steering) * weight),
+        [r(3, 5, 4), r(3, 5, 4)],
+    ))
     return cases
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .arraygeom import ZoneGrid, ground_truth_map, steering_set, zone_of_angle
+from .arraygeom import ZoneGrid, array_geometry, ground_truth_map, steering_set, zone_of_angle
 from .beamloc import enhance_utterance
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dsp import read_wav, stft
@@ -84,14 +84,7 @@ def _checkpoint_meta(cfg, step):
 
 def geometry_from_meta(meta):
     """Rebuild the microphone geometry a checkpoint was trained with."""
-    from .arraygeom import ArrayGeometry, uca_positions
-
-    array_meta = meta["array"]
-    if "positions" in array_meta:
-        positions = np.asarray(array_meta["positions"], dtype=np.float64)
-    else:
-        positions = uca_positions(array_meta["mics"], array_meta["radius_m"])
-    return ArrayGeometry(positions, array_meta["speed_of_sound"])
+    return array_geometry(**meta["array"])
 
 
 def _save(out_dir, model, adam, cfg, step):

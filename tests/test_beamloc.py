@@ -97,16 +97,6 @@ def test_splm_positive_homogeneity(rng):
     assert np.array_equal(np.argmax(z1, axis=1), np.argmax(z3, axis=1))
 
 
-def test_splm_band_limit():
-    steering = _steering()
-    mics, f = steering.shape[2], steering.shape[1]
-    w = np.ones((mics, 1, f), dtype=complex)
-    full = splm_map(w, steering)
-    low = splm_map(w, steering, band=(0, 64))
-    assert full.shape == low.shape == (1, 12)
-    assert not np.allclose(full, low)
-
-
 def test_localize_rules():
     assert localize(np.array([[0.0, 1.0, 0.0]]))[0] == 2
     assert localize(np.array([[0.1, 0.7, 0.2]]))[0] == 2

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,11 @@ from hypothesis import strategies as st
 from neurobeam.dsp import (
     StftConfig,
     Waveform,
+    frame_signal,
     hann_window,
     istft,
     num_frames,
+    overlap_add,
     read_wav,
     stft,
     write_wav,
@@ -77,6 +81,42 @@ def test_stft_short_input_zero_padded_single_frame():
     cfg = StftConfig()
     spec = stft(Waveform(np.ones((1, 50))), cfg)
     assert spec.data.shape[1] == 1
+
+
+def _loop_frames(x, cfg):
+    """Reference framing: one windowed, zero-padded frame per iteration."""
+    t_frames = num_frames(x.shape[-1], cfg.window_length, cfg.hop)
+    frames = np.zeros((*x.shape[:-1], t_frames, cfg.window_length))
+    for t in range(t_frames):
+        chunk = x[..., t * cfg.hop : t * cfg.hop + cfg.window_length]
+        frames[..., t, : chunk.shape[-1]] = chunk
+    return frames * cfg.window
+
+
+def _loop_overlap_add(frames, cfg):
+    """Reference overlap-add: one windowed frame added per iteration."""
+    t_frames = frames.shape[-2]
+    out = np.zeros((*frames.shape[:-2], cfg.window_length + (t_frames - 1) * cfg.hop))
+    for t in range(t_frames):
+        out[..., t * cfg.hop : t * cfg.hop + cfg.window_length] += frames[..., t, :] * cfg.window
+    return out
+
+
+@pytest.mark.parametrize("length, hop", [(400, 100), (7, 3), (5, 5)])
+@pytest.mark.parametrize("n", [3, 400, 777])
+def test_framing_and_overlap_add_match_loops_and_are_adjoint(rng, length, hop, n):
+    # Any window and hop: these two primitives need no COLA property.
+    cfg = SimpleNamespace(window_length=length, hop=hop, window=rng.uniform(size=length))
+    x = rng.standard_normal((2, n))
+    frames = frame_signal(x, cfg)
+    assert np.array_equal(frames, _loop_frames(x, cfg))
+    g = rng.standard_normal(frames.shape)
+    summed = overlap_add(g, cfg)
+    assert np.array_equal(summed, _loop_overlap_add(g, cfg))
+    # Samples past the last frame, or padding past the input, pair with zeros.
+    m = min(n, summed.shape[-1])
+    lhs = np.sum(frames * g)
+    assert abs(lhs - np.sum(x[..., :m] * summed[..., :m])) <= 1e-12 * max(1.0, abs(lhs))
 
 
 def test_bin_center_cosine_concentrates_and_matches_direct_dft():

@@ -12,9 +12,11 @@ from neurobeam.losses import (
     si_snr,
     si_snr_loss,
     si_snr_tensor,
+    splm_map_tensor,
     synthesize_waveform,
     total_loss,
 )
+from neurobeam.layers import ComplexTensor
 
 
 def test_si_snr_perfect_estimate_clamps(rng):
@@ -151,3 +153,12 @@ def test_synthesize_waveform_gradient_small(rng):
         return ad.reduce_sum(wave * wave)
 
     assert check_gradients(build, [rng.standard_normal((3, 5)), rng.standard_normal((3, 5))]) < 1e-4
+
+
+def test_splm_map_tensor_zero_weights_give_zero_map_and_gradient(rng):
+    steering = np.exp(2j * np.pi * rng.uniform(size=(4, 5, 3)))  # [N x F x M]
+    w = ComplexTensor(Tensor(np.zeros((3, 5, 2))), Tensor(np.zeros((3, 5, 2))))
+    zmap = splm_map_tensor(w, steering)
+    assert np.all(zmap.data == 0)
+    ad.backward(ad.reduce_sum(zmap))
+    assert np.all(w.re.grad == 0) and np.all(w.im.grad == 0)

@@ -1,14 +1,16 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from neurobeam.arraygeom import ArrayGeometry, ground_truth_map, uca_positions
-from neurobeam.dsp import StftConfig, Waveform, read_wav
+from neurobeam.dsp import StftConfig, Waveform, read_wav, write_wav
 from neurobeam.roomsim import (
     DatasetConfig,
     MixtureSpec,
     RoomSpec,
+    _build_record,
     azimuth_track_from_entry,
     generate_dataset,
     image_source_rir,
@@ -257,6 +259,37 @@ def test_manifest_roundtrip_and_track(tmp_path):
     active = ~np.isnan(track)
     assert np.any(active)
     assert np.all(track[active] == loaded[0]["target_azimuth_deg"])
+
+
+def _speech_dir(tmp_path, seconds, rate):
+    speech_dir = tmp_path / "speech"
+    speech_dir.mkdir()
+    n = int(round(seconds * rate))
+    tone = 0.1 * np.sin(2.0 * np.pi * 200.0 * np.arange(n) / rate)
+    write_wav(speech_dir / "utt.wav", Waveform(tone[np.newaxis], rate))
+    return str(speech_dir)
+
+
+@pytest.mark.parametrize("seconds, rate, reason", [
+    (0.2, 16000, "shorter than speech_len_s"),
+    (0.6, 8000, "not at 16000 Hz"),
+])
+def test_speech_dir_file_rejected(tmp_path, seconds, rate, reason):
+    # A short file would leave the record's track and the one rebuilt from
+    # the manifest disagreeing; another rate would be written under the
+    # configured one.
+    cfg = replace(_small_dataset_config(), speech_dir=_speech_dir(tmp_path, seconds, rate))
+    with pytest.raises(ValueError, match=reason) as info:
+        generate_dataset(cfg, 1, tmp_path / "out")
+    assert "utt.wav" in str(info.value)
+
+
+def test_speech_dir_record_track_matches_manifest_track(tmp_path):
+    cfg = replace(_small_dataset_config(), speech_dir=_speech_dir(tmp_path, 0.5, 16000))
+    record, entry = _build_record(cfg, 0)
+    track = azimuth_track_from_entry(entry, StftConfig())
+    assert np.array_equal(np.isnan(record.azimuth_track), np.isnan(track))
+    assert np.any(~np.isnan(track))
 
 
 def test_mixture_spec_validation():
