@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .arraygeom import ZoneGrid, steering_set
 from .dsp import Spectrogram, istft, stft
 from .layers import ComplexTensor
@@ -86,6 +87,15 @@ def localization_from_map(zmap, threshold=DEFAULT_VAD_THRESHOLD):
     return LocalizationResult(localize(zmap), scores, decisions, zmap)
 
 
+def _filter_image(model, spec_data):
+    """The model's own filter tensors as the NLM head's input image
+    [1 x M x F x T], in the model's dtype. They are taken as constants, so
+    the forward graph and its activations are freed before the head runs;
+    the complex form for filter-and-sum is made from them."""
+    w = model.forward_weights(spec_data, training=False)
+    return ComplexTensor(*(ad.constant(p.data[np.newaxis]) for p in (w.re, w.im)))
+
+
 def enhance_utterance(
     noisy,
     model,
@@ -107,20 +117,19 @@ def enhance_utterance(
             f"{model.config.mics}"
         )
     spec = stft(noisy, stft_cfg)
-    weights = model.infer_weights(spec.data)
-    enhanced = istft(filter_and_sum(weights, spec))
     if mode == "splm":
+        weights = model.infer_weights(spec.data)
         steering = steering_set(
             geometry, ZoneGrid(zones), stft_cfg.frequencies(noisy.sample_rate)
         )
         zmap = splm_map(weights, steering)
     elif mode == "nlm":
-        w_img = np.ascontiguousarray(weights.transpose(0, 2, 1))[np.newaxis]
-        zmap = model.localize(
-            ComplexTensor.from_numpy(w_img, dtype=model.dtype), training=False
-        ).data.astype(np.float64)
+        image = _filter_image(model, spec.data)
+        weights = image.to_numpy()[0].transpose(0, 2, 1)
+        zmap = model.localize(image, training=False).data.astype(np.float64)
     else:
         raise ValueError(f"unknown localization mode '{mode}' (expected splm or nlm)")
+    enhanced = istft(filter_and_sum(weights, spec))
     return enhanced, localization_from_map(zmap, vad_threshold)
 
 

@@ -13,9 +13,19 @@ from layer to layer without copies; the halves are read only where a
 consumer needs them (the complex LSTM, the model output).
 Convolutions stride the frequency axis and are causal along time
 (past-only padding).
+
+The three real conv kernels (forward, input adjoint, kernel adjoint) are
+im2col GEMMs that never hold a whole patch matrix: they build it one band
+of output-frequency rows at a time in a small buffer each thread keeps
+resident, so a call neither allocates nor page-faults a matrix the size of
+the layer's receptive fields. The LSTM is one op that runs K weight sets
+over S sequences in a single time loop; the complex LSTM is one such call
+(K = S = 2) and the complex product rule.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -68,20 +78,65 @@ def _conv_out_size(n, k, stride, pad):
     return (n + pad[0] + pad[1] - k) // stride + 1
 
 
-def _patches(x, kernel, stride, pad_f, pad_t, out_ft):
-    """im2col: [B x C x F x T] -> [B x C*kf*kt x fo*to] patch matrix.
+# One band of an im2col patch (or column) matrix is at most this many
+# bytes. Chosen by timing the train-6s benchmark step (forward and
+# backward of the default model on 6 s of audio; 2-vCPU x86 machine with
+# 2 MiB of L2 per core, one BLAS thread): budgets of 1, 2, 4, 8 and 16 MiB
+# gave per-step medians within the run-to-run spread of each other, and
+# five alternating 4 vs 8 MiB runs favoured 4 MiB in all five (1.53 vs
+# 1.60 s), with 5 MB less peak memory. 4 MiB is about 3% of the largest
+# whole patch matrix (119 MB, the NLM head's second conv on 6 s input).
+_BAND_BYTES = 4 << 20
 
-    Column (u, v) holds the receptive field xpad[b, :, u*sf:u*sf+kf,
-    v*st:v*st+kt], flattened in (c, i, j) order to match a [O x C x kf x kt]
-    kernel reshaped to [O x C*kf*kt].
+# The band buffer of each thread: it stays resident between kernel calls,
+# so building a patch band writes into memory that is already mapped. It
+# grows to the largest band used so far, which is at most _BAND_BYTES
+# unless a single output row needs more. No array a kernel returns refers
+# to it.
+_band_store = threading.local()
+
+
+def _band_buffer(shape, dtype):
+    """An uninitialized ``shape`` array of ``dtype`` in this thread's band buffer."""
+    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    buf = getattr(_band_store, "buf", None)
+    if buf is None or buf.nbytes < nbytes:
+        buf = _band_store.buf = np.empty(nbytes, dtype=np.uint8)
+    return buf[:nbytes].view(dtype).reshape(shape)
+
+
+def _row_bands(rows, row_bytes):
+    """(u0, u1) ranges of output-frequency rows whose patch band fits the budget."""
+    step = max(1, _BAND_BYTES // row_bytes)
+    for u0 in range(0, rows, step):
+        yield u0, min(u0 + step, rows)
+
+
+def _patch_bands(xp, kernel, stride, out_ft):
+    """im2col of a padded [B x C x F x T] map, one band of output rows at a time.
+
+    Yields (b, u0, u1, cols), where cols is the [C*kf*kt x (u1-u0)*to]
+    patch matrix of output rows u0..u1-1 of batch item b: column (u, v)
+    holds the receptive field xp[b, :, u*sf:u*sf+kf, v*st:v*st+kt],
+    flattened in (c, i, j) order to match a [O x C x kf x kt] kernel
+    reshaped to [O x C*kf*kt]. ``cols`` lives in the band buffer and is
+    overwritten by the next band.
     """
     kf, kt = kernel
     sf, st = stride
     fo, to = out_ft
-    xp = np.pad(x, ((0, 0), (0, 0), pad_f, pad_t))
-    win = sliding_window_view(xp, (kf, kt), axis=(2, 3))[:, :, : sf * fo : sf, : st * to : st]
-    b, c = x.shape[:2]
-    return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kf * kt, fo * to)
+    b_n, c = xp.shape[:2]
+    win = sliding_window_view(xp, (kf, kt), axis=(2, 3))[:, :, ::sf, ::st][:, :, :fo, :to]
+    for b in range(b_n):
+        for u0, u1 in _row_bands(fo, c * kf * kt * to * xp.itemsize):
+            cols = _band_buffer((c, kf, kt, u1 - u0, to), xp.dtype)
+            cols[...] = win[b, :, u0:u1].transpose(0, 3, 4, 1, 2)
+            yield b, u0, u1, cols.reshape(c * kf * kt, (u1 - u0) * to)
+
+
+def _rows(a, b, u0, u1):
+    """a[b, :, u0:u1] as a [C x (u1-u0)*T] matrix (a view for a contiguous ``a``)."""
+    return a[b, :, u0:u1].reshape(a.shape[1], -1)
 
 
 def conv2d_raw(x, w, stride, pad_f, pad_t):
@@ -89,31 +144,45 @@ def conv2d_raw(x, w, stride, pad_f, pad_t):
     o, _, kf, kt = w.shape
     fo = _conv_out_size(x.shape[2], kf, stride[0], pad_f)
     to = _conv_out_size(x.shape[3], kt, stride[1], pad_t)
-    cols = _patches(x, (kf, kt), stride, pad_f, pad_t, (fo, to))
-    return np.matmul(w.reshape(o, -1), cols).reshape(x.shape[0], o, fo, to)
+    out = np.empty((x.shape[0], o, fo, to), dtype=np.result_type(x, w))
+    w_mat = w.reshape(o, -1)
+    xp = np.pad(x, ((0, 0), (0, 0), pad_f, pad_t))
+    for b, u0, u1, cols in _patch_bands(xp, (kf, kt), stride, (fo, to)):
+        np.matmul(w_mat, cols, out=_rows(out, b, u0, u1))
+    return out
 
 
 def conv2d_input_adjoint(g, w, stride, pad_f, pad_t, in_ft):
-    """Adjoint of conv2d_raw with respect to its input (scatter-add)."""
+    """Adjoint of conv2d_raw with respect to its input: per band of output
+    rows, one GEMM to the column matrix, then a kf*kt strided scatter-add."""
     sf, st = stride
-    b, o, fo, to = g.shape
+    b_n, o, fo, to = g.shape
     _, c, kf, kt = w.shape
     fi, ti = in_ft
-    cols = np.matmul(w.reshape(o, -1).T, g.reshape(b, o, fo * to)).reshape(b, c, kf, kt, fo, to)
-    xp_grad = np.zeros(
-        (b, c, fi + pad_f[0] + pad_f[1], ti + pad_t[0] + pad_t[1]), dtype=cols.dtype
-    )
-    for i in range(kf):
-        for j in range(kt):
-            xp_grad[:, :, i : i + sf * fo : sf, j : j + st * to : st] += cols[:, :, i, j]
+    dtype = np.result_type(g, w)
+    w_t = w.reshape(o, -1).T
+    xp_grad = np.zeros((b_n, c, fi + pad_f[0] + pad_f[1], ti + pad_t[0] + pad_t[1]), dtype=dtype)
+    for b in range(b_n):
+        for u0, u1 in _row_bands(fo, c * kf * kt * to * dtype.itemsize):
+            n = u1 - u0
+            cols = _band_buffer((c * kf * kt, n * to), dtype)
+            np.matmul(w_t, _rows(g, b, u0, u1), out=cols)
+            cols = cols.reshape(c, kf, kt, n, to)
+            for i in range(kf):
+                f0 = u0 * sf + i
+                for j in range(kt):
+                    xp_grad[b, :, f0 : f0 + sf * n : sf, j : j + st * to : st] += cols[:, i, j]
     return xp_grad[:, :, pad_f[0] : pad_f[0] + fi, pad_t[0] : pad_t[0] + ti]
 
 
 def conv2d_kernel_adjoint(x, g, stride, pad_f, pad_t, kshape):
-    """Adjoint of conv2d_raw with respect to its kernel (correlation)."""
-    b, o, fo, to = g.shape
-    cols = _patches(x, kshape[2:], stride, pad_f, pad_t, (fo, to))
-    gw = np.tensordot(g.reshape(b, o, fo * to), cols, axes=([0, 2], [0, 2]))
+    """Adjoint of conv2d_raw with respect to its kernel (correlation), the
+    GEMM of each band of output rows summed over bands."""
+    o, fo, to = g.shape[1:]
+    gw = np.zeros((o, int(np.prod(kshape[1:]))), dtype=np.result_type(x, g))
+    xp = np.pad(x, ((0, 0), (0, 0), pad_f, pad_t))
+    for b, u0, u1, cols in _patch_bands(xp, kshape[2:], stride, (fo, to)):
+        gw += _rows(g, b, u0, u1) @ cols.T
     return gw.reshape(kshape)
 
 
@@ -256,65 +325,106 @@ def block_kernel(w_r, w_i):
 # ---------------------------------------------------------------------------
 
 def lstm(x, wx, wh, b):
-    """Unidirectional LSTM over a [T x D] sequence, zero initial state.
+    """K unidirectional LSTMs over S sequences in one time loop, zero
+    initial state.
 
-    Gate packing along the 4H axis is (input, forget, cell, output).
-    Returns the hidden-state sequence [T x H].
+    ``x`` is [S x T x D]; ``wx`` [K x 4H x D], ``wh`` [K x 4H x H] and
+    ``b`` [K x 4H] hold K weight sets. Returns [K x S x T x H]: entry
+    (k, s) is the hidden-state sequence of weight set k run over sequence
+    s. The 2-D call ``lstm(x [T x D], wx [4H x D], wh [4H x H], b [4H])``
+    is the case K = S = 1 and returns [T x H].
+
+    Gate packing along the 4H axis is (input, forget, cell, output). Each
+    frame takes one tanh of all 4H pre-activations: a sigmoid gate is
+    0.5*(1 + tanh(a/2)), the form of ``autodiff.sigmoid_array``, and the
+    cell gate is tanh(a). The halving is folded into the input projection
+    and the recurrent weights, where it is exact. The backward pass
+    computes every gate derivative before its time loop, which then only
+    chains them.
     """
-    t_len = x.shape[0]
-    hidden = wh.shape[1]
-    pre = x.data @ wx.data.T + b.data
-    gi = np.zeros((t_len, hidden), dtype=x.dtype)
-    gf = np.zeros_like(gi)
-    gg = np.zeros_like(gi)
-    go = np.zeros_like(gi)
-    cs = np.zeros_like(gi)
-    tcs = np.zeros_like(gi)
-    hs = np.zeros_like(gi)
-    h_prev = np.zeros(hidden, dtype=x.dtype)
-    c_prev = np.zeros(hidden, dtype=x.dtype)
+    single = x.ndim == 2
+    xd, wxd, whd, bd = (a.data[np.newaxis] if single else a.data for a in (x, wx, wh, b))
+    s_n, t_len, d = xd.shape
+    k_n, four_h, hidden = whd.shape
+    dtype = xd.dtype
+    q = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype=dtype), hidden)
+    shift = np.repeat(np.array([0.5, 0.5, 0.0, 0.5], dtype=dtype), hidden)
+
+    x_rows = xd.reshape(s_n * t_len, d)
+    pre = (x_rows @ wxd.reshape(k_n * four_h, d).T).reshape(s_n, t_len, k_n, four_h)
+    pre += bd
+    pre *= q
+    gates = np.ascontiguousarray(pre.transpose(1, 2, 0, 3))  # [T x K x S x 4H]
+    wh_q = (whd * q[:, np.newaxis]).transpose(0, 2, 1)  # [K x H x 4H]
+    cs = np.empty((t_len, k_n, s_n, hidden), dtype=dtype)
+    tcs = np.empty_like(cs)
+    hs = np.empty_like(cs)
+    h = np.zeros((k_n, s_n, hidden), dtype=dtype)
+    ig = np.empty_like(h)
+    rec = np.empty((k_n, s_n, four_h), dtype=dtype)
     for t in range(t_len):
-        a = pre[t] + wh.data @ h_prev
-        gi[t] = ad.sigmoid_array(a[:hidden])
-        gf[t] = ad.sigmoid_array(a[hidden : 2 * hidden])
-        gg[t] = np.tanh(a[2 * hidden : 3 * hidden])
-        go[t] = ad.sigmoid_array(a[3 * hidden :])
-        cs[t] = gf[t] * c_prev + gi[t] * gg[t]
-        tcs[t] = np.tanh(cs[t])
-        hs[t] = go[t] * tcs[t]
-        h_prev = hs[t]
-        c_prev = cs[t]
+        a = gates[t]
+        np.matmul(h, wh_q, out=rec)
+        a += rec
+        np.tanh(a, out=a)
+        a *= q
+        a += shift
+        gi, gf, gg, go = (a[..., n * hidden : (n + 1) * hidden] for n in range(4))
+        c, h = cs[t], hs[t]
+        np.multiply(gf, cs[t - 1] if t else 0.0, out=c)
+        np.multiply(gi, gg, out=ig)
+        c += ig
+        np.tanh(c, out=tcs[t])
+        np.multiply(go, tcs[t], out=h)
 
-    def backward_fn(gh):
-        da_all = np.zeros((t_len, 4 * hidden), dtype=x.dtype)
-        dh_next = np.zeros(hidden, dtype=x.dtype)
-        dc_next = np.zeros(hidden, dtype=x.dtype)
+    def backward_fn(g):
+        gh = (g[np.newaxis, np.newaxis] if single else g).transpose(2, 0, 1, 3)
+        gi, gf, gg, go = (gates[..., n * hidden : (n + 1) * hidden] for n in range(4))
+        c_prev = np.concatenate([np.zeros_like(cs[:1]), cs[:-1]])
+        h_prev = np.concatenate([np.zeros_like(hs[:1]), hs[:-1]])
+        # Derivatives of every pre-activation, per unit of the cell
+        # gradient (input, forget, cell gates) or of the hidden gradient
+        # (output gate), and of the cell gradient per unit hidden gradient.
+        unit = np.empty((t_len, k_n, s_n, 4, hidden), dtype=dtype)
+        unit[..., 0, :] = gg * gi * (1.0 - gi)
+        unit[..., 1, :] = c_prev * gf * (1.0 - gf)
+        unit[..., 2, :] = gi * (1.0 - gg * gg)
+        unit[..., 3, :] = tcs * go * (1.0 - go)
+        dc_dh = go * (1.0 - tcs * tcs)
+        f_next = np.concatenate([gf[1:], np.zeros_like(gf[:1])])
+
+        da = np.empty_like(unit)
+        dh = np.empty((k_n, s_n, hidden), dtype=dtype)
+        dc = np.zeros_like(dh)
+        dh_next = np.zeros_like(dh)
+        tmp = np.empty_like(dh)
         for t in range(t_len - 1, -1, -1):
-            dh = gh[t] + dh_next
-            do = dh * tcs[t]
-            dc = dh * go[t] * (1.0 - tcs[t] ** 2) + dc_next
-            di = dc * gg[t]
-            dg = dc * gi[t]
-            cp = cs[t - 1] if t > 0 else np.zeros(hidden, dtype=x.dtype)
-            df = dc * cp
-            dc_next = dc * gf[t]
-            da = da_all[t]
-            da[:hidden] = di * gi[t] * (1.0 - gi[t])
-            da[hidden : 2 * hidden] = df * gf[t] * (1.0 - gf[t])
-            da[2 * hidden : 3 * hidden] = dg * (1.0 - gg[t] ** 2)
-            da[3 * hidden :] = do * go[t] * (1.0 - go[t])
-            dh_next = wh.data.T @ da
-        if x.needs_grad:
-            x.accumulate(da_all @ wx.data)
-        if wx.needs_grad:
-            wx.accumulate(da_all.T @ x.data)
-        if wh.needs_grad:
-            h_prev_seq = np.vstack([np.zeros((1, hidden), dtype=x.dtype), hs[:-1]])
-            wh.accumulate(da_all.T @ h_prev_seq)
-        if b.needs_grad:
-            b.accumulate(da_all.sum(axis=0))
+            np.add(gh[t], dh_next, out=dh)
+            dc *= f_next[t]
+            np.multiply(dh, dc_dh[t], out=tmp)
+            dc += tmp
+            np.multiply(dc[:, :, np.newaxis], unit[t, :, :, :3], out=da[t, :, :, :3])
+            np.multiply(dh, unit[t, :, :, 3], out=da[t, :, :, 3])
+            np.matmul(da[t].reshape(k_n, s_n, four_h), whd, out=dh_next)
 
-    return Tensor(hs, (x, wx, wh, b), backward_fn)
+        def put(param, grad):
+            param.accumulate(grad[0] if single else grad)
+
+        da = da.reshape(t_len, k_n, s_n, four_h)
+        if x.needs_grad:
+            da_s = da.transpose(2, 0, 1, 3).reshape(s_n, t_len, k_n * four_h)
+            put(x, da_s @ wxd.reshape(k_n * four_h, d))
+        da_k = da.transpose(1, 2, 0, 3).reshape(k_n, s_n * t_len, four_h)
+        da_kt = da_k.transpose(0, 2, 1)
+        if wx.needs_grad:
+            put(wx, da_kt @ x_rows)
+        if wh.needs_grad:
+            put(wh, da_kt @ h_prev.transpose(1, 2, 0, 3).reshape(k_n, s_n * t_len, hidden))
+        if b.needs_grad:
+            put(b, da_k.sum(axis=1))
+
+    out = hs.transpose(1, 2, 0, 3)
+    return Tensor(out[0, 0] if single else out, (x, wx, wh, b), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +609,8 @@ class ComplexLinear:
 
 
 class RealLSTM:
+    """One LSTM weight set: ``lstm(x, self.wx, self.wh, self.b)``."""
+
     def __init__(self, input_size, hidden, rng, dtype):
         self.wx = uniform_init(rng, (4 * hidden, input_size), input_size, dtype)
         self.wh = uniform_init(rng, (4 * hidden, hidden), hidden, dtype)
@@ -507,13 +619,16 @@ class RealLSTM:
     def params(self):
         return {"wx": self.wx, "wh": self.wh, "b": self.b}
 
-    def __call__(self, x):
-        return lstm(x, self.wx, self.wh, self.b)
+
+def _stack(a, b):
+    """[a; b] on a new leading axis."""
+    return ad.concat([ad.reshape(a, (1,) + a.shape), ad.reshape(b, (1,) + b.shape)], axis=0)
 
 
 class ComplexLSTM:
     """Two real LSTMs combined by the complex product rule:
-    out_re = L_r(x_re) - L_i(x_im), out_im = L_r(x_im) + L_i(x_re).
+    out_re = L_r(x_re) - L_i(x_im), out_im = L_r(x_im) + L_i(x_re),
+    as one ``lstm`` op over both weight sets and both parts.
     """
 
     def __init__(self, input_size, hidden, rng, dtype):
@@ -529,7 +644,15 @@ class ComplexLSTM:
         return out
 
     def __call__(self, x):
-        return ComplexTensor(
-            self.lstm_r(x.re) - self.lstm_i(x.im),
-            self.lstm_r(x.im) + self.lstm_i(x.re),
+        r, i = self.lstm_r, self.lstm_i
+        out = lstm(
+            _stack(x.re, x.im), _stack(r.wx, i.wx), _stack(r.wh, i.wh), _stack(r.b, i.b)
         )
+        # out[k, s] is weight set k (r, i) over part s (re, im).
+        t_len, hidden = out.shape[2:]
+        flat = ad.reshape(out, (4, t_len, hidden))
+
+        def run(n):
+            return ad.reshape(ad.narrow(flat, 0, n, 1), (t_len, hidden))
+
+        return ComplexTensor(run(0) - run(3), run(1) + run(2))

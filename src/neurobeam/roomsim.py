@@ -193,15 +193,25 @@ def mix_at_db(reference, contaminant, target_db, active=None):
 
 @dataclass(frozen=True)
 class SourcePlacement:
-    """A point source inside the room; azimuth is relative to array center."""
+    """A point source inside the room; azimuth is relative to array center.
+
+    ``azimuth`` is the azimuth in degrees the source was placed at by
+    ``placement_from_azimuth`` (None for a source given by position). The
+    position reproduces it only up to roundoff, which can cross a zone
+    edge, so records carry the placed value, as the dataset manifest does.
+    """
 
     position: np.ndarray
     role: str = "target"
+    azimuth: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "position", np.asarray(self.position, dtype=np.float64))
 
     def azimuth_deg(self, center):
+        """The placed azimuth, else the azimuth of the position seen from ``center``."""
+        if self.azimuth is not None:
+            return self.azimuth
         d = self.position - center
         return float(np.rad2deg(np.arctan2(d[1], d[0])))
 
@@ -225,7 +235,7 @@ def placement_from_azimuth(room, azimuth_deg, distance, role="target", height=1.
             reach = min(reach, (wall_margin - center[axis]) / u[axis])
     if reach <= 0:
         raise ValueError(f"array center leaves no room for a source at azimuth {azimuth_deg}")
-    return SourcePlacement(center + min(distance, reach) * u, role)
+    return SourcePlacement(center + min(distance, reach) * u, role, float(azimuth_deg))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,9 @@ from .arraygeom import ArrayGeometry, ZoneGrid, steering_set, uca_positions, zon
 from .dsp import StftConfig, Waveform, istft, stft
 from .gradcheck import check_gradients
 from .layers import (
+    _BAND_BYTES,
     ComplexBatchNorm,
+    ComplexLSTM,
     ComplexTensor,
     block_kernel,
     complex_split,
@@ -25,7 +27,6 @@ from .layers import (
     conv2d_kernel_adjoint,
     conv2d_raw,
     conv2d_transpose,
-    lstm,
 )
 from .losses import (
     bce_loss, filter_and_sum_tensor, si_snr_tensor, splm_map_tensor, synthesize_waveform,
@@ -66,10 +67,14 @@ def _complex_batchnorm_build(training, weight, running=None):
     return build
 
 
-def _lstm_build(xr, xi, wxr, whr, br, wxi, whi, bi):
-    out_re = lstm(xr, wxr, whr, br) - lstm(xi, wxi, whi, bi)
-    out_im = lstm(xi, wxr, whr, br) + lstm(xr, wxi, whi, bi)
-    return ad.reduce_sum(out_re * out_re) + ad.reduce_sum(out_im * out_im)
+def _complex_lstm_build(xr, xi, wxr, whr, br, wxi, whi, bi):
+    """Squares of a ``ComplexLSTM`` output; the sequence and both weight
+    sets are the inputs."""
+    layer = ComplexLSTM(wxr.shape[1], whr.shape[1], np.random.default_rng(0), xr.dtype)
+    for real, (wx, wh, b) in ((layer.lstm_r, (wxr, whr, br)), (layer.lstm_i, (wxi, whi, bi))):
+        real.wx, real.wh, real.b = wx, wh, b
+    y = layer(ComplexTensor(xr, xi))
+    return ad.reduce_sum(y.re * y.re) + ad.reduce_sum(y.im * y.im)
 
 
 def gradient_cases(seed=0):
@@ -120,7 +125,7 @@ def gradient_cases(seed=0):
     ))
     cases.append((
         "complex_lstm",
-        _lstm_build,
+        _complex_lstm_build,
         [r(3, 4), r(3, 4),
          0.4 * r(12, 4), 0.4 * r(12, 3), 0.1 * r(12),
          0.4 * r(12, 4), 0.4 * r(12, 3), 0.1 * r(12)],
@@ -248,24 +253,37 @@ def _check_metrics():
     return results
 
 
+def _adjoint_identities(x, w, stride, pad_f, pad_t, rng, suffix):
+    fwd = conv2d_raw(x, w, stride, pad_f, pad_t)
+    y = rng.standard_normal(fwd.shape)
+    lhs = float(np.sum(fwd * y))
+    scale = max(abs(lhs), 1e-12)
+    adj_x = conv2d_input_adjoint(y, w, stride, pad_f, pad_t, x.shape[2:])
+    adj_w = conv2d_kernel_adjoint(x, y, stride, pad_f, pad_t, w.shape)
+    dev_x = abs(lhs - float(np.sum(x * adj_x))) / scale
+    dev_w = abs(lhs - float(np.sum(w * adj_w))) / scale
+    return [
+        (f"conv_adjoint_identity{suffix}", dev_x < 1e-10, f"dev {dev_x:.2e}"),
+        (f"conv_kernel_adjoint_identity{suffix}", dev_w < 1e-10, f"dev {dev_w:.2e}"),
+    ]
+
+
 def _check_adjoint():
-    """<conv(x, w), y> == <x, input_adjoint(y, w)> == <w, kernel_adjoint(x, y)>."""
+    """<conv(x, w), y> == <x, input_adjoint(y, w)> == <w, kernel_adjoint(x, y)>,
+    at strides (2,1) and (1,1), and across the seams of im2col bands."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([13])))
     x = rng.standard_normal((1, 2, 8, 4))
     w = rng.standard_normal((3, 2, 5, 2))
     pad_f, pad_t = (2, 2), (1, 0)
     results = []
     for stride, suffix in (((2, 1), ""), ((1, 1), "_stride1")):
-        fwd = conv2d_raw(x, w, stride, pad_f, pad_t)
-        y = rng.standard_normal(fwd.shape)
-        lhs = float(np.sum(fwd * y))
-        scale = max(abs(lhs), 1e-12)
-        adj_x = conv2d_input_adjoint(y, w, stride, pad_f, pad_t, (8, 4))
-        adj_w = conv2d_kernel_adjoint(x, y, stride, pad_f, pad_t, w.shape)
-        dev_x = abs(lhs - float(np.sum(x * adj_x))) / scale
-        dev_w = abs(lhs - float(np.sum(w * adj_w))) / scale
-        results.append((f"conv_adjoint_identity{suffix}", dev_x < 1e-10, f"dev {dev_x:.2e}"))
-        results.append((f"conv_kernel_adjoint_identity{suffix}", dev_w < 1e-10, f"dev {dev_w:.2e}"))
+        results += _adjoint_identities(x, w, stride, pad_f, pad_t, rng, suffix)
+    # One output row's patches take between a third and a half of the band
+    # budget, so the 7 output rows of a 14-bin input at stride 2 form
+    # bands of 2, 2, 2 and 1 rows.
+    band_t = _BAND_BYTES // (2 * w[0].size * w.itemsize)
+    x = rng.standard_normal((1, 2, 14, band_t))
+    results += _adjoint_identities(x, w, (2, 1), pad_f, pad_t, rng, "_bands")
     return results
 
 

@@ -143,6 +143,17 @@ def training_step(model, adam, cfg, stft_cfg, entry, base_dir, steering=None):
     return breakdown, None
 
 
+def _truncate_log(path, step):
+    """Drop the rows of the training log at ``path`` (if any) logged at
+    ``step`` or later: a resumed run logs those steps again."""
+    if not path.exists():
+        return
+    with open(path) as fh:
+        rows = [line for line in fh if line.strip() and json.loads(line)["step"] < step]
+    with open(path, "w") as fh:
+        fh.writelines(rows)
+
+
 def train(cfg, manifest_path, out_dir, resume=None):
     """Run the configured number of steps; returns the per-step log.
 
@@ -177,6 +188,8 @@ def train(cfg, manifest_path, out_dir, resume=None):
         )
 
     log_path = out_dir / LOG_NAME
+    if resume is not None:
+        _truncate_log(log_path, start)
     log_fh = open(log_path, "a" if resume is not None else "w")
     history = []
     _save(out_dir, model, adam, cfg, start)

@@ -169,6 +169,29 @@ def test_enhance_unknown_mode(rng):
         enhance_utterance(noisy, model, "mvdr", 12, geom, StftConfig())
 
 
+def test_nlm_zone_map_matches_complex_round_trip(toy_dataset):
+    # The head reads the model's float32 filter tensors directly; the map
+    # must be the one the complex128 round trip through ``infer_weights``
+    # gave, since float32 -> float64 -> float32 is exact.
+    from neurobeam.dsp import istft, read_wav, stft
+    from neurobeam.layers import ComplexTensor
+
+    cfg = toy_dataset["config"]
+    stft_cfg = cfg.stft_config()
+    noisy = read_wav(toy_dataset["dir"] / toy_dataset["entries"][0]["noisy_path"])
+    model = _toy_model()
+    enhanced, result = enhance_utterance(noisy, model, "nlm", 12, cfg.geometry(), stft_cfg)
+
+    spec = stft(noisy, stft_cfg)
+    weights = model.infer_weights(spec.data)
+    w_img = np.ascontiguousarray(weights.transpose(0, 2, 1))[np.newaxis]
+    zmap = model.localize(
+        ComplexTensor.from_numpy(w_img, dtype=model.dtype), training=False
+    ).data.astype(np.float64)
+    assert np.array_equal(result.zmap, zmap)
+    assert np.array_equal(enhanced.samples, istft(filter_and_sum(weights, spec)).samples)
+
+
 def test_localization_csv_row_count(tmp_path, rng):
     zmap = rng.uniform(size=(9, 5))
     res = localization_from_map(zmap)

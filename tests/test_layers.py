@@ -230,6 +230,76 @@ def test_conv_kernels_match_nested_loop_reference(batch, stride, kernel, causal,
         assert np.abs(have - want).max() <= tol * (np.abs(want).max() + 1.0)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_kernels_match_nested_loop_reference_across_bands(dtype):
+    from neurobeam.layers import (
+        _BAND_BYTES, _row_bands, conv2d_input_adjoint, conv2d_kernel_adjoint, conv2d_raw,
+    )
+
+    rng = _rng(50)
+    batch, c, o, (kf, kt), stride = 2, 16, 2, (5, 2), (2, 1)
+    pad_f, pad_t = (2, 2), (1, 0)
+    # One output row's patches take between a quarter and a third of the
+    # band budget, so the 8 output rows of a 16-bin input at stride 2 form
+    # bands of 3, 3 and 2 rows.
+    row_unit = c * kf * kt * np.dtype(dtype).itemsize
+    f_in, t_in = 16, _BAND_BYTES // (3 * row_unit)
+    assert [u1 - u0 for u0, u1 in _row_bands(8, row_unit * t_in)] == [3, 3, 2]
+    x = rng.standard_normal((batch, c, f_in, t_in))
+    w = rng.standard_normal((o, c, kf, kt))
+    ref = _ref_conv(x, w, stride, pad_f, pad_t)
+    assert ref.shape[2:] == (8, t_in)
+    g = rng.standard_normal(ref.shape)
+    ref_x = _ref_input_adjoint(g, w, stride, pad_f, pad_t, (f_in, t_in))
+    ref_w = _ref_kernel_adjoint(x, g, stride, pad_f, pad_t, w.shape)
+
+    xd, wd, gd = x.astype(dtype), w.astype(dtype), g.astype(dtype)
+    got = conv2d_raw(xd, wd, stride, pad_f, pad_t)
+    got_x = conv2d_input_adjoint(gd, wd, stride, pad_f, pad_t, (f_in, t_in))
+    got_w = conv2d_kernel_adjoint(xd, gd, stride, pad_f, pad_t, w.shape)
+    tol = 100 * np.finfo(dtype).eps
+    for have, want in ((got, ref), (got_x, ref_x), (got_w, ref_w)):
+        assert have.dtype == dtype
+        assert have.shape == want.shape
+        assert np.abs(have - want).max() <= tol * (np.abs(want).max() + 1.0)
+
+
+def test_conv_kernels_never_allocate_the_full_patch_matrix():
+    # The NLM head's second conv on 6 s of input: its whole im2col matrix
+    # [480 x 65*957] would take 119 MB in float32.
+    import tracemalloc
+
+    from neurobeam import layers
+    from neurobeam.layers import (
+        _BAND_BYTES, conv2d_input_adjoint, conv2d_kernel_adjoint, conv2d_raw,
+    )
+
+    rng = _rng(60)
+    stride, pad_f, pad_t = (2, 1), (2, 2), (1, 0)
+    x = rng.standard_normal((1, 48, 129, 957), dtype=np.float32)
+    w = (0.1 * rng.standard_normal((48, 48, 5, 2))).astype(np.float32)
+    g = rng.standard_normal((1, 48, 65, 957), dtype=np.float32)
+    padded_bytes = x.nbytes // (129 * 957) * (129 + 4) * (957 + 1)
+    calls = {
+        "conv2d_raw": (lambda: conv2d_raw(x, w, stride, pad_f, pad_t), g.nbytes),
+        "conv2d_input_adjoint": (
+            lambda: conv2d_input_adjoint(g, w, stride, pad_f, pad_t, (129, 957)), x.nbytes,
+        ),
+        "conv2d_kernel_adjoint": (
+            lambda: conv2d_kernel_adjoint(x, g, stride, pad_f, pad_t, w.shape), w.nbytes,
+        ),
+    }
+    for name, (call, out_bytes) in calls.items():
+        layers._band_store.__dict__.clear()  # count the band buffer in the peak
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out_bytes + padded_bytes + _BAND_BYTES, (name, peak)
+
+
 # ---------------------------------------------------------------------------
 # batch norm / prelu / magnitude
 # ---------------------------------------------------------------------------
@@ -428,18 +498,83 @@ def test_lstm_gradient_matches_finite_differences(rng):
     assert check_gradients(build, arrays) < 1e-4
 
 
+def _ref_lstm(x, wx, wh, b):
+    """Float64 per-frame LSTM over a [T x D] sequence, textbook sigmoid."""
+    x, wx, wh, b = (np.asarray(a, dtype=np.float64) for a in (x, wx, wh, b))
+    hidden = wh.shape[1]
+    h, c, out = np.zeros(hidden), np.zeros(hidden), []
+    for xt in x:
+        a = wx @ xt + wh @ h + b
+        gi, gf, gg, go = (a[n * hidden : (n + 1) * hidden] for n in range(4))
+        gi, gf, go = (1.0 / (1.0 + np.exp(-v)) for v in (gi, gf, go))
+        c = gf * c + gi * np.tanh(gg)
+        h = go * np.tanh(c)
+        out.append(h)
+    return np.array(out)
+
+
+def _close(have, want, dtype):
+    tol = 100 * np.finfo(dtype).eps
+    assert np.abs(have - want).max() <= tol * (np.abs(want).max() + 1.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_lstm_matches_per_frame_reference(dtype):
+    rng = _rng(40)
+    k_n, s_n, t_len, d, h = 2, 2, 7, 3, 4
+    x = rng.standard_normal((s_n, t_len, d)).astype(dtype)
+    wx = (0.4 * rng.standard_normal((k_n, 4 * h, d))).astype(dtype)
+    wh = (0.4 * rng.standard_normal((k_n, 4 * h, h))).astype(dtype)
+    b = (0.1 * rng.standard_normal((k_n, 4 * h))).astype(dtype)
+    out = lstm(Tensor(x), Tensor(wx), Tensor(wh), Tensor(b)).data
+    assert out.shape == (k_n, s_n, t_len, h) and out.dtype == dtype
+    for k in range(k_n):
+        for s in range(s_n):
+            _close(out[k, s], _ref_lstm(x[s], wx[k], wh[k], b[k]), dtype)
+    # The 2-D call is one weight set over one sequence.
+    single = lstm(Tensor(x[1]), Tensor(wx[0]), Tensor(wh[0]), Tensor(b[0])).data
+    assert single.shape == (t_len, h)
+    _close(single, out[0, 1], dtype)
+
+
+def test_fused_lstm_gradient_matches_finite_differences(rng):
+    weight = ad.constant(rng.standard_normal((2, 2, 3, 3)))
+
+    def build(x, wx, wh, b):
+        return ad.reduce_sum(lstm(x, wx, wh, b) * weight)
+
+    arrays = [
+        rng.standard_normal((2, 3, 2)),
+        0.4 * rng.standard_normal((2, 12, 2)),
+        0.4 * rng.standard_normal((2, 12, 3)),
+        0.1 * rng.standard_normal((2, 12)),
+    ]
+    assert check_gradients(build, arrays) < 1e-4
+
+
+def test_complex_lstm_causality_bit_exact():
+    cl = ComplexLSTM(3, 4, _rng(41), np.float64)
+    x = _rng(42).standard_normal((2, 6, 3))
+    base = cl(ComplexTensor(Tensor(x[0]), Tensor(x[1])))
+    x[1, 4] += 5.0  # the imaginary part at frame 4
+    pert = cl(ComplexTensor(Tensor(x[0]), Tensor(x[1])))
+    for have, want in ((pert.re, base.re), (pert.im, base.im)):
+        assert np.array_equal(have.data[:4], want.data[:4])
+        assert not np.array_equal(have.data[4:], want.data[4:])
+
+
 def test_complex_lstm_wiring_matches_manual_combination():
     rng = _rng(14)
     cl = ComplexLSTM(3, 4, rng, np.float64)
     x = _complex_from(_rng(15), (5, 3))
     out = cl(x)
     lr, li = cl.lstm_r, cl.lstm_i
-    a = lstm(x.re, lr.wx, lr.wh, lr.b).data
-    b = lstm(x.im, li.wx, li.wh, li.b).data
-    c = lstm(x.im, lr.wx, lr.wh, lr.b).data
-    d = lstm(x.re, li.wx, li.wh, li.b).data
-    assert np.array_equal(out.re.data, a - b)
-    assert np.array_equal(out.im.data, c + d)
+    a = _ref_lstm(x.re.data, lr.wx.data, lr.wh.data, lr.b.data)
+    b = _ref_lstm(x.im.data, li.wx.data, li.wh.data, li.b.data)
+    c = _ref_lstm(x.im.data, lr.wx.data, lr.wh.data, lr.b.data)
+    d = _ref_lstm(x.re.data, li.wx.data, li.wh.data, li.b.data)
+    _close(out.re.data, a - b, np.float64)
+    _close(out.im.data, c + d, np.float64)
 
 
 # ---------------------------------------------------------------------------

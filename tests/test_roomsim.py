@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from neurobeam.arraygeom import ArrayGeometry, ground_truth_map, uca_positions
+from neurobeam.arraygeom import ArrayGeometry, ground_truth_map, uca_positions, zone_of_angle
 from neurobeam.dsp import StftConfig, Waveform, read_wav, write_wav
 from neurobeam.roomsim import (
     DatasetConfig,
@@ -290,6 +290,22 @@ def test_speech_dir_record_track_matches_manifest_track(tmp_path):
     track = azimuth_track_from_entry(entry, StftConfig())
     assert np.array_equal(np.isnan(record.azimuth_track), np.isnan(track))
     assert np.any(~np.isnan(track))
+
+
+def test_record_and_manifest_agree_on_target_zone():
+    # Placing a source by azimuth and recomputing its azimuth from the
+    # position differs by roundoff, which at 105 degrees crosses a zone edge.
+    for azimuth in range(181):
+        cfg = DatasetConfig(
+            master_seed=3, rooms=((5.0, 5.0, 3.0),), t60_ranges=((0.0, 0.0),),
+            target_distance_ranges=((1.7, 1.7),), duration_s=0.3, speech_len_s=0.2,
+            target_azimuth_grid=(float(azimuth), float(azimuth), 1.0),
+        )
+        record, entry = _build_record(cfg, 0)
+        assert entry["target_azimuth_deg"] == azimuth
+        assert zone_of_angle(record.target_azimuth_deg, 12) == zone_of_angle(azimuth, 12)
+        track = azimuth_track_from_entry(entry, StftConfig())
+        assert np.array_equal(record.azimuth_track, track, equal_nan=True)
 
 
 def test_mixture_spec_validation():

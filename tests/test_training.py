@@ -86,6 +86,22 @@ def test_resume_reproduces_trajectory(tmp_path, toy_dataset):
     )
 
 
+def test_resume_logs_each_step_once(tmp_path, toy_dataset):
+    # A run that went on past its last checkpoint and restarts from it
+    # logs the steps after the checkpoint again.
+    import shutil
+
+    out = tmp_path / "run"
+    half_cfg = config_from_dict(toy_config_dict(steps=2, checkpoint_every=2))
+    train(half_cfg, toy_dataset["manifest"], out)
+    step2 = tmp_path / "step2.nbcp"
+    shutil.copy(out / CHECKPOINT_NAME, step2)
+    cfg = config_from_dict(toy_config_dict(steps=4, checkpoint_every=2))
+    train(cfg, toy_dataset["manifest"], out, resume=out / CHECKPOINT_NAME)
+    train(cfg, toy_dataset["manifest"], out, resume=step2)
+    assert [row["step"] for row in _strip_wall(out / LOG_NAME)] == [0, 1, 2, 3]
+
+
 def test_nan_abort_keeps_checkpoint(tmp_path, toy_dataset):
     cfg = config_from_dict(toy_config_dict(steps=4, debug_nan_at_step=1))
     with pytest.raises(TrainingDiverged, match="step 1"):
