@@ -12,18 +12,49 @@ Complex quantities elsewhere in the package are carried as real tensors
 sees real arrays.
 Gradients accumulate across ``backward`` calls until explicitly cleared,
 which makes a zero-then-rerun reproduce identical gradients.
+
+Inside a ``no_grad()`` block nothing is recorded, as under
+``torch.no_grad``: every op returns a ``Tensor`` with no parents, no
+backward closure and ``needs_grad=False``, so each intermediate array is
+freed as soon as its consumer has run and a forward pass holds no more
+than its live activations. Recording resumes when the block exits, also
+when it raises. The forward arithmetic is the same either way.
 """
 
 from __future__ import annotations
 
+import contextlib
+import threading
+
 import numpy as np
+
+# Whether ops record the graph, per thread (``no_grad`` switches it off).
+_grad_mode = threading.local()
+
+
+def is_recording():
+    """True unless the calling thread is inside a ``no_grad()`` block."""
+    return getattr(_grad_mode, "record", True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run the block without recording the graph (see the module docstring)."""
+    previous = is_recording()
+    _grad_mode.record = False
+    try:
+        yield
+    finally:
+        _grad_mode.record = previous
 
 
 class Tensor:
     """A real n-d array with a gradient slot and a backward-graph record.
 
     ``needs_grad`` is False for constants (inputs that no parameter can
-    influence); backward skips those subgraphs entirely.
+    influence); backward skips those subgraphs entirely. An op's result
+    made inside ``no_grad()`` drops its parents and closure and is a
+    constant; leaves are made the same way in either mode.
     """
 
     __slots__ = ("data", "grad", "parents", "needs_grad", "_backward")
@@ -31,6 +62,8 @@ class Tensor:
     def __init__(self, data, parents=(), backward=None, needs_grad=None):
         self.data = data if isinstance(data, np.ndarray) else np.asarray(data, dtype=np.float64)
         self.grad = None
+        if parents and not is_recording():
+            parents, backward, needs_grad = (), None, False
         self.parents = tuple(parents)
         if needs_grad is None:
             needs_grad = any(p.needs_grad for p in self.parents) if self.parents else True
@@ -52,15 +85,22 @@ class Tensor:
     def item(self):
         return self.data.item()
 
-    def accumulate(self, g, index=...):
+    def accumulate(self, g, index=..., owned=False):
         """Add ``g`` into ``grad[index]``.
 
-        A first full-shape gradient is stored as a copy cast to this
-        tensor's dtype; a first partial one lands in a zero gradient.
+        A first full-shape gradient is stored as it is when ``owned`` (the
+        caller made the array ``g`` fresh and keeps no other reference to
+        it, so later contributions may be added into it) and of this
+        tensor's dtype; otherwise, e.g. for a view of another tensor's
+        gradient or a numpy scalar, it is stored as a copy cast to this
+        tensor's dtype. A first partial gradient lands in a zero gradient.
         """
         if self.grad is None:
             if index is ... and g.shape == self.data.shape:
-                self.grad = np.array(g, dtype=self.data.dtype)
+                if owned and isinstance(g, np.ndarray) and g.dtype == self.data.dtype:
+                    self.grad = g
+                else:
+                    self.grad = np.array(g, dtype=self.data.dtype)
                 return
             self.grad = np.zeros_like(self.data)
         self.grad[index] += g
@@ -198,7 +238,7 @@ def sub(a, b):
         if a.needs_grad:
             a.accumulate(_unbroadcast(g, a.shape))
         if b.needs_grad:
-            b.accumulate(_unbroadcast(-g, b.shape))
+            b.accumulate(_unbroadcast(-g, b.shape), owned=True)
 
     return Tensor(out_data, (a, b), backward_fn)
 
@@ -210,9 +250,9 @@ def mul(a, b):
 
     def backward_fn(g):
         if a.needs_grad:
-            a.accumulate(_unbroadcast(g * b.data, a.shape))
+            a.accumulate(_unbroadcast(g * b.data, a.shape), owned=True)
         if b.needs_grad:
-            b.accumulate(_unbroadcast(g * a.data, b.shape))
+            b.accumulate(_unbroadcast(g * a.data, b.shape), owned=True)
 
     return Tensor(out_data, (a, b), backward_fn)
 
@@ -224,9 +264,9 @@ def div(a, b):
 
     def backward_fn(g):
         if a.needs_grad:
-            a.accumulate(_unbroadcast(g / b.data, a.shape))
+            a.accumulate(_unbroadcast(g / b.data, a.shape), owned=True)
         if b.needs_grad:
-            b.accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+            b.accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape), owned=True)
 
     return Tensor(out_data, (a, b), backward_fn)
 
@@ -234,7 +274,7 @@ def div(a, b):
 def neg(a):
     def backward_fn(g):
         if a.needs_grad:
-            a.accumulate(-g)
+            a.accumulate(-g, owned=True)
 
     return Tensor(-a.data, (a,), backward_fn)
 
@@ -245,7 +285,7 @@ def sqrt(a):
 
     def backward_fn(g):
         if a.needs_grad:
-            a.accumulate(g / (2.0 * out_data))
+            a.accumulate(g / (2.0 * out_data), owned=True)
 
     return Tensor(out_data, (a,), backward_fn)
 
@@ -255,7 +295,7 @@ def log(a):
 
     def backward_fn(g):
         if a.needs_grad:
-            a.accumulate(g / a.data)
+            a.accumulate(g / a.data, owned=True)
 
     return Tensor(out_data, (a,), backward_fn)
 
@@ -270,7 +310,7 @@ def sigmoid(a):
 
     def backward_fn(g):
         if a.needs_grad:
-            a.accumulate(g * out_data * (1.0 - out_data))
+            a.accumulate(g * out_data * (1.0 - out_data), owned=True)
 
     return Tensor(out_data, (a,), backward_fn)
 
@@ -282,7 +322,7 @@ def clip(a, lo, hi):
 
     def backward_fn(g):
         if a.needs_grad:
-            a.accumulate(g * inside)
+            a.accumulate(g * inside, owned=True)
 
     return Tensor(out_data, (a,), backward_fn)
 
@@ -304,11 +344,11 @@ def prelu(a, slope, axis):
 
     def backward_fn(g):
         if a.needs_grad:
-            a.accumulate(g * scale)
+            a.accumulate(g * scale, owned=True)
         if slope.needs_grad:
             post = int(np.prod(a.shape[axis + 1:]))
             gs = (g * np.minimum(a.data, 0)).reshape(-1, channels, post)
-            slope.accumulate(gs.sum(axis=2).sum(axis=0))
+            slope.accumulate(gs.sum(axis=2).sum(axis=0), owned=True)
 
     return Tensor(out_data, (a, slope), backward_fn)
 
@@ -319,10 +359,10 @@ def matmul(a, b):
     def backward_fn(g):
         if a.needs_grad:
             ga = g @ np.swapaxes(b.data, -1, -2)
-            a.accumulate(_unbroadcast(ga, a.shape))
+            a.accumulate(_unbroadcast(ga, a.shape), owned=True)
         if b.needs_grad:
             gb = np.swapaxes(a.data, -1, -2) @ g
-            b.accumulate(_unbroadcast(gb, b.shape))
+            b.accumulate(_unbroadcast(gb, b.shape), owned=True)
 
     return Tensor(out_data, (a, b), backward_fn)
 
@@ -357,12 +397,12 @@ def reduce_sum(a, axis=None, keepdims=False):
         if not a.needs_grad:
             return
         if axis is None:
-            a.accumulate(np.broadcast_to(g, a.shape).copy())
+            a.accumulate(np.broadcast_to(g, a.shape).copy(), owned=True)
             return
         if not keepdims:
             axes = axis if isinstance(axis, tuple) else (axis,)
             g = np.expand_dims(g, axes)
-        a.accumulate(np.broadcast_to(g, a.shape).copy())
+        a.accumulate(np.broadcast_to(g, a.shape).copy(), owned=True)
 
     return Tensor(out_data, (a,), backward_fn)
 

@@ -87,15 +87,6 @@ def localization_from_map(zmap, threshold=DEFAULT_VAD_THRESHOLD):
     return LocalizationResult(localize(zmap), scores, decisions, zmap)
 
 
-def _filter_image(model, spec_data):
-    """The model's own filter tensors as the NLM head's input image
-    [1 x M x F x T], in the model's dtype. They are taken as constants, so
-    the forward graph and its activations are freed before the head runs;
-    the complex form for filter-and-sum is made from them."""
-    w = model.forward_weights(spec_data, training=False)
-    return ComplexTensor(*(ad.constant(p.data[np.newaxis]) for p in (w.re, w.im)))
-
-
 def enhance_utterance(
     noisy,
     model,
@@ -110,26 +101,34 @@ def enhance_utterance(
     Returns (enhanced 1-channel waveform, LocalizationResult). The output
     waveform is window_length + (T-1)*hop samples long (framing edge
     loss; see dsp.istft).
+
+    The whole pass runs under ``autodiff.no_grad()``: no graph is
+    recorded, so each activation is freed once the next layer has read
+    it. One ``forward_weights`` call makes the filters; in ``nlm`` mode
+    its float32 tensors are the NLM head's input image, and their
+    complex128 form [M x T x F] feeds filter-and-sum and, in ``splm``
+    mode, the zone map.
     """
     if noisy.channels != model.config.mics:
         raise ValueError(
             f"waveform has {noisy.channels} channels but the model expects "
             f"{model.config.mics}"
         )
-    spec = stft(noisy, stft_cfg)
-    if mode == "splm":
-        weights = model.infer_weights(spec.data)
-        steering = steering_set(
-            geometry, ZoneGrid(zones), stft_cfg.frequencies(noisy.sample_rate)
-        )
-        zmap = splm_map(weights, steering)
-    elif mode == "nlm":
-        image = _filter_image(model, spec.data)
-        weights = image.to_numpy()[0].transpose(0, 2, 1)
-        zmap = model.localize(image, training=False).data.astype(np.float64)
-    else:
+    if mode not in ("splm", "nlm"):
         raise ValueError(f"unknown localization mode '{mode}' (expected splm or nlm)")
-    enhanced = istft(filter_and_sum(weights, spec))
+    with ad.no_grad():
+        spec = stft(noisy, stft_cfg)
+        w = model.forward_weights(spec.data, training=False)
+        weights = w.to_numpy().transpose(0, 2, 1)
+        if mode == "splm":
+            steering = steering_set(
+                geometry, ZoneGrid(zones), stft_cfg.frequencies(noisy.sample_rate)
+            )
+            zmap = splm_map(weights, steering)
+        else:
+            image = ComplexTensor(*(ad.reshape(p, (1,) + p.shape) for p in (w.re, w.im)))
+            zmap = model.localize(image, training=False).data.astype(np.float64)
+        enhanced = istft(filter_and_sum(weights, spec))
     return enhanced, localization_from_map(zmap, vad_threshold)
 
 

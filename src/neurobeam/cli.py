@@ -126,7 +126,7 @@ def cmd_enhance(args):
     from .checkpoint import load_checkpoint
     from .dsp import StftConfig, read_wav, write_wav
     from .model import MimoDccrn
-    from .training import geometry_from_meta
+    from .training import geometry_from_meta, sample_rate_from_meta
 
     arrays, meta = load_checkpoint(args.checkpoint)
     model = MimoDccrn.from_meta(meta)
@@ -141,7 +141,7 @@ def cmd_enhance(args):
             f"--zones {zones} conflicts with the checkpoint's NLM head "
             f"({model.nlm_config.zones} zones); use --mode splm for other grids"
         )
-    noisy = read_wav(args.input)
+    noisy = read_wav(args.input, sample_rate_from_meta(meta))
     enhanced, result = enhance_utterance(
         noisy, model, mode, zones, geometry, stft_cfg,
         vad_threshold=loc_meta["vad_threshold"],

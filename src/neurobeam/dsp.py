@@ -231,9 +231,14 @@ def istft(spec):
 # WAV file I/O (PCM 16-bit and IEEE float-32)
 # ---------------------------------------------------------------------------
 
-def read_wav(path):
-    """Read a mono or multi-channel WAV as floats in [-1, 1)."""
+def read_wav(path, sample_rate=None):
+    """Read a mono or multi-channel WAV as floats in [-1, 1).
+
+    With ``sample_rate`` given, a file at any other rate is rejected.
+    """
     rate, data = wavfile.read(path)
+    if sample_rate is not None and rate != sample_rate:
+        raise ValueError(f"{path} is at {rate} Hz, not at {sample_rate} Hz")
     if data.dtype == np.int16:
         samples = data.astype(np.float64) / 32768.0
     elif data.dtype == np.int32:

@@ -196,11 +196,11 @@ def _conv_op(out_data, x, w, bias, input_grad, kernel_grad):
 
     def backward_fn(g):
         if x.needs_grad:
-            x.accumulate(input_grad(g))
+            x.accumulate(input_grad(g), owned=True)
         if w.needs_grad:
-            w.accumulate(kernel_grad(g))
+            w.accumulate(kernel_grad(g), owned=True)
         if bias is not None and bias.needs_grad:
-            bias.accumulate(g.sum(axis=(0, 2, 3)))
+            bias.accumulate(g.sum(axis=(0, 2, 3)), owned=True)
 
     return Tensor(out_data, parents, backward_fn)
 
@@ -279,11 +279,11 @@ def batch_norm(x, gamma, beta, eps, stats=None):
                 xh *= (k * gx_sum / n).reshape(cshape)
                 xh += (k * g_sum / n).reshape(cshape)
                 dx -= xh
-            x.accumulate(dx)
+            x.accumulate(dx, owned=True)
         if gamma.needs_grad:
-            gamma.accumulate(gx_sum)
+            gamma.accumulate(gx_sum, owned=True)
         if beta.needs_grad:
-            beta.accumulate(g_sum)
+            beta.accumulate(g_sum, owned=True)
 
     return Tensor(out_data, (x, gamma, beta), backward_fn), mean, var
 
@@ -408,7 +408,7 @@ def lstm(x, wx, wh, b):
             np.matmul(da[t].reshape(k_n, s_n, four_h), whd, out=dh_next)
 
         def put(param, grad):
-            param.accumulate(grad[0] if single else grad)
+            param.accumulate(grad[0] if single else grad, owned=True)
 
         da = da.reshape(t_len, k_n, s_n, four_h)
         if x.needs_grad:

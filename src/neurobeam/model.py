@@ -315,8 +315,10 @@ class MimoDccrn:
         return ComplexTensor(re_full, im_full)
 
     def infer_weights(self, spec_data):
-        """Numpy-only inference: [M x T x F] complex filter weights."""
-        w = self.forward_weights(spec_data, training=False)
+        """Inference filters: [M x T x F] complex weights from an eval
+        forward run under ``autodiff.no_grad()``, so no graph is kept."""
+        with ad.no_grad():
+            w = self.forward_weights(spec_data, training=False)
         return w.to_numpy().transpose(0, 2, 1)
 
     def localize(self, w, training=False):

@@ -471,9 +471,7 @@ def _build_record(cfg, index):
         if not files:
             raise ValueError(f"no WAV files in speech_dir {cfg.speech_dir}")
         path = files[int(rng.integers(len(files)))]
-        speech = read_wav(path)
-        if speech.sample_rate != cfg.sample_rate:
-            raise ValueError(f"speech file {path} is not at {cfg.sample_rate} Hz")
+        speech = read_wav(path, cfg.sample_rate)
         if speech.num_samples < int(round(cfg.speech_len_s * cfg.sample_rate)):
             raise ValueError(f"speech file {path} is shorter than speech_len_s={cfg.speech_len_s}")
     else:

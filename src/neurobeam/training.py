@@ -79,12 +79,23 @@ def _checkpoint_meta(cfg, step):
             "mode": cfg.localization.mode,
             "vad_threshold": cfg.localization.vad_threshold,
         },
+        "dataset": {"sample_rate": cfg.dataset.sample_rate},
+        "training": {
+            "reference_mic": cfg.training.reference_mic,
+            "sisnr_convention": cfg.training.sisnr_convention,
+        },
     }
 
 
 def geometry_from_meta(meta):
     """Rebuild the microphone geometry a checkpoint was trained with."""
     return array_geometry(**meta["array"])
+
+
+def sample_rate_from_meta(meta):
+    """The WAV rate a checkpoint was trained at; None for a checkpoint that
+    predates recording it, which then accepts any rate."""
+    return meta.get("dataset", {}).get("sample_rate")
 
 
 def _save(out_dir, model, adam, cfg, step):
@@ -102,8 +113,8 @@ def training_step(model, adam, cfg, stft_cfg, entry, base_dir, steering=None):
     parameter whose gradient is non-finite), with the parameters untouched.
     """
     trn = cfg.training
-    noisy = read_wav(base_dir / entry["noisy_path"])
-    target = read_wav(base_dir / entry["target_path"])
+    noisy = read_wav(base_dir / entry["noisy_path"], cfg.dataset.sample_rate)
+    target = read_wav(base_dir / entry["target_path"], cfg.dataset.sample_rate)
     spec = stft(noisy, stft_cfg)
 
     weights = model.forward_weights(spec.data, training=True)
@@ -247,22 +258,27 @@ def interior_slice(stft_cfg, length):
 
 def evaluate_records(
     entries, base_dir, model, stft_cfg, geometry, zones, mode,
-    convention="standard", vad_threshold=0.5,
+    convention="standard", vad_threshold=0.5, reference_mic=0, sample_rate=None,
 ):
-    """Per-record SI-SNR improvement and localization metrics."""
+    """Per-record SI-SNR improvement and localization metrics.
+
+    The enhanced and the unprocessed signal are both scored against the
+    target image at ``reference_mic``; with ``sample_rate`` given, a WAV
+    at another rate is rejected.
+    """
     rows = []
     for entry in entries:
-        noisy = read_wav(Path(base_dir) / entry["noisy_path"])
-        target = read_wav(Path(base_dir) / entry["target_path"])
+        noisy = read_wav(Path(base_dir) / entry["noisy_path"], sample_rate)
+        target = read_wav(Path(base_dir) / entry["target_path"], sample_rate)
         enhanced, loc = enhance_utterance(
             noisy, model, mode, zones, geometry, stft_cfg, vad_threshold
         )
         n = enhanced.num_samples
         sl = interior_slice(stft_cfg, n)
-        ref = target.samples[0][:n][sl]
+        ref = target.samples[reference_mic][:n][sl]
         est = enhanced.samples[0][sl]
-        mic0 = noisy.samples[0][:n][sl]
-        si_noisy = si_snr(mic0, ref, convention)
+        unprocessed = noisy.samples[reference_mic][:n][sl]
+        si_noisy = si_snr(unprocessed, ref, convention)
         si_enh = si_snr(est, ref, convention)
 
         track = azimuth_track_from_entry(entry, stft_cfg)
@@ -355,11 +371,17 @@ def evaluate(manifest_path, checkpoint_path, out_csv=None, mode=None):
     geometry = geometry_from_meta(meta)
     loc_meta = meta["localization"]
     mode = mode or loc_meta["mode"]
+    # Checkpoints that predate these keys were scored at mic 0, "standard".
+    scoring = meta.get("training", {})
+    convention = scoring.get("sisnr_convention", "standard")
     rows = evaluate_records(
         entries, manifest_path.parent, model, stft_cfg, geometry,
-        loc_meta["zones"], mode, vad_threshold=loc_meta["vad_threshold"],
+        loc_meta["zones"], mode, convention=convention,
+        vad_threshold=loc_meta["vad_threshold"],
+        reference_mic=scoring.get("reference_mic", 0),
+        sample_rate=sample_rate_from_meta(meta),
     )
     summary = summarize(rows)
     if out_csv is not None:
-        write_report(out_csv, summary)
+        write_report(out_csv, summary, convention)
     return summary

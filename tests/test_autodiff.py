@@ -164,3 +164,64 @@ def test_unbroadcast_scalar_like(rng):
     backward(ad.reduce_sum(a * b))
     assert b.grad.shape == ()
     assert b.grad == pytest.approx(a.data.sum())
+
+
+@pytest.mark.parametrize("build, expect", [
+    (lambda x, w: w * (x + x), lambda x, w: 2.0 * w),
+    (lambda x, w: w * (x * x), lambda x, w: 2.0 * w * x),
+    (lambda x, w: (x * x) * w + x, lambda x, w: 2.0 * x * w + 1.0),
+    (lambda x, w: x - x * (x + x), lambda x, w: 1.0 - 4.0 * x),
+    (lambda x, w: ad.concat([ad.narrow(x, 1, 0, 2) * ad.narrow(w, 1, 0, 2), x * x], axis=1),
+     lambda x, w: 2.0 * x + np.pad(w[:, :2], ((0, 0), (0, 1)))),
+    (lambda x, w: ad.transpose(x, (1, 0)) * ad.transpose(w, (1, 0)) + ad.reshape(x, (3, 2)),
+     lambda x, w: w + 1.0),
+], ids=["x+x", "x*x", "x*x+x", "x-x*(x+x)", "narrow", "transpose-reshape"])
+def test_gradients_exact_when_one_tensor_feeds_several_inputs(build, expect):
+    # Integer-valued data keeps every product and sum exact, so gradients
+    # that ops hand over as owned arrays and gradients copied from views
+    # must add up to the closed form bit for bit.
+    xd = np.arange(1.0, 7.0).reshape(2, 3)
+    wd = np.arange(2.0, 8.0).reshape(2, 3)
+    x = Tensor(xd.copy())
+    backward(ad.reduce_sum(build(x, constant(wd))))
+    assert np.array_equal(x.grad, expect(xd, wd))
+    assert np.array_equal(x.data, xd)
+
+
+def test_pass_through_gradient_is_not_shared_between_inputs():
+    # add and sub hand the same output gradient to both inputs; each input
+    # must get its own copy, or a later contribution to one leaks into the
+    # other.
+    xd = np.arange(1.0, 7.0).reshape(2, 3)
+    zd = xd[::-1].copy()
+    w = constant(np.arange(2.0, 8.0).reshape(2, 3))
+    for combine, sign in ((ad.add, 1.0), (ad.sub, -1.0)):
+        x, z = Tensor(xd.copy()), Tensor(zd.copy())
+        h = combine(x, z)
+        loss = ad.reduce_sum(h * w) + ad.reduce_sum(x * x) + ad.reduce_sum(ad.sqrt(z * z))
+        backward(loss)
+        assert np.array_equal(x.grad, w.data + 2.0 * xd)
+        assert np.array_equal(z.grad, sign * w.data + 1.0)
+
+
+def test_no_grad_records_nothing_and_restores_recording(rng):
+    x = Tensor(rng.standard_normal((2, 3)))
+    with ad.no_grad():
+        assert not ad.is_recording()
+        y = ad.reduce_sum(ad.sigmoid(x) * x + 1.0)
+        leaf = Tensor(np.ones(2))
+    assert y.parents == () and y._backward is None and not y.needs_grad
+    assert leaf.needs_grad  # leaves are made the same way in either mode
+    assert ad.is_recording()
+    with pytest.raises(RuntimeError, match="inside"):
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert not ad.is_recording()
+            raise RuntimeError("inside the block")
+    assert ad.is_recording()
+    z = ad.reduce_sum(ad.sigmoid(x) * x + 1.0)
+    assert z.parents and z.needs_grad
+    assert z.item() == y.item()
+    backward(z)
+    assert x.grad is not None

@@ -1,0 +1,122 @@
+"""The checkpoint container: durable writes, and loud errors on bad files."""
+
+import io
+import json
+
+import numpy as np
+import pytest
+
+from neurobeam import checkpoint
+from neurobeam.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+
+
+def _arrays(rng):
+    return {
+        "w": rng.standard_normal((3, 4)).astype(np.float32),
+        "b": np.arange(5, dtype=np.int64),
+        "s": np.array(2.5),
+    }
+
+
+def _assert_same(loaded, arrays):
+    assert set(loaded) == set(arrays)
+    for k, v in arrays.items():
+        assert loaded[k].dtype == v.dtype and np.array_equal(loaded[k], v)
+
+
+def test_round_trip_leaves_no_temp_file(tmp_path, rng):
+    arrays = _arrays(rng)
+    path = tmp_path / "ck.nbcp"
+    save_checkpoint(path, arrays, {"step": 3})
+    save_checkpoint(path, arrays, {"step": 4})
+    loaded, meta = load_checkpoint(path)
+    _assert_same(loaded, arrays)
+    assert meta == {"step": 4}
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.nbcp"]
+
+
+def _header_end(data):
+    return 12 + int.from_bytes(data[4:12], "little")
+
+
+def test_truncated_file_is_rejected_by_name(tmp_path, rng):
+    path = tmp_path / "ck.nbcp"
+    save_checkpoint(path, _arrays(rng))
+    data = path.read_bytes()
+    end = _header_end(data)
+    # Inside the magic, the length field, the header, the first tensor,
+    # and one byte short of the end.
+    for size in (0, 2, 7, end - 5, end + 3, len(data) - 1):
+        path.write_bytes(data[:size])
+        with pytest.raises(ValueError, match="ck.nbcp"):
+            load_checkpoint(path)
+
+
+def test_corrupt_payload_fails_the_checksum(tmp_path, rng):
+    path = tmp_path / "ck.nbcp"
+    save_checkpoint(path, _arrays(rng))
+    data = bytearray(path.read_bytes())
+    data[_header_end(data) + 1] ^= 0x10
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="ck.nbcp.*CRC"):
+        load_checkpoint(path)
+
+
+def test_corrupt_header_is_rejected_by_name(tmp_path, rng):
+    path = tmp_path / "ck.nbcp"
+    save_checkpoint(path, _arrays(rng))
+    data = bytearray(path.read_bytes())
+    data[13] = ord("#")
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="ck.nbcp"):
+        load_checkpoint(path)
+
+
+class _FailingFile(io.FileIO):
+    """A file whose writes fail once ``budget`` bytes have been written."""
+
+    budget = 40
+
+    def write(self, b):
+        room = self.budget - self.tell()
+        if len(memoryview(b).cast("B")) > room:
+            super().write(memoryview(b).cast("B")[: max(room, 0)])
+            raise OSError("no space left on device")
+        return super().write(b)
+
+
+def test_failed_write_keeps_previous_checkpoint(tmp_path, rng, monkeypatch):
+    path = tmp_path / "ck.nbcp"
+    old = _arrays(rng)
+    save_checkpoint(path, old, {"step": 1})
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        assert mode == "wb"
+        return _FailingFile(file, "w")
+
+    monkeypatch.setattr(checkpoint, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(path, {k: v + 1 for k, v in old.items()}, {"step": 2})
+    monkeypatch.undo()
+    loaded, meta = load_checkpoint(path)
+    _assert_same(loaded, old)
+    assert meta == {"step": 1}
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.nbcp"]
+
+
+def test_checkpoint_without_checksum_still_loads(tmp_path, rng):
+    # The layout written before the header carried a payload CRC.
+    arrays = _arrays(rng)
+    entries, blobs, offset = [], [], 0
+    for name, arr in arrays.items():
+        blob = arr.tobytes()
+        entries.append({"name": name, "dtype": arr.dtype.str.lstrip("<>=|"),
+                        "shape": list(arr.shape), "offset": offset, "nbytes": len(blob)})
+        blobs.append(blob)
+        offset += len(blob)
+    header = json.dumps({"version": 1, "meta": {"a": 1}, "tensors": entries}).encode()
+    path = tmp_path / "old.nbcp"
+    path.write_bytes(MAGIC + len(header).to_bytes(8, "little") + header + b"".join(blobs))
+    loaded, meta = load_checkpoint(path)
+    _assert_same(loaded, arrays)
+    assert meta == {"a": 1}

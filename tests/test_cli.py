@@ -146,6 +146,27 @@ def test_enhance_silence_vad_inactive(trained, tmp_path):
     assert all(float(r.split(",")[3]) <= 0.5 for r in rows)
 
 
+def test_enhance_wav_at_another_rate_exit_code(trained, tmp_path, capsys):
+    wrong = tmp_path / "wrong_rate.wav"
+    write_wav(wrong, Waveform(np.zeros((4, 3000)), 8000))
+    rc = main(["enhance", str(trained["checkpoint"]), str(wrong),
+               "--out", str(tmp_path / "out.wav")])
+    assert rc == 1
+    assert "wrong_rate.wav is at 8000 Hz, not at 16000 Hz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["enhance", "eval"])
+def test_truncated_checkpoint_exit_code(trained, tmp_path, capsys, command):
+    cut = tmp_path / "cut.nbcp"
+    data = trained["checkpoint"].read_bytes()
+    cut.write_bytes(data[: len(data) // 2])
+    second = trained["noisy"] if command == "enhance" else trained["manifest"]
+    rc = main([command, str(cut), str(second), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "cut.nbcp is truncated" in err and "Traceback" not in err
+
+
 def test_train_nan_abort_exit_code(trained, tmp_path, capsys):
     cfg_nan = tmp_path / "nan.json"
     with open(cfg_nan, "w") as fh:

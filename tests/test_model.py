@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from neurobeam import autodiff as ad
 from neurobeam.checkpoint import load_checkpoint, save_checkpoint
 from neurobeam.layers import ComplexTensor
 from neurobeam.model import (
@@ -103,6 +104,21 @@ def test_forward_rejects_wrong_channels(rng):
     model = desk_model()
     with pytest.raises(ValueError):
         model.forward_weights(random_spec(rng, 3, 4))
+
+
+def test_forward_under_no_grad_keeps_no_graph(rng):
+    model = desk_model(seed=4)
+    spec = random_spec(rng, 4, 6)
+    with ad.no_grad():
+        w = model.forward_weights(spec, training=False)
+        image = ComplexTensor(*(ad.reshape(p, (1,) + p.shape) for p in (w.re, w.im)))
+        zmap = model.localize(image, training=False)
+    for out in (w.re, w.im, zmap):
+        assert out.parents == () and out._backward is None and not out.needs_grad
+    recorded = model.forward_weights(spec, training=False)
+    assert recorded.re.parents and recorded.re.needs_grad
+    assert np.array_equal(recorded.to_numpy(), w.to_numpy())
+    assert np.array_equal(model.infer_weights(spec), w.to_numpy().transpose(0, 2, 1))
 
 
 def test_causality_of_weights(rng):

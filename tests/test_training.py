@@ -19,7 +19,9 @@ from neurobeam.training import (
     LOG_NAME,
     TrainingDiverged,
     build_model,
+    evaluate,
     evaluate_records,
+    interior_slice,
     summarize,
     train,
     write_report,
@@ -193,6 +195,28 @@ def test_gamma_zero_is_pure_bce_and_head_reachability(toy_dataset):
     assert total_loss(bce, lsisnr, gamma=0.0).item() == bce.item()
 
 
+def test_training_step_after_no_grad_block_still_trains(toy_dataset):
+    from neurobeam.optim import Adam
+    from neurobeam.training import training_step
+
+    cfg = toy_dataset["config"]
+    stft_cfg = cfg.stft_config()
+    entry = toy_dataset["entries"][0]
+    model = build_model(cfg)
+    adam = Adam(model.params(), lr=1e-3)
+    spec = stft(read_wav(toy_dataset["dir"] / entry["noisy_path"]), stft_cfg)
+    with pytest.raises(RuntimeError, match="inside"):
+        with ad.no_grad():
+            model.forward_weights(spec.data, training=False)
+            raise RuntimeError("inside the block")
+    before = {k: p.data.copy() for k, p in model.params().items()}
+    breakdown, fault = training_step(model, adam, cfg, stft_cfg, entry, toy_dataset["dir"])
+    assert fault is None and np.isfinite(breakdown.total)
+    params = model.params()
+    assert all(p.grad is not None for p in params.values())
+    assert all(not np.array_equal(params[k].data, before[k]) for k in ("enc0.conv.w_r", "lstm.r.wx"))
+
+
 class _MicSelectorModel:
     """Identity beamformer: passes microphone 0 through unchanged."""
 
@@ -202,10 +226,10 @@ class _MicSelectorModel:
     config = _Cfg()
     dtype = np.float64
 
-    def infer_weights(self, spec_data):
-        w = np.zeros_like(spec_data)
+    def forward_weights(self, spec_data, training=False):
+        w = np.zeros_like(spec_data).transpose(0, 2, 1)
         w[0] = 1.0
-        return w
+        return ComplexTensor.from_numpy(w)
 
 
 def test_identity_model_improvement_is_zero(toy_dataset):
@@ -270,3 +294,68 @@ def test_checkpoint_meta_carries_run_settings(tmp_path, toy_dataset):
     assert meta["array"]["mics"] == 4
     assert meta["localization"]["mode"] == "nlm"
     assert meta["train_step"] == 1
+    assert meta["dataset"]["sample_rate"] == 16000
+    assert meta["training"] == {"reference_mic": 0, "sisnr_convention": "standard"}
+
+
+def _dataset_with_noisy_at(tmp_path, toy_dataset, rate):
+    """A copy of the toy dataset whose noisy WAV is re-labelled at ``rate``."""
+    import shutil
+
+    from neurobeam.dsp import Waveform, write_wav
+
+    data = tmp_path / "data"
+    shutil.copytree(toy_dataset["dir"], data)
+    noisy = data / toy_dataset["entries"][0]["noisy_path"]
+    write_wav(noisy, Waveform(read_wav(noisy).samples, rate))
+    return data
+
+
+def test_train_and_eval_reject_wav_at_another_rate(tmp_path, toy_dataset):
+    cfg = config_from_dict(toy_config_dict(steps=1))
+    train(cfg, toy_dataset["manifest"], tmp_path / "run")
+    data = _dataset_with_noisy_at(tmp_path, toy_dataset, 8000)
+    expect = "mix_00000_noisy.wav is at 8000 Hz, not at 16000 Hz"
+    with pytest.raises(ValueError, match=expect):
+        train(cfg, data / "manifest.jsonl", tmp_path / "run2")
+    with pytest.raises(ValueError, match=expect):
+        evaluate(data / "manifest.jsonl", tmp_path / "run" / CHECKPOINT_NAME)
+
+
+def _noisy_si_snr(toy_dataset, mic, convention):
+    """SI-SNR of the unprocessed mixture at ``mic`` as evaluation scores it."""
+    from neurobeam.losses import si_snr
+
+    entry = toy_dataset["entries"][0]
+    stft_cfg = toy_dataset["config"].stft_config()
+    noisy = read_wav(toy_dataset["dir"] / entry["noisy_path"])
+    target = read_wav(toy_dataset["dir"] / entry["target_path"])
+    n = stft_cfg.window_length + (stft(noisy, stft_cfg).data.shape[1] - 1) * stft_cfg.hop
+    sl = interior_slice(stft_cfg, n)
+    return si_snr(noisy.samples[mic][:n][sl], target.samples[mic][:n][sl], convention)
+
+
+def test_evaluate_scores_at_the_recorded_mic_and_convention(tmp_path, toy_dataset):
+    from neurobeam.checkpoint import load_checkpoint, save_checkpoint
+
+    cfg = config_from_dict(
+        toy_config_dict(steps=0, reference_mic=2, sisnr_convention="printed")
+    )
+    train(cfg, toy_dataset["manifest"], tmp_path / "run")
+    ckpt = tmp_path / "run" / CHECKPOINT_NAME
+    report = tmp_path / "report.csv"
+    summary = evaluate(toy_dataset["manifest"], ckpt, out_csv=report)
+    expect = _noisy_si_snr(toy_dataset, 2, "printed")
+    assert expect != _noisy_si_snr(toy_dataset, 0, "standard")
+    assert summary["avg"]["si_snr_noisy_db"] == expect
+    assert "convention=printed" in report.read_text().splitlines()[-1]
+
+    # A checkpoint from before the settings were recorded scores as it
+    # always did (mic 0, "standard") and accepts a WAV at any rate.
+    arrays, meta = load_checkpoint(ckpt)
+    del meta["training"], meta["dataset"]
+    save_checkpoint(ckpt, arrays, meta)
+    summary = evaluate(toy_dataset["manifest"], ckpt)
+    assert summary["avg"]["si_snr_noisy_db"] == _noisy_si_snr(toy_dataset, 0, "standard")
+    data = _dataset_with_noisy_at(tmp_path, toy_dataset, 8000)
+    assert evaluate(data / "manifest.jsonl", ckpt)["avg"]["count"] == 1
