@@ -184,6 +184,10 @@ def backward(loss):
     set; the graph itself is kept and can be walked again. Leaf
     gradients accumulate across calls until explicitly cleared, so
     zeroing the leaves and re-running reproduces identical gradients.
+
+    A closure owns the ``g`` it is handed and may overwrite it: ``accumulate``
+    copies every gradient not marked owned, so no ``grad`` is shared, and the
+    walk drops it after the call. Saved forward arrays must stay intact.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
@@ -394,15 +398,10 @@ def reduce_sum(a, axis=None, keepdims=False):
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward_fn(g):
-        if not a.needs_grad:
-            return
-        if axis is None:
+        if a.needs_grad:
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
             a.accumulate(np.broadcast_to(g, a.shape).copy(), owned=True)
-            return
-        if not keepdims:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            g = np.expand_dims(g, axes)
-        a.accumulate(np.broadcast_to(g, a.shape).copy(), owned=True)
 
     return Tensor(out_data, (a,), backward_fn)
 
@@ -443,6 +442,3 @@ def narrow(a, axis, start, length):
 
     return Tensor(out_data, (a,), backward_fn)
 
-
-def square(a):
-    return mul(a, a)

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .arraygeom import ZoneGrid, steering_set
 from .dsp import Spectrogram, istft, stft
-from .layers import ComplexTensor
+from .layers import ComplexTensor, release_band_buffer
 
 DEFAULT_VAD_THRESHOLD = 0.5
 
@@ -107,7 +107,7 @@ def enhance_utterance(
     it. One ``forward_weights`` call makes the filters; in ``nlm`` mode
     its float32 tensors are the NLM head's input image, and their
     complex128 form [M x T x F] feeds filter-and-sum and, in ``splm``
-    mode, the zone map.
+    mode, the zone map. The conv band buffer is released at the end.
     """
     if noisy.channels != model.config.mics:
         raise ValueError(
@@ -129,6 +129,7 @@ def enhance_utterance(
             image = ComplexTensor(*(ad.reshape(p, (1,) + p.shape) for p in (w.re, w.im)))
             zmap = model.localize(image, training=False).data.astype(np.float64)
         enhanced = istft(filter_and_sum(weights, spec))
+    release_band_buffer()
     return enhanced, localization_from_map(zmap, vad_threshold)
 
 

@@ -125,12 +125,12 @@ def cmd_enhance(args):
     from .beamloc import enhance_utterance, write_localization_csv
     from .checkpoint import load_checkpoint
     from .dsp import StftConfig, read_wav, write_wav
-    from .model import MimoDccrn
+    from .model import MimoDccrn, upgrade_arrays
     from .training import geometry_from_meta, sample_rate_from_meta
 
     arrays, meta = load_checkpoint(args.checkpoint)
     model = MimoDccrn.from_meta(meta)
-    model.load_arrays(arrays)
+    model.load_arrays(upgrade_arrays(arrays, meta))
     stft_cfg = StftConfig(**meta["stft"])
     geometry = geometry_from_meta(meta)
     loc_meta = meta["localization"]

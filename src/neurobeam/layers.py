@@ -2,11 +2,11 @@
 
 A complex feature map is carried in stacked real-block form: one real
 tensor [batch x 2C x freq x time] holding the C real channels, then the
-C imaginary ones. Each layer is one op on that tensor: a complex conv or
-deconv is one real conv (an im2col GEMM) with the block kernel
-[[Wr, -Wi], [Wi, Wr]], complex batch norm is one batch norm with the
-gammas [gamma_r; gamma_i] and betas [beta_r; beta_i], and PReLU is one
-PReLU with the slopes [slope_r; slope_i]. ``ComplexTensor`` is the
+C imaginary ones. A complex conv or deconv is one real conv (an im2col
+GEMM) with the block kernel [[Wr, -Wi], [Wi, Wr]]; conv -> complex batch
+norm -> PReLU is one op, ``conv_bn_prelu``, with the gammas, betas and
+slopes stacked as [r; i]. It keeps two maps for backward, recomputes the
+rest there, and under ``no_grad()`` keeps nothing. ``ComplexTensor`` is the
 (real, imag) view of a stacked tensor: ``complex_split`` takes views of
 the halves and ``complex_stack`` hands the same tensor back, so maps pass
 from layer to layer without copies; the halves are read only where a
@@ -92,8 +92,14 @@ _BAND_BYTES = 4 << 20
 # so building a patch band writes into memory that is already mapped. It
 # grows to the largest band used so far, which is at most _BAND_BYTES
 # unless a single output row needs more. No array a kernel returns refers
-# to it.
+# to it. Grown mid-forward, it sits high in the malloc heap and keeps the
+# maps freed below it resident, so inference releases it after each record.
 _band_store = threading.local()
+
+
+def release_band_buffer():
+    """Free this thread's band buffer; the next kernel call makes a new one."""
+    _band_store.__dict__.clear()
 
 
 def _band_buffer(shape, dtype):
@@ -186,9 +192,31 @@ def conv2d_kernel_adjoint(x, g, stride, pad_f, pad_t, kshape):
     return gw.reshape(kshape)
 
 
-def _conv_op(out_data, x, w, bias, input_grad, kernel_grad):
-    """Wrap a conv kernel's output as an op; ``bias`` (or None) is added
-    per output channel in place."""
+def _conv_parts(x, w, stride, pad_f, pad_t, out_ft=None):
+    """The output array of the conv of ``x`` by ``w`` (with ``out_ft``, of
+    the transposed conv of that output size) and the closures of its input
+    and kernel adjoints. Kernels are looked up by module name at call time."""
+    if out_ft is None:
+        in_ft = x.shape[2:]
+        return (
+            conv2d_raw(x.data, w.data, stride, pad_f, pad_t),
+            lambda g: conv2d_input_adjoint(g, w.data, stride, pad_f, pad_t, in_ft),
+            lambda g: conv2d_kernel_adjoint(x.data, g, stride, pad_f, pad_t, w.shape),
+        )
+    expect = tuple(map(_conv_out_size, out_ft, w.shape[2:], stride, (pad_f, pad_t)))
+    if expect != x.shape[2:]:
+        raise ValueError(f"declared output {out_ft} maps to {expect}, but input is {x.shape[2:]}")
+    return (
+        conv2d_input_adjoint(x.data, w.data, stride, pad_f, pad_t, out_ft),
+        lambda g: conv2d_raw(g, w.data, stride, pad_f, pad_t),
+        lambda g: conv2d_kernel_adjoint(g, x.data, stride, pad_f, pad_t, w.shape),
+    )
+
+
+def _conv_op(x, w, bias, parts):
+    """Wrap conv ``parts`` (see ``_conv_parts``) as an op; ``bias`` (or
+    None) is added per output channel in place."""
+    out_data, input_grad, kernel_grad = parts
     parents = (x, w)
     if bias is not None:
         out_data += bias.data.reshape(1, -1, 1, 1)
@@ -208,12 +236,7 @@ def _conv_op(out_data, x, w, bias, input_grad, kernel_grad):
 def conv2d(x, w, stride, pad_f, pad_t, bias=None):
     """Strided 2-d convolution as an autodiff op, with an optional
     per-output-channel bias."""
-    in_ft = (x.shape[2], x.shape[3])
-    return _conv_op(
-        conv2d_raw(x.data, w.data, stride, pad_f, pad_t), x, w, bias,
-        lambda g: conv2d_input_adjoint(g, w.data, stride, pad_f, pad_t, in_ft),
-        lambda g: conv2d_kernel_adjoint(x.data, g, stride, pad_f, pad_t, w.shape),
-    )
+    return _conv_op(x, w, bias, _conv_parts(x, w, stride, pad_f, pad_t))
 
 
 def conv2d_transpose(x, w, stride, pad_f, pad_t, out_ft, bias=None):
@@ -222,70 +245,108 @@ def conv2d_transpose(x, w, stride, pad_f, pad_t, out_ft, bias=None):
     ``out_ft`` declares the output spatial size, which must map back to
     the input size under the forward-conv arithmetic.
     """
-    sf, st = stride
-    _, _, kf, kt = w.shape
-    expect_f = _conv_out_size(out_ft[0], kf, sf, pad_f)
-    expect_t = _conv_out_size(out_ft[1], kt, st, pad_t)
-    if (expect_f, expect_t) != (x.shape[2], x.shape[3]):
-        raise ValueError(
-            f"declared output {out_ft} maps to {(expect_f, expect_t)}, "
-            f"but input is {(x.shape[2], x.shape[3])}"
-        )
-    return _conv_op(
-        conv2d_input_adjoint(x.data, w.data, stride, pad_f, pad_t, out_ft), x, w, bias,
-        lambda g: conv2d_raw(g, w.data, stride, pad_f, pad_t),
-        lambda g: conv2d_kernel_adjoint(g, x.data, stride, pad_f, pad_t, w.shape),
-    )
+    return _conv_op(x, w, bias, _conv_parts(x, w, stride, pad_f, pad_t, out_ft))
 
 
-def _channel_sum(a):
-    """Sum of a [B x C x ...] array over every axis but the channels."""
-    return a.reshape(a.shape[0], a.shape[1], -1).sum(axis=2).sum(axis=0)
+# A conv block's elementwise stages run over cache-resident groups of whole
+# channels of at most this many bytes (or one channel). On a 2-vCPU x86 machine
+# the NLM head's first block took 48 ms at 256 KiB, 62-75 at 4 MiB, 117 whole.
+_GROUP_BYTES = 1 << 18
 
 
-def batch_norm(x, gamma, beta, eps, stats=None):
-    """Per-channel batch norm of a [B x C x F x T] map as one op.
+def _channel_dot(a, b):
+    """Per-channel dot products of [B x k x F x T] arrays, as BLAS dots
+    (9-46x less float32 roundoff than ``einsum`` on 6 s maps)."""
+    a, b = (v.transpose(1, 0, 2, 3).reshape(v.shape[1], 1, -1) for v in (a, b))
+    return np.matmul(a, b.transpose(0, 2, 1)).reshape(-1)
 
-    With ``stats=None`` each channel is standardized by its own mean and
-    biased variance over (batch, freq, time); with ``stats=(mean, var)``
-    those frozen statistics are used. Either way the forward pass is one
-    per-channel scale-and-shift, (x - mean) * gamma * inv_std + beta.
-    Returns the output tensor and the (mean, var) it used. The input
-    gradient is the closed form (Ioffe & Szegedy, 2015)
-    gamma * inv_std * (g - mean(g) - xh * mean(g * xh)), or
-    gamma * inv_std * g under frozen statistics.
-    """
-    cshape = (1, -1, 1, 1)
-    n = x.data.size // x.shape[1]
-    if stats is None:
-        mean = _channel_sum(x.data) / n
-        out_data = x.data - mean.reshape(cshape)
-        var = _channel_sum(out_data * out_data) / n
-    else:
-        mean, var = stats
-        out_data = x.data - mean.reshape(cshape)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    k = gamma.data * inv_std
-    out_data *= k.reshape(cshape)
-    out_data += beta.data.reshape(cshape)
+
+def _channel_groups(a):
+    """(c0, c1) ranges of whole channels of a [B x C x F x T] map within budget."""
+    step = max(1, _GROUP_BYTES * a.shape[1] // a.nbytes)
+    for c0 in range(0, a.shape[1], step):
+        yield c0, min(c0 + step, a.shape[1])
+
+
+def conv_bn_prelu(x, w, parts, gamma, beta, slope, running, training, eps=1e-5, momentum=0.1):
+    """Conv ``parts`` of x by w (see ``_conv_parts``), batch norm and PReLU
+    as one op: xh is the conv output standardized per channel over (batch,
+    freq, time) by its own statistics in ``training`` (moving ``running``
+    toward them) or by ``running`` (mean, var), y = gamma * xh + beta, and
+    the output is max(y, 0) + slope * min(y, 0). Only xh and the output are
+    kept: backward recomputes y for the PReLU mask and slope gradient, then
+    applies gamma * inv_std * (dy - mean(dy) - xh * mean(dy * xh)) (Ioffe &
+    Szegedy, 2015; gamma * inv_std * dy under frozen statistics) and the conv
+    adjoints, overwriting its ``g``. Under ``no_grad()`` it keeps nothing."""
+    xh_map, input_grad, kernel_grad = parts  # the conv output, standardized in place
+    channels = xh_map.shape[1]
+    n = xh_map.size // channels
+    dtype = xh_map.dtype
+    recording = ad.is_recording()
+    out = np.empty_like(xh_map) if recording else xh_map
+    cs = (slice(None), None, None)  # a per-channel vector against a [k x F x T] group
+    gam, bet, slp = gamma.data[cs], beta.data[cs], slope.data[cs]
+    mean, var = (np.empty(channels, dtype), np.empty(channels, dtype)) if training else running
+    inv_std = np.empty(channels, dtype)
+    groups = list(_channel_groups(xh_map))
+    group_shape = (xh_map.shape[0], groups[0][1]) + xh_map.shape[2:]
+    tmp = np.empty(group_shape, dtype)
+    for c0, c1 in groups:
+        xh, y, t = xh_map[:, c0:c1], out[:, c0:c1], tmp[:, : c1 - c0]
+        if training:
+            mean[c0:c1] = xh.sum(axis=(0, 2, 3)) / n
+        xh -= mean[c0:c1][cs]
+        if training:
+            var[c0:c1] = _channel_dot(xh, xh) / n
+        inv_std[c0:c1] = 1.0 / np.sqrt(var[c0:c1] + eps)
+        xh *= inv_std[c0:c1][cs]
+        np.multiply(xh, gam[c0:c1], out=y)
+        y += bet[c0:c1]
+        np.minimum(y, 0, out=t)
+        t *= slp[c0:c1]
+        np.maximum(y, 0, out=y)
+        y += t
+    if training:
+        for stat, batch_stat in zip(running, (mean, var)):
+            stat *= 1.0 - momentum
+            stat += momentum * batch_stat
+    if not recording:
+        return Tensor(out)
 
     def backward_fn(g):
-        xh = (x.data - mean.reshape(cshape)) * inv_std.reshape(cshape)
-        g_sum = _channel_sum(g)
-        gx_sum = _channel_sum(g * xh)
+        k = gamma.data * inv_std
+        d_gamma, d_beta, d_slope = (np.empty(channels, dtype) for _ in range(3))
+        tmp = np.empty(group_shape, dtype)
+        mask = np.empty(group_shape, bool)
+        for c0, c1 in groups:
+            xh, gv = xh_map[:, c0:c1], g[:, c0:c1]
+            t, m = tmp[:, : c1 - c0], mask[:, : c1 - c0]
+            np.multiply(xh, gam[c0:c1], out=t)
+            t += bet[c0:c1]
+            np.less_equal(t, 0, out=m)
+            np.minimum(t, 0, out=t)
+            d_slope[c0:c1] = _channel_dot(gv, t)
+            # dy = g * (slope where y <= 0, else 1), from the mask by arithmetic.
+            np.multiply(m, slp[c0:c1] - 1, out=t)
+            t += 1
+            gv *= t
+            d_beta[c0:c1] = g_sum = gv.sum(axis=(0, 2, 3))
+            d_gamma[c0:c1] = gx_sum = _channel_dot(gv, xh)
+            kc = k[c0:c1]
+            gv *= kc[cs]
+            if training:
+                np.multiply(xh, (kc * gx_sum / n)[cs], out=t)
+                gv -= (kc * g_sum / n)[cs]
+                gv -= t
+        for param, grad in ((gamma, d_gamma), (beta, d_beta), (slope, d_slope)):
+            if param.needs_grad:
+                param.accumulate(grad, owned=True)
         if x.needs_grad:
-            dx = g * k.reshape(cshape)
-            if stats is None:
-                xh *= (k * gx_sum / n).reshape(cshape)
-                xh += (k * g_sum / n).reshape(cshape)
-                dx -= xh
-            x.accumulate(dx, owned=True)
-        if gamma.needs_grad:
-            gamma.accumulate(gx_sum, owned=True)
-        if beta.needs_grad:
-            beta.accumulate(g_sum, owned=True)
+            x.accumulate(input_grad(g), owned=True)
+        if w.needs_grad:
+            w.accumulate(kernel_grad(g), owned=True)
 
-    return Tensor(out_data, (x, gamma, beta), backward_fn), mean, var
+    return Tensor(out, (x, w, gamma, beta, slope), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -447,31 +508,40 @@ def zeros_param(shape, dtype):
 class ComplexConv2d:
     """Complex convolution (Wr + jWi) * (xr + jxi) + (br + jbi), computed as
     one real conv of the stacked map [xr; xi] with the block kernel
-    [[Wr, -Wi], [Wi, Wr]] and the stacked bias [br; bi]."""
+    [[Wr, -Wi], [Wi, Wr]] and the stacked bias [br; bi] (none with ``bias=False``)."""
 
-    def __init__(self, in_ch, out_ch, kernel, stride, rng, dtype, causal=True):
+    transposed = False
+
+    def __init__(self, in_ch, out_ch, kernel, stride, rng, dtype, causal=True, bias=True):
         kf, kt = kernel
         self.stride = stride
         self.pad_f = ((kf - 1) // 2, kf // 2)
         self.pad_t = (kt - 1, 0) if causal else (0, kt - 1)
-        fan_in = in_ch * kf * kt
-        self.w_r = uniform_init(rng, (out_ch, in_ch, kf, kt), fan_in, dtype)
-        self.w_i = uniform_init(rng, (out_ch, in_ch, kf, kt), fan_in, dtype)
-        self.b_r = zeros_param(out_ch, dtype)
-        self.b_i = zeros_param(out_ch, dtype)
+        shape = (in_ch, out_ch, kf, kt) if self.transposed else (out_ch, in_ch, kf, kt)
+        self.w_r = uniform_init(rng, shape, in_ch * kf * kt, dtype)
+        self.w_i = uniform_init(rng, shape, in_ch * kf * kt, dtype)
+        self.b_r = zeros_param(out_ch, dtype) if bias else None
+        self.b_i = zeros_param(out_ch, dtype) if bias else None
 
     def params(self):
-        return {"w_r": self.w_r, "w_i": self.w_i, "b_r": self.b_r, "b_i": self.b_i}
+        out = {"w_r": self.w_r, "w_i": self.w_i}
+        if self.b_r is not None:
+            out.update(b_r=self.b_r, b_i=self.b_i)
+        return out
+
+    def parts(self, x, w):
+        """``_conv_parts`` of the stacked map ``x`` by the block kernel ``w``."""
+        out_ft = (x.shape[2] * self.stride[0], x.shape[3]) if self.transposed else None
+        return _conv_parts(x, w, self.stride, self.pad_f, self.pad_t, out_ft)
 
     def __call__(self, x):
-        out = conv2d(
-            complex_stack(x), block_kernel(self.w_r, self.w_i), self.stride,
-            self.pad_f, self.pad_t, bias=ad.concat([self.b_r, self.b_i], axis=0),
-        )
-        return complex_split(out)
+        x = complex_stack(x)
+        w = block_kernel(self.w_r, self.w_i)
+        bias = None if self.b_r is None else ad.concat([self.b_r, self.b_i], axis=0)
+        return complex_split(_conv_op(x, w, bias, self.parts(x, w)))
 
 
-class ComplexConvTranspose2d:
+class ComplexConvTranspose2d(ComplexConv2d):
     """Adjoint of ``ComplexConv2d``: transposed spatially, kernel conjugated.
 
     With matching geometry, <conv(x), y> == <x, deconv(y)> under the real
@@ -481,99 +551,10 @@ class ComplexConvTranspose2d:
     kernel as ``ComplexConv2d``, whose adjoint is the conjugate transpose.
     """
 
-    def __init__(self, in_ch, out_ch, kernel, stride, rng, dtype):
-        kf, kt = kernel
-        self.stride = stride
-        self.pad_f = ((kf - 1) // 2, kf // 2)
-        self.pad_t = (0, kt - 1)
-        fan_in = in_ch * kf * kt
-        self.w_r = uniform_init(rng, (in_ch, out_ch, kf, kt), fan_in, dtype)
-        self.w_i = uniform_init(rng, (in_ch, out_ch, kf, kt), fan_in, dtype)
-        self.b_r = zeros_param(out_ch, dtype)
-        self.b_i = zeros_param(out_ch, dtype)
+    transposed = True
 
-    def params(self):
-        return {"w_r": self.w_r, "w_i": self.w_i, "b_r": self.b_r, "b_i": self.b_i}
-
-    def __call__(self, x):
-        out_ft = (x.shape[2] * self.stride[0], x.shape[3])
-        out = conv2d_transpose(
-            complex_stack(x), block_kernel(self.w_r, self.w_i), self.stride,
-            self.pad_f, self.pad_t, out_ft, bias=ad.concat([self.b_r, self.b_i], axis=0),
-        )
-        return complex_split(out)
-
-
-class ComplexBatchNorm:
-    """Per-channel standardization of re and im, as one batch norm of the
-    stacked map [re; im] with gammas [gamma_r; gamma_i] and betas
-    [beta_r; beta_i].
-
-    Training mode normalizes with current-batch statistics over
-    (batch, freq, time) and tracks running averages; eval mode applies the
-    frozen running statistics, which keeps inference causal. The re and
-    im running buffers are the two halves of one stacked buffer.
-    """
-
-    def __init__(self, channels, dtype, eps=1e-5, momentum=0.1):
-        self.eps = eps
-        self.momentum = momentum
-        self.gamma_r = Tensor(np.ones(channels, dtype=dtype))
-        self.beta_r = zeros_param(channels, dtype)
-        self.gamma_i = Tensor(np.ones(channels, dtype=dtype))
-        self.beta_i = zeros_param(channels, dtype)
-        self.running_mean = np.zeros(2 * channels, dtype=dtype)
-        self.running_var = np.ones(2 * channels, dtype=dtype)
-        self.running_mean_r = self.running_mean[:channels]
-        self.running_mean_i = self.running_mean[channels:]
-        self.running_var_r = self.running_var[:channels]
-        self.running_var_i = self.running_var[channels:]
-
-    def params(self):
-        return {
-            "gamma_r": self.gamma_r, "beta_r": self.beta_r,
-            "gamma_i": self.gamma_i, "beta_i": self.beta_i,
-        }
-
-    def buffers(self):
-        return {
-            "running_mean_r": self.running_mean_r, "running_var_r": self.running_var_r,
-            "running_mean_i": self.running_mean_i, "running_var_i": self.running_var_i,
-        }
-
-    def set_buffers(self, values):
-        for name, arr in values.items():
-            getattr(self, name)[...] = arr
-
-    def __call__(self, x, training):
-        gamma = ad.concat([self.gamma_r, self.gamma_i], axis=0)
-        beta = ad.concat([self.beta_r, self.beta_i], axis=0)
-        stats = None if training else (self.running_mean, self.running_var)
-        out, mean, var = batch_norm(complex_stack(x), gamma, beta, self.eps, stats)
-        if training:
-            m = self.momentum
-            self.running_mean *= 1.0 - m
-            self.running_mean += m * mean
-            self.running_var *= 1.0 - m
-            self.running_var += m * var
-        return complex_split(out)
-
-
-class ComplexPReLU:
-    """PReLU of re and im with their own slopes, as one PReLU of the
-    stacked map [re; im] with the slopes [slope_r; slope_i]."""
-
-    def __init__(self, channels, dtype, axis=1, init=0.25):
-        self.axis = axis
-        self.slope_r = Tensor(np.full(channels, init, dtype=dtype))
-        self.slope_i = Tensor(np.full(channels, init, dtype=dtype))
-
-    def params(self):
-        return {"slope_r": self.slope_r, "slope_i": self.slope_i}
-
-    def __call__(self, x):
-        slope = ad.concat([self.slope_r, self.slope_i], axis=0)
-        return complex_split(ad.prelu(complex_stack(x), slope, self.axis))
+    def __init__(self, in_ch, out_ch, kernel, stride, rng, dtype, bias=True):
+        super().__init__(in_ch, out_ch, kernel, stride, rng, dtype, causal=False, bias=bias)
 
 
 class Linear:
@@ -636,12 +617,8 @@ class ComplexLSTM:
         self.lstm_i = RealLSTM(input_size, hidden, rng, dtype)
 
     def params(self):
-        out = {}
-        for key, p in self.lstm_r.params().items():
-            out[f"r.{key}"] = p
-        for key, p in self.lstm_i.params().items():
-            out[f"i.{key}"] = p
-        return out
+        parts = (("r", self.lstm_r), ("i", self.lstm_i))
+        return {f"{n}.{key}": p for n, layer in parts for key, p in layer.params().items()}
 
     def __call__(self, x):
         r, i = self.lstm_r, self.lstm_i

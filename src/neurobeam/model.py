@@ -19,19 +19,21 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .layers import (
-    ComplexBatchNorm,
     ComplexConvTranspose2d,
     ComplexConv2d,
     ComplexLSTM,
     ComplexLinear,
-    ComplexPReLU,
     ComplexTensor,
     Linear,
+    block_kernel,
     complex_split,
     complex_stack,
+    conv_bn_prelu,
 )
 
 MAGNITUDE_EPS = 1e-12
+
+CHECKPOINT_SCHEMA = 2  # layout of the model's checkpoint arrays; see upgrade_arrays
 
 
 @dataclass(frozen=True)
@@ -119,32 +121,47 @@ class NlmConfig:
         return cls(zones=d["zones"], linear_hidden=d["linear_hidden"])
 
 
-class _ConvBlock:
-    """conv/deconv -> complex BN -> PReLU; the final decoder block is bare."""
+def _named(method, parts):
+    """{"<name>.<key>": value} over ``module.<method>()`` of (name, module) parts."""
+    return {
+        f"{name}.{key}": value
+        for name, module in parts if module is not None and hasattr(module, method)
+        for key, value in getattr(module, method)().items()
+    }
 
-    def __init__(self, conv, channels, dtype, with_norm=True):
-        self.conv = conv
-        self.bn = ComplexBatchNorm(channels, dtype) if with_norm else None
-        self.act = ComplexPReLU(channels, dtype) if with_norm else None
+
+class _ConvBlock:
+    """conv/deconv -> complex BN -> PReLU as one ``conv_bn_prelu`` op, with
+    no conv bias (the BN mean cancels it) and the parameters ``bn.gamma_r``
+    ... ``act.slope_i`` stacked [r; i]; the last decoder block is a bare conv."""
+
+    def __init__(self, conv_cls, in_ch, channels, kernel, stride, rng, dtype, with_norm=True):
+        self.conv = conv_cls(in_ch, channels, kernel, stride, rng, dtype, bias=not with_norm)
+        self.norm, self.running = {}, ()
+        if with_norm:
+            for name, init in (("bn.gamma", 1.0), ("bn.beta", 0.0), ("act.slope", 0.25)):
+                for part in "ri":
+                    self.norm[f"{name}_{part}"] = Tensor(np.full(channels, init, dtype=dtype))
+            self.running = (np.zeros(2 * channels, dtype), np.ones(2 * channels, dtype))
 
     def params(self):
-        out = {f"conv.{k}": p for k, p in self.conv.params().items()}
-        if self.bn is not None:
-            out.update({f"bn.{k}": p for k, p in self.bn.params().items()})
-            out.update({f"act.{k}": p for k, p in self.act.params().items()})
-        return out
+        return {**_named("params", (("conv", self.conv),)), **self.norm}
 
     def buffers(self):
-        if self.bn is None:
-            return {}
-        return {f"bn.{k}": b for k, b in self.bn.buffers().items()}
+        out = {}
+        for stat, a in zip(("mean", "var"), self.running):
+            half = a.size // 2
+            out[f"bn.running_{stat}_r"], out[f"bn.running_{stat}_i"] = a[:half], a[half:]
+        return out
 
     def __call__(self, x, training):
-        h = self.conv(x)
-        if self.bn is not None:
-            h = self.bn(h, training)
-            h = self.act(h)
-        return h
+        if not self.norm:
+            return self.conv(x)
+        x, w = complex_stack(x), block_kernel(self.conv.w_r, self.conv.w_i)
+        vectors = [ad.concat([self.norm[f"{name}_r"], self.norm[f"{name}_i"]], axis=0)
+                   for name in ("bn.gamma", "bn.beta", "act.slope")]
+        out = conv_bn_prelu(x, w, self.conv.parts(x, w), *vectors, self.running, training)
+        return complex_split(out)
 
 
 class NlmHead:
@@ -160,30 +177,21 @@ class NlmHead:
     def __init__(self, mics, cfg, kernel, stride, rng, dtype):
         self.cfg = cfg
         c1, c2 = cfg.conv_channels
-        self.block1 = _ConvBlock(
-            ComplexConv2d(mics, c1, kernel, stride, rng, dtype), c1, dtype
-        )
-        self.block2 = _ConvBlock(
-            ComplexConv2d(c1, c2, kernel, stride, rng, dtype), c2, dtype
-        )
+        self.block1 = _ConvBlock(ComplexConv2d, mics, c1, kernel, stride, rng, dtype)
+        self.block2 = _ConvBlock(ComplexConv2d, c1, c2, kernel, stride, rng, dtype)
         self.lin1 = Linear(1, cfg.linear_hidden, rng, dtype)
         self.mlp_slope = Tensor(np.full(cfg.linear_hidden, 0.25, dtype=dtype))
         self.lin2 = Linear(cfg.linear_hidden, 1, rng, dtype)
 
+    def _parts(self):
+        return (("block1", self.block1), ("block2", self.block2), ("lin1", self.lin1),
+                ("lin2", self.lin2))
+
     def params(self):
-        out = {}
-        out.update({f"block1.{k}": p for k, p in self.block1.params().items()})
-        out.update({f"block2.{k}": p for k, p in self.block2.params().items()})
-        out.update({f"lin1.{k}": p for k, p in self.lin1.params().items()})
-        out["mlp_slope"] = self.mlp_slope
-        out.update({f"lin2.{k}": p for k, p in self.lin2.params().items()})
-        return out
+        return {**_named("params", self._parts()), "mlp_slope": self.mlp_slope}
 
     def buffers(self):
-        out = {}
-        out.update({f"block1.{k}": b for k, b in self.block1.buffers().items()})
-        out.update({f"block2.{k}": b for k, b in self.block2.buffers().items()})
-        return out
+        return _named("buffers", self._parts())
 
     def __call__(self, w, training):
         """w: ComplexTensor [1 x M x F x T] -> Tensor [T x N] in (0, 1)."""
@@ -216,8 +224,8 @@ class MimoDccrn:
         self.encoder = []
         in_ch = config.mics
         for c in chans:
-            conv = ComplexConv2d(in_ch, c, kernel, stride, rng, self.dtype)
-            self.encoder.append(_ConvBlock(conv, c, self.dtype))
+            self.encoder.append(_ConvBlock(
+                ComplexConv2d, in_ch, c, kernel, stride, rng, self.dtype))
             in_ch = c
 
         feat = chans[-1] * config.bottleneck_freq
@@ -229,8 +237,10 @@ class MimoDccrn:
         outs = rev[1:] + [config.mics]
         for idx, (c_in, c_out) in enumerate(zip(rev, outs)):
             last = idx == len(rev) - 1
-            deconv = ComplexConvTranspose2d(2 * c_in, c_out, kernel, stride, rng, self.dtype)
-            self.decoder.append(_ConvBlock(deconv, c_out, self.dtype, with_norm=not last))
+            self.decoder.append(_ConvBlock(
+                ComplexConvTranspose2d, 2 * c_in, c_out, kernel, stride, rng, self.dtype,
+                with_norm=not last,
+            ))
 
         self.nlm = (
             NlmHead(config.mics, nlm, kernel, stride, rng, self.dtype)
@@ -239,27 +249,19 @@ class MimoDccrn:
         )
 
     # -- parameter plumbing ------------------------------------------------
+    def _parts(self):
+        return (
+            *((f"enc{i}", block) for i, block in enumerate(self.encoder)),
+            ("lstm", self.clstm), ("restore", self.restore),
+            *((f"dec{i}", block) for i, block in enumerate(self.decoder)),
+            ("nlm", self.nlm),
+        )
+
     def params(self):
-        out = {}
-        for i, block in enumerate(self.encoder):
-            out.update({f"enc{i}.{k}": p for k, p in block.params().items()})
-        out.update({f"lstm.{k}": p for k, p in self.clstm.params().items()})
-        out.update({f"restore.{k}": p for k, p in self.restore.params().items()})
-        for i, block in enumerate(self.decoder):
-            out.update({f"dec{i}.{k}": p for k, p in block.params().items()})
-        if self.nlm is not None:
-            out.update({f"nlm.{k}": p for k, p in self.nlm.params().items()})
-        return out
+        return _named("params", self._parts())
 
     def buffers(self):
-        out = {}
-        for i, block in enumerate(self.encoder):
-            out.update({f"enc{i}.{k}": b for k, b in block.buffers().items()})
-        for i, block in enumerate(self.decoder):
-            out.update({f"dec{i}.{k}": b for k, b in block.buffers().items()})
-        if self.nlm is not None:
-            out.update({f"nlm.{k}": b for k, b in self.nlm.buffers().items()})
-        return out
+        return _named("buffers", self._parts())
 
     def num_parameters(self):
         return sum(int(np.prod(p.shape)) for p in self.params().values())
@@ -333,7 +335,8 @@ class MimoDccrn:
         return arrays
 
     def meta(self):
-        out = {"model": self.config.to_dict(), "dtype": self.dtype.name}
+        out = {"schema": CHECKPOINT_SCHEMA, "model": self.config.to_dict()}
+        out["dtype"] = self.dtype.name
         if self.nlm_config is not None:
             out["nlm"] = self.nlm_config.to_dict()
         return out
@@ -343,6 +346,9 @@ class MimoDccrn:
 
         params = self.params()
         require_shapes(arrays, {f"param.{k}": p.shape for k, p in params.items()})
+        extra = {k for k in arrays if k.startswith("param.")} - {f"param.{k}" for k in params}
+        if extra:
+            raise ValueError(f"checkpoint has tensors the model lacks: {sorted(extra)}")
         for k, p in params.items():
             p.data = arrays[f"param.{k}"].astype(self.dtype)
         for k, b in self.buffers().items():
@@ -353,6 +359,26 @@ class MimoDccrn:
         config = MimoDccrnConfig.from_dict(meta["model"])
         nlm = NlmConfig.from_dict(meta["nlm"]) if "nlm" in meta else None
         return cls(config, nlm=nlm, seed=seed, dtype=np.dtype(meta["dtype"]))
+
+
+def upgrade_arrays(arrays, meta):
+    """The arrays of a checkpoint with ``meta`` in the current schema.
+
+    Schema 1 (or no "schema") had a bias b on each conv before a batch norm;
+    it is folded into the running mean as rm - b, which keeps the eval output
+    (training cancels b), and dropped with its Adam moments."""
+    if meta.get("schema", 1) >= CHECKPOINT_SCHEMA:
+        return arrays
+    arrays = dict(arrays)
+    for key in [k for k in arrays if k.startswith("buffer.") and ".bn.running_mean_" in k]:
+        block, part = key[len("buffer."):].split(".bn.running_mean_")
+        bias = f"{block}.conv.b_{part}"
+        if f"param.{bias}" not in arrays:
+            raise ValueError(f"schema-1 checkpoint is missing tensor 'param.{bias}'")
+        arrays[key] = arrays[key] - arrays.pop(f"param.{bias}")
+        arrays.pop(f"adam.m.{bias}", None)
+        arrays.pop(f"adam.v.{bias}", None)
+    return arrays
 
 
 def pack_input(spec_data, freq_bins_model, dtype):

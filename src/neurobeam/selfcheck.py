@@ -16,13 +16,14 @@ from .dsp import StftConfig, Waveform, istft, stft
 from .gradcheck import check_gradients
 from .layers import (
     _BAND_BYTES,
-    ComplexBatchNorm,
     ComplexLSTM,
     ComplexTensor,
+    _conv_parts,
     block_kernel,
     complex_split,
     complex_stack,
     conv2d,
+    conv_bn_prelu,
     conv2d_input_adjoint,
     conv2d_kernel_adjoint,
     conv2d_raw,
@@ -51,17 +52,17 @@ def _complex_conv_build(stride, pad_f, pad_t, transpose=False, out_ft=None):
     return build
 
 
-def _complex_batchnorm_build(training, weight, running=None):
-    """Weighted squares of a ``ComplexBatchNorm`` output; the map and the
-    layer's four parameter vectors are the inputs, ``running`` (or None)
-    its running statistics."""
+def _conv_block_build(weight, training, running, stride, pad_f, pad_t, out_ft=None):
+    """Weighted squares of a ``conv_bn_prelu`` block (a deconv with
+    ``out_ft``) of its ten inputs, each run from the ``running`` stats."""
 
-    def build(xr, xi, gamma_r, gamma_i, beta_r, beta_i):
-        bn = ComplexBatchNorm(gamma_r.shape[0], xr.dtype)
-        bn.gamma_r, bn.gamma_i, bn.beta_r, bn.beta_i = gamma_r, gamma_i, beta_r, beta_i
-        if running is not None:
-            bn.set_buffers(running)
-        y = complex_stack(bn(ComplexTensor(xr, xi), training))
+    def build(xr, xi, wr, wi, gamma_r, gamma_i, beta_r, beta_i, slope_r, slope_i):
+        x, w = complex_stack(ComplexTensor(xr, xi)), block_kernel(wr, wi)
+        y = conv_bn_prelu(
+            x, w, _conv_parts(x, w, stride, pad_f, pad_t, out_ft),
+            ad.concat([gamma_r, gamma_i], axis=0), ad.concat([beta_r, beta_i], axis=0),
+            ad.concat([slope_r, slope_i], axis=0), [a.copy() for a in running], training,
+        )
         return ad.reduce_sum(y * y * ad.constant(weight))
 
     return build
@@ -98,21 +99,20 @@ def gradient_cases(seed=0):
         [r(1, 3, 4, 4), r(1, 3, 4, 4), 0.3 * r(3, 2, 5, 2), 0.3 * r(3, 2, 5, 2),
          0.1 * r(2), 0.1 * r(2)],
     ))
-    bn_params = [1.0 + 0.1 * r(3), 1.0 + 0.1 * r(3), 0.1 * r(3), 0.1 * r(3)]
-    cases.append((
-        "complex_batchnorm",
-        _complex_batchnorm_build(True, r(1, 6, 4, 5)),
-        [r(1, 3, 4, 5), r(1, 3, 4, 5), *bn_params],
-    ))
-    running = {
-        "running_mean_r": 0.3 * r(3), "running_mean_i": 0.3 * r(3),
-        "running_var_r": 0.5 + rng.uniform(size=3), "running_var_i": 0.5 + rng.uniform(size=3),
-    }
-    cases.append((
-        "complex_batchnorm_eval",
-        _complex_batchnorm_build(False, r(1, 6, 4, 5), running),
-        [r(1, 3, 4, 5), r(1, 3, 4, 5), *bn_params],
-    ))
+    for kind, geometry, x_shape, out_shape in (
+        ("conv", ((2, 1), (2, 2), (1, 0)), (1, 2, 8, 4), (1, 6, 4, 4)),
+        ("deconv", ((2, 1), (2, 2), (0, 1), (8, 4)), (1, 3, 4, 4), (1, 4, 8, 4)),
+    ):
+        c_out = out_shape[1] // 2
+        block_params = [base + 0.1 * r(c_out) for base in (1.0, 1.0, 0.0, 0.0, 0.25, 0.25)]
+        running = [0.3 * r(2 * c_out), 0.5 + rng.uniform(size=2 * c_out)]
+        for training, suffix in ((True, ""), (False, "_eval")):
+            cases.append((
+                f"complex_{kind}_block{suffix}",
+                _conv_block_build(r(*out_shape), training, running, *geometry),
+                [r(*x_shape), r(*x_shape), 0.3 * r(3, 2, 5, 2), 0.3 * r(3, 2, 5, 2),
+                 *block_params],
+            ))
     cases.append((
         "prelu",
         lambda x, s: ad.reduce_sum(ad.prelu(x, s, 1) * ad.prelu(x, s, 1)),

@@ -34,7 +34,7 @@ from .losses import (
     total_loss,
 )
 from .metrics import loc_metrics, merge_metrics
-from .model import MimoDccrn
+from .model import MimoDccrn, upgrade_arrays
 from .optim import Adam
 from .roomsim import azimuth_track_from_entry, load_manifest
 
@@ -66,7 +66,6 @@ def _checkpoint_meta(cfg, step):
     if cfg.array.positions is not None:
         array_meta["positions"] = [list(p) for p in cfg.array.positions]
     return {
-        "schema": 1,
         "train_step": step,
         "stft": {
             "window_length": cfg.stft.window_length,
@@ -187,6 +186,7 @@ def train(cfg, manifest_path, out_dir, resume=None):
     )
     if resume is not None:
         arrays, meta = load_checkpoint(resume)
+        arrays = upgrade_arrays(arrays, meta)
         model.load_arrays(arrays)
         adam.load_state_arrays(arrays)
     start = adam.step_count
@@ -364,7 +364,7 @@ def evaluate(manifest_path, checkpoint_path, out_csv=None, mode=None):
         raise ValueError(f"dataset manifest {manifest_path} is empty")
     arrays, meta = load_checkpoint(checkpoint_path)
     model = MimoDccrn.from_meta(meta)
-    model.load_arrays(arrays)
+    model.load_arrays(upgrade_arrays(arrays, meta))
     from .dsp import StftConfig
 
     stft_cfg = StftConfig(**meta["stft"])

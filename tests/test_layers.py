@@ -6,17 +6,18 @@ from neurobeam.autodiff import Tensor, backward
 from neurobeam.checkpoint import load_checkpoint, require_shapes, save_checkpoint
 from neurobeam.gradcheck import check_gradients
 from neurobeam.layers import (
-    ComplexBatchNorm,
     ComplexConvTranspose2d,
     ComplexConv2d,
     ComplexLSTM,
     ComplexLinear,
     ComplexTensor,
+    _conv_parts,
     complex_magnitude,
     complex_split,
     complex_stack,
     conv2d,
     conv2d_transpose,
+    conv_bn_prelu,
     lstm,
 )
 from neurobeam.optim import Adam
@@ -301,55 +302,94 @@ def test_conv_kernels_never_allocate_the_full_patch_matrix():
 
 
 # ---------------------------------------------------------------------------
-# batch norm / prelu / magnitude
+# the fused conv block (conv -> batch norm -> PReLU) / prelu / magnitude
 # ---------------------------------------------------------------------------
 
+class _BatchNormParams:
+    """A complex batch norm's parameters, per part, and its running
+    statistics, stacked [r; i] as ``conv_bn_prelu`` takes them."""
+
+    def __init__(self, channels, dtype):
+        self.vectors = {
+            f"{name}_{part}": Tensor(np.full(channels, init, dtype=dtype))
+            for name, init in (("gamma", 1.0), ("beta", 0.0)) for part in "ri"
+        }
+        self.running_mean = np.zeros(2 * channels, dtype=dtype)
+        self.running_var = np.ones(2 * channels, dtype=dtype)
+
+    def params(self):
+        return self.vectors
+
+    def buffers(self):
+        c = self.running_mean.size // 2
+        return {f"running_{stat}_{part}": a[sl]
+                for stat, a in (("mean", self.running_mean), ("var", self.running_var))
+                for part, sl in (("r", slice(None, c)), ("i", slice(c, None)))}
+
+
+def _norm_only(x, bn, training):
+    """Complex batch norm alone: the fused block with an identity 1x1 conv
+    and unit PReLU slopes, both of which are exact."""
+    xs = complex_stack(x)
+    width = xs.shape[1]
+    w = ad.constant(np.eye(width, dtype=xs.dtype).reshape(width, width, 1, 1))
+    p = bn.params()
+    gamma = ad.concat([p["gamma_r"], p["gamma_i"]], axis=0)
+    beta = ad.concat([p["beta_r"], p["beta_i"]], axis=0)
+    slope = ad.constant(np.ones(width, dtype=xs.dtype))
+    out = conv_bn_prelu(
+        xs, w, _conv_parts(xs, w, (1, 1), (0, 0), (0, 0)), gamma, beta, slope,
+        (bn.running_mean, bn.running_var), training,
+    )
+    return complex_split(out)
+
+
 def test_batchnorm_output_is_standardized(rng):
-    bn = ComplexBatchNorm(3, np.float64)
+    bn = _BatchNormParams(3, np.float64)
     x = _complex_from(_rng(10), (2, 3, 6, 5))
-    out = bn(x, training=True)
+    out = _norm_only(x, bn, training=True)
     for part in (out.re.data, out.im.data):
         assert np.abs(part.mean(axis=(0, 2, 3))).max() < 1e-6
         assert np.abs(part.var(axis=(0, 2, 3)) - 1.0).max() < 1e-3
 
 
 def test_batchnorm_standardized_input_unchanged():
-    bn = ComplexBatchNorm(2, np.float64)
+    bn = _BatchNormParams(2, np.float64)
     g = _rng(11)
     raw = g.standard_normal((1, 2, 8, 7))
     raw -= raw.mean(axis=(0, 2, 3), keepdims=True)
     raw /= raw.std(axis=(0, 2, 3), keepdims=True)
     x = ComplexTensor(Tensor(raw.copy()), Tensor(raw.copy()))
-    out = bn(x, training=True)
+    out = _norm_only(x, bn, training=True)
     assert np.allclose(out.re.data, raw, atol=1e-4)
 
 
 def test_batchnorm_constant_input_zero_before_affine():
-    bn = ComplexBatchNorm(2, np.float64)
+    bn = _BatchNormParams(2, np.float64)
     x = ComplexTensor(Tensor(np.full((1, 2, 4, 4), 3.0)), Tensor(np.full((1, 2, 4, 4), -1.0)))
-    out = bn(x, training=True)
+    out = _norm_only(x, bn, training=True)
     assert np.abs(out.re.data).max() < 1e-10
     assert np.abs(out.im.data).max() < 1e-10
 
 
 def test_batchnorm_eval_uses_running_stats():
-    bn = ComplexBatchNorm(2, np.float64)
+    bn = _BatchNormParams(2, np.float64)
     g = _rng(12)
     x = _complex_from(g, (1, 2, 6, 5))
     for _ in range(200):  # converge the running averages
-        bn(x, training=True)
-    train_out = bn(x, training=True)
-    eval_out = bn(x, training=False)
+        _norm_only(x, bn, training=True)
+    train_out = _norm_only(x, bn, training=True)
+    eval_out = _norm_only(x, bn, training=False)
     assert np.allclose(eval_out.re.data, train_out.re.data, atol=1e-3)
     # Eval mode must not depend on the batch itself.
     y = _complex_from(g, (1, 2, 6, 5))
-    before = bn.running_mean_r.copy()
-    bn(y, training=False)
-    assert np.array_equal(bn.running_mean_r, before)
+    before = bn.running_mean.copy()
+    _norm_only(y, bn, training=False)
+    assert np.array_equal(bn.running_mean, before)
 
 
 def _composite_batchnorm(t, gamma, beta, rmean, rvar, training, eps=1e-5, momentum=0.1):
-    """Reference: batch norm of one part composed from autodiff primitives."""
+    """Reference: per-channel batch norm composed from autodiff primitives."""
     channels = gamma.shape[0]
     cshape = (1, channels, 1, 1)
     if training:
@@ -373,7 +413,7 @@ def _composite_batchnorm(t, gamma, beta, rmean, rvar, training, eps=1e-5, moment
 def test_fused_batchnorm_matches_composite_formula(batch, dtype):
     g = _rng(30 + batch)
     c, shape = 3, (batch, 3, 6, 5)
-    bn = ComplexBatchNorm(c, dtype)
+    bn = _BatchNormParams(c, dtype)
     for p in bn.params().values():
         p.data = (p.data + 0.2 * g.standard_normal(c)).astype(dtype)
     ref_params = {k: Tensor(p.data.copy()) for k, p in bn.params().items()}
@@ -388,7 +428,7 @@ def test_fused_batchnorm_matches_composite_formula(batch, dtype):
         arrays = [(2.0 + 3.0 * g.standard_normal(shape)).astype(dtype) for _ in range(2)]
         weight = g.standard_normal((2,) + shape).astype(dtype)
         x = ComplexTensor(Tensor(arrays[0].copy()), Tensor(arrays[1].copy()))
-        out = bn(x, training)
+        out = _norm_only(x, bn, training)
         backward(ad.reduce_sum(out.re * ad.constant(weight[0]))
                  + ad.reduce_sum(out.im * ad.constant(weight[1])))
         parts = []
@@ -409,6 +449,190 @@ def test_fused_batchnorm_matches_composite_formula(batch, dtype):
             close(b, ref_buffers[name])
     for name, p in bn.params().items():  # summed over the three calls
         close(p.grad, ref_params[name].grad)
+
+
+def _deconv_input_ft(out_ft, kernel, stride, pad_f, pad_t):
+    """The input size a transposed conv with output ``out_ft`` takes."""
+    return tuple(
+        (n + p[0] + p[1] - k) // s + 1
+        for n, k, s, p in zip(out_ft, kernel, stride, (pad_f, pad_t))
+    )
+
+
+class _BlockCase:
+    """One fused conv block and its composite reference over the same
+    float64 values: conv op -> batch norm from autodiff primitives ->
+    ``ad.prelu``, each fed by its own leaf tensors."""
+
+    def __init__(self, rng, c_in, c_out, kernel, stride, out_ft, deconv, batch, dtype,
+                 slope_sign=1.0, gamma_sign=1.0):
+        kf, kt = kernel
+        self.stride, self.deconv, self.dtype = stride, deconv, dtype
+        self.pad_f = ((kf - 1) // 2, kf // 2)
+        self.pad_t = (0, kt - 1) if deconv else (kt - 1, 0)
+        if deconv:
+            self.out_ft = tuple(out_ft)
+            in_ft = _deconv_input_ft(out_ft, kernel, stride, self.pad_f, self.pad_t)
+            w_shape = (2 * c_in, 2 * c_out, kf, kt)
+        else:
+            self.out_ft, in_ft = None, tuple(out_ft)
+            w_shape = (2 * c_out, 2 * c_in, kf, kt)
+        width = 2 * c_out
+        self.arrays = {
+            "x": rng.standard_normal((batch, 2 * c_in) + in_ft),
+            "w": 0.5 * rng.standard_normal(w_shape),
+            "gamma": gamma_sign * (1.0 + 0.3 * rng.uniform(size=width)),
+            "beta": 0.3 * rng.standard_normal(width),
+            "slope": slope_sign * (0.1 + 0.4 * rng.uniform(size=width)),
+        }
+        self.running = [0.2 * rng.standard_normal(width), 0.5 + rng.uniform(size=width)]
+
+    def leaves(self):
+        return {k: Tensor(a.astype(self.dtype)) for k, a in self.arrays.items()}
+
+    def running_copy(self):
+        return [a.astype(self.dtype) for a in self.running]
+
+    def fused(self, t, running, training):
+        parts = _conv_parts(t["x"], t["w"], self.stride, self.pad_f, self.pad_t, self.out_ft)
+        return conv_bn_prelu(
+            t["x"], t["w"], parts, t["gamma"], t["beta"], t["slope"], running, training
+        )
+
+    def composite(self, t, running, training):
+        if self.deconv:
+            h = conv2d_transpose(t["x"], t["w"], self.stride, self.pad_f, self.pad_t, self.out_ft)
+        else:
+            h = conv2d(t["x"], t["w"], self.stride, self.pad_f, self.pad_t)
+        y = _composite_batchnorm(h, t["gamma"], t["beta"], *running, training)
+        return ad.prelu(y, t["slope"], 1)
+
+
+def _assert_close(have, want, dtype, factor=100):
+    assert have.dtype == dtype
+    tol = factor * np.finfo(dtype).eps
+    assert np.abs(have - want).max() <= tol * (np.abs(want).max() + 1.0)
+
+
+def _compare_block(case, training, weight):
+    """Output, running statistics and every gradient of the fused block
+    against the composite reference, under one weighted-sum loss."""
+    results = []
+    for make in (case.fused, case.composite):
+        t, running = case.leaves(), case.running_copy()
+        out = make(t, running, training)
+        backward(ad.reduce_sum(out * ad.constant(weight.astype(case.dtype))))
+        results.append((out, t, running))
+    (out, t, running), (ref, t_ref, running_ref) = results
+    _assert_close(out.data, ref.data, case.dtype)
+    for have, want in zip(running, running_ref):
+        _assert_close(have, want, case.dtype)
+    for name in t:
+        _assert_close(t[name].grad, t_ref[name].grad, case.dtype)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("deconv", [False, True])
+@pytest.mark.parametrize("training", [True, False])
+def test_conv_block_matches_composite_reference(training, deconv, batch, dtype):
+    rng = _rng(70 + 8 * deconv + 2 * batch + training)
+    case = _BlockCase(rng, 3, 2, (5, 2), (2, 1), (8, 6), deconv, batch, dtype)
+    weight = rng.standard_normal((batch, 4, 8, 6) if deconv else (batch, 4, 4, 6))
+    _compare_block(case, training, weight)
+
+
+def test_conv_block_property_matches_composite_reference():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        c_in=st.integers(1, 3), c_out=st.integers(1, 3),
+        kernel=st.tuples(st.integers(1, 5), st.integers(1, 3)),
+        stride=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+        out_ft=st.tuples(st.integers(2, 9), st.integers(1, 7)),
+        deconv=st.booleans(), training=st.booleans(), batch=st.integers(1, 2),
+        slope_sign=st.sampled_from([-1.0, 1.0]), gamma_sign=st.sampled_from([-1.0, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def check(c_in, c_out, kernel, stride, out_ft, deconv, training, batch,
+              slope_sign, gamma_sign, seed):
+        rng = _rng(seed)
+        case = _BlockCase(rng, c_in, c_out, kernel, stride, out_ft, deconv, batch,
+                          np.float64, slope_sign, gamma_sign)
+        out_shape = case.fused(case.leaves(), case.running_copy(), False).shape
+        _compare_block(case, training, rng.standard_normal(out_shape))
+
+    check()
+
+
+def test_conv_block_output_with_two_consumers():
+    # The encoder pattern: a block's output is split into views that feed
+    # the next conv (whose input adjoint hands back a strided view of its
+    # padded gradient) and a skip concat. The block overwrites the gradient
+    # it is handed, which must be its own.
+    rng = _rng(80)
+    case = _BlockCase(rng, 2, 3, (5, 2), (2, 1), (8, 5), False, 1, np.float64)
+    w_next = Tensor(0.5 * rng.standard_normal((4, 6, 5, 2)))
+    weights = [ad.constant(rng.standard_normal((1, 4, 2, 5))),
+               ad.constant(rng.standard_normal((1, 12, 4, 5)))]
+    grads = []
+    for make in (case.fused, case.composite):
+        t = case.leaves()
+        h = complex_split(make(t, case.running_copy(), True))
+        nxt = conv2d(complex_stack(h), w_next, (2, 1), (2, 2), (1, 0))
+        skip = ad.concat([h.re, h.re, h.im, h.im], axis=1)
+        backward(ad.reduce_sum(nxt * weights[0]) + ad.reduce_sum(skip * weights[1]))
+        grads.append({k: v.grad for k, v in t.items()})
+    for name in grads[0]:
+        _assert_close(grads[0][name], grads[1][name], np.float64)
+
+
+def test_conv_block_keeps_two_maps_and_eval_runs_in_place():
+    # One NLM-head-sized block in float32: a training forward keeps the
+    # standardized map and the output, and nothing else of map size; an
+    # eval forward under no_grad peaks no higher than the conv kernel does.
+    import tracemalloc
+
+    from neurobeam import layers
+    from neurobeam.layers import _BAND_BYTES
+
+    rng = _rng(90)
+    x = Tensor(rng.standard_normal((1, 48, 129, 957), dtype=np.float32))
+    w = Tensor((0.1 * rng.standard_normal((48, 48, 5, 2))).astype(np.float32))
+    vec = [Tensor(np.full(48, v, dtype=np.float32)) for v in (1.0, 0.0, 0.25)]
+    running = [np.zeros(48, np.float32), np.ones(48, np.float32)]
+    stride, pad_f, pad_t = (2, 1), (2, 2), (1, 0)
+    out_bytes = 48 * 65 * 957 * 4
+    padded_bytes = x.data.nbytes // (129 * 957) * (129 + 4) * (957 + 1)
+
+    def run(training):
+        parts = _conv_parts(x, w, stride, pad_f, pad_t)
+        return conv_bn_prelu(x, w, parts, *vec, running, training)
+
+    layers._band_store.__dict__.clear()  # count the band buffer in both runs
+    tracemalloc.start()
+    try:
+        out = run(True)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out._backward is not None
+    assert kept < 2 * out_bytes + _BAND_BYTES, kept
+    del out
+
+    layers._band_store.__dict__.clear()
+    tracemalloc.start()
+    try:
+        with ad.no_grad():
+            out = run(False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out._backward is None
+    assert peak < out_bytes + padded_bytes + _BAND_BYTES, peak
 
 
 def test_complex_stack_of_split_is_the_same_tensor():

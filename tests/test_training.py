@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,3 +360,79 @@ def test_evaluate_scores_at_the_recorded_mic_and_convention(tmp_path, toy_datase
     assert summary["avg"]["si_snr_noisy_db"] == _noisy_si_snr(toy_dataset, 0, "standard")
     data = _dataset_with_noisy_at(tmp_path, toy_dataset, 8000)
     assert evaluate(data / "manifest.jsonl", ckpt)["avg"]["count"] == 1
+
+
+# A checkpoint in schema 1, written by the code before the fused conv block:
+# toy_config_dict(steps=1) with model.scale 32 and 4 zones, trained one step
+# on the toy dataset, then every conv bias that feeds a batch norm set to
+# 0.5 * N(0, 1) (seed 7). schema1_eval.npz holds what that code computed
+# from it in eval mode: ``infer_weights`` of a seeded spectrogram and the
+# NLM head's zone map of those weights.
+SCHEMA1 = Path(__file__).parent / "data" / "schema1.nbcp"
+SCHEMA1_EVAL = Path(__file__).parent / "data" / "schema1_eval.npz"
+
+
+def _schema1_config(**training):
+    cfg = toy_config_dict(**training)
+    cfg["model"] = {"scale": 32}
+    cfg["localization"] = {"zones": 4}
+    return cfg
+
+
+def _schema1_eval(model):
+    rng = np.random.default_rng(2022)
+    spec = rng.standard_normal((4, 6, 257)) + 1j * rng.standard_normal((4, 6, 257))
+    w = model.infer_weights(spec)
+    img = ComplexTensor.from_numpy(w.transpose(0, 2, 1)[np.newaxis], dtype=np.float32)
+    return w, model.localize(img, training=False).data
+
+
+def test_schema1_checkpoint_folds_conv_biases_into_running_means():
+    from neurobeam.checkpoint import load_checkpoint
+    from neurobeam.model import MimoDccrn, upgrade_arrays
+
+    arrays, meta = load_checkpoint(SCHEMA1)
+    assert meta["schema"] == 1
+    model = MimoDccrn.from_meta(meta)
+    with pytest.raises(ValueError, match="enc0.conv.b_r"):
+        model.load_arrays(arrays)  # the biases have no place in the model
+    upgraded = upgrade_arrays(arrays, meta)
+    gone = sorted(set(arrays) - set(upgraded))
+    assert len(gone) == 3 * 26  # 13 blocks x [b_r; b_i], each with two Adam moments
+    assert all(".conv.b_" in k and "dec5" not in k for k in gone)
+    assert "param.dec5.conv.b_r" in upgraded  # the last decoder conv keeps its bias
+    model.load_arrays(upgraded)
+    want = np.load(SCHEMA1_EVAL)
+    weights, zones = _schema1_eval(model)
+    tol = 100 * np.finfo(np.float32).eps
+    assert np.abs(weights - want["weights"]).max() <= tol * np.abs(want["weights"]).max()
+    assert np.abs(zones - want["zones"]).max() <= tol
+
+    # Dropping the biases without the fold changes the output far beyond that.
+    unfolded = dict(upgraded)
+    for key in gone:
+        if key.startswith("param."):
+            block, part = key[len("param."):].split(".conv.b_")
+            unfolded[f"buffer.{block}.bn.running_mean_{part}"] = arrays[
+                f"buffer.{block}.bn.running_mean_{part}"
+            ]
+    model.load_arrays(unfolded)
+    weights, _ = _schema1_eval(model)
+    assert np.abs(weights - want["weights"]).max() > 1e3 * tol * np.abs(want["weights"]).max()
+
+
+def test_train_resumes_from_schema1_checkpoint(tmp_path, toy_dataset):
+    from neurobeam.checkpoint import load_checkpoint
+    from neurobeam.cli import main
+
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(_schema1_config(steps=3)))
+    out = tmp_path / "run"
+    rc = main(["train", str(config), "--manifest", str(toy_dataset["manifest"]),
+               "--out", str(out), "--resume", str(SCHEMA1)])
+    assert rc == 0
+    assert [row["step"] for row in _strip_wall(out / LOG_NAME)] == [1, 2]
+    arrays, meta = load_checkpoint(out / CHECKPOINT_NAME)
+    assert meta["schema"] == 2 and meta["train_step"] == 3
+    assert all(np.all(np.isfinite(a)) for a in arrays.values())
+    assert not [k for k in arrays if ".conv.b_" in k and "dec5" not in k]
