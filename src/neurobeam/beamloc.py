@@ -34,21 +34,30 @@ def filter_and_sum(weights, spec):
     return Spectrogram(beamform(weights, spec.data)[np.newaxis], spec.config, spec.sample_rate)
 
 
-def steered_response(weights, steering):
+# splm_map sums |steered response| over chunks of this many frequency bins,
+# so it never holds a whole record's [F x T x N] response (47 MB for 6 s).
+_SPLM_CHUNK_BINS = 16
+
+
+def steered_response(weights, steering, bins=slice(None)):
     """[F x T x N] response sum_m w[m,t,f] * a[n,f,m] of [M x T x F] filters
-    to [N x F x M] steering vectors: one batched matmul over frequency."""
+    to [N x F x M] steering vectors at the frequency ``bins``: one batched
+    matmul over frequency."""
     n_zones, f_bins, mics = steering.shape
     if weights.shape[0] != mics or weights.shape[2] != f_bins:
         raise ValueError(
             f"weights [M x T x F] = {weights.shape} incompatible with steering "
             f"[N x F x M] = {steering.shape}"
         )
-    return np.matmul(weights.transpose(2, 1, 0), steering.transpose(1, 2, 0))
+    return np.matmul(weights[..., bins].transpose(2, 1, 0), steering[:, bins].transpose(1, 2, 0))
 
 
 def splm_map(weights, steering):
-    """Distortionless index per zone: [T x N] frequency-averaged |w^H a|."""
-    return np.abs(steered_response(weights, steering)).mean(axis=0)
+    """Distortionless index per zone: [T x N] frequency-averaged |w^H a|,
+    summed over chunks of ``_SPLM_CHUNK_BINS`` bins."""
+    f_bins, step = steering.shape[1], _SPLM_CHUNK_BINS
+    bands = (slice(f0, f0 + step) for f0 in range(0, f_bins, step))
+    return sum(np.abs(steered_response(weights, steering, b)).sum(axis=0) for b in bands) / f_bins
 
 
 def localize(zmap):

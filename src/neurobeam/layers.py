@@ -14,13 +14,14 @@ consumer needs them (the complex LSTM, the model output).
 Convolutions stride the frequency axis and are causal along time
 (past-only padding).
 
-The three real conv kernels (forward, input adjoint, kernel adjoint) are
-im2col GEMMs that never hold a whole patch matrix: they build it one band
-of output-frequency rows at a time in a small buffer each thread keeps
-resident, so a call neither allocates nor page-faults a matrix the size of
-the layer's receptive fields. The LSTM is one op that runs K weight sets
-over S sequences in a single time loop; the complex LSTM is one such call
-(K = S = 2) and the complex product rule.
+The real conv kernels (forward, input adjoint, kernel adjoint, and both
+adjoints of a deconv from one patch pass) are im2col GEMMs that hold neither
+a whole patch matrix nor a padded copy of a map: they build the patches of
+the unpadded map one band of output-frequency rows at a time in a small
+buffer each thread keeps resident, zeroing the padding there, and the input
+adjoint scatters into the unpadded gradient. The LSTM is one op that runs
+K weight sets over S sequences in a single time loop; the complex LSTM is
+one such call (K = S = 2) and the complex product rule.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from __future__ import annotations
 import threading
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -79,13 +79,14 @@ def _conv_out_size(n, k, stride, pad):
 
 
 # One band of an im2col patch (or column) matrix is at most this many
-# bytes. Chosen by timing the train-6s benchmark step (forward and
-# backward of the default model on 6 s of audio; 2-vCPU x86 machine with
-# 2 MiB of L2 per core, one BLAS thread): budgets of 1, 2, 4, 8 and 16 MiB
-# gave per-step medians within the run-to-run spread of each other, and
-# five alternating 4 vs 8 MiB runs favoured 4 MiB in all five (1.53 vs
-# 1.60 s), with 5 MB less peak memory. 4 MiB is about 3% of the largest
-# whole patch matrix (119 MB, the NLM head's second conv on 6 s input).
+# bytes, and the band buffer is the kernels' only patch storage (no kernel
+# pads a copy of its input). Chosen by timing the train-6s benchmark step
+# (forward and backward of the default model on 6 s of audio; 2-vCPU x86
+# machine with 2 MiB of L2 per core, one BLAS thread): budgets of 1, 2, 4,
+# 8 and 16 MiB gave per-step medians within the run-to-run spread of each
+# other, and five alternating 4 vs 8 MiB runs favoured 4 MiB in all five
+# (1.53 vs 1.60 s), with 5 MB less peak memory. 4 MiB is about 3% of the
+# largest whole patch matrix (119 MB, the NLM head's second conv, 6 s).
 _BAND_BYTES = 4 << 20
 
 # The band buffer of each thread: it stays resident between kernel calls,
@@ -118,31 +119,58 @@ def _row_bands(rows, row_bytes):
         yield u0, min(u0 + step, rows)
 
 
-def _patch_bands(xp, kernel, stride, out_ft):
-    """im2col of a padded [B x C x F x T] map, one band of output rows at a time.
-
-    Yields (b, u0, u1, cols), where cols is the [C*kf*kt x (u1-u0)*to]
-    patch matrix of output rows u0..u1-1 of batch item b: column (u, v)
-    holds the receptive field xp[b, :, u*sf:u*sf+kf, v*st:v*st+kt],
-    flattened in (c, i, j) order to match a [O x C x kf x kt] kernel
-    reshaped to [O x C*kf*kt]. ``cols`` lives in the band buffer and is
-    overwritten by the next band.
-    """
-    kf, kt = kernel
-    sf, st = stride
-    fo, to = out_ft
-    b_n, c = xp.shape[:2]
-    win = sliding_window_view(xp, (kf, kt), axis=(2, 3))[:, :, ::sf, ::st][:, :, :fo, :to]
-    for b in range(b_n):
-        for u0, u1 in _row_bands(fo, c * kf * kt * to * xp.itemsize):
-            cols = _band_buffer((c, kf, kt, u1 - u0, to), xp.dtype)
-            cols[...] = win[b, :, u0:u1].transpose(0, 3, 4, 1, 2)
-            yield b, u0, u1, cols.reshape(c * kf * kt, (u1 - u0) * to)
+def _taps(n_in, k, stride, pad, lo, hi):
+    """Per tap i of a k-long kernel: (i, a, z, r0), where outputs a..z-1 of
+    lo..hi-1 read inputs r0, r0 + stride, ... of an ``n_in``-long axis padded
+    by ``pad``, and the rest of lo..hi-1 read padding."""
+    for i in range(k):
+        a = min(max(lo, -((i - pad[0]) // stride)), hi)
+        z = max(min(hi, (n_in - 1 - i + pad[0]) // stride + 1), a)
+        yield i, a, z, a * stride + i - pad[0]
 
 
 def _rows(a, b, u0, u1):
     """a[b, :, u0:u1] as a [C x (u1-u0)*T] matrix (a view for a contiguous ``a``)."""
     return a[b, :, u0:u1].reshape(a.shape[1], -1)
+
+
+def _patch_gemms(x, kshape, stride, pad_f, pad_t, out_ft, w=None, out=None, y=None):
+    """im2col GEMMs of an unpadded [B x C x F x T] map for a ``kshape``
+    [O x C x kf x kt] kernel: each band of output rows' patch matrix is
+    built once in the band buffer and serves up to two GEMMs.
+
+    The [C*kf*kt x (u1-u0)*to] patch matrix ``cols`` of output rows u0..u1-1
+    of batch item b holds in column (u, v) the receptive field of the padded
+    map at rows u*sf..u*sf+kf-1 and columns v*st..v*st+kt-1, flattened in
+    (c, i, j) order; each tap copies its valid input range and zeroes only
+    the edge slices that fall in the padding. With ``w``, W cols fills the
+    band's rows of ``out``; with ``y``, gw^T += cols y_band^T, and gw is
+    returned (else None).
+    """
+    (kf, kt), (sf, st), (fo, to) = kshape[2:], stride, out_ft
+    o, (b_n, c, fi, ti) = kshape[0], x.shape
+    gw_t = None if y is None else np.zeros((c * kf * kt, o), np.result_type(x, y))
+    t_taps = list(_taps(ti, kt, st, pad_t, 0, to))
+    for b in range(b_n):
+        for u0, u1 in _row_bands(fo, c * kf * kt * to * x.itemsize):
+            cols = _band_buffer((c, kf, kt, u1 - u0, to), x.dtype)
+            for i, a, z, r0 in _taps(fi, kf, sf, pad_f, u0, u1):
+                rows = x[b, :, r0 : r0 + sf * (z - a) : sf]
+                cols[:, i, :, : a - u0] = 0
+                cols[:, i, :, z - u0 :] = 0
+                for j, p, q, s0 in t_taps:
+                    dst = cols[:, i, j, a - u0 : z - u0]
+                    if p > 0:
+                        dst[..., :p] = 0
+                    if q < to:
+                        dst[..., q:] = 0
+                    dst[..., p:q] = rows[..., s0 : s0 + st * (q - p) : st]
+            cols = cols.reshape(c * kf * kt, -1)
+            if w is not None:
+                np.matmul(w.reshape(o, -1), cols, out=_rows(out, b, u0, u1))
+            if y is not None:
+                gw_t += cols @ _rows(y, b, u0, u1).T
+    return None if y is None else gw_t.T.reshape(kshape)
 
 
 def conv2d_raw(x, w, stride, pad_f, pad_t):
@@ -151,82 +179,94 @@ def conv2d_raw(x, w, stride, pad_f, pad_t):
     fo = _conv_out_size(x.shape[2], kf, stride[0], pad_f)
     to = _conv_out_size(x.shape[3], kt, stride[1], pad_t)
     out = np.empty((x.shape[0], o, fo, to), dtype=np.result_type(x, w))
-    w_mat = w.reshape(o, -1)
-    xp = np.pad(x, ((0, 0), (0, 0), pad_f, pad_t))
-    for b, u0, u1, cols in _patch_bands(xp, (kf, kt), stride, (fo, to)):
-        np.matmul(w_mat, cols, out=_rows(out, b, u0, u1))
+    _patch_gemms(x, w.shape, stride, pad_f, pad_t, (fo, to), w, out)
     return out
 
 
 def conv2d_input_adjoint(g, w, stride, pad_f, pad_t, in_ft):
     """Adjoint of conv2d_raw with respect to its input: per band of output
-    rows, one GEMM to the column matrix, then a kf*kt strided scatter-add."""
+    rows, one GEMM to the column matrix, then a kf*kt strided scatter-add
+    of each tap's valid range into the unpadded (C-contiguous) gradient."""
     sf, st = stride
     b_n, o, fo, to = g.shape
     _, c, kf, kt = w.shape
     fi, ti = in_ft
     dtype = np.result_type(g, w)
     w_t = w.reshape(o, -1).T
-    xp_grad = np.zeros((b_n, c, fi + pad_f[0] + pad_f[1], ti + pad_t[0] + pad_t[1]), dtype=dtype)
+    x_grad = np.zeros((b_n, c, fi, ti), dtype=dtype)
+    t_taps = list(_taps(ti, kt, st, pad_t, 0, to))
     for b in range(b_n):
         for u0, u1 in _row_bands(fo, c * kf * kt * to * dtype.itemsize):
-            n = u1 - u0
-            cols = _band_buffer((c * kf * kt, n * to), dtype)
+            cols = _band_buffer((c * kf * kt, (u1 - u0) * to), dtype)
             np.matmul(w_t, _rows(g, b, u0, u1), out=cols)
-            cols = cols.reshape(c, kf, kt, n, to)
-            for i in range(kf):
-                f0 = u0 * sf + i
-                for j in range(kt):
-                    xp_grad[b, :, f0 : f0 + sf * n : sf, j : j + st * to : st] += cols[:, i, j]
-    return xp_grad[:, :, pad_f[0] : pad_f[0] + fi, pad_t[0] : pad_t[0] + ti]
+            cols = cols.reshape(c, kf, kt, u1 - u0, to)
+            for i, a, z, r0 in _taps(fi, kf, sf, pad_f, u0, u1):
+                rows = x_grad[b, :, r0 : r0 + sf * (z - a) : sf]
+                for j, p, q, s0 in t_taps:
+                    rows[:, :, s0 : s0 + st * (q - p) : st] += cols[:, i, j, a - u0 : z - u0, p:q]
+    return x_grad
 
 
 def conv2d_kernel_adjoint(x, g, stride, pad_f, pad_t, kshape):
-    """Adjoint of conv2d_raw with respect to its kernel (correlation), the
-    GEMM of each band of output rows summed over bands."""
-    o, fo, to = g.shape[1:]
-    gw = np.zeros((o, int(np.prod(kshape[1:]))), dtype=np.result_type(x, g))
-    xp = np.pad(x, ((0, 0), (0, 0), pad_f, pad_t))
-    for b, u0, u1, cols in _patch_bands(xp, kshape[2:], stride, (fo, to)):
-        gw += _rows(g, b, u0, u1) @ cols.T
-    return gw.reshape(kshape)
+    """Adjoint of conv2d_raw with respect to its kernel (correlation):
+    gw^T = sum over bands of output rows of cols g_band^T."""
+    return _patch_gemms(x, kshape, stride, pad_f, pad_t, g.shape[2:], y=g)
+
+
+def conv2d_transpose_adjoints(g, x, w, stride, pad_f, pad_t, need_x=True, need_w=True):
+    """Both adjoints of the transposed conv of ``x`` [B x O x fo x to] by
+    ``w`` from one pass over the patch bands of its output gradient ``g``:
+    (dx, gw) = (``conv2d_raw`` of g, ``conv2d_kernel_adjoint`` of g and x),
+    each None unless needed."""
+    dx = np.empty(x.shape, np.result_type(g, w)) if need_x else None
+    gw = _patch_gemms(g, w.shape, stride, pad_f, pad_t, x.shape[2:], w if need_x else None, dx,
+                      x if need_w else None)
+    return dx, gw
 
 
 def _conv_parts(x, w, stride, pad_f, pad_t, out_ft=None):
     """The output array of the conv of ``x`` by ``w`` (with ``out_ft``, of
-    the transposed conv of that output size) and the closures of its input
-    and kernel adjoints. Kernels are looked up by module name at call time."""
+    the transposed conv of that output size) and ``grads(g, need_x,
+    need_w)``, which returns its (input, kernel) adjoints at ``g``, each
+    None unless needed. Kernels are looked up by module name at call time."""
     if out_ft is None:
         in_ft = x.shape[2:]
-        return (
-            conv2d_raw(x.data, w.data, stride, pad_f, pad_t),
-            lambda g: conv2d_input_adjoint(g, w.data, stride, pad_f, pad_t, in_ft),
-            lambda g: conv2d_kernel_adjoint(x.data, g, stride, pad_f, pad_t, w.shape),
-        )
+
+        def grads(g, need_x, need_w):
+            return (
+                conv2d_input_adjoint(g, w.data, stride, pad_f, pad_t, in_ft) if need_x else None,
+                conv2d_kernel_adjoint(x.data, g, stride, pad_f, pad_t, w.shape) if need_w else None,
+            )
+
+        return conv2d_raw(x.data, w.data, stride, pad_f, pad_t), grads
     expect = tuple(map(_conv_out_size, out_ft, w.shape[2:], stride, (pad_f, pad_t)))
     if expect != x.shape[2:]:
         raise ValueError(f"declared output {out_ft} maps to {expect}, but input is {x.shape[2:]}")
     return (
         conv2d_input_adjoint(x.data, w.data, stride, pad_f, pad_t, out_ft),
-        lambda g: conv2d_raw(g, w.data, stride, pad_f, pad_t),
-        lambda g: conv2d_kernel_adjoint(g, x.data, stride, pad_f, pad_t, w.shape),
+        lambda g, need_x, need_w: conv2d_transpose_adjoints(
+            g, x.data, w.data, stride, pad_f, pad_t, need_x, need_w),
     )
+
+
+def _accumulate_conv_grads(x, w, grads, g):
+    """Hand the conv adjoints ``grads`` (see ``_conv_parts``) at ``g`` to x and w."""
+    for t, grad in zip((x, w), grads(g, x.needs_grad, w.needs_grad)):
+        if grad is not None:
+            t.accumulate(grad, owned=True)
 
 
 def _conv_op(x, w, bias, parts):
     """Wrap conv ``parts`` (see ``_conv_parts``) as an op; ``bias`` (or
     None) is added per output channel in place."""
-    out_data, input_grad, kernel_grad = parts
+    out_data, grads = parts
     parents = (x, w)
     if bias is not None:
         out_data += bias.data.reshape(1, -1, 1, 1)
         parents += (bias,)
 
     def backward_fn(g):
-        if x.needs_grad:
-            x.accumulate(input_grad(g), owned=True)
-        if w.needs_grad:
-            w.accumulate(kernel_grad(g), owned=True)
+        _accumulate_conv_grads(x, w, grads, g)
         if bias is not None and bias.needs_grad:
             bias.accumulate(g.sum(axis=(0, 2, 3)), owned=True)
 
@@ -278,7 +318,7 @@ def conv_bn_prelu(x, w, parts, gamma, beta, slope, running, training, eps=1e-5, 
     applies gamma * inv_std * (dy - mean(dy) - xh * mean(dy * xh)) (Ioffe &
     Szegedy, 2015; gamma * inv_std * dy under frozen statistics) and the conv
     adjoints, overwriting its ``g``. Under ``no_grad()`` it keeps nothing."""
-    xh_map, input_grad, kernel_grad = parts  # the conv output, standardized in place
+    xh_map, grads = parts  # the conv output, standardized in place
     channels = xh_map.shape[1]
     n = xh_map.size // channels
     dtype = xh_map.dtype
@@ -341,10 +381,7 @@ def conv_bn_prelu(x, w, parts, gamma, beta, slope, running, training, eps=1e-5, 
         for param, grad in ((gamma, d_gamma), (beta, d_beta), (slope, d_slope)):
             if param.needs_grad:
                 param.accumulate(grad, owned=True)
-        if x.needs_grad:
-            x.accumulate(input_grad(g), owned=True)
-        if w.needs_grad:
-            w.accumulate(kernel_grad(g), owned=True)
+        _accumulate_conv_grads(x, w, grads, g)
 
     return Tensor(out, (x, w, gamma, beta, slope), backward_fn)
 
@@ -609,7 +646,8 @@ def _stack(a, b):
 class ComplexLSTM:
     """Two real LSTMs combined by the complex product rule:
     out_re = L_r(x_re) - L_i(x_im), out_im = L_r(x_im) + L_i(x_re),
-    as one ``lstm`` op over both weight sets and both parts.
+    as one ``lstm`` op over both weight sets and both parts: [x_re; x_im]
+    [2 x T x D] -> ``ComplexTensor`` of [T x H] parts.
     """
 
     def __init__(self, input_size, hidden, rng, dtype):
@@ -622,14 +660,11 @@ class ComplexLSTM:
 
     def __call__(self, x):
         r, i = self.lstm_r, self.lstm_i
-        out = lstm(
-            _stack(x.re, x.im), _stack(r.wx, i.wx), _stack(r.wh, i.wh), _stack(r.b, i.b)
-        )
-        # out[k, s] is weight set k (r, i) over part s (re, im).
+        out = lstm(x, _stack(r.wx, i.wx), _stack(r.wh, i.wh), _stack(r.b, i.b))
+        # out[k, s] is weight set k (r, i) over part s (re, im), a view.
         t_len, hidden = out.shape[2:]
-        flat = ad.reshape(out, (4, t_len, hidden))
 
-        def run(n):
-            return ad.reshape(ad.narrow(flat, 0, n, 1), (t_len, hidden))
+        def run(k, s):
+            return ad.reshape(ad.narrow(ad.narrow(out, 0, k, 1), 1, s, 1), (t_len, hidden))
 
-        return ComplexTensor(run(0) - run(3), run(1) + run(2))
+        return ComplexTensor(run(0, 0) - run(1, 1), run(0, 1) + run(1, 0))

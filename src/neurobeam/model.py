@@ -283,16 +283,9 @@ class MimoDccrn:
             skips.append(h)
 
         _, c, f, t = h.shape
-        seq = ComplexTensor(
-            ad.transpose(ad.reshape(h.re, (c * f, t)), (1, 0)),
-            ad.transpose(ad.reshape(h.im, (c * f, t)), (1, 0)),
-        )
-        seq = self.clstm(seq)
-        seq = self.restore(seq)
-        h = ComplexTensor(
-            ad.reshape(ad.transpose(seq.re, (1, 0)), (1, c, f, t)),
-            ad.reshape(ad.transpose(seq.im, (1, 0)), (1, c, f, t)),
-        )
+        seq = ad.transpose(ad.reshape(complex_stack(h), (2, c * f, t)), (0, 2, 1))  # a view
+        seq = complex_stack(self.restore(self.clstm(seq)))  # [T x 2D]
+        h = complex_split(ad.reshape(ad.transpose(seq, (1, 0)), (1, 2 * c, f, t)))
 
         for block, skip in zip(self.decoder, skips[::-1]):
             merged = ad.concat([h.re, skip.re, h.im, skip.im], axis=1)

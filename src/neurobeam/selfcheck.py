@@ -19,6 +19,7 @@ from .layers import (
     ComplexLSTM,
     ComplexTensor,
     _conv_parts,
+    _stack,
     block_kernel,
     complex_split,
     complex_stack,
@@ -74,7 +75,7 @@ def _complex_lstm_build(xr, xi, wxr, whr, br, wxi, whi, bi):
     layer = ComplexLSTM(wxr.shape[1], whr.shape[1], np.random.default_rng(0), xr.dtype)
     for real, (wx, wh, b) in ((layer.lstm_r, (wxr, whr, br)), (layer.lstm_i, (wxi, whi, bi))):
         real.wx, real.wh, real.b = wx, wh, b
-    y = layer(ComplexTensor(xr, xi))
+    y = layer(_stack(xr, xi))
     return ad.reduce_sum(y.re * y.re) + ad.reduce_sum(y.im * y.im)
 
 

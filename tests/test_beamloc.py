@@ -97,6 +97,23 @@ def test_splm_positive_homogeneity(rng):
     assert np.array_equal(np.argmax(z1, axis=1), np.argmax(z3, axis=1))
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 16, 1000])
+def test_splm_chunks_match_the_whole_response(rng, monkeypatch, chunk):
+    from neurobeam import beamloc
+    from neurobeam.beamloc import steered_response
+
+    steering = _steering()
+    mics, f = steering.shape[2], steering.shape[1]
+    w = rng.standard_normal((mics, 5, f)) + 1j * rng.standard_normal((mics, 5, f))
+    whole = np.abs(steered_response(w, steering)).mean(axis=0)
+    monkeypatch.setattr(beamloc, "_SPLM_CHUNK_BINS", chunk)
+    zmap = splm_map(w, steering)
+    assert zmap.shape == whole.shape
+    assert np.abs(zmap - whole).max() <= 1e-12 * np.abs(whole).max()
+    with pytest.raises(ValueError, match="incompatible"):
+        splm_map(w[..., : f - 1], steering)
+
+
 def test_localize_rules():
     assert localize(np.array([[0.0, 1.0, 0.0]]))[0] == 2
     assert localize(np.array([[0.1, 0.7, 0.2]]))[0] == 2

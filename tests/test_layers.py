@@ -301,6 +301,111 @@ def test_conv_kernels_never_allocate_the_full_patch_matrix():
         assert peak < out_bytes + padded_bytes + _BAND_BYTES, (name, peak)
 
 
+def test_conv_kernels_property_match_reference_across_bands():
+    # Random shapes, strides, pads and band budgets, against the nested-loop
+    # references and the adjoint identity. The deconv backward kernel is the
+    # transposed conv's pair (conv2d_raw, conv2d_kernel_adjoint) of one pass.
+    from hypothesis import assume, example, given, settings
+    from hypothesis import strategies as st
+
+    from neurobeam import layers
+    from neurobeam.layers import (
+        conv2d_input_adjoint, conv2d_kernel_adjoint, conv2d_raw, conv2d_transpose_adjoints,
+    )
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        batch=st.integers(1, 2), c=st.integers(1, 3), o=st.integers(1, 3),
+        kernel=st.tuples(st.integers(1, 5), st.integers(1, 3)),
+        stride=st.tuples(st.integers(1, 3), st.integers(1, 2)),
+        pad_f_frac=st.tuples(st.integers(0, 5), st.integers(0, 5)), causal=st.booleans(),
+        in_ft=st.tuples(st.integers(1, 10), st.integers(1, 7)),
+        band_rows=st.integers(1, 4), seed=st.integers(0, 2**16),
+    )
+    # The last output row's band lies wholly in the bottom frequency pad.
+    @example(batch=1, c=2, o=2, kernel=(5, 2), stride=(1, 1), pad_f_frac=(0, 5),
+             causal=True, in_ft=(2, 3), band_rows=1, seed=1)
+    # The first band lies wholly in the top pad; taps read no valid row.
+    @example(batch=2, c=1, o=3, kernel=(4, 3), stride=(2, 2), pad_f_frac=(4, 1),
+             causal=False, in_ft=(3, 5), band_rows=1, seed=2)
+    def check(batch, c, o, kernel, stride, pad_f_frac, causal, in_ft, band_rows, seed):
+        (kf, kt), (sf, st_), (f_in, t_in) = kernel, stride, in_ft
+        pad_f = tuple(min(p, kf) for p in pad_f_frac)
+        pad_t = (kt - 1, 0) if causal else (0, kt - 1)
+        fo = (f_in + sum(pad_f) - kf) // sf + 1
+        to = (t_in + sum(pad_t) - kt) // st_ + 1
+        assume(fo >= 1 and to >= 1)
+        rng = _rng(seed)
+        x = rng.standard_normal((batch, c, f_in, t_in))
+        w = rng.standard_normal((o, c, kf, kt))
+        g = rng.standard_normal((batch, o, fo, to))
+        ref = _ref_conv(x, w, stride, pad_f, pad_t)
+        ref_x = _ref_input_adjoint(g, w, stride, pad_f, pad_t, in_ft)
+        ref_w = _ref_kernel_adjoint(x, g, stride, pad_f, pad_t, w.shape)
+        row_bytes = c * kf * kt * to * x.itemsize
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(layers, "_BAND_BYTES", band_rows * row_bytes + seed % row_bytes)
+            got = conv2d_raw(x, w, stride, pad_f, pad_t)
+            got_x = conv2d_input_adjoint(g, w, stride, pad_f, pad_t, in_ft)
+            got_w = conv2d_kernel_adjoint(x, g, stride, pad_f, pad_t, w.shape)
+            # The transposed conv of g (output size in_ft) at output gradient x.
+            dx, dw = conv2d_transpose_adjoints(x, g, w, stride, pad_f, pad_t)
+            only_x = conv2d_transpose_adjoints(x, g, w, stride, pad_f, pad_t, need_w=False)
+            only_w = conv2d_transpose_adjoints(x, g, w, stride, pad_f, pad_t, need_x=False)
+        for have, want in ((got, ref), (got_x, ref_x), (got_w, ref_w), (dx, ref), (dw, ref_w)):
+            _assert_close(have, want, np.float64)
+        assert np.array_equal(dx, got) and np.array_equal(dw, got_w)
+        assert only_x[1] is None and np.array_equal(only_x[0], dx)
+        assert only_w[0] is None and np.array_equal(only_w[1], dw)
+        assert got_x.flags.c_contiguous and got_x.base is None
+        lhs = np.sum(got * g)
+        for rhs in (np.sum(x * got_x), np.sum(w * got_w)):
+            assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
+
+    check()
+
+
+def test_conv_kernels_peak_at_output_plus_one_band():
+    # The kernels build patches from the unpadded map and scatter into the
+    # unpadded gradient, so no call holds a padded copy of either: the
+    # traced peak is the result, the band buffer and small change.
+    import tracemalloc
+
+    from neurobeam import layers
+    from neurobeam.layers import (
+        _BAND_BYTES, conv2d_input_adjoint, conv2d_kernel_adjoint, conv2d_raw,
+        conv2d_transpose_adjoints,
+    )
+
+    rng = _rng(61)
+    stride, pad_f, pad_t = (2, 1), (2, 2), (1, 0)
+    x = rng.standard_normal((1, 48, 129, 957), dtype=np.float32)
+    w = (0.1 * rng.standard_normal((48, 48, 5, 2))).astype(np.float32)
+    g = rng.standard_normal((1, 48, 65, 957), dtype=np.float32)
+    calls = {
+        "conv2d_raw": (lambda: conv2d_raw(x, w, stride, pad_f, pad_t), g.nbytes),
+        "conv2d_input_adjoint": (
+            lambda: conv2d_input_adjoint(g, w, stride, pad_f, pad_t, (129, 957)), x.nbytes,
+        ),
+        "conv2d_kernel_adjoint": (
+            lambda: conv2d_kernel_adjoint(x, g, stride, pad_f, pad_t, w.shape), w.nbytes,
+        ),
+        "conv2d_transpose_adjoints": (
+            lambda: conv2d_transpose_adjoints(x, g, w, stride, pad_f, pad_t),
+            g.nbytes + w.nbytes,
+        ),
+    }
+    for name, (call, out_bytes) in calls.items():
+        layers._band_store.__dict__.clear()  # count the band buffer in the peak
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out_bytes + _BAND_BYTES + (1 << 20), (name, peak)
+
+
 # ---------------------------------------------------------------------------
 # the fused conv block (conv -> batch norm -> PReLU) / prelu / magnitude
 # ---------------------------------------------------------------------------
@@ -570,9 +675,8 @@ def test_conv_block_property_matches_composite_reference():
 
 def test_conv_block_output_with_two_consumers():
     # The encoder pattern: a block's output is split into views that feed
-    # the next conv (whose input adjoint hands back a strided view of its
-    # padded gradient) and a skip concat. The block overwrites the gradient
-    # it is handed, which must be its own.
+    # the next conv and a skip concat, whose gradients are summed into one.
+    # The block overwrites the gradient it is handed, which must be its own.
     rng = _rng(80)
     case = _BlockCase(rng, 2, 3, (5, 2), (2, 1), (8, 5), False, 1, np.float64)
     w_next = Tensor(0.5 * rng.standard_normal((4, 6, 5, 2)))
@@ -779,9 +883,9 @@ def test_fused_lstm_gradient_matches_finite_differences(rng):
 def test_complex_lstm_causality_bit_exact():
     cl = ComplexLSTM(3, 4, _rng(41), np.float64)
     x = _rng(42).standard_normal((2, 6, 3))
-    base = cl(ComplexTensor(Tensor(x[0]), Tensor(x[1])))
+    base = cl(Tensor(x.copy()))
     x[1, 4] += 5.0  # the imaginary part at frame 4
-    pert = cl(ComplexTensor(Tensor(x[0]), Tensor(x[1])))
+    pert = cl(Tensor(x))
     for have, want in ((pert.re, base.re), (pert.im, base.im)):
         assert np.array_equal(have.data[:4], want.data[:4])
         assert not np.array_equal(have.data[4:], want.data[4:])
@@ -791,7 +895,7 @@ def test_complex_lstm_wiring_matches_manual_combination():
     rng = _rng(14)
     cl = ComplexLSTM(3, 4, rng, np.float64)
     x = _complex_from(_rng(15), (5, 3))
-    out = cl(x)
+    out = cl(Tensor(np.stack([x.re.data, x.im.data])))
     lr, li = cl.lstm_r, cl.lstm_i
     a = _ref_lstm(x.re.data, lr.wx.data, lr.wh.data, lr.b.data)
     b = _ref_lstm(x.im.data, li.wx.data, li.wh.data, li.b.data)
