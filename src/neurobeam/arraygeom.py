@@ -81,10 +81,6 @@ class ZoneGrid:
     def centers_deg(self):
         return np.arange(self.num_zones) * 360.0 / self.num_zones
 
-    @property
-    def width_deg(self):
-        return 360.0 / self.num_zones
-
 
 def zone_of_angle(theta_deg, num_zones):
     """Map an azimuth to its 1-based zone index.

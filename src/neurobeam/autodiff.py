@@ -8,8 +8,8 @@ node's gradient is released once it has been propagated, so only leaf
 gradients should be read after the walk.
 
 Complex quantities elsewhere in the package are carried as real tensors
-(stacked [re; im] maps, or their halves), so the engine itself only ever
-sees real arrays.
+(the stacked layout of ``layers``), so the engine itself only ever sees
+real arrays.
 Gradients accumulate across ``backward`` calls until explicitly cleared,
 which makes a zero-then-rerun reproduce identical gradients.
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .arraygeom import ZoneGrid, steering_set
 from .dsp import Spectrogram, istft, stft
-from .layers import ComplexTensor, release_band_buffer
+from .layers import release_band_buffer, to_complex
 
 DEFAULT_VAD_THRESHOLD = 0.5
 
@@ -52,11 +52,17 @@ def steered_response(weights, steering, bins=slice(None)):
     return np.matmul(weights[..., bins].transpose(2, 1, 0), steering[:, bins].transpose(1, 2, 0))
 
 
+def splm_bands(f_bins):
+    """The slices of ``_SPLM_CHUNK_BINS`` bins that cover ``f_bins`` bins, in order."""
+    step = _SPLM_CHUNK_BINS
+    return [slice(f0, f0 + step) for f0 in range(0, f_bins, step)]
+
+
 def splm_map(weights, steering):
     """Distortionless index per zone: [T x N] frequency-averaged |w^H a|,
-    summed over chunks of ``_SPLM_CHUNK_BINS`` bins."""
-    f_bins, step = steering.shape[1], _SPLM_CHUNK_BINS
-    bands = (slice(f0, f0 + step) for f0 in range(0, f_bins, step))
+    summed over the chunks of bins of ``splm_bands``."""
+    f_bins = steering.shape[1]
+    bands = splm_bands(f_bins)
     return sum(np.abs(steered_response(weights, steering, b)).sum(axis=0) for b in bands) / f_bins
 
 
@@ -114,9 +120,9 @@ def enhance_utterance(
     The whole pass runs under ``autodiff.no_grad()``: no graph is
     recorded, so each activation is freed once the next layer has read
     it. One ``forward_weights`` call makes the filters; in ``nlm`` mode
-    its float32 tensors are the NLM head's input image, and their
-    complex128 form [M x T x F] feeds filter-and-sum and, in ``splm``
-    mode, the zone map. The conv band buffer is released at the end.
+    its float32 tensor is the NLM head's input image, and its complex128
+    form [M x T x F] feeds filter-and-sum and, in ``splm`` mode, the zone
+    map. The conv band buffer is released at the end.
     """
     if noisy.channels != model.config.mics:
         raise ValueError(
@@ -128,14 +134,14 @@ def enhance_utterance(
     with ad.no_grad():
         spec = stft(noisy, stft_cfg)
         w = model.forward_weights(spec.data, training=False)
-        weights = w.to_numpy().transpose(0, 2, 1)
+        weights = to_complex(w.data).transpose(0, 2, 1)
         if mode == "splm":
             steering = steering_set(
                 geometry, ZoneGrid(zones), stft_cfg.frequencies(noisy.sample_rate)
             )
             zmap = splm_map(weights, steering)
         else:
-            image = ComplexTensor(*(ad.reshape(p, (1,) + p.shape) for p in (w.re, w.im)))
+            image = ad.reshape(w, (1, -1) + w.shape[2:])
             zmap = model.localize(image, training=False).data.astype(np.float64)
         enhanced = istft(filter_and_sum(weights, spec))
     release_band_buffer()

@@ -123,16 +123,10 @@ def cmd_enhance(args):
     import numpy as np
 
     from .beamloc import enhance_utterance, write_localization_csv
-    from .checkpoint import load_checkpoint
-    from .dsp import StftConfig, read_wav, write_wav
-    from .model import MimoDccrn, upgrade_arrays
-    from .training import geometry_from_meta, sample_rate_from_meta
+    from .dsp import read_wav, write_wav
+    from .training import restore_checkpoint, sample_rate_from_meta
 
-    arrays, meta = load_checkpoint(args.checkpoint)
-    model = MimoDccrn.from_meta(meta)
-    model.load_arrays(upgrade_arrays(arrays, meta))
-    stft_cfg = StftConfig(**meta["stft"])
-    geometry = geometry_from_meta(meta)
+    model, stft_cfg, geometry, meta = restore_checkpoint(args.checkpoint)
     loc_meta = meta["localization"]
     mode = args.mode or loc_meta["mode"]
     zones = args.zones or loc_meta["zones"]

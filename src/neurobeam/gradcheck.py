@@ -80,8 +80,6 @@ def check_model_gradients(params, loss_fn, rng, samples_per_tensor=3, step=1e-5)
     for p in params.values():
         p.zero_grad()
     loss = loss_fn()
-    from . import autodiff as ad
-
     ad.backward(loss)
     pairs = []
     for name, p in params.items():

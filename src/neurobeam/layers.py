@@ -1,16 +1,19 @@
 """Complex-valued network layers on top of the autodiff engine.
 
-A complex feature map is carried in stacked real-block form: one real
-tensor [batch x 2C x freq x time] holding the C real channels, then the
-C imaginary ones. A complex conv or deconv is one real conv (an im2col
-GEMM) with the block kernel [[Wr, -Wi], [Wi, Wr]]; conv -> complex batch
+Every complex quantity in the graph is one real tensor; there is no
+complex pair type. The layout rule: the operands of a block kernel stack
+[re; im] on axis 1, so a feature map is [B x 2C x F x T] (the C real
+channels, then the C imaginary ones) and a sequence is [T x 2D].
+Signal-level quantities carry a leading part axis of 2 instead: the
+filters [2 x M x F x T], the beamformed spectrum [2 x T x F] and the LSTM
+input [2 x T x D]. ``to_complex`` turns such a part-axis array into a
+complex128 numpy array.
+
+A complex conv or deconv is one real conv (an im2col GEMM) of the stacked
+map with the block kernel [[Wr, -Wi], [Wi, Wr]]; conv -> complex batch
 norm -> PReLU is one op, ``conv_bn_prelu``, with the gammas, betas and
 slopes stacked as [r; i]. It keeps two maps for backward, recomputes the
-rest there, and under ``no_grad()`` keeps nothing. ``ComplexTensor`` is the
-(real, imag) view of a stacked tensor: ``complex_split`` takes views of
-the halves and ``complex_stack`` hands the same tensor back, so maps pass
-from layer to layer without copies; the halves are read only where a
-consumer needs them (the complex LSTM, the model output).
+rest there, and under ``no_grad()`` keeps nothing.
 Convolutions stride the frequency axis and are causal along time
 (past-only padding).
 
@@ -34,40 +37,11 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 
-class ComplexTensor:
-    """A complex array carried as (real, imag) autodiff tensors.
-
-    ``stacked`` is the real-block tensor [re; im] that ``complex_split``
-    took the halves from, or None when the halves were built apart.
-    """
-
-    __slots__ = ("re", "im", "stacked")
-
-    def __init__(self, re, im, stacked=None):
-        if re.shape != im.shape:
-            raise ValueError(f"real/imag shapes differ: {re.shape} vs {im.shape}")
-        self.re = re
-        self.im = im
-        self.stacked = stacked
-
-    @property
-    def shape(self):
-        return self.re.shape
-
-    @classmethod
-    def from_numpy(cls, arr, dtype=np.float64, needs_grad=False):
-        arr = np.asarray(arr)
-        re = Tensor(np.ascontiguousarray(arr.real, dtype=dtype), needs_grad=needs_grad)
-        im = Tensor(np.ascontiguousarray(arr.imag, dtype=dtype), needs_grad=needs_grad)
-        return cls(re, im)
-
-    def to_numpy(self):
-        return self.re.data.astype(np.float64) + 1j * self.im.data.astype(np.float64)
-
-
-def complex_magnitude(x, eps=1e-12):
-    """|x| as a real tensor; eps keeps the gradient finite at zero."""
-    return ad.sqrt(x.re * x.re + x.im * x.im + eps)
+def to_complex(parts):
+    """[2 x ...] real and imaginary parts -> a complex128 [...] array."""
+    out = np.empty(parts.shape[1:], dtype=np.complex128)
+    out.real, out.imag = parts
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -387,23 +361,8 @@ def conv_bn_prelu(x, w, parts, gamma, beta, slope, running, training, eps=1e-5, 
 
 
 # ---------------------------------------------------------------------------
-# Complex maps in real block form
+# Complex kernels in real block form
 # ---------------------------------------------------------------------------
-
-def complex_stack(x):
-    """[re; im] on axis 1 (channels of a map, features of a sequence): the
-    real form of a complex tensor. A split tensor hands back the tensor
-    it was split from, with no copy."""
-    if x.stacked is not None:
-        return x.stacked
-    return ad.concat([x.re, x.im], axis=1)
-
-
-def complex_split(t):
-    """Inverse of ``complex_stack``; both halves are views of ``t``."""
-    half = t.shape[1] // 2
-    return ComplexTensor(ad.narrow(t, 1, 0, half), ad.narrow(t, 1, half, half), stacked=t)
-
 
 def block_kernel(w_r, w_i):
     """Real block form [[Wr, -Wi], [Wi, Wr]] of the complex kernel Wr + jWi.
@@ -572,17 +531,17 @@ class ComplexConv2d:
         return _conv_parts(x, w, self.stride, self.pad_f, self.pad_t, out_ft)
 
     def __call__(self, x):
-        x = complex_stack(x)
+        """Stacked map [B x 2C x F x T] -> stacked map [B x 2C' x F' x T]."""
         w = block_kernel(self.w_r, self.w_i)
         bias = None if self.b_r is None else ad.concat([self.b_r, self.b_i], axis=0)
-        return complex_split(_conv_op(x, w, bias, self.parts(x, w)))
+        return _conv_op(x, w, bias, self.parts(x, w))
 
 
 class ComplexConvTranspose2d(ComplexConv2d):
     """Adjoint of ``ComplexConv2d``: transposed spatially, kernel conjugated.
 
     With matching geometry, <conv(x), y> == <x, deconv(y)> under the real
-    inner product on (re, im) pairs. The frequency axis upsamples by the
+    inner product of stacked maps. The frequency axis upsamples by the
     stride; time is causal (the adjoint of an anti-causal pad). It is one
     real transposed conv of the stacked map [xr; xi] with the same block
     kernel as ``ComplexConv2d``, whose adjoint is the conjugate transpose.
@@ -607,9 +566,9 @@ class Linear:
 
 
 class ComplexLinear:
-    """(Wr + jWi) x + (br + jbi) over the last axis of a [T x D] sequence,
-    as one real matmul of [xr, xi] with the block matrix
-    [[Wr, -Wi], [Wi, Wr]] and the stacked bias [br; bi]."""
+    """(Wr + jWi) x + (br + jbi) over the last axis of a stacked [T x 2D]
+    sequence [xr, xi], as one real matmul with the block matrix
+    [[Wr, -Wi], [Wi, Wr]] and the stacked bias [br; bi]: [T x 2D'] out."""
 
     def __init__(self, in_features, out_features, rng, dtype):
         self.w_r = uniform_init(rng, (out_features, in_features), in_features, dtype)
@@ -622,8 +581,8 @@ class ComplexLinear:
 
     def __call__(self, x):
         w = block_kernel(self.w_r, self.w_i)
-        out = ad.matmul(complex_stack(x), ad.transpose(w, (1, 0)))
-        return complex_split(out + ad.concat([self.b_r, self.b_i], axis=0))
+        out = ad.matmul(x, ad.transpose(w, (1, 0)))
+        return out + ad.concat([self.b_r, self.b_i], axis=0)
 
 
 class RealLSTM:
@@ -638,16 +597,11 @@ class RealLSTM:
         return {"wx": self.wx, "wh": self.wh, "b": self.b}
 
 
-def _stack(a, b):
-    """[a; b] on a new leading axis."""
-    return ad.concat([ad.reshape(a, (1,) + a.shape), ad.reshape(b, (1,) + b.shape)], axis=0)
-
-
 class ComplexLSTM:
     """Two real LSTMs combined by the complex product rule:
     out_re = L_r(x_re) - L_i(x_im), out_im = L_r(x_im) + L_i(x_re),
     as one ``lstm`` op over both weight sets and both parts: [x_re; x_im]
-    [2 x T x D] -> ``ComplexTensor`` of [T x H] parts.
+    [2 x T x D] -> stacked [out_re, out_im] [T x 2H].
     """
 
     def __init__(self, input_size, hidden, rng, dtype):
@@ -660,11 +614,13 @@ class ComplexLSTM:
 
     def __call__(self, x):
         r, i = self.lstm_r, self.lstm_i
-        out = lstm(x, _stack(r.wx, i.wx), _stack(r.wh, i.wh), _stack(r.b, i.b))
+        weights = (ad.reshape(ad.concat([a, b], axis=0), (2,) + a.shape)
+                   for a, b in ((r.wx, i.wx), (r.wh, i.wh), (r.b, i.b)))
+        out = lstm(x, *weights)
         # out[k, s] is weight set k (r, i) over part s (re, im), a view.
         t_len, hidden = out.shape[2:]
 
         def run(k, s):
             return ad.reshape(ad.narrow(ad.narrow(out, 0, k, 1), 1, s, 1), (t_len, hidden))
 
-        return ComplexTensor(run(0, 0) - run(1, 1), run(0, 1) + run(1, 0))
+        return ad.concat([run(0, 0) - run(1, 1), run(0, 1) + run(1, 0)], axis=1)

@@ -2,8 +2,10 @@
 cross-entropy on zone maps, plus the autodiff ops (overlap-add inverse
 STFT, filter-and-sum, steered zone map) that connect the filter tensor
 to those objectives. Each op's forward is the inference code itself
-(``dsp.synthesize``, ``beamloc.beamform``, ``beamloc.steered_response``);
-the op adds only the analytic adjoint.
+(``dsp.synthesize``, ``beamloc.beamform``, ``beamloc.splm_map``); the op
+adds only the analytic adjoint. Complex operands follow the part-axis
+layout of ``layers``: the filters are [2 x M x F x T] (re, im) and the
+beamformed spectrum [2 x T x F].
 
 The printed SI-SNR definition in the source material uses 20*log10 of an
 energy ratio, twice the usual convention; ``convention`` selects
@@ -20,9 +22,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .beamloc import beamform, steered_response
+from .beamloc import beamform, splm_bands, splm_map, steered_response
 from .dsp import frame_signal, synthesize, wola_inverse
-from .layers import ComplexTensor
+from .layers import to_complex
 
 SI_SNR_CLAMP_DB = 60.0
 BCE_EPS = 1e-7
@@ -114,13 +116,13 @@ def total_loss(bce, sisnr_loss, gamma=1.0):
 # Differentiable synthesis: spectrogram tensor -> waveform tensor
 # ---------------------------------------------------------------------------
 
-def synthesize_waveform(spec_re, spec_im, cfg):
-    """``dsp.synthesize`` of [T x F] one-sided spectra as one autodiff op;
-    the backward is its adjoint: normalize, ``dsp.frame_signal``, rfft."""
-    t_frames, f_bins = spec_re.shape
+def synthesize_waveform(spec, cfg):
+    """``dsp.synthesize`` of a [2 x T x F] one-sided spectrum (re, im) as one
+    autodiff op; the backward is its adjoint: normalize, ``dsp.frame_signal``,
+    rfft."""
+    t_frames, f_bins = spec.shape[1:]
     if f_bins != cfg.num_bins:
         raise ValueError(f"expected {cfg.num_bins} bins, got {f_bins}")
-    spectra = spec_re.data.astype(np.float64) + 1j * spec_im.data.astype(np.float64)
     nfft = cfg.fft_size
 
     def backward_fn(g):
@@ -130,56 +132,60 @@ def synthesize_waveform(spec_re, spec_im, cfg):
         # spectrum, so they take half weight and no imaginary gradient.
         spec_grad[:, 0] *= 0.5
         spec_grad[:, -1] *= 0.5
-        if spec_re.needs_grad:
-            spec_re.accumulate(spec_grad.real)
-        if spec_im.needs_grad:
-            gi = spec_grad.imag
-            gi[:, 0] = 0.0
-            gi[:, -1] = 0.0
-            spec_im.accumulate(gi)
+        grad = np.empty((2,) + spec_grad.shape, dtype=spec.dtype)
+        grad[0], grad[1] = spec_grad.real, spec_grad.imag
+        grad[1, :, 0] = 0.0
+        grad[1, :, -1] = 0.0
+        spec.accumulate(grad, owned=True)
 
-    out = synthesize(spectra, cfg).astype(spec_re.dtype)
-    return Tensor(out, (spec_re, spec_im), backward_fn)
+    out = synthesize(to_complex(spec.data), cfg).astype(spec.dtype)
+    return Tensor(out, (spec,), backward_fn)
 
 
 def _weights_op(weights, out, grad_fn):
-    """One op from filter tensors [M x F x T] to the array ``out``;
-    ``grad_fn(g)`` is the complex gradient d/d re + j d/d im of the weights."""
+    """One op from the filter tensor [2 x M x F x T] to the array ``out``;
+    ``grad_fn(g)`` is the filters' complex gradient d/d re + j d/d im
+    [M x F x T]. Its parts are added to the filters' gradient as they are
+    (float64), so the sum with another contribution (the NLM head's) rounds
+    once."""
 
     def backward_fn(g):
         grad = grad_fn(g)
-        if weights.re.needs_grad:
-            weights.re.accumulate(grad.real)
-        if weights.im.needs_grad:
-            weights.im.accumulate(grad.imag)
+        weights.accumulate(grad.real, 0)
+        weights.accumulate(grad.imag, 1)
 
-    return Tensor(out.astype(weights.re.dtype), (weights.re, weights.im), backward_fn)
+    return Tensor(out.astype(weights.dtype), (weights,), backward_fn)
 
 
 def filter_and_sum_tensor(weights, spec_data):
-    """``beamloc.beamform`` of [M x F x T] filter tensors and a fixed
-    spectrogram [M x T x F] -> ([T x F], [T x F]) views of one [re; im] op
-    output; the weights' complex gradient is g * conj(y)."""
+    """``beamloc.beamform`` of the filter tensor [2 x M x F x T] and a fixed
+    spectrogram [M x T x F] -> [2 x T x F]; the filters' complex gradient
+    is g * conj(y)."""
     y = np.asarray(spec_data)
-    out = beamform(weights.to_numpy().transpose(0, 2, 1), y)
-    t_len = out.shape[0]
-    stacked = _weights_op(
-        weights, np.concatenate([out.real, out.imag]),
-        lambda g: ((g[:t_len] + 1j * g[t_len:]) * np.conj(y)).transpose(0, 2, 1),
+    out = beamform(to_complex(weights.data).transpose(0, 2, 1), y)
+    return _weights_op(
+        weights, np.stack([out.real, out.imag]),
+        lambda g: ((g[0] + 1j * g[1]) * np.conj(y)).transpose(0, 2, 1),
     )
-    return ComplexTensor(ad.narrow(stacked, 0, 0, t_len), ad.narrow(stacked, 0, t_len, t_len))
 
 
 def splm_map_tensor(weights, steering):
-    """``beamloc.splm_map`` of [M x F x T] filter tensors and [N x F x M]
-    steering vectors -> [T x N]. With r the steered response, the weights'
-    complex gradient is sum_n (g/F) (r/|r|) conj(a), r/|r| = 0 at r = 0."""
-    r = steered_response(weights.to_numpy().transpose(0, 2, 1), steering)  # [F x T x N]
+    """``beamloc.splm_map`` of the filter tensor [2 x M x F x T] and [N x F x M]
+    steering vectors -> [T x N]. With r the steered response, the filters'
+    complex gradient is sum_n (g/F) (r/|r|) conj(a), r/|r| = 0 at r = 0;
+    backward recomputes r in the chunks of bins ``splm_map`` sums over
+    (``splm_bands``), so no [F x T x N] array is kept or built."""
+    w = to_complex(weights.data).transpose(0, 2, 1)  # [M x T x F]
+    f_bins = steering.shape[1]
 
     def grad_fn(g):
-        mag = np.abs(r)
-        unit = np.divide(r, mag, out=np.zeros_like(r), where=mag > 0)
-        grad = np.matmul(unit * (g / r.shape[0]), np.conj(steering).transpose(1, 0, 2))
-        return grad.transpose(2, 0, 1)
+        grad = np.empty(weights.shape[1:], dtype=np.complex128)  # [M x F x T]
+        for bins in splm_bands(f_bins):
+            r = steered_response(w, steering, bins)  # [F' x T x N]
+            mag = np.abs(r)
+            unit = np.divide(r, mag, out=np.zeros_like(r), where=mag > 0)
+            part = np.matmul(unit * (g / f_bins), np.conj(steering[:, bins]).transpose(1, 0, 2))
+            grad[:, bins] = part.transpose(2, 0, 1)
+        return grad
 
-    return _weights_op(weights, np.abs(r).mean(axis=0), grad_fn)
+    return _weights_op(weights, splm_map(w, steering), grad_fn)

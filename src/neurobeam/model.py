@@ -7,7 +7,9 @@ way in (256 modeled bins) and copying the first modeled bin's weight into
 the DC slot on the way out.
 
 The emitted filter tensor is the conjugated form: applying it is a plain
-(non-conjugated) product against the input spectrogram.
+(non-conjugated) product against the input spectrogram. Maps, sequences
+and filters follow the stacked layout of ``layers``: every block takes and
+returns one real tensor, and the filters are [2 x M x F x T] (re, im).
 """
 
 from __future__ import annotations
@@ -23,12 +25,10 @@ from .layers import (
     ComplexConv2d,
     ComplexLSTM,
     ComplexLinear,
-    ComplexTensor,
     Linear,
     block_kernel,
-    complex_split,
-    complex_stack,
     conv_bn_prelu,
+    to_complex,
 )
 
 MAGNITUDE_EPS = 1e-12
@@ -157,11 +157,10 @@ class _ConvBlock:
     def __call__(self, x, training):
         if not self.norm:
             return self.conv(x)
-        x, w = complex_stack(x), block_kernel(self.conv.w_r, self.conv.w_i)
+        w = block_kernel(self.conv.w_r, self.conv.w_i)
         vectors = [ad.concat([self.norm[f"{name}_r"], self.norm[f"{name}_i"]], axis=0)
                    for name in ("bn.gamma", "bn.beta", "act.slope")]
-        out = conv_bn_prelu(x, w, self.conv.parts(x, w), *vectors, self.running, training)
-        return complex_split(out)
+        return conv_bn_prelu(x, w, self.conv.parts(x, w), *vectors, self.running, training)
 
 
 class NlmHead:
@@ -194,13 +193,12 @@ class NlmHead:
         return _named("buffers", self._parts())
 
     def __call__(self, w, training):
-        """w: ComplexTensor [1 x M x F x T] -> Tensor [T x N] in (0, 1)."""
+        """w: stacked filter image [1 x 2M x F x T] -> Tensor [T x N] in (0, 1)."""
         h = self.block1(w, training)
         h = self.block2(h, training)
         n_zones = self.cfg.zones
         _, _, f2, t_len = h.shape
-        stacked = complex_stack(h)
-        squares = ad.reshape(stacked * stacked, (2, n_zones, 2, f2, t_len))
+        squares = ad.reshape(h * h, (2, n_zones, 2, f2, t_len))
         power = ad.reduce_sum(squares, axis=(0, 2))
         mag = ad.sqrt(power + MAGNITUDE_EPS)
         score = ad.reduce_mean(mag, axis=1)  # [N x T]
@@ -268,10 +266,10 @@ class MimoDccrn:
 
     # -- forward paths -------------------------------------------------------
     def forward(self, x, training=False):
-        """Packed input [1 x M x F' x T] -> filter image [1 x M x F' x T]."""
+        """Packed input [1 x 2M x F' x T] -> filter image [1 x 2M x F' x T]."""
         if x.shape[0] != 1:
             raise ValueError("the bottleneck flatten assumes batch size 1")
-        if x.shape[1] != self.config.mics or x.shape[2] != self.config.freq_bins_model:
+        if x.shape[1] != 2 * self.config.mics or x.shape[2] != self.config.freq_bins_model:
             raise ValueError(
                 f"input shape {x.shape} does not match config "
                 f"(mics={self.config.mics}, freq={self.config.freq_bins_model})"
@@ -282,39 +280,35 @@ class MimoDccrn:
             h = block(h, training)
             skips.append(h)
 
-        _, c, f, t = h.shape
-        seq = ad.transpose(ad.reshape(complex_stack(h), (2, c * f, t)), (0, 2, 1))  # a view
-        seq = complex_stack(self.restore(self.clstm(seq)))  # [T x 2D]
-        h = complex_split(ad.reshape(ad.transpose(seq, (1, 0)), (1, 2 * c, f, t)))
+        _, c2, f, t = h.shape
+        seq = ad.transpose(ad.reshape(h, (2, -1, t)), (0, 2, 1))  # [2 x T x D], a view
+        seq = self.restore(self.clstm(seq))  # [T x 2D]
+        h = ad.reshape(ad.transpose(seq, (1, 0)), (1, c2, f, t))
 
         for block, skip in zip(self.decoder, skips[::-1]):
-            merged = ad.concat([h.re, skip.re, h.im, skip.im], axis=1)
-            h = block(complex_split(merged), training)
+            # [h; skip] as one stacked map: channels [h_re, skip_re, h_im, skip_im].
+            halves = [ad.narrow(a, 1, part * a.shape[1] // 2, a.shape[1] // 2)
+                      for part in (0, 1) for a in (h, skip)]
+            h = block(ad.concat(halves, axis=1), training)
         return h
 
     def forward_weights(self, spec_data, training=False):
-        """Spectrogram array [M x T x F] -> filter tensors [M x F x T].
+        """Spectrogram array [M x T x F] -> filter tensor [2 x M x F x T].
 
-        The returned pair is the full-band filter (DC slot copied from the
-        first modeled bin), connected to the parameter graph.
+        The filters (re, im) are full-band (DC slot copied from the first
+        modeled bin) and connected to the parameter graph.
         """
         x, _ = pack_input(spec_data, self.config.freq_bins_model, self.dtype)
         out = self.forward(x, training)
-        m = self.config.mics
-        fp = self.config.freq_bins_model
-        t_len = out.shape[3]
-        re = ad.reshape(out.re, (m, fp, t_len))
-        im = ad.reshape(out.im, (m, fp, t_len))
-        re_full = ad.concat([ad.narrow(re, 1, 0, 1), re], axis=1)
-        im_full = ad.concat([ad.narrow(im, 1, 0, 1), im], axis=1)
-        return ComplexTensor(re_full, im_full)
+        w = ad.reshape(out, (2, self.config.mics) + out.shape[2:])
+        return ad.concat([ad.narrow(w, 2, 0, 1), w], axis=2)
 
     def infer_weights(self, spec_data):
         """Inference filters: [M x T x F] complex weights from an eval
         forward run under ``autodiff.no_grad()``, so no graph is kept."""
         with ad.no_grad():
             w = self.forward_weights(spec_data, training=False)
-        return w.to_numpy().transpose(0, 2, 1)
+        return to_complex(w.data).transpose(0, 2, 1)
 
     def localize(self, w, training=False):
         if self.nlm is None:
@@ -375,7 +369,7 @@ def upgrade_arrays(arrays, meta):
 
 
 def pack_input(spec_data, freq_bins_model, dtype):
-    """[M x T x F] complex -> (ComplexTensor [1 x M x F' x T], dc bins [M x T]).
+    """[M x T x F] complex -> (stacked leaf [1 x 2M x F' x T], dc bins [M x T]).
 
     F' = F - 1: the DC bin is dropped so the stride-2 halving chain stays
     exact, and returned separately so reconstruction can reattach it.
@@ -384,11 +378,7 @@ def pack_input(spec_data, freq_bins_model, dtype):
     m, t_len, f = spec_data.shape
     if f != freq_bins_model + 1:
         raise ValueError(f"expected {freq_bins_model + 1} analysis bins, got {f}")
-    body = spec_data[:, :, 1:].transpose(0, 2, 1)[np.newaxis]
-    return ComplexTensor.from_numpy(body, dtype=dtype), spec_data[:, :, 0].copy()
-
-
-def unpack_spectrogram(packed, dc):
-    """Inverse of ``pack_input`` for spectrogram data."""
-    body = packed[0].transpose(0, 2, 1)
-    return np.concatenate([dc[:, :, np.newaxis], body], axis=2)
+    body = spec_data[:, :, 1:].transpose(0, 2, 1)
+    packed = np.empty((1, 2 * m, f - 1, t_len), dtype=dtype)
+    packed[0, :m], packed[0, m:] = body.real, body.imag
+    return Tensor(packed, needs_grad=False), spec_data[:, :, 0].copy()

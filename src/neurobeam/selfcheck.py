@@ -17,12 +17,8 @@ from .gradcheck import check_gradients
 from .layers import (
     _BAND_BYTES,
     ComplexLSTM,
-    ComplexTensor,
     _conv_parts,
-    _stack,
     block_kernel,
-    complex_split,
-    complex_stack,
     conv2d,
     conv_bn_prelu,
     conv2d_input_adjoint,
@@ -39,44 +35,41 @@ GRAD_TOLERANCE = 1e-4
 
 
 def _complex_conv_build(stride, pad_f, pad_t, transpose=False, out_ft=None):
-    def build(xr, xi, wr, wi, br, bi):
-        x = complex_stack(ComplexTensor(xr, xi))
+    def build(x, wr, wi, br, bi):
         w = block_kernel(wr, wi)
         bias = ad.concat([br, bi], axis=0)
         if transpose:
-            out = conv2d_transpose(x, w, stride, pad_f, pad_t, out_ft, bias=bias)
+            y = conv2d_transpose(x, w, stride, pad_f, pad_t, out_ft, bias=bias)
         else:
-            out = conv2d(x, w, stride, pad_f, pad_t, bias=bias)
-        y = complex_split(out)
-        return ad.reduce_sum(y.re * y.re) + ad.reduce_sum(y.im * y.im)
+            y = conv2d(x, w, stride, pad_f, pad_t, bias=bias)
+        return ad.reduce_sum(y * y)
 
     return build
 
 
 def _conv_block_build(weight, training, running, stride, pad_f, pad_t, out_ft=None):
     """Weighted squares of a ``conv_bn_prelu`` block (a deconv with
-    ``out_ft``) of its ten inputs, each run from the ``running`` stats."""
+    ``out_ft``) of its inputs, each run from the ``running`` stats."""
 
-    def build(xr, xi, wr, wi, gamma_r, gamma_i, beta_r, beta_i, slope_r, slope_i):
-        x, w = complex_stack(ComplexTensor(xr, xi)), block_kernel(wr, wi)
+    def build(x, wr, wi, gamma, beta, slope):
+        w = block_kernel(wr, wi)
         y = conv_bn_prelu(
             x, w, _conv_parts(x, w, stride, pad_f, pad_t, out_ft),
-            ad.concat([gamma_r, gamma_i], axis=0), ad.concat([beta_r, beta_i], axis=0),
-            ad.concat([slope_r, slope_i], axis=0), [a.copy() for a in running], training,
+            gamma, beta, slope, [a.copy() for a in running], training,
         )
         return ad.reduce_sum(y * y * ad.constant(weight))
 
     return build
 
 
-def _complex_lstm_build(xr, xi, wxr, whr, br, wxi, whi, bi):
+def _complex_lstm_build(x, wxr, whr, br, wxi, whi, bi):
     """Squares of a ``ComplexLSTM`` output; the sequence and both weight
     sets are the inputs."""
-    layer = ComplexLSTM(wxr.shape[1], whr.shape[1], np.random.default_rng(0), xr.dtype)
+    layer = ComplexLSTM(wxr.shape[1], whr.shape[1], np.random.default_rng(0), x.dtype)
     for real, (wx, wh, b) in ((layer.lstm_r, (wxr, whr, br)), (layer.lstm_i, (wxi, whi, bi))):
         real.wx, real.wh, real.b = wx, wh, b
-    y = layer(_stack(xr, xi))
-    return ad.reduce_sum(y.re * y.re) + ad.reduce_sum(y.im * y.im)
+    y = layer(x)
+    return ad.reduce_sum(y * y)
 
 
 def gradient_cases(seed=0):
@@ -91,28 +84,26 @@ def gradient_cases(seed=0):
     cases.append((
         "complex_conv2d",
         _complex_conv_build((2, 1), (2, 2), (1, 0)),
-        [r(1, 2, 8, 4), r(1, 2, 8, 4), 0.3 * r(3, 2, 5, 2), 0.3 * r(3, 2, 5, 2),
-         0.1 * r(3), 0.1 * r(3)],
+        [r(1, 4, 8, 4), 0.3 * r(3, 2, 5, 2), 0.3 * r(3, 2, 5, 2), 0.1 * r(3), 0.1 * r(3)],
     ))
     cases.append((
         "complex_deconv2d",
         _complex_conv_build((2, 1), (2, 2), (0, 1), transpose=True, out_ft=(8, 4)),
-        [r(1, 3, 4, 4), r(1, 3, 4, 4), 0.3 * r(3, 2, 5, 2), 0.3 * r(3, 2, 5, 2),
-         0.1 * r(2), 0.1 * r(2)],
+        [r(1, 6, 4, 4), 0.3 * r(3, 2, 5, 2), 0.3 * r(3, 2, 5, 2), 0.1 * r(2), 0.1 * r(2)],
     ))
     for kind, geometry, x_shape, out_shape in (
-        ("conv", ((2, 1), (2, 2), (1, 0)), (1, 2, 8, 4), (1, 6, 4, 4)),
-        ("deconv", ((2, 1), (2, 2), (0, 1), (8, 4)), (1, 3, 4, 4), (1, 4, 8, 4)),
+        ("conv", ((2, 1), (2, 2), (1, 0)), (1, 4, 8, 4), (1, 6, 4, 4)),
+        ("deconv", ((2, 1), (2, 2), (0, 1), (8, 4)), (1, 6, 4, 4), (1, 4, 8, 4)),
     ):
         c_out = out_shape[1] // 2
-        block_params = [base + 0.1 * r(c_out) for base in (1.0, 1.0, 0.0, 0.0, 0.25, 0.25)]
+        # [r; i] parameter vectors: gamma, beta and PReLU slope
+        block_params = [base + 0.1 * r(2 * c_out) for base in (1.0, 0.0, 0.25)]
         running = [0.3 * r(2 * c_out), 0.5 + rng.uniform(size=2 * c_out)]
         for training, suffix in ((True, ""), (False, "_eval")):
             cases.append((
                 f"complex_{kind}_block{suffix}",
                 _conv_block_build(r(*out_shape), training, running, *geometry),
-                [r(*x_shape), r(*x_shape), 0.3 * r(3, 2, 5, 2), 0.3 * r(3, 2, 5, 2),
-                 *block_params],
+                [r(*x_shape), 0.3 * r(3, 2, 5, 2), 0.3 * r(3, 2, 5, 2), *block_params],
             ))
     cases.append((
         "prelu",
@@ -127,7 +118,7 @@ def gradient_cases(seed=0):
     cases.append((
         "complex_lstm",
         _complex_lstm_build,
-        [r(3, 4), r(3, 4),
+        [r(2, 3, 4),
          0.4 * r(12, 4), 0.4 * r(12, 3), 0.1 * r(12),
          0.4 * r(12, 4), 0.4 * r(12, 3), 0.1 * r(12)],
     ))
@@ -148,14 +139,14 @@ def gradient_cases(seed=0):
     tiny_cfg = StftConfig(window_length=8, hop=2, fft_size=8)
     ref = rng.standard_normal(8 + 3 * 2)
 
-    def sisnr_build(sr, si):
-        wave = synthesize_waveform(sr, si, tiny_cfg)
+    def sisnr_build(spec):
+        wave = synthesize_waveform(spec, tiny_cfg)
         return ad.neg(si_snr_tensor(wave, ref))
 
     cases.append((
         "si_snr_loss",
         sisnr_build,
-        [r(4, 5), r(4, 5)],
+        [r(2, 4, 5)],
     ))
 
     z = (rng.uniform(size=(4, 3)) > 0.6).astype(np.float64)
@@ -165,25 +156,25 @@ def gradient_cases(seed=0):
 
     cases.append(("bce_loss", bce_build, [r(4, 3)]))
 
-    def total_build(sr, si, logits):
-        wave = synthesize_waveform(sr, si, tiny_cfg)
+    def total_build(spec, logits):
+        wave = synthesize_waveform(spec, tiny_cfg)
         return bce_loss(z, ad.sigmoid(logits)) + 1.0 * ad.neg(si_snr_tensor(wave, ref))
 
-    cases.append(("total_loss", total_build, [r(4, 5), r(4, 5), r(4, 3)]))
+    cases.append(("total_loss", total_build, [r(2, 4, 5), r(4, 3)]))
 
     spec = r(3, 4, 5) + 1j * r(3, 4, 5)  # [M x T x F]
     steering = np.exp(2j * np.pi * rng.uniform(size=(6, 5, 3)))  # [N x F x M]
     weight = ad.constant(r(4, 6))
 
-    def fas_build(wr, wi):
-        out = filter_and_sum_tensor(ComplexTensor(wr, wi), spec)
-        return ad.reduce_sum(out.re * out.im)
+    def fas_build(w):
+        out = filter_and_sum_tensor(w, spec)
+        return ad.reduce_sum(ad.narrow(out, 0, 0, 1) * ad.narrow(out, 0, 1, 1))
 
-    cases.append(("filter_and_sum", fas_build, [r(3, 5, 4), r(3, 5, 4)]))
+    cases.append(("filter_and_sum", fas_build, [r(2, 3, 5, 4)]))
     cases.append((
         "splm_map",
-        lambda wr, wi: ad.reduce_sum(splm_map_tensor(ComplexTensor(wr, wi), steering) * weight),
-        [r(3, 5, 4), r(3, 5, 4)],
+        lambda w: ad.reduce_sum(splm_map_tensor(w, steering) * weight),
+        [r(2, 3, 5, 4)],
     ))
     return cases
 

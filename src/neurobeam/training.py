@@ -21,8 +21,7 @@ from . import autodiff as ad
 from .arraygeom import ZoneGrid, array_geometry, ground_truth_map, steering_set, zone_of_angle
 from .beamloc import enhance_utterance
 from .checkpoint import load_checkpoint, save_checkpoint
-from .dsp import read_wav, stft
-from .layers import ComplexTensor
+from .dsp import StftConfig, read_wav, stft
 from .losses import (
     LossBreakdown,
     bce_loss,
@@ -91,6 +90,15 @@ def geometry_from_meta(meta):
     return array_geometry(**meta["array"])
 
 
+def restore_checkpoint(path):
+    """(model, STFT config, microphone geometry, meta) of the checkpoint at
+    ``path``, with its arrays upgraded to the current schema and loaded."""
+    arrays, meta = load_checkpoint(path)
+    model = MimoDccrn.from_meta(meta)
+    model.load_arrays(upgrade_arrays(arrays, meta))
+    return model, StftConfig(**meta["stft"]), geometry_from_meta(meta), meta
+
+
 def sample_rate_from_meta(meta):
     """The WAV rate a checkpoint was trained at; None for a checkpoint that
     predates recording it, which then accepts any rate."""
@@ -118,18 +126,14 @@ def training_step(model, adam, cfg, stft_cfg, entry, base_dir, steering=None):
 
     weights = model.forward_weights(spec.data, training=True)
     enhanced = filter_and_sum_tensor(weights, spec.data)
-    estimate = synthesize_waveform(enhanced.re, enhanced.im, stft_cfg)
+    estimate = synthesize_waveform(enhanced, stft_cfg)
     reference = target.samples[trn.reference_mic][: estimate.shape[0]]
     loss_sisnr = si_snr_loss([estimate], [reference], trn.sisnr_convention)
 
     track = azimuth_track_from_entry(entry, stft_cfg)
     truth = ground_truth_map(track, cfg.localization.zones)
     if cfg.localization.mode == "nlm":
-        m, f, t = weights.shape
-        w_img = ComplexTensor(
-            ad.reshape(weights.re, (1, m, f, t)), ad.reshape(weights.im, (1, m, f, t))
-        )
-        zhat = model.localize(w_img, training=True)
+        zhat = model.localize(ad.reshape(weights, (1, -1) + weights.shape[2:]), training=True)
     else:
         zhat = splm_map_tensor(weights, steering)
     loss_bce = bce_loss(truth, zhat)
@@ -362,13 +366,7 @@ def evaluate(manifest_path, checkpoint_path, out_csv=None, mode=None):
     entries = load_manifest(manifest_path)
     if not entries:
         raise ValueError(f"dataset manifest {manifest_path} is empty")
-    arrays, meta = load_checkpoint(checkpoint_path)
-    model = MimoDccrn.from_meta(meta)
-    model.load_arrays(upgrade_arrays(arrays, meta))
-    from .dsp import StftConfig
-
-    stft_cfg = StftConfig(**meta["stft"])
-    geometry = geometry_from_meta(meta)
+    model, stft_cfg, geometry, meta = restore_checkpoint(checkpoint_path)
     loc_meta = meta["localization"]
     mode = mode or loc_meta["mode"]
     # Checkpoints that predate these keys were scored at mic 0, "standard".

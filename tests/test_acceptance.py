@@ -24,7 +24,6 @@ from neurobeam.cli import main as cli_main
 from neurobeam.config import config_from_dict
 from neurobeam.dsp import StftConfig, Waveform, istft, stft
 from neurobeam.gradcheck import check_gradients, check_model_gradients
-from neurobeam.layers import ComplexTensor
 from neurobeam.losses import (
     bce_loss,
     filter_and_sum_tensor,
@@ -233,14 +232,11 @@ def test_criterion_5_gradient_suite():
         def build():
             w = model.forward_weights(spec, training=True)
             enh = filter_and_sum_tensor(w, spec)
-            est = synthesize_waveform(enh.re, enh.im, tiny_cfg)
+            est = synthesize_waveform(enh, tiny_cfg)
             lsisnr = si_snr_loss([est], [ref])
             if head == "nlm":
-                m, f, t = w.shape
-                img = ComplexTensor(
-                    ad.reshape(w.re, (1, m, f, t)), ad.reshape(w.im, (1, m, f, t))
-                )
-                zhat = model.localize(img, training=True)
+                _, m, f, t = w.shape
+                zhat = model.localize(ad.reshape(w, (1, 2 * m, f, t)), training=True)
             else:
                 zhat = splm_map_tensor(w, steering)
             return total_loss(bce_loss(truth, zhat), lsisnr, 1.0)

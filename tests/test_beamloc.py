@@ -192,8 +192,9 @@ def test_nlm_zone_map_matches_complex_round_trip(toy_dataset):
     # forward that records one. In ``nlm`` mode the head reads the float32
     # filter tensors directly, which is the complex128 round trip's input
     # exactly, since float32 -> float64 -> float32 is exact.
+    from neurobeam.autodiff import Tensor
     from neurobeam.dsp import istft, read_wav, stft
-    from neurobeam.layers import ComplexTensor
+    from neurobeam.layers import to_complex
 
     cfg = toy_dataset["config"]
     stft_cfg = cfg.stft_config()
@@ -201,13 +202,12 @@ def test_nlm_zone_map_matches_complex_round_trip(toy_dataset):
     model = _toy_model()
     spec = stft(noisy, stft_cfg)
     w = model.forward_weights(spec.data, training=False)
-    assert w.re.needs_grad and w.re.parents
-    weights = w.to_numpy().transpose(0, 2, 1)
-    w_img = np.ascontiguousarray(weights.transpose(0, 2, 1))[np.newaxis]
+    assert w.needs_grad and w.parents
+    weights = to_complex(w.data).transpose(0, 2, 1)
+    wt = weights.transpose(0, 2, 1)
+    w_img = np.concatenate([wt.real, wt.imag]).astype(model.dtype)[np.newaxis]
     zmaps = {
-        "nlm": model.localize(
-            ComplexTensor.from_numpy(w_img, dtype=model.dtype), training=False
-        ).data.astype(np.float64),
+        "nlm": model.localize(Tensor(w_img), training=False).data.astype(np.float64),
         "splm": splm_map(
             weights,
             steering_set(cfg.geometry(), ZoneGrid(12), stft_cfg.frequencies(noisy.sample_rate)),

@@ -50,6 +50,13 @@ def test_tiny_benchmark_prints_every_end_to_end_metric():
         assert printed["value"] != 0, metric["name"]
 
 
+def test_tiny_infer_benchmark_checks_every_operation():
+    # Each operation enhances one record in nlm or splm mode, alternating,
+    # and checks the waveform, zone track and VAD it returns.
+    result = _run_tiny("infer", 0)
+    assert result["attempted"] >= 2
+
+
 def test_tiny_traced_benchmark_prints_every_per_layer_metric():
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = _run_tiny("train-6s", 1)["metrics"]

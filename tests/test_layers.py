@@ -10,15 +10,12 @@ from neurobeam.layers import (
     ComplexConv2d,
     ComplexLSTM,
     ComplexLinear,
-    ComplexTensor,
     _conv_parts,
-    complex_magnitude,
-    complex_split,
-    complex_stack,
     conv2d,
     conv2d_transpose,
     conv_bn_prelu,
     lstm,
+    to_complex,
 )
 from neurobeam.optim import Adam
 
@@ -28,9 +25,13 @@ def _rng(seed=0):
 
 
 def _complex_from(rng, shape):
-    return ComplexTensor(
-        Tensor(rng.standard_normal(shape)), Tensor(rng.standard_normal(shape))
-    )
+    """A stacked tensor [re; im] on axis 1 of two standard normal ``shape`` parts."""
+    return Tensor(np.concatenate([rng.standard_normal(shape), rng.standard_normal(shape)], axis=1))
+
+
+def _halves(t):
+    """The (re, im) arrays of a tensor stacked on axis 1."""
+    return np.split(t.data, 2, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -44,8 +45,8 @@ def test_conv_one_by_one_identity():
     layer.w_i.data = np.zeros((3, 3, 1, 1))
     x = _complex_from(rng, (1, 3, 5, 4))
     out = layer(x)
-    assert np.allclose(out.re.data, x.re.data)
-    assert np.allclose(out.im.data, x.im.data)
+    for have, want in zip(_halves(out), _halves(x)):
+        assert np.allclose(have, want)
 
 
 def test_conv_zero_imag_kernel_reduces_to_real_convs():
@@ -54,10 +55,9 @@ def test_conv_zero_imag_kernel_reduces_to_real_convs():
     layer.w_i.data[...] = 0.0
     x = _complex_from(rng, (1, 2, 8, 6))
     out = layer(x)
-    re_only = conv2d(x.re, layer.w_r, (2, 1), layer.pad_f, layer.pad_t)
-    im_only = conv2d(x.im, layer.w_r, (2, 1), layer.pad_f, layer.pad_t)
-    assert np.allclose(out.re.data, re_only.data)
-    assert np.allclose(out.im.data, im_only.data)
+    for have, part in zip(_halves(out), _halves(x)):
+        real_only = conv2d(Tensor(part), layer.w_r, (2, 1), layer.pad_f, layer.pad_t)
+        assert np.allclose(have, real_only.data)
 
 
 def test_conv_single_element_complex_product():
@@ -65,10 +65,10 @@ def test_conv_single_element_complex_product():
     layer = ComplexConv2d(1, 1, (1, 1), (1, 1), rng, np.float64)
     layer.w_r.data[...] = 0.0
     layer.w_i.data[...] = 1.0  # kernel = j
-    x = ComplexTensor(Tensor(np.ones((1, 1, 1, 1))), Tensor(np.zeros((1, 1, 1, 1))))
+    x = Tensor(np.array([1.0, 0.0]).reshape(1, 2, 1, 1))
     out = layer(x)  # (0 + j) * (1 + 0j) = j
-    assert out.re.data[0, 0, 0, 0] == pytest.approx(0.0)
-    assert out.im.data[0, 0, 0, 0] == pytest.approx(1.0)
+    assert out.data[0, 0, 0, 0] == pytest.approx(0.0)
+    assert out.data[0, 1, 0, 0] == pytest.approx(1.0)
 
 
 def test_conv_freq_halving_and_causal_time():
@@ -76,7 +76,7 @@ def test_conv_freq_halving_and_causal_time():
     layer = ComplexConv2d(2, 3, (5, 2), (2, 1), rng, np.float64)
     x = _complex_from(rng, (1, 2, 64, 9))
     out = layer(x)
-    assert out.shape == (1, 3, 32, 9)
+    assert out.shape == (1, 6, 32, 9)  # 3 complex channels, stacked
 
 
 def test_deconv_is_adjoint_of_conv():
@@ -92,8 +92,8 @@ def test_deconv_is_adjoint_of_conv():
     y = _complex_from(rng, (1, 3, 4, 4))
     cx = conv(x)
     dy = deconv(y)
-    lhs = np.sum(cx.re.data * y.re.data) + np.sum(cx.im.data * y.im.data)
-    rhs = np.sum(x.re.data * dy.re.data) + np.sum(x.im.data * dy.im.data)
+    lhs = np.sum(cx.data * y.data)
+    rhs = np.sum(x.data * dy.data)
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -104,17 +104,17 @@ def test_deconv_identity_kernel():
     layer.w_i.data = np.zeros((2, 2, 1, 1))
     x = _complex_from(rng, (1, 2, 6, 3))
     out = layer(x)
-    assert np.allclose(out.re.data, x.re.data)
-    assert np.allclose(out.im.data, x.im.data)
+    for have, want in zip(_halves(out), _halves(x)):
+        assert np.allclose(have, want)
 
 
 def test_deconv_zero_input_zero_output():
     rng = _rng(7)
     layer = ComplexConvTranspose2d(3, 2, (5, 2), (2, 1), rng, np.float64)
-    x = ComplexTensor(Tensor(np.zeros((1, 3, 4, 5))), Tensor(np.zeros((1, 3, 4, 5))))
+    x = Tensor(np.zeros((1, 6, 4, 5)))
     out = layer(x)
-    assert np.all(out.re.data == 0) and np.all(out.im.data == 0)
-    assert out.shape == (1, 2, 8, 5)
+    assert np.all(out.data == 0)
+    assert out.shape == (1, 4, 8, 5)
 
 
 def test_conv_transpose_rejects_inconsistent_shape():
@@ -137,19 +137,13 @@ def test_complex_linearity_of_linear_layers():
         (deconv, (1, 2, 8, 4)),
         (lin, (5, 4)),
     ]
+    def apply(z):
+        out = layer(Tensor(np.concatenate([z.real, z.imag], axis=1)))
+        return to_complex(np.stack(_halves(out)))
+
     for layer, shape in cases:
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        fx = layer(ComplexTensor.from_numpy(x)).to_numpy()
-        fax = layer(ComplexTensor.from_numpy(alpha * x)).to_numpy()
-        assert np.allclose(fax, alpha * fx, atol=1e-12)
-
-
-def test_complex_conv_output_halves_are_views_of_one_map():
-    rng = _rng(16)
-    layer = ComplexConv2d(2, 3, (5, 2), (2, 1), rng, np.float64)
-    out = layer(_complex_from(rng, (1, 2, 8, 4)))
-    assert not np.shares_memory(out.re.data, out.im.data)
-    assert out.re.data.base is not None and out.re.data.base is out.im.data.base
+        assert np.allclose(apply(alpha * x), alpha * apply(x), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -435,25 +429,23 @@ class _BatchNormParams:
 def _norm_only(x, bn, training):
     """Complex batch norm alone: the fused block with an identity 1x1 conv
     and unit PReLU slopes, both of which are exact."""
-    xs = complex_stack(x)
-    width = xs.shape[1]
-    w = ad.constant(np.eye(width, dtype=xs.dtype).reshape(width, width, 1, 1))
+    width = x.shape[1]
+    w = ad.constant(np.eye(width, dtype=x.dtype).reshape(width, width, 1, 1))
     p = bn.params()
     gamma = ad.concat([p["gamma_r"], p["gamma_i"]], axis=0)
     beta = ad.concat([p["beta_r"], p["beta_i"]], axis=0)
-    slope = ad.constant(np.ones(width, dtype=xs.dtype))
-    out = conv_bn_prelu(
-        xs, w, _conv_parts(xs, w, (1, 1), (0, 0), (0, 0)), gamma, beta, slope,
+    slope = ad.constant(np.ones(width, dtype=x.dtype))
+    return conv_bn_prelu(
+        x, w, _conv_parts(x, w, (1, 1), (0, 0), (0, 0)), gamma, beta, slope,
         (bn.running_mean, bn.running_var), training,
     )
-    return complex_split(out)
 
 
 def test_batchnorm_output_is_standardized(rng):
     bn = _BatchNormParams(3, np.float64)
     x = _complex_from(_rng(10), (2, 3, 6, 5))
     out = _norm_only(x, bn, training=True)
-    for part in (out.re.data, out.im.data):
+    for part in _halves(out):
         assert np.abs(part.mean(axis=(0, 2, 3))).max() < 1e-6
         assert np.abs(part.var(axis=(0, 2, 3)) - 1.0).max() < 1e-3
 
@@ -464,17 +456,17 @@ def test_batchnorm_standardized_input_unchanged():
     raw = g.standard_normal((1, 2, 8, 7))
     raw -= raw.mean(axis=(0, 2, 3), keepdims=True)
     raw /= raw.std(axis=(0, 2, 3), keepdims=True)
-    x = ComplexTensor(Tensor(raw.copy()), Tensor(raw.copy()))
+    x = Tensor(np.concatenate([raw, raw], axis=1))
     out = _norm_only(x, bn, training=True)
-    assert np.allclose(out.re.data, raw, atol=1e-4)
+    assert np.allclose(_halves(out)[0], raw, atol=1e-4)
 
 
 def test_batchnorm_constant_input_zero_before_affine():
     bn = _BatchNormParams(2, np.float64)
-    x = ComplexTensor(Tensor(np.full((1, 2, 4, 4), 3.0)), Tensor(np.full((1, 2, 4, 4), -1.0)))
+    x = Tensor(np.concatenate([np.full((1, 2, 4, 4), 3.0), np.full((1, 2, 4, 4), -1.0)], axis=1))
     out = _norm_only(x, bn, training=True)
-    assert np.abs(out.re.data).max() < 1e-10
-    assert np.abs(out.im.data).max() < 1e-10
+    for part in _halves(out):
+        assert np.abs(part).max() < 1e-10
 
 
 def test_batchnorm_eval_uses_running_stats():
@@ -485,7 +477,7 @@ def test_batchnorm_eval_uses_running_stats():
         _norm_only(x, bn, training=True)
     train_out = _norm_only(x, bn, training=True)
     eval_out = _norm_only(x, bn, training=False)
-    assert np.allclose(eval_out.re.data, train_out.re.data, atol=1e-3)
+    assert np.allclose(_halves(eval_out)[0], _halves(train_out)[0], atol=1e-3)
     # Eval mode must not depend on the batch itself.
     y = _complex_from(g, (1, 2, 6, 5))
     before = bn.running_mean.copy()
@@ -532,10 +524,9 @@ def test_fused_batchnorm_matches_composite_formula(batch, dtype):
     for training in (True, True, False):
         arrays = [(2.0 + 3.0 * g.standard_normal(shape)).astype(dtype) for _ in range(2)]
         weight = g.standard_normal((2,) + shape).astype(dtype)
-        x = ComplexTensor(Tensor(arrays[0].copy()), Tensor(arrays[1].copy()))
+        x = Tensor(np.concatenate(arrays, axis=1))
         out = _norm_only(x, bn, training)
-        backward(ad.reduce_sum(out.re * ad.constant(weight[0]))
-                 + ad.reduce_sum(out.im * ad.constant(weight[1])))
+        backward(ad.reduce_sum(out * ad.constant(np.concatenate(weight, axis=1))))
         parts = []
         for part, arr, w in (("r", arrays[0], weight[0]), ("i", arrays[1], weight[1])):
             t = Tensor(arr.copy())
@@ -546,10 +537,9 @@ def test_fused_batchnorm_matches_composite_formula(batch, dtype):
             )
             backward(ad.reduce_sum(y * ad.constant(w)))
             parts.append((y, t))
-        close(out.re.data, parts[0][0].data)
-        close(out.im.data, parts[1][0].data)
-        close(x.re.grad, parts[0][1].grad)
-        close(x.im.grad, parts[1][1].grad)
+        for have, grad, (y, t) in zip(_halves(out), np.split(x.grad, 2, axis=1), parts):
+            close(have, y.data)
+            close(grad, t.grad)
         for name, b in bn.buffers().items():
             close(b, ref_buffers[name])
     for name, p in bn.params().items():  # summed over the three calls
@@ -685,9 +675,10 @@ def test_conv_block_output_with_two_consumers():
     grads = []
     for make in (case.fused, case.composite):
         t = case.leaves()
-        h = complex_split(make(t, case.running_copy(), True))
-        nxt = conv2d(complex_stack(h), w_next, (2, 1), (2, 2), (1, 0))
-        skip = ad.concat([h.re, h.re, h.im, h.im], axis=1)
+        h = make(t, case.running_copy(), True)
+        re, im = ad.narrow(h, 1, 0, 3), ad.narrow(h, 1, 3, 3)
+        nxt = conv2d(h, w_next, (2, 1), (2, 2), (1, 0))
+        skip = ad.concat([re, re, im, im], axis=1)
         backward(ad.reduce_sum(nxt * weights[0]) + ad.reduce_sum(skip * weights[1]))
         grads.append({k: v.grad for k, v in t.items()})
     for name in grads[0]:
@@ -737,18 +728,6 @@ def test_conv_block_keeps_two_maps_and_eval_runs_in_place():
         tracemalloc.stop()
     assert out._backward is None
     assert peak < out_bytes + padded_bytes + _BAND_BYTES, peak
-
-
-def test_complex_stack_of_split_is_the_same_tensor():
-    t = Tensor(_rng(33).standard_normal((1, 4, 3, 2)))
-    halves = complex_split(t)
-    assert complex_stack(halves) is t
-    assert np.array_equal(halves.re.data, t.data[:, :2]) and np.array_equal(halves.im.data, t.data[:, 2:])
-
-
-def test_complex_magnitude(rng):
-    x = ComplexTensor(Tensor(np.array([3.0])), Tensor(np.array([4.0])))
-    assert complex_magnitude(x).data[0] == pytest.approx(5.0, rel=1e-9)
 
 
 def test_prelu_closed_forms():
@@ -886,23 +865,23 @@ def test_complex_lstm_causality_bit_exact():
     base = cl(Tensor(x.copy()))
     x[1, 4] += 5.0  # the imaginary part at frame 4
     pert = cl(Tensor(x))
-    for have, want in ((pert.re, base.re), (pert.im, base.im)):
-        assert np.array_equal(have.data[:4], want.data[:4])
-        assert not np.array_equal(have.data[4:], want.data[4:])
+    for have, want in zip(_halves(pert), _halves(base)):
+        assert np.array_equal(have[:4], want[:4])
+        assert not np.array_equal(have[4:], want[4:])
 
 
 def test_complex_lstm_wiring_matches_manual_combination():
     rng = _rng(14)
     cl = ComplexLSTM(3, 4, rng, np.float64)
-    x = _complex_from(_rng(15), (5, 3))
-    out = cl(Tensor(np.stack([x.re.data, x.im.data])))
+    x_re, x_im = _halves(_complex_from(_rng(15), (5, 3)))
+    out_re, out_im = _halves(cl(Tensor(np.stack([x_re, x_im]))))
     lr, li = cl.lstm_r, cl.lstm_i
-    a = _ref_lstm(x.re.data, lr.wx.data, lr.wh.data, lr.b.data)
-    b = _ref_lstm(x.im.data, li.wx.data, li.wh.data, li.b.data)
-    c = _ref_lstm(x.im.data, lr.wx.data, lr.wh.data, lr.b.data)
-    d = _ref_lstm(x.re.data, li.wx.data, li.wh.data, li.b.data)
-    _close(out.re.data, a - b, np.float64)
-    _close(out.im.data, c + d, np.float64)
+    a = _ref_lstm(x_re, lr.wx.data, lr.wh.data, lr.b.data)
+    b = _ref_lstm(x_im, li.wx.data, li.wh.data, li.b.data)
+    c = _ref_lstm(x_im, lr.wx.data, lr.wh.data, lr.b.data)
+    d = _ref_lstm(x_re, li.wx.data, li.wh.data, li.b.data)
+    _close(out_re, a - b, np.float64)
+    _close(out_im, c + d, np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,13 @@ from hypothesis import strategies as st
 
 from neurobeam import autodiff as ad
 from neurobeam.autodiff import Tensor, constant
+from neurobeam.beamloc import beamform, splm_map
 from neurobeam.dsp import Spectrogram, StftConfig, istft
 from neurobeam.gradcheck import check_gradients
+from neurobeam.layers import to_complex
 from neurobeam.losses import (
     bce_loss,
+    filter_and_sum_tensor,
     si_snr,
     si_snr_loss,
     si_snr_tensor,
@@ -16,7 +19,6 @@ from neurobeam.losses import (
     synthesize_waveform,
     total_loss,
 )
-from neurobeam.layers import ComplexTensor
 
 
 def test_si_snr_perfect_estimate_clamps(rng):
@@ -139,7 +141,7 @@ def test_synthesize_waveform_matches_istft(rng):
     frames = 7
     re = rng.standard_normal((frames, cfg.num_bins))
     im = rng.standard_normal((frames, cfg.num_bins))
-    out = synthesize_waveform(Tensor(re.copy()), Tensor(im.copy()), cfg)
+    out = synthesize_waveform(Tensor(np.stack([re, im])), cfg)
     spec = Spectrogram((re + 1j * im)[np.newaxis], cfg)
     ref = istft(spec).samples[0]
     assert np.array_equal(out.data, ref)
@@ -148,17 +150,67 @@ def test_synthesize_waveform_matches_istft(rng):
 def test_synthesize_waveform_gradient_small(rng):
     cfg = StftConfig(window_length=8, hop=2, fft_size=8)
 
-    def build(re, im):
-        wave = synthesize_waveform(re, im, cfg)
+    def build(spec):
+        wave = synthesize_waveform(spec, cfg)
         return ad.reduce_sum(wave * wave)
 
-    assert check_gradients(build, [rng.standard_normal((3, 5)), rng.standard_normal((3, 5))]) < 1e-4
+    spec = np.stack([rng.standard_normal((3, 5)), rng.standard_normal((3, 5))])
+    assert check_gradients(build, [spec]) < 1e-4
 
 
 def test_splm_map_tensor_zero_weights_give_zero_map_and_gradient(rng):
     steering = np.exp(2j * np.pi * rng.uniform(size=(4, 5, 3)))  # [N x F x M]
-    w = ComplexTensor(Tensor(np.zeros((3, 5, 2))), Tensor(np.zeros((3, 5, 2))))
+    w = Tensor(np.zeros((2, 3, 5, 2)))
     zmap = splm_map_tensor(w, steering)
     assert np.all(zmap.data == 0)
     ad.backward(ad.reduce_sum(zmap))
-    assert np.all(w.re.grad == 0) and np.all(w.im.grad == 0)
+    assert np.all(w.grad == 0)
+
+
+def test_filter_ops_forward_is_the_inference_code(rng):
+    # The training ops wrap beamform and splm_map: their forwards agree bit
+    # for bit, also for a record spanning several splm chunks of bins.
+    m, f, t, n = 4, 257, 9, 12
+    w = rng.standard_normal((2, m, f, t)).astype(np.float32)
+    spec = rng.standard_normal((m, t, f)) + 1j * rng.standard_normal((m, t, f))
+    steering = np.exp(2j * np.pi * rng.uniform(size=(n, f, m)))
+    weights = to_complex(w).transpose(0, 2, 1)
+    enhanced = beamform(weights, spec)
+    out = filter_and_sum_tensor(Tensor(w), spec)
+    assert np.array_equal(out.data, np.stack([enhanced.real, enhanced.imag]).astype(np.float32))
+    zmap = splm_map_tensor(Tensor(w), steering)
+    assert np.array_equal(zmap.data, splm_map(weights, steering).astype(np.float32))
+
+
+def test_splm_map_tensor_gradient_across_chunks(rng):
+    # 37 bins make three chunks of bins, the last one partial.
+    steering = np.exp(2j * np.pi * rng.uniform(size=(3, 37, 2)))  # [N x F x M]
+    weight = constant(rng.standard_normal((3, 3)))
+
+    def build(w):
+        return ad.reduce_sum(splm_map_tensor(w, steering) * weight)
+
+    assert check_gradients(build, [rng.standard_normal((2, 2, 37, 3))]) < 1e-4
+
+
+def test_splm_map_tensor_memory_on_a_6s_record(rng):
+    # A 6 s record of 4 mics and 12 zones: the op keeps the complex128
+    # filters (15.7 MB) and no [F x T x N] steered response (47 MB), and
+    # its backward builds the response one chunk of bins at a time.
+    import tracemalloc
+
+    m, f, t, n = 4, 257, 957, 12
+    w = Tensor(rng.standard_normal((2, m, f, t), dtype=np.float32))
+    steering = np.exp(2j * np.pi * rng.uniform(size=(n, f, m)))
+    weight = constant(rng.standard_normal((t, n)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        zmap = splm_map_tensor(w, steering)
+        kept = tracemalloc.get_traced_memory()[0]
+        ad.backward(ad.reduce_sum(zmap * weight))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.grad.shape == w.shape
+    assert kept < 20e6, kept
+    assert peak < 64e6, peak

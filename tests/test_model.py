@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from neurobeam import autodiff as ad
+from neurobeam.autodiff import Tensor
 from neurobeam.checkpoint import load_checkpoint, save_checkpoint
-from neurobeam.layers import ComplexTensor
+from neurobeam.layers import to_complex
 from neurobeam.model import (
     MimoDccrn,
     MimoDccrnConfig,
     NlmConfig,
     pack_input,
-    unpack_spectrogram,
 )
 
 # Frozen when the architecture was first built; any change to the layer
@@ -39,6 +39,12 @@ def random_spec(rng, mics, frames, bins=257):
     )
 
 
+def filter_image(w, dtype):
+    """Complex filters [M x T x F] -> the NLM head's stacked image [1 x 2M x F x T]."""
+    w = w.transpose(0, 2, 1)
+    return Tensor(np.concatenate([w.real, w.imag]).astype(dtype)[np.newaxis])
+
+
 def test_config_rejects_bad_divisibility():
     with pytest.raises(ValueError, match="divisible"):
         MimoDccrnConfig(freq_bins_model=250)
@@ -66,21 +72,43 @@ def test_output_shape_contract(rng):
         assert np.all(np.isfinite(w))
 
 
-def test_pack_unpack_roundtrip(rng):
+def test_pack_input_stacked_layout_and_dc(rng):
+    # Channel m holds the real part of mic m, channel M + m its imaginary
+    # part, over the bins above DC; the DC bins come back apart.
     spec = random_spec(rng, 3, 5, bins=257)
     packed, dc = pack_input(spec, 256, np.float64)
-    assert packed.shape == (1, 3, 256, 5)
-    back = unpack_spectrogram(packed.to_numpy(), dc)
-    assert np.allclose(back, spec)
+    assert packed.shape == (1, 6, 256, 5)
+    assert not packed.needs_grad and packed.parents == ()
+    body = spec[:, :, 1:].transpose(0, 2, 1)
+    assert np.array_equal(packed.data[0, :3], body.real)
+    assert np.array_equal(packed.data[0, 3:], body.imag)
+    assert np.array_equal(dc, spec[:, :, 0])
+    packed32, _ = pack_input(spec, 256, np.float32)
+    assert packed32.dtype == np.float32
+    assert np.array_equal(packed32.data, packed.data.astype(np.float32))
 
 
 def test_pack_input_channel_count():
     # One microphone contributes a (re, im) pair: 2M real channels.
     rng = np.random.default_rng(0)
     packed, _ = pack_input(random_spec(rng, 1, 4), 256, np.float64)
-    assert packed.re.shape[1] == 1 and packed.im.shape[1] == 1  # M complex = 2M real
+    assert packed.shape[1] == 2  # M complex = 2M real
     packed6, _ = pack_input(random_spec(rng, 6, 4), 256, np.float64)
-    assert packed6.re.shape[1] == 6
+    assert packed6.shape[1] == 12
+
+
+def test_first_encoder_block_reads_the_packed_leaf(rng):
+    model = desk_model()
+    packed, _ = pack_input(random_spec(rng, 4, 3), 256, model.dtype)
+    enc0, outputs = model.encoder[0], []
+
+    def spy(x, training):
+        outputs.append(enc0(x, training))
+        return outputs[-1]
+
+    model.encoder[0] = spy
+    model.forward(packed, training=True)
+    assert outputs[0].parents[0] is packed
 
 
 def test_dc_weight_copied_from_first_modeled_bin(rng):
@@ -112,14 +140,14 @@ def test_forward_under_no_grad_keeps_no_graph(rng):
     spec = random_spec(rng, 4, 6)
     with ad.no_grad():
         w = model.forward_weights(spec, training=False)
-        image = ComplexTensor(*(ad.reshape(p, (1,) + p.shape) for p in (w.re, w.im)))
-        zmap = model.localize(image, training=False)
-    for out in (w.re, w.im, zmap):
+        zmap = model.localize(ad.reshape(w, (1, 8) + w.shape[2:]), training=False)
+    assert w.shape == (2, 4, 257, 6)
+    for out in (w, zmap):
         assert out.parents == () and out._backward is None and not out.needs_grad
     recorded = model.forward_weights(spec, training=False)
-    assert recorded.re.parents and recorded.re.needs_grad
-    assert np.array_equal(recorded.to_numpy(), w.to_numpy())
-    assert np.array_equal(model.infer_weights(spec), w.to_numpy().transpose(0, 2, 1))
+    assert recorded.parents and recorded.needs_grad
+    assert np.array_equal(recorded.data, w.data)
+    assert np.array_equal(model.infer_weights(spec), to_complex(w.data).transpose(0, 2, 1))
 
 
 def test_causality_of_weights(rng):
@@ -155,8 +183,8 @@ def test_skip_connections_carry_encoder_features(rng):
 
 def test_nlm_output_shape_and_range(rng):
     model = desk_model(zones=12)
-    w = model.infer_weights(random_spec(rng, 4, 6)).transpose(0, 2, 1)[np.newaxis]
-    z = model.localize(ComplexTensor.from_numpy(w, dtype=model.dtype), training=False)
+    w = model.infer_weights(random_spec(rng, 4, 6))
+    z = model.localize(filter_image(w, model.dtype), training=False)
     assert z.shape == (6, 12)
     assert np.all(z.data > 0) and np.all(z.data < 1)
 
@@ -167,10 +195,7 @@ def test_nlm_causality(rng):
     w = model.infer_weights(spec)
 
     def zmap(weights):
-        img = ComplexTensor.from_numpy(
-            weights.transpose(0, 2, 1)[np.newaxis], dtype=model.dtype
-        )
-        return model.localize(img, training=False).data
+        return model.localize(filter_image(weights, model.dtype), training=False).data
 
     base = zmap(w)
     t = 5
@@ -182,7 +207,7 @@ def test_nlm_causality(rng):
 
 def test_localize_without_head_raises(rng):
     model = desk_model(zones=0)
-    w = ComplexTensor.from_numpy(np.zeros((1, 4, 257, 3)), dtype=model.dtype)
+    w = Tensor(np.zeros((1, 8, 257, 3), dtype=model.dtype))
     with pytest.raises(ValueError, match="without a neural localization head"):
         model.localize(w)
 
