@@ -377,7 +377,7 @@ def reshape(a, shape):
 
     def backward_fn(g):
         if a.needs_grad:
-            a.accumulate(g.reshape(in_shape))
+            a.accumulate(g.reshape(in_shape), owned=True)  # a view of the g it owns
 
     return Tensor(out_data, (a,), backward_fn)
 
@@ -389,7 +389,7 @@ def transpose(a, axes):
 
     def backward_fn(g):
         if a.needs_grad:
-            a.accumulate(g.transpose(inv))
+            a.accumulate(g.transpose(inv), owned=True)  # a view of the g it owns
 
     return Tensor(out_data, (a,), backward_fn)
 

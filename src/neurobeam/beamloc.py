@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .arraygeom import ZoneGrid, steering_set
 from .dsp import Spectrogram, istft, stft
-from .layers import release_band_buffer, to_complex
+from .layers import to_complex
 
 DEFAULT_VAD_THRESHOLD = 0.5
 
@@ -122,7 +122,7 @@ def enhance_utterance(
     it. One ``forward_weights`` call makes the filters; in ``nlm`` mode
     its float32 tensor is the NLM head's input image, and its complex128
     form [M x T x F] feeds filter-and-sum and, in ``splm`` mode, the zone
-    map. The conv band buffer is released at the end.
+    map.
     """
     if noisy.channels != model.config.mics:
         raise ValueError(
@@ -144,7 +144,6 @@ def enhance_utterance(
             image = ad.reshape(w, (1, -1) + w.shape[2:])
             zmap = model.localize(image, training=False).data.astype(np.float64)
         enhanced = istft(filter_and_sum(weights, spec))
-    release_band_buffer()
     return enhanced, localization_from_map(zmap, vad_threshold)
 
 

@@ -15,12 +15,14 @@ from pathlib import Path
 from . import __version__
 from .checkpoint import FORMAT_VERSION as CHECKPOINT_VERSION
 from .config import CONFIG_SCHEMA_VERSION, ConfigError, apply_overrides, load_config
+from .model import CHECKPOINT_SCHEMA
 
 
 def _version_string():
     return (
         f"neurobeam {__version__} "
-        f"(config schema {CONFIG_SCHEMA_VERSION}, checkpoint format {CHECKPOINT_VERSION})"
+        f"(config schema {CONFIG_SCHEMA_VERSION}, checkpoint format {CHECKPOINT_VERSION}, "
+        f"checkpoint schema {CHECKPOINT_SCHEMA})"
     )
 
 

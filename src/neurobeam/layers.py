@@ -4,15 +4,17 @@ Every complex quantity in the graph is one real tensor; there is no
 complex pair type. The layout rule: the operands of a block kernel stack
 [re; im] on axis 1, so a feature map is [B x 2C x F x T] (the C real
 channels, then the C imaginary ones) and a sequence is [T x 2D].
-Signal-level quantities carry a leading part axis of 2 instead: the
-filters [2 x M x F x T], the beamformed spectrum [2 x T x F] and the LSTM
-input [2 x T x D]. ``to_complex`` turns such a part-axis array into a
-complex128 numpy array.
+Signal-level quantities and complex parameters carry a leading part axis
+of 2 instead: the filters [2 x M x F x T], the beamformed spectrum
+[2 x T x F], the LSTM input [2 x T x D], a kernel [2 x O x C x kf x kt],
+a bias or a BN vector [2 x C]. ``to_complex`` turns such a part-axis
+array into a complex128 numpy array.
 
 A complex conv or deconv is one real conv (an im2col GEMM) of the stacked
-map with the block kernel [[Wr, -Wi], [Wi, Wr]]; conv -> complex batch
-norm -> PReLU is one op, ``conv_bn_prelu``, with the gammas, betas and
-slopes stacked as [r; i]. It keeps two maps for backward, recomputes the
+map with the block kernel [[Wr, -Wi], [Wi, Wr]], which ``block_kernel``
+builds from the kernel as one op; conv -> complex batch norm -> PReLU is
+one op, ``conv_bn_prelu``, which reads the [2 x C] gammas, betas and
+slopes as [2C] vectors. It keeps two maps for backward, recomputes the
 rest there, and under ``no_grad()`` keeps nothing.
 Convolutions stride the frequency axis and are causal along time
 (past-only padding).
@@ -20,16 +22,14 @@ Convolutions stride the frequency axis and are causal along time
 The real conv kernels (forward, input adjoint, kernel adjoint, and both
 adjoints of a deconv from one patch pass) are im2col GEMMs that hold neither
 a whole patch matrix nor a padded copy of a map: they build the patches of
-the unpadded map one band of output-frequency rows at a time in a small
-buffer each thread keeps resident, zeroing the padding there, and the input
-adjoint scatters into the unpadded gradient. The LSTM is one op that runs
-K weight sets over S sequences in a single time loop; the complex LSTM is
-one such call (K = S = 2) and the complex product rule.
+the unpadded map one band of output-frequency rows at a time in one band
+array per call, zeroing the padding there, and the input adjoint scatters
+into the unpadded gradient. The LSTM is one op that runs K weight sets over
+S sequences in a single time loop; the complex LSTM is one such call
+(K = S = 2) and the complex product rule.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -53,44 +53,26 @@ def _conv_out_size(n, k, stride, pad):
 
 
 # One band of an im2col patch (or column) matrix is at most this many
-# bytes, and the band buffer is the kernels' only patch storage (no kernel
-# pads a copy of its input). Chosen by timing the train-6s benchmark step
-# (forward and backward of the default model on 6 s of audio; 2-vCPU x86
-# machine with 2 MiB of L2 per core, one BLAS thread): budgets of 1, 2, 4,
-# 8 and 16 MiB gave per-step medians within the run-to-run spread of each
-# other, and five alternating 4 vs 8 MiB runs favoured 4 MiB in all five
-# (1.53 vs 1.60 s), with 5 MB less peak memory. 4 MiB is about 3% of the
-# largest whole patch matrix (119 MB, the NLM head's second conv, 6 s).
+# bytes. Each kernel call makes one band array, sized for its largest band,
+# and it is the call's only patch storage (no kernel pads a copy of its
+# input). Chosen by timing the train-6s benchmark step (forward and
+# backward of the default model on 6 s of audio; 2-vCPU x86 machine with
+# 2 MiB of L2 per core, one BLAS thread): budgets of 1, 2, 4, 8 and 16 MiB
+# gave per-step medians within the run-to-run spread of each other, and
+# five alternating 4 vs 8 MiB runs favoured 4 MiB in all five (1.53 vs
+# 1.60 s), with 5 MB less peak memory. 4 MiB is about 3% of the largest
+# whole patch matrix (119 MB, the NLM head's second conv, 6 s).
 _BAND_BYTES = 4 << 20
 
-# The band buffer of each thread: it stays resident between kernel calls,
-# so building a patch band writes into memory that is already mapped. It
-# grows to the largest band used so far, which is at most _BAND_BYTES
-# unless a single output row needs more. No array a kernel returns refers
-# to it. Grown mid-forward, it sits high in the malloc heap and keeps the
-# maps freed below it resident, so inference releases it after each record.
-_band_store = threading.local()
 
-
-def release_band_buffer():
-    """Free this thread's band buffer; the next kernel call makes a new one."""
-    _band_store.__dict__.clear()
-
-
-def _band_buffer(shape, dtype):
-    """An uninitialized ``shape`` array of ``dtype`` in this thread's band buffer."""
-    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
-    buf = getattr(_band_store, "buf", None)
-    if buf is None or buf.nbytes < nbytes:
-        buf = _band_store.buf = np.empty(nbytes, dtype=np.uint8)
-    return buf[:nbytes].view(dtype).reshape(shape)
-
-
-def _row_bands(rows, row_bytes):
-    """(u0, u1) ranges of output-frequency rows whose patch band fits the budget."""
-    step = max(1, _BAND_BYTES // row_bytes)
-    for u0 in range(0, rows, step):
-        yield u0, min(u0 + step, rows)
+def _bands(rows, row_elems, dtype):
+    """(u0, u1, band) per range u0..u1-1 of output-frequency rows whose
+    patch band of ``row_elems`` entries per row fits the budget; each
+    ``band`` is a flat view of one uninitialized array sized for the largest."""
+    step = max(1, _BAND_BYTES // (row_elems * np.dtype(dtype).itemsize))
+    buf = np.empty(min(step, rows) * row_elems, dtype)
+    ranges = [(u0, min(u0 + step, rows)) for u0 in range(0, rows, step)]
+    return [(u0, u1, buf[: (u1 - u0) * row_elems]) for u0, u1 in ranges]
 
 
 def _taps(n_in, k, stride, pad, lo, hi):
@@ -111,7 +93,7 @@ def _rows(a, b, u0, u1):
 def _patch_gemms(x, kshape, stride, pad_f, pad_t, out_ft, w=None, out=None, y=None):
     """im2col GEMMs of an unpadded [B x C x F x T] map for a ``kshape``
     [O x C x kf x kt] kernel: each band of output rows' patch matrix is
-    built once in the band buffer and serves up to two GEMMs.
+    built once in the call's band array and serves up to two GEMMs.
 
     The [C*kf*kt x (u1-u0)*to] patch matrix ``cols`` of output rows u0..u1-1
     of batch item b holds in column (u, v) the receptive field of the padded
@@ -125,9 +107,10 @@ def _patch_gemms(x, kshape, stride, pad_f, pad_t, out_ft, w=None, out=None, y=No
     o, (b_n, c, fi, ti) = kshape[0], x.shape
     gw_t = None if y is None else np.zeros((c * kf * kt, o), np.result_type(x, y))
     t_taps = list(_taps(ti, kt, st, pad_t, 0, to))
+    bands = _bands(fo, c * kf * kt * to, x.dtype)
     for b in range(b_n):
-        for u0, u1 in _row_bands(fo, c * kf * kt * to * x.itemsize):
-            cols = _band_buffer((c, kf, kt, u1 - u0, to), x.dtype)
+        for u0, u1, band in bands:
+            cols = band.reshape(c, kf, kt, u1 - u0, to)
             for i, a, z, r0 in _taps(fi, kf, sf, pad_f, u0, u1):
                 rows = x[b, :, r0 : r0 + sf * (z - a) : sf]
                 cols[:, i, :, : a - u0] = 0
@@ -169,9 +152,10 @@ def conv2d_input_adjoint(g, w, stride, pad_f, pad_t, in_ft):
     w_t = w.reshape(o, -1).T
     x_grad = np.zeros((b_n, c, fi, ti), dtype=dtype)
     t_taps = list(_taps(ti, kt, st, pad_t, 0, to))
+    bands = _bands(fo, c * kf * kt * to, dtype)
     for b in range(b_n):
-        for u0, u1 in _row_bands(fo, c * kf * kt * to * dtype.itemsize):
-            cols = _band_buffer((c * kf * kt, (u1 - u0) * to), dtype)
+        for u0, u1, band in bands:
+            cols = band.reshape(c * kf * kt, (u1 - u0) * to)
             np.matmul(w_t, _rows(g, b, u0, u1), out=cols)
             cols = cols.reshape(c, kf, kt, u1 - u0, to)
             for i, a, z, r0 in _taps(fi, kf, sf, pad_f, u0, u1):
@@ -242,14 +226,14 @@ def _conv_op(x, w, bias, parts):
     def backward_fn(g):
         _accumulate_conv_grads(x, w, grads, g)
         if bias is not None and bias.needs_grad:
-            bias.accumulate(g.sum(axis=(0, 2, 3)), owned=True)
+            bias.accumulate(g.sum(axis=(0, 2, 3)).reshape(bias.shape), owned=True)
 
     return Tensor(out_data, parents, backward_fn)
 
 
 def conv2d(x, w, stride, pad_f, pad_t, bias=None):
     """Strided 2-d convolution as an autodiff op, with an optional
-    per-output-channel bias."""
+    per-output-channel bias (any shape of as many entries)."""
     return _conv_op(x, w, bias, _conv_parts(x, w, stride, pad_f, pad_t))
 
 
@@ -291,7 +275,9 @@ def conv_bn_prelu(x, w, parts, gamma, beta, slope, running, training, eps=1e-5, 
     kept: backward recomputes y for the PReLU mask and slope gradient, then
     applies gamma * inv_std * (dy - mean(dy) - xh * mean(dy * xh)) (Ioffe &
     Szegedy, 2015; gamma * inv_std * dy under frozen statistics) and the conv
-    adjoints, overwriting its ``g``. Under ``no_grad()`` it keeps nothing."""
+    adjoints, overwriting its ``g``. Under ``no_grad()`` it keeps nothing.
+    The parameters and statistics are read as flat per-channel views of any
+    shape ([2 x C] in a complex block), and each gradient has its parameter's."""
     xh_map, grads = parts  # the conv output, standardized in place
     channels = xh_map.shape[1]
     n = xh_map.size // channels
@@ -299,7 +285,8 @@ def conv_bn_prelu(x, w, parts, gamma, beta, slope, running, training, eps=1e-5, 
     recording = ad.is_recording()
     out = np.empty_like(xh_map) if recording else xh_map
     cs = (slice(None), None, None)  # a per-channel vector against a [k x F x T] group
-    gam, bet, slp = gamma.data[cs], beta.data[cs], slope.data[cs]
+    gam, bet, slp = (p.data.reshape(-1)[cs] for p in (gamma, beta, slope))
+    running = [a.reshape(-1) for a in running]
     mean, var = (np.empty(channels, dtype), np.empty(channels, dtype)) if training else running
     inv_std = np.empty(channels, dtype)
     groups = list(_channel_groups(xh_map))
@@ -328,7 +315,7 @@ def conv_bn_prelu(x, w, parts, gamma, beta, slope, running, training, eps=1e-5, 
         return Tensor(out)
 
     def backward_fn(g):
-        k = gamma.data * inv_std
+        k = gamma.data.reshape(-1) * inv_std
         d_gamma, d_beta, d_slope = (np.empty(channels, dtype) for _ in range(3))
         tmp = np.empty(group_shape, dtype)
         mask = np.empty(group_shape, bool)
@@ -354,7 +341,7 @@ def conv_bn_prelu(x, w, parts, gamma, beta, slope, running, training, eps=1e-5, 
                 gv -= t
         for param, grad in ((gamma, d_gamma), (beta, d_beta), (slope, d_slope)):
             if param.needs_grad:
-                param.accumulate(grad, owned=True)
+                param.accumulate(grad.reshape(param.shape), owned=True)
         _accumulate_conv_grads(x, w, grads, g)
 
     return Tensor(out, (x, w, gamma, beta, slope), backward_fn)
@@ -364,17 +351,30 @@ def conv_bn_prelu(x, w, parts, gamma, beta, slope, running, training, eps=1e-5, 
 # Complex kernels in real block form
 # ---------------------------------------------------------------------------
 
-def block_kernel(w_r, w_i):
-    """Real block form [[Wr, -Wi], [Wi, Wr]] of the complex kernel Wr + jWi.
+def block_kernel(w):
+    """Real block form [[Wr, -Wi], [Wi, Wr]] [2O x 2C x ...] of the complex
+    kernel ``w`` [2 x O x C x ...] = (Wr, Wi), as one op.
 
     Applied to a stacked map it gives the stacked complex product
     (Wr xr - Wi xi; Wi xr + Wr xi); its adjoint is the conjugate
     transpose, so ``conv2d_transpose`` with the same block is the
-    complex deconvolution.
+    complex deconvolution. With G11 ... G22 the four blocks of the
+    output gradient, Wr gets G11 + G22 and Wi gets G21 - G12.
     """
-    top = ad.concat([w_r, ad.neg(w_i)], axis=1)
-    bottom = ad.concat([w_i, w_r], axis=1)
-    return ad.concat([top, bottom], axis=0)
+    w_r, w_i = w.data
+    o, c = w_r.shape[:2]
+    out = np.empty((2 * o, 2 * c) + w_r.shape[2:], w.dtype)
+    out[:o, :c] = out[o:, c:] = w_r
+    out[o:, :c] = w_i
+    np.negative(w_i, out=out[:o, c:])
+
+    def backward_fn(g):
+        gw = np.empty(w.shape, g.dtype)
+        np.add(g[:o, :c], g[o:, c:], out=gw[0])
+        np.subtract(g[o:, :c], g[:o, c:], out=gw[1])
+        w.accumulate(gw, owned=True)
+
+    return Tensor(out, (w,), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +388,7 @@ def lstm(x, wx, wh, b):
     ``x`` is [S x T x D]; ``wx`` [K x 4H x D], ``wh`` [K x 4H x H] and
     ``b`` [K x 4H] hold K weight sets. Returns [K x S x T x H]: entry
     (k, s) is the hidden-state sequence of weight set k run over sequence
-    s. The 2-D call ``lstm(x [T x D], wx [4H x D], wh [4H x H], b [4H])``
-    is the case K = S = 1 and returns [T x H].
+    s.
 
     Gate packing along the 4H axis is (input, forget, cell, output). Each
     frame takes one tanh of all 4H pre-activations: a sigmoid gate is
@@ -399,8 +398,7 @@ def lstm(x, wx, wh, b):
     computes every gate derivative before its time loop, which then only
     chains them.
     """
-    single = x.ndim == 2
-    xd, wxd, whd, bd = (a.data[np.newaxis] if single else a.data for a in (x, wx, wh, b))
+    xd, wxd, whd, bd = (a.data for a in (x, wx, wh, b))
     s_n, t_len, d = xd.shape
     k_n, four_h, hidden = whd.shape
     dtype = xd.dtype
@@ -435,7 +433,7 @@ def lstm(x, wx, wh, b):
         np.multiply(go, tcs[t], out=h)
 
     def backward_fn(g):
-        gh = (g[np.newaxis, np.newaxis] if single else g).transpose(2, 0, 1, 3)
+        gh = g.transpose(2, 0, 1, 3)
         gi, gf, gg, go = (gates[..., n * hidden : (n + 1) * hidden] for n in range(4))
         c_prev = np.concatenate([np.zeros_like(cs[:1]), cs[:-1]])
         h_prev = np.concatenate([np.zeros_like(hs[:1]), hs[:-1]])
@@ -464,24 +462,21 @@ def lstm(x, wx, wh, b):
             np.multiply(dh, unit[t, :, :, 3], out=da[t, :, :, 3])
             np.matmul(da[t].reshape(k_n, s_n, four_h), whd, out=dh_next)
 
-        def put(param, grad):
-            param.accumulate(grad[0] if single else grad, owned=True)
-
         da = da.reshape(t_len, k_n, s_n, four_h)
         if x.needs_grad:
             da_s = da.transpose(2, 0, 1, 3).reshape(s_n, t_len, k_n * four_h)
-            put(x, da_s @ wxd.reshape(k_n * four_h, d))
+            x.accumulate(da_s @ wxd.reshape(k_n * four_h, d), owned=True)
         da_k = da.transpose(1, 2, 0, 3).reshape(k_n, s_n * t_len, four_h)
         da_kt = da_k.transpose(0, 2, 1)
         if wx.needs_grad:
-            put(wx, da_kt @ x_rows)
+            wx.accumulate(da_kt @ x_rows, owned=True)
         if wh.needs_grad:
-            put(wh, da_kt @ h_prev.transpose(1, 2, 0, 3).reshape(k_n, s_n * t_len, hidden))
+            h_rows = h_prev.transpose(1, 2, 0, 3).reshape(k_n, s_n * t_len, hidden)
+            wh.accumulate(da_kt @ h_rows, owned=True)
         if b.needs_grad:
-            put(b, da_k.sum(axis=1))
+            b.accumulate(da_k.sum(axis=1), owned=True)
 
-    out = hs.transpose(1, 2, 0, 3)
-    return Tensor(out[0, 0] if single else out, (x, wx, wh, b), backward_fn)
+    return Tensor(hs.transpose(1, 2, 0, 3), (x, wx, wh, b), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +499,9 @@ def zeros_param(shape, dtype):
 class ComplexConv2d:
     """Complex convolution (Wr + jWi) * (xr + jxi) + (br + jbi), computed as
     one real conv of the stacked map [xr; xi] with the block kernel
-    [[Wr, -Wi], [Wi, Wr]] and the stacked bias [br; bi] (none with ``bias=False``)."""
+    [[Wr, -Wi], [Wi, Wr]] of ``w`` [2 x O x C x kf x kt] (a deconv's is
+    [2 x C x O x kf x kt]) and the bias ``b`` [2 x O] (none with
+    ``bias=False``)."""
 
     transposed = False
 
@@ -514,16 +511,11 @@ class ComplexConv2d:
         self.pad_f = ((kf - 1) // 2, kf // 2)
         self.pad_t = (kt - 1, 0) if causal else (0, kt - 1)
         shape = (in_ch, out_ch, kf, kt) if self.transposed else (out_ch, in_ch, kf, kt)
-        self.w_r = uniform_init(rng, shape, in_ch * kf * kt, dtype)
-        self.w_i = uniform_init(rng, shape, in_ch * kf * kt, dtype)
-        self.b_r = zeros_param(out_ch, dtype) if bias else None
-        self.b_i = zeros_param(out_ch, dtype) if bias else None
+        self.w = uniform_init(rng, (2,) + shape, in_ch * kf * kt, dtype)  # Wr drawn, then Wi
+        self.b = zeros_param((2, out_ch), dtype) if bias else None
 
     def params(self):
-        out = {"w_r": self.w_r, "w_i": self.w_i}
-        if self.b_r is not None:
-            out.update(b_r=self.b_r, b_i=self.b_i)
-        return out
+        return {"w": self.w} if self.b is None else {"w": self.w, "b": self.b}
 
     def parts(self, x, w):
         """``_conv_parts`` of the stacked map ``x`` by the block kernel ``w``."""
@@ -532,9 +524,8 @@ class ComplexConv2d:
 
     def __call__(self, x):
         """Stacked map [B x 2C x F x T] -> stacked map [B x 2C' x F' x T]."""
-        w = block_kernel(self.w_r, self.w_i)
-        bias = None if self.b_r is None else ad.concat([self.b_r, self.b_i], axis=0)
-        return _conv_op(x, w, bias, self.parts(x, w))
+        w = block_kernel(self.w)
+        return _conv_op(x, w, self.b, self.parts(x, w))
 
 
 class ComplexConvTranspose2d(ComplexConv2d):
@@ -568,59 +559,53 @@ class Linear:
 class ComplexLinear:
     """(Wr + jWi) x + (br + jbi) over the last axis of a stacked [T x 2D]
     sequence [xr, xi], as one real matmul with the block matrix
-    [[Wr, -Wi], [Wi, Wr]] and the stacked bias [br; bi]: [T x 2D'] out."""
+    [[Wr, -Wi], [Wi, Wr]] of ``w`` [2 x D' x D] and the bias ``b``
+    [2 x D'] read as [br; bi]: [T x 2D'] out."""
 
     def __init__(self, in_features, out_features, rng, dtype):
-        self.w_r = uniform_init(rng, (out_features, in_features), in_features, dtype)
-        self.w_i = uniform_init(rng, (out_features, in_features), in_features, dtype)
-        self.b_r = zeros_param(out_features, dtype)
-        self.b_i = zeros_param(out_features, dtype)
+        self.w = uniform_init(rng, (2, out_features, in_features), in_features, dtype)
+        self.b = zeros_param((2, out_features), dtype)
 
     def params(self):
-        return {"w_r": self.w_r, "w_i": self.w_i, "b_r": self.b_r, "b_i": self.b_i}
+        return {"w": self.w, "b": self.b}
 
     def __call__(self, x):
-        w = block_kernel(self.w_r, self.w_i)
-        out = ad.matmul(x, ad.transpose(w, (1, 0)))
-        return out + ad.concat([self.b_r, self.b_i], axis=0)
+        out = ad.matmul(x, ad.transpose(block_kernel(self.w), (1, 0)))
+        return out + ad.reshape(self.b, (-1,))
 
 
-class RealLSTM:
-    """One LSTM weight set: ``lstm(x, self.wx, self.wh, self.b)``."""
+class ComplexLSTM:
+    """Two real LSTMs (weight sets r, i) combined by the complex product
+    rule: out_re = L_r(x_re) - L_i(x_im), out_im = L_r(x_im) + L_i(x_re),
+    as one ``lstm`` op over both weight sets and both parts: [x_re; x_im]
+    [2 x T x D] -> stacked [out_re, out_im] [T x 2H]. ``wx`` [2 x 4H x D],
+    ``wh`` [2 x 4H x H] and ``b`` [2 x 4H] hold the sets (r, i).
+    """
 
     def __init__(self, input_size, hidden, rng, dtype):
-        self.wx = uniform_init(rng, (4 * hidden, input_size), input_size, dtype)
-        self.wh = uniform_init(rng, (4 * hidden, hidden), hidden, dtype)
-        self.b = zeros_param(4 * hidden, dtype)
+        four_h = 4 * hidden
+        shapes = (((four_h, input_size), input_size), ((four_h, hidden), hidden))
+        # Weight set r draws wx then wh, then set i does.
+        sets = [[uniform_init(rng, shape, fan_in, dtype).data for shape, fan_in in shapes]
+                for _ in "ri"]
+        self.wx, self.wh = (Tensor(np.stack(pair)) for pair in zip(*sets))
+        self.b = zeros_param((2, four_h), dtype)
 
     def params(self):
         return {"wx": self.wx, "wh": self.wh, "b": self.b}
 
-
-class ComplexLSTM:
-    """Two real LSTMs combined by the complex product rule:
-    out_re = L_r(x_re) - L_i(x_im), out_im = L_r(x_im) + L_i(x_re),
-    as one ``lstm`` op over both weight sets and both parts: [x_re; x_im]
-    [2 x T x D] -> stacked [out_re, out_im] [T x 2H].
-    """
-
-    def __init__(self, input_size, hidden, rng, dtype):
-        self.lstm_r = RealLSTM(input_size, hidden, rng, dtype)
-        self.lstm_i = RealLSTM(input_size, hidden, rng, dtype)
-
-    def params(self):
-        parts = (("r", self.lstm_r), ("i", self.lstm_i))
-        return {f"{n}.{key}": p for n, layer in parts for key, p in layer.params().items()}
-
     def __call__(self, x):
-        r, i = self.lstm_r, self.lstm_i
-        weights = (ad.reshape(ad.concat([a, b], axis=0), (2,) + a.shape)
-                   for a, b in ((r.wx, i.wx), (r.wh, i.wh), (r.b, i.b)))
-        out = lstm(x, *weights)
-        # out[k, s] is weight set k (r, i) over part s (re, im), a view.
-        t_len, hidden = out.shape[2:]
+        return complex_lstm(x, self.wx, self.wh, self.b)
 
-        def run(k, s):
-            return ad.reshape(ad.narrow(ad.narrow(out, 0, k, 1), 1, s, 1), (t_len, hidden))
 
-        return ad.concat([run(0, 0) - run(1, 1), run(0, 1) + run(1, 0)], axis=1)
+def complex_lstm(x, wx, wh, b):
+    """The complex LSTM of ``ComplexLSTM`` with the stacked weight sets
+    ``wx``, ``wh`` and ``b``: [2 x T x D] -> [T x 2H]."""
+    out = lstm(x, wx, wh, b)
+    # out[k, s] is weight set k (r, i) over part s (re, im), a view.
+    t_len, hidden = out.shape[2:]
+
+    def run(k, s):
+        return ad.reshape(ad.narrow(ad.narrow(out, 0, k, 1), 1, s, 1), (t_len, hidden))
+
+    return ad.concat([run(0, 0) - run(1, 1), run(0, 1) + run(1, 0)], axis=1)

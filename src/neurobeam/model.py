@@ -33,7 +33,7 @@ from .layers import (
 
 MAGNITUDE_EPS = 1e-12
 
-CHECKPOINT_SCHEMA = 2  # layout of the model's checkpoint arrays; see upgrade_arrays
+CHECKPOINT_SCHEMA = 3  # layout of the model's checkpoint arrays; see upgrade_arrays
 
 
 @dataclass(frozen=True)
@@ -132,35 +132,32 @@ def _named(method, parts):
 
 class _ConvBlock:
     """conv/deconv -> complex BN -> PReLU as one ``conv_bn_prelu`` op, with
-    no conv bias (the BN mean cancels it) and the parameters ``bn.gamma_r``
-    ... ``act.slope_i`` stacked [r; i]; the last decoder block is a bare conv."""
+    no conv bias (the BN mean cancels it); ``bn.gamma``, ``bn.beta``,
+    ``act.slope`` and the running statistics are [2 x C] (r, i). The last
+    decoder block is a bare conv."""
 
     def __init__(self, conv_cls, in_ch, channels, kernel, stride, rng, dtype, with_norm=True):
         self.conv = conv_cls(in_ch, channels, kernel, stride, rng, dtype, bias=not with_norm)
-        self.norm, self.running = {}, ()
+        self.norm, self.running = {}, {}
         if with_norm:
+            shape = (2, channels)
             for name, init in (("bn.gamma", 1.0), ("bn.beta", 0.0), ("act.slope", 0.25)):
-                for part in "ri":
-                    self.norm[f"{name}_{part}"] = Tensor(np.full(channels, init, dtype=dtype))
-            self.running = (np.zeros(2 * channels, dtype), np.ones(2 * channels, dtype))
+                self.norm[name] = Tensor(np.full(shape, init, dtype=dtype))
+            self.running = {"bn.running_mean": np.zeros(shape, dtype),
+                            "bn.running_var": np.ones(shape, dtype)}
 
     def params(self):
         return {**_named("params", (("conv", self.conv),)), **self.norm}
 
     def buffers(self):
-        out = {}
-        for stat, a in zip(("mean", "var"), self.running):
-            half = a.size // 2
-            out[f"bn.running_{stat}_r"], out[f"bn.running_{stat}_i"] = a[:half], a[half:]
-        return out
+        return self.running
 
     def __call__(self, x, training):
         if not self.norm:
             return self.conv(x)
-        w = block_kernel(self.conv.w_r, self.conv.w_i)
-        vectors = [ad.concat([self.norm[f"{name}_r"], self.norm[f"{name}_i"]], axis=0)
-                   for name in ("bn.gamma", "bn.beta", "act.slope")]
-        return conv_bn_prelu(x, w, self.conv.parts(x, w), *vectors, self.running, training)
+        w = block_kernel(self.conv.w)
+        return conv_bn_prelu(x, w, self.conv.parts(x, w), *self.norm.values(),
+                             self.running.values(), training)
 
 
 class NlmHead:
@@ -353,18 +350,31 @@ def upgrade_arrays(arrays, meta):
 
     Schema 1 (or no "schema") had a bias b on each conv before a batch norm;
     it is folded into the running mean as rm - b, which keeps the eval output
-    (training cancels b), and dropped with its Adam moments."""
-    if meta.get("schema", 1) >= CHECKPOINT_SCHEMA:
+    (training cancels b), and dropped with its Adam moments. Schemas 1 and 2
+    stored each complex parameter, running statistic and Adam moment as two
+    arrays, ``X_r`` and ``X_i`` (``lstm.r.K`` and ``lstm.i.K``); they are
+    stacked into one ``X`` (``lstm.K``) of shape [2 x ...]."""
+    schema = meta.get("schema", 1)
+    if schema >= CHECKPOINT_SCHEMA:
         return arrays
     arrays = dict(arrays)
-    for key in [k for k in arrays if k.startswith("buffer.") and ".bn.running_mean_" in k]:
-        block, part = key[len("buffer."):].split(".bn.running_mean_")
-        bias = f"{block}.conv.b_{part}"
-        if f"param.{bias}" not in arrays:
-            raise ValueError(f"schema-1 checkpoint is missing tensor 'param.{bias}'")
-        arrays[key] = arrays[key] - arrays.pop(f"param.{bias}")
-        arrays.pop(f"adam.m.{bias}", None)
-        arrays.pop(f"adam.v.{bias}", None)
+    if schema < 2:
+        for key in [k for k in arrays if k.startswith("buffer.") and ".bn.running_mean_" in k]:
+            block, part = key[len("buffer."):].split(".bn.running_mean_")
+            bias = f"{block}.conv.b_{part}"
+            if f"param.{bias}" not in arrays:
+                raise ValueError(f"schema-1 checkpoint is missing tensor 'param.{bias}'")
+            arrays[key] = arrays[key] - arrays.pop(f"param.{bias}")
+            arrays.pop(f"adam.m.{bias}", None)
+            arrays.pop(f"adam.v.{bias}", None)
+    for key in [k for k in arrays if k.endswith("_r") or ".lstm.r." in k]:
+        if key.endswith("_r"):
+            stacked, imag = key[:-2], key[:-2] + "_i"
+        else:
+            stacked, imag = key.replace(".lstm.r.", ".lstm."), key.replace(".lstm.r.", ".lstm.i.")
+        if imag not in arrays:
+            raise ValueError(f"schema-{schema} checkpoint is missing tensor '{imag}'")
+        arrays[stacked] = np.stack([arrays.pop(key), arrays.pop(imag)])
     return arrays
 
 

@@ -16,9 +16,9 @@ from .dsp import StftConfig, Waveform, istft, stft
 from .gradcheck import check_gradients
 from .layers import (
     _BAND_BYTES,
-    ComplexLSTM,
     _conv_parts,
     block_kernel,
+    complex_lstm,
     conv2d,
     conv_bn_prelu,
     conv2d_input_adjoint,
@@ -35,9 +35,8 @@ GRAD_TOLERANCE = 1e-4
 
 
 def _complex_conv_build(stride, pad_f, pad_t, transpose=False, out_ft=None):
-    def build(x, wr, wi, br, bi):
-        w = block_kernel(wr, wi)
-        bias = ad.concat([br, bi], axis=0)
+    def build(x, w, bias):
+        w = block_kernel(w)
         if transpose:
             y = conv2d_transpose(x, w, stride, pad_f, pad_t, out_ft, bias=bias)
         else:
@@ -51,8 +50,8 @@ def _conv_block_build(weight, training, running, stride, pad_f, pad_t, out_ft=No
     """Weighted squares of a ``conv_bn_prelu`` block (a deconv with
     ``out_ft``) of its inputs, each run from the ``running`` stats."""
 
-    def build(x, wr, wi, gamma, beta, slope):
-        w = block_kernel(wr, wi)
+    def build(x, w, gamma, beta, slope):
+        w = block_kernel(w)
         y = conv_bn_prelu(
             x, w, _conv_parts(x, w, stride, pad_f, pad_t, out_ft),
             gamma, beta, slope, [a.copy() for a in running], training,
@@ -62,13 +61,10 @@ def _conv_block_build(weight, training, running, stride, pad_f, pad_t, out_ft=No
     return build
 
 
-def _complex_lstm_build(x, wxr, whr, br, wxi, whi, bi):
-    """Squares of a ``ComplexLSTM`` output; the sequence and both weight
-    sets are the inputs."""
-    layer = ComplexLSTM(wxr.shape[1], whr.shape[1], np.random.default_rng(0), x.dtype)
-    for real, (wx, wh, b) in ((layer.lstm_r, (wxr, whr, br)), (layer.lstm_i, (wxi, whi, bi))):
-        real.wx, real.wh, real.b = wx, wh, b
-    y = layer(x)
+def _complex_lstm_build(x, wx, wh, b):
+    """Squares of a ``complex_lstm`` output; the sequence and the stacked
+    weight sets are the inputs."""
+    y = complex_lstm(x, wx, wh, b)
     return ad.reduce_sum(y * y)
 
 
@@ -84,26 +80,26 @@ def gradient_cases(seed=0):
     cases.append((
         "complex_conv2d",
         _complex_conv_build((2, 1), (2, 2), (1, 0)),
-        [r(1, 4, 8, 4), 0.3 * r(3, 2, 5, 2), 0.3 * r(3, 2, 5, 2), 0.1 * r(3), 0.1 * r(3)],
+        [r(1, 4, 8, 4), 0.3 * r(2, 3, 2, 5, 2), 0.1 * r(2, 3)],
     ))
     cases.append((
         "complex_deconv2d",
         _complex_conv_build((2, 1), (2, 2), (0, 1), transpose=True, out_ft=(8, 4)),
-        [r(1, 6, 4, 4), 0.3 * r(3, 2, 5, 2), 0.3 * r(3, 2, 5, 2), 0.1 * r(2), 0.1 * r(2)],
+        [r(1, 6, 4, 4), 0.3 * r(2, 3, 2, 5, 2), 0.1 * r(2, 2)],
     ))
     for kind, geometry, x_shape, out_shape in (
         ("conv", ((2, 1), (2, 2), (1, 0)), (1, 4, 8, 4), (1, 6, 4, 4)),
         ("deconv", ((2, 1), (2, 2), (0, 1), (8, 4)), (1, 6, 4, 4), (1, 4, 8, 4)),
     ):
         c_out = out_shape[1] // 2
-        # [r; i] parameter vectors: gamma, beta and PReLU slope
-        block_params = [base + 0.1 * r(2 * c_out) for base in (1.0, 0.0, 0.25)]
+        # [2 x C] (r, i) parameters: gamma, beta and PReLU slope
+        block_params = [base + 0.1 * r(2, c_out) for base in (1.0, 0.0, 0.25)]
         running = [0.3 * r(2 * c_out), 0.5 + rng.uniform(size=2 * c_out)]
         for training, suffix in ((True, ""), (False, "_eval")):
             cases.append((
                 f"complex_{kind}_block{suffix}",
                 _conv_block_build(r(*out_shape), training, running, *geometry),
-                [r(*x_shape), 0.3 * r(3, 2, 5, 2), 0.3 * r(3, 2, 5, 2), *block_params],
+                [r(*x_shape), 0.3 * r(2, 3, 2, 5, 2), *block_params],
             ))
     cases.append((
         "prelu",
@@ -115,13 +111,10 @@ def gradient_cases(seed=0):
         lambda x, s: ad.reduce_sum(ad.prelu(x, s, 1) * ad.prelu(x, s, 1)),
         [r(2, 4, 3, 5), 0.25 + 0.1 * r(4)],
     ))
-    cases.append((
-        "complex_lstm",
-        _complex_lstm_build,
-        [r(2, 3, 4),
-         0.4 * r(12, 4), 0.4 * r(12, 3), 0.1 * r(12),
-         0.4 * r(12, 4), 0.4 * r(12, 3), 0.1 * r(12)],
-    ))
+    x_seq = r(2, 3, 4)
+    # The r weight set (wx, wh, b) is drawn, then the i set; each is stacked.
+    sets = [[0.4 * r(12, 4), 0.4 * r(12, 3), 0.1 * r(12)] for _ in "ri"]
+    cases.append(("complex_lstm", _complex_lstm_build, [x_seq, *map(np.stack, zip(*sets))]))
     cases.append((
         "linear",
         lambda x, w, b: ad.reduce_sum(

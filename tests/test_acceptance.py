@@ -244,8 +244,8 @@ def test_criterion_5_gradient_suite():
         return build
 
     check_rng = np.random.default_rng(11)
-    err_nlm = check_model_gradients(model.params(), loss_with_head("nlm"), check_rng, 2)
-    err_splm = check_model_gradients(model.params(), loss_with_head("splm"), check_rng, 2)
+    err_nlm = check_model_gradients(model.params(), loss_with_head("nlm"), check_rng, 4)
+    err_splm = check_model_gradients(model.params(), loss_with_head("splm"), check_rng, 4)
     e2e_ok = err_nlm < 1e-3 and err_splm < 1e-3
     _report(
         5, "gradient suite: ops < 1e-4, micro model end-to-end < 1e-3",

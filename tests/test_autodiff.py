@@ -204,6 +204,21 @@ def test_pass_through_gradient_is_not_shared_between_inputs():
         assert np.array_equal(z.grad, sign * w.data + 1.0)
 
 
+def test_reshape_and_transpose_pass_their_gradient_on_uncopied():
+    # Each hands its parent a view of the gradient it owns; a later
+    # contribution to the parent is added into that view.
+    xd = np.arange(6.0).reshape(2, 3)
+    w = constant(np.arange(1.0, 7.0).reshape(3, 2))
+    x = Tensor(xd.copy())
+    y = ad.transpose(ad.reshape(x, (3, 2)), (1, 0))
+    backward(ad.reduce_sum(y * ad.transpose(w, (1, 0))))
+    assert x.grad.base is not None  # a view, not a copy
+    assert np.array_equal(x.grad, w.data.reshape(2, 3))
+    x.zero_grad()
+    backward(ad.reduce_sum(ad.reshape(x, (6,)) * ad.reshape(w, (6,))) + ad.reduce_sum(x * x))
+    assert np.array_equal(x.grad, w.data.reshape(2, 3) + 2.0 * xd)
+
+
 def test_no_grad_records_nothing_and_restores_recording(rng):
     x = Tensor(rng.standard_normal((2, 3)))
     with ad.no_grad():

@@ -49,6 +49,9 @@ def test_version_prints_schemas(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "neurobeam" in out and "config schema" in out and "checkpoint format" in out
+    from neurobeam.model import CHECKPOINT_SCHEMA
+
+    assert f"checkpoint schema {CHECKPOINT_SCHEMA})" in out
 
 
 def test_synth_count_zero(tmp_path, config_path):

@@ -41,8 +41,7 @@ def _halves(t):
 def test_conv_one_by_one_identity():
     rng = _rng(1)
     layer = ComplexConv2d(3, 3, (1, 1), (1, 1), rng, np.float64)
-    layer.w_r.data = np.eye(3).reshape(3, 3, 1, 1)
-    layer.w_i.data = np.zeros((3, 3, 1, 1))
+    layer.w.data = np.stack([np.eye(3), np.zeros((3, 3))]).reshape(2, 3, 3, 1, 1)
     x = _complex_from(rng, (1, 3, 5, 4))
     out = layer(x)
     for have, want in zip(_halves(out), _halves(x)):
@@ -52,19 +51,19 @@ def test_conv_one_by_one_identity():
 def test_conv_zero_imag_kernel_reduces_to_real_convs():
     rng = _rng(2)
     layer = ComplexConv2d(2, 4, (5, 2), (2, 1), rng, np.float64)
-    layer.w_i.data[...] = 0.0
+    layer.w.data[1] = 0.0
     x = _complex_from(rng, (1, 2, 8, 6))
     out = layer(x)
     for have, part in zip(_halves(out), _halves(x)):
-        real_only = conv2d(Tensor(part), layer.w_r, (2, 1), layer.pad_f, layer.pad_t)
+        real_only = conv2d(Tensor(part), Tensor(layer.w.data[0]), (2, 1), layer.pad_f, layer.pad_t)
         assert np.allclose(have, real_only.data)
 
 
 def test_conv_single_element_complex_product():
     rng = _rng(3)
     layer = ComplexConv2d(1, 1, (1, 1), (1, 1), rng, np.float64)
-    layer.w_r.data[...] = 0.0
-    layer.w_i.data[...] = 1.0  # kernel = j
+    layer.w.data[0] = 0.0
+    layer.w.data[1] = 1.0  # kernel = j
     x = Tensor(np.array([1.0, 0.0]).reshape(1, 2, 1, 1))
     out = layer(x)  # (0 + j) * (1 + 0j) = j
     assert out.data[0, 0, 0, 0] == pytest.approx(0.0)
@@ -86,8 +85,7 @@ def test_deconv_is_adjoint_of_conv():
     rng = _rng(5)
     conv = ComplexConv2d(2, 3, (5, 2), (2, 1), rng, np.float64, causal=False)
     deconv = ComplexConvTranspose2d(3, 2, (5, 2), (2, 1), rng, np.float64)
-    deconv.w_r = conv.w_r
-    deconv.w_i = conv.w_i
+    deconv.w = conv.w
     x = _complex_from(rng, (1, 2, 8, 4))
     y = _complex_from(rng, (1, 3, 4, 4))
     cx = conv(x)
@@ -100,8 +98,7 @@ def test_deconv_is_adjoint_of_conv():
 def test_deconv_identity_kernel():
     rng = _rng(6)
     layer = ComplexConvTranspose2d(2, 2, (1, 1), (1, 1), rng, np.float64)
-    layer.w_r.data = np.eye(2).reshape(2, 2, 1, 1)
-    layer.w_i.data = np.zeros((2, 2, 1, 1))
+    layer.w.data = np.stack([np.eye(2), np.zeros((2, 2))]).reshape(2, 2, 2, 1, 1)
     x = _complex_from(rng, (1, 2, 6, 3))
     out = layer(x)
     for have, want in zip(_halves(out), _halves(x)):
@@ -228,7 +225,7 @@ def test_conv_kernels_match_nested_loop_reference(batch, stride, kernel, causal,
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_conv_kernels_match_nested_loop_reference_across_bands(dtype):
     from neurobeam.layers import (
-        _BAND_BYTES, _row_bands, conv2d_input_adjoint, conv2d_kernel_adjoint, conv2d_raw,
+        _BAND_BYTES, _bands, conv2d_input_adjoint, conv2d_kernel_adjoint, conv2d_raw,
     )
 
     rng = _rng(50)
@@ -239,7 +236,7 @@ def test_conv_kernels_match_nested_loop_reference_across_bands(dtype):
     # bands of 3, 3 and 2 rows.
     row_unit = c * kf * kt * np.dtype(dtype).itemsize
     f_in, t_in = 16, _BAND_BYTES // (3 * row_unit)
-    assert [u1 - u0 for u0, u1 in _row_bands(8, row_unit * t_in)] == [3, 3, 2]
+    assert [u1 - u0 for u0, u1, _ in _bands(8, c * kf * kt * t_in, dtype)] == [3, 3, 2]
     x = rng.standard_normal((batch, c, f_in, t_in))
     w = rng.standard_normal((o, c, kf, kt))
     ref = _ref_conv(x, w, stride, pad_f, pad_t)
@@ -264,7 +261,6 @@ def test_conv_kernels_never_allocate_the_full_patch_matrix():
     # [480 x 65*957] would take 119 MB in float32.
     import tracemalloc
 
-    from neurobeam import layers
     from neurobeam.layers import (
         _BAND_BYTES, conv2d_input_adjoint, conv2d_kernel_adjoint, conv2d_raw,
     )
@@ -285,7 +281,6 @@ def test_conv_kernels_never_allocate_the_full_patch_matrix():
         ),
     }
     for name, (call, out_bytes) in calls.items():
-        layers._band_store.__dict__.clear()  # count the band buffer in the peak
         tracemalloc.start()
         try:
             call()
@@ -362,10 +357,9 @@ def test_conv_kernels_property_match_reference_across_bands():
 def test_conv_kernels_peak_at_output_plus_one_band():
     # The kernels build patches from the unpadded map and scatter into the
     # unpadded gradient, so no call holds a padded copy of either: the
-    # traced peak is the result, the band buffer and small change.
+    # traced peak is the result, the band array and small change.
     import tracemalloc
 
-    from neurobeam import layers
     from neurobeam.layers import (
         _BAND_BYTES, conv2d_input_adjoint, conv2d_kernel_adjoint, conv2d_raw,
         conv2d_transpose_adjoints,
@@ -390,7 +384,6 @@ def test_conv_kernels_peak_at_output_plus_one_band():
         ),
     }
     for name, (call, out_bytes) in calls.items():
-        layers._band_store.__dict__.clear()  # count the band buffer in the peak
         tracemalloc.start()
         try:
             call()
@@ -405,25 +398,22 @@ def test_conv_kernels_peak_at_output_plus_one_band():
 # ---------------------------------------------------------------------------
 
 class _BatchNormParams:
-    """A complex batch norm's parameters, per part, and its running
-    statistics, stacked [r; i] as ``conv_bn_prelu`` takes them."""
+    """A complex batch norm's parameters and running statistics, each
+    [2 x C] (r, i) as a conv block holds them."""
 
     def __init__(self, channels, dtype):
         self.vectors = {
-            f"{name}_{part}": Tensor(np.full(channels, init, dtype=dtype))
-            for name, init in (("gamma", 1.0), ("beta", 0.0)) for part in "ri"
+            name: Tensor(np.full((2, channels), init, dtype=dtype))
+            for name, init in (("gamma", 1.0), ("beta", 0.0))
         }
-        self.running_mean = np.zeros(2 * channels, dtype=dtype)
-        self.running_var = np.ones(2 * channels, dtype=dtype)
+        self.running_mean = np.zeros((2, channels), dtype=dtype)
+        self.running_var = np.ones((2, channels), dtype=dtype)
 
     def params(self):
         return self.vectors
 
     def buffers(self):
-        c = self.running_mean.size // 2
-        return {f"running_{stat}_{part}": a[sl]
-                for stat, a in (("mean", self.running_mean), ("var", self.running_var))
-                for part, sl in (("r", slice(None, c)), ("i", slice(c, None)))}
+        return {"running_mean": self.running_mean, "running_var": self.running_var}
 
 
 def _norm_only(x, bn, training):
@@ -432,11 +422,9 @@ def _norm_only(x, bn, training):
     width = x.shape[1]
     w = ad.constant(np.eye(width, dtype=x.dtype).reshape(width, width, 1, 1))
     p = bn.params()
-    gamma = ad.concat([p["gamma_r"], p["gamma_i"]], axis=0)
-    beta = ad.concat([p["beta_r"], p["beta_i"]], axis=0)
     slope = ad.constant(np.ones(width, dtype=x.dtype))
     return conv_bn_prelu(
-        x, w, _conv_parts(x, w, (1, 1), (0, 0), (0, 0)), gamma, beta, slope,
+        x, w, _conv_parts(x, w, (1, 1), (0, 0), (0, 0)), p["gamma"], p["beta"], slope,
         (bn.running_mean, bn.running_var), training,
     )
 
@@ -512,9 +500,12 @@ def test_fused_batchnorm_matches_composite_formula(batch, dtype):
     c, shape = 3, (batch, 3, 6, 5)
     bn = _BatchNormParams(c, dtype)
     for p in bn.params().values():
-        p.data = (p.data + 0.2 * g.standard_normal(c)).astype(dtype)
-    ref_params = {k: Tensor(p.data.copy()) for k, p in bn.params().items()}
-    ref_buffers = {k: b.copy() for k, b in bn.buffers().items()}
+        p.data = (p.data + 0.2 * g.standard_normal((2, c))).astype(dtype)
+    # The composite reference runs per part, on the r and i rows.
+    ref_params = {f"{k}_{part}": Tensor(p.data[n].copy())
+                  for k, p in bn.params().items() for n, part in enumerate("ri")}
+    ref_buffers = {f"{k}_{part}": b[n].copy()
+                   for k, b in bn.buffers().items() for n, part in enumerate("ri")}
 
     def close(have, want):
         assert have.dtype == dtype
@@ -541,9 +532,9 @@ def test_fused_batchnorm_matches_composite_formula(batch, dtype):
             close(have, y.data)
             close(grad, t.grad)
         for name, b in bn.buffers().items():
-            close(b, ref_buffers[name])
+            close(b, np.stack([ref_buffers[f"{name}_{part}"] for part in "ri"]))
     for name, p in bn.params().items():  # summed over the three calls
-        close(p.grad, ref_params[name].grad)
+        close(p.grad, np.stack([ref_params[f"{name}_{part}"].grad for part in "ri"]))
 
 
 def _deconv_input_ft(out_ft, kernel, stride, pad_f, pad_t):
@@ -691,7 +682,6 @@ def test_conv_block_keeps_two_maps_and_eval_runs_in_place():
     # eval forward under no_grad peaks no higher than the conv kernel does.
     import tracemalloc
 
-    from neurobeam import layers
     from neurobeam.layers import _BAND_BYTES
 
     rng = _rng(90)
@@ -707,7 +697,6 @@ def test_conv_block_keeps_two_maps_and_eval_runs_in_place():
         parts = _conv_parts(x, w, stride, pad_f, pad_t)
         return conv_bn_prelu(x, w, parts, *vec, running, training)
 
-    layers._band_store.__dict__.clear()  # count the band buffer in both runs
     tracemalloc.start()
     try:
         out = run(True)
@@ -718,7 +707,6 @@ def test_conv_block_keeps_two_maps_and_eval_runs_in_place():
     assert kept < 2 * out_bytes + _BAND_BYTES, kept
     del out
 
-    layers._band_store.__dict__.clear()
     tracemalloc.start()
     try:
         with ad.no_grad():
@@ -763,31 +751,33 @@ def test_linear_identity_weights():
 # ---------------------------------------------------------------------------
 
 def _lstm_params(rng, d, h):
+    """One weight set (K = 1)."""
     return (
-        Tensor(0.4 * rng.standard_normal((4 * h, d))),
-        Tensor(0.4 * rng.standard_normal((4 * h, h))),
-        Tensor(0.1 * rng.standard_normal(4 * h)),
+        Tensor(0.4 * rng.standard_normal((1, 4 * h, d))),
+        Tensor(0.4 * rng.standard_normal((1, 4 * h, h))),
+        Tensor(0.1 * rng.standard_normal((1, 4 * h))),
     )
 
 
 def test_lstm_causality_bit_exact():
     rng = _rng(13)
     wx, wh, b = _lstm_params(rng, 3, 4)
-    x = rng.standard_normal((6, 3))
-    base = lstm(Tensor(x.copy()), wx, wh, b).data
+    x = rng.standard_normal((1, 6, 3))
+    base = lstm(Tensor(x.copy()), wx, wh, b).data[0, 0]
     x2 = x.copy()
-    x2[4] += 5.0
-    pert = lstm(Tensor(x2), wx, wh, b).data
+    x2[0, 4] += 5.0
+    pert = lstm(Tensor(x2), wx, wh, b).data[0, 0]
     assert np.array_equal(base[:4], pert[:4])
     assert not np.array_equal(base[4:], pert[4:])
 
 
 def test_lstm_zero_parameters_zero_output():
     h = 4
-    wx = Tensor(np.zeros((4 * h, 3)))
-    wh = Tensor(np.zeros((4 * h, h)))
-    b = Tensor(np.zeros(4 * h))
-    out = lstm(Tensor(np.random.default_rng(0).standard_normal((5, 3))), wx, wh, b)
+    wx = Tensor(np.zeros((1, 4 * h, 3)))
+    wh = Tensor(np.zeros((1, 4 * h, h)))
+    b = Tensor(np.zeros((1, 4 * h)))
+    out = lstm(Tensor(np.random.default_rng(0).standard_normal((1, 5, 3))), wx, wh, b)
+    assert out.shape == (1, 1, 5, h)
     assert np.all(out.data == 0)
 
 
@@ -797,10 +787,10 @@ def test_lstm_gradient_matches_finite_differences(rng):
         return ad.reduce_sum(out * out)
 
     arrays = [
-        rng.standard_normal((3, 2)),
-        0.4 * rng.standard_normal((12, 2)),
-        0.4 * rng.standard_normal((12, 3)),
-        0.1 * rng.standard_normal(12),
+        rng.standard_normal((1, 3, 2)),
+        0.4 * rng.standard_normal((1, 12, 2)),
+        0.4 * rng.standard_normal((1, 12, 3)),
+        0.1 * rng.standard_normal((1, 12)),
     ]
     assert check_gradients(build, arrays) < 1e-4
 
@@ -838,10 +828,10 @@ def test_fused_lstm_matches_per_frame_reference(dtype):
     for k in range(k_n):
         for s in range(s_n):
             _close(out[k, s], _ref_lstm(x[s], wx[k], wh[k], b[k]), dtype)
-    # The 2-D call is one weight set over one sequence.
-    single = lstm(Tensor(x[1]), Tensor(wx[0]), Tensor(wh[0]), Tensor(b[0])).data
-    assert single.shape == (t_len, h)
-    _close(single, out[0, 1], dtype)
+    # A K = S = 1 call is one weight set over one sequence.
+    single = lstm(Tensor(x[1:]), Tensor(wx[:1]), Tensor(wh[:1]), Tensor(b[:1])).data
+    assert single.shape == (1, 1, t_len, h)
+    _close(single[0, 0], out[0, 1], dtype)
 
 
 def test_fused_lstm_gradient_matches_finite_differences(rng):
@@ -875,11 +865,11 @@ def test_complex_lstm_wiring_matches_manual_combination():
     cl = ComplexLSTM(3, 4, rng, np.float64)
     x_re, x_im = _halves(_complex_from(_rng(15), (5, 3)))
     out_re, out_im = _halves(cl(Tensor(np.stack([x_re, x_im]))))
-    lr, li = cl.lstm_r, cl.lstm_i
-    a = _ref_lstm(x_re, lr.wx.data, lr.wh.data, lr.b.data)
-    b = _ref_lstm(x_im, li.wx.data, li.wh.data, li.b.data)
-    c = _ref_lstm(x_im, lr.wx.data, lr.wh.data, lr.b.data)
-    d = _ref_lstm(x_re, li.wx.data, li.wh.data, li.b.data)
+    lr, li = ((cl.wx.data[k], cl.wh.data[k], cl.b.data[k]) for k in (0, 1))
+    a = _ref_lstm(x_re, *lr)
+    b = _ref_lstm(x_im, *li)
+    c = _ref_lstm(x_im, *lr)
+    d = _ref_lstm(x_re, *li)
     _close(out_re, a - b, np.float64)
     _close(out_im, c + d, np.float64)
 

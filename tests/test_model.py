@@ -64,6 +64,40 @@ def test_parameter_count_regression():
     assert desk_model(zones=0).num_parameters() == PARAM_COUNT_DESK_NO_NLM
 
 
+def test_complex_parameters_are_stacked_and_read_without_restacking(rng):
+    # Each complex parameter and running statistic is one [2 x ...] array
+    # (r, i); a forward builds each block kernel as one op and reads every
+    # other parameter as it is, so few op nodes of a full NLM training loss
+    # are computed from parameters alone.
+    from neurobeam.dsp import StftConfig
+    from neurobeam.losses import (
+        bce_loss, filter_and_sum_tensor, si_snr_loss, synthesize_waveform, total_loss,
+    )
+
+    model = MimoDccrn(MimoDccrnConfig(), nlm=NlmConfig())
+    params, buffers = model.params(), model.buffers()
+    assert len(params) == 64 and len(buffers) == 26
+    assert all(b.shape[0] == 2 for b in buffers.values())
+    assert params["lstm.wx"].shape == (2, 4 * 256, 256 * 4)
+    assert params["enc0.conv.w"].shape == (2, 16, 4, 5, 2)
+
+    stft_cfg = StftConfig()
+    spec = random_spec(rng, 4, 4)
+    w = model.forward_weights(spec, training=True)
+    wave = synthesize_waveform(filter_and_sum_tensor(w, spec), stft_cfg)
+    sisnr = si_snr_loss([wave], [rng.standard_normal(wave.shape[0])])
+    zhat = model.localize(ad.reshape(w, (1, -1) + w.shape[2:]), training=True)
+    loss = total_loss(bce_loss(np.eye(4, 12), zhat), sisnr, 1.0)
+
+    from_params = {id(p) for p in params.values()}
+    ops = 0
+    for node in ad._topo_order(loss):  # every parent before its children
+        if node.parents and all(id(p) in from_params for p in node.parents):
+            from_params.add(id(node))
+            ops += 1
+    assert ops <= 20, ops
+
+
 def test_output_shape_contract(rng):
     model = desk_model()
     for frames in (3, 17):
@@ -171,10 +205,10 @@ def test_skip_connections_carry_encoder_features(rng):
         for p in block.params().values():
             p.data[...] = 0.0
     last = model.decoder[-1].conv
-    in_ch = last.w_r.shape[0]
+    in_ch = last.w.shape[1]
     skip_half = slice(in_ch // 2, in_ch)
     g = np.random.default_rng(9)
-    last.w_r.data[skip_half] = g.standard_normal(last.w_r.data[skip_half].shape).astype(
+    last.w.data[0, skip_half] = g.standard_normal(last.w.data[0, skip_half].shape).astype(
         model.dtype
     )
     w = model.infer_weights(random_spec(rng, 4, 4))

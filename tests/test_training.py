@@ -126,12 +126,12 @@ def test_nan_gradient_with_finite_loss_aborts_before_update(tmp_path, toy_datase
         real_backward(loss)
         backward_calls.append(loss)
         if len(backward_calls) == 2:  # step 1: the loss stays finite
-            models[0].params()["dec2.bn.gamma_r"].grad[0] = np.nan
+            models[0].params()["dec2.bn.gamma"].grad[0, 0] = np.nan
 
     monkeypatch.setattr(training, "build_model", recording_build)
     monkeypatch.setattr(ad, "backward", poisoned_backward)
     cfg = config_from_dict(toy_config_dict(steps=4, checkpoint_every=100))
-    with pytest.raises(TrainingDiverged, match="non-finite gradient of dec2.bn.gamma_r at step 1"):
+    with pytest.raises(TrainingDiverged, match="non-finite gradient of dec2.bn.gamma at step 1"):
         train(cfg, toy_dataset["manifest"], tmp_path / "run")
     assert np.isfinite(backward_calls[1].item())
     arrays, meta = load_checkpoint(tmp_path / "run" / CHECKPOINT_NAME)
@@ -211,7 +211,7 @@ def test_training_step_after_no_grad_block_still_trains(toy_dataset):
     assert fault is None and np.isfinite(breakdown.total)
     params = model.params()
     assert all(p.grad is not None for p in params.values())
-    assert all(not np.array_equal(params[k].data, before[k]) for k in ("enc0.conv.w_r", "lstm.r.wx"))
+    assert all(not np.array_equal(params[k].data, before[k]) for k in ("enc0.conv.w", "lstm.wx"))
 
 
 class _MicSelectorModel:
@@ -367,22 +367,41 @@ def test_evaluate_scores_at_the_recorded_mic_and_convention(tmp_path, toy_datase
 # NLM head's zone map of those weights.
 SCHEMA1 = Path(__file__).parent / "data" / "schema1.nbcp"
 SCHEMA1_EVAL = Path(__file__).parent / "data" / "schema1_eval.npz"
+# A checkpoint in schema 2, written by the code before complex parameters
+# were stacked (two arrays X_r, X_i per complex parameter, running statistic
+# and Adam moment; lstm.r.K and lstm.i.K for the LSTM): the same
+# configuration trained one step on the toy dataset. schema2_eval.npz holds
+# that code's eval outputs from it, computed as for schema 1.
+SCHEMA2 = Path(__file__).parent / "data" / "schema2.nbcp"
+SCHEMA2_EVAL = Path(__file__).parent / "data" / "schema2_eval.npz"
 
 
-def _schema1_config(**training):
+def _fixture_config(**training):
     cfg = toy_config_dict(**training)
     cfg["model"] = {"scale": 32}
     cfg["localization"] = {"zones": 4}
     return cfg
 
 
-def _schema1_eval(model):
+def _fixture_eval(model):
     rng = np.random.default_rng(2022)
     spec = rng.standard_normal((4, 6, 257)) + 1j * rng.standard_normal((4, 6, 257))
     w = model.infer_weights(spec)
     wt = w.transpose(0, 2, 1)
     img = ad.Tensor(np.concatenate([wt.real, wt.imag]).astype(np.float32)[np.newaxis])
     return w, model.localize(img, training=False).data
+
+
+def _current_names(model):
+    """The array names of a checkpoint of ``model`` in the current schema."""
+    from neurobeam.optim import Adam
+
+    return set(model.checkpoint_arrays()) | set(Adam(model.params()).state_arrays())
+
+
+def _stacked(arrays, name):
+    """The arrays ``name`` with _r and _i appended, stacked."""
+    return np.stack([arrays[f"{name}_r"], arrays[f"{name}_i"]])
 
 
 def test_schema1_checkpoint_folds_conv_biases_into_running_means():
@@ -392,45 +411,86 @@ def test_schema1_checkpoint_folds_conv_biases_into_running_means():
     arrays, meta = load_checkpoint(SCHEMA1)
     assert meta["schema"] == 1
     model = MimoDccrn.from_meta(meta)
-    with pytest.raises(ValueError, match="enc0.conv.b_r"):
-        model.load_arrays(arrays)  # the biases have no place in the model
+    with pytest.raises(ValueError, match="missing tensor 'param.enc0.conv.w'"):
+        model.load_arrays(arrays)  # the raw arrays have no place in the model
     upgraded = upgrade_arrays(arrays, meta)
-    gone = sorted(set(arrays) - set(upgraded))
-    assert len(gone) == 3 * 26  # 13 blocks x [b_r; b_i], each with two Adam moments
-    assert all(".conv.b_" in k and "dec5" not in k for k in gone)
-    assert "param.dec5.conv.b_r" in upgraded  # the last decoder conv keeps its bias
+    # 13 blocks x [b_r; b_i], each with two Adam moments, are dropped; the
+    # last decoder conv keeps its bias, stacked like every other pair.
+    assert len([k for k in arrays if ".conv.b_" in k and "dec5" not in k]) == 3 * 26
+    assert sorted(k for k in upgraded if ".conv.b" in k) == [
+        "adam.m.dec5.conv.b", "adam.v.dec5.conv.b", "param.dec5.conv.b"]
+    assert np.array_equal(upgraded["param.dec5.conv.b"], _stacked(arrays, "param.dec5.conv.b"))
+    assert set(upgraded) == _current_names(model)
     model.load_arrays(upgraded)
     want = np.load(SCHEMA1_EVAL)
-    weights, zones = _schema1_eval(model)
+    weights, zones = _fixture_eval(model)
     tol = 100 * np.finfo(np.float32).eps
     assert np.abs(weights - want["weights"]).max() <= tol * np.abs(want["weights"]).max()
     assert np.abs(zones - want["zones"]).max() <= tol
 
-    # Dropping the biases without the fold changes the output far beyond that.
-    unfolded = dict(upgraded)
-    for key in gone:
-        if key.startswith("param."):
-            block, part = key[len("param."):].split(".conv.b_")
-            unfolded[f"buffer.{block}.bn.running_mean_{part}"] = arrays[
-                f"buffer.{block}.bn.running_mean_{part}"
-            ]
-    model.load_arrays(unfolded)
-    weights, _ = _schema1_eval(model)
+    # Dropping the biases without the fold (a fold of zero biases) changes
+    # the output far beyond that.
+    zeroed = {k: np.zeros_like(a) if ".conv.b_" in k and "dec5" not in k else a
+              for k, a in arrays.items()}
+    model.load_arrays(upgrade_arrays(zeroed, meta))
+    weights, _ = _fixture_eval(model)
     assert np.abs(weights - want["weights"]).max() > 1e3 * tol * np.abs(want["weights"]).max()
 
 
-def test_train_resumes_from_schema1_checkpoint(tmp_path, toy_dataset):
+def test_schema2_checkpoint_stacks_complex_parameters():
+    from neurobeam.checkpoint import load_checkpoint
+    from neurobeam.model import MimoDccrn, upgrade_arrays
+
+    arrays, meta = load_checkpoint(SCHEMA2)
+    assert meta["schema"] == 2
+    model = MimoDccrn.from_meta(meta)
+    with pytest.raises(ValueError, match="missing tensor 'param.enc0.conv.w'"):
+        model.load_arrays(arrays)
+    upgraded = upgrade_arrays(arrays, meta)
+    assert set(upgraded) == _current_names(model)
+    for name in ("param.enc0.conv.w", "param.restore.b", "buffer.dec0.bn.running_var",
+                 "adam.m.nlm.block2.act.slope", "param.dec5.conv.b"):
+        assert np.array_equal(upgraded[name], _stacked(arrays, name)), name
+    assert np.array_equal(upgraded["adam.v.lstm.wx"],
+                          np.stack([arrays["adam.v.lstm.r.wx"], arrays["adam.v.lstm.i.wx"]]))
+    assert upgraded["param.nlm.mlp_slope"] is arrays["param.nlm.mlp_slope"]
+    model.load_arrays(upgraded)
+    want = np.load(SCHEMA2_EVAL)
+    weights, zones = _fixture_eval(model)
+    assert np.array_equal(weights, want["weights"])
+    assert np.array_equal(zones, want["zones"])
+
+    del arrays["param.restore.b_i"]
+    with pytest.raises(ValueError, match="missing tensor 'param.restore.b_i'"):
+        upgrade_arrays(arrays, meta)
+
+
+def _resume(fixture, tmp_path, toy_dataset):
+    """Train the fixture configuration to step 3 from ``fixture`` (at step 1)
+    through the CLI; returns the final checkpoint's (arrays, meta)."""
     from neurobeam.checkpoint import load_checkpoint
     from neurobeam.cli import main
 
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps(_schema1_config(steps=3)))
+    config.write_text(json.dumps(_fixture_config(steps=3)))
     out = tmp_path / "run"
     rc = main(["train", str(config), "--manifest", str(toy_dataset["manifest"]),
-               "--out", str(out), "--resume", str(SCHEMA1)])
+               "--out", str(out), "--resume", str(fixture)])
     assert rc == 0
     assert [row["step"] for row in _strip_wall(out / LOG_NAME)] == [1, 2]
     arrays, meta = load_checkpoint(out / CHECKPOINT_NAME)
-    assert meta["schema"] == 2 and meta["train_step"] == 3
+    assert meta["schema"] == 3 and meta["train_step"] == 3
     assert all(np.all(np.isfinite(a)) for a in arrays.values())
-    assert not [k for k in arrays if ".conv.b_" in k and "dec5" not in k]
+    return arrays, meta
+
+
+def test_train_resumes_from_schema1_checkpoint(tmp_path, toy_dataset):
+    arrays, _ = _resume(SCHEMA1, tmp_path, toy_dataset)
+    assert not [k for k in arrays if ".conv.b" in k and "dec5" not in k]
+
+
+def test_train_resumes_from_schema2_checkpoint(tmp_path, toy_dataset):
+    from neurobeam.model import MimoDccrn
+
+    arrays, meta = _resume(SCHEMA2, tmp_path, toy_dataset)
+    assert set(arrays) == _current_names(MimoDccrn.from_meta(meta))
