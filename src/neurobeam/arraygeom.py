@@ -60,13 +60,6 @@ def doa_unit_vector(azimuth_deg):
     return np.array([np.cos(theta), np.sin(theta), 0.0])
 
 
-def steering_vector(geom, azimuth_deg, freq_hz):
-    """Plane-wave steering vector at one frequency; unit modulus per element."""
-    kappa = doa_unit_vector(azimuth_deg)
-    phase = (2.0 * np.pi * freq_hz / geom.speed_of_sound) * (geom.positions @ kappa)
-    return np.exp(1j * phase)
-
-
 @dataclass(frozen=True)
 class ZoneGrid:
     """N azimuthal zones; zone n (1-based) is centered at (n-1)*360/N degrees."""

@@ -88,21 +88,26 @@ class Tensor:
     def accumulate(self, g, index=..., owned=False):
         """Add ``g`` into ``grad[index]``.
 
-        A first full-shape gradient is stored as it is when ``owned`` (the
-        caller made the array ``g`` fresh and keeps no other reference to
-        it, so later contributions may be added into it) and of this
-        tensor's dtype; otherwise, e.g. for a view of another tensor's
-        gradient or a numpy scalar, it is stored as a copy cast to this
-        tensor's dtype. A first partial gradient lands in a zero gradient.
+        Every stored gradient is C-contiguous, so its memory order, which
+        the summation order of a later reduction follows, depends neither
+        on the data's nor on the op that handed it on. A first full-shape
+        gradient is stored as it is when ``owned`` (the caller made the
+        array ``g`` fresh and keeps no other reference to it, so later
+        contributions may be added into it), C-contiguous and of this
+        tensor's dtype; otherwise, e.g. for a transposed view or a view of
+        another tensor's gradient, it is stored as a C-contiguous copy cast
+        to this tensor's dtype. A first partial gradient lands in a zero
+        gradient.
         """
         if self.grad is None:
             if index is ... and g.shape == self.data.shape:
-                if owned and isinstance(g, np.ndarray) and g.dtype == self.data.dtype:
+                if (owned and isinstance(g, np.ndarray) and g.dtype == self.data.dtype
+                        and g.flags.c_contiguous):
                     self.grad = g
                 else:
-                    self.grad = np.array(g, dtype=self.data.dtype)
+                    self.grad = np.array(g, dtype=self.data.dtype, order="C")
                 return
-            self.grad = np.zeros_like(self.data)
+            self.grad = np.zeros(self.data.shape, self.data.dtype)
         self.grad[index] += g
 
     def zero_grad(self):
@@ -157,7 +162,8 @@ def as_tensor(x, like=None):
 
 
 def _topo_order(root):
-    """Children-before-parents ordering of the subgraph that needs grads."""
+    """Parents-before-children ordering of the subgraph that needs grads
+    (``root`` last); ``backward`` walks it in reverse."""
     order = []
     seen = set()
     stack = [(root, False)]

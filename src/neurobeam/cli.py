@@ -71,8 +71,7 @@ def build_parser():
     p.add_argument("--out", required=True, help="report CSV path")
     p.add_argument("--mode", choices=["splm", "nlm"], default=None)
 
-    p = sub.add_parser("selfcheck", help="run the built-in verification suite")
-    p.add_argument("--corrupt-op", default=None, help=argparse.SUPPRESS)  # test hook
+    sub.add_parser("selfcheck", help="run the built-in verification suite")
     return parser
 
 
@@ -168,7 +167,7 @@ def cmd_eval(args):
 def cmd_selfcheck(args):
     from .selfcheck import run_selfcheck
 
-    results = run_selfcheck(corrupt_op=args.corrupt_op)
+    results = run_selfcheck()
     failed = 0
     for name, ok, detail in results:
         print(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")

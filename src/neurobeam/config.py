@@ -15,20 +15,13 @@ from dataclasses import dataclass, field
 from .arraygeom import array_geometry
 from .dsp import StftConfig
 from .model import MimoDccrnConfig, NlmConfig
-from .roomsim import DatasetConfig
+from .roomsim import DatasetConfig, MixtureRanges
 
 CONFIG_SCHEMA_VERSION = 1
 
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class StftSection:
-    window_length: int = 400
-    hop: int = 100
-    fft_size: int = 512
 
 
 @dataclass(frozen=True)
@@ -44,24 +37,6 @@ class ArraySection:
                 f"array.positions lists {len(self.positions)} microphones "
                 f"but array.mics is {self.mics}"
             )
-
-
-@dataclass(frozen=True)
-class DatasetSection:
-    rooms: tuple = ((4.0, 4.0, 3.0), (5.0, 5.0, 3.0), (6.0, 6.0, 3.0))
-    t60_ranges: tuple = ((0.16, 0.32), (0.32, 0.48), (0.48, 0.64))
-    target_distance_ranges: tuple = ((1.0, 1.5), (1.0, 2.0), (1.0, 2.5))
-    interference_distance_m: float = 2.0
-    target_azimuth_grid: tuple = (0.0, 180.0, 1.0)
-    interference_azimuth_grid: tuple = (180.0, 360.0, 1.0)
-    sir_range_db: tuple = (-5.0, 15.0)
-    sir_values_db: tuple | None = None
-    snr_range_db: tuple = (10.0, 30.0)
-    duration_s: float = 6.0
-    speech_len_s: float = 4.0
-    sample_rate: int = 16000
-    early_ms: float = 50.0
-    speech_dir: str | None = None
 
 
 @dataclass(frozen=True)
@@ -97,7 +72,6 @@ class TrainingSection:
     log_every: int = 1
     sisnr_convention: str = "standard"
     reference_mic: int = 0
-    debug_nan_at_step: int | None = None  # test hook: poison the loss at this step
 
     def __post_init__(self):
         if self.sisnr_convention not in ("standard", "printed"):
@@ -110,9 +84,9 @@ class TrainingSection:
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
-    stft: StftSection = field(default_factory=StftSection)
+    stft: StftConfig = field(default_factory=StftConfig)
     array: ArraySection = field(default_factory=ArraySection)
-    dataset: DatasetSection = field(default_factory=DatasetSection)
+    dataset: MixtureRanges = field(default_factory=MixtureRanges)
     model: ModelSection = field(default_factory=ModelSection)
     localization: LocalizationSection = field(default_factory=LocalizationSection)
     training: TrainingSection = field(default_factory=TrainingSection)
@@ -125,9 +99,6 @@ class RunConfig:
             )
 
     # -- assembled objects ---------------------------------------------------
-    def stft_config(self):
-        return StftConfig(self.stft.window_length, self.stft.hop, self.stft.fft_size)
-
     def geometry(self):
         return array_geometry(**dataclasses.asdict(self.array))
 
@@ -229,9 +200,9 @@ def _build_section(cls, data, path):
 
 
 _SECTION_TYPES = {
-    "stft": StftSection,
+    "stft": StftConfig,
     "array": ArraySection,
-    "dataset": DatasetSection,
+    "dataset": MixtureRanges,
     "model": ModelSection,
     "localization": LocalizationSection,
     "training": TrainingSection,

@@ -8,7 +8,8 @@ single zero-padded frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -65,13 +66,6 @@ class Waveform:
     def num_samples(self):
         return self.samples.shape[1]
 
-    @property
-    def duration(self):
-        return self.num_samples / self.sample_rate
-
-    def channel(self, m):
-        return Waveform(self.samples[m : m + 1], self.sample_rate)
-
 
 @dataclass(frozen=True)
 class StftConfig:
@@ -85,26 +79,24 @@ class StftConfig:
     window_length: int = 400
     hop: int = 100
     fft_size: int = 512
-    window: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.window is None:
-            object.__setattr__(self, "window", hann_window(self.window_length))
-        window = np.asarray(self.window, dtype=np.float64)
-        object.__setattr__(self, "window", window)
         if not (0 < self.hop <= self.window_length <= self.fft_size):
             raise ValueError(
                 f"require 0 < hop <= window_length <= fft_size, got "
                 f"hop={self.hop}, window_length={self.window_length}, fft_size={self.fft_size}"
             )
-        if window.shape != (self.window_length,):
-            raise ValueError(f"window length {window.shape} != window_length {self.window_length}")
         dev = self._cola_deviation()
         if dev > 1e-10:
             raise ValueError(
                 f"window/hop pair is not constant-overlap-add after synthesis "
                 f"normalization (relative deviation {dev:.3e})"
             )
+
+    @cached_property
+    def window(self):
+        """The analysis and synthesis window, ``hann_window(window_length)``."""
+        return hann_window(self.window_length)
 
     def _cola_deviation(self):
         """Relative ripple of the tiled squared window on interior samples."""

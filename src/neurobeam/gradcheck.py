@@ -12,6 +12,18 @@ import numpy as np
 from . import autodiff as ad
 
 
+def _central_difference(f, flat, i, step):
+    """(f(x + step e_i) - f(x - step e_i)) / (2 step), perturbing ``flat[i]``
+    in place and restoring it; ``f()`` reads the perturbed array."""
+    orig = flat[i]
+    flat[i] = orig + step
+    f_hi = f()
+    flat[i] = orig - step
+    f_lo = f()
+    flat[i] = orig
+    return (f_hi - f_lo) / (2.0 * step)
+
+
 def numerical_gradient(f, arrays, step=1e-5):
     """Central-difference gradients of scalar ``f(*arrays)`` per input entry.
 
@@ -19,40 +31,28 @@ def numerical_gradient(f, arrays, step=1e-5):
     python float. Returns one gradient array per input.
     """
     grads = []
-    for k, base in enumerate(arrays):
+    for base in arrays:
         g = np.zeros_like(base)
-        flat = base.reshape(-1)
-        gflat = g.reshape(-1)
+        flat, gflat = base.reshape(-1), g.reshape(-1)
         for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            f_hi = f(*arrays)
-            flat[i] = orig - step
-            f_lo = f(*arrays)
-            flat[i] = orig
-            gflat[i] = (f_hi - f_lo) / (2.0 * step)
+            gflat[i] = _central_difference(lambda: f(*arrays), flat, i, step)
         grads.append(g)
     return grads
 
 
-def check_gradients(build, arrays, step=1e-5, corrupt=False):
+def check_gradients(build, arrays, step=1e-5):
     """Compare analytic and numerical gradients of a scalar graph.
 
     ``build(*tensors) -> Tensor`` constructs the scalar loss from leaf
     tensors wrapping ``arrays`` (float64). Returns the worst relative
     error over all inputs, where the error of one input array is
     ``max|analytic - numerical| / (max|numerical| + tiny)``.
-
-    ``corrupt`` perturbs the analytic gradient before comparison; the
-    self-check command uses it to prove the check can fail.
     """
     arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
     leaves = [ad.Tensor(a.copy()) for a in arrays]
     loss = build(*leaves)
     ad.backward(loss)
     analytic = [np.zeros_like(a) if t.grad is None else t.grad for a, t in zip(arrays, leaves)]
-    if corrupt:
-        analytic = [g + 1e-2 for g in analytic]
 
     def f(*xs):
         ts = [ad.constant(x.copy()) for x in xs]
@@ -88,13 +88,7 @@ def check_model_gradients(params, loss_fn, rng, samples_per_tensor=3, step=1e-5)
         count = min(samples_per_tensor, flat.size)
         idx = rng.choice(flat.size, size=count, replace=False)
         for i in idx:
-            orig = flat[i]
-            flat[i] = orig + step
-            f_hi = loss_fn().item()
-            flat[i] = orig - step
-            f_lo = loss_fn().item()
-            flat[i] = orig
-            pairs.append((gflat[i], (f_hi - f_lo) / (2.0 * step)))
+            pairs.append((gflat[i], _central_difference(lambda: loss_fn().item(), flat, i, step)))
     analytic = np.array([a for a, _ in pairs])
     numerical = np.array([n for _, n in pairs])
     return float(np.abs(analytic - numerical).max() / (np.abs(numerical).max() + 1e-12))

@@ -295,7 +295,7 @@ class MimoDccrn:
         The filters (re, im) are full-band (DC slot copied from the first
         modeled bin) and connected to the parameter graph.
         """
-        x, _ = pack_input(spec_data, self.config.freq_bins_model, self.dtype)
+        x = pack_input(spec_data, self.config.freq_bins_model, self.dtype)
         out = self.forward(x, training)
         w = ad.reshape(out, (2, self.config.mics) + out.shape[2:])
         return ad.concat([ad.narrow(w, 2, 0, 1), w], axis=2)
@@ -379,10 +379,11 @@ def upgrade_arrays(arrays, meta):
 
 
 def pack_input(spec_data, freq_bins_model, dtype):
-    """[M x T x F] complex -> (stacked leaf [1 x 2M x F' x T], dc bins [M x T]).
+    """[M x T x F] complex -> stacked leaf [1 x 2M x F' x T].
 
     F' = F - 1: the DC bin is dropped so the stride-2 halving chain stays
-    exact, and returned separately so reconstruction can reattach it.
+    exact (``MimoDccrn.forward_weights`` copies the first modeled bin's
+    filter into the DC slot).
     """
     spec_data = np.asarray(spec_data)
     m, t_len, f = spec_data.shape
@@ -391,4 +392,4 @@ def pack_input(spec_data, freq_bins_model, dtype):
     body = spec_data[:, :, 1:].transpose(0, 2, 1)
     packed = np.empty((1, 2 * m, f - 1, t_len), dtype=dtype)
     packed[0, :m], packed[0, m:] = body.real, body.imag
-    return Tensor(packed, needs_grad=False), spec_data[:, :, 0].copy()
+    return Tensor(packed, needs_grad=False)

@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .dsp import DEFAULT_SAMPLE_RATE, StftConfig, Waveform, num_frames, write_wav
+from .arraygeom import array_geometry, doa_unit_vector
+from .dsp import DEFAULT_SAMPLE_RATE, Waveform, num_frames, read_wav, write_wav
 
 SABINE_CONSTANT = 0.161
 DEFAULT_EARLY_MS = 50.0
@@ -202,7 +203,6 @@ class SourcePlacement:
     """
 
     position: np.ndarray
-    role: str = "target"
     azimuth: float | None = None
 
     def __post_init__(self):
@@ -216,14 +216,12 @@ class SourcePlacement:
         return float(np.rad2deg(np.arctan2(d[1], d[0])))
 
 
-def placement_from_azimuth(room, azimuth_deg, distance, role="target", height=1.5,
-                           wall_margin=0.1):
+def placement_from_azimuth(room, azimuth_deg, distance, height=1.5, wall_margin=0.1):
     """Place a source ``distance`` meters from the array center at the
     given azimuth, shrinking the distance if needed so the source stays
     ``wall_margin`` inside the room (a fixed interference distance does
     not fit every sampled room)."""
-    theta = np.deg2rad(azimuth_deg)
-    u = np.array([np.cos(theta), np.sin(theta), 0.0])
+    u = doa_unit_vector(azimuth_deg)
     center = room.center(height)
     reach = np.inf
     for axis in range(3):
@@ -235,7 +233,7 @@ def placement_from_azimuth(room, azimuth_deg, distance, role="target", height=1.
             reach = min(reach, (wall_margin - center[axis]) / u[axis])
     if reach <= 0:
         raise ValueError(f"array center leaves no room for a source at azimuth {azimuth_deg}")
-    return SourcePlacement(center + min(distance, reach) * u, role, float(azimuth_deg))
+    return SourcePlacement(center + min(distance, reach) * u, float(azimuth_deg))
 
 
 @dataclass(frozen=True)
@@ -265,11 +263,7 @@ class MixtureSpec:
 class MixtureRecord:
     noisy: Waveform
     target: Waveform
-    azimuth_track: np.ndarray
-    room: RoomSpec
-    spec: MixtureSpec
     target_azimuth_deg: float
-    interference_azimuth_deg: float | None = None
     parts: dict | None = None
 
 
@@ -281,7 +275,6 @@ def synthesize_mixture(
     clean_speech,
     interference_signal,
     spec,
-    stft_cfg=None,
     early_ms=DEFAULT_EARLY_MS,
     keep_parts=False,
 ):
@@ -291,7 +284,6 @@ def synthesize_mixture(
     and ``interference_signal`` may be None for interference-free
     mixtures. Deterministic given ``spec.seed``.
     """
-    stft_cfg = stft_cfg or StftConfig()
     fs = clean_speech.sample_rate
     center = room.center()
     mics = center + geometry.positions
@@ -336,9 +328,6 @@ def synthesize_mixture(
 
     noisy = rev_speech + scaled_intf + scaled_noise
 
-    az = target_src.azimuth_deg(center)
-    track = azimuth_track(n, off, sig.shape[0], az, stft_cfg)
-
     parts = None
     if keep_parts:
         parts = {
@@ -346,17 +335,10 @@ def synthesize_mixture(
             "scaled_interference": scaled_intf,
             "scaled_noise": scaled_noise,
         }
-    intf_az = (
-        interference_src.azimuth_deg(center) if interference_src is not None else None
-    )
     return MixtureRecord(
         noisy=Waveform(noisy, fs),
         target=Waveform(target, fs),
-        azimuth_track=track,
-        room=room,
-        spec=spec,
-        target_azimuth_deg=az,
-        interference_azimuth_deg=intf_az,
+        target_azimuth_deg=target_src.azimuth_deg(center),
         parts=parts,
     )
 
@@ -410,17 +392,13 @@ def interference_surrogate(rng, duration, fs=DEFAULT_SAMPLE_RATE):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DatasetConfig:
-    """Sampling ranges for mixture generation.
+class MixtureRanges:
+    """Sampling ranges for mixture generation (the config's ``dataset``).
 
     ``rooms``, ``t60_ranges`` and ``target_distance_ranges`` are paired by
     index: one scenario index is drawn per record and selects all three.
     """
 
-    master_seed: int = 0
-    mics: int = 4
-    radius_m: float = 0.05
-    positions: tuple | None = None  # explicit mic coordinates; overrides the UCA
     rooms: tuple = ((4.0, 4.0, 3.0), (5.0, 5.0, 3.0), (6.0, 6.0, 3.0))
     t60_ranges: tuple = ((0.16, 0.32), (0.32, 0.48), (0.48, 0.64))
     target_distance_ranges: tuple = ((1.0, 1.5), (1.0, 2.0), (1.0, 2.5))
@@ -437,6 +415,16 @@ class DatasetConfig:
     speech_dir: str | None = None
 
 
+@dataclass(frozen=True)
+class DatasetConfig(MixtureRanges):
+    """Mixture ranges plus the seed and the microphone array they are drawn for."""
+
+    master_seed: int = 0
+    mics: int = 4
+    radius_m: float = 0.05
+    positions: tuple | None = None  # explicit mic coordinates; overrides the UCA
+
+
 def _azimuth_choices(grid):
     lo, hi, step = grid
     return np.arange(lo, hi + step / 2, step)
@@ -444,9 +432,6 @@ def _azimuth_choices(grid):
 
 def _build_record(cfg, index):
     """One dataset record from its derived PRNG stream; draw order is fixed."""
-    from .arraygeom import array_geometry
-    from .dsp import read_wav
-
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.master_seed, index])))
     scenario = int(rng.integers(len(cfg.rooms)))
     t60 = float(rng.uniform(*cfg.t60_ranges[scenario]))
@@ -463,8 +448,8 @@ def _build_record(cfg, index):
 
     room = RoomSpec(cfg.rooms[scenario], t60)
     geometry = array_geometry(cfg.mics, cfg.radius_m, positions=cfg.positions)
-    target_src = placement_from_azimuth(room, target_az, target_dist, "target")
-    intf_src = placement_from_azimuth(room, intf_az, cfg.interference_distance_m, "interference")
+    target_src = placement_from_azimuth(room, target_az, target_dist)
+    intf_src = placement_from_azimuth(room, intf_az, cfg.interference_distance_m)
 
     if cfg.speech_dir is not None:
         files = sorted(Path(cfg.speech_dir).glob("*.wav"))

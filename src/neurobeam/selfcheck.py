@@ -1,9 +1,6 @@
 """Built-in verification suite: gradient checks against central finite
 differences, STFT round-trip, steering-vector identities, and metric
 identities. The CLI exposes this as ``neurobeam selfcheck``.
-
-``corrupt_op`` perturbs the analytic gradient of one named operation so
-the failure path itself is testable.
 """
 
 from __future__ import annotations
@@ -176,10 +173,10 @@ def gradient_cases(seed=0):
 # Individual checks
 # ---------------------------------------------------------------------------
 
-def _check_gradients(corrupt_op=None):
+def _check_gradients():
     results = []
     for name, build, arrays in gradient_cases():
-        err = check_gradients(build, arrays, corrupt=(name == corrupt_op))
+        err = check_gradients(build, arrays)
         ok = err < GRAD_TOLERANCE
         results.append((f"gradient_{name}", ok, f"rel err {err:.2e}"))
     return results
@@ -272,12 +269,12 @@ def _check_adjoint():
     return results
 
 
-def run_selfcheck(corrupt_op=None):
+def run_selfcheck():
     """Run all checks; returns a list of (name, passed, detail)."""
     results = []
     results.extend(_check_stft_roundtrip())
     results.extend(_check_steering())
     results.extend(_check_adjoint())
-    results.extend(_check_gradients(corrupt_op))
+    results.extend(_check_gradients())
     results.extend(_check_metrics())
     return results

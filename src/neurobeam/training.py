@@ -11,6 +11,7 @@ the uninterrupted trajectory.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 from pathlib import Path
@@ -66,17 +67,9 @@ def _checkpoint_meta(cfg, step):
         array_meta["positions"] = [list(p) for p in cfg.array.positions]
     return {
         "train_step": step,
-        "stft": {
-            "window_length": cfg.stft.window_length,
-            "hop": cfg.stft.hop,
-            "fft_size": cfg.stft.fft_size,
-        },
+        "stft": dataclasses.asdict(cfg.stft),
         "array": array_meta,
-        "localization": {
-            "zones": cfg.localization.zones,
-            "mode": cfg.localization.mode,
-            "vad_threshold": cfg.localization.vad_threshold,
-        },
+        "localization": dataclasses.asdict(cfg.localization),
         "dataset": {"sample_rate": cfg.dataset.sample_rate},
         "training": {
             "reference_mic": cfg.training.reference_mic,
@@ -112,14 +105,14 @@ def _save(out_dir, model, adam, cfg, step):
     save_checkpoint(out_dir / CHECKPOINT_NAME, arrays, meta)
 
 
-def training_step(model, adam, cfg, stft_cfg, entry, base_dir, steering=None):
+def training_step(model, adam, cfg, entry, base_dir, steering=None):
     """One optimization step on one mixture.
 
     Returns ``(breakdown, fault)``: ``fault`` is None when the update was
     applied, else why it was not (a non-finite loss, or the first
     parameter whose gradient is non-finite), with the parameters untouched.
     """
-    trn = cfg.training
+    trn, stft_cfg = cfg.training, cfg.stft
     noisy = read_wav(base_dir / entry["noisy_path"], cfg.dataset.sample_rate)
     target = read_wav(base_dir / entry["target_path"], cfg.dataset.sample_rate)
     spec = stft(noisy, stft_cfg)
@@ -168,10 +161,29 @@ def _truncate_log(path, step):
         fh.writelines(rows)
 
 
+def _check_resume(path, arrays, meta, cfg):
+    """Reject a checkpoint recorded under other STFT, array or sample-rate
+    settings than ``cfg``, or whose step is not its optimizer's step count.
+    A key the checkpoint predates is not checked."""
+    expect = _checkpoint_meta(cfg, None)
+    checks = [(key, meta.get(key), expect[key], "the config") for key in ("stft", "array")]
+    checks.append(("dataset.sample_rate", sample_rate_from_meta(meta),
+                   cfg.dataset.sample_rate, "the config"))
+    if "adam.step" in arrays:
+        checks.append(("train_step", meta.get("train_step"), int(arrays["adam.step"][0]),
+                       "its adam.step"))
+    for key, recorded, wanted, source in checks:
+        if recorded is not None and recorded != wanted:
+            raise ValueError(
+                f"checkpoint {path} records {key} {recorded}, but {source} is {wanted}"
+            )
+
+
 def train(cfg, manifest_path, out_dir, resume=None):
     """Run the configured number of steps; returns the per-step log.
 
-    On a non-finite loss or parameter gradient the last finite-state
+    A ``resume`` checkpoint must agree with ``cfg`` (``_check_resume``). On
+    a non-finite loss or parameter gradient the last finite-state
     checkpoint is kept on disk and ``TrainingDiverged`` is raised.
     """
     manifest_path = Path(manifest_path)
@@ -181,8 +193,6 @@ def train(cfg, manifest_path, out_dir, resume=None):
     if not entries:
         raise ValueError(f"dataset manifest {manifest_path} is empty")
     base_dir = manifest_path.parent
-    stft_cfg = cfg.stft_config()
-
     model = build_model(cfg)
     adam = Adam(
         model.params(), lr=cfg.training.lr, beta1=cfg.training.beta1,
@@ -190,6 +200,7 @@ def train(cfg, manifest_path, out_dir, resume=None):
     )
     if resume is not None:
         arrays, meta = load_checkpoint(resume)
+        _check_resume(resume, arrays, meta, cfg)
         arrays = upgrade_arrays(arrays, meta)
         model.load_arrays(arrays)
         adam.load_state_arrays(arrays)
@@ -199,7 +210,7 @@ def train(cfg, manifest_path, out_dir, resume=None):
     if cfg.localization.mode == "splm":
         steering = steering_set(
             cfg.geometry(), ZoneGrid(cfg.localization.zones),
-            stft_cfg.frequencies(cfg.dataset.sample_rate),
+            cfg.stft.frequencies(cfg.dataset.sample_rate),
         )
 
     log_path = out_dir / LOG_NAME
@@ -212,15 +223,7 @@ def train(cfg, manifest_path, out_dir, resume=None):
         for step in range(start, cfg.training.steps):
             t0 = time.perf_counter()
             entry = entries[step % len(entries)]
-            breakdown, fault = training_step(
-                model, adam, cfg, stft_cfg, entry, base_dir, steering
-            )
-            if cfg.training.debug_nan_at_step == step:
-                breakdown = LossBreakdown(
-                    breakdown.si_snr_db, breakdown.loss_sisnr, breakdown.loss_bce,
-                    float("nan"), breakdown.gamma,
-                )
-                fault = "non-finite loss"
+            breakdown, fault = training_step(model, adam, cfg, entry, base_dir, steering)
             if fault is not None:
                 # Parameters predate the poisoned update; keep them if finite.
                 if all(np.all(np.isfinite(p.data)) for p in model.params().values()):

@@ -26,6 +26,25 @@ def toy_config_dict(**training_overrides):
     }
 
 
+@pytest.fixture
+def nan_loss_at_step_1(monkeypatch):
+    """``training.training_step`` reports a non-finite loss, without applying
+    the update, on its second call (step 1 of a fresh run)."""
+    from neurobeam import training
+    from neurobeam.losses import LossBreakdown
+
+    real_step, calls = training.training_step, []
+
+    def step(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            nan = float("nan")
+            return LossBreakdown(nan, nan, nan, nan, 1.0), "non-finite loss"
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(training, "training_step", step)
+
+
 @pytest.fixture(scope="session")
 def toy_dataset(tmp_path_factory):
     """One 1-s seeded mixture plus its manifest, shared across tests."""

@@ -37,6 +37,7 @@ from neurobeam.model import MimoDccrn, MimoDccrnConfig, NlmConfig
 from neurobeam.roomsim import (
     MixtureSpec,
     RoomSpec,
+    azimuth_track,
     image_source_rir,
     placement_from_azimuth,
     synthesize_mixture,
@@ -123,6 +124,8 @@ def test_criterion_3_delay_and_sum_oracle():
     speech = Waveform(burst[np.newaxis], fs)
     mix = MixtureSpec(duration=0.6, speech_len=0.35, speech_offset=0.12,
                       sir_db=0.0, sensor_snr_db=np.inf, seed=4)
+    n, off = int(round(mix.duration * fs)), int(round(mix.speech_offset * fs))
+    active = ~np.isnan(azimuth_track(n, off, burst.size, 0.0, cfg))
 
     # 5-degree sweep of the full circle, offset into zone interiors
     # (points exactly on a zone edge are degenerate for any estimator).
@@ -132,12 +135,11 @@ def test_criterion_3_delay_and_sum_oracle():
     margin = int(np.ceil((8.0 / 343.0 + cfg.window_length / fs) / (cfg.hop / fs)))
     for theta in sweep:
         src = placement_from_azimuth(room, float(theta), 8.0)
-        rec = synthesize_mixture(room, geom, src, None, speech, None, mix, cfg)
+        rec = synthesize_mixture(room, geom, src, None, speech, None, mix)
         spec = stft(rec.noisy, cfg).data
         power = np.mean(np.abs(spec), axis=(0, 2))
         weights = np.conj(spec) / (mics * (power[np.newaxis, :, np.newaxis] + 1e-12))
         zmap = splm_map(weights, steering)
-        active = ~np.isnan(rec.azimuth_track)
         pred = int(np.argmax(zmap[active].mean(axis=0))) + 1
         correct += pred == zone_of_angle(float(theta), zones)
 

@@ -8,7 +8,6 @@ from neurobeam.arraygeom import (
     ZoneGrid,
     ground_truth_map,
     steering_set,
-    steering_vector,
     uca_positions,
     zone_of_angle,
 )
@@ -36,36 +35,38 @@ def test_uca_hexagon_side_equals_radius():
     assert np.allclose(sides, 0.05)
 
 
+# Zone n of this grid is centered at azimuth n - 1 degrees.
+WHOLE_DEGREES = ZoneGrid(360)
+
+
 def test_steering_zero_frequency_is_ones():
     geom = ArrayGeometry(uca_positions(6, 0.05))
-    assert np.allclose(steering_vector(geom, 73.0, 0.0), np.ones(6))
+    assert np.allclose(steering_set(geom, WHOLE_DEGREES, [0.0])[73, 0], np.ones(6))
 
 
 def test_steering_mic_at_origin_is_unity():
     geom = ArrayGeometry(np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]]))
-    for f in (100.0, 1000.0, 7999.0):
-        assert steering_vector(geom, 30.0, f)[0] == pytest.approx(1.0)
+    a = steering_set(geom, WHOLE_DEGREES, [100.0, 1000.0, 7999.0])[30]  # [F x M]
+    assert np.allclose(a[:, 0], 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_steering_hand_phase():
     geom = ArrayGeometry(np.array([[0.05, 0.0, 0.0], [-0.05, 0.0, 0.0]]))
-    a = steering_vector(geom, 0.0, 1000.0)
+    a = steering_set(geom, WHOLE_DEGREES, [1000.0])[0, 0]
     assert np.angle(a[0]) == pytest.approx(HAND_PHASE, abs=1e-12)
 
 
 def test_steering_unit_modulus(rng):
     geom = ArrayGeometry(rng.uniform(-0.1, 0.1, size=(5, 3)))
-    for _ in range(20):
-        a = steering_vector(geom, rng.uniform(-360, 360), rng.uniform(0, 8000))
-        assert np.abs(np.abs(a) - 1.0).max() < 1e-12
+    a = steering_set(geom, WHOLE_DEGREES, rng.uniform(0, 8000, size=20))
+    assert np.abs(np.abs(a) - 1.0).max() < 1e-12
 
 
 def test_steering_conjugate_symmetry_in_frequency():
     geom = ArrayGeometry(uca_positions(6, 0.05))
-    for f in (125.0, 1000.0, 3000.0):
-        assert np.allclose(
-            steering_vector(geom, 40.0, -f), np.conj(steering_vector(geom, 40.0, f))
-        )
+    f = np.array([125.0, 1000.0, 3000.0])
+    a = steering_set(geom, WHOLE_DEGREES, np.concatenate([-f, f]))[40]
+    assert np.allclose(a[:3], np.conj(a[3:]))
 
 
 def test_steering_sign_convention_delay_and_sum():

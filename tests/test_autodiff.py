@@ -219,6 +219,27 @@ def test_reshape_and_transpose_pass_their_gradient_on_uncopied():
     assert np.array_equal(x.grad, w.data.reshape(2, 3) + 2.0 * xd)
 
 
+def test_parameter_gradient_bits_do_not_depend_on_graph_layout(rng):
+    # The same loss through narrow (partial gradients into the map) and
+    # through reshape (one full gradient) gives the map the same gradient
+    # values; the map's data is F-ordered, and the bias gradient summed
+    # from the map's gradient must not depend on which route built it.
+    xd = constant(rng.standard_normal((64, 6)).astype(np.float32))
+    c = rng.standard_normal((6, 64)).astype(np.float32)
+    grads = []
+    for route in ("narrow", "reshape"):
+        b = Tensor(np.zeros((6, 1), dtype=np.float32))
+        h = ad.transpose(xd, (1, 0)) + b  # [6 x 64], F-ordered data
+        if route == "narrow":
+            loss = (ad.reduce_sum(ad.narrow(h, 0, 0, 2) * constant(c[:2]))
+                    + ad.reduce_sum(ad.narrow(h, 0, 2, 4) * constant(c[2:])))
+        else:
+            loss = ad.reduce_sum(ad.reshape(h, (-1,)) * constant(c.reshape(-1)))
+        backward(loss)
+        grads.append(b.grad)
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
 def test_no_grad_records_nothing_and_restores_recording(rng):
     x = Tensor(rng.standard_normal((2, 3)))
     with ad.no_grad():

@@ -197,7 +197,7 @@ def test_nlm_zone_map_matches_complex_round_trip(toy_dataset):
     from neurobeam.layers import to_complex
 
     cfg = toy_dataset["config"]
-    stft_cfg = cfg.stft_config()
+    stft_cfg = cfg.stft
     noisy = read_wav(toy_dataset["dir"] / toy_dataset["entries"][0]["noisy_path"])
     model = _toy_model()
     spec = stft(noisy, stft_cfg)
@@ -237,10 +237,10 @@ def test_enhance_memory_stays_below_a_recorded_graph(toy_dataset):
     noisy = read_wav(toy_dataset["dir"] / toy_dataset["entries"][0]["noisy_path"])
     model = _toy_model()
     for mode in ("nlm", "splm"):
-        enhance_utterance(noisy, model, mode, 12, cfg.geometry(), cfg.stft_config())
+        enhance_utterance(noisy, model, mode, 12, cfg.geometry(), cfg.stft)
         tracemalloc.start()
         try:
-            enhance_utterance(noisy, model, mode, 12, cfg.geometry(), cfg.stft_config())
+            enhance_utterance(noisy, model, mode, 12, cfg.geometry(), cfg.stft)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -170,12 +170,12 @@ def test_truncated_checkpoint_exit_code(trained, tmp_path, capsys, command):
     assert "cut.nbcp is truncated" in err and "Traceback" not in err
 
 
-def test_train_nan_abort_exit_code(trained, tmp_path, capsys):
-    cfg_nan = tmp_path / "nan.json"
-    with open(cfg_nan, "w") as fh:
-        json.dump(toy_config_dict(steps=3, debug_nan_at_step=1), fh)
+def test_train_nan_abort_exit_code(trained, tmp_path, capsys, nan_loss_at_step_1):
+    cfg = tmp_path / "c3.json"
+    with open(cfg, "w") as fh:
+        json.dump(toy_config_dict(steps=3), fh)
     out = tmp_path / "run"
-    rc = main(["train", str(cfg_nan), "--manifest", str(trained["manifest"]),
+    rc = main(["train", str(cfg), "--manifest", str(trained["manifest"]),
                "--out", str(out)])
     assert rc == 2
     assert "non-finite loss" in capsys.readouterr().err
@@ -211,10 +211,21 @@ def test_selfcheck_passes_within_budget(capsys):
     assert "checks passed" in out
 
 
-def test_selfcheck_corrupted_gradient_fails_with_op_name(capsys):
-    assert main(["selfcheck", "--corrupt-op", "complex_conv2d"]) == 1
+def test_selfcheck_corrupted_gradient_fails_with_op_name(capsys, monkeypatch):
+    from neurobeam import autodiff as ad
+    from neurobeam import selfcheck
+
+    def wrong_square(x):
+        def backward_fn(g):
+            x.accumulate(3.0 * g * x.data, owned=True)  # d(x^2)/dx is 2x
+
+        return ad.Tensor(x.data * x.data, (x,), backward_fn)
+
+    case = ("wrong_square", lambda x: ad.reduce_sum(wrong_square(x)), [np.array([0.5, -1.5])])
+    monkeypatch.setattr(selfcheck, "gradient_cases", lambda: [case])
+    assert main(["selfcheck"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL gradient_complex_conv2d" in out
+    assert "FAIL gradient_wrong_square" in out
 
 
 def test_write_config_roundtrip(tmp_path):

@@ -93,3 +93,21 @@ def test_write_and_load(tmp_path):
     cfg = apply_overrides(RunConfig(), {"localization.mode": "splm"})
     write_config(path, cfg)
     assert load_config(path) == cfg
+
+
+def test_non_cola_stft_rejected_at_load():
+    with pytest.raises(ConfigError, match="stft"):
+        config_from_dict({"stft": {"hop": 150}})
+
+
+def test_sections_are_the_domain_types():
+    from neurobeam.dsp import StftConfig
+    from neurobeam.roomsim import DatasetConfig, MixtureRanges
+
+    cfg = config_from_dict({"stft": {"window_length": 512, "hop": 128}})
+    assert cfg.stft == StftConfig(512, 128, 512)
+    assert cfg.stft.window.shape == (512,)
+    assert set(cfg.to_dict()["stft"]) == {"window_length", "hop", "fft_size"}
+    assert type(cfg.dataset) is MixtureRanges
+    data = cfg.dataset_config()
+    assert isinstance(data, DatasetConfig) and data.master_seed == cfg.seed

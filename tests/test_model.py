@@ -108,16 +108,17 @@ def test_output_shape_contract(rng):
 
 def test_pack_input_stacked_layout_and_dc(rng):
     # Channel m holds the real part of mic m, channel M + m its imaginary
-    # part, over the bins above DC; the DC bins come back apart.
+    # part, over the bins above DC; the DC bins are left out.
     spec = random_spec(rng, 3, 5, bins=257)
-    packed, dc = pack_input(spec, 256, np.float64)
+    packed = pack_input(spec, 256, np.float64)
     assert packed.shape == (1, 6, 256, 5)
     assert not packed.needs_grad and packed.parents == ()
     body = spec[:, :, 1:].transpose(0, 2, 1)
     assert np.array_equal(packed.data[0, :3], body.real)
     assert np.array_equal(packed.data[0, 3:], body.imag)
-    assert np.array_equal(dc, spec[:, :, 0])
-    packed32, _ = pack_input(spec, 256, np.float32)
+    spec[:, :, 0] += 1.0
+    assert np.array_equal(pack_input(spec, 256, np.float64).data, packed.data)
+    packed32 = pack_input(spec, 256, np.float32)
     assert packed32.dtype == np.float32
     assert np.array_equal(packed32.data, packed.data.astype(np.float32))
 
@@ -125,15 +126,15 @@ def test_pack_input_stacked_layout_and_dc(rng):
 def test_pack_input_channel_count():
     # One microphone contributes a (re, im) pair: 2M real channels.
     rng = np.random.default_rng(0)
-    packed, _ = pack_input(random_spec(rng, 1, 4), 256, np.float64)
+    packed = pack_input(random_spec(rng, 1, 4), 256, np.float64)
     assert packed.shape[1] == 2  # M complex = 2M real
-    packed6, _ = pack_input(random_spec(rng, 6, 4), 256, np.float64)
+    packed6 = pack_input(random_spec(rng, 6, 4), 256, np.float64)
     assert packed6.shape[1] == 12
 
 
 def test_first_encoder_block_reads_the_packed_leaf(rng):
     model = desk_model()
-    packed, _ = pack_input(random_spec(rng, 4, 3), 256, model.dtype)
+    packed = pack_input(random_spec(rng, 4, 3), 256, model.dtype)
     enc0, outputs = model.encoder[0], []
 
     def spy(x, training):
@@ -154,7 +155,7 @@ def test_dc_weight_copied_from_first_modeled_bin(rng):
 def test_frequency_halving_chain(rng):
     model = desk_model()
     spec = random_spec(rng, 4, 3)
-    packed, _ = pack_input(spec, 256, model.dtype)
+    packed = pack_input(spec, 256, model.dtype)
     expected = [128, 64, 32, 16, 8, 4]
     h = packed
     for block, freq in zip(model.encoder, expected):

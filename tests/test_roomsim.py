@@ -11,6 +11,7 @@ from neurobeam.roomsim import (
     MixtureSpec,
     RoomSpec,
     _build_record,
+    azimuth_track,
     azimuth_track_from_entry,
     generate_dataset,
     image_source_rir,
@@ -187,11 +188,18 @@ def test_mixture_no_interference_infinite_snr_is_pure_reverb():
     assert np.array_equal(rec.noisy.samples, rec.parts["reverberant_speech"])
 
 
+def _toy_track(rec):
+    """The azimuth track of ``_toy_mixture``'s 0.5 s of speech at 0.2 s."""
+    return azimuth_track(rec.noisy.num_samples, 3200, 8000, rec.target_azimuth_deg, StftConfig())
+
+
 def test_mixture_azimuth_track_maps_to_zone_4():
     rec = _toy_mixture(azimuth=90.0)
-    active = ~np.isnan(rec.azimuth_track)
+    assert rec.target_azimuth_deg == 90.0
+    track = _toy_track(rec)
+    active = ~np.isnan(track)
     assert np.any(active) and not np.all(active)
-    z = ground_truth_map(rec.azimuth_track, 12)
+    z = ground_truth_map(track, 12)
     assert np.all(z[active, 3] == 1.0)
     assert np.all(z[~active] == 0.0)
 
@@ -201,7 +209,7 @@ def test_mixture_track_length_matches_frames():
     cfg = StftConfig()
     from neurobeam.dsp import num_frames
 
-    assert rec.azimuth_track.shape[0] == num_frames(16000, cfg.window_length, cfg.hop)
+    assert _toy_track(rec).shape[0] == num_frames(16000, cfg.window_length, cfg.hop)
 
 
 def test_generate_dataset_count_zero(tmp_path):
@@ -285,11 +293,19 @@ def test_speech_dir_file_rejected(tmp_path, seconds, rate, reason):
 
 
 def test_speech_dir_record_track_matches_manifest_track(tmp_path):
+    # The manifest's speech window, from which the track is rebuilt, is
+    # where the record's target sounds: silent before it (the direct path
+    # takes at least one sample), and sounding through its last sample.
     cfg = replace(_small_dataset_config(), speech_dir=_speech_dir(tmp_path, 0.5, 16000))
     record, entry = _build_record(cfg, 0)
     track = azimuth_track_from_entry(entry, StftConfig())
-    assert np.array_equal(np.isnan(record.azimuth_track), np.isnan(track))
     assert np.any(~np.isnan(track))
+    off, length = (int(round(entry[k] * entry["sample_rate"]))
+                   for k in ("speech_offset_s", "speech_len_s"))
+    level = np.abs(record.target.samples).max(axis=0)
+    sounding = np.flatnonzero(level > 1e-3 * level.max())
+    assert off < sounding[0] < off + StftConfig().hop
+    assert sounding[-1] >= off + length - 1
 
 
 def test_record_and_manifest_agree_on_target_zone():
@@ -304,8 +320,6 @@ def test_record_and_manifest_agree_on_target_zone():
         record, entry = _build_record(cfg, 0)
         assert entry["target_azimuth_deg"] == azimuth
         assert zone_of_angle(record.target_azimuth_deg, 12) == zone_of_angle(azimuth, 12)
-        track = azimuth_track_from_entry(entry, StftConfig())
-        assert np.array_equal(record.azimuth_track, track, equal_nan=True)
 
 
 def test_mixture_spec_validation():

@@ -104,11 +104,49 @@ def test_resume_logs_each_step_once(tmp_path, toy_dataset):
     assert [row["step"] for row in _strip_wall(out / LOG_NAME)] == [0, 1, 2, 3]
 
 
-def test_nan_abort_keeps_checkpoint(tmp_path, toy_dataset):
-    cfg = config_from_dict(toy_config_dict(steps=4, debug_nan_at_step=1))
-    with pytest.raises(TrainingDiverged, match="step 1"):
+@pytest.mark.parametrize("section, values, key", [
+    ("stft", {"window_length": 512, "hop": 128}, "stft"),
+    ("array", {"radius_m": 0.06}, "array"),
+    ("dataset", {"sample_rate": 8000}, "dataset.sample_rate"),
+])
+def test_resume_rejects_checkpoint_of_other_settings(tmp_path, toy_dataset, section, values, key):
+    train(config_from_dict(toy_config_dict(steps=1)), toy_dataset["manifest"], tmp_path / "run")
+    other = toy_config_dict(steps=2)
+    other[section] = {**other.get(section, {}), **values}
+    with pytest.raises(ValueError, match=f"records {key} "):
+        train(config_from_dict(other), toy_dataset["manifest"], tmp_path / "run",
+              resume=tmp_path / "run" / CHECKPOINT_NAME)
+
+
+def test_resume_rejects_step_that_is_not_the_optimizers(tmp_path, toy_dataset, capsys):
+    from neurobeam.checkpoint import load_checkpoint, save_checkpoint
+    from neurobeam.cli import main
+
+    cfg = config_from_dict(toy_config_dict(steps=1))
+    train(cfg, toy_dataset["manifest"], tmp_path / "run")
+    ckpt = tmp_path / "run" / CHECKPOINT_NAME
+    arrays, meta = load_checkpoint(ckpt)
+    save_checkpoint(ckpt, arrays, {**meta, "train_step": 2})
+    config = tmp_path / "c2.json"
+    config.write_text(json.dumps(toy_config_dict(steps=2)))
+    argv = ["train", str(config), "--manifest", str(toy_dataset["manifest"]),
+            "--out", str(tmp_path / "run"), "--resume", str(ckpt)]
+    assert main(argv) == 1
+    assert "records train_step 2, but its adam.step is 1" in capsys.readouterr().err
+    # A checkpoint that predates a recorded key is not checked on it.
+    legacy = {k: v for k, v in meta.items() if k not in ("train_step", "stft", "array", "dataset")}
+    save_checkpoint(ckpt, arrays, legacy)
+    assert main(argv) == 0
+
+
+def test_nan_abort_keeps_checkpoint(tmp_path, toy_dataset, nan_loss_at_step_1):
+    from neurobeam.checkpoint import load_checkpoint
+
+    cfg = config_from_dict(toy_config_dict(steps=4))
+    with pytest.raises(TrainingDiverged, match="non-finite loss at step 1"):
         train(cfg, toy_dataset["manifest"], tmp_path / "run")
-    assert (tmp_path / "run" / CHECKPOINT_NAME).exists()
+    arrays, meta = load_checkpoint(tmp_path / "run" / CHECKPOINT_NAME)
+    assert meta["train_step"] == 1 and arrays["adam.step"][0] == 1
 
 
 def test_nan_gradient_with_finite_loss_aborts_before_update(tmp_path, toy_dataset, monkeypatch):
@@ -152,7 +190,7 @@ def test_empty_manifest_rejected(tmp_path):
 def test_gamma_zero_is_pure_bce_and_head_reachability(toy_dataset):
     """The localization head is reachable only through the BCE branch."""
     cfg = toy_dataset["config"]
-    stft_cfg = cfg.stft_config()
+    stft_cfg = cfg.stft
     model = build_model(cfg)
     entry = toy_dataset["entries"][0]
     noisy = read_wav(toy_dataset["dir"] / entry["noisy_path"])
@@ -197,7 +235,7 @@ def test_training_step_after_no_grad_block_still_trains(toy_dataset):
     from neurobeam.training import training_step
 
     cfg = toy_dataset["config"]
-    stft_cfg = cfg.stft_config()
+    stft_cfg = cfg.stft
     entry = toy_dataset["entries"][0]
     model = build_model(cfg)
     adam = Adam(model.params(), lr=1e-3)
@@ -207,7 +245,7 @@ def test_training_step_after_no_grad_block_still_trains(toy_dataset):
             model.forward_weights(spec.data, training=False)
             raise RuntimeError("inside the block")
     before = {k: p.data.copy() for k, p in model.params().items()}
-    breakdown, fault = training_step(model, adam, cfg, stft_cfg, entry, toy_dataset["dir"])
+    breakdown, fault = training_step(model, adam, cfg, entry, toy_dataset["dir"])
     assert fault is None and np.isfinite(breakdown.total)
     params = model.params()
     assert all(p.grad is not None for p in params.values())
@@ -234,7 +272,7 @@ def test_identity_model_improvement_is_zero(toy_dataset):
     cfg = toy_dataset["config"]
     rows = evaluate_records(
         toy_dataset["entries"], toy_dataset["dir"], _MicSelectorModel(),
-        cfg.stft_config(), cfg.geometry(), 12, "splm",
+        cfg.stft, cfg.geometry(), 12, "splm",
     )
     assert abs(rows[0]["si_snri_db"]) < 1e-3
 
@@ -243,7 +281,7 @@ def test_summary_buckets_and_report(tmp_path, toy_dataset):
     cfg = toy_dataset["config"]
     rows = evaluate_records(
         toy_dataset["entries"], toy_dataset["dir"], _MicSelectorModel(),
-        cfg.stft_config(), cfg.geometry(), 12, "splm",
+        cfg.stft, cfg.geometry(), 12, "splm",
     )
     summary = summarize(rows)
     # Only the SIR=0 bucket is populated; the others are omitted.
@@ -325,7 +363,7 @@ def _noisy_si_snr(toy_dataset, mic, convention):
     from neurobeam.losses import si_snr
 
     entry = toy_dataset["entries"][0]
-    stft_cfg = toy_dataset["config"].stft_config()
+    stft_cfg = toy_dataset["config"].stft
     noisy = read_wav(toy_dataset["dir"] / entry["noisy_path"])
     target = read_wav(toy_dataset["dir"] / entry["target_path"])
     n = stft_cfg.window_length + (stft(noisy, stft_cfg).data.shape[1] - 1) * stft_cfg.hop
