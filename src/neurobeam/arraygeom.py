@@ -48,11 +48,30 @@ def uca_positions(num_mics, radius):
     return np.stack([radius * np.cos(angles), radius * np.sin(angles), np.zeros(num_mics)], axis=1)
 
 
-def array_geometry(mics, radius_m, speed_of_sound=SPEED_OF_SOUND, positions=None):
-    """The configured array: explicit ``positions`` [M x 3], else a UCA."""
-    if positions is None:
-        positions = uca_positions(mics, radius_m)
-    return ArrayGeometry(np.asarray(positions, dtype=np.float64), speed_of_sound)
+@dataclass(frozen=True)
+class ArraySpec:
+    """The array's settings (the config's ``array``), shared by the run
+    config, the dataset config and the checkpoint: ``speed_of_sound`` sets
+    both the steering vectors and the room simulator."""
+
+    mics: int = 4
+    radius_m: float = 0.05
+    speed_of_sound: float = SPEED_OF_SOUND
+    positions: tuple | None = None  # explicit [x, y, z] per mic; overrides the UCA
+
+    def __post_init__(self):
+        if self.positions is not None and len(self.positions) != self.mics:
+            raise ValueError(
+                f"array.positions lists {len(self.positions)} microphones "
+                f"but array.mics is {self.mics}"
+            )
+
+    def geometry(self):
+        """The configured array: explicit ``positions`` [M x 3], else a UCA."""
+        positions = self.positions
+        if positions is None:
+            positions = uca_positions(self.mics, self.radius_m)
+        return ArrayGeometry(np.asarray(positions, dtype=np.float64), self.speed_of_sound)
 
 
 def doa_unit_vector(azimuth_deg):

@@ -141,7 +141,7 @@ def cmd_enhance(args):
         noisy, model, mode, zones, geometry, stft_cfg,
         vad_threshold=loc_meta["vad_threshold"],
     )
-    write_wav(args.out, enhanced, fmt="float32")
+    write_wav(args.out, enhanced)
     csv_path = args.csv or f"{args.out}.loc.csv"
     times = stft_cfg.frame_times(result.zmap.shape[0], noisy.sample_rate)
     write_localization_csv(csv_path, result, times)

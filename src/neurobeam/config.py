@@ -2,17 +2,19 @@
 ranges, STFT settings, model size, and training hyperparameters.
 
 Loading is strict: unknown keys anywhere in the document are rejected by
-their dotted path. Command-line flags override individual keys after the
-file is parsed.
+their dotted path, and every value is checked against its field's type
+annotation (``load_section``). Command-line flags override individual keys
+after the file is parsed.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field
 
-from .arraygeom import array_geometry
+from .arraygeom import ArraySpec
 from .dsp import StftConfig
 from .model import MimoDccrnConfig, NlmConfig
 from .roomsim import DatasetConfig, MixtureRanges
@@ -22,21 +24,6 @@ CONFIG_SCHEMA_VERSION = 1
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class ArraySection:
-    mics: int = 4
-    radius_m: float = 0.05
-    speed_of_sound: float = 343.0
-    positions: tuple | None = None  # explicit [x, y, z] per mic; overrides the UCA
-
-    def __post_init__(self):
-        if self.positions is not None and len(self.positions) != self.mics:
-            raise ConfigError(
-                f"array.positions lists {len(self.positions)} microphones "
-                f"but array.mics is {self.mics}"
-            )
 
 
 @dataclass(frozen=True)
@@ -56,6 +43,8 @@ class LocalizationSection:
     vad_threshold: float = 0.5
 
     def __post_init__(self):
+        if self.zones < 2:
+            raise ConfigError(f"localization.zones must be at least 2, got {self.zones}")
         if self.mode not in ("splm", "nlm"):
             raise ConfigError(f"localization.mode must be 'splm' or 'nlm', got '{self.mode}'")
 
@@ -85,7 +74,7 @@ class TrainingSection:
 class RunConfig:
     seed: int = 0
     stft: StftConfig = field(default_factory=StftConfig)
-    array: ArraySection = field(default_factory=ArraySection)
+    array: ArraySpec = field(default_factory=ArraySpec)
     dataset: MixtureRanges = field(default_factory=MixtureRanges)
     model: ModelSection = field(default_factory=ModelSection)
     localization: LocalizationSection = field(default_factory=LocalizationSection)
@@ -99,28 +88,15 @@ class RunConfig:
             )
 
     # -- assembled objects ---------------------------------------------------
-    def geometry(self):
-        return array_geometry(**dataclasses.asdict(self.array))
-
     def dataset_config(self):
         return DatasetConfig(
             master_seed=self.seed,
-            mics=self.array.mics,
-            radius_m=self.array.radius_m,
-            positions=self.array.positions,
+            **dataclasses.asdict(self.array),
             **dataclasses.asdict(self.dataset),
         )
 
     def model_config(self):
-        return MimoDccrnConfig(
-            mics=self.array.mics,
-            encoder_channels=self.model.encoder_channels,
-            kernel=self.model.kernel,
-            stride=self.model.stride,
-            lstm_hidden=self.model.lstm_hidden,
-            freq_bins_model=self.model.freq_bins_model,
-            scale=self.model.scale,
-        )
+        return MimoDccrnConfig(mics=self.array.mics, **dataclasses.asdict(self.model))
 
     def nlm_config(self):
         return NlmConfig(zones=self.localization.zones)
@@ -137,76 +113,58 @@ def _as_plain(obj):
     return obj
 
 
-_TUPLE_FIELDS = {
-    "rooms", "t60_ranges", "target_distance_ranges", "target_azimuth_grid",
-    "interference_azimuth_grid", "sir_range_db", "sir_values_db", "snr_range_db",
-    "encoder_channels", "kernel", "stride", "positions",
-}
-
-
 def _tuplify(value):
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return tuple(_tuplify(v) for v in value)
     return value
 
 
-def _coerce(value, default, dotted):
-    """Validate a scalar against the field default's type; ints widen to
-    floats but nothing else converts silently."""
-    if default is None or value is None:
-        return value
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"config key '{dotted}' expects a boolean, got {value!r}")
-        return value
-    if isinstance(default, int):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"config key '{dotted}' expects an integer, got {value!r}")
-        return value
-    if isinstance(default, float):
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"config key '{dotted}' expects a number, got {value!r}")
+_EXPECTED = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _load_value(kind, value, dotted):
+    """``value`` checked against the annotation ``kind``: a dataclass is a
+    section; ``X | None`` takes None or an X; a tuple is a list (converted
+    to nested tuples); an int widens to a float, and nothing else converts
+    (a bool is never a number)."""
+    if dataclasses.is_dataclass(kind):
+        return load_section(kind, value, dotted)
+    options = typing.get_args(kind)
+    if type(None) in options:
+        if value is None:
+            return None
+        (kind,) = [k for k in options if k is not type(None)]
+    if kind is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"config key '{dotted}' expects a list, got {value!r}")
+        return _tuplify(value)
+    if kind is float and type(value) is int:
         return float(value)
-    if isinstance(default, str):
-        if not isinstance(value, str):
-            raise ConfigError(f"config key '{dotted}' expects a string, got {value!r}")
-        return value
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"config key '{dotted}' expects {_EXPECTED[kind]}, got {value!r}")
     return value
 
 
-def _build_section(cls, data, path):
+def load_section(cls, data, path):
+    """The dataclass ``cls`` built from the JSON object ``data`` (a config
+    section or a section of a checkpoint's meta), each value checked against
+    its field's annotation; ``path`` names the section in errors."""
     if not isinstance(data, dict):
         raise ConfigError(f"config section '{path}' must be an object")
-    known = {f.name: f for f in dataclasses.fields(cls)}
-    defaults = cls()
+    kinds = typing.get_type_hints(cls)
+    names = {f.name for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in data.items():
-        if key not in known:
-            raise ConfigError(f"unknown config key '{path}.{key}'" if path else
-                              f"unknown config key '{key}'")
         dotted = f"{path}.{key}" if path else key
-        if key in _SECTION_TYPES:
-            kwargs[key] = _build_section(_SECTION_TYPES[key], value, dotted)
-        elif key in _TUPLE_FIELDS and value is not None:
-            kwargs[key] = _tuplify(value)
-        else:
-            kwargs[key] = _coerce(value, getattr(defaults, key), dotted)
+        if key not in names:
+            raise ConfigError(f"unknown config key '{dotted}'")
+        kwargs[key] = _load_value(kinds[key], value, dotted)
     try:
         return cls(**kwargs)
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"invalid config section '{path or '<root>'}': {exc}") from exc
-
-
-_SECTION_TYPES = {
-    "stft": StftConfig,
-    "array": ArraySection,
-    "dataset": MixtureRanges,
-    "model": ModelSection,
-    "localization": LocalizationSection,
-    "training": TrainingSection,
-}
 
 
 def config_from_dict(data):
@@ -214,7 +172,7 @@ def config_from_dict(data):
     version = data.pop("schema_version", CONFIG_SCHEMA_VERSION)
     if version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"unsupported config schema_version {version}")
-    return _build_section(RunConfig, data, "")
+    return load_section(RunConfig, data, "")
 
 
 def load_config(path):

@@ -220,7 +220,7 @@ def istft(spec):
 
 
 # ---------------------------------------------------------------------------
-# WAV file I/O (PCM 16-bit and IEEE float-32)
+# WAV file I/O (reads PCM 16/32-bit and float, writes IEEE float-32)
 # ---------------------------------------------------------------------------
 
 def read_wav(path, sample_rate=None):
@@ -246,15 +246,9 @@ def read_wav(path, sample_rate=None):
     return Waveform(samples, int(rate))
 
 
-def write_wav(path, wave, fmt="float32"):
-    """Write a waveform as float32 (default) or 16-bit PCM."""
+def write_wav(path, wave):
+    """Write a waveform as IEEE float-32."""
     data = wave.samples.T
     if data.shape[1] == 1:
         data = data[:, 0]
-    if fmt == "float32":
-        wavfile.write(path, wave.sample_rate, data.astype(np.float32))
-    elif fmt == "pcm16":
-        clipped = np.clip(data, -1.0, 32767.0 / 32768.0)
-        wavfile.write(path, wave.sample_rate, np.round(clipped * 32768.0).astype(np.int16))
-    else:
-        raise ValueError(f"unsupported output format: {fmt}")
+    wavfile.write(path, wave.sample_rate, data.astype(np.float32))

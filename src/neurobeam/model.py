@@ -14,7 +14,7 @@ returns one real tensor, and the filters are [2 x M x F x T] (re, im).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -76,29 +76,6 @@ class MimoDccrnConfig:
     def bottleneck_freq(self):
         return self.freq_bins_model // (self.stride[0] ** self.depth)
 
-    def to_dict(self):
-        return {
-            "mics": self.mics,
-            "encoder_channels": list(self.encoder_channels),
-            "kernel": list(self.kernel),
-            "stride": list(self.stride),
-            "lstm_hidden": self.lstm_hidden,
-            "freq_bins_model": self.freq_bins_model,
-            "scale": self.scale,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            mics=d["mics"],
-            encoder_channels=tuple(d["encoder_channels"]),
-            kernel=tuple(d["kernel"]),
-            stride=tuple(d["stride"]),
-            lstm_hidden=d["lstm_hidden"],
-            freq_bins_model=d["freq_bins_model"],
-            scale=d["scale"],
-        )
-
 
 @dataclass(frozen=True)
 class NlmConfig:
@@ -112,13 +89,6 @@ class NlmConfig:
     @property
     def conv_channels(self):
         return (2 * self.zones, 2 * self.zones)
-
-    def to_dict(self):
-        return {"zones": self.zones, "linear_hidden": self.linear_hidden}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(zones=d["zones"], linear_hidden=d["linear_hidden"])
 
 
 def _named(method, parts):
@@ -319,10 +289,10 @@ class MimoDccrn:
         return arrays
 
     def meta(self):
-        out = {"schema": CHECKPOINT_SCHEMA, "model": self.config.to_dict()}
+        out = {"schema": CHECKPOINT_SCHEMA, "model": asdict(self.config)}
         out["dtype"] = self.dtype.name
         if self.nlm_config is not None:
-            out["nlm"] = self.nlm_config.to_dict()
+            out["nlm"] = asdict(self.nlm_config)
         return out
 
     def load_arrays(self, arrays):
@@ -340,8 +310,12 @@ class MimoDccrn:
 
     @classmethod
     def from_meta(cls, meta, seed=0):
-        config = MimoDccrnConfig.from_dict(meta["model"])
-        nlm = NlmConfig.from_dict(meta["nlm"]) if "nlm" in meta else None
+        """The model described by a checkpoint's ``meta``; a value of the
+        wrong type raises a ``ConfigError`` naming its key."""
+        from .config import load_section
+
+        config = load_section(MimoDccrnConfig, meta["model"], "model")
+        nlm = load_section(NlmConfig, meta["nlm"], "nlm") if "nlm" in meta else None
         return cls(config, nlm=nlm, seed=seed, dtype=np.dtype(meta["dtype"]))
 
 

@@ -16,13 +16,14 @@ from __future__ import annotations
 import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .arraygeom import array_geometry, doa_unit_vector
+from .arraygeom import SPEED_OF_SOUND, ArraySpec, doa_unit_vector
 from .dsp import DEFAULT_SAMPLE_RATE, Waveform, num_frames, read_wav, write_wav
 
 SABINE_CONSTANT = 0.161
@@ -35,7 +36,7 @@ class RoomSpec:
 
     dimensions: tuple
     t60: float
-    speed_of_sound: float = 343.0
+    speed_of_sound: float = SPEED_OF_SOUND
 
     def __post_init__(self):
         dims = tuple(float(d) for d in self.dimensions)
@@ -416,13 +417,10 @@ class MixtureRanges:
 
 
 @dataclass(frozen=True)
-class DatasetConfig(MixtureRanges):
+class DatasetConfig(MixtureRanges, ArraySpec):
     """Mixture ranges plus the seed and the microphone array they are drawn for."""
 
     master_seed: int = 0
-    mics: int = 4
-    radius_m: float = 0.05
-    positions: tuple | None = None  # explicit mic coordinates; overrides the UCA
 
 
 def _azimuth_choices(grid):
@@ -446,8 +444,8 @@ def _build_record(cfg, index):
     offset = float(rng.uniform(0.0, cfg.duration_s - cfg.speech_len_s))
     seed = int(rng.integers(2**63))
 
-    room = RoomSpec(cfg.rooms[scenario], t60)
-    geometry = array_geometry(cfg.mics, cfg.radius_m, positions=cfg.positions)
+    room = RoomSpec(cfg.rooms[scenario], t60, cfg.speed_of_sound)
+    geometry = cfg.geometry()
     target_src = placement_from_azimuth(room, target_az, target_dist)
     intf_src = placement_from_azimuth(room, intf_az, cfg.interference_distance_m)
 
@@ -503,15 +501,10 @@ def generate_dataset(cfg, count, out_dir, threads=1):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
-    if threads > 1 and count > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = pool.map(_build_record, [cfg] * count, range(count))
-            for record, entry in results:
-                _write_record(out, record, entry)
-                entries.append(entry)
-    else:
-        for i in range(count):
-            record, entry = _build_record(cfg, i)
+    parallel = threads > 1 and count > 1
+    with ProcessPoolExecutor(max_workers=threads) if parallel else nullcontext() as pool:
+        build = pool.map if parallel else map
+        for record, entry in build(_build_record, [cfg] * count, range(count)):
             _write_record(out, record, entry)
             entries.append(entry)
     with open(out / "manifest.jsonl", "w") as fh:
@@ -521,8 +514,8 @@ def generate_dataset(cfg, count, out_dir, threads=1):
 
 
 def _write_record(out, record, entry):
-    write_wav(out / entry["noisy_path"], record.noisy, fmt="float32")
-    write_wav(out / entry["target_path"], record.target, fmt="float32")
+    write_wav(out / entry["noisy_path"], record.noisy)
+    write_wav(out / entry["target_path"], record.target)
 
 
 def load_manifest(path):

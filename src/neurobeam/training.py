@@ -11,7 +11,6 @@ the uninterrupted trajectory.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import time
 from pathlib import Path
@@ -19,9 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .arraygeom import ZoneGrid, array_geometry, ground_truth_map, steering_set, zone_of_angle
-from .beamloc import enhance_utterance
+from .arraygeom import ArraySpec, ZoneGrid, ground_truth_map, steering_set
+from .beamloc import enhance_utterance, localize
 from .checkpoint import load_checkpoint, save_checkpoint
+from .config import load_section
 from .dsp import StftConfig, read_wav, stft
 from .losses import (
     LossBreakdown,
@@ -58,18 +58,12 @@ def build_model(cfg, seed=None):
 
 
 def _checkpoint_meta(cfg, step):
-    array_meta = {
-        "mics": cfg.array.mics,
-        "radius_m": cfg.array.radius_m,
-        "speed_of_sound": cfg.array.speed_of_sound,
-    }
-    if cfg.array.positions is not None:
-        array_meta["positions"] = [list(p) for p in cfg.array.positions]
+    plain = cfg.to_dict()
     return {
         "train_step": step,
-        "stft": dataclasses.asdict(cfg.stft),
-        "array": array_meta,
-        "localization": dataclasses.asdict(cfg.localization),
+        "stft": plain["stft"],
+        "array": {key: value for key, value in plain["array"].items() if value is not None},
+        "localization": plain["localization"],
         "dataset": {"sample_rate": cfg.dataset.sample_rate},
         "training": {
             "reference_mic": cfg.training.reference_mic,
@@ -80,16 +74,20 @@ def _checkpoint_meta(cfg, step):
 
 def geometry_from_meta(meta):
     """Rebuild the microphone geometry a checkpoint was trained with."""
-    return array_geometry(**meta["array"])
+    return load_section(ArraySpec, meta["array"], "array").geometry()
 
 
 def restore_checkpoint(path):
     """(model, STFT config, microphone geometry, meta) of the checkpoint at
-    ``path``, with its arrays upgraded to the current schema and loaded."""
+    ``path``, with its arrays upgraded to the current schema and loaded. The
+    checksum covers only the arrays, so the meta's settings are checked
+    against their types (a ``ConfigError`` names a wrong one)."""
     arrays, meta = load_checkpoint(path)
+    stft_cfg = load_section(StftConfig, meta["stft"], "stft")
+    geometry = geometry_from_meta(meta)
     model = MimoDccrn.from_meta(meta)
     model.load_arrays(upgrade_arrays(arrays, meta))
-    return model, StftConfig(**meta["stft"]), geometry_from_meta(meta), meta
+    return model, stft_cfg, geometry, meta
 
 
 def sample_rate_from_meta(meta):
@@ -209,7 +207,7 @@ def train(cfg, manifest_path, out_dir, resume=None):
     steering = None
     if cfg.localization.mode == "splm":
         steering = steering_set(
-            cfg.geometry(), ZoneGrid(cfg.localization.zones),
+            cfg.array.geometry(), ZoneGrid(cfg.localization.zones),
             cfg.stft.frequencies(cfg.dataset.sample_rate),
         )
 
@@ -289,10 +287,8 @@ def evaluate_records(
         si_enh = si_snr(est, ref, convention)
 
         track = azimuth_track_from_entry(entry, stft_cfg)
-        active = ~np.isnan(track)
-        truth = np.ones(track.shape[0], dtype=np.int64)
-        truth[active] = zone_of_angle(track[active], zones)
-        metrics = loc_metrics(loc.zone_track, truth, active, zones)
+        truth = localize(ground_truth_map(track, zones))  # zone 1 where inactive
+        metrics = loc_metrics(loc.zone_track, truth, ~np.isnan(track), zones)
         rows.append(
             {
                 "id": entry["id"],

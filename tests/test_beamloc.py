@@ -210,12 +210,14 @@ def test_nlm_zone_map_matches_complex_round_trip(toy_dataset):
         "nlm": model.localize(Tensor(w_img), training=False).data.astype(np.float64),
         "splm": splm_map(
             weights,
-            steering_set(cfg.geometry(), ZoneGrid(12), stft_cfg.frequencies(noisy.sample_rate)),
+            steering_set(
+                cfg.array.geometry(), ZoneGrid(12), stft_cfg.frequencies(noisy.sample_rate)
+            ),
         ),
     }
     expect_enhanced = istft(filter_and_sum(weights, spec)).samples
     for mode, zmap in zmaps.items():
-        enhanced, result = enhance_utterance(noisy, model, mode, 12, cfg.geometry(), stft_cfg)
+        enhanced, result = enhance_utterance(noisy, model, mode, 12, cfg.array.geometry(), stft_cfg)
         expect = localization_from_map(zmap)
         assert np.array_equal(enhanced.samples, expect_enhanced)
         assert np.array_equal(result.zmap, zmap)
@@ -237,10 +239,10 @@ def test_enhance_memory_stays_below_a_recorded_graph(toy_dataset):
     noisy = read_wav(toy_dataset["dir"] / toy_dataset["entries"][0]["noisy_path"])
     model = _toy_model()
     for mode in ("nlm", "splm"):
-        enhance_utterance(noisy, model, mode, 12, cfg.geometry(), cfg.stft)
+        enhance_utterance(noisy, model, mode, 12, cfg.array.geometry(), cfg.stft)
         tracemalloc.start()
         try:
-            enhance_utterance(noisy, model, mode, 12, cfg.geometry(), cfg.stft)
+            enhance_utterance(noisy, model, mode, 12, cfg.array.geometry(), cfg.stft)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -83,6 +83,17 @@ def test_invalid_config_key_names_it(tmp_path, capsys):
     assert "training.learning_rate_typo" in capsys.readouterr().err
 
 
+def test_config_value_of_wrong_type_exit_code(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    data = toy_config_dict()
+    data["dataset"]["speech_dir"] = 5
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    assert main(["synth", str(path), "--count", "1", "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert "dataset.speech_dir" in err and "internal error" not in err
+
+
 def test_invalid_json_rejected(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -168,6 +179,18 @@ def test_truncated_checkpoint_exit_code(trained, tmp_path, capsys, command):
     assert rc == 1
     err = capsys.readouterr().err
     assert "cut.nbcp is truncated" in err and "Traceback" not in err
+
+
+def test_eval_checkpoint_meta_of_wrong_type_exit_code(trained, tmp_path, capsys):
+    from neurobeam.checkpoint import load_checkpoint, save_checkpoint
+
+    arrays, meta = load_checkpoint(trained["checkpoint"])
+    meta["stft"]["hop"] = "100"
+    save_checkpoint(tmp_path / "edited.nbcp", arrays, meta)
+    rc = main(["eval", str(tmp_path / "edited.nbcp"), str(trained["manifest"]),
+               "--out", str(tmp_path / "report.csv")])
+    assert rc == 1
+    assert "stft.hop" in capsys.readouterr().err
 
 
 def test_train_nan_abort_exit_code(trained, tmp_path, capsys, nan_loss_at_step_1):

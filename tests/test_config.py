@@ -1,5 +1,11 @@
+import json
+import re
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neurobeam.config import (
     ConfigError,
@@ -50,7 +56,7 @@ def test_lists_become_tuples():
 def test_explicit_positions_geometry():
     pos = [[0.05, 0.0, 0.0], [-0.05, 0.0, 0.0], [0.0, 0.05, 0.0]]
     cfg = config_from_dict({"array": {"mics": 3, "positions": pos}})
-    geom = cfg.geometry()
+    geom = cfg.array.geometry()
     assert np.allclose(geom.positions, pos)
     assert cfg.dataset_config().positions == ((0.05, 0.0, 0.0), (-0.05, 0.0, 0.0), (0.0, 0.05, 0.0))
 
@@ -68,6 +74,88 @@ def test_type_validation():
     # Integers widen to floats quietly.
     cfg = config_from_dict({"training": {"gamma": 1}})
     assert cfg.training.gamma == 1.0 and isinstance(cfg.training.gamma, float)
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"dataset": {"speech_dir": 5}}, "dataset.speech_dir"),
+    ({"dataset": {"sir_values_db": "x"}}, "dataset.sir_values_db"),
+    ({"array": {"positions": 3}}, "array.positions"),
+    ({"training": {"lr": None}}, "training.lr"),
+    ({"model": {"kernel": "ab"}}, "model.kernel"),
+    ({"training": {"gamma": True}}, "training.gamma"),
+])
+def test_values_checked_against_field_annotations(data, key):
+    # Optional fields and null are checked too; a bool is never a number.
+    with pytest.raises(ConfigError, match=f"config key '{re.escape(key)}' expects"):
+        config_from_dict(data)
+
+
+def test_zone_count_checked_at_load():
+    with pytest.raises(ConfigError, match="localization.zones"):
+        config_from_dict({"localization": {"zones": 1}})
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_INTS = st.integers(-(2**40), 2**40)
+_COLA_STFTS = [
+    {"window_length": 400, "hop": 100, "fft_size": 512},
+    {"window_length": 512, "hop": 128, "fft_size": 512},
+    {"window_length": 256, "hop": 64, "fft_size": 256},
+]
+
+
+def _lists(elements, size=None):
+    """Lists of exactly ``size`` items, or of up to 4 without a size."""
+    return st.lists(elements, min_size=size or 0, max_size=size or 4)
+
+
+def _section(required=None, **optional):
+    return st.fixed_dictionaries(required or {}, optional=optional)
+
+
+@st.composite
+def _config_dicts(draw):
+    """Valid run configs as JSON objects; every key but ``array.mics`` is optional."""
+    mics = draw(st.integers(2, 8))
+    return draw(_section(
+        {"array": _section(
+            {"mics": st.just(mics)},
+            radius_m=_FINITE | _INTS,
+            speed_of_sound=_FINITE,
+            positions=st.none() | _lists(_lists(_FINITE, 3), mics),
+        )},
+        seed=_INTS,
+        stft=st.sampled_from(_COLA_STFTS),
+        dataset=_section(
+            rooms=_lists(_lists(_FINITE, 3)),
+            sir_range_db=_lists(_FINITE, 2),
+            sir_values_db=st.none() | _lists(_FINITE),
+            speech_dir=st.none() | st.text(max_size=8),
+            sample_rate=_INTS,
+            early_ms=_FINITE | _INTS,
+        ),
+        model=_section(encoder_channels=_lists(_INTS), kernel=_lists(_INTS, 2), scale=_INTS),
+        localization=_section(
+            zones=st.integers(2, 360),
+            mode=st.sampled_from(["splm", "nlm"]),
+            vad_threshold=_FINITE,
+        ),
+        training=_section(
+            lr=_FINITE,
+            steps=_INTS,
+            sisnr_convention=st.sampled_from(["standard", "printed"]),
+            reference_mic=st.integers(0, mics - 1),
+        ),
+    ))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_config_dicts())
+def test_config_roundtrips_through_json(data):
+    cfg = config_from_dict(data)
+    again = config_from_dict(json.loads(json.dumps(cfg.to_dict())))
+    assert again == cfg
+    assert again.to_dict() == cfg.to_dict()
 
 
 def test_reference_mic_must_fit_array():
@@ -101,6 +189,7 @@ def test_non_cola_stft_rejected_at_load():
 
 
 def test_sections_are_the_domain_types():
+    from neurobeam.arraygeom import ArraySpec
     from neurobeam.dsp import StftConfig
     from neurobeam.roomsim import DatasetConfig, MixtureRanges
 
@@ -111,3 +200,6 @@ def test_sections_are_the_domain_types():
     assert type(cfg.dataset) is MixtureRanges
     data = cfg.dataset_config()
     assert isinstance(data, DatasetConfig) and data.master_seed == cfg.seed
+    # The dataset is drawn for the run's array, speed of sound included.
+    assert type(cfg.array) is ArraySpec and isinstance(data, ArraySpec)
+    assert all(getattr(data, f.name) == getattr(cfg.array, f.name) for f in fields(ArraySpec))

@@ -244,6 +244,34 @@ def test_generate_dataset_parallel_matches_serial(tmp_path):
     assert (a / "mix_00001_noisy.wav").read_bytes() == (b / "mix_00001_noisy.wav").read_bytes()
 
 
+def test_speed_of_sound_reaches_the_simulator(tmp_path, monkeypatch):
+    # The array's speed of sound sets the image-source delays as well as the
+    # steering vectors: each record's direct path arrives at distance / c.
+    from neurobeam import roomsim
+    from neurobeam.config import config_from_dict
+
+    real_rir, calls = roomsim.image_source_rir, []
+
+    def rir_spy(room, src, mic, max_order, fs):
+        rir = real_rir(room, src, mic, max_order, fs)
+        calls.append((room, src, mic, fs, rir))
+        return rir
+
+    monkeypatch.setattr(roomsim, "image_source_rir", rir_spy)
+    dataset = {"duration_s": 0.8, "speech_len_s": 0.4, "t60_ranges": [[0.15, 0.2]] * 3}
+    noisy = {}
+    for c in (343, 300):
+        cfg = config_from_dict({"array": {"speed_of_sound": c}, "dataset": dataset})
+        calls.clear()
+        generate_dataset(cfg.dataset_config(), 1, tmp_path / str(c))
+        noisy[c] = (tmp_path / str(c) / "mix_00000_noisy.wav").read_bytes()
+        assert calls
+        for room, src, mic, fs, rir in calls:
+            assert room.speed_of_sound == c
+            assert np.flatnonzero(rir)[0] == np.rint(np.linalg.norm(src - mic) / c * fs)
+    assert noisy[300] != noisy[343]
+
+
 def test_generate_dataset_azimuths_on_grid(tmp_path):
     cfg = _small_dataset_config()
     entries = generate_dataset(cfg, 6, tmp_path)

@@ -272,7 +272,7 @@ def test_identity_model_improvement_is_zero(toy_dataset):
     cfg = toy_dataset["config"]
     rows = evaluate_records(
         toy_dataset["entries"], toy_dataset["dir"], _MicSelectorModel(),
-        cfg.stft, cfg.geometry(), 12, "splm",
+        cfg.stft, cfg.array.geometry(), 12, "splm",
     )
     assert abs(rows[0]["si_snri_db"]) < 1e-3
 
@@ -281,7 +281,7 @@ def test_summary_buckets_and_report(tmp_path, toy_dataset):
     cfg = toy_dataset["config"]
     rows = evaluate_records(
         toy_dataset["entries"], toy_dataset["dir"], _MicSelectorModel(),
-        cfg.stft, cfg.geometry(), 12, "splm",
+        cfg.stft, cfg.array.geometry(), 12, "splm",
     )
     summary = summarize(rows)
     # Only the SIR=0 bucket is populated; the others are omitted.
@@ -332,6 +332,27 @@ def test_checkpoint_meta_carries_run_settings(tmp_path, toy_dataset):
     assert meta["train_step"] == 1
     assert meta["dataset"]["sample_rate"] == 16000
     assert meta["training"] == {"reference_mic": 0, "sisnr_convention": "standard"}
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("stft", "hop", "100"),
+    ("model", "kernel", 5),
+    ("nlm", "zones", 12.0),
+    ("array", "positions", 3),
+])
+def test_restore_rejects_meta_value_of_wrong_type(tmp_path, toy_dataset, section, key, value):
+    # The checksum covers the arrays, not the meta, so a hand-edited meta
+    # is checked against the settings' types.
+    from neurobeam.checkpoint import load_checkpoint, save_checkpoint
+    from neurobeam.config import ConfigError
+    from neurobeam.training import restore_checkpoint
+
+    train(config_from_dict(toy_config_dict(steps=0)), toy_dataset["manifest"], tmp_path / "run")
+    arrays, meta = load_checkpoint(tmp_path / "run" / CHECKPOINT_NAME)
+    meta[section][key] = value
+    save_checkpoint(tmp_path / "edited.nbcp", arrays, meta)
+    with pytest.raises(ConfigError, match=f"'{section}.{key}' expects"):
+        restore_checkpoint(tmp_path / "edited.nbcp")
 
 
 def _dataset_with_noisy_at(tmp_path, toy_dataset, rate):
