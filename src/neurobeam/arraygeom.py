@@ -57,7 +57,7 @@ class ArraySpec:
     mics: int = 4
     radius_m: float = 0.05
     speed_of_sound: float = SPEED_OF_SOUND
-    positions: tuple | None = None  # explicit [x, y, z] per mic; overrides the UCA
+    positions: tuple[tuple[float, ...], ...] | None = None  # [x, y, z] per mic; overrides the UCA
 
     def __post_init__(self):
         if self.positions is not None and len(self.positions) != self.mics:

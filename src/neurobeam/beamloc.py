@@ -141,8 +141,7 @@ def enhance_utterance(
             )
             zmap = splm_map(weights, steering)
         else:
-            image = ad.reshape(w, (1, -1) + w.shape[2:])
-            zmap = model.localize(image, training=False).data.astype(np.float64)
+            zmap = model.localize(w, training=False).data.astype(np.float64)
         enhanced = istft(filter_and_sum(weights, spec))
     return enhanced, localization_from_map(zmap, vad_threshold)
 

@@ -127,10 +127,9 @@ def cmd_enhance(args):
     from .dsp import read_wav, write_wav
     from .training import restore_checkpoint, sample_rate_from_meta
 
-    model, stft_cfg, geometry, meta = restore_checkpoint(args.checkpoint)
-    loc_meta = meta["localization"]
-    mode = args.mode or loc_meta["mode"]
-    zones = args.zones or loc_meta["zones"]
+    model, stft_cfg, geometry, loc, _, meta = restore_checkpoint(args.checkpoint)
+    mode = args.mode or loc.mode
+    zones = args.zones or loc.zones
     if mode == "nlm" and model.nlm is not None and zones != model.nlm_config.zones:
         raise ValueError(
             f"--zones {zones} conflicts with the checkpoint's NLM head "
@@ -139,7 +138,7 @@ def cmd_enhance(args):
     noisy = read_wav(args.input, sample_rate_from_meta(meta))
     enhanced, result = enhance_utterance(
         noisy, model, mode, zones, geometry, stft_cfg,
-        vad_threshold=loc_meta["vad_threshold"],
+        vad_threshold=loc.vad_threshold,
     )
     write_wav(args.out, enhanced)
     csv_path = args.csv or f"{args.out}.loc.csv"

@@ -28,11 +28,10 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ModelSection:
-    encoder_channels: tuple = (16, 32, 64, 128, 256, 256)
-    kernel: tuple = (5, 2)
-    stride: tuple = (2, 1)
+    encoder_channels: tuple[int, ...] = (16, 32, 64, 128, 256, 256)
+    kernel: tuple[int, ...] = (5, 2)
+    stride: tuple[int, ...] = (2, 1)
     lstm_hidden: int = 256
-    freq_bins_model: int = 256
     scale: int = 4
 
 
@@ -96,7 +95,10 @@ class RunConfig:
         )
 
     def model_config(self):
-        return MimoDccrnConfig(mics=self.array.mics, **dataclasses.asdict(self.model))
+        """The network for this array and STFT: it models every analysis
+        bin but DC."""
+        return MimoDccrnConfig(mics=self.array.mics, freq_bins_model=self.stft.num_bins - 1,
+                               **dataclasses.asdict(self.model))
 
     def nlm_config(self):
         return NlmConfig(zones=self.localization.zones)
@@ -113,20 +115,14 @@ def _as_plain(obj):
     return obj
 
 
-def _tuplify(value):
-    if isinstance(value, (list, tuple)):
-        return tuple(_tuplify(v) for v in value)
-    return value
-
-
 _EXPECTED = {int: "an integer", float: "a number", str: "a string"}
 
 
 def _load_value(kind, value, dotted):
     """``value`` checked against the annotation ``kind``: a dataclass is a
-    section; ``X | None`` takes None or an X; a tuple is a list (converted
-    to nested tuples); an int widens to a float, and nothing else converts
-    (a bool is never a number)."""
+    section; ``X | None`` takes None or an X; ``tuple[X, ...]`` takes a list
+    of X, each item checked (``key[i]`` in errors); an int widens to a
+    float, and nothing else converts (a bool is never a number)."""
     if dataclasses.is_dataclass(kind):
         return load_section(kind, value, dotted)
     options = typing.get_args(kind)
@@ -134,10 +130,11 @@ def _load_value(kind, value, dotted):
         if value is None:
             return None
         (kind,) = [k for k in options if k is not type(None)]
-    if kind is tuple:
+    if typing.get_origin(kind) is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"config key '{dotted}' expects a list, got {value!r}")
-        return _tuplify(value)
+        item = typing.get_args(kind)[0]
+        return tuple(_load_value(item, v, f"{dotted}[{i}]") for i, v in enumerate(value))
     if kind is float and type(value) is int:
         return float(value)
     if isinstance(value, bool) or not isinstance(value, kind):

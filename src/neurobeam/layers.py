@@ -12,12 +12,14 @@ array into a complex128 numpy array.
 
 A complex conv or deconv is one real conv (an im2col GEMM) of the stacked
 map with the block kernel [[Wr, -Wi], [Wi, Wr]], which ``block_kernel``
-builds from the kernel as one op; conv -> complex batch norm -> PReLU is
-one op, ``conv_bn_prelu``, which reads the [2 x C] gammas, betas and
-slopes as [2C] vectors. It keeps two maps for backward, recomputes the
-rest there, and under ``no_grad()`` keeps nothing.
-Convolutions stride the frequency axis and are causal along time
-(past-only padding).
+builds from the kernel as one op. ``conv2d`` is the one plain conv op,
+transposed when given an output size; conv -> complex batch norm -> PReLU
+is one op, ``conv_bn_prelu``, which takes the same conv arguments and
+reads the [2 x C] gammas, betas and slopes as [2C] vectors. It keeps two
+maps for backward, recomputes the rest there, and under ``no_grad()``
+keeps nothing. ``ComplexConvBlock`` is the network's one conv layer:
+either that op or, without norm, a bare conv with a bias. Convolutions
+stride the frequency axis and are causal along time.
 
 The real conv kernels (forward, input adjoint, kernel adjoint, and both
 adjoints of a deconv from one patch pass) are im2col GEMMs that hold neither
@@ -214,10 +216,15 @@ def _accumulate_conv_grads(x, w, grads, g):
             t.accumulate(grad, owned=True)
 
 
-def _conv_op(x, w, bias, parts):
-    """Wrap conv ``parts`` (see ``_conv_parts``) as an op; ``bias`` (or
-    None) is added per output channel in place."""
-    out_data, grads = parts
+def conv2d(x, w, stride, pad_f, pad_t, out_ft=None, bias=None):
+    """Strided 2-d convolution as an autodiff op, with an optional
+    per-output-channel bias (any shape of as many entries) added in place.
+
+    With ``out_ft`` it is the transposed convolution, the exact adjoint of
+    the conv, and ``out_ft`` declares its output spatial size, which must
+    map back to the input size under the forward-conv arithmetic.
+    """
+    out_data, grads = _conv_parts(x, w, stride, pad_f, pad_t, out_ft)
     parents = (x, w)
     if bias is not None:
         out_data += bias.data.reshape(1, -1, 1, 1)
@@ -229,21 +236,6 @@ def _conv_op(x, w, bias, parts):
             bias.accumulate(g.sum(axis=(0, 2, 3)).reshape(bias.shape), owned=True)
 
     return Tensor(out_data, parents, backward_fn)
-
-
-def conv2d(x, w, stride, pad_f, pad_t, bias=None):
-    """Strided 2-d convolution as an autodiff op, with an optional
-    per-output-channel bias (any shape of as many entries)."""
-    return _conv_op(x, w, bias, _conv_parts(x, w, stride, pad_f, pad_t))
-
-
-def conv2d_transpose(x, w, stride, pad_f, pad_t, out_ft, bias=None):
-    """Transposed convolution: the exact adjoint of ``conv2d``.
-
-    ``out_ft`` declares the output spatial size, which must map back to
-    the input size under the forward-conv arithmetic.
-    """
-    return _conv_op(x, w, bias, _conv_parts(x, w, stride, pad_f, pad_t, out_ft))
 
 
 # A conv block's elementwise stages run over cache-resident groups of whole
@@ -266,19 +258,21 @@ def _channel_groups(a):
         yield c0, min(c0 + step, a.shape[1])
 
 
-def conv_bn_prelu(x, w, parts, gamma, beta, slope, running, training, eps=1e-5, momentum=0.1):
-    """Conv ``parts`` of x by w (see ``_conv_parts``), batch norm and PReLU
-    as one op: xh is the conv output standardized per channel over (batch,
-    freq, time) by its own statistics in ``training`` (moving ``running``
-    toward them) or by ``running`` (mean, var), y = gamma * xh + beta, and
-    the output is max(y, 0) + slope * min(y, 0). Only xh and the output are
-    kept: backward recomputes y for the PReLU mask and slope gradient, then
-    applies gamma * inv_std * (dy - mean(dy) - xh * mean(dy * xh)) (Ioffe &
-    Szegedy, 2015; gamma * inv_std * dy under frozen statistics) and the conv
-    adjoints, overwriting its ``g``. Under ``no_grad()`` it keeps nothing.
+def conv_bn_prelu(x, w, stride, pad_f, pad_t, out_ft, gamma, beta, slope, running, training,
+                  eps=1e-5, momentum=0.1):
+    """The ``conv2d`` of x by w (transposed with an ``out_ft``, else None),
+    batch norm and PReLU as one op: xh is the conv output standardized per
+    channel over (batch, freq, time) by its own statistics in ``training``
+    (moving ``running`` toward them) or by ``running`` (mean, var),
+    y = gamma * xh + beta, and the output is max(y, 0) + slope * min(y, 0).
+    Only xh and the output are kept: backward recomputes y for the PReLU
+    mask and slope gradient, then applies gamma * inv_std * (dy - mean(dy) -
+    xh * mean(dy * xh)) (Ioffe & Szegedy, 2015; gamma * inv_std * dy under
+    frozen statistics) and the conv adjoints, overwriting its ``g``. Under
+    ``no_grad()`` it keeps nothing.
     The parameters and statistics are read as flat per-channel views of any
     shape ([2 x C] in a complex block), and each gradient has its parameter's."""
-    xh_map, grads = parts  # the conv output, standardized in place
+    xh_map, grads = _conv_parts(x, w, stride, pad_f, pad_t, out_ft)  # standardized in place
     channels = xh_map.shape[1]
     n = xh_map.size // channels
     dtype = xh_map.dtype
@@ -357,7 +351,7 @@ def block_kernel(w):
 
     Applied to a stacked map it gives the stacked complex product
     (Wr xr - Wi xi; Wi xr + Wr xi); its adjoint is the conjugate
-    transpose, so ``conv2d_transpose`` with the same block is the
+    transpose, so the transposed ``conv2d`` with the same block is the
     complex deconvolution. With G11 ... G22 the four blocks of the
     output gradient, Wr gets G11 + G22 and Wi gets G21 - G12.
     """
@@ -496,52 +490,48 @@ def zeros_param(shape, dtype):
 # Layers
 # ---------------------------------------------------------------------------
 
-class ComplexConv2d:
-    """Complex convolution (Wr + jWi) * (xr + jxi) + (br + jbi), computed as
-    one real conv of the stacked map [xr; xi] with the block kernel
-    [[Wr, -Wi], [Wi, Wr]] of ``w`` [2 x O x C x kf x kt] (a deconv's is
-    [2 x C x O x kf x kt]) and the bias ``b`` [2 x O] (none with
-    ``bias=False``)."""
+class ComplexConvBlock:
+    """The DCCRN unit: complex conv (``transposed``: deconv) -> complex BN ->
+    PReLU as one ``conv_bn_prelu`` op, with no conv bias (the BN mean
+    cancels it). The conv is one real conv of the stacked map [xr; xi] with
+    the block kernel [[Wr, -Wi], [Wi, Wr]] of ``w`` [2 x O x C x kf x kt]
+    (a deconv's is [2 x C x O x kf x kt]); it strides frequency (a deconv
+    upsamples it) and is causal in time: a conv pads the past, and a deconv
+    is the adjoint of a conv that pads the future. ``bn.gamma``,
+    ``bn.beta``, ``act.slope`` and the running statistics are [2 x C]
+    (r, i). Without ``norm`` (the last decoder block) it is a bare conv with
+    a bias ``b`` [2 x O] instead."""
 
-    transposed = False
-
-    def __init__(self, in_ch, out_ch, kernel, stride, rng, dtype, causal=True, bias=True):
+    def __init__(self, in_ch, out_ch, kernel, stride, rng, dtype, transposed=False, norm=True):
         kf, kt = kernel
-        self.stride = stride
+        self.stride, self.transposed = stride, transposed
         self.pad_f = ((kf - 1) // 2, kf // 2)
-        self.pad_t = (kt - 1, 0) if causal else (0, kt - 1)
-        shape = (in_ch, out_ch, kf, kt) if self.transposed else (out_ch, in_ch, kf, kt)
+        self.pad_t = (0, kt - 1) if transposed else (kt - 1, 0)
+        shape = (in_ch, out_ch, kf, kt) if transposed else (out_ch, in_ch, kf, kt)
         self.w = uniform_init(rng, (2,) + shape, in_ch * kf * kt, dtype)  # Wr drawn, then Wi
-        self.b = zeros_param((2, out_ch), dtype) if bias else None
+        self.b = None if norm else zeros_param((2, out_ch), dtype)
+        self.norm, self.running = {}, {}
+        if norm:
+            vec = (2, out_ch)
+            for name, init in (("bn.gamma", 1.0), ("bn.beta", 0.0), ("act.slope", 0.25)):
+                self.norm[name] = Tensor(np.full(vec, init, dtype=dtype))
+            self.running = {"bn.running_mean": np.zeros(vec, dtype),
+                            "bn.running_var": np.ones(vec, dtype)}
 
     def params(self):
-        return {"w": self.w} if self.b is None else {"w": self.w, "b": self.b}
+        conv = {"conv.w": self.w} if self.b is None else {"conv.w": self.w, "conv.b": self.b}
+        return {**conv, **self.norm}
 
-    def parts(self, x, w):
-        """``_conv_parts`` of the stacked map ``x`` by the block kernel ``w``."""
-        out_ft = (x.shape[2] * self.stride[0], x.shape[3]) if self.transposed else None
-        return _conv_parts(x, w, self.stride, self.pad_f, self.pad_t, out_ft)
+    def buffers(self):
+        return self.running
 
-    def __call__(self, x):
+    def __call__(self, x, training=False):
         """Stacked map [B x 2C x F x T] -> stacked map [B x 2C' x F' x T]."""
-        w = block_kernel(self.w)
-        return _conv_op(x, w, self.b, self.parts(x, w))
-
-
-class ComplexConvTranspose2d(ComplexConv2d):
-    """Adjoint of ``ComplexConv2d``: transposed spatially, kernel conjugated.
-
-    With matching geometry, <conv(x), y> == <x, deconv(y)> under the real
-    inner product of stacked maps. The frequency axis upsamples by the
-    stride; time is causal (the adjoint of an anti-causal pad). It is one
-    real transposed conv of the stacked map [xr; xi] with the same block
-    kernel as ``ComplexConv2d``, whose adjoint is the conjugate transpose.
-    """
-
-    transposed = True
-
-    def __init__(self, in_ch, out_ch, kernel, stride, rng, dtype, bias=True):
-        super().__init__(in_ch, out_ch, kernel, stride, rng, dtype, causal=False, bias=bias)
+        out_ft = (x.shape[2] * self.stride[0], x.shape[3]) if self.transposed else None
+        conv = (x, block_kernel(self.w), self.stride, self.pad_f, self.pad_t, out_ft)
+        if self.b is not None:
+            return conv2d(*conv, bias=self.b)
+        return conv_bn_prelu(*conv, *self.norm.values(), self.running.values(), training)
 
 
 class Linear:

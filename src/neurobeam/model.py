@@ -20,16 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .layers import (
-    ComplexConvTranspose2d,
-    ComplexConv2d,
-    ComplexLSTM,
-    ComplexLinear,
-    Linear,
-    block_kernel,
-    conv_bn_prelu,
-    to_complex,
-)
+from .layers import ComplexConvBlock, ComplexLSTM, ComplexLinear, Linear, to_complex
 
 MAGNITUDE_EPS = 1e-12
 
@@ -39,9 +30,9 @@ CHECKPOINT_SCHEMA = 3  # layout of the model's checkpoint arrays; see upgrade_ar
 @dataclass(frozen=True)
 class MimoDccrnConfig:
     mics: int = 4
-    encoder_channels: tuple = (16, 32, 64, 128, 256, 256)
-    kernel: tuple = (5, 2)
-    stride: tuple = (2, 1)
+    encoder_channels: tuple[int, ...] = (16, 32, 64, 128, 256, 256)
+    kernel: tuple[int, ...] = (5, 2)
+    stride: tuple[int, ...] = (2, 1)
     lstm_hidden: int = 256
     freq_bins_model: int = 256
     scale: int = 1
@@ -100,36 +91,6 @@ def _named(method, parts):
     }
 
 
-class _ConvBlock:
-    """conv/deconv -> complex BN -> PReLU as one ``conv_bn_prelu`` op, with
-    no conv bias (the BN mean cancels it); ``bn.gamma``, ``bn.beta``,
-    ``act.slope`` and the running statistics are [2 x C] (r, i). The last
-    decoder block is a bare conv."""
-
-    def __init__(self, conv_cls, in_ch, channels, kernel, stride, rng, dtype, with_norm=True):
-        self.conv = conv_cls(in_ch, channels, kernel, stride, rng, dtype, bias=not with_norm)
-        self.norm, self.running = {}, {}
-        if with_norm:
-            shape = (2, channels)
-            for name, init in (("bn.gamma", 1.0), ("bn.beta", 0.0), ("act.slope", 0.25)):
-                self.norm[name] = Tensor(np.full(shape, init, dtype=dtype))
-            self.running = {"bn.running_mean": np.zeros(shape, dtype),
-                            "bn.running_var": np.ones(shape, dtype)}
-
-    def params(self):
-        return {**_named("params", (("conv", self.conv),)), **self.norm}
-
-    def buffers(self):
-        return self.running
-
-    def __call__(self, x, training):
-        if not self.norm:
-            return self.conv(x)
-        w = block_kernel(self.conv.w)
-        return conv_bn_prelu(x, w, self.conv.parts(x, w), *self.norm.values(),
-                             self.running.values(), training)
-
-
 class NlmHead:
     """Zone probabilities from the filter tensor via a learned sound field.
 
@@ -143,8 +104,8 @@ class NlmHead:
     def __init__(self, mics, cfg, kernel, stride, rng, dtype):
         self.cfg = cfg
         c1, c2 = cfg.conv_channels
-        self.block1 = _ConvBlock(ComplexConv2d, mics, c1, kernel, stride, rng, dtype)
-        self.block2 = _ConvBlock(ComplexConv2d, c1, c2, kernel, stride, rng, dtype)
+        self.block1 = ComplexConvBlock(mics, c1, kernel, stride, rng, dtype)
+        self.block2 = ComplexConvBlock(c1, c2, kernel, stride, rng, dtype)
         self.lin1 = Linear(1, cfg.linear_hidden, rng, dtype)
         self.mlp_slope = Tensor(np.full(cfg.linear_hidden, 0.25, dtype=dtype))
         self.lin2 = Linear(cfg.linear_hidden, 1, rng, dtype)
@@ -189,8 +150,7 @@ class MimoDccrn:
         self.encoder = []
         in_ch = config.mics
         for c in chans:
-            self.encoder.append(_ConvBlock(
-                ComplexConv2d, in_ch, c, kernel, stride, rng, self.dtype))
+            self.encoder.append(ComplexConvBlock(in_ch, c, kernel, stride, rng, self.dtype))
             in_ch = c
 
         feat = chans[-1] * config.bottleneck_freq
@@ -201,10 +161,9 @@ class MimoDccrn:
         rev = list(chans[::-1])
         outs = rev[1:] + [config.mics]
         for idx, (c_in, c_out) in enumerate(zip(rev, outs)):
-            last = idx == len(rev) - 1
-            self.decoder.append(_ConvBlock(
-                ComplexConvTranspose2d, 2 * c_in, c_out, kernel, stride, rng, self.dtype,
-                with_norm=not last,
+            self.decoder.append(ComplexConvBlock(  # the last one is a bare deconv
+                2 * c_in, c_out, kernel, stride, rng, self.dtype, transposed=True,
+                norm=idx < len(rev) - 1,
             ))
 
         self.nlm = (
@@ -278,9 +237,12 @@ class MimoDccrn:
         return to_complex(w.data).transpose(0, 2, 1)
 
     def localize(self, w, training=False):
+        """Zone probabilities [T x N] from the filters [2 x M x F x T] of
+        ``forward_weights``, which the NLM head reads as one [1 x 2M x F x T]
+        image."""
         if self.nlm is None:
             raise ValueError("model was built without a neural localization head")
-        return self.nlm(w, training)
+        return self.nlm(ad.reshape(w, (1, -1) + w.shape[2:]), training)
 
     # -- persistence ---------------------------------------------------------
     def checkpoint_arrays(self):

@@ -400,15 +400,15 @@ class MixtureRanges:
     index: one scenario index is drawn per record and selects all three.
     """
 
-    rooms: tuple = ((4.0, 4.0, 3.0), (5.0, 5.0, 3.0), (6.0, 6.0, 3.0))
-    t60_ranges: tuple = ((0.16, 0.32), (0.32, 0.48), (0.48, 0.64))
-    target_distance_ranges: tuple = ((1.0, 1.5), (1.0, 2.0), (1.0, 2.5))
+    rooms: tuple[tuple[float, ...], ...] = ((4.0, 4.0, 3.0), (5.0, 5.0, 3.0), (6.0, 6.0, 3.0))
+    t60_ranges: tuple[tuple[float, ...], ...] = ((0.16, 0.32), (0.32, 0.48), (0.48, 0.64))
+    target_distance_ranges: tuple[tuple[float, ...], ...] = ((1.0, 1.5), (1.0, 2.0), (1.0, 2.5))
     interference_distance_m: float = 2.0
-    target_azimuth_grid: tuple = (0.0, 180.0, 1.0)
-    interference_azimuth_grid: tuple = (180.0, 360.0, 1.0)
-    sir_range_db: tuple = (-5.0, 15.0)
-    sir_values_db: tuple | None = None
-    snr_range_db: tuple = (10.0, 30.0)
+    target_azimuth_grid: tuple[float, ...] = (0.0, 180.0, 1.0)
+    interference_azimuth_grid: tuple[float, ...] = (180.0, 360.0, 1.0)
+    sir_range_db: tuple[float, ...] = (-5.0, 15.0)
+    sir_values_db: tuple[float, ...] | None = None
+    snr_range_db: tuple[float, ...] = (10.0, 30.0)
     duration_s: float = 6.0
     speech_len_s: float = 4.0
     sample_rate: int = DEFAULT_SAMPLE_RATE

@@ -13,7 +13,6 @@ from .dsp import StftConfig, Waveform, istft, stft
 from .gradcheck import check_gradients
 from .layers import (
     _BAND_BYTES,
-    _conv_parts,
     block_kernel,
     complex_lstm,
     conv2d,
@@ -21,7 +20,6 @@ from .layers import (
     conv2d_input_adjoint,
     conv2d_kernel_adjoint,
     conv2d_raw,
-    conv2d_transpose,
 )
 from .losses import (
     bce_loss, filter_and_sum_tensor, si_snr_tensor, splm_map_tensor, synthesize_waveform,
@@ -31,13 +29,12 @@ from .metrics import loc_metrics
 GRAD_TOLERANCE = 1e-4
 
 
-def _complex_conv_build(stride, pad_f, pad_t, transpose=False, out_ft=None):
+def _complex_conv_build(*conv):
+    """Squares of a biased complex ``conv2d`` with the geometry ``conv``
+    (stride, pad_f, pad_t and, for a deconv, out_ft)."""
+
     def build(x, w, bias):
-        w = block_kernel(w)
-        if transpose:
-            y = conv2d_transpose(x, w, stride, pad_f, pad_t, out_ft, bias=bias)
-        else:
-            y = conv2d(x, w, stride, pad_f, pad_t, bias=bias)
+        y = conv2d(x, block_kernel(w), *conv, bias=bias)
         return ad.reduce_sum(y * y)
 
     return build
@@ -48,11 +45,8 @@ def _conv_block_build(weight, training, running, stride, pad_f, pad_t, out_ft=No
     ``out_ft``) of its inputs, each run from the ``running`` stats."""
 
     def build(x, w, gamma, beta, slope):
-        w = block_kernel(w)
-        y = conv_bn_prelu(
-            x, w, _conv_parts(x, w, stride, pad_f, pad_t, out_ft),
-            gamma, beta, slope, [a.copy() for a in running], training,
-        )
+        y = conv_bn_prelu(x, block_kernel(w), stride, pad_f, pad_t, out_ft,
+                          gamma, beta, slope, [a.copy() for a in running], training)
         return ad.reduce_sum(y * y * ad.constant(weight))
 
     return build
@@ -81,7 +75,7 @@ def gradient_cases(seed=0):
     ))
     cases.append((
         "complex_deconv2d",
-        _complex_conv_build((2, 1), (2, 2), (0, 1), transpose=True, out_ft=(8, 4)),
+        _complex_conv_build((2, 1), (2, 2), (0, 1), (8, 4)),
         [r(1, 6, 4, 4), 0.3 * r(2, 3, 2, 5, 2), 0.1 * r(2, 2)],
     ))
     for kind, geometry, x_shape, out_shape in (

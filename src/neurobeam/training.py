@@ -21,7 +21,7 @@ from . import autodiff as ad
 from .arraygeom import ArraySpec, ZoneGrid, ground_truth_map, steering_set
 from .beamloc import enhance_utterance, localize
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import load_section
+from .config import LocalizationSection, TrainingSection, load_section
 from .dsp import StftConfig, read_wav, stft
 from .losses import (
     LossBreakdown,
@@ -78,16 +78,20 @@ def geometry_from_meta(meta):
 
 
 def restore_checkpoint(path):
-    """(model, STFT config, microphone geometry, meta) of the checkpoint at
-    ``path``, with its arrays upgraded to the current schema and loaded. The
-    checksum covers only the arrays, so the meta's settings are checked
-    against their types (a ``ConfigError`` names a wrong one)."""
+    """(model, STFT config, microphone geometry, ``LocalizationSection``,
+    ``TrainingSection``, meta) of the checkpoint at ``path``, with its
+    arrays upgraded to the current schema and loaded. The checksum covers
+    only the arrays, so the meta's settings are checked against their types
+    (a ``ConfigError`` names a wrong one). A checkpoint that predates the
+    meta's ``training`` block was scored at mic 0, "standard", the defaults."""
     arrays, meta = load_checkpoint(path)
     stft_cfg = load_section(StftConfig, meta["stft"], "stft")
     geometry = geometry_from_meta(meta)
+    loc = load_section(LocalizationSection, meta["localization"], "localization")
+    scoring = load_section(TrainingSection, meta.get("training", {}), "training")
     model = MimoDccrn.from_meta(meta)
     model.load_arrays(upgrade_arrays(arrays, meta))
-    return model, stft_cfg, geometry, meta
+    return model, stft_cfg, geometry, loc, scoring, meta
 
 
 def sample_rate_from_meta(meta):
@@ -124,7 +128,7 @@ def training_step(model, adam, cfg, entry, base_dir, steering=None):
     track = azimuth_track_from_entry(entry, stft_cfg)
     truth = ground_truth_map(track, cfg.localization.zones)
     if cfg.localization.mode == "nlm":
-        zhat = model.localize(ad.reshape(weights, (1, -1) + weights.shape[2:]), training=True)
+        zhat = model.localize(weights, training=True)
     else:
         zhat = splm_map_tensor(weights, steering)
     loss_bce = bce_loss(truth, zhat)
@@ -365,20 +369,13 @@ def evaluate(manifest_path, checkpoint_path, out_csv=None, mode=None):
     entries = load_manifest(manifest_path)
     if not entries:
         raise ValueError(f"dataset manifest {manifest_path} is empty")
-    model, stft_cfg, geometry, meta = restore_checkpoint(checkpoint_path)
-    loc_meta = meta["localization"]
-    mode = mode or loc_meta["mode"]
-    # Checkpoints that predate these keys were scored at mic 0, "standard".
-    scoring = meta.get("training", {})
-    convention = scoring.get("sisnr_convention", "standard")
+    model, stft_cfg, geometry, loc, scoring, meta = restore_checkpoint(checkpoint_path)
     rows = evaluate_records(
-        entries, manifest_path.parent, model, stft_cfg, geometry,
-        loc_meta["zones"], mode, convention=convention,
-        vad_threshold=loc_meta["vad_threshold"],
-        reference_mic=scoring.get("reference_mic", 0),
-        sample_rate=sample_rate_from_meta(meta),
+        entries, manifest_path.parent, model, stft_cfg, geometry, loc.zones, mode or loc.mode,
+        convention=scoring.sisnr_convention, vad_threshold=loc.vad_threshold,
+        reference_mic=scoring.reference_mic, sample_rate=sample_rate_from_meta(meta),
     )
     summary = summarize(rows)
     if out_csv is not None:
-        write_report(out_csv, summary, convention)
+        write_report(out_csv, summary, scoring.sisnr_convention)
     return summary

@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 
-from neurobeam import autodiff as ad
 from neurobeam.arraygeom import (
     ArrayGeometry,
     ZoneGrid,
@@ -237,8 +236,7 @@ def test_criterion_5_gradient_suite():
             est = synthesize_waveform(enh, tiny_cfg)
             lsisnr = si_snr_loss([est], [ref])
             if head == "nlm":
-                _, m, f, t = w.shape
-                zhat = model.localize(ad.reshape(w, (1, 2 * m, f, t)), training=True)
+                zhat = model.localize(w, training=True)
             else:
                 zhat = splm_map_tensor(w, steering)
             return total_loss(bce_loss(truth, zhat), lsisnr, 1.0)

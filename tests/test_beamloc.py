@@ -205,9 +205,9 @@ def test_nlm_zone_map_matches_complex_round_trip(toy_dataset):
     assert w.needs_grad and w.parents
     weights = to_complex(w.data).transpose(0, 2, 1)
     wt = weights.transpose(0, 2, 1)
-    w_img = np.concatenate([wt.real, wt.imag]).astype(model.dtype)[np.newaxis]
+    w_parts = np.stack([wt.real, wt.imag]).astype(model.dtype)
     zmaps = {
-        "nlm": model.localize(Tensor(w_img), training=False).data.astype(np.float64),
+        "nlm": model.localize(Tensor(w_parts), training=False).data.astype(np.float64),
         "splm": splm_map(
             weights,
             steering_set(

@@ -30,6 +30,9 @@ def test_unknown_top_level_key():
 def test_unknown_nested_key_names_full_path():
     with pytest.raises(ConfigError, match="model.depth"):
         config_from_dict({"model": {"depth": 7}})
+    # The model's bins follow the STFT; there is no key for them.
+    with pytest.raises(ConfigError, match="unknown config key 'model.freq_bins_model'"):
+        config_from_dict({"model": {"freq_bins_model": 256}})
 
 
 def test_schema_version_rejected():
@@ -51,6 +54,10 @@ def test_lists_become_tuples():
     cfg = config_from_dict({"model": {"encoder_channels": [4, 8], "kernel": [3, 2]}})
     assert cfg.model.encoder_channels == (4, 8)
     assert cfg.model.kernel == (3, 2)
+    # An integer item of a list of numbers widens, as a number field does.
+    cfg = config_from_dict({"dataset": {"rooms": [[5, 5, 3]], "sir_values_db": [0]}})
+    assert cfg.dataset.rooms == ((5.0, 5.0, 3.0),) and cfg.dataset.sir_values_db == (0.0,)
+    assert all(type(v) is float for v in cfg.dataset.rooms[0] + cfg.dataset.sir_values_db)
 
 
 def test_explicit_positions_geometry():
@@ -83,6 +90,9 @@ def test_type_validation():
     ({"training": {"lr": None}}, "training.lr"),
     ({"model": {"kernel": "ab"}}, "model.kernel"),
     ({"training": {"gamma": True}}, "training.gamma"),
+    ({"model": {"kernel": ["5", 2]}}, "model.kernel[0]"),
+    ({"dataset": {"sir_values_db": ["x"]}}, "dataset.sir_values_db[0]"),
+    ({"dataset": {"rooms": [[5.0, 5.0, None]]}}, "dataset.rooms[0][2]"),
 ])
 def test_values_checked_against_field_annotations(data, key):
     # Optional fields and null are checked too; a bool is never a number.

@@ -169,6 +169,17 @@ def test_roundtrip_tone():
     assert _roundtrip_interior_error(x, cfg) < 1e-6
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(quarter=st.integers(2, 128), extra=st.integers(0, 512), seed=st.integers(0, 2**31 - 1))
+def test_roundtrip_property_over_cola_configs(quarter, extra, seed):
+    # Hann windows of length L = 4q at hop L/4 tile to a constant; any FFT
+    # size in [L, 2L] zero-pads the frame and must not change the round trip.
+    length = 4 * quarter
+    cfg = StftConfig(window_length=length, hop=quarter, fft_size=length + extra % (length + 1))
+    x = np.random.default_rng(seed).standard_normal(3 * length + 7 * quarter)
+    assert _roundtrip_interior_error(x, cfg) < 1e-10
+
+
 def test_roundtrip_silence():
     cfg = StftConfig()
     out = istft(stft(Waveform(np.zeros((1, 4000))), cfg))

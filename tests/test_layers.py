@@ -6,13 +6,11 @@ from neurobeam.autodiff import Tensor, backward
 from neurobeam.checkpoint import load_checkpoint, require_shapes, save_checkpoint
 from neurobeam.gradcheck import check_gradients
 from neurobeam.layers import (
-    ComplexConvTranspose2d,
-    ComplexConv2d,
+    ComplexConvBlock,
     ComplexLSTM,
     ComplexLinear,
-    _conv_parts,
+    block_kernel,
     conv2d,
-    conv2d_transpose,
     conv_bn_prelu,
     lstm,
     to_complex,
@@ -40,7 +38,7 @@ def _halves(t):
 
 def test_conv_one_by_one_identity():
     rng = _rng(1)
-    layer = ComplexConv2d(3, 3, (1, 1), (1, 1), rng, np.float64)
+    layer = ComplexConvBlock(3, 3, (1, 1), (1, 1), rng, np.float64, norm=False)
     layer.w.data = np.stack([np.eye(3), np.zeros((3, 3))]).reshape(2, 3, 3, 1, 1)
     x = _complex_from(rng, (1, 3, 5, 4))
     out = layer(x)
@@ -50,7 +48,7 @@ def test_conv_one_by_one_identity():
 
 def test_conv_zero_imag_kernel_reduces_to_real_convs():
     rng = _rng(2)
-    layer = ComplexConv2d(2, 4, (5, 2), (2, 1), rng, np.float64)
+    layer = ComplexConvBlock(2, 4, (5, 2), (2, 1), rng, np.float64, norm=False)
     layer.w.data[1] = 0.0
     x = _complex_from(rng, (1, 2, 8, 6))
     out = layer(x)
@@ -61,7 +59,7 @@ def test_conv_zero_imag_kernel_reduces_to_real_convs():
 
 def test_conv_single_element_complex_product():
     rng = _rng(3)
-    layer = ComplexConv2d(1, 1, (1, 1), (1, 1), rng, np.float64)
+    layer = ComplexConvBlock(1, 1, (1, 1), (1, 1), rng, np.float64, norm=False)
     layer.w.data[0] = 0.0
     layer.w.data[1] = 1.0  # kernel = j
     x = Tensor(np.array([1.0, 0.0]).reshape(1, 2, 1, 1))
@@ -72,7 +70,7 @@ def test_conv_single_element_complex_product():
 
 def test_conv_freq_halving_and_causal_time():
     rng = _rng(4)
-    layer = ComplexConv2d(2, 3, (5, 2), (2, 1), rng, np.float64)
+    layer = ComplexConvBlock(2, 3, (5, 2), (2, 1), rng, np.float64, norm=False)
     x = _complex_from(rng, (1, 2, 64, 9))
     out = layer(x)
     assert out.shape == (1, 6, 32, 9)  # 3 complex channels, stacked
@@ -81,14 +79,12 @@ def test_conv_freq_halving_and_causal_time():
 def test_deconv_is_adjoint_of_conv():
     # <conv(x), y>_R == <x, deconv(y)>_R with shared kernels, zero bias.
     # The deconv's time padding mirrors an anti-causally padded conv, so
-    # the adjoint partner is built with causal=False.
+    # the adjoint partner pads the future: pad_t = (0, kt - 1) with kt = 2.
     rng = _rng(5)
-    conv = ComplexConv2d(2, 3, (5, 2), (2, 1), rng, np.float64, causal=False)
-    deconv = ComplexConvTranspose2d(3, 2, (5, 2), (2, 1), rng, np.float64)
-    deconv.w = conv.w
+    deconv = ComplexConvBlock(3, 2, (5, 2), (2, 1), rng, np.float64, transposed=True, norm=False)
     x = _complex_from(rng, (1, 2, 8, 4))
     y = _complex_from(rng, (1, 3, 4, 4))
-    cx = conv(x)
+    cx = conv2d(x, block_kernel(deconv.w), (2, 1), deconv.pad_f, pad_t=(0, 1))
     dy = deconv(y)
     lhs = np.sum(cx.data * y.data)
     rhs = np.sum(x.data * dy.data)
@@ -97,7 +93,7 @@ def test_deconv_is_adjoint_of_conv():
 
 def test_deconv_identity_kernel():
     rng = _rng(6)
-    layer = ComplexConvTranspose2d(2, 2, (1, 1), (1, 1), rng, np.float64)
+    layer = ComplexConvBlock(2, 2, (1, 1), (1, 1), rng, np.float64, transposed=True, norm=False)
     layer.w.data = np.stack([np.eye(2), np.zeros((2, 2))]).reshape(2, 2, 2, 1, 1)
     x = _complex_from(rng, (1, 2, 6, 3))
     out = layer(x)
@@ -107,7 +103,7 @@ def test_deconv_identity_kernel():
 
 def test_deconv_zero_input_zero_output():
     rng = _rng(7)
-    layer = ComplexConvTranspose2d(3, 2, (5, 2), (2, 1), rng, np.float64)
+    layer = ComplexConvBlock(3, 2, (5, 2), (2, 1), rng, np.float64, transposed=True, norm=False)
     x = Tensor(np.zeros((1, 6, 4, 5)))
     out = layer(x)
     assert np.all(out.data == 0)
@@ -119,15 +115,15 @@ def test_conv_transpose_rejects_inconsistent_shape():
     x = Tensor(rng.standard_normal((1, 2, 4, 3)))
     w = Tensor(rng.standard_normal((2, 2, 5, 2)))
     with pytest.raises(ValueError, match="declared output"):
-        conv2d_transpose(x, w, (2, 1), (2, 2), (0, 1), (64, 3))
+        conv2d(x, w, (2, 1), (2, 2), (0, 1), (64, 3))
 
 
 def test_complex_linearity_of_linear_layers():
     # f(alpha * x) == alpha * f(x) for complex alpha, bias-free layers.
     rng = _rng(9)
     alpha = 0.7 - 1.3j
-    conv = ComplexConv2d(2, 3, (5, 2), (2, 1), rng, np.float64)
-    deconv = ComplexConvTranspose2d(2, 3, (5, 2), (2, 1), rng, np.float64)
+    conv = ComplexConvBlock(2, 3, (5, 2), (2, 1), rng, np.float64, norm=False)
+    deconv = ComplexConvBlock(2, 3, (5, 2), (2, 1), rng, np.float64, transposed=True, norm=False)
     lin = ComplexLinear(4, 3, rng, np.float64)
     cases = [
         (conv, (1, 2, 8, 4)),
@@ -424,7 +420,7 @@ def _norm_only(x, bn, training):
     p = bn.params()
     slope = ad.constant(np.ones(width, dtype=x.dtype))
     return conv_bn_prelu(
-        x, w, _conv_parts(x, w, (1, 1), (0, 0), (0, 0)), p["gamma"], p["beta"], slope,
+        x, w, (1, 1), (0, 0), (0, 0), None, p["gamma"], p["beta"], slope,
         (bn.running_mean, bn.running_var), training,
     )
 
@@ -580,16 +576,13 @@ class _BlockCase:
         return [a.astype(self.dtype) for a in self.running]
 
     def fused(self, t, running, training):
-        parts = _conv_parts(t["x"], t["w"], self.stride, self.pad_f, self.pad_t, self.out_ft)
         return conv_bn_prelu(
-            t["x"], t["w"], parts, t["gamma"], t["beta"], t["slope"], running, training
+            t["x"], t["w"], self.stride, self.pad_f, self.pad_t, self.out_ft,
+            t["gamma"], t["beta"], t["slope"], running, training,
         )
 
     def composite(self, t, running, training):
-        if self.deconv:
-            h = conv2d_transpose(t["x"], t["w"], self.stride, self.pad_f, self.pad_t, self.out_ft)
-        else:
-            h = conv2d(t["x"], t["w"], self.stride, self.pad_f, self.pad_t)
+        h = conv2d(t["x"], t["w"], self.stride, self.pad_f, self.pad_t, self.out_ft)
         y = _composite_batchnorm(h, t["gamma"], t["beta"], *running, training)
         return ad.prelu(y, t["slope"], 1)
 
@@ -694,8 +687,7 @@ def test_conv_block_keeps_two_maps_and_eval_runs_in_place():
     padded_bytes = x.data.nbytes // (129 * 957) * (129 + 4) * (957 + 1)
 
     def run(training):
-        parts = _conv_parts(x, w, stride, pad_f, pad_t)
-        return conv_bn_prelu(x, w, parts, *vec, running, training)
+        return conv_bn_prelu(x, w, stride, pad_f, pad_t, None, *vec, running, training)
 
     tracemalloc.start()
     try:

@@ -39,10 +39,10 @@ def random_spec(rng, mics, frames, bins=257):
     )
 
 
-def filter_image(w, dtype):
-    """Complex filters [M x T x F] -> the NLM head's stacked image [1 x 2M x F x T]."""
+def filter_tensor(w, dtype):
+    """Complex filters [M x T x F] -> the filter tensor [2 x M x F x T]."""
     w = w.transpose(0, 2, 1)
-    return Tensor(np.concatenate([w.real, w.imag]).astype(dtype)[np.newaxis])
+    return Tensor(np.stack([w.real, w.imag]).astype(dtype))
 
 
 def test_config_rejects_bad_divisibility():
@@ -86,7 +86,7 @@ def test_complex_parameters_are_stacked_and_read_without_restacking(rng):
     w = model.forward_weights(spec, training=True)
     wave = synthesize_waveform(filter_and_sum_tensor(w, spec), stft_cfg)
     sisnr = si_snr_loss([wave], [rng.standard_normal(wave.shape[0])])
-    zhat = model.localize(ad.reshape(w, (1, -1) + w.shape[2:]), training=True)
+    zhat = model.localize(w, training=True)
     loss = total_loss(bce_loss(np.eye(4, 12), zhat), sisnr, 1.0)
 
     from_params = {id(p) for p in params.values()}
@@ -175,7 +175,7 @@ def test_forward_under_no_grad_keeps_no_graph(rng):
     spec = random_spec(rng, 4, 6)
     with ad.no_grad():
         w = model.forward_weights(spec, training=False)
-        zmap = model.localize(ad.reshape(w, (1, 8) + w.shape[2:]), training=False)
+        zmap = model.localize(w, training=False)
     assert w.shape == (2, 4, 257, 6)
     for out in (w, zmap):
         assert out.parents == () and out._backward is None and not out.needs_grad
@@ -205,7 +205,7 @@ def test_skip_connections_carry_encoder_features(rng):
     for i, block in enumerate(model.decoder):
         for p in block.params().values():
             p.data[...] = 0.0
-    last = model.decoder[-1].conv
+    last = model.decoder[-1]
     in_ch = last.w.shape[1]
     skip_half = slice(in_ch // 2, in_ch)
     g = np.random.default_rng(9)
@@ -219,7 +219,7 @@ def test_skip_connections_carry_encoder_features(rng):
 def test_nlm_output_shape_and_range(rng):
     model = desk_model(zones=12)
     w = model.infer_weights(random_spec(rng, 4, 6))
-    z = model.localize(filter_image(w, model.dtype), training=False)
+    z = model.localize(filter_tensor(w, model.dtype), training=False)
     assert z.shape == (6, 12)
     assert np.all(z.data > 0) and np.all(z.data < 1)
 
@@ -230,7 +230,7 @@ def test_nlm_causality(rng):
     w = model.infer_weights(spec)
 
     def zmap(weights):
-        return model.localize(filter_image(weights, model.dtype), training=False).data
+        return model.localize(filter_tensor(weights, model.dtype), training=False).data
 
     base = zmap(w)
     t = 5
@@ -242,7 +242,7 @@ def test_nlm_causality(rng):
 
 def test_localize_without_head_raises(rng):
     model = desk_model(zones=0)
-    w = Tensor(np.zeros((1, 8, 257, 3), dtype=model.dtype))
+    w = Tensor(np.zeros((2, 4, 257, 3), dtype=model.dtype))
     with pytest.raises(ValueError, match="without a neural localization head"):
         model.localize(w)
 

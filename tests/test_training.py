@@ -203,9 +203,8 @@ def test_gamma_zero_is_pure_bce_and_head_reachability(toy_dataset):
         est = synthesize_waveform(enh, stft_cfg)
         ref = target.samples[0][: est.shape[0]]
         lsisnr = si_snr_loss([est], [ref])
-        _, m, f, t = w.shape
-        zhat = model.localize(ad.reshape(w, (1, 2 * m, f, t)), training=True)
-        truth = np.zeros((t, 12))
+        zhat = model.localize(w, training=True)
+        truth = np.zeros((w.shape[3], 12))
         truth[:, 2] = 1.0
         return bce_loss(truth, zhat), lsisnr
 
@@ -339,11 +338,14 @@ def test_checkpoint_meta_carries_run_settings(tmp_path, toy_dataset):
     ("model", "kernel", 5),
     ("nlm", "zones", 12.0),
     ("array", "positions", 3),
+    ("localization", "vad_threshold", "0.5"),
+    ("training", "reference_mic", "0"),
 ])
 def test_restore_rejects_meta_value_of_wrong_type(tmp_path, toy_dataset, section, key, value):
     # The checksum covers the arrays, not the meta, so a hand-edited meta
-    # is checked against the settings' types.
+    # is checked against the settings' types, and ``eval`` reports a user error.
     from neurobeam.checkpoint import load_checkpoint, save_checkpoint
+    from neurobeam.cli import main
     from neurobeam.config import ConfigError
     from neurobeam.training import restore_checkpoint
 
@@ -353,6 +355,16 @@ def test_restore_rejects_meta_value_of_wrong_type(tmp_path, toy_dataset, section
     save_checkpoint(tmp_path / "edited.nbcp", arrays, meta)
     with pytest.raises(ConfigError, match=f"'{section}.{key}' expects"):
         restore_checkpoint(tmp_path / "edited.nbcp")
+    assert main(["eval", str(tmp_path / "edited.nbcp"), str(toy_dataset["manifest"]),
+                 "--out", str(tmp_path / "report.csv")]) == 1
+
+
+def test_stft_of_other_size_trains_one_step(tmp_path, toy_dataset):
+    # The model's bins follow the STFT: 129 analysis bins model 128.
+    base = toy_config_dict(steps=1)
+    base["stft"] = {"window_length": 256, "hop": 64, "fft_size": 256}
+    history = train(config_from_dict(base), toy_dataset["manifest"], tmp_path / "run")
+    assert len(history) == 1 and np.isfinite(history[0]["total"])
 
 
 def _dataset_with_noisy_at(tmp_path, toy_dataset, rate):
@@ -447,8 +459,8 @@ def _fixture_eval(model):
     spec = rng.standard_normal((4, 6, 257)) + 1j * rng.standard_normal((4, 6, 257))
     w = model.infer_weights(spec)
     wt = w.transpose(0, 2, 1)
-    img = ad.Tensor(np.concatenate([wt.real, wt.imag]).astype(np.float32)[np.newaxis])
-    return w, model.localize(img, training=False).data
+    parts = ad.Tensor(np.stack([wt.real, wt.imag]).astype(np.float32))
+    return w, model.localize(parts, training=False).data
 
 
 def _current_names(model):
