@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .arraygeom import ArraySpec
 from .dsp import StftConfig
-from .model import MimoDccrnConfig, NlmConfig
+from .model import MimoDccrnConfig, NlmConfig, check_encoder_bins
 from .roomsim import DatasetConfig, MixtureRanges
 
 CONFIG_SCHEMA_VERSION = 1
@@ -68,6 +68,13 @@ class TrainingSection:
                 f"got '{self.sisnr_convention}'"
             )
 
+    def check_reference_mic(self, mics):
+        """Raise a ``ConfigError`` unless ``reference_mic`` is one of ``mics``."""
+        if not 0 <= self.reference_mic < mics:
+            raise ConfigError(
+                f"training.reference_mic {self.reference_mic} is out of range for {mics} mics"
+            )
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -80,11 +87,9 @@ class RunConfig:
     training: TrainingSection = field(default_factory=TrainingSection)
 
     def __post_init__(self):
-        if not 0 <= self.training.reference_mic < self.array.mics:
-            raise ConfigError(
-                f"training.reference_mic {self.training.reference_mic} is out of "
-                f"range for array.mics {self.array.mics}"
-            )
+        self.training.check_reference_mic(self.array.mics)
+        check_encoder_bins(self.stft.num_bins - 1, self.model.stride,
+                           len(self.model.encoder_channels))
 
     # -- assembled objects ---------------------------------------------------
     def dataset_config(self):

@@ -10,8 +10,10 @@ beamformed spectrum [2 x T x F].
 The printed SI-SNR definition in the source material uses 20*log10 of an
 energy ratio, twice the usual convention; ``convention`` selects
 "standard" (10*log10 of powers, the default used for reported dB) or
-"printed". The two are monotonically equivalent, so training is
-unaffected by the choice.
+"printed". The choice changes training: "printed" doubles the SI-SNR term
+against the BCE term, as gamma = 2 would under "standard", and its +/-60
+dB clamp binds at +/-30 dB of the standard scale, beyond which the term
+has no gradient.
 """
 
 from __future__ import annotations

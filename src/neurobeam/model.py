@@ -27,6 +27,19 @@ MAGNITUDE_EPS = 1e-12
 CHECKPOINT_SCHEMA = 3  # layout of the model's checkpoint arrays; see upgrade_arrays
 
 
+def check_encoder_bins(bins, stride, depth):
+    """Raise a ``ValueError`` unless ``stride`` is two positive integers and
+    ``depth`` encoder blocks can each divide ``bins`` modeled bins by
+    ``stride[0]``: the one rule for a run config and a checkpoint's meta."""
+    if len(stride) != 2 or min(stride) < 1:
+        raise ValueError(f"model.stride must be two positive integers, got {list(stride)}")
+    if bins % stride[0] ** depth:
+        raise ValueError(
+            f"{bins} modeled bins (stft.fft_size // 2) must be divisible by "
+            f"model.stride[0] ** len(model.encoder_channels) = {stride[0]}**{depth}"
+        )
+
+
 @dataclass(frozen=True)
 class MimoDccrnConfig:
     mics: int = 4
@@ -45,11 +58,7 @@ class MimoDccrnConfig:
         depth = len(self.encoder_channels)
         if depth < 1:
             raise ValueError("encoder_channels must be non-empty")
-        if self.freq_bins_model % (self.stride[0] ** depth) != 0:
-            raise ValueError(
-                f"freq_bins_model={self.freq_bins_model} must be divisible by "
-                f"stride^depth = {self.stride[0] ** depth}"
-            )
+        check_encoder_bins(self.freq_bins_model, self.stride, depth)
 
     @property
     def depth(self):
@@ -260,14 +269,16 @@ class MimoDccrn:
     def load_arrays(self, arrays):
         from .checkpoint import require_shapes
 
-        params = self.params()
-        require_shapes(arrays, {f"param.{k}": p.shape for k, p in params.items()})
-        extra = {k for k in arrays if k.startswith("param.")} - {f"param.{k}" for k in params}
+        params, buffers = self.params(), self.buffers()
+        expected = {f"param.{k}": p.shape for k, p in params.items()}
+        expected.update({f"buffer.{k}": b.shape for k, b in buffers.items()})
+        require_shapes(arrays, expected)
+        extra = {k for k in arrays if k.startswith(("param.", "buffer."))} - set(expected)
         if extra:
             raise ValueError(f"checkpoint has tensors the model lacks: {sorted(extra)}")
         for k, p in params.items():
             p.data = arrays[f"param.{k}"].astype(self.dtype)
-        for k, b in self.buffers().items():
+        for k, b in buffers.items():
             b[...] = arrays[f"buffer.{k}"].astype(self.dtype)
 
     @classmethod

@@ -28,6 +28,8 @@ from .dsp import DEFAULT_SAMPLE_RATE, Waveform, num_frames, read_wav, write_wav
 
 SABINE_CONSTANT = 0.161
 DEFAULT_EARLY_MS = 50.0
+ARRAY_HEIGHT_M = 1.5  # height of the array center, above the middle of the floor
+WALL_MARGIN_M = 0.1  # a placed source stays this far inside every wall
 
 
 @dataclass(frozen=True)
@@ -56,9 +58,9 @@ class RoomSpec:
         lx, ly, lz = self.dimensions
         return 2.0 * (lx * ly + lx * lz + ly * lz)
 
-    def center(self, height=1.5):
+    def center(self):
         lx, ly, _ = self.dimensions
-        return np.array([lx / 2.0, ly / 2.0, height])
+        return np.array([lx / 2.0, ly / 2.0, ARRAY_HEIGHT_M])
 
 
 def reflection_coefficient(room):
@@ -68,7 +70,7 @@ def reflection_coefficient(room):
     to demand alpha > 1 is clamped to beta = 0 with a warning.
     """
     if room.t60 <= 0:
-        raise ValueError("reflection coefficient needs t60 > 0; use beta=0 for anechoic")
+        raise ValueError("reflection coefficient needs t60 > 0; an anechoic room has none")
     alpha = SABINE_CONSTANT * room.volume / (room.t60 * room.surface)
     if alpha > 1.0:
         warnings.warn(
@@ -95,20 +97,18 @@ def default_max_order(room):
     return int(np.ceil(room.speed_of_sound * room.t60 / min(room.dimensions))) + 1
 
 
-def image_source_rir(room, src, mic, max_order, fs=DEFAULT_SAMPLE_RATE, beta=None):
+def image_source_rir(room, src, mic, max_order, fs=DEFAULT_SAMPLE_RATE):
     """Image-source impulse response with nearest-sample delays.
 
     Images up to total reflection order ``max_order`` contribute an
     impulse of amplitude beta^order / (4 pi d) at the sample nearest to
-    d / c. ``beta`` overrides the Sabine-derived coefficient (used by
-    tests sweeping the coefficient directly).
+    d / c, with beta the room's ``reflection_coefficient`` (0 when anechoic).
     """
     src = _check_inside(room, src, "source")
     mic = _check_inside(room, mic, "microphone")
     if np.allclose(src, mic):
         raise ValueError("source and microphone positions coincide")
-    if beta is None:
-        beta = reflection_coefficient(room) if room.t60 > 0 else 0.0
+    beta = reflection_coefficient(room) if room.t60 > 0 else 0.0
     if beta == 0.0:
         max_order = 0
 
@@ -117,24 +117,15 @@ def image_source_rir(room, src, mic, max_order, fs=DEFAULT_SAMPLE_RATE, beta=Non
     reach = (max_order + 1) // 2
 
     # Per-axis image coordinates and reflection counts: for integer shift n
-    # and parity p, coordinate (1-2p)*src + 2nL with |n - p| + |n| wall hits.
-    coords, expos = [], []
-    for axis in range(3):
-        n = np.arange(-reach, reach + 1)
-        cand_coord = []
-        cand_expo = []
-        for p in (0, 1):
-            cand_coord.append((1 - 2 * p) * src[axis] + 2.0 * n * dims[axis])
-            cand_expo.append(np.abs(n - p) + np.abs(n))
-        coord = np.concatenate(cand_coord)
-        expo = np.concatenate(cand_expo)
-        keep = expo <= max_order
-        coords.append(coord[keep])
-        expos.append(expo[keep])
+    # and parity p, coordinate (1-2p)*src + 2nL with |n - p| + |n| wall hits,
+    # the same counts on every axis.
+    n = np.arange(-reach, reach + 1)
+    hits = np.concatenate([2 * np.abs(n), np.abs(n - 1) + np.abs(n)])
+    keep = hits <= max_order
+    hits = hits[keep]
+    coords = [np.concatenate([s + 2.0 * n * d, -s + 2.0 * n * d])[keep] for s, d in zip(src, dims)]
 
-    order = (
-        expos[0][:, None, None] + expos[1][None, :, None] + expos[2][None, None, :]
-    )
+    order = hits[:, None, None] + hits[None, :, None] + hits[None, None, :]
     mask = order <= max_order
     d2 = (
         (coords[0] - mic[0])[:, None, None] ** 2
@@ -151,35 +142,29 @@ def image_source_rir(room, src, mic, max_order, fs=DEFAULT_SAMPLE_RATE, beta=Non
 
 
 def split_direct_early(rir, early_ms, fs=DEFAULT_SAMPLE_RATE):
-    """Partition an impulse response at direct arrival + early_ms.
-
-    Returns (early, late) of the same length as ``rir`` with
-    early + late == rir exactly. Direct arrival is the first non-zero
-    sample (the response is causal by construction).
+    """The direct + early part of an impulse response: a copy of ``rir``
+    zeroed from direct arrival + early_ms on. Direct arrival is the first
+    non-zero sample (the response is causal by construction).
     """
     if early_ms <= 0:
         raise ValueError(f"early_ms must be positive, got {early_ms}")
-    rir = np.asarray(rir, dtype=np.float64)
-    nonzero = np.flatnonzero(rir)
-    early = rir.copy()
-    late = np.zeros_like(rir)
-    if nonzero.size == 0:
-        return early, late
-    cut = nonzero[0] + int(round(early_ms * fs / 1000.0))
-    if cut < rir.shape[0]:
-        late[cut:] = rir[cut:]
-        early[cut:] = 0.0
-    return early, late
+    early = np.array(rir, dtype=np.float64)
+    nonzero = np.flatnonzero(early)
+    if nonzero.size:
+        early[nonzero[0] + int(round(early_ms * fs / 1000.0)) :] = 0.0
+    return early
 
 
 def mix_at_db(reference, contaminant, target_db, active=None):
     """Scale factor for ``contaminant`` giving the requested power ratio.
 
-    Powers are measured over the reference's active samples (boolean mask
-    over time; default all samples). target_db = +inf returns scale 0.
+    ``reference`` and ``contaminant`` are [channels x time] (or 1-D)
+    arrays. Powers are measured over the reference's active samples
+    (boolean mask over time; default all samples). target_db = +inf
+    returns scale 0.
     """
-    ref = reference.samples if isinstance(reference, Waveform) else np.atleast_2d(reference)
-    con = contaminant.samples if isinstance(contaminant, Waveform) else np.atleast_2d(contaminant)
+    ref = np.atleast_2d(reference)
+    con = np.atleast_2d(contaminant)
     if active is None:
         active = np.ones(ref.shape[1], dtype=bool)
     p_ref = float(np.mean(ref[:, active] ** 2))
@@ -193,48 +178,24 @@ def mix_at_db(reference, contaminant, target_db, active=None):
     return float(np.sqrt(p_ref / (p_con * 10.0 ** (target_db / 10.0))))
 
 
-@dataclass(frozen=True)
-class SourcePlacement:
-    """A point source inside the room; azimuth is relative to array center.
-
-    ``azimuth`` is the azimuth in degrees the source was placed at by
-    ``placement_from_azimuth`` (None for a source given by position). The
-    position reproduces it only up to roundoff, which can cross a zone
-    edge, so records carry the placed value, as the dataset manifest does.
-    """
-
-    position: np.ndarray
-    azimuth: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=np.float64))
-
-    def azimuth_deg(self, center):
-        """The placed azimuth, else the azimuth of the position seen from ``center``."""
-        if self.azimuth is not None:
-            return self.azimuth
-        d = self.position - center
-        return float(np.rad2deg(np.arctan2(d[1], d[0])))
-
-
-def placement_from_azimuth(room, azimuth_deg, distance, height=1.5, wall_margin=0.1):
-    """Place a source ``distance`` meters from the array center at the
-    given azimuth, shrinking the distance if needed so the source stays
-    ``wall_margin`` inside the room (a fixed interference distance does
-    not fit every sampled room)."""
+def placement_from_azimuth(room, azimuth_deg, distance):
+    """Position of a source ``distance`` meters from the array center at
+    the given azimuth, shrinking the distance if needed so the source
+    stays ``WALL_MARGIN_M`` inside the room (a fixed interference
+    distance does not fit every sampled room)."""
     u = doa_unit_vector(azimuth_deg)
-    center = room.center(height)
+    center = room.center()
     reach = np.inf
     for axis in range(3):
         if abs(u[axis]) < 1e-12:
             continue
         if u[axis] > 0:
-            reach = min(reach, (room.dimensions[axis] - wall_margin - center[axis]) / u[axis])
+            reach = min(reach, (room.dimensions[axis] - WALL_MARGIN_M - center[axis]) / u[axis])
         else:
-            reach = min(reach, (wall_margin - center[axis]) / u[axis])
+            reach = min(reach, (WALL_MARGIN_M - center[axis]) / u[axis])
     if reach <= 0:
         raise ValueError(f"array center leaves no room for a source at azimuth {azimuth_deg}")
-    return SourcePlacement(center + min(distance, reach) * u, float(azimuth_deg))
+    return center + min(distance, reach) * u
 
 
 @dataclass(frozen=True)
@@ -260,14 +221,6 @@ class MixtureSpec:
                 raise ValueError(f"{name} must be finite or +inf, got {v}")
 
 
-@dataclass(frozen=True)
-class MixtureRecord:
-    noisy: Waveform
-    target: Waveform
-    target_azimuth_deg: float
-    parts: dict | None = None
-
-
 def synthesize_mixture(
     room,
     geometry,
@@ -277,11 +230,12 @@ def synthesize_mixture(
     interference_signal,
     spec,
     early_ms=DEFAULT_EARLY_MS,
-    keep_parts=False,
 ):
-    """Build one reverberant multi-microphone mixture.
+    """Build one reverberant multi-microphone mixture; returns the
+    ``(noisy, target)`` waveforms.
 
-    The array sits at the room center (1.5 m height); ``interference_src``
+    The array sits at ``room.center()``; ``target_src`` and
+    ``interference_src`` are source positions, and ``interference_src``
     and ``interference_signal`` may be None for interference-free
     mixtures. Deterministic given ``spec.seed``.
     """
@@ -305,10 +259,9 @@ def synthesize_mixture(
     rev_speech = np.zeros((num_mics, n))
     target = np.zeros((num_mics, n))
     for m in range(num_mics):
-        rir = image_source_rir(room, target_src.position, mics[m], max_order, fs)
-        early, _ = split_direct_early(rir, early_ms, fs)
+        rir = image_source_rir(room, target_src, mics[m], max_order, fs)
         rev_speech[m] = fftconvolve(buffer, rir)[:n]
-        target[m] = fftconvolve(buffer, early)[:n]
+        target[m] = fftconvolve(buffer, split_direct_early(rir, early_ms, fs))[:n]
 
     scaled_intf = np.zeros((num_mics, n))
     if interference_src is not None and interference_signal is not None:
@@ -317,7 +270,7 @@ def synthesize_mixture(
         intf_buffer = np.tile(intf_sig, reps)[:n]
         rev_intf = np.zeros((num_mics, n))
         for m in range(num_mics):
-            rir = image_source_rir(room, interference_src.position, mics[m], max_order, fs)
+            rir = image_source_rir(room, interference_src, mics[m], max_order, fs)
             rev_intf[m] = fftconvolve(intf_buffer, rir)[:n]
         sir_scale = mix_at_db(rev_speech[0:1], rev_intf[0:1], spec.sir_db, active)
         scaled_intf = sir_scale * rev_intf
@@ -328,20 +281,7 @@ def synthesize_mixture(
     scaled_noise = snr_scale * noise
 
     noisy = rev_speech + scaled_intf + scaled_noise
-
-    parts = None
-    if keep_parts:
-        parts = {
-            "reverberant_speech": rev_speech,
-            "scaled_interference": scaled_intf,
-            "scaled_noise": scaled_noise,
-        }
-    return MixtureRecord(
-        noisy=Waveform(noisy, fs),
-        target=Waveform(target, fs),
-        target_azimuth_deg=target_src.azimuth_deg(center),
-        parts=parts,
-    )
+    return Waveform(noisy, fs), Waveform(target, fs)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +409,7 @@ def _build_record(cfg, index):
         sensor_snr_db=snr,
         seed=seed,
     )
-    record = synthesize_mixture(
+    noisy, target = synthesize_mixture(
         room, geometry, target_src, intf_src, speech, interference, spec,
         early_ms=cfg.early_ms,
     )
@@ -489,7 +429,7 @@ def _build_record(cfg, index):
         "noisy_path": f"mix_{index:05d}_noisy.wav",
         "target_path": f"mix_{index:05d}_target.wav",
     }
-    return record, entry
+    return noisy, target, entry
 
 
 def generate_dataset(cfg, count, out_dir, threads=1):
@@ -504,8 +444,9 @@ def generate_dataset(cfg, count, out_dir, threads=1):
     parallel = threads > 1 and count > 1
     with ProcessPoolExecutor(max_workers=threads) if parallel else nullcontext() as pool:
         build = pool.map if parallel else map
-        for record, entry in build(_build_record, [cfg] * count, range(count)):
-            _write_record(out, record, entry)
+        for noisy, target, entry in build(_build_record, [cfg] * count, range(count)):
+            write_wav(out / entry["noisy_path"], noisy)
+            write_wav(out / entry["target_path"], target)
             entries.append(entry)
     with open(out / "manifest.jsonl", "w") as fh:
         for entry in entries:
@@ -513,19 +454,9 @@ def generate_dataset(cfg, count, out_dir, threads=1):
     return entries
 
 
-def _write_record(out, record, entry):
-    write_wav(out / entry["noisy_path"], record.noisy)
-    write_wav(out / entry["target_path"], record.target)
-
-
 def load_manifest(path):
-    entries = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                entries.append(json.loads(line))
-    return entries
+        return [json.loads(line) for line in fh if line.strip()]
 
 
 def azimuth_track(num_samples, offset, length, azimuth_deg, stft_cfg):

@@ -21,7 +21,7 @@ from . import autodiff as ad
 from .arraygeom import ArraySpec, ZoneGrid, ground_truth_map, steering_set
 from .beamloc import enhance_utterance, localize
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import LocalizationSection, TrainingSection, load_section
+from .config import ConfigError, LocalizationSection, TrainingSection, load_section
 from .dsp import StftConfig, read_wav, stft
 from .losses import (
     LossBreakdown,
@@ -82,14 +82,21 @@ def restore_checkpoint(path):
     ``TrainingSection``, meta) of the checkpoint at ``path``, with its
     arrays upgraded to the current schema and loaded. The checksum covers
     only the arrays, so the meta's settings are checked against their types
-    (a ``ConfigError`` names a wrong one). A checkpoint that predates the
-    meta's ``training`` block was scored at mic 0, "standard", the defaults."""
+    and against the model (a ``ConfigError`` names a wrong one). A checkpoint
+    that predates the meta's ``training`` block was scored at mic 0,
+    "standard", the defaults."""
     arrays, meta = load_checkpoint(path)
     stft_cfg = load_section(StftConfig, meta["stft"], "stft")
     geometry = geometry_from_meta(meta)
     loc = load_section(LocalizationSection, meta["localization"], "localization")
     scoring = load_section(TrainingSection, meta.get("training", {}), "training")
     model = MimoDccrn.from_meta(meta)
+    scoring.check_reference_mic(model.config.mics)
+    if model.nlm is not None and loc.zones != model.nlm_config.zones:
+        raise ConfigError(
+            f"localization.zones {loc.zones} differs from the checkpoint's "
+            f"NLM head (nlm.zones {model.nlm_config.zones})"
+        )
     model.load_arrays(upgrade_arrays(arrays, meta))
     return model, stft_cfg, geometry, loc, scoring, meta
 

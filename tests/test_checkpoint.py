@@ -2,9 +2,13 @@
 
 import io
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from neurobeam import checkpoint
 from neurobeam.checkpoint import MAGIC, load_checkpoint, save_checkpoint
@@ -49,6 +53,44 @@ def test_truncated_file_is_rejected_by_name(tmp_path, rng):
     for size in (0, 2, 7, end - 5, end + 3, len(data) - 1):
         path.write_bytes(data[:size])
         with pytest.raises(ValueError, match="ck.nbcp"):
+            load_checkpoint(path)
+
+
+_ARRAYS = st.dictionaries(
+    st.text(max_size=6),
+    hnp.arrays(
+        st.sampled_from([np.float32, np.float64, np.complex64, np.int64, np.bool_]),
+        hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+    ),
+    max_size=4,
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(arrays=_ARRAYS, meta=st.dictionaries(st.text(max_size=6), _JSON, max_size=4))
+def test_round_trip_and_truncation_property(tmp_path, arrays, meta):
+    # Any arrays (0-d and empty included) and any JSON meta come back with
+    # the same bits, dtypes and shapes; every proper prefix of the file is
+    # rejected by name.
+    path = tmp_path / "ck.nbcp"
+    save_checkpoint(path, arrays, meta)
+    loaded, loaded_meta = load_checkpoint(path)
+    assert loaded_meta == meta
+    assert list(loaded) == list(arrays)
+    for k, v in arrays.items():
+        assert loaded[k].dtype == v.dtype and loaded[k].shape == v.shape
+        assert loaded[k].tobytes() == v.tobytes()
+    data = path.read_bytes()
+    for size in range(len(data)):
+        path.write_bytes(data[:size])
+        with pytest.raises(ValueError, match=re.escape(str(path))):
             load_checkpoint(path)
 
 

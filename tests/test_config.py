@@ -105,6 +105,14 @@ def test_zone_count_checked_at_load():
         config_from_dict({"localization": {"zones": 1}})
 
 
+@pytest.mark.parametrize("stride", [[], [0, 1], [2, 1, 1]])
+def test_stride_checked_at_load(stride):
+    # The load-time bin check takes stride[0] ** depth, so a stride without
+    # two positive items is a config error, not a crash.
+    with pytest.raises(ConfigError, match=r"model\.stride must be two positive integers"):
+        config_from_dict({"model": {"stride": stride}})
+
+
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _INTS = st.integers(-(2**40), 2**40)
 _COLA_STFTS = [
@@ -196,6 +204,27 @@ def test_write_and_load(tmp_path):
 def test_non_cola_stft_rejected_at_load():
     with pytest.raises(ConfigError, match="stft"):
         config_from_dict({"stft": {"hop": 150}})
+
+
+def test_stft_bins_the_encoder_cannot_halve_rejected_at_load(tmp_path, capsys):
+    # 400/100/400 gives 201 bins, 200 modeled, not a multiple of 2**6: the
+    # error names the keys to change, at load, not when training starts.
+    from neurobeam.cli import main
+
+    keys = (r"200 modeled bins \(stft\.fft_size // 2\) .*"
+            r"model\.stride\[0\] \*\* len\(model\.encoder_channels\) = 2\*\*6")
+    with pytest.raises(ConfigError, match=keys):
+        config_from_dict({"stft": {"window_length": 400, "hop": 100, "fft_size": 400}})
+    with pytest.raises(ConfigError, match=keys):
+        apply_overrides(RunConfig(), {"stft.fft_size": 400})
+    path = tmp_path / "config.json"
+    write_config(path, RunConfig())
+    assert main(["train", str(path), "--manifest", str(tmp_path / "m.jsonl"),
+                 "--out", str(tmp_path / "run"), "--set", "stft.fft_size=400"]) == 1
+    assert re.search(keys, capsys.readouterr().err)
+    # Fewer encoder blocks halve 200 bins three times.
+    assert config_from_dict({"stft": {"window_length": 400, "hop": 100, "fft_size": 400},
+                             "model": {"encoder_channels": [8, 8, 8]}})
 
 
 def test_sections_are_the_domain_types():

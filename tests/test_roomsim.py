@@ -3,8 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
-from neurobeam.arraygeom import ArrayGeometry, ground_truth_map, uca_positions, zone_of_angle
+from neurobeam import roomsim
+from neurobeam.arraygeom import ArrayGeometry, ground_truth_map, uca_positions
 from neurobeam.dsp import StftConfig, Waveform, read_wav, write_wav
 from neurobeam.roomsim import (
     DatasetConfig,
@@ -13,6 +15,7 @@ from neurobeam.roomsim import (
     _build_record,
     azimuth_track,
     azimuth_track_from_entry,
+    default_max_order,
     generate_dataset,
     image_source_rir,
     load_manifest,
@@ -80,13 +83,14 @@ def test_rir_causal_and_delay_within_one_sample(rng):
         assert np.all(rir[:first] == 0)
 
 
-def test_tail_energy_monotone_in_beta():
+def test_tail_energy_monotone_in_beta(monkeypatch):
     room = RoomSpec((5.0, 5.0, 3.0), t60=0.3)
     src, mic = np.array([2.0, 2.0, 1.5]), np.array([3.0, 3.2, 1.5])
     tail_at = int(round((np.linalg.norm(src - mic) / 343.0 + 0.050) * 16000))
     energies = []
     for beta in (0.3, 0.6, 0.9):
-        rir = image_source_rir(room, src, mic, max_order=30, beta=beta)
+        monkeypatch.setattr(roomsim, "reflection_coefficient", lambda room, beta=beta: beta)
+        rir = image_source_rir(room, src, mic, max_order=30)
         energies.append(float(np.sum(rir[tail_at:] ** 2)))
     assert energies[0] < energies[1] < energies[2]
 
@@ -104,51 +108,48 @@ def test_split_direct_early_partition(rng):
     rir = np.zeros(2000)
     rir[100] = 1.0
     rir[100:1500] += 0.01 * rng.standard_normal(1400)
-    early, late = split_direct_early(rir, 50.0)
-    assert np.array_equal(early + late, rir)
+    early = split_direct_early(rir, 50.0)
     cut = 100 + 800  # 50 ms at 16 kHz
-    assert np.all(late[:cut] == 0)
+    assert np.array_equal(early[:cut], rir[:cut])
     assert np.all(early[cut:] == 0)
 
 
 def test_split_direct_early_large_window():
     rir = np.zeros(100)
     rir[10] = 1.0
-    early, late = split_direct_early(rir, 500.0)
-    assert np.all(late == 0)
-    assert np.array_equal(early, rir)
+    assert np.array_equal(split_direct_early(rir, 500.0), rir)
 
 
 def test_split_anechoic_late_is_zero():
     room = RoomSpec((5.0, 5.0, 3.0), t60=0.0)
     rir = image_source_rir(room, np.array([2.0, 2.0, 1.5]), np.array([3.0, 2.0, 1.5]), 0)
-    _, late = split_direct_early(rir, 1.0)
-    assert np.all(late == 0)
+    assert np.array_equal(split_direct_early(rir, 1.0), rir)
 
 
 def test_mix_at_db_closed_forms(rng):
-    a = Waveform(rng.standard_normal((1, 4000)))
+    a = rng.standard_normal((1, 4000))
     assert mix_at_db(a, a, 0.0) == pytest.approx(1.0)
     assert mix_at_db(a, a, 20.0) == pytest.approx(0.1)
 
 
 def test_mix_at_db_achieves_target(rng):
-    ref = Waveform(rng.standard_normal((1, 4000)))
-    con = Waveform(3.7 * rng.standard_normal((1, 4000)))
+    ref = rng.standard_normal((1, 4000))
+    con = 3.7 * rng.standard_normal((1, 4000))
     target = 7.3
     s = mix_at_db(ref, con, target)
-    p_ref = np.mean(ref.samples**2)
-    p_con = np.mean((s * con.samples) ** 2)
+    p_ref = np.mean(ref**2)
+    p_con = np.mean((s * con) ** 2)
     measured = 10 * np.log10(p_ref / p_con)
     assert measured == pytest.approx(target, abs=1e-9)
 
 
 def test_mix_at_db_silent_reference_raises(rng):
     with pytest.raises(ValueError, match="silent"):
-        mix_at_db(Waveform(np.zeros((1, 100))), Waveform(rng.standard_normal((1, 100))), 0.0)
+        mix_at_db(np.zeros((1, 100)), rng.standard_normal((1, 100)), 0.0)
 
 
-def _toy_mixture(seed=5, azimuth=90.0, interference=True, snr=20.0, keep_parts=False):
+def _toy_inputs(seed=5, azimuth=90.0, interference=True, snr=20.0):
+    """``synthesize_mixture``'s arguments for 0.5 s of speech at 0.2 s of a 1 s mixture."""
     room = RoomSpec((5.0, 5.0, 3.0), t60=0.2)
     geom = ArrayGeometry(uca_positions(4, 0.05))
     rng = np.random.default_rng(7)
@@ -160,43 +161,69 @@ def _toy_mixture(seed=5, azimuth=90.0, interference=True, snr=20.0, keep_parts=F
         duration=1.0, speech_len=0.5, speech_offset=0.2, sir_db=5.0,
         sensor_snr_db=snr, seed=seed,
     )
-    return synthesize_mixture(
-        room, geom, target, intf, speech, intf_sig, spec, keep_parts=keep_parts
-    )
+    return room, geom, target, intf, speech, intf_sig, spec
+
+
+def _toy_mixture(**kwargs):
+    return synthesize_mixture(*_toy_inputs(**kwargs))
+
+
+def _toy_components(**kwargs):
+    """The toy mixture's reverberant speech, scaled interference and scaled
+    noise, rebuilt here from the simulator's parts as a reference."""
+    room, geom, target, intf, speech, intf_sig, spec = _toy_inputs(**kwargs)
+    mics = room.center() + geom.positions
+    order = default_max_order(room)
+    buffer = np.zeros(16000)
+    buffer[3200:11200] = speech.samples[0]
+    active = np.zeros(16000, dtype=bool)
+    active[3200:11200] = True
+
+    def reverberant(source, signal):
+        return np.stack(
+            [fftconvolve(signal, image_source_rir(room, source, m, order))[:16000] for m in mics]
+        )
+
+    speech_part = reverberant(target, buffer)
+    intf_part = np.zeros_like(speech_part)
+    if intf is not None:
+        rev_intf = reverberant(intf, np.tile(intf_sig.samples[0], 2)[:16000])
+        intf_part = mix_at_db(speech_part[0], rev_intf[0], spec.sir_db, active) * rev_intf
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([spec.seed])))
+    noise = rng.standard_normal((4, 16000))
+    noise_part = mix_at_db(speech_part[0], noise[0], spec.sensor_snr_db, active) * noise
+    return speech_part, intf_part, noise_part
 
 
 def test_mixture_deterministic_under_seed():
-    a = _toy_mixture(seed=5)
-    b = _toy_mixture(seed=5)
-    assert a.noisy.samples.tobytes() == b.noisy.samples.tobytes()
-    c = _toy_mixture(seed=6)
-    assert a.noisy.samples.tobytes() != c.noisy.samples.tobytes()
+    a, _ = _toy_mixture(seed=5)
+    b, _ = _toy_mixture(seed=5)
+    assert a.samples.tobytes() == b.samples.tobytes()
+    c, _ = _toy_mixture(seed=6)
+    assert a.samples.tobytes() != c.samples.tobytes()
 
 
 def test_mixture_decomposition_identity():
-    rec = _toy_mixture(keep_parts=True)
-    total = (
-        rec.parts["reverberant_speech"]
-        + rec.parts["scaled_interference"]
-        + rec.parts["scaled_noise"]
-    )
-    assert np.array_equal(rec.noisy.samples, total)
+    noisy, _ = _toy_mixture()
+    speech_part, intf_part, noise_part = _toy_components()
+    assert np.any(intf_part) and np.any(noise_part)
+    assert np.array_equal(noisy.samples, speech_part + intf_part + noise_part)
 
 
 def test_mixture_no_interference_infinite_snr_is_pure_reverb():
-    rec = _toy_mixture(interference=False, snr=np.inf, keep_parts=True)
-    assert np.array_equal(rec.noisy.samples, rec.parts["reverberant_speech"])
+    noisy, _ = _toy_mixture(interference=False, snr=np.inf)
+    speech_part, _, _ = _toy_components(interference=False, snr=np.inf)
+    assert np.array_equal(noisy.samples, speech_part)
 
 
-def _toy_track(rec):
+def _toy_track(noisy, azimuth):
     """The azimuth track of ``_toy_mixture``'s 0.5 s of speech at 0.2 s."""
-    return azimuth_track(rec.noisy.num_samples, 3200, 8000, rec.target_azimuth_deg, StftConfig())
+    return azimuth_track(noisy.num_samples, 3200, 8000, azimuth, StftConfig())
 
 
 def test_mixture_azimuth_track_maps_to_zone_4():
-    rec = _toy_mixture(azimuth=90.0)
-    assert rec.target_azimuth_deg == 90.0
-    track = _toy_track(rec)
+    noisy, _ = _toy_mixture(azimuth=90.0)
+    track = _toy_track(noisy, 90.0)
     active = ~np.isnan(track)
     assert np.any(active) and not np.all(active)
     z = ground_truth_map(track, 12)
@@ -205,11 +232,11 @@ def test_mixture_azimuth_track_maps_to_zone_4():
 
 
 def test_mixture_track_length_matches_frames():
-    rec = _toy_mixture()
+    noisy, _ = _toy_mixture()
     cfg = StftConfig()
     from neurobeam.dsp import num_frames
 
-    assert _toy_track(rec).shape[0] == num_frames(16000, cfg.window_length, cfg.hop)
+    assert _toy_track(noisy, 90.0).shape[0] == num_frames(16000, cfg.window_length, cfg.hop)
 
 
 def test_generate_dataset_count_zero(tmp_path):
@@ -247,7 +274,6 @@ def test_generate_dataset_parallel_matches_serial(tmp_path):
 def test_speed_of_sound_reaches_the_simulator(tmp_path, monkeypatch):
     # The array's speed of sound sets the image-source delays as well as the
     # steering vectors: each record's direct path arrives at distance / c.
-    from neurobeam import roomsim
     from neurobeam.config import config_from_dict
 
     real_rir, calls = roomsim.image_source_rir, []
@@ -325,29 +351,29 @@ def test_speech_dir_record_track_matches_manifest_track(tmp_path):
     # where the record's target sounds: silent before it (the direct path
     # takes at least one sample), and sounding through its last sample.
     cfg = replace(_small_dataset_config(), speech_dir=_speech_dir(tmp_path, 0.5, 16000))
-    record, entry = _build_record(cfg, 0)
+    _, target, entry = _build_record(cfg, 0)
     track = azimuth_track_from_entry(entry, StftConfig())
     assert np.any(~np.isnan(track))
     off, length = (int(round(entry[k] * entry["sample_rate"]))
                    for k in ("speech_offset_s", "speech_len_s"))
-    level = np.abs(record.target.samples).max(axis=0)
+    level = np.abs(target.samples).max(axis=0)
     sounding = np.flatnonzero(level > 1e-3 * level.max())
     assert off < sounding[0] < off + StftConfig().hop
     assert sounding[-1] >= off + length - 1
 
 
 def test_record_and_manifest_agree_on_target_zone():
-    # Placing a source by azimuth and recomputing its azimuth from the
-    # position differs by roundoff, which at 105 degrees crosses a zone edge.
+    # The manifest carries the drawn grid azimuth itself: recomputing it
+    # from the placed position differs by roundoff, which at 105 degrees
+    # crosses a zone edge.
     for azimuth in range(181):
         cfg = DatasetConfig(
             master_seed=3, rooms=((5.0, 5.0, 3.0),), t60_ranges=((0.0, 0.0),),
             target_distance_ranges=((1.7, 1.7),), duration_s=0.3, speech_len_s=0.2,
             target_azimuth_grid=(float(azimuth), float(azimuth), 1.0),
         )
-        record, entry = _build_record(cfg, 0)
+        _, _, entry = _build_record(cfg, 0)
         assert entry["target_azimuth_deg"] == azimuth
-        assert zone_of_angle(record.target_azimuth_deg, 12) == zone_of_angle(azimuth, 12)
 
 
 def test_mixture_spec_validation():

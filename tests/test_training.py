@@ -359,6 +359,70 @@ def test_restore_rejects_meta_value_of_wrong_type(tmp_path, toy_dataset, section
                  "--out", str(tmp_path / "report.csv")]) == 1
 
 
+def _edited_checkpoint(tmp_path, toy_dataset, edit):
+    """A fresh toy checkpoint re-saved after ``edit(arrays, meta)``."""
+    from neurobeam.checkpoint import load_checkpoint, save_checkpoint
+
+    train(config_from_dict(toy_config_dict(steps=0)), toy_dataset["manifest"], tmp_path / "run")
+    arrays, meta = load_checkpoint(tmp_path / "run" / CHECKPOINT_NAME)
+    edit(arrays, meta)
+    save_checkpoint(tmp_path / "edited.nbcp", arrays, meta)
+    return tmp_path / "edited.nbcp"
+
+
+def _eval_exit_code(checkpoint, tmp_path, toy_dataset):
+    from neurobeam.cli import main
+
+    return main(["eval", str(checkpoint), str(toy_dataset["manifest"]),
+                 "--out", str(tmp_path / "report.csv")])
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("training", "reference_mic", 7, "training.reference_mic 7 is out of range"),
+    ("localization", "zones", 8, r"localization.zones 8 differs .* \(nlm.zones 12\)"),
+    ("model", "stride", [0, 1], r"model\.stride must be two positive integers"),
+], ids=["reference_mic", "zones", "stride"])
+def test_restore_rejects_meta_value_the_model_contradicts(
+        tmp_path, toy_dataset, section, key, value, message):
+    # Well-typed, but not what the model was built for: a mic it does not
+    # have, a zone grid other than its NLM head's, or a stride that cannot
+    # divide its bins (checked by the same rule as a run config's).
+    from neurobeam.config import ConfigError
+    from neurobeam.training import restore_checkpoint
+
+    path = _edited_checkpoint(
+        tmp_path, toy_dataset, lambda arrays, meta: meta[section].update({key: value}))
+    with pytest.raises(ConfigError, match=message):
+        restore_checkpoint(path)
+    assert _eval_exit_code(path, tmp_path, toy_dataset) == 1
+
+
+def _drop_running_mean(arrays):
+    del arrays["buffer.enc0.bn.running_mean"]
+
+
+def _narrow_running_var(arrays):
+    arrays["buffer.enc0.bn.running_var"] = arrays["buffer.enc0.bn.running_var"][:, :1]
+
+
+def _add_buffer(arrays):
+    arrays["buffer.enc9.bn.running_mean"] = np.zeros((2, 4), np.float32)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop_running_mean, "missing tensor 'buffer.enc0.bn.running_mean'"),
+    (_narrow_running_var, r"'buffer.enc0.bn.running_var' has shape \(2, 1\)"),
+    (_add_buffer, r"lacks: \['buffer.enc9.bn.running_mean'\]"),
+], ids=["missing", "misshaped", "unknown"])
+def test_restore_checks_buffers_as_parameters(tmp_path, toy_dataset, edit, message):
+    from neurobeam.training import restore_checkpoint
+
+    path = _edited_checkpoint(tmp_path, toy_dataset, lambda arrays, meta: edit(arrays))
+    with pytest.raises(ValueError, match=message):
+        restore_checkpoint(path)
+    assert _eval_exit_code(path, tmp_path, toy_dataset) == 1
+
+
 def test_stft_of_other_size_trains_one_step(tmp_path, toy_dataset):
     # The model's bins follow the STFT: 129 analysis bins model 128.
     base = toy_config_dict(steps=1)
