@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .arraygeom import ArraySpec
 from .dsp import StftConfig
-from .model import MimoDccrnConfig, NlmConfig, check_encoder_bins
+from .model import MimoDccrnConfig, NlmConfig, check_encoder_shape
 from .roomsim import DatasetConfig, MixtureRanges
 
 CONFIG_SCHEMA_VERSION = 1
@@ -88,8 +88,8 @@ class RunConfig:
 
     def __post_init__(self):
         self.training.check_reference_mic(self.array.mics)
-        check_encoder_bins(self.stft.num_bins - 1, self.model.stride,
-                           len(self.model.encoder_channels))
+        check_encoder_shape(self.stft.num_bins - 1, self.model.kernel, self.model.stride,
+                            len(self.model.encoder_channels))
 
     # -- assembled objects ---------------------------------------------------
     def dataset_config(self):

@@ -27,12 +27,14 @@ MAGNITUDE_EPS = 1e-12
 CHECKPOINT_SCHEMA = 3  # layout of the model's checkpoint arrays; see upgrade_arrays
 
 
-def check_encoder_bins(bins, stride, depth):
-    """Raise a ``ValueError`` unless ``stride`` is two positive integers and
-    ``depth`` encoder blocks can each divide ``bins`` modeled bins by
-    ``stride[0]``: the one rule for a run config and a checkpoint's meta."""
-    if len(stride) != 2 or min(stride) < 1:
-        raise ValueError(f"model.stride must be two positive integers, got {list(stride)}")
+def check_encoder_shape(bins, kernel, stride, depth):
+    """Raise a ``ValueError`` unless ``kernel`` and ``stride`` are each two
+    positive integers and ``depth`` encoder blocks can each divide ``bins``
+    modeled bins by ``stride[0]``: the one rule for a run config and a
+    checkpoint's meta."""
+    for name, pair in (("kernel", kernel), ("stride", stride)):
+        if len(pair) != 2 or min(pair) < 1:
+            raise ValueError(f"model.{name} must be two positive integers, got {list(pair)}")
     if bins % stride[0] ** depth:
         raise ValueError(
             f"{bins} modeled bins (stft.fft_size // 2) must be divisible by "
@@ -58,7 +60,7 @@ class MimoDccrnConfig:
         depth = len(self.encoder_channels)
         if depth < 1:
             raise ValueError("encoder_channels must be non-empty")
-        check_encoder_bins(self.freq_bins_model, self.stride, depth)
+        check_encoder_shape(self.freq_bins_model, self.kernel, self.stride, depth)
 
     @property
     def depth(self):

@@ -6,6 +6,12 @@ interference convolved likewise and scaled to a target SIR; white sensor
 noise scaled to a target SNR. The training target is the speech convolved
 with only the direct + early part of each impulse response.
 
+Each source's images (Allen & Berkley, 1979) are enumerated once for all
+microphones, and each source buffer's spectrum is computed once per FFT
+size for all the responses it is convolved with; the waveforms are
+bit-identical to a per-microphone enumeration and
+``scipy.signal.fftconvolve``.
+
 All randomness flows through numpy's PCG64 generator seeded from 64-bit
 integers; record i of a dataset uses SeedSequence([master_seed, i]), so
 parallel and serial generation produce identical outputs.
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .arraygeom import SPEED_OF_SOUND, ArraySpec, doa_unit_vector
 from .dsp import DEFAULT_SAMPLE_RATE, Waveform, num_frames, read_wav, write_wav
@@ -97,16 +103,18 @@ def default_max_order(room):
     return int(np.ceil(room.speed_of_sound * room.t60 / min(room.dimensions))) + 1
 
 
-def image_source_rir(room, src, mic, max_order, fs=DEFAULT_SAMPLE_RATE):
-    """Image-source impulse response with nearest-sample delays.
+def image_source_rir(room, src, mics, max_order, fs=DEFAULT_SAMPLE_RATE):
+    """Image-source impulse responses from ``src`` to each row of ``mics``
+    ``[M x 3]``, with nearest-sample delays; returns the M responses.
 
     Images up to total reflection order ``max_order`` contribute an
     impulse of amplitude beta^order / (4 pi d) at the sample nearest to
     d / c, with beta the room's ``reflection_coefficient`` (0 when anechoic).
+    The images and their gains are enumerated once for all microphones.
     """
     src = _check_inside(room, src, "source")
-    mic = _check_inside(room, mic, "microphone")
-    if np.allclose(src, mic):
+    mics = [_check_inside(room, mic, f"microphone {m}") for m, mic in enumerate(mics)]
+    if any(np.allclose(src, mic) for mic in mics):
         raise ValueError("source and microphone positions coincide")
     beta = reflection_coefficient(room) if room.t60 > 0 else 0.0
     if beta == 0.0:
@@ -122,23 +130,49 @@ def image_source_rir(room, src, mic, max_order, fs=DEFAULT_SAMPLE_RATE):
     n = np.arange(-reach, reach + 1)
     hits = np.concatenate([2 * np.abs(n), np.abs(n - 1) + np.abs(n)])
     keep = hits <= max_order
-    hits = hits[keep]
+    hits = hits[keep].astype(np.min_scalar_type(3 * max_order))
     coords = [np.concatenate([s + 2.0 * n * d, -s + 2.0 * n * d])[keep] for s, d in zip(src, dims)]
 
-    order = hits[:, None, None] + hits[None, :, None] + hits[None, None, :]
-    mask = order <= max_order
-    d2 = (
-        (coords[0] - mic[0])[:, None, None] ** 2
-        + (coords[1] - mic[1])[None, :, None] ** 2
-        + (coords[2] - mic[2])[None, None, :] ** 2
-    )
-    dist = np.sqrt(d2[mask])
-    amp = beta ** order[mask].astype(np.float64) / (4.0 * np.pi * dist)
-    samples = np.rint(dist / c * fs).astype(np.int64)
+    # The kept images in the C order of the (x, y, z) cube, as an x-y plane
+    # index and a z index. With the squares added as (x + y) + z, each
+    # response has the bits of a per-microphone enumeration of the cube:
+    # bincount adds in index order.
+    order = (hits[:, None, None] + hits[None, :, None] + hits[None, None, :]).ravel()
+    kept = np.flatnonzero(order <= max_order)
+    gains = (beta ** np.arange(max_order + 1.0))[order[kept]]
+    xy, z = np.divmod(kept, hits.size)
 
-    rir = np.zeros(int(samples.max()) + 1)
-    np.add.at(rir, samples, amp)
-    return rir
+    responses = []
+    for mic in mics:
+        dx2, dy2, dz2 = ((coord - p) ** 2 for coord, p in zip(coords, mic))
+        dist = np.sqrt((dx2[:, None] + dy2[None, :]).ravel()[xy] + dz2[z])
+        amp = gains / (4.0 * np.pi * dist)
+        samples = np.rint(dist / c * fs).astype(np.int64)
+        responses.append(np.bincount(samples, weights=amp))
+    return responses
+
+
+def fftconvolve(signal, responses, n):
+    """The first ``n`` samples of ``signal`` convolved with each response,
+    as ``[len(responses) x n]``; ``n`` is at most each full length
+    ``len(signal) + len(h) - 1``.
+
+    Each row is bit-identical to ``scipy.signal.fftconvolve(signal, h)[:n]``:
+    the same FFT sizes and products, with the signal's spectrum computed
+    once per FFT size.
+    """
+    out = np.empty((len(responses), n))
+    spectra = {}
+    for row, h in zip(out, responses):
+        size = next_fast_len(len(signal) + len(h) - 1, True)
+        if size not in spectra:
+            spectra[size] = rfft(signal, size)
+        # Both operands named, in scipy's order: numpy's complex multiply is
+        # not bit-commutative, and a temporary operand may be reused in place.
+        signal_spec = spectra[size]
+        response_spec = rfft(h, size)
+        row[:] = irfft(signal_spec * response_spec, size)[:n]
+    return out
 
 
 def split_direct_early(rir, early_ms, fs=DEFAULT_SAMPLE_RATE):
@@ -242,8 +276,6 @@ def synthesize_mixture(
     fs = clean_speech.sample_rate
     center = room.center()
     mics = center + geometry.positions
-    for m, pos in enumerate(mics):
-        _check_inside(room, pos, f"microphone {m}")
 
     n = int(round(spec.duration * fs))
     off = int(round(spec.speech_offset * fs))
@@ -256,22 +288,18 @@ def synthesize_mixture(
 
     max_order = default_max_order(room)
     num_mics = geometry.num_mics
-    rev_speech = np.zeros((num_mics, n))
-    target = np.zeros((num_mics, n))
-    for m in range(num_mics):
-        rir = image_source_rir(room, target_src, mics[m], max_order, fs)
-        rev_speech[m] = fftconvolve(buffer, rir)[:n]
-        target[m] = fftconvolve(buffer, split_direct_early(rir, early_ms, fs))[:n]
+    rirs = image_source_rir(room, target_src, mics, max_order, fs)
+    early = [split_direct_early(rir, early_ms, fs) for rir in rirs]
+    speech = fftconvolve(buffer, rirs + early, n)
+    rev_speech, target = speech[:num_mics], speech[num_mics:]
 
     scaled_intf = np.zeros((num_mics, n))
     if interference_src is not None and interference_signal is not None:
         intf_sig = interference_signal.samples[0]
         reps = -(-n // intf_sig.shape[0])
         intf_buffer = np.tile(intf_sig, reps)[:n]
-        rev_intf = np.zeros((num_mics, n))
-        for m in range(num_mics):
-            rir = image_source_rir(room, interference_src, mics[m], max_order, fs)
-            rev_intf[m] = fftconvolve(intf_buffer, rir)[:n]
+        intf_rirs = image_source_rir(room, interference_src, mics, max_order, fs)
+        rev_intf = fftconvolve(intf_buffer, intf_rirs, n)
         sir_scale = mix_at_db(rev_speech[0:1], rev_intf[0:1], spec.sir_db, active)
         scaled_intf = sir_scale * rev_intf
 

@@ -175,7 +175,7 @@ def test_criterion_4_image_source(monkeypatch):
         mic = rng.uniform(0.3, dims - 0.3)
         if np.linalg.norm(src - mic) < 1e-3:
             continue
-        rir = image_source_rir(room, src, mic, max_order=8)
+        rir = image_source_rir(room, src, [mic], max_order=8)[0]
         first = np.flatnonzero(rir)[0]
         expected = np.linalg.norm(src - mic) / 343.0 * 16000
         delay_ok &= abs(first - expected) <= 1.0
@@ -187,7 +187,7 @@ def test_criterion_4_image_source(monkeypatch):
     tails = []
     for b in (0.3, 0.6, 0.9):
         monkeypatch.setattr(roomsim, "reflection_coefficient", lambda room, b=b: b)
-        tails.append(float(np.sum(image_source_rir(room, src, mic, 30)[tail_at:] ** 2)))
+        tails.append(float(np.sum(image_source_rir(room, src, [mic], 30)[0][tail_at:] ** 2)))
     monotone = tails[0] < tails[1] < tails[2]
     _report(
         4, "image-source: direct delay +/- 1 sample, causal, tail monotone in beta",

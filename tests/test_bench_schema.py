@@ -64,3 +64,19 @@ def test_tiny_traced_benchmark_prints_every_per_layer_metric():
         assert metrics[metric["name"]]["unit"] == metric["unit"], metric["name"]
     op_s, attributed = metrics["trace.op_s"]["value"], metrics["trace.attributed_s"]["value"]
     assert abs(attributed - op_s) <= 0.05 * op_s, (attributed, op_s)
+
+
+def test_tiny_synth_benchmark_resynthesizes_byte_identically():
+    # The final check resynthesizes the reference record under its seed and
+    # fails an operation unless every file it writes is byte-identical.
+    result = _run_tiny("synth", 0)
+    assert result["correct"]
+
+
+def test_tiny_traced_synth_benchmark_counts_image_sources():
+    # The tracer hooks roomsim's functions by name and reads the room and
+    # reflection order from image_source_rir's arguments.
+    metrics = _run_tiny("synth", 1)["metrics"]
+    assert metrics["roomsim.image_source_rir.calls"]["value"] > 0
+    assert metrics["roomsim.fftconvolve.calls"]["value"] > 0
+    assert metrics["roomsim.image_source_rir.images"]["value"] > 0

@@ -113,6 +113,21 @@ def test_stride_checked_at_load(stride):
         config_from_dict({"model": {"stride": stride}})
 
 
+@pytest.mark.parametrize("kernel", [[0, 2], [], [5], [5, 2, 1]])
+def test_kernel_checked_at_load(tmp_path, capsys, kernel):
+    # By the stride's rule: a kernel without two positive items is a config
+    # error naming the key, not a crash when the model is built.
+    from neurobeam.cli import main
+
+    with pytest.raises(ConfigError, match=r"model\.kernel must be two positive integers"):
+        config_from_dict({"model": {"kernel": kernel}})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": {"kernel": kernel}}))
+    assert main(["train", str(path), "--manifest", str(tmp_path / "m.jsonl"),
+                 "--out", str(tmp_path / "run")]) == 1
+    assert "model.kernel must be two positive integers" in capsys.readouterr().err
+
+
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _INTS = st.integers(-(2**40), 2**40)
 _COLA_STFTS = [
@@ -152,7 +167,7 @@ def _config_dicts(draw):
             sample_rate=_INTS,
             early_ms=_FINITE | _INTS,
         ),
-        model=_section(encoder_channels=_lists(_INTS), kernel=_lists(_INTS, 2), scale=_INTS),
+        model=_section(encoder_channels=_lists(_INTS), kernel=_lists(st.integers(1, 2**40), 2), scale=_INTS),
         localization=_section(
             zones=st.integers(2, 360),
             mode=st.sampled_from(["splm", "nlm"]),

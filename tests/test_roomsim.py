@@ -1,8 +1,12 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
 from neurobeam import roomsim
@@ -53,7 +57,7 @@ def test_reflection_coefficient_clamps_and_warns():
 def test_direct_path_only():
     room = RoomSpec((5.0, 5.0, 3.0), t60=0.0)
     src, mic = np.array([2.0, 2.5, 1.5]), np.array([3.4, 2.5, 1.5])
-    rir = image_source_rir(room, src, mic, max_order=0)
+    rir = image_source_rir(room, src, [mic], max_order=0)[0]
     d = 1.4
     idx = int(round(d / 343.0 * 16000))
     nz = np.flatnonzero(rir)
@@ -64,8 +68,8 @@ def test_direct_path_only():
 def test_doubling_distance_halves_amplitude():
     room = RoomSpec((10.0, 10.0, 3.0), t60=0.0)
     src = np.array([5.0, 5.0, 1.5])
-    a1 = image_source_rir(room, src, np.array([6.0, 5.0, 1.5]), 0).max()
-    a2 = image_source_rir(room, src, np.array([7.0, 5.0, 1.5]), 0).max()
+    a1 = image_source_rir(room, src, [np.array([6.0, 5.0, 1.5])], 0)[0].max()
+    a2 = image_source_rir(room, src, [np.array([7.0, 5.0, 1.5])], 0)[0].max()
     assert a1 == pytest.approx(2 * a2, rel=1e-12)
 
 
@@ -76,7 +80,7 @@ def test_rir_causal_and_delay_within_one_sample(rng):
         mic = rng.uniform([0.5] * 3, [5.5, 4.5, 2.5])
         if np.allclose(src, mic):
             continue
-        rir = image_source_rir(room, src, mic, max_order=10)
+        rir = image_source_rir(room, src, [mic], max_order=10)[0]
         d = np.linalg.norm(src - mic)
         first = np.flatnonzero(rir)[0]
         assert abs(first - d / 343.0 * 16000) <= 1.0
@@ -90,7 +94,7 @@ def test_tail_energy_monotone_in_beta(monkeypatch):
     energies = []
     for beta in (0.3, 0.6, 0.9):
         monkeypatch.setattr(roomsim, "reflection_coefficient", lambda room, beta=beta: beta)
-        rir = image_source_rir(room, src, mic, max_order=30)
+        rir = image_source_rir(room, src, [mic], max_order=30)[0]
         energies.append(float(np.sum(rir[tail_at:] ** 2)))
     assert energies[0] < energies[1] < energies[2]
 
@@ -99,9 +103,88 @@ def test_rir_rejects_coincident_and_outside():
     room = RoomSpec((4.0, 4.0, 3.0), t60=0.2)
     p = np.array([2.0, 2.0, 1.5])
     with pytest.raises(ValueError, match="coincide"):
-        image_source_rir(room, p, p, 0)
+        image_source_rir(room, p, [p], 0)
     with pytest.raises(ValueError, match="outside"):
-        image_source_rir(room, np.array([5.0, 2.0, 1.5]), p, 0)
+        image_source_rir(room, np.array([5.0, 2.0, 1.5]), [p], 0)
+
+
+def _reference_rir(room, src, mic, max_order, fs=16000):
+    """One microphone's response, enumerating the images for that mic alone
+    over the full order cube: the oracle for ``image_source_rir``."""
+    beta = reflection_coefficient(room) if room.t60 > 0 else 0.0
+    if beta == 0.0:
+        max_order = 0
+
+    dims = np.asarray(room.dimensions)
+    c = room.speed_of_sound
+    reach = (max_order + 1) // 2
+
+    n = np.arange(-reach, reach + 1)
+    hits = np.concatenate([2 * np.abs(n), np.abs(n - 1) + np.abs(n)])
+    keep = hits <= max_order
+    hits = hits[keep]
+    coords = [np.concatenate([s + 2.0 * n * d, -s + 2.0 * n * d])[keep] for s, d in zip(src, dims)]
+
+    order = hits[:, None, None] + hits[None, :, None] + hits[None, None, :]
+    mask = order <= max_order
+    d2 = (
+        (coords[0] - mic[0])[:, None, None] ** 2
+        + (coords[1] - mic[1])[None, :, None] ** 2
+        + (coords[2] - mic[2])[None, None, :] ** 2
+    )
+    dist = np.sqrt(d2[mask])
+    amp = beta ** order[mask].astype(np.float64) / (4.0 * np.pi * dist)
+    samples = np.rint(dist / c * fs).astype(np.int64)
+
+    rir = np.zeros(int(samples.max()) + 1)
+    np.add.at(rir, samples, amp)
+    return rir
+
+
+_UNIT = st.floats(0.02, 0.98)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=st.tuples(*[st.floats(3.0, 8.0)] * 3),
+    t60=st.sampled_from([0.0, 0.02]) | st.floats(0.1, 0.8),
+    src=st.tuples(*[_UNIT] * 3),
+    mics=st.lists(st.tuples(*[_UNIT] * 3), min_size=1, max_size=6),
+    max_order=st.integers(0, 40),
+)
+def test_rir_matches_per_mic_reference(dims, t60, src, mics, max_order):
+    # One enumeration for all microphones gives each the bits of its own
+    # enumeration; t60 0 is anechoic and 0.02 s clamps beta to 0.
+    room = RoomSpec(dims, t60=t60)
+    src = np.multiply(src, dims)
+    mics = np.multiply(mics, dims)
+    assume(not any(np.allclose(src, mic) for mic in mics))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rirs = image_source_rir(room, src, mics, max_order)
+        references = [_reference_rir(room, src, mic, max_order) for mic in mics]
+    assert len(rirs) == len(mics)
+    for rir, reference in zip(rirs, references):
+        assert rir.dtype == reference.dtype and rir.tobytes() == reference.tobytes()
+
+
+def test_fftconvolve_matches_scipy_bits(rng):
+    # Three responses: two whose FFT sizes differ (two signal spectra), and
+    # the first's early part with a zero tail; rows are cut at n samples,
+    # shorter than every full convolution.
+    signal = rng.standard_normal(16000)
+    short = rng.standard_normal(300) * np.exp(-np.arange(300) / 60.0)
+    long = rng.standard_normal(5000) * np.exp(-np.arange(5000) / 800.0)
+    early = split_direct_early(long, 50.0)
+    assert np.any(early) and not np.any(early[-1000:])
+    responses = [short, long, early]
+    sizes = {next_fast_len(signal.size + h.size - 1, True) for h in responses}
+    assert len(sizes) == 2
+    for n in (signal.size, 1000):
+        out = roomsim.fftconvolve(signal, responses, n)
+        assert out.shape == (3, n)
+        for row, h in zip(out, responses):
+            assert row.tobytes() == fftconvolve(signal, h)[:n].tobytes()
 
 
 def test_split_direct_early_partition(rng):
@@ -122,7 +205,7 @@ def test_split_direct_early_large_window():
 
 def test_split_anechoic_late_is_zero():
     room = RoomSpec((5.0, 5.0, 3.0), t60=0.0)
-    rir = image_source_rir(room, np.array([2.0, 2.0, 1.5]), np.array([3.0, 2.0, 1.5]), 0)
+    rir = image_source_rir(room, np.array([2.0, 2.0, 1.5]), [np.array([3.0, 2.0, 1.5])], 0)[0]
     assert np.array_equal(split_direct_early(rir, 1.0), rir)
 
 
@@ -181,7 +264,7 @@ def _toy_components(**kwargs):
 
     def reverberant(source, signal):
         return np.stack(
-            [fftconvolve(signal, image_source_rir(room, source, m, order))[:16000] for m in mics]
+            [fftconvolve(signal, rir)[:16000] for rir in image_source_rir(room, source, mics, order)]
         )
 
     speech_part = reverberant(target, buffer)
@@ -278,10 +361,10 @@ def test_speed_of_sound_reaches_the_simulator(tmp_path, monkeypatch):
 
     real_rir, calls = roomsim.image_source_rir, []
 
-    def rir_spy(room, src, mic, max_order, fs):
-        rir = real_rir(room, src, mic, max_order, fs)
-        calls.append((room, src, mic, fs, rir))
-        return rir
+    def rir_spy(room, src, mics, max_order, fs):
+        rirs = real_rir(room, src, mics, max_order, fs)
+        calls.extend((room, src, mic, fs, rir) for mic, rir in zip(mics, rirs))
+        return rirs
 
     monkeypatch.setattr(roomsim, "image_source_rir", rir_spy)
     dataset = {"duration_s": 0.8, "speech_len_s": 0.4, "t60_ranges": [[0.15, 0.2]] * 3}

@@ -381,12 +381,14 @@ def _eval_exit_code(checkpoint, tmp_path, toy_dataset):
     ("training", "reference_mic", 7, "training.reference_mic 7 is out of range"),
     ("localization", "zones", 8, r"localization.zones 8 differs .* \(nlm.zones 12\)"),
     ("model", "stride", [0, 1], r"model\.stride must be two positive integers"),
-], ids=["reference_mic", "zones", "stride"])
+    ("model", "kernel", [0, 2], r"model\.kernel must be two positive integers"),
+], ids=["reference_mic", "zones", "stride", "kernel"])
 def test_restore_rejects_meta_value_the_model_contradicts(
         tmp_path, toy_dataset, section, key, value, message):
     # Well-typed, but not what the model was built for: a mic it does not
     # have, a zone grid other than its NLM head's, or a stride that cannot
-    # divide its bins (checked by the same rule as a run config's).
+    # divide its bins or a kernel that is not two positive integers (checked
+    # by the same rule as a run config's).
     from neurobeam.config import ConfigError
     from neurobeam.training import restore_checkpoint
 
