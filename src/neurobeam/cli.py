@@ -127,22 +127,23 @@ def cmd_enhance(args):
     from .dsp import read_wav, write_wav
     from .training import restore_checkpoint, sample_rate_from_meta
 
-    model, stft_cfg, geometry, loc, _, meta = restore_checkpoint(args.checkpoint)
+    model, run, meta = restore_checkpoint(args.checkpoint)
+    loc = run.localization
     mode = args.mode or loc.mode
     zones = args.zones or loc.zones
-    if mode == "nlm" and model.nlm is not None and zones != model.nlm_config.zones:
+    if mode == "nlm" and model.nlm is not None and zones != model.nlm.zones:
         raise ValueError(
             f"--zones {zones} conflicts with the checkpoint's NLM head "
-            f"({model.nlm_config.zones} zones); use --mode splm for other grids"
+            f"({model.nlm.zones} zones); use --mode splm for other grids"
         )
     noisy = read_wav(args.input, sample_rate_from_meta(meta))
     enhanced, result = enhance_utterance(
-        noisy, model, mode, zones, geometry, stft_cfg,
+        noisy, model, mode, zones, run.array.geometry(), run.stft,
         vad_threshold=loc.vad_threshold,
     )
     write_wav(args.out, enhanced)
     csv_path = args.csv or f"{args.out}.loc.csv"
-    times = stft_cfg.frame_times(result.zmap.shape[0], noisy.sample_rate)
+    times = run.stft.frame_times(result.zmap.shape[0], noisy.sample_rate)
     write_localization_csv(csv_path, result, times)
     active = int(np.sum(result.vad_decisions))
     print(f"enhanced {args.input} -> {args.out} ({mode}, {zones} zones)")

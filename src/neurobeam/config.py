@@ -1,9 +1,12 @@
 """Run configuration: one JSON document covering array geometry, mixture
 ranges, STFT settings, model size, and training hyperparameters.
 
+The ``stft``, ``array``, ``dataset`` and ``model`` sections are the domain
+types themselves; the network's mic, bin and zone counts are not keys.
 Loading is strict: unknown keys anywhere in the document are rejected by
 their dotted path, and every value is checked against its field's type
-annotation (``load_section``). Command-line flags override individual keys
+annotation (``load_section``), in a config as in a checkpoint's meta
+(``RunConfig.from_meta``). Command-line flags override individual keys
 after the file is parsed.
 """
 
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .arraygeom import ArraySpec
 from .dsp import StftConfig
-from .model import MimoDccrnConfig, NlmConfig, check_encoder_shape
+from .model import MimoDccrnConfig
 from .roomsim import DatasetConfig, MixtureRanges
 
 CONFIG_SCHEMA_VERSION = 1
@@ -24,15 +27,6 @@ CONFIG_SCHEMA_VERSION = 1
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class ModelSection:
-    encoder_channels: tuple[int, ...] = (16, 32, 64, 128, 256, 256)
-    kernel: tuple[int, ...] = (5, 2)
-    stride: tuple[int, ...] = (2, 1)
-    lstm_hidden: int = 256
-    scale: int = 4
 
 
 @dataclass(frozen=True)
@@ -67,13 +61,9 @@ class TrainingSection:
                 f"training.sisnr_convention must be 'standard' or 'printed', "
                 f"got '{self.sisnr_convention}'"
             )
-
-    def check_reference_mic(self, mics):
-        """Raise a ``ConfigError`` unless ``reference_mic`` is one of ``mics``."""
-        if not 0 <= self.reference_mic < mics:
-            raise ConfigError(
-                f"training.reference_mic {self.reference_mic} is out of range for {mics} mics"
-            )
+        for key in ("checkpoint_every", "log_every"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"training.{key} must be at least 1, got {getattr(self, key)}")
 
 
 @dataclass(frozen=True)
@@ -82,14 +72,35 @@ class RunConfig:
     stft: StftConfig = field(default_factory=StftConfig)
     array: ArraySpec = field(default_factory=ArraySpec)
     dataset: MixtureRanges = field(default_factory=MixtureRanges)
-    model: ModelSection = field(default_factory=ModelSection)
+    model: MimoDccrnConfig = field(default_factory=MimoDccrnConfig)
     localization: LocalizationSection = field(default_factory=LocalizationSection)
     training: TrainingSection = field(default_factory=TrainingSection)
 
     def __post_init__(self):
-        self.training.check_reference_mic(self.array.mics)
-        check_encoder_shape(self.stft.num_bins - 1, self.model.kernel, self.model.stride,
-                            len(self.model.encoder_channels))
+        mic, mics = self.training.reference_mic, self.array.mics
+        if not 0 <= mic < mics:
+            raise ConfigError(f"training.reference_mic {mic} is out of range for {mics} mics")
+        # The network models every bin but DC; each encoder block divides them.
+        bins, stride, depth = self.stft.num_bins - 1, self.model.stride[0], self.model.depth
+        if bins % stride ** depth:
+            raise ConfigError(
+                f"{bins} modeled bins (stft.fft_size // 2) must be divisible by "
+                f"model.stride[0] ** len(model.encoder_channels) = {stride}**{depth}"
+            )
+
+    @classmethod
+    def from_meta(cls, meta):
+        """The run settings a checkpoint's ``meta`` records, checked as a
+        config's: its ``stft``, ``array``, ``model`` and ``localization``
+        sections and ``training`` scoring keys (defaults if it predates them).
+        Older metas repeat ``array.mics``, the bins and ``localization.zones``
+        as ``model.mics``, ``model.freq_bins_model`` and ``nlm``: not read."""
+        model = meta["model"]
+        if isinstance(model, dict):
+            model = {k: v for k, v in model.items() if k not in ("mics", "freq_bins_model")}
+        sections = {key: meta[key] for key in ("stft", "array", "localization")}
+        sections.update(model=model, training=meta.get("training", {}))
+        return load_section(cls, sections, "")
 
     # -- assembled objects ---------------------------------------------------
     def dataset_config(self):
@@ -98,15 +109,6 @@ class RunConfig:
             **dataclasses.asdict(self.array),
             **dataclasses.asdict(self.dataset),
         )
-
-    def model_config(self):
-        """The network for this array and STFT: it models every analysis
-        bin but DC."""
-        return MimoDccrnConfig(mics=self.array.mics, freq_bins_model=self.stft.num_bins - 1,
-                               **dataclasses.asdict(self.model))
-
-    def nlm_config(self):
-        return NlmConfig(zones=self.localization.zones)
 
     def to_dict(self):
         return {"schema_version": CONFIG_SCHEMA_VERSION, **_as_plain(self)}

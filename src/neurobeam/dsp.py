@@ -243,7 +243,10 @@ def read_wav(path, sample_rate=None):
         samples = samples[np.newaxis, :]
     else:
         samples = samples.T
-    return Waveform(samples, int(rate))
+    try:
+        return Waveform(samples, int(rate))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_wav(path, wave):

@@ -1,6 +1,11 @@
 """The multi-channel encoder/LSTM/decoder network that emits per-channel
 beamforming filters, and the auxiliary localization head.
 
+``MimoDccrnConfig``, the config's ``model`` section, holds DCCRN's own
+hyperparameters only; ``MimoDccrn.for_run`` is the one rule that sizes the
+network for a run config's mics, bins and zones, in training and in every
+restore (``from_meta``).
+
 The encoder halves the frequency axis per block; the analysis spectrum of
 257 bins is reconciled with that arithmetic by dropping the DC bin on the
 way in (256 modeled bins) and copying the first modeled bin's weight into
@@ -14,7 +19,7 @@ returns one real tensor, and the filters are [2 x M x F x T] (re, im).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,40 +32,33 @@ MAGNITUDE_EPS = 1e-12
 CHECKPOINT_SCHEMA = 3  # layout of the model's checkpoint arrays; see upgrade_arrays
 
 
-def check_encoder_shape(bins, kernel, stride, depth):
-    """Raise a ``ValueError`` unless ``kernel`` and ``stride`` are each two
-    positive integers and ``depth`` encoder blocks can each divide ``bins``
-    modeled bins by ``stride[0]``: the one rule for a run config and a
-    checkpoint's meta."""
-    for name, pair in (("kernel", kernel), ("stride", stride)):
-        if len(pair) != 2 or min(pair) < 1:
-            raise ValueError(f"model.{name} must be two positive integers, got {list(pair)}")
-    if bins % stride[0] ** depth:
-        raise ValueError(
-            f"{bins} modeled bins (stft.fft_size // 2) must be divisible by "
-            f"model.stride[0] ** len(model.encoder_channels) = {stride[0]}**{depth}"
-        )
+NLM_HIDDEN = 32  # width of the NLM head's scalar MLP
 
 
 @dataclass(frozen=True)
 class MimoDccrnConfig:
-    mics: int = 4
+    """DCCRN's hyperparameters, the config's ``model`` section: the encoder
+    widths, the [freq, time] kernel and stride of every conv block and the
+    LSTM width; ``scale`` divides each width (to at least 1) for desk-scale
+    runs. A ``ValueError`` names the key of a value out of range."""
+
     encoder_channels: tuple[int, ...] = (16, 32, 64, 128, 256, 256)
     kernel: tuple[int, ...] = (5, 2)
     stride: tuple[int, ...] = (2, 1)
     lstm_hidden: int = 256
-    freq_bins_model: int = 256
-    scale: int = 1
+    scale: int = 4
 
     def __post_init__(self):
-        if self.mics < 1:
-            raise ValueError(f"need at least one microphone channel, got {self.mics}")
-        if self.scale < 1:
-            raise ValueError(f"scale must be >= 1, got {self.scale}")
-        depth = len(self.encoder_channels)
-        if depth < 1:
-            raise ValueError("encoder_channels must be non-empty")
-        check_encoder_shape(self.freq_bins_model, self.kernel, self.stride, depth)
+        for name, pair in (("kernel", self.kernel), ("stride", self.stride)):
+            if len(pair) != 2 or min(pair) < 1:
+                raise ValueError(f"model.{name} must be two positive integers, got {list(pair)}")
+        if not self.encoder_channels:
+            raise ValueError("model.encoder_channels must be non-empty")
+        widths = [(f"model.encoder_channels[{i}]", c) for i, c in enumerate(self.encoder_channels)]
+        for key, value in widths + [("model.lstm_hidden", self.lstm_hidden),
+                                    ("model.scale", self.scale)]:
+            if value < 1:
+                raise ValueError(f"{key} must be at least 1, got {value}")
 
     @property
     def depth(self):
@@ -73,24 +71,6 @@ class MimoDccrnConfig:
     @property
     def hidden(self):
         return max(1, self.lstm_hidden // self.scale)
-
-    @property
-    def bottleneck_freq(self):
-        return self.freq_bins_model // (self.stride[0] ** self.depth)
-
-
-@dataclass(frozen=True)
-class NlmConfig:
-    zones: int = 12
-    linear_hidden: int = 32
-
-    def __post_init__(self):
-        if self.zones < 2:
-            raise ValueError(f"need at least 2 zones, got {self.zones}")
-
-    @property
-    def conv_channels(self):
-        return (2 * self.zones, 2 * self.zones)
 
 
 def _named(method, parts):
@@ -108,18 +88,17 @@ class NlmHead:
     Two complex conv blocks (2N, 2N channels) read the filters as an
     M-channel complex image; the 2N output channels form N complex pairs
     whose magnitudes are averaged over frequency, and a shared scalar
-    MLP (1 -> linear_hidden -> 1, sigmoid) maps each zone/frame score
+    MLP (1 -> NLM_HIDDEN -> 1, sigmoid) maps each zone/frame score
     into (0, 1).
     """
 
-    def __init__(self, mics, cfg, kernel, stride, rng, dtype):
-        self.cfg = cfg
-        c1, c2 = cfg.conv_channels
-        self.block1 = ComplexConvBlock(mics, c1, kernel, stride, rng, dtype)
-        self.block2 = ComplexConvBlock(c1, c2, kernel, stride, rng, dtype)
-        self.lin1 = Linear(1, cfg.linear_hidden, rng, dtype)
-        self.mlp_slope = Tensor(np.full(cfg.linear_hidden, 0.25, dtype=dtype))
-        self.lin2 = Linear(cfg.linear_hidden, 1, rng, dtype)
+    def __init__(self, mics, zones, kernel, stride, rng, dtype):
+        self.zones = zones
+        self.block1 = ComplexConvBlock(mics, 2 * zones, kernel, stride, rng, dtype)
+        self.block2 = ComplexConvBlock(2 * zones, 2 * zones, kernel, stride, rng, dtype)
+        self.lin1 = Linear(1, NLM_HIDDEN, rng, dtype)
+        self.mlp_slope = Tensor(np.full(NLM_HIDDEN, 0.25, dtype=dtype))
+        self.lin2 = Linear(NLM_HIDDEN, 1, rng, dtype)
 
     def _parts(self):
         return (("block1", self.block1), ("block2", self.block2), ("lin1", self.lin1),
@@ -135,7 +114,7 @@ class NlmHead:
         """w: stacked filter image [1 x 2M x F x T] -> Tensor [T x N] in (0, 1)."""
         h = self.block1(w, training)
         h = self.block2(h, training)
-        n_zones = self.cfg.zones
+        n_zones = self.zones
         _, _, f2, t_len = h.shape
         squares = ad.reshape(h * h, (2, n_zones, 2, f2, t_len))
         power = ad.reduce_sum(squares, axis=(0, 2))
@@ -150,38 +129,43 @@ class NlmHead:
 class MimoDccrn:
     """Encoder / complex-LSTM bottleneck / decoder with skip connections."""
 
-    def __init__(self, config, nlm=None, seed=0, dtype=np.float32):
-        self.config = config
-        self.nlm_config = nlm
+    def __init__(self, config, mics, bins, zones=None, seed=0, dtype=np.float32):
+        """The network of ``config`` for ``mics`` channels and ``bins``
+        modeled bins, with an NLM head over ``zones`` zones unless None."""
+        self.config, self.mics, self.bins = config, mics, bins
         self.dtype = np.dtype(dtype)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
         chans = config.channels
         kernel, stride = config.kernel, config.stride
 
         self.encoder = []
-        in_ch = config.mics
+        in_ch = mics
         for c in chans:
             self.encoder.append(ComplexConvBlock(in_ch, c, kernel, stride, rng, self.dtype))
             in_ch = c
 
-        feat = chans[-1] * config.bottleneck_freq
+        feat = chans[-1] * (bins // stride[0] ** config.depth)
         self.clstm = ComplexLSTM(feat, config.hidden, rng, self.dtype)
         self.restore = ComplexLinear(config.hidden, feat, rng, self.dtype)
 
         self.decoder = []
         rev = list(chans[::-1])
-        outs = rev[1:] + [config.mics]
+        outs = rev[1:] + [mics]
         for idx, (c_in, c_out) in enumerate(zip(rev, outs)):
             self.decoder.append(ComplexConvBlock(  # the last one is a bare deconv
                 2 * c_in, c_out, kernel, stride, rng, self.dtype, transposed=True,
                 norm=idx < len(rev) - 1,
             ))
 
-        self.nlm = (
-            NlmHead(config.mics, nlm, kernel, stride, rng, self.dtype)
-            if nlm is not None
-            else None
-        )
+        self.nlm = None if zones is None else NlmHead(mics, zones, kernel, stride, rng, self.dtype)
+
+    @classmethod
+    def for_run(cls, cfg, seed=0, dtype=np.float32):
+        """The network of the run config ``cfg``: ``cfg.model`` for
+        ``cfg.array.mics`` channels and every analysis bin but DC, with an
+        NLM head over ``cfg.localization.zones`` zones in ``nlm`` mode only."""
+        zones = cfg.localization.zones if cfg.localization.mode == "nlm" else None
+        return cls(cfg.model, cfg.array.mics, cfg.stft.num_bins - 1, zones, seed, dtype)
 
     # -- parameter plumbing ------------------------------------------------
     def _parts(self):
@@ -206,10 +190,10 @@ class MimoDccrn:
         """Packed input [1 x 2M x F' x T] -> filter image [1 x 2M x F' x T]."""
         if x.shape[0] != 1:
             raise ValueError("the bottleneck flatten assumes batch size 1")
-        if x.shape[1] != 2 * self.config.mics or x.shape[2] != self.config.freq_bins_model:
+        if x.shape[1] != 2 * self.mics or x.shape[2] != self.bins:
             raise ValueError(
-                f"input shape {x.shape} does not match config "
-                f"(mics={self.config.mics}, freq={self.config.freq_bins_model})"
+                f"input shape {x.shape} does not match the model "
+                f"(mics={self.mics}, freq={self.bins})"
             )
         skips = []
         h = x
@@ -235,9 +219,9 @@ class MimoDccrn:
         The filters (re, im) are full-band (DC slot copied from the first
         modeled bin) and connected to the parameter graph.
         """
-        x = pack_input(spec_data, self.config.freq_bins_model, self.dtype)
+        x = pack_input(spec_data, self.bins, self.dtype)
         out = self.forward(x, training)
-        w = ad.reshape(out, (2, self.config.mics) + out.shape[2:])
+        w = ad.reshape(out, (2, self.mics) + out.shape[2:])
         return ad.concat([ad.narrow(w, 2, 0, 1), w], axis=2)
 
     def infer_weights(self, spec_data):
@@ -261,13 +245,6 @@ class MimoDccrn:
         arrays.update({f"buffer.{k}": b for k, b in self.buffers().items()})
         return arrays
 
-    def meta(self):
-        out = {"schema": CHECKPOINT_SCHEMA, "model": asdict(self.config)}
-        out["dtype"] = self.dtype.name
-        if self.nlm_config is not None:
-            out["nlm"] = asdict(self.nlm_config)
-        return out
-
     def load_arrays(self, arrays):
         from .checkpoint import require_shapes
 
@@ -285,13 +262,12 @@ class MimoDccrn:
 
     @classmethod
     def from_meta(cls, meta, seed=0):
-        """The model described by a checkpoint's ``meta``; a value of the
-        wrong type raises a ``ConfigError`` naming its key."""
-        from .config import load_section
+        """The model described by a checkpoint's ``meta``, built by
+        ``for_run`` from ``RunConfig.from_meta(meta)``; a value of the wrong
+        type or out of range raises a ``ConfigError`` naming its key."""
+        from .config import RunConfig
 
-        config = load_section(MimoDccrnConfig, meta["model"], "model")
-        nlm = load_section(NlmConfig, meta["nlm"], "nlm") if "nlm" in meta else None
-        return cls(config, nlm=nlm, seed=seed, dtype=np.dtype(meta["dtype"]))
+        return cls.for_run(RunConfig.from_meta(meta), seed, np.dtype(meta["dtype"]))
 
 
 def upgrade_arrays(arrays, meta):
@@ -327,7 +303,7 @@ def upgrade_arrays(arrays, meta):
     return arrays
 
 
-def pack_input(spec_data, freq_bins_model, dtype):
+def pack_input(spec_data, bins, dtype):
     """[M x T x F] complex -> stacked leaf [1 x 2M x F' x T].
 
     F' = F - 1: the DC bin is dropped so the stride-2 halving chain stays
@@ -336,8 +312,8 @@ def pack_input(spec_data, freq_bins_model, dtype):
     """
     spec_data = np.asarray(spec_data)
     m, t_len, f = spec_data.shape
-    if f != freq_bins_model + 1:
-        raise ValueError(f"expected {freq_bins_model + 1} analysis bins, got {f}")
+    if f != bins + 1:
+        raise ValueError(f"expected {bins + 1} analysis bins, got {f}")
     body = spec_data[:, :, 1:].transpose(0, 2, 1)
     packed = np.empty((1, 2 * m, f - 1, t_len), dtype=dtype)
     packed[0, :m], packed[0, m:] = body.real, body.imag

@@ -383,12 +383,24 @@ class MixtureRanges:
     early_ms: float = DEFAULT_EARLY_MS
     speech_dir: str | None = None
 
+    def __post_init__(self):
+        paired = (self.rooms, self.t60_ranges, self.target_distance_ranges)
+        if len({len(items) for items in paired}) > 1:
+            raise ValueError(
+                "dataset.rooms, dataset.t60_ranges and dataset.target_distance_ranges "
+                f"are paired by index, but list {', '.join(str(len(v)) for v in paired)} items"
+            )
+
 
 @dataclass(frozen=True)
 class DatasetConfig(MixtureRanges, ArraySpec):
     """Mixture ranges plus the seed and the microphone array they are drawn for."""
 
     master_seed: int = 0
+
+    def __post_init__(self):
+        MixtureRanges.__post_init__(self)
+        ArraySpec.__post_init__(self)
 
 
 def _azimuth_choices(grid):

@@ -21,8 +21,8 @@ from . import autodiff as ad
 from .arraygeom import ArraySpec, ZoneGrid, ground_truth_map, steering_set
 from .beamloc import enhance_utterance, localize
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import ConfigError, LocalizationSection, TrainingSection, load_section
-from .dsp import StftConfig, read_wav, stft
+from .config import RunConfig, load_section
+from .dsp import read_wav, stft
 from .losses import (
     LossBreakdown,
     bce_loss,
@@ -34,7 +34,7 @@ from .losses import (
     total_loss,
 )
 from .metrics import loc_metrics, merge_metrics
-from .model import MimoDccrn, upgrade_arrays
+from .model import CHECKPOINT_SCHEMA, MimoDccrn, upgrade_arrays
 from .optim import Adam
 from .roomsim import azimuth_track_from_entry, load_manifest
 
@@ -50,19 +50,24 @@ class TrainingDiverged(RuntimeError):
 
 
 def build_model(cfg, seed=None):
-    nlm = cfg.nlm_config() if cfg.localization.mode == "nlm" else None
-    return MimoDccrn(
-        cfg.model_config(), nlm=nlm, seed=cfg.seed if seed is None else seed,
-        dtype=np.float32,
-    )
+    """The float32 network of ``cfg`` (``MimoDccrn.for_run``), seeded by
+    ``cfg.seed`` unless ``seed`` is given."""
+    return MimoDccrn.for_run(cfg, cfg.seed if seed is None else seed, np.float32)
 
 
-def _checkpoint_meta(cfg, step):
+def checkpoint_meta(cfg, step):
+    """The meta of a checkpoint of ``build_model(cfg)`` after ``step``
+    steps: the arrays' schema and dtype, the sections the model is rebuilt
+    from (``RunConfig.from_meta``), and the sample rate and scoring keys
+    that evaluation uses."""
     plain = cfg.to_dict()
     return {
+        "schema": CHECKPOINT_SCHEMA,
+        "dtype": np.dtype(np.float32).name,
         "train_step": step,
         "stft": plain["stft"],
         "array": {key: value for key, value in plain["array"].items() if value is not None},
+        "model": plain["model"],
         "localization": plain["localization"],
         "dataset": {"sample_rate": cfg.dataset.sample_rate},
         "training": {
@@ -78,27 +83,19 @@ def geometry_from_meta(meta):
 
 
 def restore_checkpoint(path):
-    """(model, STFT config, microphone geometry, ``LocalizationSection``,
-    ``TrainingSection``, meta) of the checkpoint at ``path``, with its
-    arrays upgraded to the current schema and loaded. The checksum covers
-    only the arrays, so the meta's settings are checked against their types
-    and against the model (a ``ConfigError`` names a wrong one). A checkpoint
+    """(model, run config, meta) of the checkpoint at ``path``. The checksum
+    covers only the arrays, so the meta's settings are read as a run config
+    (``RunConfig.from_meta``), with the config's checks (a ``ConfigError``
+    names a wrong one), and the model is built from it by the training
+    rule, its arrays upgraded to the current schema and loaded (a
+    ``ValueError`` names an array the model does not fit). A checkpoint
     that predates the meta's ``training`` block was scored at mic 0,
     "standard", the defaults."""
     arrays, meta = load_checkpoint(path)
-    stft_cfg = load_section(StftConfig, meta["stft"], "stft")
-    geometry = geometry_from_meta(meta)
-    loc = load_section(LocalizationSection, meta["localization"], "localization")
-    scoring = load_section(TrainingSection, meta.get("training", {}), "training")
-    model = MimoDccrn.from_meta(meta)
-    scoring.check_reference_mic(model.config.mics)
-    if model.nlm is not None and loc.zones != model.nlm_config.zones:
-        raise ConfigError(
-            f"localization.zones {loc.zones} differs from the checkpoint's "
-            f"NLM head (nlm.zones {model.nlm_config.zones})"
-        )
+    run = RunConfig.from_meta(meta)
+    model = MimoDccrn.for_run(run, dtype=np.dtype(meta["dtype"]))
     model.load_arrays(upgrade_arrays(arrays, meta))
-    return model, stft_cfg, geometry, loc, scoring, meta
+    return model, run, meta
 
 
 def sample_rate_from_meta(meta):
@@ -110,8 +107,7 @@ def sample_rate_from_meta(meta):
 def _save(out_dir, model, adam, cfg, step):
     arrays = model.checkpoint_arrays()
     arrays.update(adam.state_arrays())
-    meta = {**model.meta(), **_checkpoint_meta(cfg, step)}
-    save_checkpoint(out_dir / CHECKPOINT_NAME, arrays, meta)
+    save_checkpoint(out_dir / CHECKPOINT_NAME, arrays, checkpoint_meta(cfg, step))
 
 
 def training_step(model, adam, cfg, entry, base_dir, steering=None):
@@ -174,7 +170,7 @@ def _check_resume(path, arrays, meta, cfg):
     """Reject a checkpoint recorded under other STFT, array or sample-rate
     settings than ``cfg``, or whose step is not its optimizer's step count.
     A key the checkpoint predates is not checked."""
-    expect = _checkpoint_meta(cfg, None)
+    expect = checkpoint_meta(cfg, None)
     checks = [(key, meta.get(key), expect[key], "the config") for key in ("stft", "array")]
     checks.append(("dataset.sample_rate", sample_rate_from_meta(meta),
                    cfg.dataset.sample_rate, "the config"))
@@ -376,11 +372,13 @@ def evaluate(manifest_path, checkpoint_path, out_csv=None, mode=None):
     entries = load_manifest(manifest_path)
     if not entries:
         raise ValueError(f"dataset manifest {manifest_path} is empty")
-    model, stft_cfg, geometry, loc, scoring, meta = restore_checkpoint(checkpoint_path)
+    model, run, meta = restore_checkpoint(checkpoint_path)
+    loc, scoring = run.localization, run.training
     rows = evaluate_records(
-        entries, manifest_path.parent, model, stft_cfg, geometry, loc.zones, mode or loc.mode,
-        convention=scoring.sisnr_convention, vad_threshold=loc.vad_threshold,
-        reference_mic=scoring.reference_mic, sample_rate=sample_rate_from_meta(meta),
+        entries, manifest_path.parent, model, run.stft, run.array.geometry(), loc.zones,
+        mode or loc.mode, convention=scoring.sisnr_convention,
+        vad_threshold=loc.vad_threshold, reference_mic=scoring.reference_mic,
+        sample_rate=sample_rate_from_meta(meta),
     )
     summary = summarize(rows)
     if out_csv is not None:

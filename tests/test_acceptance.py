@@ -33,7 +33,7 @@ from neurobeam.losses import (
     total_loss,
 )
 from neurobeam.metrics import loc_metrics
-from neurobeam.model import MimoDccrn, MimoDccrnConfig, NlmConfig
+from neurobeam.model import MimoDccrn, MimoDccrnConfig
 from neurobeam.roomsim import (
     MixtureSpec,
     RoomSpec,
@@ -201,11 +201,8 @@ def test_criterion_4_image_source(monkeypatch):
 # -------------------------------------------------------------------------
 
 def _micro_model(zones=4):
-    cfg = MimoDccrnConfig(
-        mics=2, encoder_channels=(16, 32, 64, 128, 256), lstm_hidden=256,
-        freq_bins_model=32, scale=8,
-    )
-    return MimoDccrn(cfg, nlm=NlmConfig(zones=zones), seed=3, dtype=np.float64)
+    cfg = MimoDccrnConfig(encoder_channels=(16, 32, 64, 128, 256), lstm_hidden=256, scale=8)
+    return MimoDccrn(cfg, mics=2, bins=32, zones=zones, seed=3, dtype=np.float64)
 
 
 def test_criterion_5_gradient_suite():
@@ -408,7 +405,7 @@ def test_criterion_9_determinism(tmp_path):
 # -------------------------------------------------------------------------
 
 def test_criterion_10_causality():
-    model = MimoDccrn(MimoDccrnConfig(mics=4, scale=4), nlm=NlmConfig(zones=12), seed=10)
+    model = MimoDccrn(MimoDccrnConfig(scale=4), mics=4, bins=256, zones=12, seed=10)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([10])))
     frames = 24
     spec = rng.standard_normal((4, frames, 257)) + 1j * rng.standard_normal((4, frames, 257))

@@ -13,7 +13,7 @@ from neurobeam.beamloc import (
     write_localization_csv,
 )
 from neurobeam.dsp import Spectrogram, StftConfig, Waveform, num_frames
-from neurobeam.model import MimoDccrn, MimoDccrnConfig, NlmConfig
+from neurobeam.model import MimoDccrn, MimoDccrnConfig
 
 
 def _spec(rng, mics=3, frames=4, cfg=None):
@@ -143,7 +143,7 @@ def test_localization_result_invariant():
 
 
 def _toy_model(zones=12):
-    return MimoDccrn(MimoDccrnConfig(mics=4, scale=4), nlm=NlmConfig(zones=zones), seed=0)
+    return MimoDccrn(MimoDccrnConfig(scale=4), mics=4, bins=256, zones=zones, seed=0)
 
 
 def test_enhance_silence(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -94,6 +95,44 @@ def test_config_value_of_wrong_type_exit_code(tmp_path, capsys):
     assert "dataset.speech_dir" in err and "internal error" not in err
 
 
+@pytest.mark.parametrize("section, key, value, named", [
+    ("model", "encoder_channels", [16, 32, 64, 128, 256, 0], "model.encoder_channels[5]"),
+    ("model", "lstm_hidden", 0, "model.lstm_hidden"),
+    ("training", "log_every", 0, "training.log_every"),
+    ("training", "checkpoint_every", 0, "training.checkpoint_every"),
+], ids=["encoder_channels", "lstm_hidden", "log_every", "checkpoint_every"])
+def test_train_rejects_width_or_interval_below_one(trained, tmp_path, capsys,
+                                                   section, key, value, named):
+    # A width of 0 would be clamped to 1 and train; an interval of 0 would
+    # divide by zero. Both are config errors naming the key.
+    from neurobeam.config import ConfigError, config_from_dict
+
+    data = toy_config_dict()
+    data.setdefault(section, {})[key] = value
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        config_from_dict(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    rc = main(["train", str(path), "--manifest", str(trained["manifest"]),
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert named in err and "internal error" not in err
+
+
+def test_synth_rejects_unpaired_scenario_lists(tmp_path, capsys):
+    # One T60 range beside three rooms and three distance ranges: the
+    # scenario index drawn per record would run past the short list.
+    path = tmp_path / "bad.json"
+    data = toy_config_dict()
+    data["dataset"]["t60_ranges"] = [[0.15, 0.25]]
+    path.write_text(json.dumps(data))
+    assert main(["synth", str(path), "--count", "4", "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert "dataset.t60_ranges" in err and "3, 1, 3 items" in err
+    assert "internal error" not in err
+
+
 def test_invalid_json_rejected(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -167,6 +206,19 @@ def test_enhance_wav_at_another_rate_exit_code(trained, tmp_path, capsys):
                "--out", str(tmp_path / "out.wav")])
     assert rc == 1
     assert "wrong_rate.wav is at 8000 Hz, not at 16000 Hz" in capsys.readouterr().err
+
+
+def test_enhance_wav_with_non_finite_sample_names_it(trained, tmp_path, capsys):
+    from scipy.io import wavfile
+
+    samples = np.zeros((3000, 4), np.float32)
+    samples[100, 2] = np.nan
+    bad = tmp_path / "nan_sample.wav"
+    wavfile.write(bad, 16000, samples)
+    rc = main(["enhance", str(trained["checkpoint"]), str(bad),
+               "--out", str(tmp_path / "out.wav")])
+    assert rc == 1
+    assert f"{bad}: samples contain non-finite values" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["enhance", "eval"])

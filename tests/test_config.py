@@ -55,7 +55,9 @@ def test_lists_become_tuples():
     assert cfg.model.encoder_channels == (4, 8)
     assert cfg.model.kernel == (3, 2)
     # An integer item of a list of numbers widens, as a number field does.
-    cfg = config_from_dict({"dataset": {"rooms": [[5, 5, 3]], "sir_values_db": [0]}})
+    cfg = config_from_dict({"dataset": {"rooms": [[5, 5, 3]], "t60_ranges": [[0.2, 0.4]],
+                                        "target_distance_ranges": [[1, 2]],
+                                        "sir_values_db": [0]}})
     assert cfg.dataset.rooms == ((5.0, 5.0, 3.0),) and cfg.dataset.sir_values_db == (0.0,)
     assert all(type(v) is float for v in cfg.dataset.rooms[0] + cfg.dataset.sir_values_db)
 
@@ -130,6 +132,7 @@ def test_kernel_checked_at_load(tmp_path, capsys, kernel):
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _INTS = st.integers(-(2**40), 2**40)
+_WIDTHS = st.integers(1, 2**40)
 _COLA_STFTS = [
     {"window_length": 400, "hop": 100, "fft_size": 512},
     {"window_length": 512, "hop": 128, "fft_size": 512},
@@ -160,14 +163,15 @@ def _config_dicts(draw):
         seed=_INTS,
         stft=st.sampled_from(_COLA_STFTS),
         dataset=_section(
-            rooms=_lists(_lists(_FINITE, 3)),
+            rooms=_lists(_lists(_FINITE, 3), 3),  # paired with the 3 default T60 ranges
             sir_range_db=_lists(_FINITE, 2),
             sir_values_db=st.none() | _lists(_FINITE),
             speech_dir=st.none() | st.text(max_size=8),
             sample_rate=_INTS,
             early_ms=_FINITE | _INTS,
         ),
-        model=_section(encoder_channels=_lists(_INTS), kernel=_lists(st.integers(1, 2**40), 2), scale=_INTS),
+        model=_section(encoder_channels=st.lists(_WIDTHS, min_size=1, max_size=4),
+                       kernel=_lists(_WIDTHS, 2), scale=_WIDTHS),
         localization=_section(
             zones=st.integers(2, 360),
             mode=st.sampled_from(["splm", "nlm"]),

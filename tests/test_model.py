@@ -8,7 +8,6 @@ from neurobeam.layers import to_complex
 from neurobeam.model import (
     MimoDccrn,
     MimoDccrnConfig,
-    NlmConfig,
     pack_input,
 )
 
@@ -20,17 +19,13 @@ PARAM_COUNT_DESK_NO_NLM = 609_432
 
 
 def desk_model(zones=12, seed=0, dtype=np.float32):
-    cfg = MimoDccrnConfig(mics=4, scale=4)
-    nlm = NlmConfig(zones=zones) if zones else None
-    return MimoDccrn(cfg, nlm=nlm, seed=seed, dtype=dtype)
+    cfg = MimoDccrnConfig(scale=4)
+    return MimoDccrn(cfg, mics=4, bins=256, zones=zones or None, seed=seed, dtype=dtype)
 
 
 def micro_model(seed=3, dtype=np.float64, zones=4):
-    cfg = MimoDccrnConfig(
-        mics=2, encoder_channels=(16, 32, 64, 128, 256), lstm_hidden=256,
-        freq_bins_model=32, scale=8,
-    )
-    return MimoDccrn(cfg, nlm=NlmConfig(zones=zones), seed=seed, dtype=dtype)
+    cfg = MimoDccrnConfig(encoder_channels=(16, 32, 64, 128, 256), lstm_hidden=256, scale=8)
+    return MimoDccrn(cfg, mics=2, bins=32, zones=zones, seed=seed, dtype=dtype)
 
 
 def random_spec(rng, mics, frames, bins=257):
@@ -46,17 +41,22 @@ def filter_tensor(w, dtype):
 
 
 def test_config_rejects_bad_divisibility():
+    # The modeled bins follow the STFT: 250 and 32 of them.
+    from neurobeam.config import config_from_dict
+
     with pytest.raises(ValueError, match="divisible"):
-        MimoDccrnConfig(freq_bins_model=250)
+        config_from_dict({"stft": {"window_length": 400, "hop": 100, "fft_size": 500}})
     with pytest.raises(ValueError, match="divisible"):
-        MimoDccrnConfig(encoder_channels=(16,) * 6, freq_bins_model=32)
+        config_from_dict({"stft": {"window_length": 64, "hop": 16, "fft_size": 64},
+                          "model": {"encoder_channels": [16] * 6}})
 
 
 def test_scaled_channels_and_hidden():
     cfg = MimoDccrnConfig(scale=4)
     assert cfg.channels == (4, 8, 16, 32, 64, 64)
     assert cfg.hidden == 64
-    assert cfg.bottleneck_freq == 4
+    # The LSTM reads 64 channels x 4 bottleneck bins of 256 modeled bins.
+    assert desk_model(zones=0).params()["lstm.wx"].shape == (2, 4 * 64, 64 * 4)
 
 
 def test_parameter_count_regression():
@@ -74,7 +74,7 @@ def test_complex_parameters_are_stacked_and_read_without_restacking(rng):
         bce_loss, filter_and_sum_tensor, si_snr_loss, synthesize_waveform, total_loss,
     )
 
-    model = MimoDccrn(MimoDccrnConfig(), nlm=NlmConfig())
+    model = MimoDccrn(MimoDccrnConfig(scale=1), mics=4, bins=256, zones=12)
     params, buffers = model.params(), model.buffers()
     assert len(params) == 64 and len(buffers) == 26
     assert all(b.shape[0] == 2 for b in buffers.values())
@@ -248,11 +248,15 @@ def test_localize_without_head_raises(rng):
 
 
 def test_checkpoint_roundtrip_preserves_outputs(tmp_path, rng):
-    model = desk_model(seed=11)
+    from neurobeam.config import RunConfig
+    from neurobeam.training import build_model, checkpoint_meta
+
+    cfg = RunConfig()
+    model = build_model(cfg, seed=11)  # the desk model
     spec = random_spec(rng, 4, 5)
     before = model.infer_weights(spec)
     path = tmp_path / "m.nbcp"
-    save_checkpoint(path, model.checkpoint_arrays(), model.meta())
+    save_checkpoint(path, model.checkpoint_arrays(), checkpoint_meta(cfg, 0))
     arrays, meta = load_checkpoint(path)
     clone = MimoDccrn.from_meta(meta, seed=99)  # different init, overwritten by load
     clone.load_arrays(arrays)
@@ -263,9 +267,9 @@ def test_checkpoint_roundtrip_preserves_outputs(tmp_path, rng):
 def test_checkpoint_shape_mismatch_rejected(tmp_path):
     model = desk_model(seed=1)
     path = tmp_path / "m.nbcp"
-    save_checkpoint(path, model.checkpoint_arrays(), model.meta())
-    arrays, meta = load_checkpoint(path)
-    other = MimoDccrn(MimoDccrnConfig(mics=6, scale=4), nlm=NlmConfig(zones=12))
+    save_checkpoint(path, model.checkpoint_arrays())
+    arrays, _ = load_checkpoint(path)
+    other = MimoDccrn(MimoDccrnConfig(scale=4), mics=6, bins=256, zones=12)
     with pytest.raises(ValueError, match="shape|missing"):
         other.load_arrays(arrays)
 

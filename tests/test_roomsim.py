@@ -464,3 +464,11 @@ def test_mixture_spec_validation():
         MixtureSpec(duration=1.0, speech_len=0.9, speech_offset=0.2)
     with pytest.raises(ValueError):
         MixtureSpec(sir_db=float("nan"))
+
+
+def test_dataset_config_checks_both_of_its_sections():
+    # A DatasetConfig is a MixtureRanges and an ArraySpec: both checks run.
+    with pytest.raises(ValueError, match=r"paired by index, but list 3, 1, 3 items"):
+        DatasetConfig(t60_ranges=((0.15, 0.2),))
+    with pytest.raises(ValueError, match="array.positions lists 1 microphones"):
+        DatasetConfig(mics=3, positions=((0.0, 0.0, 0.0),))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from neurobeam import autodiff as ad
-from neurobeam.config import config_from_dict
+from neurobeam.config import ConfigError, config_from_dict
 from neurobeam.dsp import read_wav, stft
 from neurobeam.losses import (
     bce_loss,
@@ -254,10 +254,7 @@ def test_training_step_after_no_grad_block_still_trains(toy_dataset):
 class _MicSelectorModel:
     """Identity beamformer: passes microphone 0 through unchanged."""
 
-    class _Cfg:
-        mics = 4
-
-    config = _Cfg()
+    mics = 4
     dtype = np.float64
 
     def forward_weights(self, spec_data, training=False):
@@ -336,7 +333,6 @@ def test_checkpoint_meta_carries_run_settings(tmp_path, toy_dataset):
 @pytest.mark.parametrize("section, key, value", [
     ("stft", "hop", "100"),
     ("model", "kernel", 5),
-    ("nlm", "zones", 12.0),
     ("array", "positions", 3),
     ("localization", "vad_threshold", "0.5"),
     ("training", "reference_mic", "0"),
@@ -346,7 +342,6 @@ def test_restore_rejects_meta_value_of_wrong_type(tmp_path, toy_dataset, section
     # is checked against the settings' types, and ``eval`` reports a user error.
     from neurobeam.checkpoint import load_checkpoint, save_checkpoint
     from neurobeam.cli import main
-    from neurobeam.config import ConfigError
     from neurobeam.training import restore_checkpoint
 
     train(config_from_dict(toy_config_dict(steps=0)), toy_dataset["manifest"], tmp_path / "run")
@@ -377,26 +372,62 @@ def _eval_exit_code(checkpoint, tmp_path, toy_dataset):
                  "--out", str(tmp_path / "report.csv")])
 
 
-@pytest.mark.parametrize("section, key, value, message", [
-    ("training", "reference_mic", 7, "training.reference_mic 7 is out of range"),
-    ("localization", "zones", 8, r"localization.zones 8 differs .* \(nlm.zones 12\)"),
-    ("model", "stride", [0, 1], r"model\.stride must be two positive integers"),
-    ("model", "kernel", [0, 2], r"model\.kernel must be two positive integers"),
+@pytest.mark.parametrize("section, key, value, error, message", [
+    ("training", "reference_mic", 7, ConfigError, "training.reference_mic 7 is out of range"),
+    ("localization", "zones", 8, ValueError,
+     r"'param\.nlm\.block1\.conv\.w' has shape \(2, 24, 4, 5, 2\), expected \(2, 16, 4, 5, 2\)"),
+    ("model", "stride", [0, 1], ConfigError, r"model\.stride must be two positive integers"),
+    ("model", "kernel", [0, 2], ConfigError, r"model\.kernel must be two positive integers"),
 ], ids=["reference_mic", "zones", "stride", "kernel"])
 def test_restore_rejects_meta_value_the_model_contradicts(
-        tmp_path, toy_dataset, section, key, value, message):
-    # Well-typed, but not what the model was built for: a mic it does not
-    # have, a zone grid other than its NLM head's, or a stride that cannot
-    # divide its bins or a kernel that is not two positive integers (checked
-    # by the same rule as a run config's).
-    from neurobeam.config import ConfigError
+        tmp_path, toy_dataset, section, key, value, error, message):
+    # Well-typed, but not what the model was trained as: a mic it does not
+    # have, a stride or a kernel that is not two positive integers (checked
+    # by the same rules as a run config's), or a zone grid the model is then
+    # built for and whose NLM head the arrays do not fit.
     from neurobeam.training import restore_checkpoint
 
     path = _edited_checkpoint(
         tmp_path, toy_dataset, lambda arrays, meta: meta[section].update({key: value}))
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(error, match=message):
         restore_checkpoint(path)
     assert _eval_exit_code(path, tmp_path, toy_dataset) == 1
+
+
+def test_old_form_schema3_meta_restores_as_the_new_form(tmp_path, toy_dataset):
+    # A meta written before the model section was the network's own config
+    # repeats the mic, bin and zone counts as model.mics,
+    # model.freq_bins_model and nlm. Those keys are not read: the checkpoint
+    # restores, evaluates and enhances exactly as the meta without them.
+    from neurobeam.checkpoint import load_checkpoint, save_checkpoint
+    from neurobeam.cli import main
+    from neurobeam.training import restore_checkpoint
+
+    train(config_from_dict(toy_config_dict(steps=1)), toy_dataset["manifest"], tmp_path / "run")
+    paths = {"new": tmp_path / "run" / CHECKPOINT_NAME, "old": tmp_path / "old.nbcp"}
+    arrays, meta = load_checkpoint(paths["new"])
+    assert "nlm" not in meta and not {"mics", "freq_bins_model"} & set(meta["model"])
+    meta["model"].update(mics=4, freq_bins_model=256)
+    meta["nlm"] = {"zones": 12, "linear_hidden": 32}
+    save_checkpoint(paths["old"], arrays, meta)
+
+    restored = {name: restore_checkpoint(path) for name, path in paths.items()}
+    (new_model, new_run, _), (old_model, old_run, _) = restored["new"], restored["old"]
+    assert old_run == new_run
+    assert old_model.checkpoint_arrays().keys() == new_model.checkpoint_arrays().keys()
+    assert all(np.array_equal(a, new_model.checkpoint_arrays()[k])
+               for k, a in old_model.checkpoint_arrays().items())
+    noisy = toy_dataset["dir"] / toy_dataset["entries"][0]["noisy_path"]
+    outputs = {}
+    for name, path in paths.items():
+        out = tmp_path / name
+        out.mkdir()
+        assert main(["eval", str(path), str(toy_dataset["manifest"]),
+                     "--out", str(out / "report.csv")]) == 0
+        assert main(["enhance", str(path), str(noisy), "--out", str(out / "enh.wav")]) == 0
+        outputs[name] = [(out / f).read_bytes()
+                         for f in ("report.csv", "enh.wav", "enh.wav.loc.csv")]
+    assert outputs["old"] == outputs["new"]
 
 
 def _drop_running_mean(arrays):
