@@ -8,9 +8,9 @@ version). A file is written to a temporary name beside its target,
 flushed to disk and renamed into place, so a write that fails leaves the
 previous file intact. The loader rejects, with a ``ValueError`` naming
 the file, unknown versions and any file that is truncated, has a damaged
-header or fails its payload checksum; files written before the checksum
-existed load without it. Shape mismatches are the caller's job via
-``require_shapes``.
+header (one without a checksum among them) or fails its payload checksum.
+Shape mismatches are the caller's job via ``require_shapes``; the meta is
+read by ``config.RunConfig.from_meta``.
 """
 
 from __future__ import annotations
@@ -82,6 +82,7 @@ def load_checkpoint(path):
         header = json.loads(bytes(data[_PREFIX : _PREFIX + header_len]).decode("utf-8"))
         version = header["version"]
         meta = header["meta"]
+        crc = header["crc32"]
         tensors = [
             (e["name"], np.dtype("<" + e["dtype"]), tuple(e["shape"]), e["offset"], e["nbytes"])
             for e in header["tensors"]
@@ -102,7 +103,7 @@ def load_checkpoint(path):
                 f"checkpoint {path} is corrupt: tensor '{name}' has {nbytes} bytes "
                 f"for shape {shape} of {dt}"
             )
-    if "crc32" in header and zlib.crc32(payload) != header["crc32"]:
+    if zlib.crc32(payload) != crc:
         raise ValueError(f"checkpoint {path} is corrupt: payload CRC32 does not match its header")
     arrays = {
         name: np.frombuffer(payload, dtype=dt, count=nbytes // dt.itemsize, offset=offset)

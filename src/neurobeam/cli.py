@@ -125,18 +125,20 @@ def cmd_enhance(args):
 
     from .beamloc import enhance_utterance, write_localization_csv
     from .dsp import read_wav, write_wav
-    from .training import restore_checkpoint, sample_rate_from_meta
+    from .training import restore_checkpoint
 
-    model, run, meta = restore_checkpoint(args.checkpoint)
+    if args.zones is not None and args.zones < 2:
+        raise ValueError(f"--zones must be at least 2, got {args.zones}")
+    model, run = restore_checkpoint(args.checkpoint)
     loc = run.localization
     mode = args.mode or loc.mode
-    zones = args.zones or loc.zones
+    zones = loc.zones if args.zones is None else args.zones
     if mode == "nlm" and model.nlm is not None and zones != model.nlm.zones:
         raise ValueError(
             f"--zones {zones} conflicts with the checkpoint's NLM head "
             f"({model.nlm.zones} zones); use --mode splm for other grids"
         )
-    noisy = read_wav(args.input, sample_rate_from_meta(meta))
+    noisy = read_wav(args.input, run.dataset.sample_rate)
     enhanced, result = enhance_utterance(
         noisy, model, mode, zones, run.array.geometry(), run.stft,
         vad_threshold=loc.vad_threshold,

@@ -6,8 +6,8 @@ types themselves; the network's mic, bin and zone counts are not keys.
 Loading is strict: unknown keys anywhere in the document are rejected by
 their dotted path, and every value is checked against its field's type
 annotation (``load_section``), in a config as in a checkpoint's meta
-(``RunConfig.from_meta``). Command-line flags override individual keys
-after the file is parsed.
+(``RunConfig.from_meta``, its one reader). Command-line flags override
+individual keys after the file is parsed.
 """
 
 from __future__ import annotations
@@ -17,9 +17,11 @@ import json
 import typing
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .arraygeom import ArraySpec
 from .dsp import StftConfig
-from .model import MimoDccrnConfig
+from .model import CHECKPOINT_SCHEMA, MimoDccrnConfig
 from .roomsim import DatasetConfig, MixtureRanges
 
 CONFIG_SCHEMA_VERSION = 1
@@ -92,14 +94,27 @@ class RunConfig:
     def from_meta(cls, meta):
         """The run settings a checkpoint's ``meta`` records, checked as a
         config's: its ``stft``, ``array``, ``model`` and ``localization``
-        sections and ``training`` scoring keys (defaults if it predates them).
-        Older metas repeat ``array.mics``, the bins and ``localization.zones``
-        as ``model.mics``, ``model.freq_bins_model`` and ``nlm``: not read."""
-        model = meta["model"]
-        if isinstance(model, dict):
-            model = {k: v for k, v in model.items() if k not in ("mics", "freq_bins_model")}
-        sections = {key: meta[key] for key in ("stft", "array", "localization")}
-        sections.update(model=model, training=meta.get("training", {}))
+        sections, ``dataset.sample_rate`` and the ``training`` scoring keys.
+        A meta of another ``schema`` than ``CHECKPOINT_SCHEMA`` or without
+        one of these sections is a ``ConfigError`` naming the key. Metas
+        written before the model section was the network's own config repeat
+        ``array.mics``, the bins and ``localization.zones`` as ``model.mics``,
+        ``model.freq_bins_model`` and ``nlm``: not read."""
+        if "schema" not in meta:
+            raise ConfigError("checkpoint meta has no 'schema'")
+        if meta["schema"] != CHECKPOINT_SCHEMA:
+            raise ConfigError(
+                f"checkpoint meta 'schema' is {meta['schema']!r}; "
+                f"only schema {CHECKPOINT_SCHEMA} is read"
+            )
+        sections = {}
+        for key in ("stft", "array", "model", "localization", "dataset", "training"):
+            if key not in meta:
+                raise ConfigError(f"checkpoint meta has no '{key}' section")
+            sections[key] = meta[key]
+        if isinstance(sections["model"], dict):
+            sections["model"] = {k: v for k, v in sections["model"].items()
+                                 if k not in ("mics", "freq_bins_model")}
         return load_section(cls, sections, "")
 
     # -- assembled objects ---------------------------------------------------
@@ -112,6 +127,16 @@ class RunConfig:
 
     def to_dict(self):
         return {"schema_version": CONFIG_SCHEMA_VERSION, **_as_plain(self)}
+
+
+def meta_dtype(meta):
+    """The dtype of the model arrays a checkpoint's ``meta`` records as
+    ``dtype``; a missing or unreadable one is a ``ConfigError``."""
+    if "dtype" not in meta:
+        raise ConfigError("checkpoint meta has no 'dtype'")
+    if meta["dtype"] not in ("float32", "float64"):
+        raise ConfigError(f"checkpoint meta 'dtype' {meta['dtype']!r} is not float32 or float64")
+    return np.dtype(meta["dtype"])
 
 
 def _as_plain(obj):

@@ -138,18 +138,6 @@ class Spectrogram:
         if not np.all(np.isfinite(data)):
             raise ValueError("spectrogram contains non-finite values")
 
-    @property
-    def channels(self):
-        return self.data.shape[0]
-
-    @property
-    def frames(self):
-        return self.data.shape[1]
-
-    @property
-    def bins(self):
-        return self.data.shape[2]
-
 
 def frame_signal(x, cfg):
     """Windowed frames [... x T x window_length] of signals [... x n], read

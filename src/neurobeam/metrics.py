@@ -44,15 +44,23 @@ def loc_metrics(predicted, truth, active, num_zones):
     n_true = int(np.sum(diff == 0))
     n_adjacent = int(np.sum((diff == 1) | (diff == num_zones - 1)))
     n_false = n_all - n_true - n_adjacent
-    return LocMetrics(
-        acc=n_true / n_all,
-        aer=n_adjacent / n_all,
-        oer=n_false / n_all,
-        n_true=n_true,
-        n_adjacent=n_adjacent,
-        n_false=n_false,
-        n_all=n_all,
-    )
+    return _rates(n_true, n_adjacent, n_false, n_all)
+
+
+def _rates(n_true, n_adjacent, n_false, n_all):
+    """Rates from counts; ``oer`` gives up an ulp when needed so the sum is 1.
+
+    Each quotient rounds on its own, and 2/7 + 3/7 + 2/7 misses 1. Then
+    ``oer`` becomes ``1 - s`` with ``s = acc + aer``: that is exact when
+    ``s >= 0.5`` (Sterbenz) and otherwise off by at most 2**-54, which
+    ``s + (1 - s)`` rounds back to 1.
+    """
+    acc = n_true / n_all
+    aer = n_adjacent / n_all
+    oer = n_false / n_all
+    if acc + aer + oer != 1.0:
+        oer = 1.0 - (acc + aer)
+    return LocMetrics(acc, aer, oer, n_true, n_adjacent, n_false, n_all)
 
 
 def merge_metrics(parts):
@@ -63,5 +71,4 @@ def merge_metrics(parts):
     n_all = sum(p.n_all for p in parts)
     if n_all == 0:
         raise ValueError("no active frames to evaluate")
-    return LocMetrics(n_true / n_all, n_adj / n_all, n_false / n_all,
-                      n_true, n_adj, n_false, n_all)
+    return _rates(n_true, n_adj, n_false, n_all)

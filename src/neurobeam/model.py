@@ -29,7 +29,8 @@ from .layers import ComplexConvBlock, ComplexLSTM, ComplexLinear, Linear, to_com
 
 MAGNITUDE_EPS = 1e-12
 
-CHECKPOINT_SCHEMA = 3  # layout of the model's checkpoint arrays; see upgrade_arrays
+# The only layout of checkpoint arrays read: complex arrays stacked [2 x ...].
+CHECKPOINT_SCHEMA = 3
 
 
 NLM_HIDDEN = 32  # width of the NLM head's scalar MLP
@@ -263,44 +264,12 @@ class MimoDccrn:
     @classmethod
     def from_meta(cls, meta, seed=0):
         """The model described by a checkpoint's ``meta``, built by
-        ``for_run`` from ``RunConfig.from_meta(meta)``; a value of the wrong
-        type or out of range raises a ``ConfigError`` naming its key."""
-        from .config import RunConfig
+        ``for_run`` from ``RunConfig.from_meta(meta)`` in its ``dtype``; a
+        key missing, of the wrong type or out of range raises a
+        ``ConfigError`` naming it."""
+        from .config import RunConfig, meta_dtype
 
-        return cls.for_run(RunConfig.from_meta(meta), seed, np.dtype(meta["dtype"]))
-
-
-def upgrade_arrays(arrays, meta):
-    """The arrays of a checkpoint with ``meta`` in the current schema.
-
-    Schema 1 (or no "schema") had a bias b on each conv before a batch norm;
-    it is folded into the running mean as rm - b, which keeps the eval output
-    (training cancels b), and dropped with its Adam moments. Schemas 1 and 2
-    stored each complex parameter, running statistic and Adam moment as two
-    arrays, ``X_r`` and ``X_i`` (``lstm.r.K`` and ``lstm.i.K``); they are
-    stacked into one ``X`` (``lstm.K``) of shape [2 x ...]."""
-    schema = meta.get("schema", 1)
-    if schema >= CHECKPOINT_SCHEMA:
-        return arrays
-    arrays = dict(arrays)
-    if schema < 2:
-        for key in [k for k in arrays if k.startswith("buffer.") and ".bn.running_mean_" in k]:
-            block, part = key[len("buffer."):].split(".bn.running_mean_")
-            bias = f"{block}.conv.b_{part}"
-            if f"param.{bias}" not in arrays:
-                raise ValueError(f"schema-1 checkpoint is missing tensor 'param.{bias}'")
-            arrays[key] = arrays[key] - arrays.pop(f"param.{bias}")
-            arrays.pop(f"adam.m.{bias}", None)
-            arrays.pop(f"adam.v.{bias}", None)
-    for key in [k for k in arrays if k.endswith("_r") or ".lstm.r." in k]:
-        if key.endswith("_r"):
-            stacked, imag = key[:-2], key[:-2] + "_i"
-        else:
-            stacked, imag = key.replace(".lstm.r.", ".lstm."), key.replace(".lstm.r.", ".lstm.i.")
-        if imag not in arrays:
-            raise ValueError(f"schema-{schema} checkpoint is missing tensor '{imag}'")
-        arrays[stacked] = np.stack([arrays.pop(key), arrays.pop(imag)])
-    return arrays
+        return cls.for_run(RunConfig.from_meta(meta), seed, meta_dtype(meta))
 
 
 def pack_input(spec_data, bins, dtype):

@@ -385,11 +385,14 @@ class MixtureRanges:
 
     def __post_init__(self):
         paired = (self.rooms, self.t60_ranges, self.target_distance_ranges)
+        keys = "dataset.rooms, dataset.t60_ranges and dataset.target_distance_ranges"
         if len({len(items) for items in paired}) > 1:
             raise ValueError(
-                "dataset.rooms, dataset.t60_ranges and dataset.target_distance_ranges "
-                f"are paired by index, but list {', '.join(str(len(v)) for v in paired)} items"
+                f"{keys} are paired by index, but list "
+                f"{', '.join(str(len(v)) for v in paired)} items"
             )
+        if not self.rooms:
+            raise ValueError(f"{keys} must list at least one scenario")
 
 
 @dataclass(frozen=True)

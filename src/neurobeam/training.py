@@ -6,22 +6,24 @@ overlap-add synthesis, SI-SNR, plus binary cross-entropy through the
 chosen localization path — and takes one Adam step. Everything is
 deterministic given the config seed; checkpoints carry parameters,
 batch-norm statistics, and optimizer moments so a resumed run reproduces
-the uninterrupted trajectory.
+the uninterrupted trajectory. Restore and resume read a checkpoint's meta
+as a run config (``RunConfig.from_meta``); errors name the file.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .arraygeom import ArraySpec, ZoneGrid, ground_truth_map, steering_set
+from .arraygeom import ZoneGrid, ground_truth_map, steering_set
 from .beamloc import enhance_utterance, localize
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig, load_section
+from .config import ConfigError, RunConfig, meta_dtype
 from .dsp import read_wav, stft
 from .losses import (
     LossBreakdown,
@@ -34,7 +36,7 @@ from .losses import (
     total_loss,
 )
 from .metrics import loc_metrics, merge_metrics
-from .model import CHECKPOINT_SCHEMA, MimoDccrn, upgrade_arrays
+from .model import CHECKPOINT_SCHEMA, MimoDccrn
 from .optim import Adam
 from .roomsim import azimuth_track_from_entry, load_manifest
 
@@ -79,29 +81,33 @@ def checkpoint_meta(cfg, step):
 
 def geometry_from_meta(meta):
     """Rebuild the microphone geometry a checkpoint was trained with."""
-    return load_section(ArraySpec, meta["array"], "array").geometry()
+    return RunConfig.from_meta(meta).array.geometry()
+
+
+@contextmanager
+def _naming(path):
+    """Re-raise a ``ConfigError`` or ``ValueError`` about the checkpoint at
+    ``path`` with the path in its message."""
+    try:
+        yield
+    except ValueError as exc:
+        kind = ConfigError if isinstance(exc, ConfigError) else ValueError
+        raise kind(f"checkpoint {path}: {exc}") from exc
 
 
 def restore_checkpoint(path):
-    """(model, run config, meta) of the checkpoint at ``path``. The checksum
+    """(model, run config) of the checkpoint at ``path``. The checksum
     covers only the arrays, so the meta's settings are read as a run config
     (``RunConfig.from_meta``), with the config's checks (a ``ConfigError``
-    names a wrong one), and the model is built from it by the training
-    rule, its arrays upgraded to the current schema and loaded (a
-    ``ValueError`` names an array the model does not fit). A checkpoint
-    that predates the meta's ``training`` block was scored at mic 0,
-    "standard", the defaults."""
+    names a missing or wrong key), and the model is built from it by the
+    training rule in the meta's ``dtype`` and loaded (a ``ValueError``
+    names an array the model does not fit); either names the file."""
     arrays, meta = load_checkpoint(path)
-    run = RunConfig.from_meta(meta)
-    model = MimoDccrn.for_run(run, dtype=np.dtype(meta["dtype"]))
-    model.load_arrays(upgrade_arrays(arrays, meta))
-    return model, run, meta
-
-
-def sample_rate_from_meta(meta):
-    """The WAV rate a checkpoint was trained at; None for a checkpoint that
-    predates recording it, which then accepts any rate."""
-    return meta.get("dataset", {}).get("sample_rate")
+    with _naming(path):
+        run = RunConfig.from_meta(meta)
+        model = MimoDccrn.for_run(run, dtype=meta_dtype(meta))
+        model.load_arrays(arrays)
+    return model, run
 
 
 def _save(out_dir, model, adam, cfg, step):
@@ -166,22 +172,22 @@ def _truncate_log(path, step):
         fh.writelines(rows)
 
 
-def _check_resume(path, arrays, meta, cfg):
+def _check_resume(arrays, meta, cfg, model):
     """Reject a checkpoint recorded under other STFT, array or sample-rate
-    settings than ``cfg``, or whose step is not its optimizer's step count.
-    A key the checkpoint predates is not checked."""
-    expect = checkpoint_meta(cfg, None)
-    checks = [(key, meta.get(key), expect[key], "the config") for key in ("stft", "array")]
-    checks.append(("dataset.sample_rate", sample_rate_from_meta(meta),
-                   cfg.dataset.sample_rate, "the config"))
-    if "adam.step" in arrays:
-        checks.append(("train_step", meta.get("train_step"), int(arrays["adam.step"][0]),
-                       "its adam.step"))
+    settings than ``cfg``, in another dtype than ``model``, or whose step is
+    not its optimizer's step count."""
+    run = RunConfig.from_meta(meta)
+    checks = [
+        ("dtype", meta_dtype(meta), model.dtype, "the model's"),
+        ("stft", run.stft, cfg.stft, "the config's"),
+        ("array", run.array, cfg.array, "the config's"),
+        ("dataset.sample_rate", run.dataset.sample_rate, cfg.dataset.sample_rate,
+         "the config's"),
+        ("train_step", meta.get("train_step"), int(arrays["adam.step"][0]), "its adam.step"),
+    ]
     for key, recorded, wanted, source in checks:
-        if recorded is not None and recorded != wanted:
-            raise ValueError(
-                f"checkpoint {path} records {key} {recorded}, but {source} is {wanted}"
-            )
+        if recorded != wanted:
+            raise ValueError(f"records {key} {recorded}, but {source} is {wanted}")
 
 
 def train(cfg, manifest_path, out_dir, resume=None):
@@ -205,10 +211,10 @@ def train(cfg, manifest_path, out_dir, resume=None):
     )
     if resume is not None:
         arrays, meta = load_checkpoint(resume)
-        _check_resume(resume, arrays, meta, cfg)
-        arrays = upgrade_arrays(arrays, meta)
-        model.load_arrays(arrays)
-        adam.load_state_arrays(arrays)
+        with _naming(resume):
+            _check_resume(arrays, meta, cfg, model)
+            model.load_arrays(arrays)
+            adam.load_state_arrays(arrays)
     start = adam.step_count
 
     steering = None
@@ -372,13 +378,13 @@ def evaluate(manifest_path, checkpoint_path, out_csv=None, mode=None):
     entries = load_manifest(manifest_path)
     if not entries:
         raise ValueError(f"dataset manifest {manifest_path} is empty")
-    model, run, meta = restore_checkpoint(checkpoint_path)
+    model, run = restore_checkpoint(checkpoint_path)
     loc, scoring = run.localization, run.training
     rows = evaluate_records(
         entries, manifest_path.parent, model, run.stft, run.array.geometry(), loc.zones,
         mode or loc.mode, convention=scoring.sisnr_convention,
         vad_threshold=loc.vad_threshold, reference_mic=scoring.reference_mic,
-        sample_rate=sample_rate_from_meta(meta),
+        sample_rate=run.dataset.sample_rate,
     )
     summary = summarize(rows)
     if out_csv is not None:

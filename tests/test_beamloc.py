@@ -62,7 +62,7 @@ def test_filter_and_sum_bilinear(rng):
 def test_filter_and_sum_shape_mismatch(rng):
     spec = _spec(rng)
     with pytest.raises(ValueError):
-        filter_and_sum(np.zeros((2, 4, spec.bins), dtype=complex), spec)
+        filter_and_sum(np.zeros((2, 4, spec.data.shape[2]), dtype=complex), spec)
 
 
 def _steering(zones=12, mics=6):

@@ -146,7 +146,7 @@ def test_failed_write_keeps_previous_checkpoint(tmp_path, rng, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["ck.nbcp"]
 
 
-def test_checkpoint_without_checksum_still_loads(tmp_path, rng):
+def test_checkpoint_without_checksum_is_rejected(tmp_path, rng):
     # The layout written before the header carried a payload CRC.
     arrays = _arrays(rng)
     entries, blobs, offset = [], [], 0
@@ -159,6 +159,5 @@ def test_checkpoint_without_checksum_still_loads(tmp_path, rng):
     header = json.dumps({"version": 1, "meta": {"a": 1}, "tensors": entries}).encode()
     path = tmp_path / "old.nbcp"
     path.write_bytes(MAGIC + len(header).to_bytes(8, "little") + header + b"".join(blobs))
-    loaded, meta = load_checkpoint(path)
-    _assert_same(loaded, arrays)
-    assert meta == {"a": 1}
+    with pytest.raises(ValueError, match=f"checkpoint {path} has a corrupt header"):
+        load_checkpoint(path)

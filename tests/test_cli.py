@@ -133,6 +133,17 @@ def test_synth_rejects_unpaired_scenario_lists(tmp_path, capsys):
     assert "internal error" not in err
 
 
+def test_synth_rejects_empty_scenario_lists(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    data = toy_config_dict()
+    data["dataset"].update(rooms=[], t60_ranges=[], target_distance_ranges=[])
+    path.write_text(json.dumps(data))
+    assert main(["synth", str(path), "--count", "1", "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert ("dataset.rooms, dataset.t60_ranges and dataset.target_distance_ranges "
+            "must list at least one scenario") in err
+
+
 def test_invalid_json_rejected(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -175,6 +186,15 @@ def test_enhance_cli_outputs(trained, tmp_path):
 
     noisy = read_wav(trained["noisy"])
     assert len(rows) - 1 == num_frames(noisy.num_samples, 400, 100)
+
+
+@pytest.mark.parametrize("zones", [0, 1])
+def test_enhance_rejects_zones_below_two(trained, tmp_path, capsys, zones):
+    rc = main(["enhance", str(trained["checkpoint"]), str(trained["noisy"]), "--mode", "splm",
+               "--zones", str(zones), "--out", str(tmp_path / "o.wav")])
+    assert rc == 1
+    assert f"--zones must be at least 2, got {zones}" in capsys.readouterr().err
+    assert not (tmp_path / "o.wav").exists()
 
 
 def test_enhance_channel_mismatch_exit_code(trained, tmp_path, capsys):
@@ -243,6 +263,72 @@ def test_eval_checkpoint_meta_of_wrong_type_exit_code(trained, tmp_path, capsys)
                "--out", str(tmp_path / "report.csv")])
     assert rc == 1
     assert "stft.hop" in capsys.readouterr().err
+
+
+def _run_on(command, checkpoint, trained, tmp_path):
+    """Exit code of ``command`` (eval, enhance or train --resume) on ``checkpoint``."""
+    out = str(tmp_path / "out")
+    if command == "eval":
+        return main(["eval", str(checkpoint), str(trained["manifest"]), "--out", out])
+    if command == "enhance":
+        return main(["enhance", str(checkpoint), str(trained["noisy"]), "--out", out])
+    return main(["train", str(trained["config"]), "--manifest", str(trained["manifest"]),
+                 "--out", out, "--resume", str(checkpoint)])
+
+
+def _set_schema(value):
+    return lambda meta: meta.update(schema=value)
+
+
+def _drop(key):
+    return lambda meta: meta.pop(key)
+
+
+_META_FORMS = {
+    "schema1": (_set_schema(1), "'schema' is 1; only schema 3 is read"),
+    "schema2": (_set_schema(2), "'schema' is 2; only schema 3 is read"),
+    "schema99": (_set_schema(99), "'schema' is 99; only schema 3 is read"),
+    "no_schema": (_drop("schema"), "has no 'schema'"),
+    **{f"no_{key}": (_drop(key), f"has no '{key}' section")
+       for key in ("stft", "array", "model", "localization", "dataset", "training")},
+    "no_dtype": (_drop("dtype"), "has no 'dtype'"),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "enhance", "train"])
+@pytest.mark.parametrize("form", list(_META_FORMS))
+def test_checkpoint_meta_of_other_form_exit_code(trained, tmp_path, capsys, form, command):
+    # Schema 3 is the only checkpoint layout read, and every section of
+    # its meta is required: any other form is a user error naming the file
+    # and the key, never a silent load (exit 0) or a KeyError (exit 2).
+    from neurobeam.checkpoint import load_checkpoint, save_checkpoint
+
+    edit, message = _META_FORMS[form]
+    arrays, meta = load_checkpoint(trained["checkpoint"])
+    edit(meta)
+    path = tmp_path / "edited.nbcp"
+    save_checkpoint(path, arrays, meta)
+    assert _run_on(command, path, trained, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert f"checkpoint {path}: checkpoint meta {message}" in err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("command", ["eval", "enhance", "train"])
+def test_checkpoint_without_checksum_exit_code(trained, tmp_path, capsys, command):
+    from neurobeam.checkpoint import MAGIC
+
+    data = trained["checkpoint"].read_bytes()
+    start = len(MAGIC) + 8
+    end = start + int.from_bytes(data[len(MAGIC):start], "little")
+    header = json.loads(data[start:end])
+    del header["crc32"]
+    raw = json.dumps(header, sort_keys=True).encode()
+    path = tmp_path / "no_crc.nbcp"
+    path.write_bytes(MAGIC + len(raw).to_bytes(8, "little") + raw + data[end:])
+    assert _run_on(command, path, trained, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert f"checkpoint {path} has a corrupt header" in err and "internal error" not in err
 
 
 def test_train_nan_abort_exit_code(trained, tmp_path, capsys, nan_loss_at_step_1):

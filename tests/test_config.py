@@ -200,6 +200,16 @@ def test_reference_mic_must_fit_array():
         config_from_dict({"array": {"mics": 2}, "training": {"reference_mic": 5}})
 
 
+def test_from_meta_reads_the_recorded_sample_rate():
+    from neurobeam.training import checkpoint_meta
+
+    cfg = config_from_dict({"dataset": {"sample_rate": 8000}})
+    run = RunConfig.from_meta(checkpoint_meta(cfg, 0))
+    assert run.dataset.sample_rate == 8000
+    assert (run.stft, run.array, run.model, run.localization) == (
+        cfg.stft, cfg.array, cfg.model, cfg.localization)
+
+
 def test_override_through_scalar_rejected():
     with pytest.raises(ConfigError, match="seed.deeper"):
         apply_overrides(RunConfig(), {"seed.deeper": 1})

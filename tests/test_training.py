@@ -1,5 +1,4 @@
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,10 +132,11 @@ def test_resume_rejects_step_that_is_not_the_optimizers(tmp_path, toy_dataset, c
             "--out", str(tmp_path / "run"), "--resume", str(ckpt)]
     assert main(argv) == 1
     assert "records train_step 2, but its adam.step is 1" in capsys.readouterr().err
-    # A checkpoint that predates a recorded key is not checked on it.
+    # A meta without those keys is rejected, naming the first section it lacks.
     legacy = {k: v for k, v in meta.items() if k not in ("train_step", "stft", "array", "dataset")}
     save_checkpoint(ckpt, arrays, legacy)
-    assert main(argv) == 0
+    assert main(argv) == 1
+    assert f"checkpoint {ckpt}: checkpoint meta has no 'stft'" in capsys.readouterr().err
 
 
 def test_nan_abort_keeps_checkpoint(tmp_path, toy_dataset, nan_loss_at_step_1):
@@ -412,7 +412,7 @@ def test_old_form_schema3_meta_restores_as_the_new_form(tmp_path, toy_dataset):
     save_checkpoint(paths["old"], arrays, meta)
 
     restored = {name: restore_checkpoint(path) for name, path in paths.items()}
-    (new_model, new_run, _), (old_model, old_run, _) = restored["new"], restored["old"]
+    (new_model, new_run), (old_model, old_run) = restored["new"], restored["old"]
     assert old_run == new_run
     assert old_model.checkpoint_arrays().keys() == new_model.checkpoint_arrays().keys()
     assert all(np.array_equal(a, new_model.checkpoint_arrays()[k])
@@ -516,149 +516,11 @@ def test_evaluate_scores_at_the_recorded_mic_and_convention(tmp_path, toy_datase
     assert summary["avg"]["si_snr_noisy_db"] == expect
     assert "convention=printed" in report.read_text().splitlines()[-1]
 
-    # A checkpoint from before the settings were recorded scores as it
-    # always did (mic 0, "standard") and accepts a WAV at any rate.
+    # A meta without the recorded scoring settings and rate is rejected:
+    # it would otherwise score at mic 0, "standard", and accept any rate.
     arrays, meta = load_checkpoint(ckpt)
     del meta["training"], meta["dataset"]
     save_checkpoint(ckpt, arrays, meta)
-    summary = evaluate(toy_dataset["manifest"], ckpt)
-    assert summary["avg"]["si_snr_noisy_db"] == _noisy_si_snr(toy_dataset, 0, "standard")
-    data = _dataset_with_noisy_at(tmp_path, toy_dataset, 8000)
-    assert evaluate(data / "manifest.jsonl", ckpt)["avg"]["count"] == 1
-
-
-# A checkpoint in schema 1, written by the code before the fused conv block:
-# toy_config_dict(steps=1) with model.scale 32 and 4 zones, trained one step
-# on the toy dataset, then every conv bias that feeds a batch norm set to
-# 0.5 * N(0, 1) (seed 7). schema1_eval.npz holds what that code computed
-# from it in eval mode: ``infer_weights`` of a seeded spectrogram and the
-# NLM head's zone map of those weights.
-SCHEMA1 = Path(__file__).parent / "data" / "schema1.nbcp"
-SCHEMA1_EVAL = Path(__file__).parent / "data" / "schema1_eval.npz"
-# A checkpoint in schema 2, written by the code before complex parameters
-# were stacked (two arrays X_r, X_i per complex parameter, running statistic
-# and Adam moment; lstm.r.K and lstm.i.K for the LSTM): the same
-# configuration trained one step on the toy dataset. schema2_eval.npz holds
-# that code's eval outputs from it, computed as for schema 1.
-SCHEMA2 = Path(__file__).parent / "data" / "schema2.nbcp"
-SCHEMA2_EVAL = Path(__file__).parent / "data" / "schema2_eval.npz"
-
-
-def _fixture_config(**training):
-    cfg = toy_config_dict(**training)
-    cfg["model"] = {"scale": 32}
-    cfg["localization"] = {"zones": 4}
-    return cfg
-
-
-def _fixture_eval(model):
-    rng = np.random.default_rng(2022)
-    spec = rng.standard_normal((4, 6, 257)) + 1j * rng.standard_normal((4, 6, 257))
-    w = model.infer_weights(spec)
-    wt = w.transpose(0, 2, 1)
-    parts = ad.Tensor(np.stack([wt.real, wt.imag]).astype(np.float32))
-    return w, model.localize(parts, training=False).data
-
-
-def _current_names(model):
-    """The array names of a checkpoint of ``model`` in the current schema."""
-    from neurobeam.optim import Adam
-
-    return set(model.checkpoint_arrays()) | set(Adam(model.params()).state_arrays())
-
-
-def _stacked(arrays, name):
-    """The arrays ``name`` with _r and _i appended, stacked."""
-    return np.stack([arrays[f"{name}_r"], arrays[f"{name}_i"]])
-
-
-def test_schema1_checkpoint_folds_conv_biases_into_running_means():
-    from neurobeam.checkpoint import load_checkpoint
-    from neurobeam.model import MimoDccrn, upgrade_arrays
-
-    arrays, meta = load_checkpoint(SCHEMA1)
-    assert meta["schema"] == 1
-    model = MimoDccrn.from_meta(meta)
-    with pytest.raises(ValueError, match="missing tensor 'param.enc0.conv.w'"):
-        model.load_arrays(arrays)  # the raw arrays have no place in the model
-    upgraded = upgrade_arrays(arrays, meta)
-    # 13 blocks x [b_r; b_i], each with two Adam moments, are dropped; the
-    # last decoder conv keeps its bias, stacked like every other pair.
-    assert len([k for k in arrays if ".conv.b_" in k and "dec5" not in k]) == 3 * 26
-    assert sorted(k for k in upgraded if ".conv.b" in k) == [
-        "adam.m.dec5.conv.b", "adam.v.dec5.conv.b", "param.dec5.conv.b"]
-    assert np.array_equal(upgraded["param.dec5.conv.b"], _stacked(arrays, "param.dec5.conv.b"))
-    assert set(upgraded) == _current_names(model)
-    model.load_arrays(upgraded)
-    want = np.load(SCHEMA1_EVAL)
-    weights, zones = _fixture_eval(model)
-    tol = 100 * np.finfo(np.float32).eps
-    assert np.abs(weights - want["weights"]).max() <= tol * np.abs(want["weights"]).max()
-    assert np.abs(zones - want["zones"]).max() <= tol
-
-    # Dropping the biases without the fold (a fold of zero biases) changes
-    # the output far beyond that.
-    zeroed = {k: np.zeros_like(a) if ".conv.b_" in k and "dec5" not in k else a
-              for k, a in arrays.items()}
-    model.load_arrays(upgrade_arrays(zeroed, meta))
-    weights, _ = _fixture_eval(model)
-    assert np.abs(weights - want["weights"]).max() > 1e3 * tol * np.abs(want["weights"]).max()
-
-
-def test_schema2_checkpoint_stacks_complex_parameters():
-    from neurobeam.checkpoint import load_checkpoint
-    from neurobeam.model import MimoDccrn, upgrade_arrays
-
-    arrays, meta = load_checkpoint(SCHEMA2)
-    assert meta["schema"] == 2
-    model = MimoDccrn.from_meta(meta)
-    with pytest.raises(ValueError, match="missing tensor 'param.enc0.conv.w'"):
-        model.load_arrays(arrays)
-    upgraded = upgrade_arrays(arrays, meta)
-    assert set(upgraded) == _current_names(model)
-    for name in ("param.enc0.conv.w", "param.restore.b", "buffer.dec0.bn.running_var",
-                 "adam.m.nlm.block2.act.slope", "param.dec5.conv.b"):
-        assert np.array_equal(upgraded[name], _stacked(arrays, name)), name
-    assert np.array_equal(upgraded["adam.v.lstm.wx"],
-                          np.stack([arrays["adam.v.lstm.r.wx"], arrays["adam.v.lstm.i.wx"]]))
-    assert upgraded["param.nlm.mlp_slope"] is arrays["param.nlm.mlp_slope"]
-    model.load_arrays(upgraded)
-    want = np.load(SCHEMA2_EVAL)
-    weights, zones = _fixture_eval(model)
-    assert np.array_equal(weights, want["weights"])
-    assert np.array_equal(zones, want["zones"])
-
-    del arrays["param.restore.b_i"]
-    with pytest.raises(ValueError, match="missing tensor 'param.restore.b_i'"):
-        upgrade_arrays(arrays, meta)
-
-
-def _resume(fixture, tmp_path, toy_dataset):
-    """Train the fixture configuration to step 3 from ``fixture`` (at step 1)
-    through the CLI; returns the final checkpoint's (arrays, meta)."""
-    from neurobeam.checkpoint import load_checkpoint
-    from neurobeam.cli import main
-
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps(_fixture_config(steps=3)))
-    out = tmp_path / "run"
-    rc = main(["train", str(config), "--manifest", str(toy_dataset["manifest"]),
-               "--out", str(out), "--resume", str(fixture)])
-    assert rc == 0
-    assert [row["step"] for row in _strip_wall(out / LOG_NAME)] == [1, 2]
-    arrays, meta = load_checkpoint(out / CHECKPOINT_NAME)
-    assert meta["schema"] == 3 and meta["train_step"] == 3
-    assert all(np.all(np.isfinite(a)) for a in arrays.values())
-    return arrays, meta
-
-
-def test_train_resumes_from_schema1_checkpoint(tmp_path, toy_dataset):
-    arrays, _ = _resume(SCHEMA1, tmp_path, toy_dataset)
-    assert not [k for k in arrays if ".conv.b" in k and "dec5" not in k]
-
-
-def test_train_resumes_from_schema2_checkpoint(tmp_path, toy_dataset):
-    from neurobeam.model import MimoDccrn
-
-    arrays, meta = _resume(SCHEMA2, tmp_path, toy_dataset)
-    assert set(arrays) == _current_names(MimoDccrn.from_meta(meta))
+    with pytest.raises(ConfigError, match="checkpoint meta has no 'dataset' section"):
+        evaluate(toy_dataset["manifest"], ckpt)
+    assert _eval_exit_code(ckpt, tmp_path, toy_dataset) == 1
