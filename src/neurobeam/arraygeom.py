@@ -9,7 +9,7 @@ at position r carries the phase factor exp(+j * (2*pi*f/c) * doa . r).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,10 +54,10 @@ class ArraySpec:
     config, the dataset config and the checkpoint: ``speed_of_sound`` sets
     both the steering vectors and the room simulator."""
 
-    mics: int = 4
-    radius_m: float = 0.05
-    speed_of_sound: float = SPEED_OF_SOUND
-    positions: tuple[tuple[float, ...], ...] | None = None  # [x, y, z] per mic; overrides the UCA
+    mics: int = field(default=4, metadata={"at least": 2})
+    radius_m: float = field(default=0.05, metadata={"greater than": 0})
+    speed_of_sound: float = field(default=SPEED_OF_SOUND, metadata={"greater than": 0})
+    positions: tuple[tuple[float, float, float], ...] | None = None  # per mic; overrides the UCA
 
     def __post_init__(self):
         if self.positions is not None and len(self.positions) != self.mics:

@@ -14,7 +14,8 @@ from pathlib import Path
 
 from . import __version__
 from .checkpoint import FORMAT_VERSION as CHECKPOINT_VERSION
-from .config import CONFIG_SCHEMA_VERSION, ConfigError, apply_overrides, load_config
+from .config import (CONFIG_SCHEMA_VERSION, ConfigError, LocalizationSection, apply_overrides,
+                     load_config, load_field)
 from .model import CHECKPOINT_SCHEMA
 
 
@@ -77,11 +78,8 @@ def build_parser():
 
 def _load_config_with_overrides(args):
     cfg = load_config(args.config)
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "steps", None) is not None:
-        overrides["training.steps"] = args.steps
+    flags = {"seed": getattr(args, "seed", None), "training.steps": getattr(args, "steps", None)}
+    overrides = {key: value for key, value in flags.items() if value is not None}
     for item in getattr(args, "set", []):
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got '{item}'")
@@ -91,9 +89,7 @@ def _load_config_with_overrides(args):
         except json.JSONDecodeError:
             value = raw
         overrides[key] = value
-    if overrides:
-        cfg = apply_overrides(cfg, overrides)
-    return cfg
+    return apply_overrides(cfg, overrides)
 
 
 def cmd_synth(args):
@@ -127,8 +123,8 @@ def cmd_enhance(args):
     from .dsp import read_wav, write_wav
     from .training import restore_checkpoint
 
-    if args.zones is not None and args.zones < 2:
-        raise ValueError(f"--zones must be at least 2, got {args.zones}")
+    if args.zones is not None:
+        load_field(LocalizationSection, "zones", args.zones, "--zones")
     model, run = restore_checkpoint(args.checkpoint)
     loc = run.localization
     mode = args.mode or loc.mode

@@ -3,17 +3,17 @@ ranges, STFT settings, model size, and training hyperparameters.
 
 The ``stft``, ``array``, ``dataset`` and ``model`` sections are the domain
 types themselves; the network's mic, bin and zone counts are not keys.
-Loading is strict: unknown keys anywhere in the document are rejected by
-their dotted path, and every value is checked against its field's type
-annotation (``load_section``), in a config as in a checkpoint's meta
-(``RunConfig.from_meta``, its one reader). Command-line flags override
-individual keys after the file is parsed.
+Each key's valid form (type, item count, bounds, choices) is declared once,
+on its field, and ``load_section`` checks it, in a config, a ``--set``
+override and a checkpoint's meta (``RunConfig.from_meta``) alike; errors
+name the dotted key. Command-line flags override keys after the file is parsed.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import operator
 import typing
 from dataclasses import dataclass, field
 
@@ -33,44 +33,28 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class LocalizationSection:
-    zones: int = 12
-    mode: str = "nlm"
-    vad_threshold: float = 0.5
-
-    def __post_init__(self):
-        if self.zones < 2:
-            raise ConfigError(f"localization.zones must be at least 2, got {self.zones}")
-        if self.mode not in ("splm", "nlm"):
-            raise ConfigError(f"localization.mode must be 'splm' or 'nlm', got '{self.mode}'")
+    zones: int = field(default=12, metadata={"at least": 2, "at most": 360})  # one per degree
+    mode: typing.Literal["splm", "nlm"] = "nlm"
+    vad_threshold: float = field(default=0.5, metadata={"at least": 0, "at most": 1})
 
 
 @dataclass(frozen=True)
 class TrainingSection:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    steps: int = 200
-    gamma: float = 1.0
-    checkpoint_every: int = 100
-    log_every: int = 1
-    sisnr_convention: str = "standard"
+    lr: float = field(default=1e-3, metadata={"greater than": 0})
+    beta1: float = field(default=0.9, metadata={"at least": 0, "less than": 1})
+    beta2: float = field(default=0.999, metadata={"at least": 0, "less than": 1})
+    eps: float = field(default=1e-8, metadata={"greater than": 0})
+    steps: int = field(default=200, metadata={"at least": 0})
+    gamma: float = field(default=1.0, metadata={"at least": 0})
+    checkpoint_every: int = field(default=100, metadata={"at least": 1})
+    log_every: int = field(default=1, metadata={"at least": 1})
+    sisnr_convention: typing.Literal["standard", "printed"] = "standard"
     reference_mic: int = 0
-
-    def __post_init__(self):
-        if self.sisnr_convention not in ("standard", "printed"):
-            raise ConfigError(
-                f"training.sisnr_convention must be 'standard' or 'printed', "
-                f"got '{self.sisnr_convention}'"
-            )
-        for key in ("checkpoint_every", "log_every"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"training.{key} must be at least 1, got {getattr(self, key)}")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    seed: int = 0
+    seed: int = field(default=0, metadata={"at least": 0})
     stft: StftConfig = field(default_factory=StftConfig)
     array: ArraySpec = field(default_factory=ArraySpec)
     dataset: MixtureRanges = field(default_factory=MixtureRanges)
@@ -103,10 +87,8 @@ class RunConfig:
         if "schema" not in meta:
             raise ConfigError("checkpoint meta has no 'schema'")
         if meta["schema"] != CHECKPOINT_SCHEMA:
-            raise ConfigError(
-                f"checkpoint meta 'schema' is {meta['schema']!r}; "
-                f"only schema {CHECKPOINT_SCHEMA} is read"
-            )
+            raise ConfigError(f"checkpoint meta 'schema' is {meta['schema']!r}; "
+                              f"only schema {CHECKPOINT_SCHEMA} is read")
         sections = {}
         for key in ("stft", "array", "model", "localization", "dataset", "training"):
             if key not in meta:
@@ -134,9 +116,7 @@ def meta_dtype(meta):
     ``dtype``; a missing or unreadable one is a ``ConfigError``."""
     if "dtype" not in meta:
         raise ConfigError("checkpoint meta has no 'dtype'")
-    if meta["dtype"] not in ("float32", "float64"):
-        raise ConfigError(f"checkpoint meta 'dtype' {meta['dtype']!r} is not float32 or float64")
-    return np.dtype(meta["dtype"])
+    return np.dtype(_load_value(typing.Literal["float32", "float64"], {}, meta["dtype"], "dtype"))
 
 
 def _as_plain(obj):
@@ -148,13 +128,17 @@ def _as_plain(obj):
 
 
 _EXPECTED = {int: "an integer", float: "a number", str: "a string"}
+# A field's ``metadata`` holds its bounds; ``Literal`` choices are the bound "one of".
+_BOUNDS = {"at least": operator.ge, "greater than": operator.gt, "at most": operator.le,
+           "less than": operator.lt, "one of": lambda value, choices: value in choices}
 
 
-def _load_value(kind, value, dotted):
-    """``value`` checked against the annotation ``kind``: a dataclass is a
-    section; ``X | None`` takes None or an X; ``tuple[X, ...]`` takes a list
-    of X, each item checked (``key[i]`` in errors); an int widens to a
-    float, and nothing else converts (a bool is never a number)."""
+def _load_value(kind, bounds, value, dotted):
+    """``value`` checked against the annotation ``kind`` and the field's
+    ``bounds``: a dataclass is a section; ``X | None`` takes None or an X;
+    ``tuple[X, ...]`` takes a list of X and ``tuple[X, Y]`` a list of
+    exactly those items, each checked (``key[i]`` in errors); an int widens
+    to a float, and nothing else converts (a bool is never a number)."""
     if dataclasses.is_dataclass(kind):
         return load_section(kind, value, dotted)
     options = typing.get_args(kind)
@@ -162,32 +146,47 @@ def _load_value(kind, value, dotted):
         if value is None:
             return None
         (kind,) = [k for k in options if k is not type(None)]
+        options = typing.get_args(kind)
+    if typing.get_origin(kind) is typing.Literal:
+        kind, bounds = type(options[0]), {"one of": list(options)}
     if typing.get_origin(kind) is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"config key '{dotted}' expects a list, got {value!r}")
-        item = typing.get_args(kind)[0]
-        return tuple(_load_value(item, v, f"{dotted}[{i}]") for i, v in enumerate(value))
+        items = options[:1] * len(value) if options[-1] is Ellipsis else options
+        if len(items) != len(value):
+            raise ConfigError(f"{dotted} must list {len(items)} items, got {len(value)}")
+        return tuple(_load_value(item, bounds, v, f"{dotted}[{i}]")
+                     for i, (item, v) in enumerate(zip(items, value)))
     if kind is float and type(value) is int:
-        return float(value)
+        value = float(value)
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ConfigError(f"config key '{dotted}' expects {_EXPECTED[kind]}, got {value!r}")
+    for text, bound in bounds.items():
+        if not _BOUNDS[text](value, bound):
+            raise ConfigError(f"{dotted} must be {text} {bound}, got {value!r}")
     return value
+
+
+def load_field(cls, name, value, label):
+    """``value`` for the field ``name`` of ``cls``, checked as a config's; ``label`` names it."""
+    bounds = {f.name: f.metadata for f in dataclasses.fields(cls)}[name]
+    return _load_value(typing.get_type_hints(cls)[name], bounds, value, label)
 
 
 def load_section(cls, data, path):
     """The dataclass ``cls`` built from the JSON object ``data`` (a config
     section or a section of a checkpoint's meta), each value checked against
-    its field's annotation; ``path`` names the section in errors."""
+    its field's declaration; ``path`` names the section in errors."""
     if not isinstance(data, dict):
         raise ConfigError(f"config section '{path}' must be an object")
     kinds = typing.get_type_hints(cls)
-    names = {f.name for f in dataclasses.fields(cls)}
+    bounds = {f.name: f.metadata for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in data.items():
         dotted = f"{path}.{key}" if path else key
-        if key not in names:
+        if key not in bounds:
             raise ConfigError(f"unknown config key '{dotted}'")
-        kwargs[key] = _load_value(kinds[key], value, dotted)
+        kwargs[key] = _load_value(kinds[key], bounds[key], value, dotted)
     try:
         return cls(**kwargs)
     except ConfigError:
@@ -224,13 +223,11 @@ def apply_overrides(cfg, overrides):
     parsed config; CLI flags take precedence over the file."""
     data = cfg.to_dict()
     for dotted, value in overrides.items():
+        *parents, leaf = dotted.split(".")
         node = data
-        parts = dotted.split(".")
-        for part in parts[:-1]:
-            if not isinstance(node, dict) or part not in node:
-                raise ConfigError(f"unknown config key '{dotted}'")
-            node = node[part]
-        if not isinstance(node, dict) or parts[-1] not in node:
+        for part in parents:
+            node = node.get(part) if isinstance(node, dict) else None
+        if not isinstance(node, dict) or leaf not in node:
             raise ConfigError(f"unknown config key '{dotted}'")
-        node[parts[-1]] = value
+        node[leaf] = value
     return config_from_dict(data)

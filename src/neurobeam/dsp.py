@@ -8,7 +8,7 @@ single zero-padded frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -76,22 +76,17 @@ class StftConfig:
     relative on interior samples).
     """
 
-    window_length: int = 400
-    hop: int = 100
-    fft_size: int = 512
+    window_length: int = field(default=400, metadata={"at least": 2})
+    hop: int = field(default=100, metadata={"at least": 1})
+    fft_size: int = field(default=512, metadata={"at least": 2})
 
     def __post_init__(self):
-        if not (0 < self.hop <= self.window_length <= self.fft_size):
-            raise ValueError(
-                f"require 0 < hop <= window_length <= fft_size, got "
-                f"hop={self.hop}, window_length={self.window_length}, fft_size={self.fft_size}"
-            )
+        if not 0 < self.hop <= self.window_length <= self.fft_size:
+            raise ValueError(f"need 0 < stft.hop <= stft.window_length <= stft.fft_size: {self}")
         dev = self._cola_deviation()
         if dev > 1e-10:
-            raise ValueError(
-                f"window/hop pair is not constant-overlap-add after synthesis "
-                f"normalization (relative deviation {dev:.3e})"
-            )
+            raise ValueError(f"stft.window_length and stft.hop are not constant-overlap-add after "
+                             f"synthesis normalization (relative deviation {dev:.3e})")
 
     @cached_property
     def window(self):

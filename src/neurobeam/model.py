@@ -19,12 +19,14 @@ returns one real tensor, and the filters are [2 x M x F x T] (re, im).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .checkpoint import require_shapes
 from .layers import ComplexConvBlock, ComplexLSTM, ComplexLinear, Linear, to_complex
 
 MAGNITUDE_EPS = 1e-12
@@ -39,27 +41,20 @@ NLM_HIDDEN = 32  # width of the NLM head's scalar MLP
 @dataclass(frozen=True)
 class MimoDccrnConfig:
     """DCCRN's hyperparameters, the config's ``model`` section: the encoder
-    widths, the [freq, time] kernel and stride of every conv block and the
-    LSTM width; ``scale`` divides each width (to at least 1) for desk-scale
-    runs. A ``ValueError`` names the key of a value out of range."""
+    widths, the [freq, time] kernel and stride of every conv block (time
+    stride 1: the decoder restores every frame) and the LSTM width; ``scale``
+    divides each width (to at least 1) for desk-scale runs."""
 
-    encoder_channels: tuple[int, ...] = (16, 32, 64, 128, 256, 256)
-    kernel: tuple[int, ...] = (5, 2)
-    stride: tuple[int, ...] = (2, 1)
-    lstm_hidden: int = 256
-    scale: int = 4
+    encoder_channels: tuple[int, ...] = field(
+        default=(16, 32, 64, 128, 256, 256), metadata={"at least": 1})
+    kernel: tuple[int, int] = field(default=(5, 2), metadata={"at least": 1})
+    stride: tuple[int, Literal[1]] = field(default=(2, 1), metadata={"at least": 1})
+    lstm_hidden: int = field(default=256, metadata={"at least": 1})
+    scale: int = field(default=4, metadata={"at least": 1})
 
     def __post_init__(self):
-        for name, pair in (("kernel", self.kernel), ("stride", self.stride)):
-            if len(pair) != 2 or min(pair) < 1:
-                raise ValueError(f"model.{name} must be two positive integers, got {list(pair)}")
         if not self.encoder_channels:
             raise ValueError("model.encoder_channels must be non-empty")
-        widths = [(f"model.encoder_channels[{i}]", c) for i, c in enumerate(self.encoder_channels)]
-        for key, value in widths + [("model.lstm_hidden", self.lstm_hidden),
-                                    ("model.scale", self.scale)]:
-            if value < 1:
-                raise ValueError(f"{key} must be at least 1, got {value}")
 
     @property
     def depth(self):
@@ -247,8 +242,6 @@ class MimoDccrn:
         return arrays
 
     def load_arrays(self, arrays):
-        from .checkpoint import require_shapes
-
         params, buffers = self.params(), self.buffers()
         expected = {f"param.{k}": p.shape for k, p in params.items()}
         expected.update({f"buffer.{k}": b.shape for k, b in buffers.items()})

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .checkpoint import require_shapes
+
 
 class Adam:
     """Standard Adam with bias correction.
@@ -50,6 +52,7 @@ class Adam:
         return out
 
     def load_state_arrays(self, arrays):
+        require_shapes(arrays, {k: v.shape for k, v in self.state_arrays().items()})
         self.step_count = int(arrays["adam.step"][0])
         for name in self.params:
             self.m[name][...] = arrays[f"adam.m.{name}"]

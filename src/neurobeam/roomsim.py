@@ -23,7 +23,7 @@ import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -368,31 +368,46 @@ class MixtureRanges:
     index: one scenario index is drawn per record and selects all three.
     """
 
-    rooms: tuple[tuple[float, ...], ...] = ((4.0, 4.0, 3.0), (5.0, 5.0, 3.0), (6.0, 6.0, 3.0))
-    t60_ranges: tuple[tuple[float, ...], ...] = ((0.16, 0.32), (0.32, 0.48), (0.48, 0.64))
-    target_distance_ranges: tuple[tuple[float, ...], ...] = ((1.0, 1.5), (1.0, 2.0), (1.0, 2.5))
-    interference_distance_m: float = 2.0
-    target_azimuth_grid: tuple[float, ...] = (0.0, 180.0, 1.0)
-    interference_azimuth_grid: tuple[float, ...] = (180.0, 360.0, 1.0)
-    sir_range_db: tuple[float, ...] = (-5.0, 15.0)
+    rooms: tuple[tuple[float, float, float], ...] = field(
+        default=((4.0, 4.0, 3.0), (5.0, 5.0, 3.0), (6.0, 6.0, 3.0)), metadata={"greater than": 0})
+    t60_ranges: tuple[tuple[float, float], ...] = field(
+        default=((0.16, 0.32), (0.32, 0.48), (0.48, 0.64)), metadata={"at least": 0})
+    target_distance_ranges: tuple[tuple[float, float], ...] = field(
+        default=((1.0, 1.5), (1.0, 2.0), (1.0, 2.5)), metadata={"greater than": 0})
+    interference_distance_m: float = field(default=2.0, metadata={"greater than": 0})
+    target_azimuth_grid: tuple[float, float, float] = (0.0, 180.0, 1.0)  # start, stop, step
+    interference_azimuth_grid: tuple[float, float, float] = (180.0, 360.0, 1.0)
+    sir_range_db: tuple[float, float] = (-5.0, 15.0)
     sir_values_db: tuple[float, ...] | None = None
-    snr_range_db: tuple[float, ...] = (10.0, 30.0)
-    duration_s: float = 6.0
-    speech_len_s: float = 4.0
-    sample_rate: int = DEFAULT_SAMPLE_RATE
-    early_ms: float = DEFAULT_EARLY_MS
+    snr_range_db: tuple[float, float] = (10.0, 30.0)
+    duration_s: float = field(default=6.0, metadata={"greater than": 0})
+    speech_len_s: float = field(default=4.0, metadata={"greater than": 0})
+    sample_rate: int = field(default=DEFAULT_SAMPLE_RATE, metadata={"at least": 1})
+    early_ms: float = field(default=DEFAULT_EARLY_MS, metadata={"greater than": 0})
     speech_dir: str | None = None
 
     def __post_init__(self):
         paired = (self.rooms, self.t60_ranges, self.target_distance_ranges)
         keys = "dataset.rooms, dataset.t60_ranges and dataset.target_distance_ranges"
         if len({len(items) for items in paired}) > 1:
-            raise ValueError(
-                f"{keys} are paired by index, but list "
-                f"{', '.join(str(len(v)) for v in paired)} items"
-            )
+            counts = ", ".join(str(len(items)) for items in paired)
+            raise ValueError(f"{keys} are paired by index, but list {counts} items")
         if not self.rooms:
             raise ValueError(f"{keys} must list at least one scenario")
+        pairs = [("sir_range_db", self.sir_range_db), ("snr_range_db", self.snr_range_db)]
+        pairs += [(f"{key}[{i}]", pair) for key in ("t60_ranges", "target_distance_ranges")
+                  for i, pair in enumerate(getattr(self, key))]
+        for key, (lo, hi) in pairs:
+            if not lo <= hi:
+                raise ValueError(f"dataset.{key} must be ordered low to high, got {[lo, hi]}")
+        for key in ("target_azimuth_grid", "interference_azimuth_grid"):
+            start, stop, step = grid = getattr(self, key)
+            if not (step > 0 and start <= stop):
+                raise ValueError(f"dataset.{key} needs step > 0, start <= stop, got {list(grid)}")
+        if not self.speech_len_s <= self.duration_s:
+            raise ValueError(f"dataset.speech_len_s {self.speech_len_s} exceeds dataset.duration_s")
+        if self.sir_values_db == ():
+            raise ValueError("dataset.sir_values_db must list at least one value or be null")
 
 
 @dataclass(frozen=True)

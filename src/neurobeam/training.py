@@ -172,28 +172,31 @@ def _truncate_log(path, step):
         fh.writelines(rows)
 
 
-def _check_resume(arrays, meta, cfg, model):
-    """Reject a checkpoint recorded under other STFT, array or sample-rate
-    settings than ``cfg``, in another dtype than ``model``, or whose step is
-    not its optimizer's step count."""
+def _resume(arrays, meta, cfg, model, adam):
+    """Load a resume checkpoint into ``model`` and ``adam``, each checking its arrays'
+    shapes. Reject one recorded under other STFT, array or sample-rate settings than
+    ``cfg``, in another dtype than ``model``, or whose step is not its optimizer's."""
     run = RunConfig.from_meta(meta)
     checks = [
         ("dtype", meta_dtype(meta), model.dtype, "the model's"),
         ("stft", run.stft, cfg.stft, "the config's"),
         ("array", run.array, cfg.array, "the config's"),
-        ("dataset.sample_rate", run.dataset.sample_rate, cfg.dataset.sample_rate,
-         "the config's"),
-        ("train_step", meta.get("train_step"), int(arrays["adam.step"][0]), "its adam.step"),
+        ("dataset.sample_rate", run.dataset.sample_rate, cfg.dataset.sample_rate, "the config's"),
     ]
     for key, recorded, wanted, source in checks:
         if recorded != wanted:
             raise ValueError(f"records {key} {recorded}, but {source} is {wanted}")
+    model.load_arrays(arrays)
+    adam.load_state_arrays(arrays)
+    if meta.get("train_step") != adam.step_count:
+        raise ValueError(
+            f"records train_step {meta.get('train_step')}, but its adam.step is {adam.step_count}")
 
 
 def train(cfg, manifest_path, out_dir, resume=None):
     """Run the configured number of steps; returns the per-step log.
 
-    A ``resume`` checkpoint must agree with ``cfg`` (``_check_resume``). On
+    A ``resume`` checkpoint must agree with ``cfg`` (``_resume``). On
     a non-finite loss or parameter gradient the last finite-state
     checkpoint is kept on disk and ``TrainingDiverged`` is raised.
     """
@@ -212,9 +215,7 @@ def train(cfg, manifest_path, out_dir, resume=None):
     if resume is not None:
         arrays, meta = load_checkpoint(resume)
         with _naming(resume):
-            _check_resume(arrays, meta, cfg, model)
-            model.load_arrays(arrays)
-            adam.load_state_arrays(arrays)
+            _resume(arrays, meta, cfg, model, adam)
     start = adam.step_count
 
     steering = None

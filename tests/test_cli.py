@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from neurobeam.cli import main
 from neurobeam.config import RunConfig, write_config
@@ -396,3 +402,143 @@ def test_write_config_roundtrip(tmp_path):
     write_config(path, RunConfig())
     cfg = load_config(path)
     assert cfg == RunConfig()
+
+
+# A valid tiny run: one 0.5 s record in one room and a scale-16 model. The
+# array is given by its positions, so they are a key the test can change.
+_TINY_RUN = {
+    "seed": 3,
+    "array": {"positions": [[0.05, 0.0, 0.0], [0.0, 0.05, 0.0], [-0.05, 0.0, 0.0],
+                            [0.0, -0.05, 0.0]]},
+    "dataset": {"duration_s": 0.5, "speech_len_s": 0.3, "rooms": [[5.0, 5.0, 3.0]],
+                "t60_ranges": [[0.15, 0.25]], "target_distance_ranges": [[1.0, 2.0]],
+                "sir_values_db": [0.0]},
+    "model": {"scale": 16},
+    "training": {"steps": 1, "checkpoint_every": 1, "log_every": 1},
+}
+# Only these keys have an upper bound. Sizes (durations, rooms, widths) have
+# none on purpose: a huge one asks for memory it may not get, a resource limit
+# and not bad input, so a MemoryError is out of this test's scope.
+_CAPPED = {"localization.zones", "localization.vad_threshold", "training.beta1",
+           "training.beta2"}
+# Values that crashed, ran silently or failed naming no key, and one break of
+# each rule across items and fields; the keys a checkpoint's meta records are
+# also set in a meta (``model.lstm_hidden``, ``localization.zones``, ...).
+_PROBED = [
+    ("training.steps", -1), ("training.lr", -1), ("training.eps", 0), ("training.beta1", 2),
+    ("training.beta2", 2), ("training.gamma", -1), ("localization.vad_threshold", 5),
+    ("localization.zones", 100000), ("seed", -1), ("array.mics", 1), ("array.radius_m", 0),
+    ("array.speed_of_sound", 0), ("dataset.sample_rate", 0), ("dataset.duration_s", -1),
+    ("dataset.speech_len_s", -1), ("dataset.early_ms", 0),
+    ("dataset.interference_distance_m", 0), ("dataset.rooms", [[5, 5]]),
+    ("dataset.sir_range_db", [5]), ("dataset.t60_ranges", [[0.3]]),
+    ("dataset.sir_range_db", [15, -5]), ("dataset.t60_ranges", [[0.25, 0.15]]),
+    ("dataset.target_azimuth_grid", [0, 180, 0]), ("dataset.target_azimuth_grid", [180, 0, 1]),
+    ("dataset.speech_len_s", 0.8), ("dataset.sir_values_db", []), ("model.stride", [2, 2]),
+    ("model.lstm_hidden", 0), ("localization.zones", 361),
+]
+
+
+def _keys(data, path=""):
+    """(dotted key, value) of every number or list in a config dict."""
+    for key, value in data.items():
+        dotted = f"{path}.{key}" if path else key
+        if isinstance(value, dict):
+            yield from _keys(value, dotted)
+        elif isinstance(value, (int, float, list)) and dotted != "schema_version":
+            yield dotted, value
+
+
+def _changed(value, capped):
+    """``value`` set to zero or a negative (or a huge value, if ``capped``);
+    or, for a list, one item so changed, an item dropped or repeated, or the
+    list reversed."""
+    if not isinstance(value, list):
+        return st.sampled_from([0, -1] + [10**6] * capped)
+    lists = [st.just(value[:-1]), st.just(value + value[-1:]), st.just(value[::-1])]
+    return st.one_of(lists + [
+        _changed(item, capped).map(lambda new, i=i: value[:i] + [new] + value[i + 1:])
+        for i, item in enumerate(value)
+    ])
+
+
+def _cases():
+    from neurobeam.config import config_from_dict
+
+    keys = sorted(_keys(config_from_dict(_TINY_RUN).to_dict()))
+    return st.sampled_from(keys).flatmap(
+        lambda kv: _changed(kv[1], kv[0] in _CAPPED).map(lambda value: (kv[0], value)))
+
+
+def _set(data, dotted, value):
+    *parents, leaf = dotted.split(".")
+    for part in parents:
+        data = data.setdefault(part, {})
+    data[leaf] = value
+
+
+def _quiet(argv):
+    """(exit code, stderr) of the CLI on ``argv``."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """The tiny run's dataset and a checkpoint trained zero steps on it."""
+    base = tmp_path_factory.mktemp("tiny_run")
+    (base / "config.json").write_text(json.dumps(_TINY_RUN))
+    assert _quiet(["synth", str(base / "config.json"), "--count", "1",
+                   "--out", str(base / "data")])[0] == 0
+    assert _quiet(["train", str(base / "config.json"), "--steps", "0",
+                   "--manifest", str(base / "data" / "manifest.jsonl"),
+                   "--out", str(base / "run")])[0] == 0
+    return base
+
+
+def _with_examples(cases):
+    def decorate(test):
+        for case in reversed(cases):
+            test = example(case=case, probed=True)(test)
+        return test
+    return decorate
+
+
+@_with_examples(_PROBED)
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(case=_cases(), probed=st.just(False))
+def test_value_out_of_form_is_a_user_error_naming_its_key(tiny_run, case, probed):
+    # One key of a valid tiny run set to zero, a negative, a huge value (only
+    # where there is an upper bound), a list of the wrong length or a
+    # reversed pair: synth, then train if it loaded, exit 0 or 1, never 2,
+    # and an exit 1 names the key. A checkpoint whose meta carries the same
+    # change evaluates with exit 0 or 1, naming the key or the file. Each
+    # probed value is rejected, naming its key, in a config and in a meta.
+    from neurobeam.checkpoint import load_checkpoint, save_checkpoint
+
+    key, value = case
+    data = json.loads(json.dumps(_TINY_RUN))
+    _set(data, key, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        (out / "config.json").write_text(json.dumps(data))
+        code, err = _quiet(["synth", str(out / "config.json"), "--count", "1",
+                            "--out", str(out / "data")])
+        if code == 0:
+            code, err = _quiet(["train", str(out / "config.json"), "--out", str(out / "run"),
+                                "--manifest", str(out / "data" / "manifest.jsonl")])
+        assert code in ((1,) if probed else (0, 1)), err
+        assert code == 0 or key in err, err
+
+        arrays, meta = load_checkpoint(tiny_run / "run" / "checkpoint_last.nbcp")
+        section, name = key.split(".", 1) if "." in key else ("", key)
+        if name in meta.get(section, {}):
+            _set(meta, key, value)
+            save_checkpoint(out / "edited.nbcp", arrays, meta)
+            code, err = _quiet(["eval", str(out / "edited.nbcp"),
+                                str(tiny_run / "data" / "manifest.jsonl"),
+                                "--out", str(out / "report.csv")])
+            assert code in ((1,) if probed else (0, 1)), err
+            assert code == 0 or key in err or (str(out / "edited.nbcp") in err and not probed), err

@@ -107,31 +107,42 @@ def test_zone_count_checked_at_load():
         config_from_dict({"localization": {"zones": 1}})
 
 
-@pytest.mark.parametrize("stride", [[], [0, 1], [2, 1, 1]])
-def test_stride_checked_at_load(stride):
+@pytest.mark.parametrize("stride, message", [
+    ([], r"model\.stride must list 2 items, got 0"),
+    ([0, 1], r"model\.stride\[0\] must be at least 1, got 0"),
+    ([2, 1, 1], r"model\.stride must list 2 items, got 3"),
+], ids=["stride0", "stride1", "stride2"])
+def test_stride_checked_at_load(stride, message):
     # The load-time bin check takes stride[0] ** depth, so a stride without
     # two positive items is a config error, not a crash.
-    with pytest.raises(ConfigError, match=r"model\.stride must be two positive integers"):
+    with pytest.raises(ConfigError, match=message):
         config_from_dict({"model": {"stride": stride}})
 
 
-@pytest.mark.parametrize("kernel", [[0, 2], [], [5], [5, 2, 1]])
-def test_kernel_checked_at_load(tmp_path, capsys, kernel):
+@pytest.mark.parametrize("kernel, message", [
+    ([0, 2], "model.kernel[0] must be at least 1, got 0"),
+    ([], "model.kernel must list 2 items, got 0"),
+    ([5], "model.kernel must list 2 items, got 1"),
+    ([5, 2, 1], "model.kernel must list 2 items, got 3"),
+], ids=["kernel0", "kernel1", "kernel2", "kernel3"])
+def test_kernel_checked_at_load(tmp_path, capsys, kernel, message):
     # By the stride's rule: a kernel without two positive items is a config
     # error naming the key, not a crash when the model is built.
     from neurobeam.cli import main
 
-    with pytest.raises(ConfigError, match=r"model\.kernel must be two positive integers"):
+    with pytest.raises(ConfigError, match=re.escape(message)):
         config_from_dict({"model": {"kernel": kernel}})
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"model": {"kernel": kernel}}))
     assert main(["train", str(path), "--manifest", str(tmp_path / "m.jsonl"),
                  "--out", str(tmp_path / "run")]) == 1
-    assert "model.kernel must be two positive integers" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
-_INTS = st.integers(-(2**40), 2**40)
+_POSITIVE = st.floats(min_value=0, exclude_min=True, allow_infinity=False)
+_UNIT = st.floats(0, 1)
+_COUNTS = st.integers(0, 2**40)
 _WIDTHS = st.integers(1, 2**40)
 _COLA_STFTS = [
     {"window_length": 400, "hop": 100, "fft_size": 512},
@@ -141,8 +152,12 @@ _COLA_STFTS = [
 
 
 def _lists(elements, size=None):
-    """Lists of exactly ``size`` items, or of up to 4 without a size."""
-    return st.lists(elements, min_size=size or 0, max_size=size or 4)
+    """Lists of exactly ``size`` items, or of 1 to 4 without a size."""
+    return st.lists(elements, min_size=size or 1, max_size=size or 4)
+
+
+def _ordered_pairs(elements):
+    return _lists(elements, 2).map(sorted)
 
 
 def _section(required=None, **optional):
@@ -156,30 +171,30 @@ def _config_dicts(draw):
     return draw(_section(
         {"array": _section(
             {"mics": st.just(mics)},
-            radius_m=_FINITE | _INTS,
-            speed_of_sound=_FINITE,
+            radius_m=_POSITIVE | _WIDTHS,
+            speed_of_sound=_POSITIVE,
             positions=st.none() | _lists(_lists(_FINITE, 3), mics),
         )},
-        seed=_INTS,
+        seed=_COUNTS,
         stft=st.sampled_from(_COLA_STFTS),
         dataset=_section(
-            rooms=_lists(_lists(_FINITE, 3), 3),  # paired with the 3 default T60 ranges
-            sir_range_db=_lists(_FINITE, 2),
+            rooms=_lists(_lists(_POSITIVE, 3), 3),  # paired with the 3 default T60 ranges
+            sir_range_db=_ordered_pairs(_FINITE),
             sir_values_db=st.none() | _lists(_FINITE),
             speech_dir=st.none() | st.text(max_size=8),
-            sample_rate=_INTS,
-            early_ms=_FINITE | _INTS,
+            sample_rate=_WIDTHS,
+            early_ms=_POSITIVE | _WIDTHS,
         ),
         model=_section(encoder_channels=st.lists(_WIDTHS, min_size=1, max_size=4),
                        kernel=_lists(_WIDTHS, 2), scale=_WIDTHS),
         localization=_section(
             zones=st.integers(2, 360),
             mode=st.sampled_from(["splm", "nlm"]),
-            vad_threshold=_FINITE,
+            vad_threshold=_UNIT,
         ),
         training=_section(
-            lr=_FINITE,
-            steps=_INTS,
+            lr=_POSITIVE,
+            steps=_COUNTS,
             sisnr_convention=st.sampled_from(["standard", "printed"]),
             reference_mic=st.integers(0, mics - 1),
         ),

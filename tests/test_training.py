@@ -376,8 +376,8 @@ def _eval_exit_code(checkpoint, tmp_path, toy_dataset):
     ("training", "reference_mic", 7, ConfigError, "training.reference_mic 7 is out of range"),
     ("localization", "zones", 8, ValueError,
      r"'param\.nlm\.block1\.conv\.w' has shape \(2, 24, 4, 5, 2\), expected \(2, 16, 4, 5, 2\)"),
-    ("model", "stride", [0, 1], ConfigError, r"model\.stride must be two positive integers"),
-    ("model", "kernel", [0, 2], ConfigError, r"model\.kernel must be two positive integers"),
+    ("model", "stride", [0, 1], ConfigError, r"model\.stride\[0\] must be at least 1, got 0"),
+    ("model", "kernel", [0, 2], ConfigError, r"model\.kernel\[0\] must be at least 1, got 0"),
 ], ids=["reference_mic", "zones", "stride", "kernel"])
 def test_restore_rejects_meta_value_the_model_contradicts(
         tmp_path, toy_dataset, section, key, value, error, message):
@@ -454,6 +454,30 @@ def test_restore_checks_buffers_as_parameters(tmp_path, toy_dataset, edit, messa
     with pytest.raises(ValueError, match=message):
         restore_checkpoint(path)
     assert _eval_exit_code(path, tmp_path, toy_dataset) == 1
+
+
+def _cut_adam_moment(arrays):
+    arrays["adam.v.enc0.conv.w"] = arrays["adam.v.enc0.conv.w"][:1]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_cut_adam_moment, "tensor 'adam.v.enc0.conv.w' has shape (1, 4, 4, 5, 2), "
+                       "expected (2, 4, 4, 5, 2)"),
+    (lambda arrays: arrays.pop("adam.step"), "is missing tensor 'adam.step'"),
+    (lambda arrays: arrays.pop("adam.m.enc0.conv.w"), "is missing tensor 'adam.m.enc0.conv.w'"),
+], ids=["misshaped", "no_step", "no_moment"])
+def test_resume_checks_optimizer_arrays(tmp_path, toy_dataset, capsys, edit, message):
+    # A cut moment would be broadcast into place and train on; a missing
+    # array would end in a KeyError. Both are user errors naming the file
+    # and the array, as the model's arrays are.
+    from neurobeam.cli import main
+
+    path = _edited_checkpoint(tmp_path, toy_dataset, lambda arrays, meta: edit(arrays))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(toy_config_dict(steps=1)))
+    assert main(["train", str(config), "--manifest", str(toy_dataset["manifest"]),
+                 "--out", str(tmp_path / "resumed"), "--resume", str(path)]) == 1
+    assert f"error: checkpoint {path}: checkpoint {message}" in capsys.readouterr().err
 
 
 def test_stft_of_other_size_trains_one_step(tmp_path, toy_dataset):
