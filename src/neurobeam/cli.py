@@ -7,6 +7,13 @@ CLI flags override config-file keys.
 
 from __future__ import annotations
 
+import os
+
+# The conv kernels run their own second thread (``layers``), so BLAS keeps
+# one thread per caller: set before anything loads numpy; a user's value wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import argparse
 import json
 import sys
@@ -96,6 +103,9 @@ def cmd_synth(args):
     from .roomsim import generate_dataset
 
     cfg = _load_config_with_overrides(args)
+    for flag, value in (("--count", args.count), ("--threads", args.threads)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {value}")
     entries = generate_dataset(cfg.dataset_config(), args.count, args.out, args.threads)
     print(f"wrote {len(entries)} mixtures and manifest to {args.out}")
     return 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import operator
 import typing
 from dataclasses import dataclass, field
@@ -138,7 +139,8 @@ def _load_value(kind, bounds, value, dotted):
     ``bounds``: a dataclass is a section; ``X | None`` takes None or an X;
     ``tuple[X, ...]`` takes a list of X and ``tuple[X, Y]`` a list of
     exactly those items, each checked (``key[i]`` in errors); an int widens
-    to a float, and nothing else converts (a bool is never a number)."""
+    to a float, and nothing else converts (a bool is never a number). A
+    float with a declared bound must be finite."""
     if dataclasses.is_dataclass(kind):
         return load_section(kind, value, dotted)
     options = typing.get_args(kind)
@@ -161,6 +163,8 @@ def _load_value(kind, bounds, value, dotted):
         value = float(value)
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ConfigError(f"config key '{dotted}' expects {_EXPECTED[kind]}, got {value!r}")
+    if bounds and kind is float and not math.isfinite(value):
+        raise ConfigError(f"{dotted} must be finite, got {value!r}")
     for text, bound in bounds.items():
         if not _BOUNDS[text](value, bound):
             raise ConfigError(f"{dotted} must be {text} {bound}, got {value!r}")

@@ -24,14 +24,27 @@ stride the frequency axis and are causal along time.
 The real conv kernels (forward, input adjoint, kernel adjoint, and both
 adjoints of a deconv from one patch pass) are im2col GEMMs that hold neither
 a whole patch matrix nor a padded copy of a map: they build the patches of
-the unpadded map one band of output-frequency rows at a time in one band
-array per call, zeroing the padding there, and the input adjoint scatters
-into the unpadded gradient. The LSTM is one op that runs K weight sets over
-S sequences in a single time loop; the complex LSTM is one such call
-(K = S = 2) and the complex product rule.
+the unpadded map one band of output-frequency rows at a time, zeroing the
+padding there, and the input adjoint scatters into the unpadded gradient.
+A call of four or more bands runs as two halves, on the calling thread and
+on one worker thread (with one core, the caller runs both in turn). The
+patch GEMMs cut their serial band list in two at a band boundary, each half
+in its own band array; the input adjoint splits its input channels, each
+half scattering only into its own. The bits do not depend on the worker
+count, because the split keeps the serial arithmetic: every half keeps the
+serial band partition, since a GEMM's bits depend on its column count, and
+the kernel gradient adds the bands' products in serial band order. The
+calling thread makes every buffer, and only it calls the public kernels.
+The LSTM is one op that runs K weight sets over S sequences in a single
+time loop; the complex LSTM is one such call (K = S = 2) and the complex
+product rule.
 """
 
 from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -55,10 +68,10 @@ def _conv_out_size(n, k, stride, pad):
 
 
 # One band of an im2col patch (or column) matrix is at most this many
-# bytes. Each kernel call makes one band array, sized for its largest band,
-# and it is the call's only patch storage (no kernel pads a copy of its
-# input). Chosen by timing the train-6s benchmark step (forward and
-# backward of the default model on 6 s of audio; 2-vCPU x86 machine with
+# bytes. Each half of a kernel call has one band array, sized for its
+# largest band, and it is the half's only patch storage (no kernel pads a
+# copy of its input). Chosen by timing the train-6s benchmark step (forward
+# and backward of the default model on 6 s of audio; 2-vCPU x86 machine with
 # 2 MiB of L2 per core, one BLAS thread): budgets of 1, 2, 4, 8 and 16 MiB
 # gave per-step medians within the run-to-run spread of each other, and
 # five alternating 4 vs 8 MiB runs favoured 4 MiB in all five (1.53 vs
@@ -66,15 +79,56 @@ def _conv_out_size(n, k, stride, pad):
 # whole patch matrix (119 MB, the NLM head's second conv, 6 s).
 _BAND_BYTES = 4 << 20
 
+# A kernel call of at least this many bands runs as two halves, the second
+# on one worker thread when the process may use two cores. Timed per call
+# shape over training steps of the default model (same machine): at 6 s of
+# audio every call has 4-33 bands, and each ran 10-35% faster split; at 1 s
+# the calls have 1 or 2 bands, and the four 2-band shapes ran 15-85% slower.
+_SPLIT_BANDS = 4
+_WORKERS = min(2, len(os.sched_getaffinity(0)))
 
-def _bands(rows, row_elems, dtype):
-    """(u0, u1, band) per range u0..u1-1 of output-frequency rows whose
-    patch band of ``row_elems`` entries per row fits the budget; each
-    ``band`` is a flat view of one uninitialized array sized for the largest."""
+
+# The pool starts its thread on first use; a forked child makes a pool of
+# its own, since the parent's thread does not exist there.
+def _new_worker():
+    global _worker
+    _worker = ThreadPoolExecutor(1, thread_name_prefix="neurobeam-conv")
+
+
+_new_worker()
+os.register_at_fork(after_in_child=_new_worker)
+
+
+def _run_halves(calls):
+    """Run ``calls``, the one or two halves of a kernel call: with two
+    workers the second runs on the worker thread while the caller runs the
+    first, else the caller runs them in order."""
+    if len(calls) == 1 or _WORKERS < 2:
+        for call in calls:
+            call()
+        return
+    future = _worker.submit(calls[1])
+    try:
+        calls[0]()
+    finally:
+        future.result()
+
+
+def _buffers(sizes, dtype):
+    """Uninitialized flat arrays of ``sizes`` entries, one per half, made on
+    the caller's thread; with one worker the halves run in turn and share
+    one array of the largest size."""
+    if _WORKERS > 1:
+        return [np.empty(n, dtype) for n in sizes]
+    return [np.empty(max(sizes), dtype)] * len(sizes)
+
+
+def _band_jobs(b_n, rows, row_elems, dtype):
+    """The serial band list: (b, u0, u1) per batch item b and range u0..u1-1
+    of its output-frequency rows whose patch band of ``row_elems`` entries
+    per row fits the budget. The first band of the list is the largest."""
     step = max(1, _BAND_BYTES // (row_elems * np.dtype(dtype).itemsize))
-    buf = np.empty(min(step, rows) * row_elems, dtype)
-    ranges = [(u0, min(u0 + step, rows)) for u0 in range(0, rows, step)]
-    return [(u0, u1, buf[: (u1 - u0) * row_elems]) for u0, u1 in ranges]
+    return [(b, u0, min(u0 + step, rows)) for b in range(b_n) for u0 in range(0, rows, step)]
 
 
 def _taps(n_in, k, stride, pad, lo, hi):
@@ -95,7 +149,7 @@ def _rows(a, b, u0, u1):
 def _patch_gemms(x, kshape, stride, pad_f, pad_t, out_ft, w=None, out=None, y=None):
     """im2col GEMMs of an unpadded [B x C x F x T] map for a ``kshape``
     [O x C x kf x kt] kernel: each band of output rows' patch matrix is
-    built once in the call's band array and serves up to two GEMMs.
+    built once in its half's band array and serves up to two GEMMs.
 
     The [C*kf*kt x (u1-u0)*to] patch matrix ``cols`` of output rows u0..u1-1
     of batch item b holds in column (u, v) the receptive field of the padded
@@ -104,15 +158,28 @@ def _patch_gemms(x, kshape, stride, pad_f, pad_t, out_ft, w=None, out=None, y=No
     the edge slices that fall in the padding. With ``w``, W cols fills the
     band's rows of ``out``; with ``y``, gw^T += cols y_band^T, and gw is
     returned (else None).
+
+    The serial band list is cut in two at a band boundary (a call of fewer
+    than ``_SPLIT_BANDS`` bands stays whole). The first half adds its
+    kernel-gradient products into gw^T as they come. With two workers the
+    second writes each into an array of its own, which the caller adds after
+    the first half, so gw^T sums every band in serial order either way.
     """
     (kf, kt), (sf, st), (fo, to) = kshape[2:], stride, out_ft
     o, (b_n, c, fi, ti) = kshape[0], x.shape
-    gw_t = None if y is None else np.zeros((c * kf * kt, o), np.result_type(x, y))
+    k_rows = c * kf * kt
+    jobs = _band_jobs(b_n, fo, k_rows * to, x.dtype)
+    cut = len(jobs) // 2 if len(jobs) >= _SPLIT_BANDS else 0
+    halves = [jobs[:cut], jobs[cut:]] if cut else [jobs]
+    bufs = _buffers([(jobs[0][2] - jobs[0][1]) * k_rows * to] * len(halves), x.dtype)
+    gw_t = None if y is None else np.zeros((k_rows, o), np.result_type(x, y))
+    parallel = y is not None and cut and _WORKERS > 1
+    parts = np.empty((len(halves[1]), k_rows, o), gw_t.dtype) if parallel else None
     t_taps = list(_taps(ti, kt, st, pad_t, 0, to))
-    bands = _bands(fo, c * kf * kt * to, x.dtype)
-    for b in range(b_n):
-        for u0, u1, band in bands:
-            cols = band.reshape(c, kf, kt, u1 - u0, to)
+
+    def run(half, buf, products):
+        for n, (b, u0, u1) in enumerate(half):
+            cols = buf[: k_rows * (u1 - u0) * to].reshape(c, kf, kt, u1 - u0, to)
             for i, a, z, r0 in _taps(fi, kf, sf, pad_f, u0, u1):
                 rows = x[b, :, r0 : r0 + sf * (z - a) : sf]
                 cols[:, i, :, : a - u0] = 0
@@ -124,12 +191,21 @@ def _patch_gemms(x, kshape, stride, pad_f, pad_t, out_ft, w=None, out=None, y=No
                     if q < to:
                         dst[..., q:] = 0
                     dst[..., p:q] = rows[..., s0 : s0 + st * (q - p) : st]
-            cols = cols.reshape(c * kf * kt, -1)
+            cols = cols.reshape(k_rows, -1)
             if w is not None:
                 np.matmul(w.reshape(o, -1), cols, out=_rows(out, b, u0, u1))
             if y is not None:
-                gw_t += cols @ _rows(y, b, u0, u1).T
-    return None if y is None else gw_t.T.reshape(kshape)
+                if products is None:
+                    np.add(gw_t, cols @ _rows(y, b, u0, u1).T, out=gw_t)
+                else:
+                    np.matmul(cols, _rows(y, b, u0, u1).T, out=products[n])
+
+    _run_halves([partial(run, *half) for half in zip(halves, bufs, (None, parts))])
+    if y is None:
+        return None
+    for part in () if parts is None else parts:
+        gw_t += part
+    return gw_t.T.reshape(kshape)
 
 
 def conv2d_raw(x, w, stride, pad_f, pad_t):
@@ -145,25 +221,39 @@ def conv2d_raw(x, w, stride, pad_f, pad_t):
 def conv2d_input_adjoint(g, w, stride, pad_f, pad_t, in_ft):
     """Adjoint of conv2d_raw with respect to its input: per band of output
     rows, one GEMM to the column matrix, then a kf*kt strided scatter-add
-    of each tap's valid range into the unpadded (C-contiguous) gradient."""
+    of each tap's valid range into the unpadded (C-contiguous) gradient.
+
+    A call of ``_SPLIT_BANDS`` or more bands runs as two halves of the input
+    channels: each takes its channels' rows of w^T, scatters only into its
+    channels of the gradient and keeps the serial band partition, since a
+    GEMM's bits depend on its column count."""
     sf, st = stride
     b_n, o, fo, to = g.shape
     _, c, kf, kt = w.shape
     fi, ti = in_ft
+    tap_rows = kf * kt
     dtype = np.result_type(g, w)
     w_t = w.reshape(o, -1).T
     x_grad = np.zeros((b_n, c, fi, ti), dtype=dtype)
     t_taps = list(_taps(ti, kt, st, pad_t, 0, to))
-    bands = _bands(fo, c * kf * kt * to, dtype)
-    for b in range(b_n):
-        for u0, u1, band in bands:
-            cols = band.reshape(c * kf * kt, (u1 - u0) * to)
-            np.matmul(w_t, _rows(g, b, u0, u1), out=cols)
-            cols = cols.reshape(c, kf, kt, u1 - u0, to)
+    jobs = _band_jobs(b_n, fo, c * tap_rows * to, dtype)
+    bounds = [0, c // 2, c] if len(jobs) >= _SPLIT_BANDS and c > 1 else [0, c]
+    band_cols = (jobs[0][2] - jobs[0][1]) * to
+    bufs = _buffers([(c1 - c0) * tap_rows * band_cols for c0, c1 in zip(bounds, bounds[1:])],
+                    dtype)
+
+    def run(c0, c1, buf):
+        w_half = w_t[c0 * tap_rows : c1 * tap_rows]
+        for b, u0, u1 in jobs:
+            cols = buf[: (c1 - c0) * tap_rows * (u1 - u0) * to].reshape(-1, (u1 - u0) * to)
+            np.matmul(w_half, _rows(g, b, u0, u1), out=cols)
+            cols = cols.reshape(c1 - c0, kf, kt, u1 - u0, to)
             for i, a, z, r0 in _taps(fi, kf, sf, pad_f, u0, u1):
-                rows = x_grad[b, :, r0 : r0 + sf * (z - a) : sf]
+                rows = x_grad[b, c0:c1, r0 : r0 + sf * (z - a) : sf]
                 for j, p, q, s0 in t_taps:
                     rows[:, :, s0 : s0 + st * (q - p) : st] += cols[:, i, j, a - u0 : z - u0, p:q]
+
+    _run_halves([partial(run, *half) for half in zip(bounds, bounds[1:], bufs)])
     return x_grad
 
 

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -61,9 +64,45 @@ def test_version_prints_schemas(capsys):
     assert f"checkpoint schema {CHECKPOINT_SCHEMA})" in out
 
 
-def test_synth_count_zero(tmp_path, config_path):
-    assert main(["synth", str(config_path), "--count", "0", "--out", str(tmp_path / "d")]) == 0
-    assert (tmp_path / "d" / "manifest.jsonl").read_text() == ""
+@pytest.mark.parametrize("flag, value", [("--count", 0), ("--count", -1), ("--threads", 0),
+                                         ("--threads", -3)])
+def test_synth_rejects_count_or_threads_below_one(tmp_path, config_path, capsys, flag, value):
+    # A count below one wrote an empty dataset and a thread count below one
+    # ran serially, both with exit 0; each is a user error naming the flag.
+    argv = ["synth", str(config_path), "--count", "1", "--out", str(tmp_path / "d")]
+    assert main(argv + [flag, str(value)]) == 1
+    assert f"{flag} must be at least 1, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Prints the BLAS settings numpy is imported under, then those the CLI leaves.
+_SPY_ON_NUMPY_IMPORT = """
+import os, sys
+VARS = {vars!r}
+seen = []
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append([os.environ.get(v) for v in VARS])
+sys.meta_path.insert(0, Spy())
+import neurobeam.cli
+print(seen[0], [os.environ.get(v) for v in VARS])
+""".format(vars=_BLAS_VARS)
+
+
+@pytest.mark.parametrize("user_value", [None, "2"], ids=["default", "user_set"])
+def test_cli_pins_blas_to_one_thread_before_numpy_loads(user_value):
+    # The conv kernels run their own second thread, so the CLI gives BLAS
+    # one thread unless the user set a count, before numpy reads it.
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if user_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = user_value
+    out = subprocess.run([sys.executable, "-c", _SPY_ON_NUMPY_IMPORT], env=env, timeout=120,
+                         capture_output=True, text=True, check=True).stdout
+    expect = [user_value or "1", "1", "1"]
+    assert out.strip() == f"{expect} {expect}"
 
 
 def test_synth_deterministic(tmp_path, config_path):

@@ -139,6 +139,30 @@ def test_kernel_checked_at_load(tmp_path, capsys, kernel, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["duration_s", "early_ms"])
+def test_infinite_bounded_float_rejected_naming_it(tmp_path, capsys, key):
+    # JSON Infinity passes a lower bound (inf > 0), so a float with a
+    # declared bound must also be finite: a config error naming the key,
+    # not an OverflowError when a record is drawn.
+    from neurobeam.cli import main
+
+    data = {"dataset": {key: float("inf")}}
+    with pytest.raises(ConfigError, match=re.escape(f"dataset.{key} must be finite, got inf")):
+        config_from_dict(data)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert "Infinity" in path.read_text()
+    assert main(["synth", str(path), "--count", "1", "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert f"dataset.{key} must be finite" in err and "internal error" not in err
+
+
+def test_unbounded_float_may_be_infinite():
+    # An infinite SIR value means no interference; the key declares no bound.
+    cfg = config_from_dict(json.loads('{"dataset": {"sir_values_db": [Infinity]}}'))
+    assert cfg.dataset.sir_values_db == (float("inf"),)
+
+
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(min_value=0, exclude_min=True, allow_infinity=False)
 _UNIT = st.floats(0, 1)

@@ -221,7 +221,7 @@ def test_conv_kernels_match_nested_loop_reference(batch, stride, kernel, causal,
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_conv_kernels_match_nested_loop_reference_across_bands(dtype):
     from neurobeam.layers import (
-        _BAND_BYTES, _bands, conv2d_input_adjoint, conv2d_kernel_adjoint, conv2d_raw,
+        _BAND_BYTES, _band_jobs, conv2d_input_adjoint, conv2d_kernel_adjoint, conv2d_raw,
     )
 
     rng = _rng(50)
@@ -232,7 +232,7 @@ def test_conv_kernels_match_nested_loop_reference_across_bands(dtype):
     # bands of 3, 3 and 2 rows.
     row_unit = c * kf * kt * np.dtype(dtype).itemsize
     f_in, t_in = 16, _BAND_BYTES // (3 * row_unit)
-    assert [u1 - u0 for u0, u1, _ in _bands(8, c * kf * kt * t_in, dtype)] == [3, 3, 2]
+    assert [u1 - u0 for _, u0, u1 in _band_jobs(1, 8, c * kf * kt * t_in, dtype)] == [3, 3, 2]
     x = rng.standard_normal((batch, c, f_in, t_in))
     w = rng.standard_normal((o, c, kf, kt))
     ref = _ref_conv(x, w, stride, pad_f, pad_t)
@@ -350,14 +350,17 @@ def test_conv_kernels_property_match_reference_across_bands():
     check()
 
 
-def test_conv_kernels_peak_at_output_plus_one_band():
+def test_conv_kernels_peak_at_output_plus_one_band(monkeypatch):
     # The kernels build patches from the unpadded map and scatter into the
     # unpadded gradient, so no call holds a padded copy of either: the
-    # traced peak is the result, the band array and small change.
+    # traced peak is the result, the band array and small change. A second
+    # worker adds its own band array (the input adjoint's halves split one
+    # band's channels instead) and holds its half's kernel-gradient products.
     import tracemalloc
 
+    from neurobeam import layers
     from neurobeam.layers import (
-        _BAND_BYTES, conv2d_input_adjoint, conv2d_kernel_adjoint, conv2d_raw,
+        _BAND_BYTES, _band_jobs, conv2d_input_adjoint, conv2d_kernel_adjoint, conv2d_raw,
         conv2d_transpose_adjoints,
     )
 
@@ -366,27 +369,128 @@ def test_conv_kernels_peak_at_output_plus_one_band():
     x = rng.standard_normal((1, 48, 129, 957), dtype=np.float32)
     w = (0.1 * rng.standard_normal((48, 48, 5, 2))).astype(np.float32)
     g = rng.standard_normal((1, 48, 65, 957), dtype=np.float32)
-    calls = {
-        "conv2d_raw": (lambda: conv2d_raw(x, w, stride, pad_f, pad_t), g.nbytes),
+    bands = len(_band_jobs(1, 65, 48 * 5 * 2 * 957, np.float32))
+    products = (bands - bands // 2) * w.nbytes
+    calls = {  # name: (call, result bytes, a second worker's extra bytes)
+        "conv2d_raw": (lambda: conv2d_raw(x, w, stride, pad_f, pad_t), g.nbytes, _BAND_BYTES),
         "conv2d_input_adjoint": (
-            lambda: conv2d_input_adjoint(g, w, stride, pad_f, pad_t, (129, 957)), x.nbytes,
+            lambda: conv2d_input_adjoint(g, w, stride, pad_f, pad_t, (129, 957)), x.nbytes, 0,
         ),
         "conv2d_kernel_adjoint": (
             lambda: conv2d_kernel_adjoint(x, g, stride, pad_f, pad_t, w.shape), w.nbytes,
+            _BAND_BYTES + products,
         ),
         "conv2d_transpose_adjoints": (
             lambda: conv2d_transpose_adjoints(x, g, w, stride, pad_f, pad_t),
-            g.nbytes + w.nbytes,
+            g.nbytes + w.nbytes, _BAND_BYTES + products,
         ),
     }
-    for name, (call, out_bytes) in calls.items():
-        tracemalloc.start()
-        try:
-            call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < out_bytes + _BAND_BYTES + (1 << 20), (name, peak)
+    for workers in (1, 2):
+        monkeypatch.setattr(layers, "_WORKERS", workers)
+        for name, (call, out_bytes, second) in calls.items():
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            bound = out_bytes + _BAND_BYTES + (workers - 1) * second + (1 << 20)
+            assert peak < bound, (name, workers, peak)
+
+
+def _all_kernels(x, w, g, stride, pad_f, pad_t):
+    """Every conv kernel's results at a map ``x``, a kernel ``w`` and an
+    output gradient ``g``, as a flat list of arrays."""
+    from neurobeam.layers import (
+        conv2d_input_adjoint, conv2d_kernel_adjoint, conv2d_raw, conv2d_transpose_adjoints,
+    )
+
+    return [
+        conv2d_raw(x, w, stride, pad_f, pad_t),
+        conv2d_input_adjoint(g, w, stride, pad_f, pad_t, x.shape[2:]),
+        conv2d_kernel_adjoint(x, g, stride, pad_f, pad_t, w.shape),
+        # The transposed conv of g (output size of x) at output gradient x.
+        *conv2d_transpose_adjoints(x, g, w, stride, pad_f, pad_t),
+    ]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch, band_rows, bands", [(1, 10, 1), (1, 5, 2), (1, 4, 3), (1, 2, 5),
+                                                     (3, 4, 9)])
+def test_conv_kernels_bit_identical_on_one_and_two_workers(monkeypatch, batch, band_rows,
+                                                           bands, dtype):
+    # Two workers split a call's serial band list (and the input adjoint its
+    # channels, here 3 -> 1 + 2) from four bands on, and keep the serial
+    # arithmetic: every kernel gives the same bits with one worker and two,
+    # at one to three bands (whole), five and nine (cut inside a batch item).
+    from neurobeam import layers
+
+    rng = _rng(80 + 2 * bands + batch)
+    c, o, (kf, kt), stride, pad_f, pad_t = 3, 5, (5, 2), (2, 1), (2, 2), (1, 0)
+    x = rng.standard_normal((batch, c, 20, 7)).astype(dtype)
+    w = rng.standard_normal((o, c, kf, kt)).astype(dtype)
+    g = rng.standard_normal((batch, o, 10, 7)).astype(dtype)
+    row_elems = c * kf * kt * 7
+    monkeypatch.setattr(layers, "_BAND_BYTES", band_rows * row_elems * x.itemsize)
+    assert len(layers._band_jobs(batch, 10, row_elems, dtype)) == bands
+    submitted, submit = [], layers._worker.submit
+    monkeypatch.setattr(layers._worker, "submit", lambda fn: submitted.append(fn) or submit(fn))
+    results = []
+    for workers in (1, 2):
+        monkeypatch.setattr(layers, "_WORKERS", workers)
+        results.append(_all_kernels(x, w, g, stride, pad_f, pad_t))
+    assert len(submitted) == (4 if bands >= layers._SPLIT_BANDS else 0)
+    for one, two in zip(*results):
+        assert one.dtype == two.dtype == dtype
+        assert one.shape == two.shape and one.tobytes() == two.tobytes()
+
+
+def _send_conv(conn, x, w):
+    from neurobeam.layers import conv2d_raw
+
+    conn.send(conv2d_raw(x, w, (2, 1), (2, 2), (1, 0)).tobytes())
+    conn.close()
+
+
+def test_forked_child_gets_a_worker_of_its_own(tmp_path, monkeypatch):
+    # After a kernel call has started the worker thread, a forked child
+    # (which has no such thread) still runs a split kernel call to the
+    # parent's bits, and forked synthesis workers write the serial records.
+    import multiprocessing
+
+    from neurobeam import layers
+    from neurobeam.config import config_from_dict
+    from neurobeam.layers import conv2d_raw
+    from neurobeam.roomsim import generate_dataset
+
+    from conftest import toy_config_dict
+
+    rng = _rng(95)
+    x = rng.standard_normal((1, 3, 64, 40))
+    w = rng.standard_normal((5, 3, 5, 2))
+    monkeypatch.setattr(layers, "_WORKERS", 2)
+    monkeypatch.setattr(layers, "_BAND_BYTES", 4 * 3 * 5 * 2 * 40 * x.itemsize)  # 8 bands
+    want = conv2d_raw(x, w, (2, 1), (2, 2), (1, 0)).tobytes()
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_conv, args=(send, x, w))
+    child.start()
+    try:
+        assert recv.poll(60), "the forked child's kernel call did not finish"
+        assert recv.recv() == want
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+
+    cfg = config_from_dict(toy_config_dict()).dataset_config()
+    generate_dataset(cfg, 2, tmp_path / "serial", threads=1)
+    generate_dataset(cfg, 2, tmp_path / "forked", threads=2)
+    names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+    assert len(names) == 5
+    for name in names:
+        assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "forked" / name).read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,35 @@ def test_train_deterministic_across_runs(tmp_path, toy_dataset):
     assert _strip_wall(tmp_path / "a" / LOG_NAME) == _strip_wall(tmp_path / "b" / LOG_NAME)
 
 
+@pytest.mark.parametrize("mode", ["nlm", "splm"])
+def test_train_checkpoint_bit_identical_on_one_and_two_workers(tmp_path, toy_dataset,
+                                                               monkeypatch, mode):
+    # The conv kernels split their band loop across the caller and a worker
+    # thread and keep the serial arithmetic, so a 2-step run writes the same
+    # checkpoint bytes with one worker and two. A 1 MiB band budget gives
+    # this 1 s run's calls enough bands to split, so the worker does run.
+    import hashlib
+
+    from neurobeam import layers
+
+    data = toy_config_dict(steps=2)
+    data["localization"] = {"mode": mode}
+    cfg = config_from_dict(data)
+    monkeypatch.setattr(layers, "_BAND_BYTES", 1 << 20)
+    submitted, submit = [], layers._worker.submit
+    monkeypatch.setattr(layers._worker, "submit", lambda fn: submitted.append(fn) or submit(fn))
+    digests, logs = [], []
+    for workers in (1, 2):
+        monkeypatch.setattr(layers, "_WORKERS", workers)
+        train(cfg, toy_dataset["manifest"], tmp_path / str(workers))
+        digests.append(hashlib.sha256((tmp_path / str(workers) / CHECKPOINT_NAME).read_bytes())
+                       .hexdigest())
+        logs.append(_strip_wall(tmp_path / str(workers) / LOG_NAME))
+        assert bool(submitted) == (workers == 2)
+    assert digests[0] == digests[1]
+    assert logs[0] == logs[1]
+
+
 def test_resume_reproduces_trajectory(tmp_path, toy_dataset):
     full_cfg = config_from_dict(toy_config_dict(steps=4, checkpoint_every=2))
     train(full_cfg, toy_dataset["manifest"], tmp_path / "full")
