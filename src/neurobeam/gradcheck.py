@@ -67,28 +67,3 @@ def check_gradients(build, arrays, step=1e-5):
         worst = max(worst, float(np.abs(ga - gn).max() / scale))
     return worst
 
-
-def check_model_gradients(params, loss_fn, rng, samples_per_tensor=3, step=1e-5):
-    """Sampled finite-difference check of a parameterized scalar graph.
-
-    ``params`` is a name -> Tensor mapping (float64); ``loss_fn()`` builds
-    the scalar loss from the parameters' current values. A few entries of
-    every tensor are perturbed in place. Returns
-    ``max|analytic - numerical| / (max|numerical| + tiny)`` over all
-    sampled entries, a gradient-scale relative error.
-    """
-    for p in params.values():
-        p.zero_grad()
-    loss = loss_fn()
-    ad.backward(loss)
-    pairs = []
-    for name, p in params.items():
-        flat = p.data.reshape(-1)
-        gflat = (p.grad if p.grad is not None else np.zeros_like(p.data)).reshape(-1)
-        count = min(samples_per_tensor, flat.size)
-        idx = rng.choice(flat.size, size=count, replace=False)
-        for i in idx:
-            pairs.append((gflat[i], _central_difference(lambda: loss_fn().item(), flat, i, step)))
-    analytic = np.array([a for a, _ in pairs])
-    numerical = np.array([n for _, n in pairs])
-    return float(np.abs(analytic - numerical).max() / (np.abs(numerical).max() + 1e-12))

@@ -85,18 +85,30 @@ _BAND_BYTES = 4 << 20
 # audio every call has 4-33 bands, and each ran 10-35% faster split; at 1 s
 # the calls have 1 or 2 bands, and the four 2-band shapes ran 15-85% slower.
 _SPLIT_BANDS = 4
-_WORKERS = min(2, len(os.sched_getaffinity(0)))
+
+
+def _worker_count():
+    """1 or 2: the cores this process may run on (all of the machine's where
+    the OS does not say, as on macOS), at most two."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(2, len(os.sched_getaffinity(0)))
+    return min(2, os.cpu_count() or 1)
+
+
+_WORKERS = _worker_count()
 
 
 # The pool starts its thread on first use; a forked child makes a pool of
-# its own, since the parent's thread does not exist there.
+# its own, since the parent's thread does not exist there (where processes
+# fork: Windows has no fork).
 def _new_worker():
     global _worker
     _worker = ThreadPoolExecutor(1, thread_name_prefix="neurobeam-conv")
 
 
 _new_worker()
-os.register_at_fork(after_in_child=_new_worker)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_worker)
 
 
 def _run_halves(calls):

@@ -1,9 +1,9 @@
 """Training objectives: scale-invariant SNR on waveforms and binary
-cross-entropy on zone maps, plus the autodiff ops (overlap-add inverse
-STFT, filter-and-sum, steered zone map) that connect the filter tensor
-to those objectives. Each op's forward is the inference code itself
-(``dsp.synthesize``, ``beamloc.beamform``, ``beamloc.splm_map``); the op
-adds only the analytic adjoint. Complex operands follow the part-axis
+cross-entropy on zone maps, plus the autodiff ops (SI-SNR loss, overlap-add
+inverse STFT, filter-and-sum, steered zone map) that connect the filter
+tensor to those objectives. Each op's forward is the inference code itself
+(``si_snr``, ``dsp.synthesize``, ``beamloc.beamform``, ``beamloc.splm_map``);
+the op adds only the analytic adjoint. Complex operands follow the part-axis
 layout of ``layers``: the filters are [2 x M x F x T] (re, im) and the
 beamformed spectrum [2 x T x F].
 
@@ -38,15 +38,11 @@ _RATIO_FLOOR = 1e-12
 _LOG_FACTOR = {"standard": 10.0, "printed": 20.0}
 
 
-def si_snr(estimate, reference, convention="standard"):
-    """Scale-invariant SNR in dB, clamped to +/-60.
-
-    Project the estimate onto the reference, compare target and error
-    energies. Inputs are 1-d arrays (or 1-channel waveforms) of equal
-    length; the reference must not be silent.
-    """
-    est = estimate.samples[0] if hasattr(estimate, "samples") else np.asarray(estimate)
-    ref = reference.samples[0] if hasattr(reference, "samples") else np.asarray(reference)
+def _si_snr(est, ref, convention):
+    """``si_snr`` of 1-d arrays, and a function returning its gradient in
+    ``est``: c (2t/T - 2(err_perp + floor t)/E), c the log factor over ln 10,
+    t the target, T and E the target and floored error energies, err_perp the
+    error less its part along the reference; 0 where the raw dB lies beyond +/-60 or T = 0."""
     if est.shape != ref.shape:
         raise ValueError(f"length mismatch: estimate {est.shape} vs reference {ref.shape}")
     ref_energy = float(np.dot(ref, ref))
@@ -56,35 +52,40 @@ def si_snr(estimate, reference, convention="standard"):
     target_energy = np.dot(target, target)
     err = est - target
     err_energy = np.dot(err, err) + _RATIO_FLOOR * target_energy
-    if target_energy == 0.0:
-        return -SI_SNR_CLAMP_DB
-    value = _LOG_FACTOR[convention] * np.log10(target_energy / err_energy)
-    return float(np.clip(value, -SI_SNR_CLAMP_DB, SI_SNR_CLAMP_DB))
+    db = -np.inf
+    if target_energy:
+        db = _LOG_FACTOR[convention] * np.log10(target_energy / err_energy)
+
+    def gradient():
+        if not -SI_SNR_CLAMP_DB <= db <= SI_SNR_CLAMP_DB:
+            return np.zeros(est.shape)
+        err_perp = err - ref * (np.dot(ref, err) / ref_energy)
+        scale = 2.0 * _LOG_FACTOR[convention] / np.log(10.0)
+        return scale * (target / target_energy - (err_perp + _RATIO_FLOOR * target) / err_energy)
+
+    return float(np.clip(db, -SI_SNR_CLAMP_DB, SI_SNR_CLAMP_DB)), gradient
 
 
-def si_snr_tensor(estimate, reference, convention="standard"):
-    """Differentiable SI-SNR (dB) of an estimate tensor vs a fixed reference."""
-    ref = ad.constant(np.asarray(reference, dtype=estimate.dtype))
-    ref_energy = float(np.dot(ref.data, ref.data))
-    if ref_energy == 0.0:
-        raise ValueError("reference signal is silent")
-    scale = ad.reduce_sum(estimate * ref) * (1.0 / ref_energy)
-    target = ad.reshape(scale, (1,)) * ref
-    target_energy = ad.reduce_sum(target * target)
-    err = estimate - target
-    err_energy = ad.reduce_sum(err * err) + target_energy * _RATIO_FLOOR
-    ratio = target_energy / err_energy
-    db = ad.log(ratio) * (_LOG_FACTOR[convention] / np.log(10.0))
-    return ad.clip(db, -SI_SNR_CLAMP_DB, SI_SNR_CLAMP_DB)
+def si_snr(estimate, reference, convention="standard"):
+    """Scale-invariant SNR in dB, clamped to +/-60.
+
+    Project the estimate onto the reference, compare target and error
+    energies. Inputs are 1-d arrays (or 1-channel waveforms) of equal
+    length; the reference must not be silent.
+    """
+    est = estimate.samples[0] if hasattr(estimate, "samples") else np.asarray(estimate)
+    ref = reference.samples[0] if hasattr(reference, "samples") else np.asarray(reference)
+    return _si_snr(est, ref, convention)[0]
 
 
-def si_snr_loss(estimates, references, convention="standard"):
-    """Mean negative SI-SNR over a batch of (tensor, array) pairs."""
-    terms = [ad.neg(si_snr_tensor(e, r, convention)) for e, r in zip(estimates, references)]
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total * (1.0 / len(terms))
+def si_snr_loss(estimate, reference, convention="standard"):
+    """-``si_snr`` of an estimate tensor against a fixed reference array, as one op."""
+    value, gradient = _si_snr(estimate.data, np.asarray(reference), convention)
+
+    def backward_fn(g):
+        estimate.accumulate(-g * gradient(), owned=True)
+
+    return Tensor(np.asarray(-value), (estimate,), backward_fn)
 
 
 def bce_loss(truth, predicted):
@@ -106,7 +107,6 @@ class LossBreakdown:
     loss_sisnr: float
     loss_bce: float
     total: float
-    gamma: float = 1.0
 
 
 def total_loss(bce, sisnr_loss, gamma=1.0):

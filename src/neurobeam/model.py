@@ -178,9 +178,6 @@ class MimoDccrn:
     def buffers(self):
         return _named("buffers", self._parts())
 
-    def num_parameters(self):
-        return sum(int(np.prod(p.shape)) for p in self.params().values())
-
     # -- forward paths -------------------------------------------------------
     def forward(self, x, training=False):
         """Packed input [1 x 2M x F' x T] -> filter image [1 x 2M x F' x T]."""

@@ -22,7 +22,7 @@ from .layers import (
     conv2d_raw,
 )
 from .losses import (
-    bce_loss, filter_and_sum_tensor, si_snr_tensor, splm_map_tensor, synthesize_waveform,
+    bce_loss, filter_and_sum_tensor, si_snr_loss, splm_map_tensor, synthesize_waveform,
 )
 from .metrics import loc_metrics
 
@@ -124,8 +124,7 @@ def gradient_cases(seed=0):
     ref = rng.standard_normal(8 + 3 * 2)
 
     def sisnr_build(spec):
-        wave = synthesize_waveform(spec, tiny_cfg)
-        return ad.neg(si_snr_tensor(wave, ref))
+        return si_snr_loss(synthesize_waveform(spec, tiny_cfg), ref)
 
     cases.append((
         "si_snr_loss",
@@ -142,7 +141,7 @@ def gradient_cases(seed=0):
 
     def total_build(spec, logits):
         wave = synthesize_waveform(spec, tiny_cfg)
-        return bce_loss(z, ad.sigmoid(logits)) + 1.0 * ad.neg(si_snr_tensor(wave, ref))
+        return bce_loss(z, ad.sigmoid(logits)) + 1.0 * si_snr_loss(wave, ref)
 
     cases.append(("total_loss", total_build, [r(2, 4, 5), r(4, 3)]))
 
@@ -160,6 +159,8 @@ def gradient_cases(seed=0):
         lambda w: ad.reduce_sum(splm_map_tensor(w, steering) * weight),
         [r(2, 3, 5, 4)],
     ))
+    # A low-SNR estimate: its SI-SNR reads about -12 dB.
+    cases.append(("si_snr_loss_low_snr", lambda e: si_snr_loss(e, ref), [0.05 * ref + r(ref.size)]))
     return cases
 
 
@@ -224,6 +225,11 @@ def _check_metrics():
     results.append(
         ("bce_closed_form", abs(val - np.log(2.0)) < 1e-12, f"|bce-ln2| {abs(val - np.log(2.0)):.2e}")
     )
+    # e = s reads 120 dB before the clamp, so the loss has no gradient there.
+    est = ad.Tensor(rng.standard_normal(16))
+    ad.backward(si_snr_loss(est, est.data.copy()))
+    peak = np.abs(est.grad).max()
+    results.append(("si_snr_clamp_zero_gradient", peak == 0.0, f"max |grad| {peak:.2e}"))
     zones = zone_of_angle(np.array([0.0, 180.0]), 12)
     results.append(("zone_boundaries", zones[0] == 1 and zones[1] == 7, f"{zones}"))
     return results

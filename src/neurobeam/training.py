@@ -85,14 +85,14 @@ def geometry_from_meta(meta):
 
 
 @contextmanager
-def _naming(path):
-    """Re-raise a ``ConfigError`` or ``ValueError`` about the checkpoint at
-    ``path`` with the path in its message."""
+def _naming(subject):
+    """Re-raise a ``ConfigError`` or ``ValueError`` raised in the block with
+    ``subject`` (the checkpoint or record it is about) in its message."""
     try:
         yield
     except ValueError as exc:
         kind = ConfigError if isinstance(exc, ConfigError) else ValueError
-        raise kind(f"checkpoint {path}: {exc}") from exc
+        raise kind(f"{subject}: {exc}") from exc
 
 
 def restore_checkpoint(path):
@@ -103,7 +103,7 @@ def restore_checkpoint(path):
     training rule in the meta's ``dtype`` and loaded (a ``ValueError``
     names an array the model does not fit); either names the file."""
     arrays, meta = load_checkpoint(path)
-    with _naming(path):
+    with _naming(f"checkpoint {path}"):
         run = RunConfig.from_meta(meta)
         model = MimoDccrn.for_run(run, dtype=meta_dtype(meta))
         model.load_arrays(arrays)
@@ -132,7 +132,7 @@ def training_step(model, adam, cfg, entry, base_dir, steering=None):
     enhanced = filter_and_sum_tensor(weights, spec.data)
     estimate = synthesize_waveform(enhanced, stft_cfg)
     reference = target.samples[trn.reference_mic][: estimate.shape[0]]
-    loss_sisnr = si_snr_loss([estimate], [reference], trn.sisnr_convention)
+    loss_sisnr = si_snr_loss(estimate, reference, trn.sisnr_convention)
 
     track = azimuth_track_from_entry(entry, stft_cfg)
     truth = ground_truth_map(track, cfg.localization.zones)
@@ -148,7 +148,6 @@ def training_step(model, adam, cfg, entry, base_dir, steering=None):
         loss_sisnr=float(loss_sisnr.item()),
         loss_bce=float(loss_bce.item()),
         total=float(loss.item()),
-        gamma=trn.gamma,
     )
     if not np.isfinite(breakdown.total):
         return breakdown, "non-finite loss"
@@ -214,7 +213,7 @@ def train(cfg, manifest_path, out_dir, resume=None):
     )
     if resume is not None:
         arrays, meta = load_checkpoint(resume)
-        with _naming(resume):
+        with _naming(f"checkpoint {resume}"):
             _resume(arrays, meta, cfg, model, adam)
     start = adam.step_count
 
@@ -283,26 +282,31 @@ def evaluate_records(
 
     The enhanced and the unprocessed signal are both scored against the
     target image at ``reference_mic``; with ``sample_rate`` given, a WAV
-    at another rate is rejected.
+    at another rate is rejected. A ``ValueError`` names its record.
     """
     rows = []
     for entry in entries:
-        noisy = read_wav(Path(base_dir) / entry["noisy_path"], sample_rate)
-        target = read_wav(Path(base_dir) / entry["target_path"], sample_rate)
-        enhanced, loc = enhance_utterance(
-            noisy, model, mode, zones, geometry, stft_cfg, vad_threshold
-        )
-        n = enhanced.num_samples
-        sl = interior_slice(stft_cfg, n)
-        ref = target.samples[reference_mic][:n][sl]
-        est = enhanced.samples[0][sl]
-        unprocessed = noisy.samples[reference_mic][:n][sl]
-        si_noisy = si_snr(unprocessed, ref, convention)
-        si_enh = si_snr(est, ref, convention)
+        with _naming(f"record {entry['id']}"):
+            noisy = read_wav(Path(base_dir) / entry["noisy_path"], sample_rate)
+            target = read_wav(Path(base_dir) / entry["target_path"], sample_rate)
+            enhanced, loc = enhance_utterance(
+                noisy, model, mode, zones, geometry, stft_cfg, vad_threshold
+            )
+            n = enhanced.num_samples
+            if n <= 2 * stft_cfg.window_length:
+                raise ValueError(
+                    f"{n} enhanced samples leave no scored interior; scoring needs more "
+                    f"than {2 * stft_cfg.window_length} (one analysis window per edge)")
+            sl = interior_slice(stft_cfg, n)
+            ref = target.samples[reference_mic][:n][sl]
+            est = enhanced.samples[0][sl]
+            unprocessed = noisy.samples[reference_mic][:n][sl]
+            si_noisy = si_snr(unprocessed, ref, convention)
+            si_enh = si_snr(est, ref, convention)
 
-        track = azimuth_track_from_entry(entry, stft_cfg)
-        truth = localize(ground_truth_map(track, zones))  # zone 1 where inactive
-        metrics = loc_metrics(loc.zone_track, truth, ~np.isnan(track), zones)
+            track = azimuth_track_from_entry(entry, stft_cfg)
+            truth = localize(ground_truth_map(track, zones))  # zone 1 where inactive
+            metrics = loc_metrics(loc.zone_track, truth, ~np.isnan(track), zones)
         rows.append(
             {
                 "id": entry["id"],

@@ -1,3 +1,11 @@
+import os
+
+# The tests run the CLI's arithmetic: BLAS keeps one thread per caller, set
+# before numpy loads (OpenBLAS's thread count changes GEMM bits); a value
+# already set wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 
@@ -39,7 +47,7 @@ def nan_loss_at_step_1(monkeypatch):
         calls.append(args)
         if len(calls) == 2:
             nan = float("nan")
-            return LossBreakdown(nan, nan, nan, nan, 1.0), "non-finite loss"
+            return LossBreakdown(nan, nan, nan, nan), "non-finite loss"
         return real_step(*args, **kwargs)
 
     monkeypatch.setattr(training, "training_step", step)

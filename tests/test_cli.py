@@ -219,6 +219,41 @@ def test_train_and_eval_cli(trained, tmp_path, capsys):
     assert "si_snri_db" in lines[4]
 
 
+def test_eval_names_a_record_too_short_to_score(tmp_path, capsys):
+    # 0.04 s records give 600 enhanced samples, and the scored interior trims
+    # one 400-sample window per edge; eval used to say only that the
+    # reference signal is silent.
+    data = toy_config_dict(steps=0)
+    data["dataset"].update(duration_s=0.04, speech_len_s=0.02)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(data))
+    manifest = tmp_path / "data" / "manifest.jsonl"
+    assert main(["synth", str(cfg_path), "--count", "1", "--out", str(tmp_path / "data")]) == 0
+    assert main(["train", str(cfg_path), "--manifest", str(manifest),
+                 "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    rc = main(["eval", str(tmp_path / "run" / "checkpoint_last.nbcp"), str(manifest),
+               "--out", str(tmp_path / "report.csv")])
+    assert rc == 1
+    assert ("record 0: 600 enhanced samples leave no scored interior; scoring needs more "
+            "than 800") in capsys.readouterr().err
+
+
+def test_eval_names_a_record_with_a_silent_target(trained, tmp_path, capsys):
+    import shutil
+
+    from neurobeam.dsp import read_wav
+
+    data = tmp_path / "data"
+    shutil.copytree(trained["manifest"].parent, data)
+    target = data / "mix_00000_target.wav"
+    write_wav(target, Waveform(np.zeros_like(read_wav(target).samples)))
+    rc = main(["eval", str(trained["checkpoint"]), str(data / "manifest.jsonl"),
+               "--out", str(tmp_path / "report.csv")])
+    assert rc == 1
+    assert "record 0: reference signal is silent" in capsys.readouterr().err
+
+
 def test_enhance_cli_outputs(trained, tmp_path):
     out_wav = tmp_path / "enh.wav"
     rc = main(["enhance", str(trained["checkpoint"]), str(trained["noisy"]),

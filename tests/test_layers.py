@@ -493,6 +493,24 @@ def test_forked_child_gets_a_worker_of_its_own(tmp_path, monkeypatch):
         assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "forked" / name).read_bytes()
 
 
+@pytest.mark.parametrize("affinity, cpus, want", [
+    ({0}, 8, 1), ({0, 1, 2}, 1, 2), (None, 1, 1), (None, None, 1), (None, 8, 2),
+])
+def test_worker_count_falls_back_where_the_os_has_no_affinity(monkeypatch, affinity, cpus,
+                                                               want):
+    # macOS has no os.sched_getaffinity; the count then reads os.cpu_count(),
+    # which may be None. Either way it asks for at most two workers.
+    from types import SimpleNamespace
+
+    from neurobeam import layers
+
+    fake = SimpleNamespace(cpu_count=lambda: cpus)
+    if affinity is not None:
+        fake.sched_getaffinity = lambda pid: affinity
+    monkeypatch.setattr(layers, "os", fake)
+    assert layers._worker_count() == want
+
+
 # ---------------------------------------------------------------------------
 # the fused conv block (conv -> batch norm -> PReLU) / prelu / magnitude
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from neurobeam.losses import (
     filter_and_sum_tensor,
     si_snr,
     si_snr_loss,
-    si_snr_tensor,
     splm_map_tensor,
     synthesize_waveform,
     total_loss,
@@ -59,36 +58,50 @@ def test_si_snr_silent_reference_raises(rng):
         si_snr(rng.standard_normal(10), np.zeros(10))
 
 
-def test_si_snr_tensor_matches_numpy(rng):
+def test_si_snr_loss_is_negative_si_snr(rng):
+    # One computation scores and trains, so float64 values agree exactly.
     for _ in range(5):
         s = rng.standard_normal(128)
         est = s + 0.7 * rng.standard_normal(128)
-        t = si_snr_tensor(Tensor(est.copy()), s)
-        assert t.item() == pytest.approx(si_snr(est, s), rel=1e-9)
+        assert si_snr_loss(Tensor(est.copy()), s).item() == -si_snr(est, s)
 
 
-def test_si_snr_loss_batch_mean(rng):
+def test_si_snr_loss_single_estimate(rng):
     s = rng.standard_normal(64)
     e1 = s + 0.1 * rng.standard_normal(64)
-    e2 = s + 0.9 * rng.standard_normal(64)
-    single = si_snr_loss([Tensor(e1.copy())], [s]).item()
+    single = si_snr_loss(Tensor(e1.copy()), s).item()
     assert single == pytest.approx(-si_snr(e1, s), rel=1e-9)
-    both = si_snr_loss([Tensor(e1.copy()), Tensor(e2.copy())], [s, s]).item()
-    assert both == pytest.approx(-(si_snr(e1, s) + si_snr(e2, s)) / 2, rel=1e-9)
 
 
 def test_si_snr_loss_perfect_clamps(rng):
     s = rng.standard_normal(64)
-    assert si_snr_loss([Tensor(s.copy())], [s]).item() == -60.0
+    assert si_snr_loss(Tensor(s.copy()), s).item() == -60.0
 
 
 def test_si_snr_gradient(rng):
     s = rng.standard_normal(32)
 
     def build(e):
-        return si_snr_loss([e], [s])
+        return si_snr_loss(e, s)
 
     assert check_gradients(build, [s + 0.4 * rng.standard_normal(32)]) < 1e-4
+    assert check_gradients(build, [0.05 * s + rng.standard_normal(32)]) < 1e-4
+
+
+@pytest.mark.parametrize("case", ["perfect", "orthogonal", "printed_beyond_30db"])
+def test_si_snr_loss_gradient_is_zero_where_clamped(rng, case):
+    # Before the clamp, e = s reads 120 dB, an estimate orthogonal to s far
+    # below -60 dB, and 40 dB (standard) reads 80 dB printed.
+    s = rng.standard_normal(64)
+    noise = rng.standard_normal(64)
+    noise -= s * (noise @ s) / (s @ s)
+    noise *= np.linalg.norm(s) / np.linalg.norm(noise)
+    est = {"perfect": s.copy(), "orthogonal": noise, "printed_beyond_30db": s + 0.01 * noise}[case]
+    convention = "printed" if case.startswith("printed") else "standard"
+    e = Tensor(est.copy())
+    ad.backward(si_snr_loss(e, s, convention))
+    assert abs(si_snr(est, s, convention)) == 60.0
+    assert not e.grad.any()
 
 
 def test_bce_perfect_prediction_near_zero():

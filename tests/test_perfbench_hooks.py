@@ -5,6 +5,12 @@ that every name it hooks exists and that undoing restores the originals."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from neurobeam import autodiff as ad
+from neurobeam import training
+from neurobeam.config import config_from_dict
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -29,3 +35,30 @@ def test_tracing_hooks_exist_and_undo():
     for owner, attr, old in hooked:
         assert callable(old)
         assert getattr(owner, attr) is old
+
+
+def test_instrumented_model_spans_every_block():
+    # The tracer instruments each model ``training.build_model`` returns,
+    # reading its blocks and ``infer_weights`` by name: a renamed or deleted
+    # one would break every traced train run.
+    tracing = _load_tracing()
+    tracer, patches = tracing.Tracer(), tracing.Patches()
+    cfg = config_from_dict({"model": {"scale": 16}, "localization": {"mode": "nlm"}})
+    rng = np.random.default_rng(0)
+    spec = rng.standard_normal((cfg.array.mics, 3, cfg.stft.num_bins)) + 0j
+    original = training.build_model
+    try:
+        tracing.install(tracer, patches)
+        model = training.build_model(cfg)
+        model.infer_weights(spec)
+        with ad.no_grad():
+            model.localize(model.forward_weights(spec))
+    finally:
+        patches.undo()
+    assert training.build_model is original
+    blocks = [f"model.enc{i}" for i in range(len(model.encoder))]
+    blocks += [f"model.dec{i}" for i in range(len(model.decoder))]
+    spanned = {name for name, *_ in tracer.spans}
+    assert {"training.build_model", "model.infer_weights", "model.lstm", "model.restore",
+            "model.nlm", *blocks} <= spanned
+    assert set(blocks) <= set(tracing.SPAN_NAMES)

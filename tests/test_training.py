@@ -231,7 +231,7 @@ def test_gamma_zero_is_pure_bce_and_head_reachability(toy_dataset):
         enh = filter_and_sum_tensor(w, spec.data)
         est = synthesize_waveform(enh, stft_cfg)
         ref = target.samples[0][: est.shape[0]]
-        lsisnr = si_snr_loss([est], [ref])
+        lsisnr = si_snr_loss(est, ref)
         zhat = model.localize(w, training=True)
         truth = np.zeros((w.shape[3], 12))
         truth[:, 2] = 1.0
