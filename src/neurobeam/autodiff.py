@@ -141,9 +141,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(other, self)
 
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -281,14 +278,6 @@ def div(a, b):
     return Tensor(out_data, (a, b), backward_fn)
 
 
-def neg(a):
-    def backward_fn(g):
-        if a.needs_grad:
-            a.accumulate(-g, owned=True)
-
-    return Tensor(-a.data, (a,), backward_fn)
-
-
 def sqrt(a):
     """Elementwise square root; the input must stay strictly positive."""
     out_data = np.sqrt(a.data)
@@ -296,16 +285,6 @@ def sqrt(a):
     def backward_fn(g):
         if a.needs_grad:
             a.accumulate(g / (2.0 * out_data), owned=True)
-
-    return Tensor(out_data, (a,), backward_fn)
-
-
-def log(a):
-    out_data = np.log(a.data)
-
-    def backward_fn(g):
-        if a.needs_grad:
-            a.accumulate(g / a.data, owned=True)
 
     return Tensor(out_data, (a,), backward_fn)
 
@@ -321,18 +300,6 @@ def sigmoid(a):
     def backward_fn(g):
         if a.needs_grad:
             a.accumulate(g * out_data * (1.0 - out_data), owned=True)
-
-    return Tensor(out_data, (a,), backward_fn)
-
-
-def clip(a, lo, hi):
-    """Clamp to [lo, hi]; gradient is zero outside the interval."""
-    out_data = np.clip(a.data, lo, hi)
-    inside = (a.data >= lo) & (a.data <= hi)
-
-    def backward_fn(g):
-        if a.needs_grad:
-            a.accumulate(g * inside, owned=True)
 
     return Tensor(out_data, (a,), backward_fn)
 

@@ -124,11 +124,6 @@ def enhance_utterance(
     form [M x T x F] feeds filter-and-sum and, in ``splm`` mode, the zone
     map.
     """
-    if noisy.channels != model.mics:
-        raise ValueError(
-            f"waveform has {noisy.channels} channels but the model expects "
-            f"{model.mics}"
-        )
     if mode not in ("splm", "nlm"):
         raise ValueError(f"unknown localization mode '{mode}' (expected splm or nlm)")
     with ad.no_grad():

@@ -35,9 +35,8 @@ count, because the split keeps the serial arithmetic: every half keeps the
 serial band partition, since a GEMM's bits depend on its column count, and
 the kernel gradient adds the bands' products in serial band order. The
 calling thread makes every buffer, and only it calls the public kernels.
-The LSTM is one op that runs K weight sets over S sequences in a single
-time loop; the complex LSTM is one such call (K = S = 2) and the complex
-product rule.
+The complex LSTM is one op, ``lstm``: both real LSTMs over both parts in a
+single time loop, combined by the complex product rule inside the op.
 """
 
 from __future__ import annotations
@@ -474,17 +473,16 @@ def block_kernel(w):
 
 
 # ---------------------------------------------------------------------------
-# Fused LSTM (single op with hand-written backprop-through-time)
+# Complex LSTM (single op with hand-written backprop-through-time)
 # ---------------------------------------------------------------------------
 
 def lstm(x, wx, wh, b):
-    """K unidirectional LSTMs over S sequences in one time loop, zero
-    initial state.
-
-    ``x`` is [S x T x D]; ``wx`` [K x 4H x D], ``wh`` [K x 4H x H] and
-    ``b`` [K x 4H] hold K weight sets. Returns [K x S x T x H]: entry
-    (k, s) is the hidden-state sequence of weight set k run over sequence
-    s.
+    """DCCRN's complex LSTM, zero initial state: two real LSTMs (weight
+    sets r, i), each run over both parts of ``x`` [2 x T x D] = [x_re; x_im]
+    in one time loop, combined by the complex product rule
+    out_re = L_r(x_re) - L_i(x_im), out_im = L_r(x_im) + L_i(x_re), as one
+    op: the stacked [out_re, out_im] [T x 2H]. ``wx`` [2 x 4H x D], ``wh``
+    [2 x 4H x H] and ``b`` [2 x 4H] hold the sets (r, i).
 
     Gate packing along the 4H axis is (input, forget, cell, output). Each
     frame takes one tanh of all 4H pre-activations: a sigmoid gate is
@@ -509,7 +507,7 @@ def lstm(x, wx, wh, b):
     wh_q = (whd * q[:, np.newaxis]).transpose(0, 2, 1)  # [K x H x 4H]
     cs = np.empty((t_len, k_n, s_n, hidden), dtype=dtype)
     tcs = np.empty_like(cs)
-    hs = np.empty_like(cs)
+    hs = np.empty_like(cs)  # hs[t, k, s]: set k over part s
     h = np.zeros((k_n, s_n, hidden), dtype=dtype)
     ig = np.empty_like(h)
     rec = np.empty((k_n, s_n, four_h), dtype=dtype)
@@ -527,9 +525,19 @@ def lstm(x, wx, wh, b):
         c += ig
         np.tanh(c, out=tcs[t])
         np.multiply(go, tcs[t], out=h)
+    out = np.empty((t_len, 2 * hidden), dtype=dtype)
+    np.subtract(hs[:, 0, 0], hs[:, 1, 1], out=out[:, :hidden])
+    np.add(hs[:, 0, 1], hs[:, 1, 0], out=out[:, hidden:])
 
     def backward_fn(g):
-        gh = g.transpose(2, 0, 1, 3)
+        # The product rule's adjoint, summed into zeros so that every zero
+        # is +0 (0 - g_re, not -g_re).
+        gh = np.zeros_like(cs)
+        g_re, g_im = g[:, :hidden], g[:, hidden:]
+        gh[:, 0, 0] += g_re
+        gh[:, 1, 1] -= g_re
+        gh[:, 0, 1] += g_im
+        gh[:, 1, 0] += g_im
         gi, gf, gg, go = (gates[..., n * hidden : (n + 1) * hidden] for n in range(4))
         c_prev = np.concatenate([np.zeros_like(cs[:1]), cs[:-1]])
         h_prev = np.concatenate([np.zeros_like(hs[:1]), hs[:-1]])
@@ -572,7 +580,7 @@ def lstm(x, wx, wh, b):
         if b.needs_grad:
             b.accumulate(da_k.sum(axis=1), owned=True)
 
-    return Tensor(hs.transpose(1, 2, 0, 3), (x, wx, wh, b), backward_fn)
+    return Tensor(out, (x, wx, wh, b), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -667,11 +675,10 @@ class ComplexLinear:
 
 
 class ComplexLSTM:
-    """Two real LSTMs (weight sets r, i) combined by the complex product
-    rule: out_re = L_r(x_re) - L_i(x_im), out_im = L_r(x_im) + L_i(x_re),
-    as one ``lstm`` op over both weight sets and both parts: [x_re; x_im]
-    [2 x T x D] -> stacked [out_re, out_im] [T x 2H]. ``wx`` [2 x 4H x D],
-    ``wh`` [2 x 4H x H] and ``b`` [2 x 4H] hold the sets (r, i).
+    """The complex LSTM bottleneck: one ``lstm`` op over [x_re; x_im]
+    [2 x T x D] -> stacked [out_re, out_im] [T x 2H], with ``wx``
+    [2 x 4H x D], ``wh`` [2 x 4H x H] and ``b`` [2 x 4H] holding the real
+    LSTMs' weight sets (r, i).
     """
 
     def __init__(self, input_size, hidden, rng, dtype):
@@ -687,17 +694,4 @@ class ComplexLSTM:
         return {"wx": self.wx, "wh": self.wh, "b": self.b}
 
     def __call__(self, x):
-        return complex_lstm(x, self.wx, self.wh, self.b)
-
-
-def complex_lstm(x, wx, wh, b):
-    """The complex LSTM of ``ComplexLSTM`` with the stacked weight sets
-    ``wx``, ``wh`` and ``b``: [2 x T x D] -> [T x 2H]."""
-    out = lstm(x, wx, wh, b)
-    # out[k, s] is weight set k (r, i) over part s (re, im), a view.
-    t_len, hidden = out.shape[2:]
-
-    def run(k, s):
-        return ad.reshape(ad.narrow(ad.narrow(out, 0, k, 1), 1, s, 1), (t_len, hidden))
-
-    return ad.concat([run(0, 0) - run(1, 1), run(0, 1) + run(1, 0)], axis=1)
+        return lstm(x, self.wx, self.wh, self.b)

@@ -1,9 +1,9 @@
 """Training objectives: scale-invariant SNR on waveforms and binary
-cross-entropy on zone maps, plus the autodiff ops (SI-SNR loss, overlap-add
+cross-entropy on zone maps, each one autodiff op, plus the ops (overlap-add
 inverse STFT, filter-and-sum, steered zone map) that connect the filter
-tensor to those objectives. Each op's forward is the inference code itself
-(``si_snr``, ``dsp.synthesize``, ``beamloc.beamform``, ``beamloc.splm_map``);
-the op adds only the analytic adjoint. Complex operands follow the part-axis
+tensor to them. Each op's forward is the inference code itself (``si_snr``,
+``dsp.synthesize``, ``beamloc.beamform``, ``beamloc.splm_map``) or, for BCE,
+the loss's own arithmetic; the op adds only the analytic adjoint. Complex operands follow the part-axis
 layout of ``layers``: the filters are [2 x M x F x T] (re, im) and the
 beamformed spectrum [2 x T x F].
 
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
 from .beamloc import beamform, splm_bands, splm_map, steered_response
 from .dsp import frame_signal, synthesize, wola_inverse
@@ -89,16 +88,26 @@ def si_snr_loss(estimate, reference, convention="standard"):
 
 
 def bce_loss(truth, predicted):
-    """Binary cross-entropy, natural log, averaged over all T*N entries.
-
-    ``predicted`` is clamped into [eps, 1-eps] before the logs.
-    """
-    z = ad.constant(np.asarray(truth, dtype=predicted.dtype))
+    """Binary cross-entropy, natural log, averaged over all n = T*N entries,
+    as one op. ``predicted`` is clamped into [eps, 1-eps] before the logs;
+    its gradient, -g/n (z/p - (1-z)/(1-p)), is zero where it lies outside.
+    Both the mean's 1/n and the gradient take the prediction's dtype; the
+    loss is float64."""
+    z = np.asarray(truth, dtype=predicted.dtype)
     if z.shape != predicted.shape:
         raise ValueError(f"shape mismatch: truth {z.shape} vs predicted {predicted.shape}")
-    p = ad.clip(predicted, BCE_EPS, 1.0 - BCE_EPS)
-    terms = z * ad.log(p) + (1.0 - z) * ad.log(1.0 - p)
-    return ad.neg(ad.reduce_mean(terms))
+    x = predicted.data
+    p = np.clip(x, BCE_EPS, 1.0 - BCE_EPS)
+    inside = (x >= BCE_EPS) & (x <= 1.0 - BCE_EPS)
+    not_z, not_p = 1.0 - z, 1.0 - p
+    terms = z * np.log(p) + not_z * np.log(not_p)
+    scale = np.asarray(1.0 / terms.size, dtype=x.dtype)
+
+    def backward_fn(g):
+        gt = (-g * scale).astype(x.dtype)
+        predicted.accumulate((gt * z / p - gt * not_z / not_p) * inside, owned=True)
+
+    return Tensor(-(np.float64(terms.sum()) * scale), (predicted,), backward_fn)
 
 
 @dataclass(frozen=True)

@@ -78,13 +78,31 @@ def _named(method, parts):
     }
 
 
+def zone_scores(h, zones):
+    """The NLM head's pooling as one op: the stacked map ``h`` [1 x 4N x F x T]
+    holds a pair of complex channels per zone, and a zone's score is the
+    frequency mean of mag = sqrt(|pair|^2 + MAGNITUDE_EPS): [N x T]. The
+    adjoint sends g/F / (2 mag) back through the four squares, 2h each."""
+    f_bins, t_len = h.shape[2:]
+    parts = h.data.reshape(2, zones, 2, f_bins, t_len)  # (re, im), zone, pair
+    mag = np.sqrt((parts * parts).sum(axis=(0, 2)) + MAGNITUDE_EPS)  # [N x F x T]
+    scale = np.asarray(1.0 / f_bins, dtype=h.dtype)
+
+    def backward_fn(g):
+        grad = ((g * scale)[:, np.newaxis] / (2.0 * mag))[np.newaxis, :, np.newaxis] * parts
+        grad += grad  # d(h*h)/dh = g h + g h
+        h.accumulate(grad.reshape(h.shape), owned=True)
+
+    return Tensor(mag.sum(axis=1) * scale, (h,), backward_fn)
+
+
 class NlmHead:
     """Zone probabilities from the filter tensor via a learned sound field.
 
     Two complex conv blocks (2N, 2N channels) read the filters as an
-    M-channel complex image; the 2N output channels form N complex pairs
-    whose magnitudes are averaged over frequency, and a shared scalar
-    MLP (1 -> NLM_HIDDEN -> 1, sigmoid) maps each zone/frame score
+    M-channel complex image; ``zone_scores`` pools the 2N output channels,
+    one complex pair per zone, into a score per zone and frame, and a
+    shared scalar MLP (1 -> NLM_HIDDEN -> 1, sigmoid) maps each score
     into (0, 1).
     """
 
@@ -108,15 +126,9 @@ class NlmHead:
 
     def __call__(self, w, training):
         """w: stacked filter image [1 x 2M x F x T] -> Tensor [T x N] in (0, 1)."""
-        h = self.block1(w, training)
-        h = self.block2(h, training)
-        n_zones = self.zones
-        _, _, f2, t_len = h.shape
-        squares = ad.reshape(h * h, (2, n_zones, 2, f2, t_len))
-        power = ad.reduce_sum(squares, axis=(0, 2))
-        mag = ad.sqrt(power + MAGNITUDE_EPS)
-        score = ad.reduce_mean(mag, axis=1)  # [N x T]
-        flat = ad.reshape(score, (n_zones * t_len, 1))
+        h = self.block2(self.block1(w, training), training)
+        n_zones, t_len = self.zones, h.shape[3]
+        flat = ad.reshape(zone_scores(h, n_zones), (n_zones * t_len, 1))
         hid = ad.prelu(self.lin1(flat), self.mlp_slope, axis=1)
         out = ad.sigmoid(self.lin2(hid))
         return ad.transpose(ad.reshape(out, (n_zones, t_len)), (1, 0))
@@ -183,11 +195,6 @@ class MimoDccrn:
         """Packed input [1 x 2M x F' x T] -> filter image [1 x 2M x F' x T]."""
         if x.shape[0] != 1:
             raise ValueError("the bottleneck flatten assumes batch size 1")
-        if x.shape[1] != 2 * self.mics or x.shape[2] != self.bins:
-            raise ValueError(
-                f"input shape {x.shape} does not match the model "
-                f"(mics={self.mics}, freq={self.bins})"
-            )
         skips = []
         h = x
         for block in self.encoder:
@@ -210,8 +217,12 @@ class MimoDccrn:
         """Spectrogram array [M x T x F] -> filter tensor [2 x M x F x T].
 
         The filters (re, im) are full-band (DC slot copied from the first
-        modeled bin) and connected to the parameter graph.
+        modeled bin) and connected to the parameter graph. A spectrogram of
+        another channel count than the model's is rejected.
         """
+        if len(spec_data) != self.mics:
+            raise ValueError(
+                f"input has {len(spec_data)} channels but the model expects {self.mics}")
         x = pack_input(spec_data, self.bins, self.dtype)
         out = self.forward(x, training)
         w = ad.reshape(out, (2, self.mics) + out.shape[2:])

@@ -14,17 +14,18 @@ from .gradcheck import check_gradients
 from .layers import (
     _BAND_BYTES,
     block_kernel,
-    complex_lstm,
     conv2d,
     conv_bn_prelu,
     conv2d_input_adjoint,
     conv2d_kernel_adjoint,
     conv2d_raw,
+    lstm,
 )
 from .losses import (
     bce_loss, filter_and_sum_tensor, si_snr_loss, splm_map_tensor, synthesize_waveform,
 )
 from .metrics import loc_metrics
+from .model import zone_scores
 
 GRAD_TOLERANCE = 1e-4
 
@@ -52,10 +53,10 @@ def _conv_block_build(weight, training, running, stride, pad_f, pad_t, out_ft=No
     return build
 
 
-def _complex_lstm_build(x, wx, wh, b):
-    """Squares of a ``complex_lstm`` output; the sequence and the stacked
-    weight sets are the inputs."""
-    y = complex_lstm(x, wx, wh, b)
+def _lstm_build(x, wx, wh, b):
+    """Squares of an ``lstm`` output; the sequence and the stacked weight
+    sets are the inputs."""
+    y = lstm(x, wx, wh, b)
     return ad.reduce_sum(y * y)
 
 
@@ -105,7 +106,7 @@ def gradient_cases(seed=0):
     x_seq = r(2, 3, 4)
     # The r weight set (wx, wh, b) is drawn, then the i set; each is stacked.
     sets = [[0.4 * r(12, 4), 0.4 * r(12, 3), 0.1 * r(12)] for _ in "ri"]
-    cases.append(("complex_lstm", _complex_lstm_build, [x_seq, *map(np.stack, zip(*sets))]))
+    cases.append(("lstm", _lstm_build, [x_seq, *map(np.stack, zip(*sets))]))
     cases.append((
         "linear",
         lambda x, w, b: ad.reduce_sum(
@@ -161,6 +162,12 @@ def gradient_cases(seed=0):
     ))
     # A low-SNR estimate: its SI-SNR reads about -12 dB.
     cases.append(("si_snr_loss_low_snr", lambda e: si_snr_loss(e, ref), [0.05 * ref + r(ref.size)]))
+    scores_weight = ad.constant(r(3, 4))
+    cases.append((
+        "zone_scores",
+        lambda h: ad.reduce_sum(zone_scores(h, 3) * scores_weight),
+        [r(1, 12, 5, 4)],
+    ))
     return cases
 
 

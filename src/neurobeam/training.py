@@ -162,11 +162,21 @@ def training_step(model, adam, cfg, entry, base_dir, steering=None):
 
 def _truncate_log(path, step):
     """Drop the rows of the training log at ``path`` (if any) logged at
-    ``step`` or later: a resumed run logs those steps again."""
+    ``step`` or later: a resumed run logs those steps again. A last line
+    without its newline is a torn write and is dropped too, since the
+    checkpoint, not the log, says where the run stands; a complete line
+    that is not a row is an error naming ``file:line``."""
     if not path.exists():
         return
     with open(path) as fh:
-        rows = [line for line in fh if line.strip() and json.loads(line)["step"] < step]
+        lines = fh.read().split("\n")[:-1]  # drops what follows the last newline
+    rows = []
+    for number, line in enumerate(lines, 1):
+        try:
+            if line.strip() and json.loads(line)["step"] < step:
+                rows.append(line + "\n")
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ValueError(f"{path}:{number}: not a training log row ({exc!r})") from exc
     with open(path, "w") as fh:
         fh.writelines(rows)
 
@@ -234,7 +244,8 @@ def train(cfg, manifest_path, out_dir, resume=None):
         for step in range(start, cfg.training.steps):
             t0 = time.perf_counter()
             entry = entries[step % len(entries)]
-            breakdown, fault = training_step(model, adam, cfg, entry, base_dir, steering)
+            with _naming(f"record {entry['id']}"):
+                breakdown, fault = training_step(model, adam, cfg, entry, base_dir, steering)
             if fault is not None:
                 # Parameters predate the poisoned update; keep them if finite.
                 if all(np.all(np.isfinite(p.data)) for p in model.params().values()):

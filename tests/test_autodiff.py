@@ -100,7 +100,7 @@ def test_first_gradient_is_a_copy_in_the_tensor_dtype():
         ("sub", lambda a, b: ad.reduce_sum((a - b) * (a - b)), [(3, 4), (3, 4)]),
         ("mul_broadcast", lambda a, b: ad.reduce_sum(a * b), [(2, 3, 4), (3, 1)]),
         ("div", lambda a, b: ad.reduce_sum(a / (b * b + 1.0)), [(3, 3), (3, 3)]),
-        ("neg", lambda a: ad.reduce_sum(ad.neg(a) * a), [(5,)]),
+        ("rsub", lambda a: ad.reduce_sum((1.0 - a) * a), [(5,)]),
         ("matmul", lambda a, b: ad.reduce_sum(ad.matmul(a, b)), [(3, 4), (4, 2)]),
         (
             "matmul_batched",
@@ -127,7 +127,7 @@ def test_first_gradient_is_a_copy_in_the_tensor_dtype():
         ),
         ("narrow", lambda a: ad.reduce_sum(ad.narrow(a, 1, 1, 2) * 2.0), [(3, 4)]),
         ("sqrt", lambda a: ad.reduce_sum(ad.sqrt(a * a + 1.0)), [(3, 3)]),
-        ("log", lambda a: ad.reduce_sum(ad.log(a * a + 0.5)), [(4,)]),
+        ("rdiv", lambda a: ad.reduce_sum(1.0 / (a * a + 0.5)), [(4,)]),
         ("sigmoid", lambda a: ad.reduce_sum(ad.sigmoid(a)), [(3, 4)]),
     ],
 )
@@ -141,12 +141,6 @@ def test_sum_axis_gradient_simple(rng):
         return ad.reduce_sum(ad.reduce_sum(a, axis=0) * ad.reduce_sum(a, axis=0))
 
     assert check_gradients(build, [rng.standard_normal((3, 4))]) < TOL
-
-
-def test_clip_gradient_zero_outside():
-    x = Tensor(np.array([-2.0, 0.5, 2.0]))
-    backward(ad.reduce_sum(ad.clip(x, -1.0, 1.0)))
-    assert np.array_equal(x.grad, [0.0, 1.0, 0.0])
 
 
 def test_prelu_gradient(rng):

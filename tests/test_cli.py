@@ -442,6 +442,66 @@ def test_train_resume_cli(trained, tmp_path):
     assert rc == 0
 
 
+def _log_rows(path):
+    """The rows of a training log without their ``wall_ms``."""
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    return [{k: v for k, v in row.items() if k != "wall_ms"} for row in rows]
+
+
+def _run_with_log_tail(trained, tmp_path, tail):
+    """A copy of the 2-step run whose training log ends in ``tail``, and a
+    4-step config to resume it with."""
+    import shutil
+
+    out = tmp_path / "resumed"
+    shutil.copytree(trained["base"] / "run", out)
+    with open(out / "train_log.jsonl", "a") as fh:
+        fh.write(tail)
+    cfg = tmp_path / "c4.json"
+    cfg.write_text(json.dumps(toy_config_dict(steps=4)))
+    return out, cfg
+
+
+def _train(trained, cfg, out, *flags):
+    return main(["train", str(cfg), "--manifest", str(trained["manifest"]),
+                 "--out", str(out), *flags])
+
+
+def test_train_resume_drops_a_torn_last_log_line(trained, tmp_path):
+    # The run went on past its step-2 checkpoint and was cut off while
+    # logging step 2: the row lacks its end and its newline.
+    out, cfg = _run_with_log_tail(trained, tmp_path, '{"loss_bce": 0.69, "loss_si')
+    assert _train(trained, cfg, out, "--resume", str(out / "checkpoint_last.nbcp")) == 0
+    assert _train(trained, cfg, tmp_path / "full") == 0
+    assert _log_rows(out / "train_log.jsonl") == _log_rows(tmp_path / "full" / "train_log.jsonl")
+
+
+def test_train_resume_names_a_log_line_that_is_not_a_row(trained, tmp_path, capsys):
+    out, cfg = _run_with_log_tail(trained, tmp_path, '{"loss_bce": 0.69, "loss_si\n')
+    log = out / "train_log.jsonl"
+    text = log.read_text()
+    assert _train(trained, cfg, out, "--resume", str(out / "checkpoint_last.nbcp")) == 1
+    assert f"{log}:3: not a training log row" in capsys.readouterr().err
+    assert log.read_text() == text
+
+
+def test_train_names_the_record_of_a_wav_with_other_channels(trained, tmp_path, capsys):
+    import shutil
+
+    from neurobeam.dsp import read_wav
+
+    data = tmp_path / "data"
+    shutil.copytree(trained["manifest"].parent, data)
+    noisy = data / trained["noisy"].name
+    wave = read_wav(noisy)
+    write_wav(noisy, Waveform(wave.samples[:2], wave.sample_rate))
+    rc = main(["train", str(trained["config"]), "--manifest", str(data / "manifest.jsonl"),
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert "error: record 0: input has 2 channels but the model expects 4" in (
+        capsys.readouterr().err)
+
+
 def test_selfcheck_passes_within_budget(capsys):
     import time
 

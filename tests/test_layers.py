@@ -7,8 +7,8 @@ from neurobeam.checkpoint import load_checkpoint, require_shapes, save_checkpoin
 from neurobeam.gradcheck import check_gradients
 from neurobeam.layers import (
     ComplexConvBlock,
-    ComplexLSTM,
     ComplexLinear,
+    ComplexLSTM,
     block_kernel,
     conv2d,
     conv_bn_prelu,
@@ -865,33 +865,35 @@ def test_linear_identity_weights():
 # ---------------------------------------------------------------------------
 
 def _lstm_params(rng, d, h):
-    """One weight set (K = 1)."""
+    """The two weight sets (r, i) of a complex LSTM, stacked."""
     return (
-        Tensor(0.4 * rng.standard_normal((1, 4 * h, d))),
-        Tensor(0.4 * rng.standard_normal((1, 4 * h, h))),
-        Tensor(0.1 * rng.standard_normal((1, 4 * h))),
+        Tensor(0.4 * rng.standard_normal((2, 4 * h, d))),
+        Tensor(0.4 * rng.standard_normal((2, 4 * h, h))),
+        Tensor(0.1 * rng.standard_normal((2, 4 * h))),
     )
 
 
 def test_lstm_causality_bit_exact():
     rng = _rng(13)
     wx, wh, b = _lstm_params(rng, 3, 4)
-    x = rng.standard_normal((1, 6, 3))
-    base = lstm(Tensor(x.copy()), wx, wh, b).data[0, 0]
-    x2 = x.copy()
-    x2[0, 4] += 5.0
-    pert = lstm(Tensor(x2), wx, wh, b).data[0, 0]
-    assert np.array_equal(base[:4], pert[:4])
-    assert not np.array_equal(base[4:], pert[4:])
+    x = rng.standard_normal((2, 6, 3))
+    base = lstm(Tensor(x.copy()), wx, wh, b)
+    for part in (0, 1):  # the real, then the imaginary part at frame 4
+        x2 = x.copy()
+        x2[part, 4] += 5.0
+        pert = lstm(Tensor(x2), wx, wh, b)
+        for have, want in zip(_halves(pert), _halves(base)):
+            assert np.array_equal(have[:4], want[:4])
+            assert not np.array_equal(have[4:], want[4:])
 
 
 def test_lstm_zero_parameters_zero_output():
     h = 4
-    wx = Tensor(np.zeros((1, 4 * h, 3)))
-    wh = Tensor(np.zeros((1, 4 * h, h)))
-    b = Tensor(np.zeros((1, 4 * h)))
-    out = lstm(Tensor(np.random.default_rng(0).standard_normal((1, 5, 3))), wx, wh, b)
-    assert out.shape == (1, 1, 5, h)
+    wx = Tensor(np.zeros((2, 4 * h, 3)))
+    wh = Tensor(np.zeros((2, 4 * h, h)))
+    b = Tensor(np.zeros((2, 4 * h)))
+    out = lstm(Tensor(np.random.default_rng(0).standard_normal((2, 5, 3))), wx, wh, b)
+    assert out.shape == (5, 2 * h)
     assert np.all(out.data == 0)
 
 
@@ -901,10 +903,10 @@ def test_lstm_gradient_matches_finite_differences(rng):
         return ad.reduce_sum(out * out)
 
     arrays = [
-        rng.standard_normal((1, 3, 2)),
-        0.4 * rng.standard_normal((1, 12, 2)),
-        0.4 * rng.standard_normal((1, 12, 3)),
-        0.1 * rng.standard_normal((1, 12)),
+        rng.standard_normal((2, 3, 2)),
+        0.4 * rng.standard_normal((2, 12, 2)),
+        0.4 * rng.standard_normal((2, 12, 3)),
+        0.1 * rng.standard_normal((2, 12)),
     ]
     assert check_gradients(build, arrays) < 1e-4
 
@@ -932,24 +934,22 @@ def _close(have, want, dtype):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_fused_lstm_matches_per_frame_reference(dtype):
     rng = _rng(40)
-    k_n, s_n, t_len, d, h = 2, 2, 7, 3, 4
-    x = rng.standard_normal((s_n, t_len, d)).astype(dtype)
-    wx = (0.4 * rng.standard_normal((k_n, 4 * h, d))).astype(dtype)
-    wh = (0.4 * rng.standard_normal((k_n, 4 * h, h))).astype(dtype)
-    b = (0.1 * rng.standard_normal((k_n, 4 * h))).astype(dtype)
-    out = lstm(Tensor(x), Tensor(wx), Tensor(wh), Tensor(b)).data
-    assert out.shape == (k_n, s_n, t_len, h) and out.dtype == dtype
-    for k in range(k_n):
-        for s in range(s_n):
-            _close(out[k, s], _ref_lstm(x[s], wx[k], wh[k], b[k]), dtype)
-    # A K = S = 1 call is one weight set over one sequence.
-    single = lstm(Tensor(x[1:]), Tensor(wx[:1]), Tensor(wh[:1]), Tensor(b[:1])).data
-    assert single.shape == (1, 1, t_len, h)
-    _close(single[0, 0], out[0, 1], dtype)
+    t_len, d, h = 7, 3, 4
+    x = rng.standard_normal((2, t_len, d)).astype(dtype)
+    wx = (0.4 * rng.standard_normal((2, 4 * h, d))).astype(dtype)
+    wh = (0.4 * rng.standard_normal((2, 4 * h, h))).astype(dtype)
+    b = (0.1 * rng.standard_normal((2, 4 * h))).astype(dtype)
+    out = lstm(Tensor(x), Tensor(wx), Tensor(wh), Tensor(b))
+    assert out.shape == (t_len, 2 * h) and out.dtype == dtype
+    # L_k(x_s): weight set k (r, i) over part s (re, im).
+    ref = [[_ref_lstm(x[s], wx[k], wh[k], b[k]) for s in (0, 1)] for k in (0, 1)]
+    out_re, out_im = _halves(out)
+    _close(out_re, ref[0][0] - ref[1][1], dtype)
+    _close(out_im, ref[0][1] + ref[1][0], dtype)
 
 
 def test_fused_lstm_gradient_matches_finite_differences(rng):
-    weight = ad.constant(rng.standard_normal((2, 2, 3, 3)))
+    weight = ad.constant(rng.standard_normal((3, 6)))
 
     def build(x, wx, wh, b):
         return ad.reduce_sum(lstm(x, wx, wh, b) * weight)

@@ -10,6 +10,7 @@ from neurobeam.dsp import Spectrogram, StftConfig, istft
 from neurobeam.gradcheck import check_gradients
 from neurobeam.layers import to_complex
 from neurobeam.losses import (
+    BCE_EPS,
     bce_loss,
     filter_and_sum_tensor,
     si_snr,
@@ -132,6 +133,30 @@ def test_bce_minimum_at_truth(rng):
 def test_bce_shape_mismatch(rng):
     with pytest.raises(ValueError):
         bce_loss(np.zeros((2, 3)), constant(np.zeros((3, 2))))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bce_gradient_is_zero_exactly_outside_the_clamp(dtype):
+    # The clamp to [eps, 1 - eps] passes the gradient at both ends and
+    # stops it only strictly outside, where the clamped value is constant.
+    eps = BCE_EPS
+    p = np.array([[0.0, eps, 0.5, 1.0 - eps, 1.0]] * 2, dtype=dtype)
+    z = np.array([[0.0] * 5, [1.0] * 5])
+    x = Tensor(p.copy())
+    ad.backward(bce_loss(z, x))
+    assert x.grad.dtype == dtype
+    inside = (p >= eps) & (p <= 1.0 - eps)
+    assert np.array_equal(x.grad != 0, inside)
+    assert inside[:, 1:4].all() and not inside[:, [0, 4]].any()
+    q = np.clip(p, eps, 1.0 - eps).astype(np.float64)
+    want = -(z / q - (1.0 - z) / (1.0 - q)) / p.size
+    assert np.allclose(x.grad[inside], want[inside], rtol=10 * np.finfo(dtype).eps)
+
+
+def test_bce_loss_of_float32_input_is_float64(rng):
+    x = constant(rng.uniform(0.1, 0.9, size=(4, 3)).astype(np.float32))
+    loss = bce_loss((rng.uniform(size=(4, 3)) > 0.5).astype(float), x)
+    assert loss.dtype == np.float64 and loss.shape == ()
 
 
 def test_total_loss_forms():
