@@ -144,7 +144,7 @@ def cmd_enhance(args):
             f"--zones {zones} conflicts with the checkpoint's NLM head "
             f"({model.nlm.zones} zones); use --mode splm for other grids"
         )
-    noisy = read_wav(args.input, run.dataset.sample_rate)
+    noisy = read_wav(args.input, run.dataset.sample_rate, run.array.mics)
     enhanced, result = enhance_utterance(
         noisy, model, mode, zones, run.array.geometry(), run.stft,
         vad_threshold=loc.vad_threshold,

@@ -206,10 +206,11 @@ def istft(spec):
 # WAV file I/O (reads PCM 16/32-bit and float, writes IEEE float-32)
 # ---------------------------------------------------------------------------
 
-def read_wav(path, sample_rate=None):
+def read_wav(path, sample_rate=None, channels=None):
     """Read a mono or multi-channel WAV as floats in [-1, 1).
 
-    With ``sample_rate`` given, a file at any other rate is rejected.
+    A file at another rate than ``sample_rate``, or of another channel count
+    than ``channels``, each where given, is rejected, naming the file.
     """
     rate, data = wavfile.read(path)
     if sample_rate is not None and rate != sample_rate:
@@ -226,6 +227,8 @@ def read_wav(path, sample_rate=None):
         samples = samples[np.newaxis, :]
     else:
         samples = samples.T
+    if channels is not None and len(samples) != channels:
+        raise ValueError(f"{path} has {len(samples)} channel(s), not the array's {channels}")
     try:
         return Waveform(samples, int(rate))
     except ValueError as exc:

@@ -1,25 +1,24 @@
 """Complex-valued network layers on top of the autodiff engine.
 
 Every complex quantity in the graph is one real tensor; there is no
-complex pair type. The layout rule: the operands of a block kernel stack
-[re; im] on axis 1, so a feature map is [B x 2C x F x T] (the C real
-channels, then the C imaginary ones) and a sequence is [T x 2D].
-Signal-level quantities and complex parameters carry a leading part axis
-of 2 instead: the filters [2 x M x F x T], the beamformed spectrum
-[2 x T x F], the LSTM input [2 x T x D], a kernel [2 x O x C x kf x kt],
-a bias or a BN vector [2 x C]. ``to_complex`` turns such a part-axis
-array into a complex128 numpy array.
+complex pair type. The layout rule: a complex array leads with a part axis
+of 2 (re, im): a feature map [2 x C x F x T] (a real one is [1 x ...]),
+the filters [2 x M x F x T], the beamformed spectrum [2 x T x F], the LSTM
+input [2 x T x D], a kernel [2 x O x C x kf x kt], a bias or a BN vector
+[2 x C]. Only a complex matmul's sequence, [T x 2D], sets its parts side
+by side. ``to_complex`` turns a part-axis array into a complex128 array.
 
-A complex conv or deconv is one real conv (an im2col GEMM) of the stacked
-map with the block kernel [[Wr, -Wi], [Wi, Wr]], which ``block_kernel``
-builds from the kernel as one op. ``conv2d`` is the one plain conv op,
-transposed when given an output size; conv -> complex batch norm -> PReLU
-is one op, ``conv_bn_prelu``, which takes the same conv arguments and
-reads the [2 x C] gammas, betas and slopes as [2C] vectors. It keeps two
-maps for backward, recomputes the rest there, and under ``no_grad()``
-keeps nothing. ``ComplexConvBlock`` is the network's one conv layer:
-either that op or, without norm, a bare conv with a bias. Convolutions
-stride the frequency axis and are causal along time.
+The conv ops read a map [P x C x F x T] as the kernels' [1 x PC x F x T]
+view and return [P x O x F' x T']. A complex conv or deconv is one real
+conv (an im2col GEMM) of that view with the block kernel [[Wr, -Wi], [Wi,
+Wr]], which ``block_kernel`` builds from the kernel as one op. ``conv2d`` is
+the one plain conv op, transposed when given an output size; conv ->
+complex batch norm -> PReLU is one op, ``conv_bn_prelu``, which takes the
+same conv arguments and reads the [2 x C] gammas, betas and slopes as [2C]
+vectors. It keeps two maps for backward, recomputes the rest there, and
+under ``no_grad()`` keeps nothing. ``ComplexConvBlock`` is the network's one
+conv layer: either that op or, without norm, a bare conv with a bias.
+Convolutions stride the frequency axis and are causal along time.
 
 The real conv kernels (forward, input adjoint, kernel adjoint, and both
 adjoints of a deconv from one patch pass) are im2col GEMMs that hold neither
@@ -285,40 +284,46 @@ def conv2d_transpose_adjoints(g, x, w, stride, pad_f, pad_t, need_x=True, need_w
     return dx, gw
 
 
+def _view(a, p):
+    """``a`` [P x C x F x T] as [p x PC/p x F x T], a view; p = 1 is the kernels' view."""
+    return a.reshape((p, -1) + a.shape[2:])
+
+
 def _conv_parts(x, w, stride, pad_f, pad_t, out_ft=None):
-    """The output array of the conv of ``x`` by ``w`` (with ``out_ft``, of
-    the transposed conv of that output size) and ``grads(g, need_x,
-    need_w)``, which returns its (input, kernel) adjoints at ``g``, each
-    None unless needed. Kernels are looked up by module name at call time."""
+    """The output array of the conv of the map ``x`` by ``w`` (with ``out_ft``, of
+    the transposed conv of that output size) and ``grads(g, need_x, need_w)``,
+    which returns its (input, kernel) adjoints at ``g``, each None unless needed,
+    all in the kernels' view. Kernels are looked up by module name at call time."""
+    xk = _view(x.data, 1)
     if out_ft is None:
         in_ft = x.shape[2:]
 
         def grads(g, need_x, need_w):
             return (
                 conv2d_input_adjoint(g, w.data, stride, pad_f, pad_t, in_ft) if need_x else None,
-                conv2d_kernel_adjoint(x.data, g, stride, pad_f, pad_t, w.shape) if need_w else None,
+                conv2d_kernel_adjoint(xk, g, stride, pad_f, pad_t, w.shape) if need_w else None,
             )
 
-        return conv2d_raw(x.data, w.data, stride, pad_f, pad_t), grads
+        return conv2d_raw(xk, w.data, stride, pad_f, pad_t), grads
     expect = tuple(map(_conv_out_size, out_ft, w.shape[2:], stride, (pad_f, pad_t)))
     if expect != x.shape[2:]:
         raise ValueError(f"declared output {out_ft} maps to {expect}, but input is {x.shape[2:]}")
     return (
-        conv2d_input_adjoint(x.data, w.data, stride, pad_f, pad_t, out_ft),
+        conv2d_input_adjoint(xk, w.data, stride, pad_f, pad_t, out_ft),
         lambda g, need_x, need_w: conv2d_transpose_adjoints(
-            g, x.data, w.data, stride, pad_f, pad_t, need_x, need_w),
+            g, xk, w.data, stride, pad_f, pad_t, need_x, need_w),
     )
 
 
 def _accumulate_conv_grads(x, w, grads, g):
-    """Hand the conv adjoints ``grads`` (see ``_conv_parts``) at ``g`` to x and w."""
+    """Hand the conv adjoints ``grads`` (see ``_conv_parts``) at ``g`` to x and w, as shaped."""
     for t, grad in zip((x, w), grads(g, x.needs_grad, w.needs_grad)):
         if grad is not None:
-            t.accumulate(grad, owned=True)
+            t.accumulate(grad.reshape(t.shape), owned=True)
 
 
 def conv2d(x, w, stride, pad_f, pad_t, out_ft=None, bias=None):
-    """Strided 2-d convolution as an autodiff op, with an optional
+    """Strided 2-d convolution of a map as an autodiff op, with an optional
     per-output-channel bias (any shape of as many entries) added in place.
 
     With ``out_ft`` it is the transposed convolution, the exact adjoint of
@@ -332,11 +337,12 @@ def conv2d(x, w, stride, pad_f, pad_t, out_ft=None, bias=None):
         parents += (bias,)
 
     def backward_fn(g):
+        g = _view(g, 1)
         _accumulate_conv_grads(x, w, grads, g)
         if bias is not None and bias.needs_grad:
             bias.accumulate(g.sum(axis=(0, 2, 3)).reshape(bias.shape), owned=True)
 
-    return Tensor(out_data, parents, backward_fn)
+    return Tensor(_view(out_data, x.shape[0]), parents, backward_fn)
 
 
 # A conv block's elementwise stages run over cache-resident groups of whole
@@ -363,7 +369,7 @@ def conv_bn_prelu(x, w, stride, pad_f, pad_t, out_ft, gamma, beta, slope, runnin
                   eps=1e-5, momentum=0.1):
     """The ``conv2d`` of x by w (transposed with an ``out_ft``, else None),
     batch norm and PReLU as one op: xh is the conv output standardized per
-    channel over (batch, freq, time) by its own statistics in ``training``
+    channel of the kernels' view over (freq, time) by its statistics in ``training``
     (moving ``running`` toward them) or by ``running`` (mean, var),
     y = gamma * xh + beta, and the output is max(y, 0) + slope * min(y, 0).
     Only xh and the output are kept: backward recomputes y for the PReLU
@@ -406,10 +412,9 @@ def conv_bn_prelu(x, w, stride, pad_f, pad_t, out_ft, gamma, beta, slope, runnin
         for stat, batch_stat in zip(running, (mean, var)):
             stat *= 1.0 - momentum
             stat += momentum * batch_stat
-    if not recording:
-        return Tensor(out)
 
     def backward_fn(g):
+        g = _view(g, 1)
         k = gamma.data.reshape(-1) * inv_std
         d_gamma, d_beta, d_slope = (np.empty(channels, dtype) for _ in range(3))
         tmp = np.empty(group_shape, dtype)
@@ -439,7 +444,7 @@ def conv_bn_prelu(x, w, stride, pad_f, pad_t, out_ft, gamma, beta, slope, runnin
                 param.accumulate(grad.reshape(param.shape), owned=True)
         _accumulate_conv_grads(x, w, grads, g)
 
-    return Tensor(out, (x, w, gamma, beta, slope), backward_fn)
+    return Tensor(_view(out, x.shape[0]), (x, w, gamma, beta, slope), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -450,10 +455,10 @@ def block_kernel(w):
     """Real block form [[Wr, -Wi], [Wi, Wr]] [2O x 2C x ...] of the complex
     kernel ``w`` [2 x O x C x ...] = (Wr, Wi), as one op.
 
-    Applied to a stacked map it gives the stacked complex product
-    (Wr xr - Wi xi; Wi xr + Wr xi); its adjoint is the conjugate
-    transpose, so the transposed ``conv2d`` with the same block is the
-    complex deconvolution. With G11 ... G22 the four blocks of the
+    Applied to a complex map (the kernels' view [xr; xi]) it gives the
+    complex product (Wr xr - Wi xi; Wi xr + Wr xi); its adjoint is the
+    conjugate transpose, so the transposed ``conv2d`` with the same block is
+    the complex deconvolution. With G11 ... G22 the four blocks of the
     output gradient, Wr gets G11 + G22 and Wi gets G21 - G12.
     """
     w_r, w_i = w.data
@@ -603,7 +608,7 @@ def zeros_param(shape, dtype):
 class ComplexConvBlock:
     """The DCCRN unit: complex conv (``transposed``: deconv) -> complex BN ->
     PReLU as one ``conv_bn_prelu`` op, with no conv bias (the BN mean
-    cancels it). The conv is one real conv of the stacked map [xr; xi] with
+    cancels it). The conv is one real conv of the map, read as [xr; xi], with
     the block kernel [[Wr, -Wi], [Wi, Wr]] of ``w`` [2 x O x C x kf x kt]
     (a deconv's is [2 x C x O x kf x kt]); it strides frequency (a deconv
     upsamples it) and is causal in time: a conv pads the past, and a deconv
@@ -636,7 +641,7 @@ class ComplexConvBlock:
         return self.running
 
     def __call__(self, x, training=False):
-        """Stacked map [B x 2C x F x T] -> stacked map [B x 2C' x F' x T]."""
+        """Complex map [2 x C x F x T] -> complex map [2 x C' x F' x T]."""
         out_ft = (x.shape[2] * self.stride[0], x.shape[3]) if self.transposed else None
         conv = (x, block_kernel(self.w), self.stride, self.pad_f, self.pad_t, out_ft)
         if self.b is not None:

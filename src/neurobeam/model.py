@@ -13,8 +13,8 @@ the DC slot on the way out.
 
 The emitted filter tensor is the conjugated form: applying it is a plain
 (non-conjugated) product against the input spectrogram. Maps, sequences
-and filters follow the stacked layout of ``layers``: every block takes and
-returns one real tensor, and the filters are [2 x M x F x T] (re, im).
+and filters follow the layout rule of ``layers``: every block takes and
+returns one map [2 x C x F x T] (re, im); the filters are [2 x M x F x T].
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def _named(method, parts):
 
 
 def zone_scores(h, zones):
-    """The NLM head's pooling as one op: the stacked map ``h`` [1 x 4N x F x T]
+    """The NLM head's pooling as one op: the map ``h`` [2 x 2N x F x T]
     holds a pair of complex channels per zone, and a zone's score is the
     frequency mean of mag = sqrt(|pair|^2 + MAGNITUDE_EPS): [N x T]. The
     adjoint sends g/F / (2 mag) back through the four squares, 2h each."""
@@ -125,7 +125,7 @@ class NlmHead:
         return _named("buffers", self._parts())
 
     def __call__(self, w, training):
-        """w: stacked filter image [1 x 2M x F x T] -> Tensor [T x N] in (0, 1)."""
+        """w: filter image [2 x M x F x T] -> Tensor [T x N] in (0, 1)."""
         h = self.block2(self.block1(w, training), training)
         n_zones, t_len = self.zones, h.shape[3]
         flat = ad.reshape(zone_scores(h, n_zones), (n_zones * t_len, 1))
@@ -192,25 +192,21 @@ class MimoDccrn:
 
     # -- forward paths -------------------------------------------------------
     def forward(self, x, training=False):
-        """Packed input [1 x 2M x F' x T] -> filter image [1 x 2M x F' x T]."""
-        if x.shape[0] != 1:
-            raise ValueError("the bottleneck flatten assumes batch size 1")
+        """Packed input [2 x M x F' x T] -> filter image [2 x M x F' x T]."""
         skips = []
         h = x
         for block in self.encoder:
             h = block(h, training)
             skips.append(h)
 
-        _, c2, f, t = h.shape
-        seq = ad.transpose(ad.reshape(h, (2, -1, t)), (0, 2, 1))  # [2 x T x D], a view
+        shape = h.shape
+        seq = ad.transpose(ad.reshape(h, (2, -1, shape[3])), (0, 2, 1))  # [2 x T x D], a view
         seq = self.restore(self.clstm(seq))  # [T x 2D]
-        h = ad.reshape(ad.transpose(seq, (1, 0)), (1, c2, f, t))
+        h = ad.reshape(ad.transpose(seq, (1, 0)), shape)
 
         for block, skip in zip(self.decoder, skips[::-1]):
-            # [h; skip] as one stacked map: channels [h_re, skip_re, h_im, skip_im].
-            halves = [ad.narrow(a, 1, part * a.shape[1] // 2, a.shape[1] // 2)
-                      for part in (0, 1) for a in (h, skip)]
-            h = block(ad.concat(halves, axis=1), training)
+            # [h; skip] per part: kernel-view channels [h_re, skip_re, h_im, skip_im].
+            h = block(ad.concat([h, skip], axis=1), training)
         return h
 
     def forward_weights(self, spec_data, training=False):
@@ -223,9 +219,7 @@ class MimoDccrn:
         if len(spec_data) != self.mics:
             raise ValueError(
                 f"input has {len(spec_data)} channels but the model expects {self.mics}")
-        x = pack_input(spec_data, self.bins, self.dtype)
-        out = self.forward(x, training)
-        w = ad.reshape(out, (2, self.mics) + out.shape[2:])
+        w = self.forward(pack_input(spec_data, self.bins, self.dtype), training)
         return ad.concat([ad.narrow(w, 2, 0, 1), w], axis=2)
 
     def infer_weights(self, spec_data):
@@ -237,11 +231,10 @@ class MimoDccrn:
 
     def localize(self, w, training=False):
         """Zone probabilities [T x N] from the filters [2 x M x F x T] of
-        ``forward_weights``, which the NLM head reads as one [1 x 2M x F x T]
-        image."""
+        ``forward_weights``, which the NLM head reads as a complex image."""
         if self.nlm is None:
             raise ValueError("model was built without a neural localization head")
-        return self.nlm(ad.reshape(w, (1, -1) + w.shape[2:]), training)
+        return self.nlm(w, training)
 
     # -- persistence ---------------------------------------------------------
     def checkpoint_arrays(self):
@@ -274,7 +267,7 @@ class MimoDccrn:
 
 
 def pack_input(spec_data, bins, dtype):
-    """[M x T x F] complex -> stacked leaf [1 x 2M x F' x T].
+    """[M x T x F] complex -> leaf map [2 x M x F' x T] (re, im).
 
     F' = F - 1: the DC bin is dropped so the stride-2 halving chain stays
     exact (``MimoDccrn.forward_weights`` copies the first modeled bin's
@@ -285,6 +278,6 @@ def pack_input(spec_data, bins, dtype):
     if f != bins + 1:
         raise ValueError(f"expected {bins + 1} analysis bins, got {f}")
     body = spec_data[:, :, 1:].transpose(0, 2, 1)
-    packed = np.empty((1, 2 * m, f - 1, t_len), dtype=dtype)
-    packed[0, :m], packed[0, m:] = body.real, body.imag
+    packed = np.empty((2, m, f - 1, t_len), dtype=dtype)
+    packed[0], packed[1] = body.real, body.imag
     return Tensor(packed, needs_grad=False)

@@ -512,9 +512,31 @@ def generate_dataset(cfg, count, out_dir, threads=1):
     return entries
 
 
+# The keys of a manifest entry that training and evaluation read.
+MANIFEST_KEYS = ("id", "noisy_path", "target_path", "sir_db", "target_azimuth_deg",
+                 "duration_s", "speech_offset_s", "speech_len_s", "sample_rate")
+
+
 def load_manifest(path):
+    """The entries of the manifest at ``path`` as dicts, one per non-blank
+    line. A line that is not a JSON object holding every key in
+    ``MANIFEST_KEYS`` is an error naming ``file:line`` and the key."""
+    entries = []
     with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                entry = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{number}: not a JSON object ({exc})") from exc
+            if not isinstance(entry, dict):
+                raise ValueError(f"{path}:{number}: not a JSON object")
+            for key in MANIFEST_KEYS:
+                if key not in entry:
+                    raise ValueError(f"{path}:{number}: no key {key!r}")
+            entries.append(entry)
+    return entries
 
 
 def azimuth_track(num_samples, offset, length, azimuth_deg, stft_cfg):

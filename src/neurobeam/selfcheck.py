@@ -72,18 +72,18 @@ def gradient_cases(seed=0):
     cases.append((
         "complex_conv2d",
         _complex_conv_build((2, 1), (2, 2), (1, 0)),
-        [r(1, 4, 8, 4), 0.3 * r(2, 3, 2, 5, 2), 0.1 * r(2, 3)],
+        [r(2, 2, 8, 4), 0.3 * r(2, 3, 2, 5, 2), 0.1 * r(2, 3)],
     ))
     cases.append((
         "complex_deconv2d",
         _complex_conv_build((2, 1), (2, 2), (0, 1), (8, 4)),
-        [r(1, 6, 4, 4), 0.3 * r(2, 3, 2, 5, 2), 0.1 * r(2, 2)],
+        [r(2, 3, 4, 4), 0.3 * r(2, 3, 2, 5, 2), 0.1 * r(2, 2)],
     ))
     for kind, geometry, x_shape, out_shape in (
-        ("conv", ((2, 1), (2, 2), (1, 0)), (1, 4, 8, 4), (1, 6, 4, 4)),
-        ("deconv", ((2, 1), (2, 2), (0, 1), (8, 4)), (1, 6, 4, 4), (1, 4, 8, 4)),
+        ("conv", ((2, 1), (2, 2), (1, 0)), (2, 2, 8, 4), (2, 3, 4, 4)),
+        ("deconv", ((2, 1), (2, 2), (0, 1), (8, 4)), (2, 3, 4, 4), (2, 2, 8, 4)),
     ):
-        c_out = out_shape[1] // 2
+        c_out = out_shape[1]
         # [2 x C] (r, i) parameters: gamma, beta and PReLU slope
         block_params = [base + 0.1 * r(2, c_out) for base in (1.0, 0.0, 0.25)]
         running = [0.3 * r(2 * c_out), 0.5 + rng.uniform(size=2 * c_out)]
@@ -166,7 +166,16 @@ def gradient_cases(seed=0):
     cases.append((
         "zone_scores",
         lambda h: ad.reduce_sum(zone_scores(h, 3) * scores_weight),
-        [r(1, 12, 5, 4)],
+        [r(2, 6, 5, 4)],
+    ))
+    # The decoder's skip merge: the concat of two maps into a deconv block.
+    deconv_block = _conv_block_build(r(2, 2, 8, 4), True, [0.3 * r(4), 0.5 + rng.uniform(size=4)],
+                                     (2, 1), (2, 2), (0, 1), (8, 4))
+    cases.append((
+        "decoder_merge",
+        lambda h, skip, *block: deconv_block(ad.concat([h, skip], axis=1), *block),
+        [r(2, 1, 4, 4), r(2, 2, 4, 4), 0.3 * r(2, 3, 2, 5, 2),
+         *(base + 0.1 * r(2, 2) for base in (1.0, 0.0, 0.25))],
     ))
     return cases
 

@@ -124,8 +124,8 @@ def training_step(model, adam, cfg, entry, base_dir, steering=None):
     parameter whose gradient is non-finite), with the parameters untouched.
     """
     trn, stft_cfg = cfg.training, cfg.stft
-    noisy = read_wav(base_dir / entry["noisy_path"], cfg.dataset.sample_rate)
-    target = read_wav(base_dir / entry["target_path"], cfg.dataset.sample_rate)
+    noisy, target = (read_wav(base_dir / entry[key], cfg.dataset.sample_rate, cfg.array.mics)
+                     for key in ("noisy_path", "target_path"))
     spec = stft(noisy, stft_cfg)
 
     weights = model.forward_weights(spec.data, training=True)
@@ -292,14 +292,15 @@ def evaluate_records(
     """Per-record SI-SNR improvement and localization metrics.
 
     The enhanced and the unprocessed signal are both scored against the
-    target image at ``reference_mic``; with ``sample_rate`` given, a WAV
-    at another rate is rejected. A ``ValueError`` names its record.
+    target image at ``reference_mic``; a WAV with other channels than the
+    array's mics, or at another rate than ``sample_rate`` if given, is
+    rejected. A ``ValueError`` names its record.
     """
     rows = []
     for entry in entries:
         with _naming(f"record {entry['id']}"):
-            noisy = read_wav(Path(base_dir) / entry["noisy_path"], sample_rate)
-            target = read_wav(Path(base_dir) / entry["target_path"], sample_rate)
+            noisy, target = (read_wav(Path(base_dir) / entry[key], sample_rate, geometry.num_mics)
+                             for key in ("noisy_path", "target_path"))
             enhanced, loc = enhance_utterance(
                 noisy, model, mode, zones, geometry, stft_cfg, vad_threshold
             )

@@ -485,21 +485,70 @@ def test_train_resume_names_a_log_line_that_is_not_a_row(trained, tmp_path, caps
     assert log.read_text() == text
 
 
-def test_train_names_the_record_of_a_wav_with_other_channels(trained, tmp_path, capsys):
+def _copy_data(trained, tmp_path):
+    """A copy of the trained run's dataset directory."""
     import shutil
-
-    from neurobeam.dsp import read_wav
 
     data = tmp_path / "data"
     shutil.copytree(trained["manifest"].parent, data)
+    return data
+
+
+def _run_command(command, trained, manifest, tmp_path, *flags):
+    """``train`` with the trained run's config, or ``eval`` of its checkpoint, on ``manifest``."""
+    if command == "train":
+        return main(["train", str(trained["config"]), "--manifest", str(manifest),
+                     "--out", str(tmp_path / "run"), *flags])
+    return main(["eval", str(trained["checkpoint"]), str(manifest),
+                 "--out", str(tmp_path / "report.csv"), *flags])
+
+
+def test_train_names_the_record_of_a_wav_with_other_channels(trained, tmp_path, capsys):
+    from neurobeam.dsp import read_wav
+
+    data = _copy_data(trained, tmp_path)
     noisy = data / trained["noisy"].name
     wave = read_wav(noisy)
     write_wav(noisy, Waveform(wave.samples[:2], wave.sample_rate))
-    rc = main(["train", str(trained["config"]), "--manifest", str(data / "manifest.jsonl"),
-               "--out", str(tmp_path / "run")])
-    assert rc == 1
-    assert "error: record 0: input has 2 channels but the model expects 4" in (
+    assert _run_command("train", trained, data / "manifest.jsonl", tmp_path) == 1
+    assert f"error: record 0: {noisy} has 2 channel(s), not the array's 4" in (
         capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command, reference_mic", [("train", 2), ("train", 0), ("eval", None)])
+def test_a_one_channel_target_wav_is_named(trained, tmp_path, capsys, command, reference_mic):
+    # A target cut to one channel used to end train in an IndexError (exit
+    # 2) when reference_mic needs more, and to train and score silently at
+    # reference_mic 0.
+    from neurobeam.dsp import read_wav
+
+    data = _copy_data(trained, tmp_path)
+    target = data / "mix_00000_target.wav"
+    wave = read_wav(target)
+    write_wav(target, Waveform(wave.samples[:1], wave.sample_rate))
+    flags = [] if reference_mic is None else ["--set", f"training.reference_mic={reference_mic}"]
+    assert _run_command(command, trained, data / "manifest.jsonl", tmp_path, *flags) == 1
+    assert f"error: record 0: {target} has 1 channel(s), not the array's 4" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("damage, named", [
+    (lambda lines: lines[:-1] + [lines[-1][:10]], ":2: not a JSON object (Unterminated string"),
+    (lambda lines: lines[:-1] + ["[1, 2]"], ":2: not a JSON object"),
+    (lambda lines: [json.dumps({k: v for k, v in json.loads(lines[0]).items()
+                                if k != "target_path"})] + lines[1:], ":1: no key 'target_path'"),
+], ids=["torn_last_line", "not_an_object", "no_target_path"])
+def test_a_bad_manifest_line_is_named(trained, tmp_path, capsys, command, damage, named):
+    # A missing key used to end train and eval in a KeyError (exit 2), and a
+    # torn line in a JSON message that named neither the file nor the line.
+    data = _copy_data(trained, tmp_path)
+    manifest = data / "manifest.jsonl"
+    lines = manifest.read_text().splitlines()
+    lines.append(lines[0])  # a second record, so the last line is not the first
+    manifest.write_text("\n".join(damage(lines)))  # no newline after a torn write
+    assert _run_command(command, trained, manifest, tmp_path) == 1
+    assert f"error: {manifest}{named}" in capsys.readouterr().err
 
 
 def test_selfcheck_passes_within_budget(capsys):

@@ -111,15 +111,15 @@ def test_output_shape_contract(rng):
 
 
 def test_pack_input_stacked_layout_and_dc(rng):
-    # Channel m holds the real part of mic m, channel M + m its imaginary
+    # Part 0, channel m holds the real part of mic m, part 1 its imaginary
     # part, over the bins above DC; the DC bins are left out.
     spec = random_spec(rng, 3, 5, bins=257)
     packed = pack_input(spec, 256, np.float64)
-    assert packed.shape == (1, 6, 256, 5)
+    assert packed.shape == (2, 3, 256, 5)
     assert not packed.needs_grad and packed.parents == ()
     body = spec[:, :, 1:].transpose(0, 2, 1)
-    assert np.array_equal(packed.data[0, :3], body.real)
-    assert np.array_equal(packed.data[0, 3:], body.imag)
+    assert np.array_equal(packed.data[0], body.real)
+    assert np.array_equal(packed.data[1], body.imag)
     spec[:, :, 0] += 1.0
     assert np.array_equal(pack_input(spec, 256, np.float64).data, packed.data)
     packed32 = pack_input(spec, 256, np.float32)
@@ -128,12 +128,12 @@ def test_pack_input_stacked_layout_and_dc(rng):
 
 
 def test_pack_input_channel_count():
-    # One microphone contributes a (re, im) pair: 2M real channels.
+    # One microphone is one complex channel: a map [2 x M x F' x T].
     rng = np.random.default_rng(0)
     packed = pack_input(random_spec(rng, 1, 4), 256, np.float64)
-    assert packed.shape[1] == 2  # M complex = 2M real
+    assert packed.shape[:2] == (2, 1)
     packed6 = pack_input(random_spec(rng, 6, 4), 256, np.float64)
-    assert packed6.shape[1] == 12
+    assert packed6.shape[:2] == (2, 6)
 
 
 def test_first_encoder_block_reads_the_packed_leaf(rng):
@@ -148,6 +148,34 @@ def test_first_encoder_block_reads_the_packed_leaf(rng):
     model.encoder[0] = spy
     model.forward(packed, training=True)
     assert outputs[0].parents[0] is packed
+
+
+def test_decoder_merge_reads_h_and_skip_per_part(rng):
+    # The first decoder block reads concat([h, skip]) of two [2 x C x F x T]
+    # maps: in the kernels' view [1 x 4C x F x T], its channels are
+    # [h_re, skip_re, h_im, skip_im], the order schema-3 kernels were
+    # trained on. The forward graph has no narrow.
+    model = desk_model(zones=0)
+    seen = {}
+
+    def spy(name, block):
+        def call(x, training):
+            seen[name] = (x, block(x, training))
+            return seen[name][1]
+        return call
+
+    model.encoder[-1] = spy("enc", model.encoder[-1])
+    model.decoder[0] = spy("dec", model.decoder[0])
+    out = model.forward(pack_input(random_spec(rng, 4, 3), 256, model.dtype), training=True)
+    x, skip = seen["dec"][0], seen["enc"][1]
+    (h, skip_in), (c, f, t) = x.parents, skip.shape[1:]
+    assert skip_in is skip and h.shape == skip.shape and x.shape == (2, 2 * c, f, t)
+    view = x.data.reshape(1, 4 * c, f, t)
+    for n, part in enumerate((h.data[0], skip.data[0], h.data[1], skip.data[1])):
+        assert np.array_equal(view[0, n * c : (n + 1) * c], part)
+    kinds = {node._backward.__qualname__.split(".")[0] for node in ad._topo_order(out)
+             if node._backward is not None}
+    assert "concat" in kinds and "narrow" not in kinds
 
 
 def test_dc_weight_copied_from_first_modeled_bin(rng):
