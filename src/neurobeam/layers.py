@@ -9,9 +9,14 @@ input [2 x T x D], a kernel [2 x O x C x kf x kt], a bias or a BN vector
 by side. ``to_complex`` turns a part-axis array into a complex128 array.
 
 The conv ops read a map [P x C x F x T] as the kernels' [1 x PC x F x T]
-view and return [P x O x F' x T']. A complex conv or deconv is one real
-conv (an im2col GEMM) of that view with the block kernel [[Wr, -Wi], [Wi,
-Wr]], which ``block_kernel`` builds from the kernel as one op. ``conv2d`` is
+view and return [P x O x F' x T']. A deconv also reads an (h, skip) pair of
+maps as their concat on the channel axis, in the kernel-view order [h_re,
+skip_re, h_im, skip_im], and the graph holds no merged map: its kernels copy
+one band of the four part slabs' rows at a time into a band buffer, and its
+input gradient out of one into fresh h and skip gradients (``_Stack``).
+A complex conv or deconv is one real conv (an im2col GEMM) of that view
+with the block kernel [[Wr, -Wi], [Wi, Wr]], which ``block_kernel`` builds
+from the kernel as one op. ``conv2d`` is
 the one plain conv op, transposed when given an output size; conv ->
 complex batch norm -> PReLU is one op, ``conv_bn_prelu``, which takes the
 same conv arguments and reads the [2 x C] gammas, betas and slopes as [2C]
@@ -156,6 +161,43 @@ def _rows(a, b, u0, u1):
     return a[b, :, u0:u1].reshape(a.shape[1], -1)
 
 
+class _Stack:
+    """Maps [P x C_k x F x T] that the kernels read as the view
+    [1 x P*sum(C_k) x F x T] of their concat on the channel axis (per part:
+    [h_re, skip_re, h_im, skip_im] for two complex maps), which is never
+    built: a kernel copies one band of its rows at a time into a band buffer
+    (``read``) or out of one (``write``). ``shape``, ``dtype`` and ``nbytes``
+    are the view's."""
+
+    def __init__(self, maps):
+        if len({m.shape[:1] + m.shape[2:] for m in maps}) > 1:
+            raise ValueError(f"maps {[m.shape for m in maps]} differ beyond the channel axis")
+        self.maps = maps
+        self.slabs = [m[p : p + 1] for p in range(len(maps[0])) for m in maps]
+        self.shape = (1, sum(s.shape[1] for s in self.slabs)) + maps[0].shape[2:]
+        self.dtype = np.result_type(*maps)
+        self.nbytes = sum(m.nbytes for m in maps)
+
+    def empty(self, dtype):
+        """Uninitialized maps of these shapes, as a stack."""
+        return _Stack([np.empty(m.shape, dtype) for m in self.maps])
+
+    def band(self, buf, u0, u1):
+        """The [C x (u1-u0)*T] band matrix of rows u0..u1-1 at the start of ``buf``."""
+        return buf[: self.shape[1] * (u1 - u0) * self.shape[3]].reshape(self.shape[1], -1)
+
+    def read(self, b, u0, u1, buf):
+        """Rows u0..u1-1 of batch item b, copied into ``buf`` as a band matrix."""
+        return np.concatenate([_rows(s, b, u0, u1) for s in self.slabs],
+                              out=self.band(buf, u0, u1))
+
+    def write(self, band, b, u0, u1):
+        """Copy the band matrix ``band`` into rows u0..u1-1 of batch item b."""
+        at = np.cumsum([s.shape[1] for s in self.slabs[:-1]])
+        for slab, part in zip(self.slabs, np.split(band, at)):
+            _rows(slab, b, u0, u1)[...] = part
+
+
 def _patch_gemms(x, kshape, stride, pad_f, pad_t, out_ft, w=None, out=None, y=None):
     """im2col GEMMs of an unpadded [B x C x F x T] map for a ``kshape``
     [O x C x kf x kt] kernel: each band of output rows' patch matrix is
@@ -167,7 +209,8 @@ def _patch_gemms(x, kshape, stride, pad_f, pad_t, out_ft, w=None, out=None, y=No
     (c, i, j) order; each tap copies its valid input range and zeroes only
     the edge slices that fall in the padding. With ``w``, W cols fills the
     band's rows of ``out``; with ``y``, gw^T += cols y_band^T, and gw is
-    returned (else None).
+    returned (else None). ``out`` and ``y`` may be ``_Stack``s: each half
+    then GEMMs into, or copies out of, a band buffer of its own.
 
     The serial band list is cut in two at a band boundary (a call of fewer
     than ``_SPLIT_BANDS`` bands stays whole). The first half adds its
@@ -181,13 +224,17 @@ def _patch_gemms(x, kshape, stride, pad_f, pad_t, out_ft, w=None, out=None, y=No
     jobs = _band_jobs(b_n, fo, k_rows * to, x.dtype)
     cut = len(jobs) // 2 if len(jobs) >= _SPLIT_BANDS else 0
     halves = [jobs[:cut], jobs[cut:]] if cut else [jobs]
-    bufs = _buffers([(jobs[0][2] - jobs[0][1]) * k_rows * to] * len(halves), x.dtype)
-    gw_t = None if y is None else np.zeros((k_rows, o), np.result_type(x, y))
+    staged = isinstance(out, _Stack) or isinstance(y, _Stack)
+    band_rows = jobs[0][2] - jobs[0][1]
+    stage_at = band_rows * k_rows * to  # a staged half's band matrix follows its patches
+    bufs = _buffers([stage_at + staged * band_rows * o * to] * len(halves), x.dtype)
+    gw_t = None if y is None else np.zeros((k_rows, o), np.result_type(x, y.dtype))
     parallel = y is not None and cut and _WORKERS > 1
     parts = np.empty((len(halves[1]), k_rows, o), gw_t.dtype) if parallel else None
     t_taps = list(_taps(ti, kt, st, pad_t, 0, to))
 
     def run(half, buf, products):
+        stage = buf[stage_at:]
         for n, (b, u0, u1) in enumerate(half):
             cols = buf[: k_rows * (u1 - u0) * to].reshape(c, kf, kt, u1 - u0, to)
             for i, a, z, r0 in _taps(fi, kf, sf, pad_f, u0, u1):
@@ -203,12 +250,17 @@ def _patch_gemms(x, kshape, stride, pad_f, pad_t, out_ft, w=None, out=None, y=No
                     dst[..., p:q] = rows[..., s0 : s0 + st * (q - p) : st]
             cols = cols.reshape(k_rows, -1)
             if w is not None:
-                np.matmul(w.reshape(o, -1), cols, out=_rows(out, b, u0, u1))
-            if y is not None:
-                if products is None:
-                    np.add(gw_t, cols @ _rows(y, b, u0, u1).T, out=gw_t)
+                if isinstance(out, _Stack):
+                    band = np.matmul(w.reshape(o, -1), cols, out=out.band(stage, u0, u1))
+                    out.write(band, b, u0, u1)
                 else:
-                    np.matmul(cols, _rows(y, b, u0, u1).T, out=products[n])
+                    np.matmul(w.reshape(o, -1), cols, out=_rows(out, b, u0, u1))
+            if y is not None:
+                y_band = y.read(b, u0, u1, stage) if isinstance(y, _Stack) else _rows(y, b, u0, u1)
+                if products is None:
+                    np.add(gw_t, cols @ y_band.T, out=gw_t)
+                else:
+                    np.matmul(cols, y_band.T, out=products[n])
 
     _run_halves([partial(run, *half) for half in zip(halves, bufs, (None, parts))])
     if y is None:
@@ -236,27 +288,31 @@ def conv2d_input_adjoint(g, w, stride, pad_f, pad_t, in_ft):
     A call of ``_SPLIT_BANDS`` or more bands runs as two halves of the input
     channels: each takes its channels' rows of w^T, scatters only into its
     channels of the gradient and keeps the serial band partition, since a
-    GEMM's bits depend on its column count."""
+    GEMM's bits depend on its column count. ``g`` may be a ``_Stack``: each
+    half then copies every band of it into a band buffer of its own."""
     sf, st = stride
     b_n, o, fo, to = g.shape
     _, c, kf, kt = w.shape
     fi, ti = in_ft
     tap_rows = kf * kt
-    dtype = np.result_type(g, w)
+    dtype = np.result_type(g.dtype, w)
     w_t = w.reshape(o, -1).T
     x_grad = np.zeros((b_n, c, fi, ti), dtype=dtype)
     t_taps = list(_taps(ti, kt, st, pad_t, 0, to))
     jobs = _band_jobs(b_n, fo, c * tap_rows * to, dtype)
     bounds = [0, c // 2, c] if len(jobs) >= _SPLIT_BANDS and c > 1 else [0, c]
     band_cols = (jobs[0][2] - jobs[0][1]) * to
-    bufs = _buffers([(c1 - c0) * tap_rows * band_cols for c0, c1 in zip(bounds, bounds[1:])],
-                    dtype)
+    staged = isinstance(g, _Stack)
+    bufs = _buffers([((c1 - c0) * tap_rows + staged * o) * band_cols
+                     for c0, c1 in zip(bounds, bounds[1:])], dtype)
 
     def run(c0, c1, buf):
         w_half = w_t[c0 * tap_rows : c1 * tap_rows]
+        stage = buf[(c1 - c0) * tap_rows * band_cols :]
         for b, u0, u1 in jobs:
             cols = buf[: (c1 - c0) * tap_rows * (u1 - u0) * to].reshape(-1, (u1 - u0) * to)
-            np.matmul(w_half, _rows(g, b, u0, u1), out=cols)
+            g_band = g.read(b, u0, u1, stage) if staged else _rows(g, b, u0, u1)
+            np.matmul(w_half, g_band, out=cols)
             cols = cols.reshape(c1 - c0, kf, kt, u1 - u0, to)
             for i, a, z, r0 in _taps(fi, kf, sf, pad_f, u0, u1):
                 rows = x_grad[b, c0:c1, r0 : r0 + sf * (z - a) : sf]
@@ -274,11 +330,15 @@ def conv2d_kernel_adjoint(x, g, stride, pad_f, pad_t, kshape):
 
 
 def conv2d_transpose_adjoints(g, x, w, stride, pad_f, pad_t, need_x=True, need_w=True):
-    """Both adjoints of the transposed conv of ``x`` [B x O x fo x to] by
-    ``w`` from one pass over the patch bands of its output gradient ``g``:
-    (dx, gw) = (``conv2d_raw`` of g, ``conv2d_kernel_adjoint`` of g and x),
-    each None unless needed."""
-    dx = np.empty(x.shape, np.result_type(g, w)) if need_x else None
+    """Both adjoints of the transposed conv of ``x`` [B x O x fo x to] (an
+    array or a ``_Stack``) by ``w`` from one pass over the patch bands of its
+    output gradient ``g``: (dx, gw) = (``conv2d_raw`` of g, shaped as x,
+    ``conv2d_kernel_adjoint`` of g and x), each None unless needed."""
+    dtype = np.result_type(g, w)
+    if need_x:
+        dx = x.empty(dtype) if isinstance(x, _Stack) else np.empty(x.shape, dtype)
+    else:
+        dx = None
     gw = _patch_gemms(g, w.shape, stride, pad_f, pad_t, x.shape[2:], w if need_x else None, dx,
                       x if need_w else None)
     return dx, gw
@@ -289,14 +349,23 @@ def _view(a, p):
     return a.reshape((p, -1) + a.shape[2:])
 
 
-def _conv_parts(x, w, stride, pad_f, pad_t, out_ft=None):
-    """The output array of the conv of the map ``x`` by ``w`` (with ``out_ft``, of
-    the transposed conv of that output size) and ``grads(g, need_x, need_w)``,
-    which returns its (input, kernel) adjoints at ``g``, each None unless needed,
-    all in the kernels' view. Kernels are looked up by module name at call time."""
-    xk = _view(x.data, 1)
+def _maps(x):
+    """The input maps of a conv op: ``x`` alone or both items of an (h, skip) pair."""
+    return (x,) if isinstance(x, Tensor) else tuple(x)
+
+
+def _conv_parts(xs, w, stride, pad_f, pad_t, out_ft=None):
+    """The output array of the conv by ``w`` of the map in ``xs`` (with
+    ``out_ft``, of the transposed conv of that output size, whose input is
+    the concat on the channel axis of the maps ``xs``, read in place) and
+    ``grads(g, need_x, need_w)``, which returns its (input, kernel) adjoints
+    at ``g``, each None unless needed, all in the kernels' view. Kernels are
+    looked up by module name at call time."""
+    xk = _view(xs[0].data, 1) if len(xs) == 1 else _Stack([x.data for x in xs])
     if out_ft is None:
-        in_ft = x.shape[2:]
+        if len(xs) > 1:
+            raise ValueError("only a transposed conv reads a pair of maps")
+        in_ft = xk.shape[2:]
 
         def grads(g, need_x, need_w):
             return (
@@ -306,8 +375,8 @@ def _conv_parts(x, w, stride, pad_f, pad_t, out_ft=None):
 
         return conv2d_raw(xk, w.data, stride, pad_f, pad_t), grads
     expect = tuple(map(_conv_out_size, out_ft, w.shape[2:], stride, (pad_f, pad_t)))
-    if expect != x.shape[2:]:
-        raise ValueError(f"declared output {out_ft} maps to {expect}, but input is {x.shape[2:]}")
+    if expect != xk.shape[2:]:
+        raise ValueError(f"declared output {out_ft} maps to {expect}, but input is {xk.shape[2:]}")
     return (
         conv2d_input_adjoint(xk, w.data, stride, pad_f, pad_t, out_ft),
         lambda g, need_x, need_w: conv2d_transpose_adjoints(
@@ -315,11 +384,16 @@ def _conv_parts(x, w, stride, pad_f, pad_t, out_ft=None):
     )
 
 
-def _accumulate_conv_grads(x, w, grads, g):
-    """Hand the conv adjoints ``grads`` (see ``_conv_parts``) at ``g`` to x and w, as shaped."""
-    for t, grad in zip((x, w), grads(g, x.needs_grad, w.needs_grad)):
-        if grad is not None:
-            t.accumulate(grad.reshape(t.shape), owned=True)
+def _accumulate_conv_grads(xs, w, grads, g):
+    """Hand the conv adjoints ``grads`` (see ``_conv_parts``) at ``g`` to the
+    maps ``xs`` and to w, as shaped."""
+    dx, gw = grads(g, any(x.needs_grad for x in xs), w.needs_grad)
+    if dx is not None:
+        for x, grad in zip(xs, dx.maps if isinstance(dx, _Stack) else [dx]):
+            if x.needs_grad:
+                x.accumulate(grad.reshape(x.shape), owned=True)
+    if gw is not None:
+        w.accumulate(gw.reshape(w.shape), owned=True)
 
 
 def conv2d(x, w, stride, pad_f, pad_t, out_ft=None, bias=None):
@@ -328,21 +402,25 @@ def conv2d(x, w, stride, pad_f, pad_t, out_ft=None, bias=None):
 
     With ``out_ft`` it is the transposed convolution, the exact adjoint of
     the conv, and ``out_ft`` declares its output spatial size, which must
-    map back to the input size under the forward-conv arithmetic.
+    map back to the input size under the forward-conv arithmetic. Its input
+    may be an (h, skip) pair of maps [P x C_h x F x T] and [P x C_s x F x T],
+    read as their concat on the channel axis, which is never built: its
+    parents are then h and skip.
     """
-    out_data, grads = _conv_parts(x, w, stride, pad_f, pad_t, out_ft)
-    parents = (x, w)
+    xs = _maps(x)
+    out_data, grads = _conv_parts(xs, w, stride, pad_f, pad_t, out_ft)
+    parents = (*xs, w)
     if bias is not None:
         out_data += bias.data.reshape(1, -1, 1, 1)
         parents += (bias,)
 
     def backward_fn(g):
         g = _view(g, 1)
-        _accumulate_conv_grads(x, w, grads, g)
+        _accumulate_conv_grads(xs, w, grads, g)
         if bias is not None and bias.needs_grad:
             bias.accumulate(g.sum(axis=(0, 2, 3)).reshape(bias.shape), owned=True)
 
-    return Tensor(_view(out_data, x.shape[0]), parents, backward_fn)
+    return Tensor(_view(out_data, xs[0].shape[0]), parents, backward_fn)
 
 
 # A conv block's elementwise stages run over cache-resident groups of whole
@@ -376,10 +454,12 @@ def conv_bn_prelu(x, w, stride, pad_f, pad_t, out_ft, gamma, beta, slope, runnin
     mask and slope gradient, then applies gamma * inv_std * (dy - mean(dy) -
     xh * mean(dy * xh)) (Ioffe & Szegedy, 2015; gamma * inv_std * dy under
     frozen statistics) and the conv adjoints, overwriting its ``g``. Under
-    ``no_grad()`` it keeps nothing.
+    ``no_grad()`` it keeps nothing. A transposed one reads ``x`` as
+    ``conv2d`` does: a map or an (h, skip) pair.
     The parameters and statistics are read as flat per-channel views of any
     shape ([2 x C] in a complex block), and each gradient has its parameter's."""
-    xh_map, grads = _conv_parts(x, w, stride, pad_f, pad_t, out_ft)  # standardized in place
+    xs = _maps(x)
+    xh_map, grads = _conv_parts(xs, w, stride, pad_f, pad_t, out_ft)  # standardized in place
     channels = xh_map.shape[1]
     n = xh_map.size // channels
     dtype = xh_map.dtype
@@ -442,9 +522,9 @@ def conv_bn_prelu(x, w, stride, pad_f, pad_t, out_ft, gamma, beta, slope, runnin
         for param, grad in ((gamma, d_gamma), (beta, d_beta), (slope, d_slope)):
             if param.needs_grad:
                 param.accumulate(grad.reshape(param.shape), owned=True)
-        _accumulate_conv_grads(x, w, grads, g)
+        _accumulate_conv_grads(xs, w, grads, g)
 
-    return Tensor(_view(out, x.shape[0]), (x, w, gamma, beta, slope), backward_fn)
+    return Tensor(_view(out, xs[0].shape[0]), (*xs, w, gamma, beta, slope), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -641,8 +721,11 @@ class ComplexConvBlock:
         return self.running
 
     def __call__(self, x, training=False):
-        """Complex map [2 x C x F x T] -> complex map [2 x C' x F' x T]."""
-        out_ft = (x.shape[2] * self.stride[0], x.shape[3]) if self.transposed else None
+        """Complex map [2 x C x F x T] -> complex map [2 x C' x F' x T]. A
+        deconv also reads an (h, skip) pair of maps as their concat on the
+        channel axis (see ``conv2d``)."""
+        f, t = _maps(x)[0].shape[2:]
+        out_ft = (f * self.stride[0], t) if self.transposed else None
         conv = (x, block_kernel(self.w), self.stride, self.pad_f, self.pad_t, out_ft)
         if self.b is not None:
             return conv2d(*conv, bias=self.b)

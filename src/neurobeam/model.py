@@ -13,8 +13,10 @@ the DC slot on the way out.
 
 The emitted filter tensor is the conjugated form: applying it is a plain
 (non-conjugated) product against the input spectrogram. Maps, sequences
-and filters follow the layout rule of ``layers``: every block takes and
-returns one map [2 x C x F x T] (re, im); the filters are [2 x M x F x T].
+and filters follow the layout rule of ``layers``: every block returns one
+map [2 x C x F x T] (re, im), an encoder block takes one, and a decoder
+block takes the pair (h, skip) of its input and its skip connection, read
+in place; the filters are [2 x M x F x T].
 """
 
 from __future__ import annotations
@@ -205,8 +207,9 @@ class MimoDccrn:
         h = ad.reshape(ad.transpose(seq, (1, 0)), shape)
 
         for block, skip in zip(self.decoder, skips[::-1]):
-            # [h; skip] per part: kernel-view channels [h_re, skip_re, h_im, skip_im].
-            h = block(ad.concat([h, skip], axis=1), training)
+            # [h; skip] per part, read in place: kernel-view channels
+            # [h_re, skip_re, h_im, skip_im].
+            h = block((h, skip), training)
         return h
 
     def forward_weights(self, spec_data, training=False):

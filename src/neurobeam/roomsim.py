@@ -512,15 +512,21 @@ def generate_dataset(cfg, count, out_dir, threads=1):
     return entries
 
 
-# The keys of a manifest entry that training and evaluation read.
-MANIFEST_KEYS = ("id", "noisy_path", "target_path", "sir_db", "target_azimuth_deg",
-                 "duration_s", "speech_offset_s", "speech_len_s", "sample_rate")
+# The keys of a manifest entry that training and evaluation read, each with
+# the JSON type ``generate_dataset`` writes it in: int, str, or float for
+# any number, int or float (``sir_db`` may be Infinity). A bool is neither
+# an int nor a number here.
+MANIFEST_KEYS = {"id": int, "noisy_path": str, "target_path": str, "sir_db": float,
+                 "target_azimuth_deg": float, "duration_s": float, "speech_offset_s": float,
+                 "speech_len_s": float, "sample_rate": int}
+_TYPE_NAMES = {int: "an integer", str: "a string", float: "a number"}
 
 
 def load_manifest(path):
     """The entries of the manifest at ``path`` as dicts, one per non-blank
     line. A line that is not a JSON object holding every key in
-    ``MANIFEST_KEYS`` is an error naming ``file:line`` and the key."""
+    ``MANIFEST_KEYS``, each of its type, is an error naming ``file:line``
+    and the key."""
     entries = []
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
@@ -532,9 +538,14 @@ def load_manifest(path):
                 raise ValueError(f"{path}:{number}: not a JSON object ({exc})") from exc
             if not isinstance(entry, dict):
                 raise ValueError(f"{path}:{number}: not a JSON object")
-            for key in MANIFEST_KEYS:
+            for key, kind in MANIFEST_KEYS.items():
                 if key not in entry:
                     raise ValueError(f"{path}:{number}: no key {key!r}")
+                value = entry[key]
+                if isinstance(value, bool) or not isinstance(
+                        value, (int, float) if kind is float else kind):
+                    raise ValueError(
+                        f"{path}:{number}: {key!r} must be {_TYPE_NAMES[kind]}, not {value!r}")
             entries.append(entry)
     return entries
 

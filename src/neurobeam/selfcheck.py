@@ -168,12 +168,12 @@ def gradient_cases(seed=0):
         lambda h: ad.reduce_sum(zone_scores(h, 3) * scores_weight),
         [r(2, 6, 5, 4)],
     ))
-    # The decoder's skip merge: the concat of two maps into a deconv block.
+    # The decoder's skip merge: the (h, skip) pair a deconv block reads in place.
     deconv_block = _conv_block_build(r(2, 2, 8, 4), True, [0.3 * r(4), 0.5 + rng.uniform(size=4)],
                                      (2, 1), (2, 2), (0, 1), (8, 4))
     cases.append((
         "decoder_merge",
-        lambda h, skip, *block: deconv_block(ad.concat([h, skip], axis=1), *block),
+        lambda h, skip, *block: deconv_block((h, skip), *block),
         [r(2, 1, 4, 4), r(2, 2, 4, 4), 0.3 * r(2, 3, 2, 5, 2),
          *(base + 0.1 * r(2, 2) for base in (1.0, 0.0, 0.25))],
     ))

@@ -538,10 +538,13 @@ def test_a_one_channel_target_wav_is_named(trained, tmp_path, capsys, command, r
     (lambda lines: lines[:-1] + ["[1, 2]"], ":2: not a JSON object"),
     (lambda lines: [json.dumps({k: v for k, v in json.loads(lines[0]).items()
                                 if k != "target_path"})] + lines[1:], ":1: no key 'target_path'"),
-], ids=["torn_last_line", "not_an_object", "no_target_path"])
+    (lambda lines: [json.dumps({**json.loads(lines[0]), "duration_s": "0.5"})] + lines[1:],
+     ":1: 'duration_s' must be a number, not '0.5'"),
+], ids=["torn_last_line", "not_an_object", "no_target_path", "string_duration"])
 def test_a_bad_manifest_line_is_named(trained, tmp_path, capsys, command, damage, named):
-    # A missing key used to end train and eval in a KeyError (exit 2), and a
-    # torn line in a JSON message that named neither the file nor the line.
+    # A missing key used to end train and eval in a KeyError (exit 2), a
+    # string duration train in a TypeError (exit 2), and a torn line in a
+    # JSON message that named neither the file nor the line.
     data = _copy_data(trained, tmp_path)
     manifest = data / "manifest.jsonl"
     lines = manifest.read_text().splitlines()

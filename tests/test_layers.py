@@ -442,6 +442,90 @@ def test_conv_kernels_bit_identical_on_one_and_two_workers(monkeypatch, batch, b
         assert one.shape == two.shape and one.tobytes() == two.tobytes()
 
 
+@pytest.mark.parametrize("form", ["train", "eval", "bias"])
+@pytest.mark.parametrize("c_h, c_s, f, bands", [(3, 2, 16, 8), (2, 1, 4, 1), (3, None, 16, 8)],
+                         ids=["split", "one_band", "same_tensor"])
+def test_deconv_reads_a_pair_as_its_concat_bit_for_bit(monkeypatch, form, c_h, c_s, f, bands):
+    # A transposed conv reads an (h, skip) pair in place as the kernels'
+    # view [h_re, skip_re, h_im, skip_im] of concat([h, skip]), which it
+    # never builds: the output and the gradients of h, skip, the kernel and
+    # the BN parameters (or the bias) are the concat form's bits, with one
+    # worker and two, at eight bands (split) and one (whole); a pair may
+    # hold one tensor twice (c_s None).
+    from neurobeam import layers
+
+    rng = _rng(100 + f + bands)
+    t, c_out, kernel, stride, pad_f, pad_t = 6, 3, (5, 2), (2, 1), (2, 2), (0, 1)
+    h = rng.standard_normal((2, c_h, f, t)).astype(np.float32)
+    skip = h if c_s is None else rng.standard_normal((2, c_s, f, t)).astype(np.float32)
+    w = 0.3 * rng.standard_normal((2 * (c_h + skip.shape[1]), 2 * c_out) + kernel)
+    vecs = [base + 0.1 * rng.standard_normal(2 * c_out) for base in (1.0, 0.0, 0.25)]
+    weight = ad.constant(rng.standard_normal((2, c_out, 2 * f, t)).astype(np.float32))
+    row_elems = 2 * c_out * kernel[0] * kernel[1] * t  # both kernels band the f rows of h
+    monkeypatch.setattr(layers, "_BAND_BYTES", f // bands * row_elems * 4)
+    assert len(layers._band_jobs(1, f, row_elems, np.float32)) == bands
+
+    def run(pair, workers):
+        monkeypatch.setattr(layers, "_WORKERS", workers)
+        h_t = Tensor(h.copy())
+        skip_t = h_t if c_s is None else Tensor(skip.copy())
+        w_t, gamma, beta, slope = (Tensor(a.astype(np.float32)) for a in (w, *vecs))
+        x = (h_t, skip_t) if pair else ad.concat([h_t, skip_t], axis=1)
+        conv = (x, w_t, stride, pad_f, pad_t, (2 * f, t))
+        running = [np.zeros(2 * c_out, np.float32), np.ones(2 * c_out, np.float32)]
+        if form == "bias":
+            out, params = conv2d(*conv, bias=beta), (w_t, beta)
+        else:
+            out = conv_bn_prelu(*conv, gamma, beta, slope, running, form == "train")
+            params = (w_t, gamma, beta, slope)
+        if pair:
+            assert out.parents[0] is h_t and out.parents[1] is skip_t
+        backward(ad.reduce_sum(out * weight))
+        grads = [h_t.grad, skip_t.grad, *(p.grad for p in params)]
+        return [a.tobytes() for a in (out.data, *grads, *running)]
+
+    want = run(False, 1)
+    for workers in (1, 2):
+        assert run(True, workers) == want
+
+
+def test_deconv_pair_builds_no_merged_map():
+    # A training forward of a deconv block on an (h, skip) pair keeps only
+    # its two maps of output size, as on a map: no copy of [h; skip] (here
+    # as large as the output) is made or kept.
+    import tracemalloc
+
+    from neurobeam.layers import _BAND_BYTES
+
+    rng = _rng(105)
+    f, t, c = 128, 957, 8
+    h, skip = (Tensor(rng.standard_normal((2, c, f, t), dtype=np.float32)) for _ in "hs")
+    w = Tensor((0.1 * rng.standard_normal((4 * c, 2 * c, 5, 2))).astype(np.float32))
+    vec = [Tensor(np.full(2 * c, v, dtype=np.float32)) for v in (1.0, 0.0, 0.25)]
+    running = [np.zeros(2 * c, np.float32), np.ones(2 * c, np.float32)]
+    out_bytes = 2 * c * 2 * f * t * 4
+    assert h.data.nbytes + skip.data.nbytes == out_bytes
+    tracemalloc.start()
+    try:
+        out = conv_bn_prelu((h, skip), w, (2, 1), (2, 2), (0, 1), (2 * f, t), *vec, running, True)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out.parents[0] is h and out.parents[1] is skip
+    assert kept < 2 * out_bytes + _BAND_BYTES, kept
+
+
+def test_conv_pair_rejections():
+    # Only a transposed conv reads a pair, and its maps differ only in channels.
+    rng = _rng(106)
+    h = Tensor(rng.standard_normal((2, 2, 4, 3)))
+    w = Tensor(rng.standard_normal((4, 8, 5, 2)))
+    with pytest.raises(ValueError, match="only a transposed conv"):
+        conv2d((h, h), w, (2, 1), (2, 2), (1, 0))
+    with pytest.raises(ValueError, match="differ beyond the channel axis"):
+        conv2d((h, Tensor(rng.standard_normal((2, 2, 4, 4)))), w, (2, 1), (2, 2), (0, 1), (8, 3))
+
+
 def _send_conv(conn, x, w):
     from neurobeam.layers import conv2d_raw
 

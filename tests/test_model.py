@@ -151,10 +151,12 @@ def test_first_encoder_block_reads_the_packed_leaf(rng):
 
 
 def test_decoder_merge_reads_h_and_skip_per_part(rng):
-    # The first decoder block reads concat([h, skip]) of two [2 x C x F x T]
-    # maps: in the kernels' view [1 x 4C x F x T], its channels are
-    # [h_re, skip_re, h_im, skip_im], the order schema-3 kernels were
-    # trained on. The forward graph has no narrow.
+    # The first decoder block reads the pair (h, skip) of two [2 x C x F x T]
+    # maps in place: its op's parents are h and skip, and in the kernels'
+    # view [1 x 4C x F x T] its input channels are [h_re, skip_re, h_im,
+    # skip_im], the order schema-3 kernels were trained on, so it gives the
+    # bits it gives on the built concat([h, skip]). The forward graph holds
+    # neither a concat nor a narrow.
     model = desk_model(zones=0)
     seen = {}
 
@@ -164,18 +166,24 @@ def test_decoder_merge_reads_h_and_skip_per_part(rng):
             return seen[name][1]
         return call
 
+    dec0 = model.decoder[0]
     model.encoder[-1] = spy("enc", model.encoder[-1])
-    model.decoder[0] = spy("dec", model.decoder[0])
+    model.decoder[0] = spy("dec", dec0)
     out = model.forward(pack_input(random_spec(rng, 4, 3), 256, model.dtype), training=True)
-    x, skip = seen["dec"][0], seen["enc"][1]
-    (h, skip_in), (c, f, t) = x.parents, skip.shape[1:]
-    assert skip_in is skip and h.shape == skip.shape and x.shape == (2, 2 * c, f, t)
-    view = x.data.reshape(1, 4 * c, f, t)
+    (h, skip_in), y = seen["dec"]
+    skip, (c, f, t) = seen["enc"][1], seen["enc"][1].shape[1:]
+    assert skip_in is skip and h.shape == skip.shape
+    assert y.parents[0] is h and y.parents[1] is skip
+    merged = ad.concat([h, skip], axis=1).data.reshape(1, 4 * c, f, t)
     for n, part in enumerate((h.data[0], skip.data[0], h.data[1], skip.data[1])):
-        assert np.array_equal(view[0, n * c : (n + 1) * c], part)
+        assert np.array_equal(merged[0, n * c : (n + 1) * c], part)
+    with ad.no_grad():
+        in_place = dec0((h, skip), training=False).data
+        built = dec0(ad.concat([h, skip], axis=1), training=False).data
+    assert in_place.tobytes() == built.tobytes()
     kinds = {node._backward.__qualname__.split(".")[0] for node in ad._topo_order(out)
              if node._backward is not None}
-    assert "concat" in kinds and "narrow" not in kinds
+    assert "concat" not in kinds and "narrow" not in kinds
 
 
 def test_dc_weight_copied_from_first_modeled_bin(rng):

@@ -406,6 +406,27 @@ def test_manifest_roundtrip_and_track(tmp_path):
     assert np.all(track[active] == loaded[0]["target_azimuth_deg"])
 
 
+@pytest.mark.parametrize("key, value, ok", [
+    ("sir_db", float("inf"), True), ("sir_db", 5, True), ("id", 1.0, False),
+    ("sample_rate", True, False), ("duration_s", False, False), ("noisy_path", 3, False),
+    ("target_azimuth_deg", None, False),
+])
+def test_load_manifest_checks_value_types(tmp_path, key, value, ok):
+    # Each key holds the JSON type generate_dataset writes: an integer id and
+    # sample rate, string paths, numbers elsewhere (sir_db may be Infinity);
+    # a bool is neither an integer nor a number.
+    entry = {"id": 0, "noisy_path": "n.wav", "target_path": "t.wav", "sir_db": 0.0,
+             "target_azimuth_deg": 90, "duration_s": 1.0, "speech_offset_s": 0.1,
+             "speech_len_s": 0.5, "sample_rate": 16000, key: value}
+    path = tmp_path / "manifest.jsonl"
+    path.write_text(json.dumps(entry) + "\n")
+    if ok:
+        assert load_manifest(path) == [json.loads(json.dumps(entry))]
+    else:
+        with pytest.raises(ValueError, match=f"{path}:1: '{key}' must be "):
+            load_manifest(path)
+
+
 def _speech_dir(tmp_path, seconds, rate):
     speech_dir = tmp_path / "speech"
     speech_dir.mkdir()

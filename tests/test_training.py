@@ -284,13 +284,13 @@ def test_training_step_after_no_grad_block_still_trains(toy_dataset):
 # made the op).
 _STEP_OPS = {
     "nlm": {
-        "_weights_op": 1, "add": 4, "bce_loss": 1, "block_kernel": 15, "concat": 7,
+        "_weights_op": 1, "add": 4, "bce_loss": 1, "block_kernel": 15, "concat": 1,
         "conv2d": 1, "conv_bn_prelu": 13, "lstm": 1, "matmul": 3, "mul": 1, "narrow": 1,
         "prelu": 1, "reshape": 5, "si_snr_loss": 1, "sigmoid": 1, "synthesize_waveform": 1,
         "transpose": 6, "zone_scores": 1,
     },
     "splm": {
-        "_weights_op": 2, "add": 2, "bce_loss": 1, "block_kernel": 13, "concat": 7,
+        "_weights_op": 2, "add": 2, "bce_loss": 1, "block_kernel": 13, "concat": 1,
         "conv2d": 1, "conv_bn_prelu": 11, "lstm": 1, "matmul": 1, "mul": 1, "narrow": 1,
         "reshape": 3, "si_snr_loss": 1, "synthesize_waveform": 1, "transpose": 3,
     },
@@ -310,7 +310,7 @@ def test_training_step_graph_size_per_op_kind(tmp_path, toy_dataset, monkeypatch
     kinds = Counter(node._backward.__qualname__.split(".")[0]
                     for node in ad._topo_order(loss) if node._backward is not None)
     assert dict(kinds) == _STEP_OPS[mode]
-    assert sum(kinds.values()) == {"nlm": 64, "splm": 49}[mode]
+    assert sum(kinds.values()) == {"nlm": 58, "splm": 43}[mode]
 
 
 class _MicSelectorModel:
