@@ -46,7 +46,8 @@ def check_gradients(build, arrays, step=1e-5):
     ``build(*tensors) -> Tensor`` constructs the scalar loss from leaf
     tensors wrapping ``arrays`` (float64). Returns the worst relative
     error over all inputs, where the error of one input array is
-    ``max|analytic - numerical| / (max|numerical| + tiny)``.
+    ``max|analytic - numerical| / (max|numerical| + tiny)``; NaN if any
+    gradient entry is NaN.
     """
     arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
     leaves = [ad.Tensor(a.copy()) for a in arrays]
@@ -61,9 +62,7 @@ def check_gradients(build, arrays, step=1e-5):
         return build(*ts).item()
 
     numerical = numerical_gradient(f, [a.copy() for a in arrays], step=step)
-    worst = 0.0
-    for ga, gn in zip(analytic, numerical):
-        scale = np.abs(gn).max() + 1e-12
-        worst = max(worst, float(np.abs(ga - gn).max() / scale))
-    return worst
+    # np.max, unlike the builtin, returns NaN if any error is NaN.
+    return float(np.max([np.abs(ga - gn).max() / (np.abs(gn).max() + 1e-12)
+                         for ga, gn in zip(analytic, numerical)]))
 

@@ -20,8 +20,11 @@ from the kernel as one op. ``conv2d`` is
 the one plain conv op, transposed when given an output size; conv ->
 complex batch norm -> PReLU is one op, ``conv_bn_prelu``, which takes the
 same conv arguments and reads the [2 x C] gammas, betas and slopes as [2C]
-vectors. It keeps two maps for backward, recomputes the rest there, and
-under ``no_grad()`` keeps nothing. ``ComplexConvBlock`` is the network's one
+vectors. It writes BN and PReLU over the conv output and keeps only that
+one map for backward (InPlace-ABN), which rebuilds the standardized map's
+share from it; a block whose slopes are not all > 0, or whose |beta| reach
+a bound times |gamma|, cannot rebuild it and keeps the standardized map too.
+Under ``no_grad()`` it keeps nothing. ``ComplexConvBlock`` is the network's one
 conv layer: either that op or, without norm, a bare conv with a bias.
 Convolutions stride the frequency axis and are causal along time.
 
@@ -443,6 +446,15 @@ def _channel_groups(a):
         yield c0, min(c0 + step, a.shape[1])
 
 
+# The one-map backward reads gamma * xh as y - beta, so its roundoff grows
+# with |beta| / |gamma|: on a 16-channel float32 block the error of the gamma
+# gradient against float64 was 5 eps up to a ratio of 2 (as with xh kept), 21
+# at 8, 53 at 32 and 224 at 128. A block whose betas reach this multiple of
+# their gammas keeps xh. Just below it the two paths' gradients agree within
+# the composite-reference tolerance of 100 eps (test_layers.py).
+_BETA_PER_GAMMA = 8.0
+
+
 def conv_bn_prelu(x, w, stride, pad_f, pad_t, out_ft, gamma, beta, slope, running, training,
                   eps=1e-5, momentum=0.1):
     """The ``conv2d`` of x by w (transposed with an ``out_ft``, else None),
@@ -450,10 +462,16 @@ def conv_bn_prelu(x, w, stride, pad_f, pad_t, out_ft, gamma, beta, slope, runnin
     channel of the kernels' view over (freq, time) by its statistics in ``training``
     (moving ``running`` toward them) or by ``running`` (mean, var),
     y = gamma * xh + beta, and the output is max(y, 0) + slope * min(y, 0).
-    Only xh and the output are kept: backward recomputes y for the PReLU
-    mask and slope gradient, then applies gamma * inv_std * (dy - mean(dy) -
-    xh * mean(dy * xh)) (Ioffe & Szegedy, 2015; gamma * inv_std * dy under
-    frozen statistics) and the conv adjoints, overwriting its ``g``. Under
+    Backward applies the PReLU mask and slope gradient, then
+    gamma * inv_std * (dy - mean(dy) - xh * mean(dy * xh)) (Ioffe & Szegedy,
+    2015; gamma * inv_std * dy under frozen statistics) and the conv
+    adjoints, overwriting its ``g``. It keeps only the output map, written
+    over the conv output (InPlace-ABN, Rota Bulo et al., 2017): backward
+    rebuilds y as the output over the PReLU derivative and folds
+    xh = (y - beta) / gamma into per-channel constants. That holds while
+    every slope is > 0 and every |beta| < ``_BETA_PER_GAMMA`` |gamma|; a
+    block that fails this per-call check keeps xh and the output, and
+    backward recomputes y from xh. Under
     ``no_grad()`` it keeps nothing. A transposed one reads ``x`` as
     ``conv2d`` does: a map or an (h, skip) pair.
     The parameters and statistics are read as flat per-channel views of any
@@ -463,10 +481,12 @@ def conv_bn_prelu(x, w, stride, pad_f, pad_t, out_ft, gamma, beta, slope, runnin
     channels = xh_map.shape[1]
     n = xh_map.size // channels
     dtype = xh_map.dtype
-    recording = ad.is_recording()
-    out = np.empty_like(xh_map) if recording else xh_map
+    vecs = gam_v, bet_v, slp_v = [p.data.reshape(-1) for p in (gamma, beta, slope)]
+    keep_xh = ad.is_recording() and not (
+        np.all(slp_v > 0) and np.all(np.abs(bet_v) < _BETA_PER_GAMMA * np.abs(gam_v)))
+    out = np.empty_like(xh_map) if keep_xh else xh_map
     cs = (slice(None), None, None)  # a per-channel vector against a [k x F x T] group
-    gam, bet, slp = (p.data.reshape(-1)[cs] for p in (gamma, beta, slope))
+    gam, bet, slp = (v[cs] for v in vecs)
     running = [a.reshape(-1) for a in running]
     mean, var = (np.empty(channels, dtype), np.empty(channels, dtype)) if training else running
     inv_std = np.empty(channels, dtype)
@@ -495,29 +515,50 @@ def conv_bn_prelu(x, w, stride, pad_f, pad_t, out_ft, gamma, beta, slope, runnin
 
     def backward_fn(g):
         g = _view(g, 1)
-        k = gamma.data.reshape(-1) * inv_std
+        k = gam_v * inv_std
         d_gamma, d_beta, d_slope = (np.empty(channels, dtype) for _ in range(3))
         tmp = np.empty(group_shape, dtype)
         mask = np.empty(group_shape, bool)
         for c0, c1 in groups:
-            xh, gv = xh_map[:, c0:c1], g[:, c0:c1]
+            gv = g[:, c0:c1]
             t, m = tmp[:, : c1 - c0], mask[:, : c1 - c0]
-            np.multiply(xh, gam[c0:c1], out=t)
-            t += bet[c0:c1]
-            np.less_equal(t, 0, out=m)
-            np.minimum(t, 0, out=t)
-            d_slope[c0:c1] = _channel_dot(gv, t)
+            if keep_xh:
+                xh = xh_map[:, c0:c1]
+                np.multiply(xh, gam[c0:c1], out=t)
+                t += bet[c0:c1]
+                np.less_equal(t, 0, out=m)
+                np.minimum(t, 0, out=t)
+                d_slope[c0:c1] = _channel_dot(gv, t)
+            else:
+                # out <= 0 where y <= 0, and min(y, 0) = min(out, 0) / slope.
+                o = out[:, c0:c1]
+                np.less_equal(o, 0, out=m)
+                np.minimum(o, 0, out=t)
+                d_slope[c0:c1] = _channel_dot(gv, t) / slp_v[c0:c1]
+                gy_sum = _channel_dot(gv, o)  # sum(dy * y), as dy * y = g * out
             # dy = g * (slope where y <= 0, else 1), from the mask by arithmetic.
             np.multiply(m, slp[c0:c1] - 1, out=t)
             t += 1
             gv *= t
             d_beta[c0:c1] = g_sum = gv.sum(axis=(0, 2, 3))
-            d_gamma[c0:c1] = gx_sum = _channel_dot(gv, xh)
+            if keep_xh:
+                d_gamma[c0:c1] = gx_sum = _channel_dot(gv, xh)
+            else:
+                d_gamma[c0:c1] = gx_sum = (gy_sum - bet_v[c0:c1] * g_sum) / gam_v[c0:c1]
             kc = k[c0:c1]
             gv *= kc[cs]
             if training:
-                np.multiply(xh, (kc * gx_sum / n)[cs], out=t)
-                gv -= (kc * g_sum / n)[cs]
+                # gv -= kc * (g_sum + xh * gx_sum) / n; on the one-map path
+                # xh = (y - beta) / gamma, and y = out / t, t the PReLU's derivative.
+                a = kc * gx_sum / n
+                if keep_xh:
+                    np.multiply(xh, a[cs], out=t)
+                    gv -= (kc * g_sum / n)[cs]
+                else:
+                    a /= gam_v[c0:c1]
+                    np.divide(o, t, out=t)
+                    t *= a[cs]
+                    gv -= (kc * g_sum / n - bet_v[c0:c1] * a)[cs]
                 gv -= t
         for param, grad in ((gamma, d_gamma), (beta, d_beta), (slope, d_slope)):
             if param.needs_grad:
@@ -584,8 +625,8 @@ def lstm(x, wx, wh, b):
     q = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype=dtype), hidden)
     shift = np.repeat(np.array([0.5, 0.5, 0.0, 0.5], dtype=dtype), hidden)
 
-    x_rows = xd.reshape(s_n * t_len, d)
-    pre = (x_rows @ wxd.reshape(k_n * four_h, d).T).reshape(s_n, t_len, k_n, four_h)
+    pre = xd.reshape(s_n * t_len, d) @ wxd.reshape(k_n * four_h, d).T
+    pre = pre.reshape(s_n, t_len, k_n, four_h)
     pre += bd
     pre *= q
     gates = np.ascontiguousarray(pre.transpose(1, 2, 0, 3))  # [T x K x S x 4H]
@@ -657,8 +698,8 @@ def lstm(x, wx, wh, b):
             x.accumulate(da_s @ wxd.reshape(k_n * four_h, d), owned=True)
         da_k = da.transpose(1, 2, 0, 3).reshape(k_n, s_n * t_len, four_h)
         da_kt = da_k.transpose(0, 2, 1)
-        if wx.needs_grad:
-            wx.accumulate(da_kt @ x_rows, owned=True)
+        if wx.needs_grad:  # the rows of x, copied again rather than kept
+            wx.accumulate(da_kt @ xd.reshape(s_n * t_len, d), owned=True)
         if wh.needs_grad:
             h_rows = h_prev.transpose(1, 2, 0, 3).reshape(k_n, s_n * t_len, hidden)
             wh.accumulate(da_kt @ h_rows, owned=True)

@@ -177,6 +177,16 @@ def gradient_cases(seed=0):
         [r(2, 1, 4, 4), r(2, 2, 4, 4), 0.3 * r(2, 3, 2, 5, 2),
          *(base + 0.1 * r(2, 2) for base in (1.0, 0.0, 0.25))],
     ))
+    # A block with a zero slope cannot rebuild its standardized map from its
+    # output, so it keeps both maps for backward; the blocks above keep one.
+    gamma, beta, slope = (base + 0.1 * r(2, 3) for base in (1.0, 0.0, 0.25))
+    slope[1, 0] = 0.0
+    cases.append((
+        "complex_conv_block_two_maps",
+        _conv_block_build(r(2, 3, 4, 4), True, [0.3 * r(6), 0.5 + rng.uniform(size=6)],
+                          (2, 1), (2, 2), (1, 0)),
+        [r(2, 2, 8, 4), 0.3 * r(2, 3, 2, 5, 2), gamma, beta, slope],
+    ))
     return cases
 
 

@@ -152,6 +152,17 @@ def test_prelu_gradient(rng):
     assert check_gradients(build, [x, s]) < TOL
 
 
+def test_gradient_check_fails_a_nan_gradient_of_a_later_input(rng):
+    def nan_grad(a):
+        return ad.Tensor(a.data.copy(), (a,), lambda g: a.accumulate(np.full(a.shape, np.nan)))
+
+    def build(good, bad):
+        return ad.reduce_sum(good * good) + ad.reduce_sum(nan_grad(bad))
+
+    err = check_gradients(build, [rng.standard_normal(3), rng.standard_normal(3)])
+    assert not err < TOL, err
+
+
 def test_unbroadcast_scalar_like(rng):
     a = Tensor(rng.standard_normal((2, 2)))
     b = Tensor(np.array(2.0))

@@ -485,6 +485,81 @@ def test_train_resume_names_a_log_line_that_is_not_a_row(trained, tmp_path, caps
     assert log.read_text() == text
 
 
+# Runs the CLI with argv[2:] and ends the process with os._exit(3) at the
+# crash point argv[1] of a 4-step run that checkpoints at steps 0, 2 and 4:
+# right after logging step 2, halfway through step 3's log row, or between
+# the step-4 checkpoint's temporary write and its os.replace.
+_CRASH_CHILD = """
+import os, sys
+from neurobeam import training
+from neurobeam.cli import main
+
+point = sys.argv[1]
+real_open, real_replace, replaced = open, os.replace, []
+
+class Log:
+    def __init__(self, fh):
+        self.fh, self.rows = fh, 0
+    def write(self, row):
+        self.rows += 1
+        if point == "mid_row" and self.rows == 4:
+            self.fh.write(row[: len(row) // 2])
+            self.fh.flush()
+            os._exit(3)
+        self.fh.write(row)
+    def flush(self):
+        self.fh.flush()
+        if point == "after_row" and self.rows == 3:
+            os._exit(3)
+    def close(self):
+        self.fh.close()
+
+def log_open(path, *args, **kwargs):
+    fh = real_open(path, *args, **kwargs)
+    return Log(fh) if path.name == training.LOG_NAME else fh
+
+def replace(src, dst):
+    replaced.append(dst)
+    if point == "before_replace" and len(replaced) == 3:
+        os._exit(3)
+    real_replace(src, dst)
+
+training.open, os.replace = log_open, replace
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def test_train_killed_at_a_crash_point_resumes_exactly(trained, tmp_path):
+    # Each crash point ends one child run; train --resume from what it left
+    # on disk then gives the checkpoint bytes and log rows of a run that
+    # was never stopped.
+    import hashlib
+
+    cfg = tmp_path / "c4.json"
+    cfg.write_text(json.dumps(toy_config_dict(steps=4, checkpoint_every=2)))
+    assert _train(trained, cfg, tmp_path / "full") == 0
+
+    def digest(run):
+        return hashlib.sha256((run / "checkpoint_last.nbcp").read_bytes()).hexdigest()
+
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    rows = _log_rows(tmp_path / "full" / "train_log.jsonl")
+    for point in ("after_row", "mid_row", "before_replace"):
+        out = tmp_path / point
+        child = subprocess.run(
+            [sys.executable, "-c", _CRASH_CHILD, point, "train", str(cfg),
+             "--manifest", str(trained["manifest"]), "--out", str(out)],
+            env=env, timeout=120, capture_output=True)
+        assert child.returncode == 3, child.stderr
+        log = (out / "train_log.jsonl").read_text()
+        assert log.count("\n") == {"after_row": 3, "mid_row": 3, "before_replace": 4}[point]
+        assert log.endswith("\n") == (point != "mid_row")
+        assert (out / "checkpoint_last.nbcp.tmp").exists() == (point == "before_replace")
+        assert _train(trained, cfg, out, "--resume", str(out / "checkpoint_last.nbcp")) == 0
+        assert digest(out) == digest(tmp_path / "full"), point
+        assert _log_rows(out / "train_log.jsonl") == rows, point
+
+
 def _copy_data(trained, tmp_path):
     """A copy of the trained run's dataset directory."""
     import shutil

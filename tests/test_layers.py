@@ -878,35 +878,45 @@ def test_conv_block_output_with_two_consumers():
         _assert_close(grads[0][name], grads[1][name], np.float64)
 
 
-def test_conv_block_keeps_two_maps_and_eval_runs_in_place():
-    # One NLM-head-sized block in float32: a training forward keeps the
-    # standardized map and the output, and nothing else of map size; an
-    # eval forward under no_grad peaks no higher than the conv kernel does.
+def test_conv_block_keeps_one_map_and_eval_runs_in_place():
+    # One NLM-head-sized block in float32: a training forward keeps only its
+    # output map; one that cannot rebuild its standardized map from the
+    # output (a zero slope, or a beta at the bound of its gamma) keeps that
+    # map too, and nothing else of map size; an eval forward under no_grad
+    # peaks no higher than the conv kernel does.
     import tracemalloc
 
-    from neurobeam.layers import _BAND_BYTES
+    from neurobeam.layers import _BAND_BYTES, _BETA_PER_GAMMA
 
     rng = _rng(90)
     x = Tensor(rng.standard_normal((1, 48, 129, 957), dtype=np.float32))
     w = Tensor((0.1 * rng.standard_normal((48, 48, 5, 2))).astype(np.float32))
-    vec = [Tensor(np.full(48, v, dtype=np.float32)) for v in (1.0, 0.0, 0.25)]
     running = [np.zeros(48, np.float32), np.ones(48, np.float32)]
     stride, pad_f, pad_t = (2, 1), (2, 2), (1, 0)
     out_bytes = 48 * 65 * 957 * 4
     padded_bytes = x.data.nbytes // (129 * 957) * (129 + 4) * (957 + 1)
 
-    def run(training):
+    def run(training, beta=0.0, slope=0.25):
+        vec = [Tensor(np.full(48, v, dtype=np.float32)) for v in (1.0, beta, 0.25)]
+        vec[2].data[5] = slope  # one channel's
         return conv_bn_prelu(x, w, stride, pad_f, pad_t, None, *vec, running, training)
 
-    tracemalloc.start()
-    try:
-        out = run(True)
-        kept = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+    def kept(**block):
+        tracemalloc.start()
+        try:
+            out = run(True, **block)
+            return out, tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    out, one_map = kept()
     assert out._backward is not None
-    assert kept < 2 * out_bytes + _BAND_BYTES, kept
+    assert one_map < out_bytes + _BAND_BYTES, one_map
     del out
+    for block in ({"slope": 0.0}, {"slope": -0.25}, {"beta": _BETA_PER_GAMMA}):
+        out, two_maps = kept(**block)
+        assert 2 * out_bytes <= two_maps < 2 * out_bytes + _BAND_BYTES, (block, two_maps)
+        del out
 
     tracemalloc.start()
     try:
@@ -917,6 +927,39 @@ def test_conv_block_keeps_two_maps_and_eval_runs_in_place():
         tracemalloc.stop()
     assert out._backward is None
     assert peak < out_bytes + padded_bytes + _BAND_BYTES, peak
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_conv_block_one_map_gradients_match_two_maps_at_the_guard_bound(training, monkeypatch):
+    # float32, every |beta| just below _BETA_PER_GAMMA |gamma|, where the
+    # one-map backward's fold of xh = (y - beta) / gamma loses the most: its
+    # gradients match those of the block that keeps xh within the
+    # composite-reference tolerance. At the bound itself the block keeps xh.
+    from neurobeam import layers
+
+    bound = layers._BETA_PER_GAMMA
+    rng = _rng(95 + training)
+    case = _BlockCase(rng, 3, 4, (5, 2), (2, 1), (16, 24), False, 2, np.float32)
+    gamma = case.arrays["gamma"] * rng.choice([-1.0, 1.0], size=8)
+    case.arrays["gamma"] = gamma
+    signs = rng.choice([-1.0, 1.0], size=8)
+    weight = ad.constant(rng.standard_normal((2, 4, 8, 24)).astype(np.float32))
+
+    def grads(beta_per_gamma, guard):
+        case.arrays["beta"] = beta_per_gamma * np.abs(gamma) * signs
+        monkeypatch.setattr(layers, "_BETA_PER_GAMMA", guard)
+        t = case.leaves()
+        backward(ad.reduce_sum(case.fused(t, case.running_copy(), training) * weight))
+        return [leaf.grad for leaf in t.values()]
+
+    below = 0.999 * bound
+    one_map = grads(below, bound)
+    for have, want in zip(one_map, grads(below, np.inf)):  # the guard passed
+        assert np.array_equal(have, want)
+    for have, want in zip(one_map, grads(below, 0.0)):  # 0: every block keeps xh
+        _assert_close(have, want, np.float32)
+    for have, want in zip(grads(bound, bound), grads(bound, 0.0)):
+        assert np.array_equal(have, want)
 
 
 def test_prelu_closed_forms():
