@@ -22,11 +22,18 @@ from .layers import to_complex
 DEFAULT_VAD_THRESHOLD = 0.5
 
 
+def complex_filters(w):
+    """Filter tensor [2 x M x F x T] -> C-ordered complex128 filters
+    [M x T x F], the layout ``beamform`` and ``splm_map`` read."""
+    return to_complex(w.transpose(0, 1, 3, 2))
+
+
 def beamform(weights, data):
     """sum_m w[m,t,f] * y[m,t,f]: filters and spectra [M x T x F] -> [T x F].
-    The filters are summed as a C-ordered copy: on [4 x 957 x 257] filters
-    einsum took 17 ms on the transposed view callers hold and 9 ms on the
-    copy, copying included (2-vCPU x86 machine), with the same bits."""
+    Callers pass the C-ordered filters of ``complex_filters``, so nothing
+    is copied; a strided view is summed as a C-ordered copy (on [4 x 957 x
+    257] filters einsum took 17 ms on the transposed view and 9 ms on the
+    copy, copying included, 2-vCPU x86 machine, with the same bits)."""
     if weights.shape != data.shape:
         raise ValueError(f"weights shape {weights.shape} != spectrogram shape {data.shape}")
     return np.einsum("mtf,mtf->tf", np.ascontiguousarray(weights), data)
@@ -122,25 +129,28 @@ def enhance_utterance(
 
     The whole pass runs under ``autodiff.no_grad()``: no graph is
     recorded, so each activation is freed once the next layer has read
-    it. One ``forward_weights`` call makes the filters; in ``nlm`` mode
-    its float32 tensor is the NLM head's input image, and its complex128
+    it. One ``forward_weights`` call makes the filters; their complex128
     form [M x T x F] feeds filter-and-sum and, in ``splm`` mode, the zone
-    map.
+    map. The spectrogram and the complex filters are dropped before the
+    ISTFT, so in ``nlm`` mode the NLM head, which runs last on the float32
+    filter tensor, does not hold them.
     """
     if mode not in ("splm", "nlm"):
         raise ValueError(f"unknown localization mode '{mode}' (expected splm or nlm)")
     with ad.no_grad():
         spec = stft(noisy, stft_cfg)
         w = model.forward_weights(spec.data, training=False)
-        weights = to_complex(w.data).transpose(0, 2, 1)
+        weights = complex_filters(w.data)
         if mode == "splm":
             steering = steering_set(
                 geometry, ZoneGrid(zones), stft_cfg.frequencies(noisy.sample_rate)
             )
             zmap = splm_map(weights, steering)
-        else:
+        enhanced = filter_and_sum(weights, spec)
+        del spec, weights
+        enhanced = istft(enhanced)
+        if mode == "nlm":
             zmap = model.localize(w, training=False).data.astype(np.float64)
-        enhanced = istft(filter_and_sum(weights, spec))
     return enhanced, localization_from_map(zmap, vad_threshold)
 
 

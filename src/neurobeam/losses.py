@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .beamloc import beamform, splm_bands, splm_map, steered_response
+from .beamloc import beamform, complex_filters, splm_bands, splm_map, steered_response
 from .dsp import frame_signal, synthesize, wola_inverse
 from .layers import to_complex
 
@@ -173,7 +173,7 @@ def filter_and_sum_tensor(weights, spec_data):
     spectrogram [M x T x F] -> [2 x T x F]; the filters' complex gradient
     is g * conj(y)."""
     y = np.asarray(spec_data)
-    out = beamform(to_complex(weights.data).transpose(0, 2, 1), y)
+    out = beamform(complex_filters(weights.data), y)
     return _weights_op(
         weights, np.stack([out.real, out.imag]),
         lambda g: ((g[0] + 1j * g[1]) * np.conj(y)).transpose(0, 2, 1),
@@ -186,7 +186,7 @@ def splm_map_tensor(weights, steering):
     complex gradient is sum_n (g/F) (r/|r|) conj(a), r/|r| = 0 at r = 0;
     backward recomputes r in the chunks of bins ``splm_map`` sums over
     (``splm_bands``), so no [F x T x N] array is kept or built."""
-    w = to_complex(weights.data).transpose(0, 2, 1)  # [M x T x F]
+    w = complex_filters(weights.data)  # [M x T x F]
     f_bins = steering.shape[1]
 
     def grad_fn(g):

@@ -29,7 +29,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import require_shapes
-from .layers import ComplexConvBlock, ComplexLSTM, ComplexLinear, Linear, to_complex
+from .beamloc import complex_filters
+from .layers import ComplexConvBlock, ComplexLSTM, ComplexLinear, Linear
 
 MAGNITUDE_EPS = 1e-12
 
@@ -193,10 +194,13 @@ class MimoDccrn:
         return _named("buffers", self._parts())
 
     # -- forward paths -------------------------------------------------------
-    def forward(self, x, training=False):
-        """Packed input [2 x M x F' x T] -> filter image [2 x M x F' x T]."""
+    def forward(self, h, training=False):
+        """Packed input map ``h`` [2 x M x F' x T] -> filter image
+        [2 x M x F' x T]. Under ``no_grad()`` no map here outlives its last
+        reader: ``h`` is rebound to each block's output (so the input goes
+        once the first block has read it, unless the caller holds it), and
+        each decoder block pops its skip."""
         skips = []
-        h = x
         for block in self.encoder:
             h = block(h, training)
             skips.append(h)
@@ -206,10 +210,10 @@ class MimoDccrn:
         seq = self.restore(self.clstm(seq))  # [T x 2D]
         h = ad.reshape(ad.transpose(seq, (1, 0)), shape)
 
-        for block, skip in zip(self.decoder, skips[::-1]):
+        for block in self.decoder:
             # [h; skip] per part, read in place: kernel-view channels
             # [h_re, skip_re, h_im, skip_im].
-            h = block((h, skip), training)
+            h = block((h, skips.pop()), training)
         return h
 
     def forward_weights(self, spec_data, training=False):
@@ -230,7 +234,7 @@ class MimoDccrn:
         forward run under ``autodiff.no_grad()``, so no graph is kept."""
         with ad.no_grad():
             w = self.forward_weights(spec_data, training=False)
-        return to_complex(w.data).transpose(0, 2, 1)
+        return complex_filters(w.data)
 
     def localize(self, w, training=False):
         """Zone probabilities [T x N] from the filters [2 x M x F x T] of

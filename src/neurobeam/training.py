@@ -299,11 +299,12 @@ def evaluate_records(
     rows = []
     for entry in entries:
         with _naming(f"record {entry['id']}"):
-            noisy, target = (read_wav(Path(base_dir) / entry[key], sample_rate, geometry.num_mics)
-                             for key in ("noisy_path", "target_path"))
+            noisy = read_wav(Path(base_dir) / entry["noisy_path"], sample_rate, geometry.num_mics)
             enhanced, loc = enhance_utterance(
                 noisy, model, mode, zones, geometry, stft_cfg, vad_threshold
             )
+            # Only scoring reads the target, so it is not held while enhancing.
+            target = read_wav(Path(base_dir) / entry["target_path"], sample_rate, geometry.num_mics)
             n = enhanced.num_samples
             if n <= 2 * stft_cfg.window_length:
                 raise ValueError(

@@ -4,6 +4,7 @@ import pytest
 from neurobeam.arraygeom import ArrayGeometry, ZoneGrid, steering_set, uca_positions
 from neurobeam.beamloc import (
     LocalizationResult,
+    complex_filters,
     enhance_utterance,
     filter_and_sum,
     localization_from_map,
@@ -22,6 +23,13 @@ def _spec(rng, mics=3, frames=4, cfg=None):
         (mics, frames, cfg.num_bins)
     )
     return Spectrogram(data, cfg)
+
+
+def test_complex_filters_are_c_ordered(rng):
+    w = rng.standard_normal((2, 3, 5, 4)).astype(np.float32)  # [2 x M x F x T]
+    z = complex_filters(w)
+    assert z.dtype == np.complex128 and z.flags.c_contiguous
+    assert np.array_equal(z, (w[0] + 1j * w[1]).transpose(0, 2, 1))  # [M x T x F]
 
 
 def test_filter_and_sum_mic_selector(rng):
@@ -186,6 +194,35 @@ def test_enhance_unknown_mode(rng):
         enhance_utterance(noisy, model, "mvdr", 12, geom, StftConfig())
 
 
+def test_nlm_head_runs_after_the_spectrogram_and_filters_are_dropped(rng, monkeypatch):
+    # Only filter-and-sum reads the complex128 spectrogram and filters; in
+    # nlm mode the head runs after the ISTFT, on the float32 filter tensor,
+    # when both arrays are dead.
+    import weakref
+
+    from neurobeam import beamloc
+
+    refs, dead = [], []
+    real_filter_and_sum = beamloc.filter_and_sum
+
+    def filter_and_sum_spy(weights, spec):
+        refs.extend([weakref.ref(weights), weakref.ref(spec.data)])
+        return real_filter_and_sum(weights, spec)
+
+    model = _toy_model()
+    real_localize = model.localize
+
+    def localize_spy(w, training=False):
+        dead.append([ref() is None for ref in refs])
+        return real_localize(w, training)
+
+    monkeypatch.setattr(beamloc, "filter_and_sum", filter_and_sum_spy)
+    monkeypatch.setattr(model, "localize", localize_spy)
+    noisy = Waveform(0.1 * rng.standard_normal((4, 4000)))
+    enhance_utterance(noisy, model, "nlm", 12, ArrayGeometry(uca_positions(4, 0.05)), StftConfig())
+    assert dead == [[True, True]]
+
+
 def test_nlm_zone_map_matches_complex_round_trip(toy_dataset):
     # ``enhance_utterance`` runs without a graph; in both modes its
     # waveform, zone map and VAD must be bit-identical to those of a
@@ -194,7 +231,6 @@ def test_nlm_zone_map_matches_complex_round_trip(toy_dataset):
     # exactly, since float32 -> float64 -> float32 is exact.
     from neurobeam.autodiff import Tensor
     from neurobeam.dsp import istft, read_wav, stft
-    from neurobeam.layers import to_complex
 
     cfg = toy_dataset["config"]
     stft_cfg = cfg.stft
@@ -203,7 +239,7 @@ def test_nlm_zone_map_matches_complex_round_trip(toy_dataset):
     spec = stft(noisy, stft_cfg)
     w = model.forward_weights(spec.data, training=False)
     assert w.needs_grad and w.parents
-    weights = to_complex(w.data).transpose(0, 2, 1)
+    weights = complex_filters(w.data)
     wt = weights.transpose(0, 2, 1)
     w_parts = np.stack([wt.real, wt.imag]).astype(model.dtype)
     zmaps = {
@@ -229,8 +265,8 @@ def test_nlm_zone_map_matches_complex_round_trip(toy_dataset):
 def test_enhance_memory_stays_below_a_recorded_graph(toy_dataset):
     # A forward that records its graph keeps every activation alive until
     # it returns: the traced peak of ``enhance_utterance`` on this 1 s
-    # record was 54 MB (nlm) and 59 MB (splm) that way, and is about 18 MB
-    # in both modes without a graph.
+    # record was 54 MB (nlm) and 59 MB (splm) that way, and is about 15 MB
+    # (nlm) and 13 MB (splm) without a graph.
     import tracemalloc
 
     from neurobeam.dsp import read_wav

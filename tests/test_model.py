@@ -4,7 +4,7 @@ import pytest
 from neurobeam import autodiff as ad
 from neurobeam.autodiff import Tensor
 from neurobeam.checkpoint import load_checkpoint, save_checkpoint
-from neurobeam.layers import to_complex
+from neurobeam.beamloc import complex_filters
 from neurobeam.model import (
     MimoDccrn,
     MimoDccrnConfig,
@@ -222,7 +222,38 @@ def test_forward_under_no_grad_keeps_no_graph(rng):
     recorded = model.forward_weights(spec, training=False)
     assert recorded.parents and recorded.needs_grad
     assert np.array_equal(recorded.data, w.data)
-    assert np.array_equal(model.infer_weights(spec), to_complex(w.data).transpose(0, 2, 1))
+    assert np.array_equal(model.infer_weights(spec), complex_filters(w.data))
+
+
+def test_no_grad_forward_frees_each_skip_once_its_decoder_block_returns(rng):
+    # Each decoder block pops its skip, so under no_grad() an encoder map
+    # is dead once the block that reads it has returned: here, when the
+    # next block starts, and all of them when the forward returns.
+    import weakref
+
+    model = desk_model(zones=0)
+    maps, dead = [], []
+
+    def encoder_spy(block):
+        def call(x, training):
+            out = block(x, training)
+            maps.append(weakref.ref(out.data))
+            return out
+        return call
+
+    def decoder_spy(index, block):
+        def call(pair, training):
+            # decoder block k reads the skip of encoder block depth - 1 - k
+            dead.append([ref() is None for ref in maps[::-1][:index]])
+            return block(pair, training)
+        return call
+
+    model.encoder = [encoder_spy(b) for b in model.encoder]
+    model.decoder = [decoder_spy(i, b) for i, b in enumerate(model.decoder)]
+    with ad.no_grad():
+        model.forward(pack_input(random_spec(rng, 4, 3), 256, model.dtype))
+    assert dead == [[True] * i for i in range(len(model.decoder))]
+    assert all(ref() is None for ref in maps)
 
 
 def test_causality_of_weights(rng):
