@@ -9,33 +9,13 @@ at position r carries the phase factor exp(+j * (2*pi*f/c) * doa . r).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 SPEED_OF_SOUND = 343.0
-
-
-@dataclass(frozen=True)
-class ArrayGeometry:
-    """Microphone positions [M x 3] in meters around the array center."""
-
-    positions: np.ndarray
-    speed_of_sound: float = SPEED_OF_SOUND
-
-    def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=np.float64).reshape(-1, 3)
-        object.__setattr__(self, "positions", pos)
-        if pos.shape[0] < 2:
-            raise ValueError(f"need at least 2 microphones, got {pos.shape[0]}")
-        for i in range(pos.shape[0]):
-            for j in range(i + 1, pos.shape[0]):
-                if np.allclose(pos[i], pos[j]):
-                    raise ValueError(f"microphones {i} and {j} coincide")
-
-    @property
-    def num_mics(self):
-        return self.positions.shape[0]
 
 
 def uca_positions(num_mics, radius):
@@ -60,38 +40,30 @@ class ArraySpec:
     positions: tuple[tuple[float, float, float], ...] | None = None  # per mic; overrides the UCA
 
     def __post_init__(self):
-        if self.positions is not None and len(self.positions) != self.mics:
+        if self.positions is None:
+            return
+        if len(self.positions) != self.mics:
             raise ValueError(
                 f"array.positions lists {len(self.positions)} microphones "
                 f"but array.mics is {self.mics}"
             )
+        pos = self.mic_positions
+        for i, j in itertools.combinations(range(self.mics), 2):
+            if np.allclose(pos[i], pos[j]):
+                raise ValueError(f"array.positions: microphones {i} and {j} coincide")
 
-    def geometry(self):
-        """The configured array: explicit ``positions`` [M x 3], else a UCA."""
-        positions = self.positions
-        if positions is None:
-            positions = uca_positions(self.mics, self.radius_m)
-        return ArrayGeometry(np.asarray(positions, dtype=np.float64), self.speed_of_sound)
+    @cached_property
+    def mic_positions(self):
+        """The microphone positions [M x 3] in meters around the array
+        center: the explicit ``positions``, else a UCA."""
+        if self.positions is None:
+            return uca_positions(self.mics, self.radius_m)
+        return np.asarray(self.positions, dtype=np.float64)
 
 
 def doa_unit_vector(azimuth_deg):
     theta = np.deg2rad(azimuth_deg)
     return np.array([np.cos(theta), np.sin(theta), 0.0])
-
-
-@dataclass(frozen=True)
-class ZoneGrid:
-    """N azimuthal zones; zone n (1-based) is centered at (n-1)*360/N degrees."""
-
-    num_zones: int
-
-    def __post_init__(self):
-        if self.num_zones < 2:
-            raise ValueError(f"need at least 2 zones, got {self.num_zones}")
-
-    @property
-    def centers_deg(self):
-        return np.arange(self.num_zones) * 360.0 / self.num_zones
 
 
 def zone_of_angle(theta_deg, num_zones):
@@ -113,13 +85,15 @@ def zone_of_angle(theta_deg, num_zones):
     return zone
 
 
-def steering_set(geom, grid, freqs_hz):
-    """Steering vectors for every zone center: [N x F x M] complex."""
-    kappas = np.stack([doa_unit_vector(c) for c in grid.centers_deg])  # [N x 3]
-    proj = kappas @ geom.positions.T  # [N x M]
+def steering_set(array, zones, freqs_hz):
+    """Steering vectors of the ``array`` (an ``ArraySpec``) for the centers
+    of ``zones`` azimuthal zones, zone n (1-based) at (n-1)*360/N degrees:
+    [N x F x M] complex."""
+    kappas = np.stack([doa_unit_vector(n * 360.0 / zones) for n in range(zones)])  # [N x 3]
+    proj = kappas @ array.mic_positions.T  # [N x M]
     freqs = np.asarray(freqs_hz, dtype=np.float64)
     phase = (
-        2.0 * np.pi / geom.speed_of_sound
+        2.0 * np.pi / array.speed_of_sound
     ) * freqs[np.newaxis, :, np.newaxis] * proj[:, np.newaxis, :]
     return np.exp(1j * phase)
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .arraygeom import ZoneGrid, steering_set
-from .dsp import Spectrogram, istft, stft
+from .arraygeom import steering_set
+from .dsp import istft, stft
 from .layers import to_complex
 
 DEFAULT_VAD_THRESHOLD = 0.5
@@ -40,8 +40,9 @@ def beamform(weights, data):
 
 
 def filter_and_sum(weights, spec):
-    """Apply per-channel filters and sum across microphones -> 1-channel."""
-    return Spectrogram(beamform(weights, spec.data)[np.newaxis], spec.config, spec.sample_rate)
+    """Apply per-channel filters to spectra [M x T x F] and sum across
+    microphones -> the 1-channel spectrum [1 x T x F]."""
+    return beamform(weights, spec)[np.newaxis]
 
 
 # splm_map sums |steered response| over chunks of this many frequency bins,
@@ -112,15 +113,8 @@ def localization_from_map(zmap, threshold=DEFAULT_VAD_THRESHOLD):
     return LocalizationResult(localize(zmap), scores, decisions, zmap)
 
 
-def enhance_utterance(
-    noisy,
-    model,
-    mode,
-    zones,
-    geometry,
-    stft_cfg,
-    vad_threshold=DEFAULT_VAD_THRESHOLD,
-):
+def enhance_utterance(noisy, model, mode, zones, array, stft_cfg,
+                      vad_threshold=DEFAULT_VAD_THRESHOLD):
     """Full enhancement + localization pass over one utterance.
 
     Returns (enhanced 1-channel waveform, LocalizationResult). The output
@@ -139,16 +133,14 @@ def enhance_utterance(
         raise ValueError(f"unknown localization mode '{mode}' (expected splm or nlm)")
     with ad.no_grad():
         spec = stft(noisy, stft_cfg)
-        w = model.forward_weights(spec.data, training=False)
+        w = model.forward_weights(spec, training=False)
         weights = complex_filters(w.data)
         if mode == "splm":
-            steering = steering_set(
-                geometry, ZoneGrid(zones), stft_cfg.frequencies(noisy.sample_rate)
-            )
+            steering = steering_set(array, zones, stft_cfg.frequencies(noisy.sample_rate))
             zmap = splm_map(weights, steering)
         enhanced = filter_and_sum(weights, spec)
         del spec, weights
-        enhanced = istft(enhanced)
+        enhanced = istft(enhanced, stft_cfg, noisy.sample_rate)
         if mode == "nlm":
             zmap = model.localize(w, training=False).data.astype(np.float64)
     return enhanced, localization_from_map(zmap, vad_threshold)

@@ -146,7 +146,7 @@ def cmd_enhance(args):
         )
     noisy = read_wav(args.input, run.dataset.sample_rate, run.array.mics)
     enhanced, result = enhance_utterance(
-        noisy, model, mode, zones, run.array.geometry(), run.stft,
+        noisy, model, mode, zones, run.array, run.stft,
         vad_threshold=loc.vad_threshold,
     )
     write_wav(args.out, enhanced)

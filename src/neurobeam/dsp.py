@@ -8,6 +8,8 @@ single zero-padded frame.
 
 from __future__ import annotations
 
+import os
+import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -113,27 +115,6 @@ class StftConfig:
         return (starts + 0.5 * self.window_length) / sample_rate
 
 
-@dataclass(frozen=True)
-class Spectrogram:
-    """One-sided complex STFT, data shaped [channels x frames x bins]."""
-
-    data: np.ndarray
-    config: StftConfig
-    sample_rate: int = DEFAULT_SAMPLE_RATE
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.complex128)
-        object.__setattr__(self, "data", data)
-        if data.ndim != 3:
-            raise ValueError(f"spectrogram data must be 3-d, got ndim={data.ndim}")
-        if data.shape[2] != self.config.num_bins:
-            raise ValueError(
-                f"bin count {data.shape[2]} != fft_size/2+1 = {self.config.num_bins}"
-            )
-        if not np.all(np.isfinite(data)):
-            raise ValueError("spectrogram contains non-finite values")
-
-
 def frame_signal(x, cfg):
     """Windowed frames [... x T x window_length] of signals [... x n], read
     through one strided view; input shorter than a window is zero-padded."""
@@ -178,11 +159,11 @@ def wola_inverse(cfg, n_frames):
 
 
 def stft(wave, cfg):
-    """One-sided STFT of every channel; frames zero-padded to fft_size."""
+    """One-sided complex128 STFT [channels x frames x bins] of every channel
+    of a waveform; frames zero-padded to fft_size."""
     if wave.num_samples == 0:
         raise ValueError("cannot analyze an empty waveform")
-    frames = frame_signal(wave.samples, cfg)
-    return Spectrogram(np.fft.rfft(frames, n=cfg.fft_size, axis=-1), cfg, wave.sample_rate)
+    return np.fft.rfft(frame_signal(wave.samples, cfg), n=cfg.fft_size, axis=-1)
 
 
 def synthesize(spectra, cfg):
@@ -192,47 +173,79 @@ def synthesize(spectra, cfg):
     return overlap_add(frames, cfg) * wola_inverse(cfg, frames.shape[-2])
 
 
-def istft(spec):
-    """Weighted overlap-add synthesis; inverse of ``stft`` on the interior.
+def istft(spec, cfg, sample_rate):
+    """Weighted overlap-add synthesis of spectra [channels x T x F] into a
+    waveform; inverse of ``stft`` on the interior.
 
     Output length is window_length + (T-1)*hop, i.e. trailing samples the
     analysis dropped are not resynthesized. Samples within one window of
     either edge are only partially covered and are not guaranteed exact.
     """
-    return Waveform(synthesize(spec.data, spec.config), spec.sample_rate)
+    return Waveform(synthesize(spec, cfg), sample_rate)
 
 
 # ---------------------------------------------------------------------------
 # WAV file I/O (reads PCM 16/32-bit and float, writes IEEE float-32)
 # ---------------------------------------------------------------------------
 
+_FULL_SCALE = {np.dtype(np.int16): 32768.0, np.dtype(np.int32): 2147483648.0,
+               np.dtype(np.float32): 1.0, np.dtype(np.float64): 1.0}
+
+
+# What ``wavfile.read`` raises on a damaged header besides its ValueErrors:
+# struct.error (a cut), ZeroDivisionError (0 channels), TypeError (a bit
+# depth with no dtype), UnboundLocalError (no data chunk read).
+_PARSE_ERRORS = (ValueError, TypeError, ArithmeticError, LookupError, NameError, struct.error)
+
+
+def _chunk_overruns_file(path):
+    """Whether a chunk of the RIFF file at ``path``, up to the length its
+    header declares, runs past the file's end. scipy reads such a file with
+    only a warning: a cut data chunk as the samples left, and one whose
+    size field was damaged smaller as fewer samples, the rest skipped as an
+    unknown chunk. RIFX and RF64 files are not walked."""
+    with open(path, "rb") as fh:
+        riff, size = struct.unpack("<4sI", fh.read(8).ljust(8, b"\0"))
+        if riff != b"RIFF":
+            return False
+        end = fh.seek(0, os.SEEK_END)
+        pos, stop = 12, min(end, 8 + size)
+        while pos + 8 <= stop:
+            fh.seek(pos + 4)
+            chunk = struct.unpack("<I", fh.read(4))[0]
+            pos += 8 + chunk + chunk % 2
+    return pos > end + 1  # a last odd-sized chunk may lack its pad byte
+
+
 def read_wav(path, sample_rate=None, channels=None):
     """Read a mono or multi-channel WAV as floats in [-1, 1).
 
     A file at another rate than ``sample_rate``, or of another channel count
-    than ``channels``, each where given, is rejected, naming the file.
+    than ``channels``, each where given, is rejected, naming the file, and
+    so is a file that holds no samples, that scipy cannot parse, or whose
+    chunks run past its end.
     """
-    rate, data = wavfile.read(path)
+    if _chunk_overruns_file(path):
+        raise ValueError(f"{path} is cut or damaged: a chunk runs past the end of the file")
+    try:
+        rate, data = wavfile.read(path)
+    except _PARSE_ERRORS as exc:
+        raise ValueError(f"{path} is not a readable WAV file ({type(exc).__name__}: {exc})") from exc
     if sample_rate is not None and rate != sample_rate:
         raise ValueError(f"{path} is at {rate} Hz, not at {sample_rate} Hz")
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.int32:
-        samples = data.astype(np.float64) / 2147483648.0
-    elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(np.float64)
-    else:
-        raise ValueError(f"unsupported WAV sample format: {data.dtype}")
-    if samples.ndim == 1:
-        samples = samples[np.newaxis, :]
-    else:
-        samples = samples.T
-    if channels is not None and len(samples) != channels:
-        raise ValueError(f"{path} has {len(samples)} channel(s), not the array's {channels}")
+    if data.size == 0:
+        raise ValueError(f"{path} holds no samples")
+    if data.dtype not in _FULL_SCALE:
+        raise ValueError(f"{path} holds an unsupported WAV sample format: {data.dtype}")
+    samples = data.T.astype(np.float64)
+    samples /= _FULL_SCALE[data.dtype]
     try:
-        return Waveform(samples, int(rate))
+        wave = Waveform(samples, int(rate))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    if channels is not None and wave.channels != channels:
+        raise ValueError(f"{path} has {wave.channels} channel(s), not the array's {channels}")
+    return wave
 
 
 def write_wav(path, wave):

@@ -69,12 +69,10 @@ def si_snr(estimate, reference, convention="standard"):
     """Scale-invariant SNR in dB, clamped to +/-60.
 
     Project the estimate onto the reference, compare target and error
-    energies. Inputs are 1-d arrays (or 1-channel waveforms) of equal
-    length; the reference must not be silent.
+    energies. Inputs are 1-d arrays of equal length; the reference must not
+    be silent.
     """
-    est = estimate.samples[0] if hasattr(estimate, "samples") else np.asarray(estimate)
-    ref = reference.samples[0] if hasattr(reference, "samples") else np.asarray(reference)
-    return _si_snr(est, ref, convention)[0]
+    return _si_snr(np.asarray(estimate), np.asarray(reference), convention)[0]
 
 
 def si_snr_loss(estimate, reference, convention="standard"):

@@ -255,27 +255,18 @@ class MixtureSpec:
                 raise ValueError(f"{name} must be finite or +inf, got {v}")
 
 
-def synthesize_mixture(
-    room,
-    geometry,
-    target_src,
-    interference_src,
-    clean_speech,
-    interference_signal,
-    spec,
-    early_ms=DEFAULT_EARLY_MS,
-):
+def synthesize_mixture(room, array, target_src, interference_src, clean_speech,
+                       interference_signal, spec, early_ms=DEFAULT_EARLY_MS):
     """Build one reverberant multi-microphone mixture; returns the
     ``(noisy, target)`` waveforms.
 
-    The array sits at ``room.center()``; ``target_src`` and
-    ``interference_src`` are source positions, and ``interference_src``
-    and ``interference_signal`` may be None for interference-free
-    mixtures. Deterministic given ``spec.seed``.
+    The ``array`` (an ``ArraySpec``) sits at ``room.center()``;
+    ``target_src`` and ``interference_src`` are source positions, and
+    ``interference_src`` and ``interference_signal`` may be None for
+    interference-free mixtures. Deterministic given ``spec.seed``.
     """
     fs = clean_speech.sample_rate
-    center = room.center()
-    mics = center + geometry.positions
+    mics = room.center() + array.mic_positions
 
     n = int(round(spec.duration * fs))
     off = int(round(spec.speech_offset * fs))
@@ -287,13 +278,12 @@ def synthesize_mixture(
     active[off : off + sig.shape[0]] = True
 
     max_order = default_max_order(room)
-    num_mics = geometry.num_mics
     rirs = image_source_rir(room, target_src, mics, max_order, fs)
     early = [split_direct_early(rir, early_ms, fs) for rir in rirs]
     speech = fftconvolve(buffer, rirs + early, n)
-    rev_speech, target = speech[:num_mics], speech[num_mics:]
+    rev_speech, target = speech[: array.mics], speech[array.mics :]
 
-    scaled_intf = np.zeros((num_mics, n))
+    scaled_intf = np.zeros((array.mics, n))
     if interference_src is not None and interference_signal is not None:
         intf_sig = interference_signal.samples[0]
         reps = -(-n // intf_sig.shape[0])
@@ -304,7 +294,7 @@ def synthesize_mixture(
         scaled_intf = sir_scale * rev_intf
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([spec.seed])))
-    noise = rng.standard_normal((num_mics, n))
+    noise = rng.standard_normal((array.mics, n))
     snr_scale = mix_at_db(rev_speech[0:1], noise[0:1], spec.sensor_snr_db, active)
     scaled_noise = snr_scale * noise
 
@@ -443,7 +433,6 @@ def _build_record(cfg, index):
     seed = int(rng.integers(2**63))
 
     room = RoomSpec(cfg.rooms[scenario], t60, cfg.speed_of_sound)
-    geometry = cfg.geometry()
     target_src = placement_from_azimuth(room, target_az, target_dist)
     intf_src = placement_from_azimuth(room, intf_az, cfg.interference_distance_m)
 
@@ -468,7 +457,7 @@ def _build_record(cfg, index):
         seed=seed,
     )
     noisy, target = synthesize_mixture(
-        room, geometry, target_src, intf_src, speech, interference, spec,
+        room, cfg, target_src, intf_src, speech, interference, spec,
         early_ms=cfg.early_ms,
     )
     entry = {

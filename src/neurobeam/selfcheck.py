@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .arraygeom import ArrayGeometry, ZoneGrid, steering_set, uca_positions, zone_of_angle
+from .arraygeom import ArraySpec, steering_set, zone_of_angle
 from .dsp import StftConfig, Waveform, istft, stft
 from .gradcheck import check_gradients
 from .layers import (
@@ -209,7 +209,7 @@ def _check_stft_roundtrip():
     errs = []
     for _ in range(5):
         x = rng.standard_normal(16000)
-        y = istft(stft(Waveform(x[np.newaxis, :]), cfg)).samples[0]
+        y = istft(stft(Waveform(x[np.newaxis, :]), cfg), cfg, 16000).samples[0]
         lo, hi = cfg.window_length, y.shape[0] - cfg.window_length
         errs.append(np.abs(y[lo:hi] - x[lo:hi]).max() / np.sqrt(np.mean(x**2)))
     worst = np.max(errs)  # NaN propagates, unlike the builtin max
@@ -217,10 +217,9 @@ def _check_stft_roundtrip():
 
 
 def _check_steering():
-    geom = ArrayGeometry(uca_positions(6, 0.05))
-    grid = ZoneGrid(12)
+    array = ArraySpec(mics=6, radius_m=0.05)
     cfg = StftConfig()
-    steering = steering_set(geom, grid, cfg.frequencies(16000))
+    steering = steering_set(array, 12, cfg.frequencies(16000))
     unit = np.abs(np.abs(steering) - 1.0).max()
     results = [("steering_unit_modulus", unit < 1e-12, f"|a| dev {unit:.2e}")]
 
@@ -228,7 +227,7 @@ def _check_steering():
 
     zone = 4
     a = steering[zone - 1]  # [F x M]
-    w = np.conj(a).T[:, np.newaxis, :] / geom.num_mics  # stored form, [M x 1 x F]
+    w = np.conj(a).T[:, np.newaxis, :] / array.mics  # stored form, [M x 1 x F]
     zmap = splm_map(w, steering)
     dev = abs(zmap[0, zone - 1] - 1.0)
     results.append(("distortionless_identity", dev < 1e-9, f"dev {dev:.2e}"))

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .arraygeom import ZoneGrid, ground_truth_map, steering_set
+from .arraygeom import ground_truth_map, steering_set
 from .beamloc import enhance_utterance, localize
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, meta_dtype
@@ -80,8 +80,8 @@ def checkpoint_meta(cfg, step):
 
 
 def geometry_from_meta(meta):
-    """Rebuild the microphone geometry a checkpoint was trained with."""
-    return RunConfig.from_meta(meta).array.geometry()
+    """The ``ArraySpec`` a checkpoint was trained with."""
+    return RunConfig.from_meta(meta).array
 
 
 @contextmanager
@@ -128,8 +128,8 @@ def training_step(model, adam, cfg, entry, base_dir, steering=None):
                      for key in ("noisy_path", "target_path"))
     spec = stft(noisy, stft_cfg)
 
-    weights = model.forward_weights(spec.data, training=True)
-    enhanced = filter_and_sum_tensor(weights, spec.data)
+    weights = model.forward_weights(spec, training=True)
+    enhanced = filter_and_sum_tensor(weights, spec)
     estimate = synthesize_waveform(enhanced, stft_cfg)
     reference = target.samples[trn.reference_mic][: estimate.shape[0]]
     loss_sisnr = si_snr_loss(estimate, reference, trn.sisnr_convention)
@@ -230,8 +230,7 @@ def train(cfg, manifest_path, out_dir, resume=None):
     steering = None
     if cfg.localization.mode == "splm":
         steering = steering_set(
-            cfg.array.geometry(), ZoneGrid(cfg.localization.zones),
-            cfg.stft.frequencies(cfg.dataset.sample_rate),
+            cfg.array, cfg.localization.zones, cfg.stft.frequencies(cfg.dataset.sample_rate)
         )
 
     log_path = out_dir / LOG_NAME
@@ -286,7 +285,7 @@ def interior_slice(stft_cfg, length):
 
 
 def evaluate_records(
-    entries, base_dir, model, stft_cfg, geometry, zones, mode,
+    entries, base_dir, model, stft_cfg, array, zones, mode,
     convention="standard", vad_threshold=0.5, reference_mic=0, sample_rate=None,
 ):
     """Per-record SI-SNR improvement and localization metrics.
@@ -299,12 +298,12 @@ def evaluate_records(
     rows = []
     for entry in entries:
         with _naming(f"record {entry['id']}"):
-            noisy = read_wav(Path(base_dir) / entry["noisy_path"], sample_rate, geometry.num_mics)
+            noisy = read_wav(Path(base_dir) / entry["noisy_path"], sample_rate, array.mics)
             enhanced, loc = enhance_utterance(
-                noisy, model, mode, zones, geometry, stft_cfg, vad_threshold
+                noisy, model, mode, zones, array, stft_cfg, vad_threshold
             )
             # Only scoring reads the target, so it is not held while enhancing.
-            target = read_wav(Path(base_dir) / entry["target_path"], sample_rate, geometry.num_mics)
+            target = read_wav(Path(base_dir) / entry["target_path"], sample_rate, array.mics)
             n = enhanced.num_samples
             if n <= 2 * stft_cfg.window_length:
                 raise ValueError(
@@ -399,7 +398,7 @@ def evaluate(manifest_path, checkpoint_path, out_csv=None, mode=None):
     model, run = restore_checkpoint(checkpoint_path)
     loc, scoring = run.localization, run.training
     rows = evaluate_records(
-        entries, manifest_path.parent, model, run.stft, run.array.geometry(), loc.zones,
+        entries, manifest_path.parent, model, run.stft, run.array, loc.zones,
         mode or loc.mode, convention=scoring.sisnr_convention,
         vad_threshold=loc.vad_threshold, reference_mic=scoring.reference_mic,
         sample_rate=run.dataset.sample_rate,

@@ -13,13 +13,7 @@ import numpy as np
 
 from neurobeam import autodiff as ad
 from neurobeam import roomsim
-from neurobeam.arraygeom import (
-    ArrayGeometry,
-    ZoneGrid,
-    steering_set,
-    uca_positions,
-    zone_of_angle,
-)
+from neurobeam.arraygeom import ArraySpec, steering_set, zone_of_angle
 from neurobeam.beamloc import localize, splm_map, vad
 from neurobeam.cli import main as cli_main
 from neurobeam.config import config_from_dict
@@ -65,7 +59,7 @@ def test_criterion_1_stft_roundtrip():
     errs = []
     for _ in range(100):
         x = rng.standard_normal(16000)
-        y = istft(stft(Waveform(x[np.newaxis]), cfg)).samples[0]
+        y = istft(stft(Waveform(x[np.newaxis]), cfg), cfg, 16000).samples[0]
         lo, hi = cfg.window_length, y.shape[0] - cfg.window_length
         errs.append(np.abs(y[lo:hi] - x[lo:hi]).max() / np.sqrt(np.mean(x**2)))
     worst = np.max(errs)  # NaN propagates, unlike the builtin max
@@ -89,8 +83,8 @@ def test_criterion_2_distortionless_identity():
         mics = int(rng.integers(3, 9))
         radius = float(rng.uniform(0.03, 0.2))
         zones = int(rng.choice([12, 36]))
-        geom = ArrayGeometry(uca_positions(mics, radius))
-        steering = steering_set(geom, ZoneGrid(zones), cfg.frequencies(16000))
+        array = ArraySpec(mics=mics, radius_m=radius)
+        steering = steering_set(array, zones, cfg.frequencies(16000))
         zone = int(rng.integers(1, zones + 1))
         a = steering[zone - 1]  # [F x M]
         frames = 3
@@ -117,9 +111,9 @@ def test_criterion_3_delay_and_sum_oracle():
     # simulator's contract, tolerant to +/-1 sample), a 5 cm aperture
     # would be dominated by quantization; the wider test aperture keeps
     # the oracle's geometric error well inside one 10-degree zone.
-    geom = ArrayGeometry(uca_positions(6, 0.15))
-    mics = geom.num_mics
-    steering = steering_set(geom, ZoneGrid(zones), cfg.frequencies(fs))
+    array = ArraySpec(mics=6, radius_m=0.15)
+    mics = array.mics
+    steering = steering_set(array, zones, cfg.frequencies(fs))
     room = RoomSpec((24.0, 24.0, 3.0), t60=0.0)  # beta = 0: free field
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([3])))
     burst = rng.standard_normal(int(0.35 * fs))
@@ -137,8 +131,8 @@ def test_criterion_3_delay_and_sum_oracle():
     margin = int(np.ceil((8.0 / 343.0 + cfg.window_length / fs) / (cfg.hop / fs)))
     for theta in sweep:
         src = placement_from_azimuth(room, float(theta), 8.0)
-        noisy, _ = synthesize_mixture(room, geom, src, None, speech, None, mix)
-        spec = stft(noisy, cfg).data
+        noisy, _ = synthesize_mixture(room, array, src, None, speech, None, mix)
+        spec = stft(noisy, cfg)
         power = np.mean(np.abs(spec), axis=(0, 2))
         weights = np.conj(spec) / (mics * (power[np.newaxis, :, np.newaxis] + 1e-12))
         zmap = splm_map(weights, steering)
@@ -248,8 +242,7 @@ def test_criterion_5_gradient_suite():
     ref = rng.standard_normal(32 + (frames - 1) * 8)
     truth = np.zeros((frames, 4))
     truth[:, 1] = 1.0
-    geom = ArrayGeometry(uca_positions(2, 0.05))
-    steering = steering_set(geom, ZoneGrid(4), tiny_cfg.frequencies(16000))
+    steering = steering_set(ArraySpec(mics=2), 4, tiny_cfg.frequencies(16000))
 
     def loss_with_head(head):
         def build():

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neurobeam.arraygeom import (
-    ArrayGeometry,
-    ZoneGrid,
+    ArraySpec,
     ground_truth_map,
     steering_set,
     uca_positions,
@@ -36,46 +35,45 @@ def test_uca_hexagon_side_equals_radius():
 
 
 # Zone n of this grid is centered at azimuth n - 1 degrees.
-WHOLE_DEGREES = ZoneGrid(360)
+WHOLE_DEGREES = 360
 
 
 def test_steering_zero_frequency_is_ones():
-    geom = ArrayGeometry(uca_positions(6, 0.05))
-    assert np.allclose(steering_set(geom, WHOLE_DEGREES, [0.0])[73, 0], np.ones(6))
+    array = ArraySpec(mics=6, radius_m=0.05)
+    assert np.allclose(steering_set(array, WHOLE_DEGREES, [0.0])[73, 0], np.ones(6))
 
 
 def test_steering_mic_at_origin_is_unity():
-    geom = ArrayGeometry(np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]]))
-    a = steering_set(geom, WHOLE_DEGREES, [100.0, 1000.0, 7999.0])[30]  # [F x M]
+    array = ArraySpec(mics=2, positions=((0.0, 0.0, 0.0), (0.1, 0.0, 0.0)))
+    a = steering_set(array, WHOLE_DEGREES, [100.0, 1000.0, 7999.0])[30]  # [F x M]
     assert np.allclose(a[:, 0], 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_steering_hand_phase():
-    geom = ArrayGeometry(np.array([[0.05, 0.0, 0.0], [-0.05, 0.0, 0.0]]))
-    a = steering_set(geom, WHOLE_DEGREES, [1000.0])[0, 0]
+    array = ArraySpec(mics=2, positions=((0.05, 0.0, 0.0), (-0.05, 0.0, 0.0)))
+    a = steering_set(array, WHOLE_DEGREES, [1000.0])[0, 0]
     assert np.angle(a[0]) == pytest.approx(HAND_PHASE, abs=1e-12)
 
 
 def test_steering_unit_modulus(rng):
-    geom = ArrayGeometry(rng.uniform(-0.1, 0.1, size=(5, 3)))
-    a = steering_set(geom, WHOLE_DEGREES, rng.uniform(0, 8000, size=20))
+    array = ArraySpec(mics=5, positions=tuple(map(tuple, rng.uniform(-0.1, 0.1, size=(5, 3)))))
+    a = steering_set(array, WHOLE_DEGREES, rng.uniform(0, 8000, size=20))
     assert np.abs(np.abs(a) - 1.0).max() < 1e-12
 
 
 def test_steering_conjugate_symmetry_in_frequency():
-    geom = ArrayGeometry(uca_positions(6, 0.05))
+    array = ArraySpec(mics=6, radius_m=0.05)
     f = np.array([125.0, 1000.0, 3000.0])
-    a = steering_set(geom, WHOLE_DEGREES, np.concatenate([-f, f]))[40]
+    a = steering_set(array, WHOLE_DEGREES, np.concatenate([-f, f]))[40]
     assert np.allclose(a[:3], np.conj(a[3:]))
 
 
 def test_steering_sign_convention_delay_and_sum():
     # A plane wave built with the propagation model y = S * a(theta) must
     # produce its peak steered-response at theta.
-    geom = ArrayGeometry(uca_positions(6, 0.1))
-    grid = ZoneGrid(12)
+    array = ArraySpec(mics=6, radius_m=0.1)
     freqs = np.linspace(100, 7900, 60)
-    steering = steering_set(geom, grid, freqs)
+    steering = steering_set(array, 12, freqs)
     theta_true = 60.0  # center of zone 3
     y = steering[2]  # [F x M] plane-wave snapshots, unit source
     scores = np.abs(np.einsum("fm,nfm->nf", np.conj(y), steering)).mean(axis=1)
@@ -83,8 +81,7 @@ def test_steering_sign_convention_delay_and_sum():
 
 
 def test_steering_set_shape_and_modulus():
-    geom = ArrayGeometry(uca_positions(4, 0.05))
-    s = steering_set(geom, ZoneGrid(12), np.arange(0, 8000, 500.0))
+    s = steering_set(ArraySpec(), 12, np.arange(0, 8000, 500.0))
     assert s.shape == (12, 16, 4)
     assert np.abs(np.abs(s) - 1.0).max() < 1e-12
 
@@ -138,7 +135,15 @@ def test_ground_truth_map_azimuth_90_zone_4():
 
 
 def test_geometry_validation():
-    with pytest.raises(ValueError):
-        ArrayGeometry(np.zeros((1, 3)))
-    with pytest.raises(ValueError):
-        ArrayGeometry(np.zeros((3, 3)))  # coincident mics
+    with pytest.raises(ValueError, match="at least 2 microphones"):
+        ArraySpec(mics=1).mic_positions
+    with pytest.raises(ValueError, match="array.positions: microphones 0 and 2 coincide"):
+        ArraySpec(mics=3, positions=((0.0, 0.0, 0.0), (0.1, 0.0, 0.0), (0.0, 0.0, 1e-9)))
+
+
+def test_mic_positions_are_the_explicit_positions_else_the_uca():
+    assert np.array_equal(ArraySpec(mics=6, radius_m=0.07).mic_positions, uca_positions(6, 0.07))
+    pos = ((0.05, 0.0, 0.0), (-0.05, 0.0, 0.0), (0.0, 0.05, 0.0))
+    spec = ArraySpec(mics=3, radius_m=0.07, positions=pos)
+    assert spec.mic_positions.dtype == np.float64
+    assert np.array_equal(spec.mic_positions, np.array(pos))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from neurobeam.arraygeom import ArrayGeometry, ZoneGrid, steering_set, uca_positions
+from neurobeam.arraygeom import ArraySpec, steering_set
 from neurobeam.beamloc import (
     LocalizationResult,
     complex_filters,
@@ -13,16 +13,15 @@ from neurobeam.beamloc import (
     vad,
     write_localization_csv,
 )
-from neurobeam.dsp import Spectrogram, StftConfig, Waveform, num_frames
+from neurobeam.dsp import StftConfig, Waveform, num_frames
 from neurobeam.model import MimoDccrn, MimoDccrnConfig
 
 
 def _spec(rng, mics=3, frames=4, cfg=None):
     cfg = cfg or StftConfig()
-    data = rng.standard_normal((mics, frames, cfg.num_bins)) + 1j * rng.standard_normal(
+    return rng.standard_normal((mics, frames, cfg.num_bins)) + 1j * rng.standard_normal(
         (mics, frames, cfg.num_bins)
     )
-    return Spectrogram(data, cfg)
 
 
 def test_complex_filters_are_c_ordered(rng):
@@ -34,16 +33,17 @@ def test_complex_filters_are_c_ordered(rng):
 
 def test_filter_and_sum_mic_selector(rng):
     spec = _spec(rng)
-    w = np.zeros_like(spec.data)
+    w = np.zeros_like(spec)
     w[0] = 1.0
     out = filter_and_sum(w, spec)
-    assert np.array_equal(out.data[0], spec.data[0])
+    assert out.shape == (1, *spec.shape[1:])
+    assert np.array_equal(out[0], spec[0])
 
 
 def test_filter_and_sum_zero_weights_silence(rng):
     spec = _spec(rng)
-    out = filter_and_sum(np.zeros_like(spec.data), spec)
-    assert np.all(out.data == 0)
+    out = filter_and_sum(np.zeros_like(spec), spec)
+    assert np.all(out == 0)
 
 
 def test_filter_and_sum_average_of_identical_channels(rng):
@@ -51,31 +51,30 @@ def test_filter_and_sum_average_of_identical_channels(rng):
     common = rng.standard_normal((1, 4, cfg.num_bins)) + 1j * rng.standard_normal(
         (1, 4, cfg.num_bins)
     )
-    spec = Spectrogram(np.repeat(common, 3, axis=0), cfg)
-    w = np.full_like(spec.data, 1.0 / 3.0)
+    spec = np.repeat(common, 3, axis=0)
+    w = np.full_like(spec, 1.0 / 3.0)
     out = filter_and_sum(w, spec)
-    assert np.allclose(out.data[0], common[0])
+    assert np.allclose(out[0], common[0])
 
 
 def test_filter_and_sum_bilinear(rng):
     spec = _spec(rng)
-    w1 = rng.standard_normal(spec.data.shape) + 1j * rng.standard_normal(spec.data.shape)
-    w2 = rng.standard_normal(spec.data.shape) + 1j * rng.standard_normal(spec.data.shape)
+    w1 = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
+    w2 = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
     a, b = 1.7 - 0.3j, -0.6 + 2.0j
-    lhs = filter_and_sum(a * w1 + b * w2, spec).data
-    rhs = a * filter_and_sum(w1, spec).data + b * filter_and_sum(w2, spec).data
+    lhs = filter_and_sum(a * w1 + b * w2, spec)
+    rhs = a * filter_and_sum(w1, spec) + b * filter_and_sum(w2, spec)
     assert np.allclose(lhs, rhs)
 
 
 def test_filter_and_sum_shape_mismatch(rng):
     spec = _spec(rng)
     with pytest.raises(ValueError):
-        filter_and_sum(np.zeros((2, 4, spec.data.shape[2]), dtype=complex), spec)
+        filter_and_sum(np.zeros((2, 4, spec.shape[2]), dtype=complex), spec)
 
 
 def _steering(zones=12, mics=6):
-    geom = ArrayGeometry(uca_positions(mics, 0.05))
-    return steering_set(geom, ZoneGrid(zones), StftConfig().frequencies(16000))
+    return steering_set(ArraySpec(mics=mics, radius_m=0.05), zones, StftConfig().frequencies(16000))
 
 
 def test_splm_matched_filter_identity():
@@ -156,11 +155,11 @@ def _toy_model(zones=12):
 
 def test_enhance_silence(tmp_path):
     model = _toy_model()
-    geom = ArrayGeometry(uca_positions(4, 0.05))
+    array = ArraySpec()
     cfg = StftConfig()
     silence = Waveform(np.zeros((4, 4000)))
     for mode in ("splm", "nlm"):
-        enhanced, result = enhance_utterance(silence, model, mode, 12, geom, cfg)
+        enhanced, result = enhance_utterance(silence, model, mode, 12, array, cfg)
         assert enhanced.channels == 1
         assert np.abs(enhanced.samples).max() < 1e-12
         assert not result.vad_decisions.any()
@@ -168,10 +167,10 @@ def test_enhance_silence(tmp_path):
 
 def test_enhance_output_shape(rng):
     model = _toy_model()
-    geom = ArrayGeometry(uca_positions(4, 0.05))
+    array = ArraySpec()
     cfg = StftConfig()
     noisy = Waveform(0.1 * rng.standard_normal((4, 4000)))
-    enhanced, result = enhance_utterance(noisy, model, "splm", 12, geom, cfg)
+    enhanced, result = enhance_utterance(noisy, model, "splm", 12, array, cfg)
     frames = num_frames(4000, cfg.window_length, cfg.hop)
     assert enhanced.channels == 1
     assert enhanced.num_samples == cfg.window_length + (frames - 1) * cfg.hop
@@ -180,18 +179,18 @@ def test_enhance_output_shape(rng):
 
 def test_enhance_channel_mismatch(rng):
     model = _toy_model()
-    geom = ArrayGeometry(uca_positions(4, 0.05))
+    array = ArraySpec()
     noisy = Waveform(rng.standard_normal((3, 2000)))
     with pytest.raises(ValueError, match="3 channels.*expects.*4"):
-        enhance_utterance(noisy, model, "splm", 12, geom, StftConfig())
+        enhance_utterance(noisy, model, "splm", 12, array, StftConfig())
 
 
 def test_enhance_unknown_mode(rng):
     model = _toy_model()
-    geom = ArrayGeometry(uca_positions(4, 0.05))
+    array = ArraySpec()
     noisy = Waveform(rng.standard_normal((4, 2000)))
     with pytest.raises(ValueError, match="unknown localization mode"):
-        enhance_utterance(noisy, model, "mvdr", 12, geom, StftConfig())
+        enhance_utterance(noisy, model, "mvdr", 12, array, StftConfig())
 
 
 def test_nlm_head_runs_after_the_spectrogram_and_filters_are_dropped(rng, monkeypatch):
@@ -206,7 +205,7 @@ def test_nlm_head_runs_after_the_spectrogram_and_filters_are_dropped(rng, monkey
     real_filter_and_sum = beamloc.filter_and_sum
 
     def filter_and_sum_spy(weights, spec):
-        refs.extend([weakref.ref(weights), weakref.ref(spec.data)])
+        refs.extend([weakref.ref(weights), weakref.ref(spec)])
         return real_filter_and_sum(weights, spec)
 
     model = _toy_model()
@@ -219,7 +218,7 @@ def test_nlm_head_runs_after_the_spectrogram_and_filters_are_dropped(rng, monkey
     monkeypatch.setattr(beamloc, "filter_and_sum", filter_and_sum_spy)
     monkeypatch.setattr(model, "localize", localize_spy)
     noisy = Waveform(0.1 * rng.standard_normal((4, 4000)))
-    enhance_utterance(noisy, model, "nlm", 12, ArrayGeometry(uca_positions(4, 0.05)), StftConfig())
+    enhance_utterance(noisy, model, "nlm", 12, ArraySpec(), StftConfig())
     assert dead == [[True, True]]
 
 
@@ -237,7 +236,7 @@ def test_nlm_zone_map_matches_complex_round_trip(toy_dataset):
     noisy = read_wav(toy_dataset["dir"] / toy_dataset["entries"][0]["noisy_path"])
     model = _toy_model()
     spec = stft(noisy, stft_cfg)
-    w = model.forward_weights(spec.data, training=False)
+    w = model.forward_weights(spec, training=False)
     assert w.needs_grad and w.parents
     weights = complex_filters(w.data)
     wt = weights.transpose(0, 2, 1)
@@ -246,14 +245,12 @@ def test_nlm_zone_map_matches_complex_round_trip(toy_dataset):
         "nlm": model.localize(Tensor(w_parts), training=False).data.astype(np.float64),
         "splm": splm_map(
             weights,
-            steering_set(
-                cfg.array.geometry(), ZoneGrid(12), stft_cfg.frequencies(noisy.sample_rate)
-            ),
+            steering_set(cfg.array, 12, stft_cfg.frequencies(noisy.sample_rate)),
         ),
     }
-    expect_enhanced = istft(filter_and_sum(weights, spec)).samples
+    expect_enhanced = istft(filter_and_sum(weights, spec), stft_cfg, noisy.sample_rate).samples
     for mode, zmap in zmaps.items():
-        enhanced, result = enhance_utterance(noisy, model, mode, 12, cfg.array.geometry(), stft_cfg)
+        enhanced, result = enhance_utterance(noisy, model, mode, 12, cfg.array, stft_cfg)
         expect = localization_from_map(zmap)
         assert np.array_equal(enhanced.samples, expect_enhanced)
         assert np.array_equal(result.zmap, zmap)
@@ -275,10 +272,10 @@ def test_enhance_memory_stays_below_a_recorded_graph(toy_dataset):
     noisy = read_wav(toy_dataset["dir"] / toy_dataset["entries"][0]["noisy_path"])
     model = _toy_model()
     for mode in ("nlm", "splm"):
-        enhance_utterance(noisy, model, mode, 12, cfg.array.geometry(), cfg.stft)
+        enhance_utterance(noisy, model, mode, 12, cfg.array, cfg.stft)
         tracemalloc.start()
         try:
-            enhance_utterance(noisy, model, mode, 12, cfg.array.geometry(), cfg.stft)
+            enhance_utterance(noisy, model, mode, 12, cfg.array, cfg.stft)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -321,6 +321,69 @@ def test_enhance_wav_with_non_finite_sample_names_it(trained, tmp_path, capsys):
     assert f"{bad}: samples contain non-finite values" in capsys.readouterr().err
 
 
+_GOOD_WAV_SAMPLES = 1600
+
+
+def _damages():
+    """A cut of a WAV of ``_GOOD_WAV_SAMPLES`` frames, or one changed header byte."""
+    cuts = st.tuples(st.just("cut"), st.integers(0, 58 + 16 * _GOOD_WAV_SAMPLES - 1))
+    changes = st.tuples(st.just("byte"), st.integers(0, 57), st.integers(0, 255))
+    return cuts | changes
+
+
+@example(damage=("cut", 4))
+@example(damage=("cut", 20))
+@example(damage=("cut", 44))
+@example(damage=("cut", 58))  # at the end of the header
+@example(damage=("cut", 58 + 16 * 100))  # after 100 of the samples
+@example(damage=("byte", 16, 127))
+@example(damage=("byte", 42, 0))
+@example(damage=("byte", 22, 0))
+@example(damage=("byte", 32, 127))
+@example(damage=("byte", 55, 1))  # a data chunk that declares fewer samples than it holds
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(damage=_damages())
+def test_a_cut_or_damaged_wav_is_a_user_error_naming_it(trained, damage):
+    # A 4-channel float32 WAV (a 58-byte header) cut short or with one header
+    # byte changed: enhance exits 0 or 1, never 2, and an exit 1 names the
+    # file. Each example above crashed or was read short, with only a warning.
+    rng = np.random.default_rng(0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "damaged.wav"
+        write_wav(path, Waveform(0.1 * rng.standard_normal((4, _GOOD_WAV_SAMPLES))))
+        data = bytearray(path.read_bytes())
+        assert data.index(b"data") + 8 == 58
+        if damage[0] == "cut":
+            data = data[: damage[1]]
+        else:
+            data[damage[1]] = damage[2]
+        path.write_bytes(bytes(data))
+        code, err = _quiet(["enhance", str(trained["checkpoint"]), str(path),
+                            "--out", str(Path(tmp) / "out.wav")])
+    assert code in (0, 1), err
+    assert code == 0 or str(path) in err, err
+    if damage[0] == "cut" or damage in (("byte", 16, 127), ("byte", 55, 1)):
+        assert code == 1, err
+
+
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_coincident_microphones_are_rejected_at_load(toy_dataset, tmp_path, capsys, command):
+    # An nlm-mode run builds no steering vectors, so only the config's
+    # check catches the array; nothing is written.
+    data = toy_config_dict()
+    data["array"] = {"positions": [[0.05, 0.0, 0.0], [0.0, 0.05, 0.0], [0.05, 0.0, 0.0],
+                                   [0.0, -0.05, 0.0]]}
+    data["localization"] = {"mode": "nlm"}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(data))
+    args = (["--count", "1"] if command == "synth"
+            else ["--manifest", str(toy_dataset["manifest"])])
+    rc = main([command, str(cfg), *args, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "array.positions: microphones 0 and 2 coincide" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["enhance", "eval"])
 def test_truncated_checkpoint_exit_code(trained, tmp_path, capsys, command):
     cut = tmp_path / "cut.nbcp"
@@ -697,6 +760,7 @@ _PROBED = [
     ("dataset.target_azimuth_grid", [0, 180, 0]), ("dataset.target_azimuth_grid", [180, 0, 1]),
     ("dataset.speech_len_s", 0.8), ("dataset.sir_values_db", []), ("model.stride", [2, 2]),
     ("model.lstm_hidden", 0), ("localization.zones", 361),
+    ("array.positions", [[0.05, 0.0, 0.0], [0.0, 0.05, 0.0], [0.0, 0.05, 0.0], [0.0, -0.05, 0.0]]),
 ]
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 from dataclasses import fields
@@ -65,8 +66,7 @@ def test_lists_become_tuples():
 def test_explicit_positions_geometry():
     pos = [[0.05, 0.0, 0.0], [-0.05, 0.0, 0.0], [0.0, 0.05, 0.0]]
     cfg = config_from_dict({"array": {"mics": 3, "positions": pos}})
-    geom = cfg.array.geometry()
-    assert np.allclose(geom.positions, pos)
+    assert np.allclose(cfg.array.mic_positions, pos)
     assert cfg.dataset_config().positions == ((0.05, 0.0, 0.0), (-0.05, 0.0, 0.0), (0.0, 0.05, 0.0))
 
 
@@ -180,6 +180,12 @@ def _lists(elements, size=None):
     return st.lists(elements, min_size=size or 1, max_size=size or 4)
 
 
+def _apart(positions):
+    """Whether no two positions are ``np.allclose``: coincident microphones
+    are rejected at load."""
+    return not any(np.allclose(a, b) for a, b in itertools.combinations(positions, 2))
+
+
 def _ordered_pairs(elements):
     return _lists(elements, 2).map(sorted)
 
@@ -197,7 +203,7 @@ def _config_dicts(draw):
             {"mics": st.just(mics)},
             radius_m=_POSITIVE | _WIDTHS,
             speed_of_sound=_POSITIVE,
-            positions=st.none() | _lists(_lists(_FINITE, 3), mics),
+            positions=st.none() | _lists(_lists(_FINITE, 3), mics).filter(_apart),
         )},
         seed=_COUNTS,
         stft=st.sampled_from(_COLA_STFTS),

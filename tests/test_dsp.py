@@ -1,3 +1,5 @@
+import re
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -69,19 +71,20 @@ def test_stft_shape_matches_frame_count(rng):
     for n in (400, 777, 16000):
         wave = Waveform(rng.standard_normal((2, n)))
         spec = stft(wave, cfg)
-        assert spec.data.shape == (2, num_frames(n, 400, 100), 257)
+        assert spec.shape == (2, num_frames(n, 400, 100), 257)
+        assert spec.dtype == np.complex128
 
 
 def test_stft_of_zeros_is_zero():
     cfg = StftConfig()
     spec = stft(Waveform(np.zeros((1, 2000))), cfg)
-    assert np.all(spec.data == 0)
+    assert np.all(spec == 0)
 
 
 def test_stft_short_input_zero_padded_single_frame():
     cfg = StftConfig()
     spec = stft(Waveform(np.ones((1, 50))), cfg)
-    assert spec.data.shape[1] == 1
+    assert spec.shape[1] == 1
 
 
 def _loop_frames(x, cfg):
@@ -126,8 +129,8 @@ def test_bin_center_cosine_concentrates_and_matches_direct_dft():
     n = fs
     x = np.cos(2 * np.pi * (k * fs / cfg.fft_size) * np.arange(n) / fs)
     spec = stft(Waveform(x[np.newaxis, :]), cfg)
-    mags = np.abs(spec.data[0])
-    for t in range(2, spec.data.shape[1] - 2):
+    mags = np.abs(spec[0])
+    for t in range(2, spec.shape[1] - 2):
         assert np.argmax(mags[t]) == k
 
     # Independent oracle: direct DFT of one windowed frame.
@@ -136,7 +139,7 @@ def test_bin_center_cosine_concentrates_and_matches_direct_dft():
     frame[:400] = x[t * 100 : t * 100 + 400] * cfg.window
     grid = np.arange(cfg.fft_size)
     dft = np.exp(-2j * np.pi * np.outer(grid[:257], grid) / cfg.fft_size) @ frame
-    assert np.allclose(spec.data[0, t], dft, atol=1e-9)
+    assert np.allclose(spec[0, t], dft, atol=1e-9)
 
 
 @settings(max_examples=20, deadline=None)
@@ -145,14 +148,14 @@ def test_stft_linearity(a, b, seed):
     cfg = StftConfig(window_length=64, hop=16, fft_size=64)
     g = np.random.default_rng(seed)
     x, y = g.standard_normal(400), g.standard_normal(400)
-    sx = stft(Waveform(x[np.newaxis]), cfg).data
-    sy = stft(Waveform(y[np.newaxis]), cfg).data
-    sxy = stft(Waveform((a * x + b * y)[np.newaxis]), cfg).data
+    sx = stft(Waveform(x[np.newaxis]), cfg)
+    sy = stft(Waveform(y[np.newaxis]), cfg)
+    sxy = stft(Waveform((a * x + b * y)[np.newaxis]), cfg)
     assert np.allclose(sxy, a * sx + b * sy, atol=1e-9)
 
 
 def _roundtrip_interior_error(x, cfg):
-    y = istft(stft(Waveform(x[np.newaxis]), cfg)).samples[0]
+    y = istft(stft(Waveform(x[np.newaxis]), cfg), cfg, 16000).samples[0]
     lo, hi = cfg.window_length, y.shape[0] - cfg.window_length
     rms = np.sqrt(np.mean(x**2))
     return np.abs(y[lo:hi] - x[lo:hi]).max() / rms
@@ -182,7 +185,7 @@ def test_roundtrip_property_over_cola_configs(quarter, extra, seed):
 
 def test_roundtrip_silence():
     cfg = StftConfig()
-    out = istft(stft(Waveform(np.zeros((1, 4000))), cfg))
+    out = istft(stft(Waveform(np.zeros((1, 4000))), cfg), cfg, 16000)
     assert np.all(out.samples == 0)
 
 
@@ -190,24 +193,24 @@ def test_istft_output_length_contract(rng):
     cfg = StftConfig()
     wave = Waveform(rng.standard_normal((1, 4321)))
     spec = stft(wave, cfg)
-    out = istft(spec)
-    assert out.num_samples == cfg.window_length + (spec.data.shape[1] - 1) * cfg.hop
+    out = istft(spec, cfg, 8000)
+    assert out.num_samples == cfg.window_length + (spec.shape[1] - 1) * cfg.hop
+    assert out.sample_rate == 8000
 
 
 def test_istft_linearity(rng):
     cfg = StftConfig()
     a = stft(Waveform(rng.standard_normal((1, 3000))), cfg)
     b = stft(Waveform(rng.standard_normal((1, 3000))), cfg)
-    combined = type(a)(a.data + 2.0 * b.data, cfg)
-    lhs = istft(combined).samples
-    rhs = istft(a).samples + 2.0 * istft(b).samples
+    lhs = istft(a + 2.0 * b, cfg, 16000).samples
+    rhs = istft(a, cfg, 16000).samples + 2.0 * istft(b, cfg, 16000).samples
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
 def test_parseval_single_frame(rng):
     cfg = StftConfig()
     x = rng.standard_normal(300)  # shorter than one window: single padded frame
-    spec = stft(Waveform(x[np.newaxis]), cfg).data[0, 0]
+    spec = stft(Waveform(x[np.newaxis]), cfg)[0, 0]
     # Rebuild the two-sided spectrum from the one-sided half.
     two_sided = np.concatenate([spec, np.conj(spec[-2:0:-1])])
     windowed = np.zeros(cfg.fft_size)
@@ -235,6 +238,51 @@ def test_wav_roundtrip_pcm16(tmp_path, rng):
     back = read_wav(path)
     assert back.sample_rate == 16000
     assert np.array_equal(back.samples, pcm[np.newaxis] / 32768.0)
+
+
+def _chunk(tag, payload):
+    return tag + struct.pack("<I", len(payload)) + payload + b"\0" * (len(payload) % 2)
+
+
+def test_read_wav_skips_unknown_chunks(tmp_path, rng):
+    # Chunks it does not know, before and after the samples, odd-sized ones
+    # with their pad byte, leave the samples' bits as they are.
+    path = tmp_path / "x.wav"
+    write_wav(path, Waveform(0.3 * rng.standard_normal((4, 500))))
+    plain = path.read_bytes()
+    at = plain.index(b"data")
+    body = plain[12:at] + _chunk(b"abcd", b"hello") + plain[at:] + _chunk(b"wxyz", b"abc")
+    path.with_name("y.wav").write_bytes(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
+    with pytest.warns(wavfile.WavFileWarning, match="not understood"):
+        back = read_wav(path.with_name("y.wav"))
+    assert np.array_equal(back.samples, read_wav(path).samples)
+
+
+@pytest.mark.parametrize("damage", ["cut at the header", "cut in the samples", "shorter data"])
+def test_read_wav_rejects_a_cut_or_shortened_data_chunk_naming_the_file(tmp_path, rng, damage):
+    # scipy reads each of these with only a warning: as 0 samples, as the
+    # samples left, and as the samples the data chunk declares, the rest
+    # skipped as a chunk it does not know.
+    path = tmp_path / "x.wav"
+    write_wav(path, Waveform(0.3 * rng.standard_normal((4, 500))))
+    data = bytearray(path.read_bytes())
+    header = data.index(b"data") + 8
+    if damage == "cut at the header":
+        data = data[:header]
+    elif damage == "cut in the samples":
+        data = data[: header + 16 * 100]
+    else:
+        data[header - 4 : header] = struct.pack("<I", 16 * 100)
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))} is cut or damaged"):
+        read_wav(path)
+
+
+def test_read_wav_rejects_a_file_without_samples_naming_it(tmp_path):
+    path = tmp_path / "empty.wav"
+    write_wav(path, Waveform(np.zeros((4, 0))))
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))} holds no samples"):
+        read_wav(path)
 
 
 def test_waveform_validation():

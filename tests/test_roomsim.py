@@ -10,7 +10,7 @@ from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
 from neurobeam import roomsim
-from neurobeam.arraygeom import ArrayGeometry, ground_truth_map, uca_positions
+from neurobeam.arraygeom import ArraySpec, ground_truth_map
 from neurobeam.dsp import StftConfig, Waveform, read_wav, write_wav
 from neurobeam.roomsim import (
     DatasetConfig,
@@ -234,7 +234,7 @@ def test_mix_at_db_silent_reference_raises(rng):
 def _toy_inputs(seed=5, azimuth=90.0, interference=True, snr=20.0):
     """``synthesize_mixture``'s arguments for 0.5 s of speech at 0.2 s of a 1 s mixture."""
     room = RoomSpec((5.0, 5.0, 3.0), t60=0.2)
-    geom = ArrayGeometry(uca_positions(4, 0.05))
+    array = ArraySpec(mics=4, radius_m=0.05)
     rng = np.random.default_rng(7)
     speech = speech_surrogate(rng, 0.5)
     target = placement_from_azimuth(room, azimuth, 1.5)
@@ -244,7 +244,7 @@ def _toy_inputs(seed=5, azimuth=90.0, interference=True, snr=20.0):
         duration=1.0, speech_len=0.5, speech_offset=0.2, sir_db=5.0,
         sensor_snr_db=snr, seed=seed,
     )
-    return room, geom, target, intf, speech, intf_sig, spec
+    return room, array, target, intf, speech, intf_sig, spec
 
 
 def _toy_mixture(**kwargs):
@@ -254,8 +254,8 @@ def _toy_mixture(**kwargs):
 def _toy_components(**kwargs):
     """The toy mixture's reverberant speech, scaled interference and scaled
     noise, rebuilt here from the simulator's parts as a reference."""
-    room, geom, target, intf, speech, intf_sig, spec = _toy_inputs(**kwargs)
-    mics = room.center() + geom.positions
+    room, array, target, intf, speech, intf_sig, spec = _toy_inputs(**kwargs)
+    mics = room.center() + array.mic_positions
     order = default_max_order(room)
     buffer = np.zeros(16000)
     buffer[3200:11200] = speech.samples[0]

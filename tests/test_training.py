@@ -227,8 +227,8 @@ def test_gamma_zero_is_pure_bce_and_head_reachability(toy_dataset):
     spec = stft(noisy, stft_cfg)
 
     def losses():
-        w = model.forward_weights(spec.data, training=True)
-        enh = filter_and_sum_tensor(w, spec.data)
+        w = model.forward_weights(spec, training=True)
+        enh = filter_and_sum_tensor(w, spec)
         est = synthesize_waveform(enh, stft_cfg)
         ref = target.samples[0][: est.shape[0]]
         lsisnr = si_snr_loss(est, ref)
@@ -270,7 +270,7 @@ def test_training_step_after_no_grad_block_still_trains(toy_dataset):
     spec = stft(read_wav(toy_dataset["dir"] / entry["noisy_path"]), stft_cfg)
     with pytest.raises(RuntimeError, match="inside"):
         with ad.no_grad():
-            model.forward_weights(spec.data, training=False)
+            model.forward_weights(spec, training=False)
             raise RuntimeError("inside the block")
     before = {k: p.data.copy() for k, p in model.params().items()}
     breakdown, fault = training_step(model, adam, cfg, entry, toy_dataset["dir"])
@@ -330,7 +330,7 @@ def test_identity_model_improvement_is_zero(toy_dataset):
     cfg = toy_dataset["config"]
     rows = evaluate_records(
         toy_dataset["entries"], toy_dataset["dir"], _MicSelectorModel(),
-        cfg.stft, cfg.array.geometry(), 12, "splm",
+        cfg.stft, cfg.array, 12, "splm",
     )
     assert abs(rows[0]["si_snri_db"]) < 1e-3
 
@@ -339,7 +339,7 @@ def test_summary_buckets_and_report(tmp_path, toy_dataset):
     cfg = toy_dataset["config"]
     rows = evaluate_records(
         toy_dataset["entries"], toy_dataset["dir"], _MicSelectorModel(),
-        cfg.stft, cfg.array.geometry(), 12, "splm",
+        cfg.stft, cfg.array, 12, "splm",
     )
     summary = summarize(rows)
     # Only the SIR=0 bucket is populated; the others are omitted.
