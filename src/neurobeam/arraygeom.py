@@ -49,7 +49,11 @@ class ArraySpec:
             )
         pos = self.mic_positions
         for i, j in itertools.combinations(range(self.mics), 2):
-            if np.allclose(pos[i], pos[j]):
+            # Positions are unbounded: a difference past the float range is
+            # inf, which is far apart, not an error.
+            with np.errstate(over="ignore"):
+                close = np.allclose(pos[i], pos[j])
+            if close:
                 raise ValueError(f"array.positions: microphones {i} and {j} coincide")
 
     @cached_property

@@ -8,14 +8,12 @@ single zero-padded frame.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.io import wavfile
 
 DEFAULT_SAMPLE_RATE = 16000
 
@@ -185,36 +183,83 @@ def istft(spec, cfg, sample_rate):
 
 
 # ---------------------------------------------------------------------------
-# WAV file I/O (reads PCM 16/32-bit and float, writes IEEE float-32)
+# WAV file I/O: little-endian RIFF WAVE, read as PCM 16/24/32-bit or IEEE
+# float 32/64-bit (plain or WAVE_FORMAT_EXTENSIBLE), written as float-32
 # ---------------------------------------------------------------------------
 
-_FULL_SCALE = {np.dtype(np.int16): 32768.0, np.dtype(np.int32): 2147483648.0,
-               np.dtype(np.float32): 1.0, np.dtype(np.float64): 1.0}
+_PCM, _FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
+# The last 12 bytes of an extensible subformat GUID whose first 4 bytes are
+# a format tag (RFC 2361).
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+# (format tag, bytes per sample) -> (stored dtype, full scale). 24-bit PCM
+# is read left-justified into int32, as scipy.io.wavfile reads it.
+_SAMPLE_FORMATS = {(_PCM, 2): ("<i2", 2.0**15), (_PCM, 3): ("<i4", 2.0**31),
+                   (_PCM, 4): ("<i4", 2.0**31), (_FLOAT, 4): ("<f4", 1.0), (_FLOAT, 8): ("<f8", 1.0)}
 
 
-# What ``wavfile.read`` raises on a damaged header besides its ValueErrors:
-# struct.error (a cut), ZeroDivisionError (0 channels), TypeError (a bit
-# depth with no dtype), UnboundLocalError (no data chunk read).
-_PARSE_ERRORS = (ValueError, TypeError, ArithmeticError, LookupError, NameError, struct.error)
+def _parse_fmt(path, body):
+    """(dtype, full scale, channels, rate, bytes per sample) of a ``fmt ``
+    chunk's body, or a ValueError naming the file."""
+    if len(body) < 16:
+        raise ValueError(f"{path} is not a readable WAV file: its fmt chunk has {len(body)} bytes")
+    tag, channels, rate, byte_rate, block_align, bits = struct.unpack_from("<HHIIHH", body)
+    if (tag == _EXTENSIBLE and len(body) >= 40 and struct.unpack_from("<H", body, 16)[0] >= 22
+            and body[28:40] == _GUID_TAIL):
+        tag = struct.unpack_from("<I", body, 24)[0]
+    if channels == 0 or (tag == _PCM and byte_rate != rate * block_align):
+        raise ValueError(f"{path} is not a readable WAV file: its fmt chunk declares {channels} "
+                         f"channel(s), {rate} Hz, {block_align}-byte frames and {byte_rate} bytes/s")
+    width = block_align // channels
+    if (tag, width) not in _SAMPLE_FORMATS or not (8 < bits <= 8 * width if tag == _PCM
+                                                   else bits in (32, 64)):
+        raise ValueError(f"{path} holds an unsupported WAV sample format: format tag {tag:#06x}, "
+                         f"{bits}-bit samples in {width} byte(s)")
+    return (*_SAMPLE_FORMATS[tag, width], channels, rate, width)
 
 
-def _chunk_overruns_file(path):
-    """Whether a chunk of the RIFF file at ``path``, up to the length its
-    header declares, runs past the file's end. scipy reads such a file with
-    only a warning: a cut data chunk as the samples left, and one whose
-    size field was damaged smaller as fewer samples, the rest skipped as an
-    unknown chunk. RIFX and RF64 files are not walked."""
-    with open(path, "rb") as fh:
-        riff, size = struct.unpack("<4sI", fh.read(8).ljust(8, b"\0"))
-        if riff != b"RIFF":
-            return False
-        end = fh.seek(0, os.SEEK_END)
-        pos, stop = 12, min(end, 8 + size)
-        while pos + 8 <= stop:
-            fh.seek(pos + 4)
-            chunk = struct.unpack("<I", fh.read(4))[0]
-            pos += 8 + chunk + chunk % 2
-    return pos > end + 1  # a last odd-sized chunk may lack its pad byte
+def _decode(path, raw):
+    """The sample rate, the stored samples [frames x channels] and their full
+    scale of the WAV file ``path`` whose bytes are ``raw``.
+
+    One walk over the chunks, up to the length the RIFF header declares,
+    checks each size against the file's end and parses the chunk: a file
+    cut short, or whose data size was damaged smaller (its samples then
+    run on as a chunk of their own), is rejected naming the file. The last
+    ``data`` chunk is read, as described by the ``fmt `` chunk before it;
+    other chunks are skipped.
+    """
+    if raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
+        raise ValueError(f"{path} is not a readable WAV file: it starts with {bytes(raw[:12])!r}, "
+                         "not a little-endian RIFF WAVE header")
+    stop = min(len(raw), 8 + struct.unpack_from("<I", raw, 4)[0])
+    pos, fmt, data = 12, None, None
+    while pos + 8 <= stop:
+        tag, size = struct.unpack_from("<4sI", raw, pos)
+        body = raw[pos + 8 : pos + 8 + size]
+        pos += 8 + size + size % 2
+        if pos > len(raw) + 1:  # a last odd-sized chunk may lack its pad byte
+            raise ValueError(f"{path} is cut or damaged: a chunk runs past the end of the file")
+        if tag == b"fmt ":
+            fmt = _parse_fmt(path, body)
+        elif tag == b"data":
+            if fmt is None:
+                raise ValueError(f"{path} is not a readable WAV file: its data chunk comes "
+                                 "before any fmt chunk")
+            data = fmt, body
+    if data is None:
+        raise ValueError(f"{path} is not a readable WAV file: it has no data chunk")
+    (dtype, scale, channels, rate, width), body = data
+    count = len(body) // width
+    if count % channels:
+        raise ValueError(f"{path} is not a readable WAV file: its data chunk ends inside a "
+                         f"frame of {channels} channels")
+    if width == 3:
+        wide = np.zeros((count, 4), np.uint8)
+        wide[:, 1:] = np.frombuffer(body, np.uint8, 3 * count).reshape(count, 3)
+        samples = wide.view(dtype)
+    else:
+        samples = np.frombuffer(body, dtype, count)
+    return rate, samples.reshape(-1, channels), scale
 
 
 def read_wav(path, sample_rate=None, channels=None):
@@ -222,23 +267,18 @@ def read_wav(path, sample_rate=None, channels=None):
 
     A file at another rate than ``sample_rate``, or of another channel count
     than ``channels``, each where given, is rejected, naming the file, and
-    so is a file that holds no samples, that scipy cannot parse, or whose
-    chunks run past its end.
+    so is a file that holds no samples, that is not a RIFF WAVE file of a
+    sample format read here, or whose chunks run past its end.
     """
-    if _chunk_overruns_file(path):
-        raise ValueError(f"{path} is cut or damaged: a chunk runs past the end of the file")
-    try:
-        rate, data = wavfile.read(path)
-    except _PARSE_ERRORS as exc:
-        raise ValueError(f"{path} is not a readable WAV file ({type(exc).__name__}: {exc})") from exc
+    with open(path, "rb") as fh:
+        raw = memoryview(fh.read())  # chunk bodies are views, not copies
+    rate, data, scale = _decode(path, raw)
     if sample_rate is not None and rate != sample_rate:
         raise ValueError(f"{path} is at {rate} Hz, not at {sample_rate} Hz")
     if data.size == 0:
         raise ValueError(f"{path} holds no samples")
-    if data.dtype not in _FULL_SCALE:
-        raise ValueError(f"{path} holds an unsupported WAV sample format: {data.dtype}")
     samples = data.T.astype(np.float64)
-    samples /= _FULL_SCALE[data.dtype]
+    samples /= scale
     try:
         wave = Waveform(samples, int(rate))
     except ValueError as exc:
@@ -249,8 +289,14 @@ def read_wav(path, sample_rate=None, channels=None):
 
 
 def write_wav(path, wave):
-    """Write a waveform as IEEE float-32."""
-    data = wave.samples.T
-    if data.shape[1] == 1:
-        data = data[:, 0]
-    wavfile.write(path, wave.sample_rate, data.astype(np.float32))
+    """Write a waveform as IEEE float-32: RIFF, an 18-byte ``fmt `` chunk,
+    ``fact`` and ``data``, the bytes ``scipy.io.wavfile.write`` writes."""
+    data = np.ascontiguousarray(wave.samples.T, dtype="<f4")
+    frames, channels = data.shape
+    rate = wave.sample_rate
+    header = (b"WAVE" + b"fmt " + struct.pack("<IHHIIHHH", 18, _FLOAT, channels, rate,
+                                              4 * channels * rate, 4 * channels, 32, 0)
+              + b"fact" + struct.pack("<II", 4, frames) + b"data" + struct.pack("<I", data.nbytes))
+    with open(path, "wb") as fh:
+        fh.write(b"RIFF" + struct.pack("<I", len(header) + data.nbytes) + header)
+        fh.write(data.data)

@@ -10,7 +10,8 @@ Each source's images (Allen & Berkley, 1979) are enumerated once for all
 microphones, and each source buffer's spectrum is computed once per FFT
 size for all the responses it is convolved with; the waveforms are
 bit-identical to a per-microphone enumeration and
-``scipy.signal.fftconvolve``.
+``scipy.signal.fftconvolve``, whose FFT sizes and pocketfft transforms
+``fftconvolve`` reproduces with ``numpy.fft``.
 
 All randomness flows through numpy's PCG64 generator seeded from 64-bit
 integers; record i of a dataset uses SeedSequence([master_seed, i]), so
@@ -27,7 +28,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .arraygeom import SPEED_OF_SOUND, ArraySpec, doa_unit_vector
 from .dsp import DEFAULT_SAMPLE_RATE, Waveform, num_frames, read_wav, write_wav
@@ -152,26 +152,42 @@ def image_source_rir(room, src, mics, max_order, fs=DEFAULT_SAMPLE_RATE):
     return responses
 
 
+def next_fast_len(target):
+    """The least 5-smooth integer (2^a 3^b 5^c) at least ``target``: the
+    real-input FFT size ``scipy.fft.next_fast_len(target, True)`` picks."""
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # p35 times the least power of two that reaches target
+            size = p35 << ((target - 1) // p35).bit_length()
+            if size < best:
+                best = size
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def fftconvolve(signal, responses, n):
     """The first ``n`` samples of ``signal`` convolved with each response,
     as ``[len(responses) x n]``; ``n`` is at most each full length
     ``len(signal) + len(h) - 1``.
 
     Each row is bit-identical to ``scipy.signal.fftconvolve(signal, h)[:n]``:
-    the same FFT sizes and products, with the signal's spectrum computed
-    once per FFT size.
+    the same FFT sizes, transforms (numpy's pocketfft) and products, with
+    the signal's spectrum computed once per FFT size.
     """
     out = np.empty((len(responses), n))
     spectra = {}
     for row, h in zip(out, responses):
-        size = next_fast_len(len(signal) + len(h) - 1, True)
+        size = next_fast_len(len(signal) + len(h) - 1)
         if size not in spectra:
-            spectra[size] = rfft(signal, size)
+            spectra[size] = np.fft.rfft(signal, size)
         # Both operands named, in scipy's order: numpy's complex multiply is
         # not bit-commutative, and a temporary operand may be reused in place.
         signal_spec = spectra[size]
-        response_spec = rfft(h, size)
-        row[:] = irfft(signal_spec * response_spec, size)[:n]
+        response_spec = np.fft.rfft(h, size)
+        row[:] = np.fft.irfft(signal_spec * response_spec, size)[:n]
     return out
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -324,11 +325,23 @@ def test_enhance_wav_with_non_finite_sample_names_it(trained, tmp_path, capsys):
 _GOOD_WAV_SAMPLES = 1600
 
 
-def _damages():
-    """A cut of a WAV of ``_GOOD_WAV_SAMPLES`` frames, or one changed header byte."""
-    cuts = st.tuples(st.just("cut"), st.integers(0, 58 + 16 * _GOOD_WAV_SAMPLES - 1))
+def _damages(frames):
+    """A cut of a 4-channel float32 WAV of ``frames`` frames (a 58-byte
+    header), or one changed header byte."""
+    cuts = st.tuples(st.just("cut"), st.integers(0, 58 + 16 * frames - 1))
     changes = st.tuples(st.just("byte"), st.integers(0, 57), st.integers(0, 255))
     return cuts | changes
+
+
+def _damage(path, damage):
+    """Cut the WAV at ``path`` or change one of its header bytes."""
+    data = bytearray(path.read_bytes())
+    assert data.index(b"data") + 8 == 58
+    if damage[0] == "cut":
+        data = data[: damage[1]]
+    else:
+        data[damage[1]] = damage[2]
+    path.write_bytes(bytes(data))
 
 
 @example(damage=("cut", 4))
@@ -342,7 +355,7 @@ def _damages():
 @example(damage=("byte", 32, 127))
 @example(damage=("byte", 55, 1))  # a data chunk that declares fewer samples than it holds
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(damage=_damages())
+@given(damage=_damages(_GOOD_WAV_SAMPLES))
 def test_a_cut_or_damaged_wav_is_a_user_error_naming_it(trained, damage):
     # A 4-channel float32 WAV (a 58-byte header) cut short or with one header
     # byte changed: enhance exits 0 or 1, never 2, and an exit 1 names the
@@ -351,13 +364,7 @@ def test_a_cut_or_damaged_wav_is_a_user_error_naming_it(trained, damage):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "damaged.wav"
         write_wav(path, Waveform(0.1 * rng.standard_normal((4, _GOOD_WAV_SAMPLES))))
-        data = bytearray(path.read_bytes())
-        assert data.index(b"data") + 8 == 58
-        if damage[0] == "cut":
-            data = data[: damage[1]]
-        else:
-            data[damage[1]] = damage[2]
-        path.write_bytes(bytes(data))
+        _damage(path, damage)
         code, err = _quiet(["enhance", str(trained["checkpoint"]), str(path),
                             "--out", str(Path(tmp) / "out.wav")])
     assert code in (0, 1), err
@@ -867,3 +874,69 @@ def test_value_out_of_form_is_a_user_error_naming_its_key(tiny_run, case, probed
                                 "--out", str(out / "report.csv")])
             assert code in ((1,) if probed else (0, 1)), err
             assert code == 0 or key in err or (str(out / "edited.nbcp") in err and not probed), err
+
+
+# The tiny run's record WAVs hold 0.5 s at 16 kHz.
+_TINY_FRAMES = 8000
+
+
+@example(wav="noisy", damage=("cut", 4))
+@example(wav="target", damage=("cut", 58 + 16 * 100))
+@example(wav="noisy", damage=("byte", 20, 2))  # format tag 2: ADPCM
+@example(wav="target", damage=("byte", 22, 0))  # 0 channels
+@example(wav="noisy", damage=("byte", 34, 8))  # 8-bit float
+@example(wav="target", damage=("byte", 0, ord("X")))  # RIFX
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(wav=st.sampled_from(["noisy", "target"]), damage=_damages(_TINY_FRAMES))
+def test_a_cut_or_damaged_record_wav_is_a_user_error_naming_it(tiny_run, wav, damage):
+    # A record's noisy or target WAV cut short or with one header byte
+    # changed: train and eval exit 0 or 1, never 2, and an exit 1 names the
+    # file. Each cut is rejected.
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        shutil.copytree(tiny_run / "data", out / "data")
+        path = out / "data" / f"mix_00000_{wav}.wav"
+        _damage(path, damage)
+        manifest = str(out / "data" / "manifest.jsonl")
+        for argv in (["train", str(tiny_run / "config.json"), "--manifest", manifest,
+                      "--out", str(out / "run")],
+                     ["eval", str(tiny_run / "run" / "checkpoint_last.nbcp"), manifest,
+                      "--out", str(out / "report.csv")]):
+            code, err = _quiet(argv)
+            assert code in (0, 1), err
+            assert code == 0 or str(path) in err, err
+            if damage[0] == "cut":
+                assert code == 1, err
+
+
+# Runs a toy synth, train, eval and enhance in a process that refuses to
+# import scipy, then prints their exit codes and the scipy modules loaded.
+_WITHOUT_SCIPY = """
+import sys
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"import of {name} refused")
+sys.meta_path.insert(0, NoScipy())
+from neurobeam.cli import main
+base = sys.argv[1]
+cfg, data, run = base + "/config.json", base + "/data", base + "/run"
+codes = [
+    main(["synth", cfg, "--count", "1", "--out", data]),
+    main(["train", cfg, "--manifest", data + "/manifest.jsonl", "--out", run]),
+    main(["eval", run + "/checkpoint_last.nbcp", data + "/manifest.jsonl",
+          "--out", base + "/report.csv"]),
+    main(["enhance", run + "/checkpoint_last.nbcp", data + "/mix_00000_noisy.wav",
+          "--out", base + "/enhanced.wav"]),
+]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_the_cli_runs_without_scipy(tmp_path):
+    (tmp_path / "config.json").write_text(json.dumps(_TINY_RUN))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)], env=env,
+                            timeout=300, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[0, 0, 0, 0] []", result.stderr

@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -68,6 +69,17 @@ def test_explicit_positions_geometry():
     cfg = config_from_dict({"array": {"mics": 3, "positions": pos}})
     assert np.allclose(cfg.array.mic_positions, pos)
     assert cfg.dataset_config().positions == ((0.05, 0.0, 0.0), (-0.05, 0.0, 0.0), (0.0, 0.05, 0.0))
+
+
+def test_positions_near_the_float_limit_load_without_a_warning():
+    # Their difference overflows to inf: far apart, neither coincident nor
+    # a RuntimeWarning on stderr. Coincident ones there are still rejected.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = config_from_dict({"array": {"mics": 2, "positions": [[1e308, 0, 0], [-1e308, 0, 0]]}})
+        assert cfg.array.mic_positions[0, 0] == 1e308
+        with pytest.raises(ConfigError, match="microphones 0 and 1 coincide"):
+            config_from_dict({"array": {"mics": 2, "positions": [[1e308, 0, 0], [1e308, 0, 0]]}})
 
 
 def test_positions_count_must_match_mics():
@@ -183,7 +195,8 @@ def _lists(elements, size=None):
 def _apart(positions):
     """Whether no two positions are ``np.allclose``: coincident microphones
     are rejected at load."""
-    return not any(np.allclose(a, b) for a, b in itertools.combinations(positions, 2))
+    with np.errstate(over="ignore"):
+        return not any(np.allclose(a, b) for a, b in itertools.combinations(positions, 2))
 
 
 def _ordered_pairs(elements):

@@ -1,5 +1,6 @@
 import re
 import struct
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -246,16 +247,86 @@ def _chunk(tag, payload):
 
 def test_read_wav_skips_unknown_chunks(tmp_path, rng):
     # Chunks it does not know, before and after the samples, odd-sized ones
-    # with their pad byte, leave the samples' bits as they are.
+    # with their pad byte, leave the samples' bits as they are, and are
+    # skipped without a warning.
     path = tmp_path / "x.wav"
     write_wav(path, Waveform(0.3 * rng.standard_normal((4, 500))))
     plain = path.read_bytes()
     at = plain.index(b"data")
     body = plain[12:at] + _chunk(b"abcd", b"hello") + plain[at:] + _chunk(b"wxyz", b"abc")
     path.with_name("y.wav").write_bytes(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
-    with pytest.warns(wavfile.WavFileWarning, match="not understood"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         back = read_wav(path.with_name("y.wav"))
     assert np.array_equal(back.samples, read_wav(path).samples)
+
+
+@pytest.mark.parametrize("shape", [(1, 301), (4, 301), (4, 0)])
+def test_write_wav_writes_scipy_bytes(tmp_path, rng, shape):
+    samples = rng.uniform(-1, 1, shape).astype(np.float32)
+    write_wav(tmp_path / "x.wav", Waveform(samples, 22050))
+    wavfile.write(tmp_path / "ref.wav", 22050, samples[0] if shape[0] == 1 else samples.T)
+    assert (tmp_path / "x.wav").read_bytes() == (tmp_path / "ref.wav").read_bytes()
+
+
+# The last 12 bytes of WAVE_FORMAT_EXTENSIBLE's subformat GUID (RFC 2361).
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+# The scaling of scipy's sample types that read_wav applied to wavfile.read.
+_FULL_SCALE = {np.dtype(np.int16): 32768.0, np.dtype(np.int32): 2147483648.0,
+               np.dtype(np.float32): 1.0, np.dtype(np.float64): 1.0}
+
+
+def _wav(tag, width, bits, channels, payload, *, extensible=False, rate=16000, riff=b"RIFF"):
+    """A WAV file's bytes: an unknown odd-sized chunk between ``fmt `` and
+    ``data``, and a LIST chunk after it."""
+    align = channels * width
+    fmt = struct.pack("<HHIIHH", 0xFFFE if extensible else tag, channels, rate, rate * align,
+                      align, bits)
+    if extensible:
+        fmt += struct.pack("<HHII", 22, bits, 0, tag) + _GUID_TAIL
+    body = (b"WAVE" + _chunk(b"fmt ", fmt) + _chunk(b"odd!", b"abc") + _chunk(b"data", payload)
+            + _chunk(b"LIST", b"hello"))
+    return riff + struct.pack("<I", len(body)) + body
+
+
+@pytest.mark.parametrize("extensible", [False, True])
+@pytest.mark.parametrize("tag,width,bits", [(1, 2, 16), (1, 3, 24), (1, 3, 20), (1, 4, 32),
+                                            (3, 4, 32), (3, 8, 64)])
+@pytest.mark.parametrize("channels", [1, 4])
+def test_read_wav_matches_scipy_bits(tmp_path, rng, tag, width, bits, channels, extensible):
+    # 301 frames: a mono 24-bit data chunk is odd-sized, with its pad byte.
+    if tag == 1:
+        payload = rng.integers(0, 256, 301 * channels * width, dtype=np.uint8).tobytes()
+    else:
+        payload = rng.uniform(-1, 1, 301 * channels).astype(f"<f{width}").tobytes()
+    path = tmp_path / "x.wav"
+    path.write_bytes(_wav(tag, width, bits, channels, payload, extensible=extensible))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", wavfile.WavFileWarning)
+        rate, ref = wavfile.read(path)
+    expected = np.atleast_2d(ref.T.astype(np.float64) / _FULL_SCALE[ref.dtype])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        wave = read_wav(path)
+    assert wave.sample_rate == rate == 16000
+    assert wave.samples.shape == (channels, 301)
+    assert wave.samples.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("tag,width,bits,riff,message", [
+    (1, 2, 16, b"RIFX", "not a little-endian RIFF WAVE header"),
+    (1, 2, 16, b"RF64", "not a little-endian RIFF WAVE header"),
+    (1, 1, 8, b"RIFF", "unsupported WAV sample format: format tag 0x0001, 8-bit"),
+    (1, 2, 8, b"RIFF", "unsupported WAV sample format: format tag 0x0001, 8-bit samples in 2"),
+    (1, 2, 24, b"RIFF", "unsupported WAV sample format: format tag 0x0001, 24-bit samples in 2"),
+    (3, 2, 16, b"RIFF", "unsupported WAV sample format: format tag 0x0003, 16-bit"),
+    (2, 2, 16, b"RIFF", "unsupported WAV sample format: format tag 0x0002"),
+])
+def test_read_wav_rejects_other_formats_naming_the_file(tmp_path, tag, width, bits, riff, message):
+    path = tmp_path / "other.wav"
+    path.write_bytes(_wav(tag, width, bits, 2, bytes(40 * width), riff=riff))
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))} .*{re.escape(message)}"):
+        read_wav(path)
 
 
 @pytest.mark.parametrize("damage", ["cut at the header", "cut in the samples", "shorter data"])

@@ -187,6 +187,11 @@ def test_fftconvolve_matches_scipy_bits(rng):
             assert row.tobytes() == fftconvolve(signal, h)[:n].tobytes()
 
 
+def test_next_fast_len_matches_scipy():
+    targets = range(1, 2**17 + 1)
+    assert [roomsim.next_fast_len(t) for t in targets] == [next_fast_len(t, True) for t in targets]
+
+
 def test_split_direct_early_partition(rng):
     rir = np.zeros(2000)
     rir[100] = 1.0
