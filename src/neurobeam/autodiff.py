@@ -379,13 +379,6 @@ def reduce_sum(a, axis=None, keepdims=False):
     return Tensor(out_data, (a,), backward_fn)
 
 
-def reduce_mean(a, axis=None, keepdims=False):
-    count = a.data.size if axis is None else np.prod(
-        [a.shape[i] for i in (axis if isinstance(axis, tuple) else (axis,))])
-    s = reduce_sum(a, axis=axis, keepdims=keepdims)
-    return mul(s, as_tensor(1.0 / float(count), like=a))
-
-
 def concat(parts, axis):
     parts = list(parts)
     out_data = np.concatenate([p.data for p in parts], axis=axis)

@@ -5,8 +5,9 @@ The ``stft``, ``array``, ``dataset`` and ``model`` sections are the domain
 types themselves; the network's mic, bin and zone counts are not keys.
 Each key's valid form (type, item count, bounds, choices) is declared once,
 on its field, and ``load_section`` checks it, in a config, a ``--set``
-override and a checkpoint's meta (``RunConfig.from_meta``) alike; errors
-name the dotted key. Command-line flags override keys after the file is parsed.
+override, a checkpoint's meta (``RunConfig.from_meta``) and a dataset
+manifest's line (``roomsim.ManifestEntry``) alike; errors name the dotted
+key, and ``load_config`` names the file. Flags override keys after the file is parsed.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ class TrainingSection:
 
 @dataclass(frozen=True)
 class RunConfig:
+    schema_version: typing.Literal[CONFIG_SCHEMA_VERSION] = CONFIG_SCHEMA_VERSION
     seed: int = field(default=0, metadata={"at least": 0})
     stft: StftConfig = field(default_factory=StftConfig)
     array: ArraySpec = field(default_factory=ArraySpec)
@@ -109,7 +111,7 @@ class RunConfig:
         )
 
     def to_dict(self):
-        return {"schema_version": CONFIG_SCHEMA_VERSION, **_as_plain(self)}
+        return _as_plain(self)
 
 
 def meta_dtype(meta):
@@ -153,7 +155,7 @@ def _load_value(kind, bounds, value, dotted):
         kind, bounds = type(options[0]), {"one of": list(options)}
     if typing.get_origin(kind) is tuple:
         if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"config key '{dotted}' expects a list, got {value!r}")
+            raise ConfigError(f"key '{dotted}' expects a list, got {value!r}")
         items = options[:1] * len(value) if options[-1] is Ellipsis else options
         if len(items) != len(value):
             raise ConfigError(f"{dotted} must list {len(items)} items, got {len(value)}")
@@ -162,7 +164,7 @@ def _load_value(kind, bounds, value, dotted):
     if kind is float and type(value) is int:
         value = float(value)
     if isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigError(f"config key '{dotted}' expects {_EXPECTED[kind]}, got {value!r}")
+        raise ConfigError(f"key '{dotted}' expects {_EXPECTED[kind]}, got {value!r}")
     if bounds and kind is float and not math.isfinite(value):
         raise ConfigError(f"{dotted} must be finite, got {value!r}")
     for text, bound in bounds.items():
@@ -178,48 +180,43 @@ def load_field(cls, name, value, label):
 
 
 def load_section(cls, data, path):
-    """The dataclass ``cls`` built from the JSON object ``data`` (a config
-    section or a section of a checkpoint's meta), each value checked against
-    its field's declaration; ``path`` names the section in errors."""
+    """The dataclass ``cls`` built from the JSON object ``data`` (a config or
+    meta section, or a manifest line), each value checked against its field's
+    declaration; a field without a default is required. ``path`` names the section in errors."""
     if not isinstance(data, dict):
-        raise ConfigError(f"config section '{path}' must be an object")
+        raise ConfigError(f"section '{path}' is not a JSON object" if path else "not a JSON object")
     kinds = typing.get_type_hints(cls)
-    bounds = {f.name: f.metadata for f in dataclasses.fields(cls)}
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    prefix = f"{path}." if path else ""
     kwargs = {}
     for key, value in data.items():
-        dotted = f"{path}.{key}" if path else key
-        if key not in bounds:
-            raise ConfigError(f"unknown config key '{dotted}'")
-        kwargs[key] = _load_value(kinds[key], bounds[key], value, dotted)
+        if key not in fields:
+            raise ConfigError(f"unknown key '{prefix}{key}'")
+        kwargs[key] = _load_value(kinds[key], fields[key].metadata, value, prefix + key)
+    for key, f in fields.items():
+        if key not in kwargs and dataclasses.MISSING is f.default is f.default_factory:
+            raise ConfigError(f"no key '{prefix}{key}'")
     try:
         return cls(**kwargs)
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config section '{path or '<root>'}': {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"invalid config section '{path}': {exc}" if path else str(exc)) from exc
 
 
 def config_from_dict(data):
-    data = dict(data)
-    version = data.pop("schema_version", CONFIG_SCHEMA_VERSION)
-    if version != CONFIG_SCHEMA_VERSION:
-        raise ConfigError(f"unsupported config schema_version {version}")
     return load_section(RunConfig, data, "")
 
 
 def load_config(path):
+    """The run config in the JSON file at ``path``; every error names the file."""
     try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
+        with open(path, "rb") as fh:
+            return config_from_dict(json.load(fh))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(data)
-
-
-def write_config(path, cfg):
-    with open(path, "w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def apply_overrides(cfg, overrides):
@@ -232,6 +229,6 @@ def apply_overrides(cfg, overrides):
         for part in parents:
             node = node.get(part) if isinstance(node, dict) else None
         if not isinstance(node, dict) or leaf not in node:
-            raise ConfigError(f"unknown config key '{dotted}'")
+            raise ConfigError(f"unknown key '{dotted}'")
         node[leaf] = value
     return config_from_dict(data)

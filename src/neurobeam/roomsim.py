@@ -24,7 +24,7 @@ import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -248,45 +248,60 @@ def placement_from_azimuth(room, azimuth_deg, distance):
     return center + min(distance, reach) * u
 
 
-@dataclass(frozen=True)
-class MixtureSpec:
-    """Fully resolved parameters of one mixture (no hidden randomness)."""
+_ONE_TURN = {"at least": -360, "at most": 360}  # an azimuth, one turn either way of +x
+# A level in dB whose power ratio 10^(dB/10) is a normal float: mix_at_db's
+# product of powers can vanish with a subnormal one.
+_LEVEL_DB = {"at least": -3076, "at most": 3082}
 
-    duration: float = 6.0
-    speech_len: float = 4.0
-    speech_offset: float = 0.0
-    sir_db: float = 5.0
-    sensor_snr_db: float = 20.0
-    seed: int = 0
+
+@dataclass(frozen=True)
+class ManifestEntry:
+    """One dataset record, a line of its manifest: ``_build_record`` draws it,
+    ``synthesize_mixture`` renders it, ``generate_dataset`` writes it and
+    ``load_manifest`` checks it. A ``sir_db`` (``snr_db``) of +Infinity: no interference (noise)."""
+
+    id: int = field(metadata={"at least": 0})
+    seed: int = field(metadata={"at least": 0})
+    target_azimuth_deg: float = field(metadata=_ONE_TURN)
+    interference_azimuth_deg: float = field(metadata=_ONE_TURN)
+    sir_db: float
+    snr_db: float
+    t60_s: float = field(metadata={"at least": 0})
+    room_dims: tuple[float, float, float] = field(metadata={"greater than": 0})
+    duration_s: float = field(metadata={"greater than": 0})
+    speech_offset_s: float = field(metadata={"at least": 0})
+    speech_len_s: float = field(metadata={"greater than": 0})
+    sample_rate: int = field(metadata={"at least": 1})
+    noisy_path: str
+    target_path: str
 
     def __post_init__(self):
-        if self.speech_offset < 0 or self.speech_offset + self.speech_len > self.duration:
-            raise ValueError(
-                f"speech window [{self.speech_offset}, "
-                f"{self.speech_offset + self.speech_len}] must fit in {self.duration}s"
-            )
-        for name in ("sir_db", "sensor_snr_db"):
-            v = getattr(self, name)
-            if np.isnan(v) or np.isneginf(v):
-                raise ValueError(f"{name} must be finite or +inf, got {v}")
+        if not self.speech_offset_s + self.speech_len_s <= self.duration_s:
+            raise ValueError(f"speech_offset_s + speech_len_s exceeds duration_s {self.duration_s}")
+        for key in ("sir_db", "snr_db"):
+            if not getattr(self, key) > -np.inf:
+                raise ValueError(f"{key} must be finite or Infinity, got {getattr(self, key)}")
+        for key in ("noisy_path", "target_path"):
+            if not getattr(self, key):
+                raise ValueError(f"{key} must not be empty")
 
 
 def synthesize_mixture(room, array, target_src, interference_src, clean_speech,
-                       interference_signal, spec, early_ms=DEFAULT_EARLY_MS):
-    """Build one reverberant multi-microphone mixture; returns the
-    ``(noisy, target)`` waveforms.
+                       interference_signal, entry, early_ms=DEFAULT_EARLY_MS):
+    """Render the ``ManifestEntry`` ``entry`` as one reverberant
+    multi-microphone mixture; returns the ``(noisy, target)`` waveforms.
 
     The ``array`` (an ``ArraySpec``) sits at ``room.center()``;
     ``target_src`` and ``interference_src`` are source positions, and
     ``interference_src`` and ``interference_signal`` may be None for
-    interference-free mixtures. Deterministic given ``spec.seed``.
+    interference-free mixtures. Deterministic given ``entry.seed``.
     """
     fs = clean_speech.sample_rate
     mics = room.center() + array.mic_positions
 
-    n = int(round(spec.duration * fs))
-    off = int(round(spec.speech_offset * fs))
-    speech_smp = int(round(spec.speech_len * fs))
+    n = int(round(entry.duration_s * fs))
+    off = int(round(entry.speech_offset_s * fs))
+    speech_smp = int(round(entry.speech_len_s * fs))
     sig = clean_speech.samples[0][:speech_smp]
     buffer = np.zeros(n)
     buffer[off : off + sig.shape[0]] = sig
@@ -306,12 +321,12 @@ def synthesize_mixture(room, array, target_src, interference_src, clean_speech,
         intf_buffer = np.tile(intf_sig, reps)[:n]
         intf_rirs = image_source_rir(room, interference_src, mics, max_order, fs)
         rev_intf = fftconvolve(intf_buffer, intf_rirs, n)
-        sir_scale = mix_at_db(rev_speech[0:1], rev_intf[0:1], spec.sir_db, active)
+        sir_scale = mix_at_db(rev_speech[0:1], rev_intf[0:1], entry.sir_db, active)
         scaled_intf = sir_scale * rev_intf
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([spec.seed])))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([entry.seed])))
     noise = rng.standard_normal((array.mics, n))
-    snr_scale = mix_at_db(rev_speech[0:1], noise[0:1], spec.sensor_snr_db, active)
+    snr_scale = mix_at_db(rev_speech[0:1], noise[0:1], entry.snr_db, active)
     scaled_noise = snr_scale * noise
 
     noisy = rev_speech + scaled_intf + scaled_noise
@@ -381,11 +396,13 @@ class MixtureRanges:
     target_distance_ranges: tuple[tuple[float, float], ...] = field(
         default=((1.0, 1.5), (1.0, 2.0), (1.0, 2.5)), metadata={"greater than": 0})
     interference_distance_m: float = field(default=2.0, metadata={"greater than": 0})
-    target_azimuth_grid: tuple[float, float, float] = (0.0, 180.0, 1.0)  # start, stop, step
-    interference_azimuth_grid: tuple[float, float, float] = (180.0, 360.0, 1.0)
-    sir_range_db: tuple[float, float] = (-5.0, 15.0)
-    sir_values_db: tuple[float, ...] | None = None
-    snr_range_db: tuple[float, float] = (10.0, 30.0)
+    target_azimuth_grid: tuple[float, float, float] = field(  # start, stop, step
+        default=(0.0, 180.0, 1.0), metadata=_ONE_TURN)
+    interference_azimuth_grid: tuple[float, float, float] = field(
+        default=(180.0, 360.0, 1.0), metadata=_ONE_TURN)
+    sir_range_db: tuple[float, float] = field(default=(-5.0, 15.0), metadata=_LEVEL_DB)
+    sir_values_db: tuple[float, ...] | None = None  # each item a level or Infinity, no interference
+    snr_range_db: tuple[float, float] = field(default=(10.0, 30.0), metadata=_LEVEL_DB)
     duration_s: float = field(default=6.0, metadata={"greater than": 0})
     speech_len_s: float = field(default=4.0, metadata={"greater than": 0})
     sample_rate: int = field(default=DEFAULT_SAMPLE_RATE, metadata={"at least": 1})
@@ -400,6 +417,10 @@ class MixtureRanges:
             raise ValueError(f"{keys} are paired by index, but list {counts} items")
         if not self.rooms:
             raise ValueError(f"{keys} must list at least one scenario")
+        for i, db in enumerate(self.sir_values_db or ()):
+            if not (_LEVEL_DB["at least"] <= db <= _LEVEL_DB["at most"] or db == np.inf):
+                raise ValueError(f"dataset.sir_values_db[{i}] must be Infinity or in "
+                                 f"[{_LEVEL_DB['at least']}, {_LEVEL_DB['at most']}] dB, got {db}")
         pairs = [("sir_range_db", self.sir_range_db), ("snr_range_db", self.snr_range_db)]
         pairs += [(f"{key}[{i}]", pair) for key in ("t60_ranges", "target_distance_ranges")
                   for i, pair in enumerate(getattr(self, key))]
@@ -464,42 +485,22 @@ def _build_record(cfg, index):
         speech = speech_surrogate(rng, cfg.speech_len_s, cfg.sample_rate)
     interference = interference_surrogate(rng, cfg.duration_s, cfg.sample_rate)
 
-    spec = MixtureSpec(
-        duration=cfg.duration_s,
-        speech_len=cfg.speech_len_s,
-        speech_offset=offset,
-        sir_db=sir,
-        sensor_snr_db=snr,
-        seed=seed,
-    )
-    noisy, target = synthesize_mixture(
-        room, cfg, target_src, intf_src, speech, interference, spec,
-        early_ms=cfg.early_ms,
-    )
-    entry = {
-        "id": index,
-        "seed": seed,
-        "target_azimuth_deg": target_az,
-        "interference_azimuth_deg": intf_az,
-        "sir_db": sir,
-        "snr_db": snr,
-        "t60_s": t60,
-        "room_dims": list(cfg.rooms[scenario]),
-        "duration_s": cfg.duration_s,
-        "speech_offset_s": offset,
-        "speech_len_s": cfg.speech_len_s,
-        "sample_rate": cfg.sample_rate,
-        "noisy_path": f"mix_{index:05d}_noisy.wav",
-        "target_path": f"mix_{index:05d}_target.wav",
-    }
+    entry = ManifestEntry(
+        id=index, seed=seed, target_azimuth_deg=target_az, interference_azimuth_deg=intf_az,
+        sir_db=sir, snr_db=snr, t60_s=t60, room_dims=cfg.rooms[scenario],
+        duration_s=cfg.duration_s, speech_offset_s=offset, speech_len_s=cfg.speech_len_s,
+        sample_rate=cfg.sample_rate, noisy_path=f"mix_{index:05d}_noisy.wav",
+        target_path=f"mix_{index:05d}_target.wav")
+    noisy, target = synthesize_mixture(room, cfg, target_src, intf_src, speech, interference,
+                                       entry, early_ms=cfg.early_ms)
     return noisy, target, entry
 
 
 def generate_dataset(cfg, count, out_dir, threads=1):
     """Write ``count`` mixtures plus a line-delimited JSON manifest.
 
-    Returns the manifest entries. Re-running with the same master seed
-    produces byte-identical WAVs and manifest.
+    Returns the records' ``ManifestEntry``s as dicts. Re-running with the same
+    master seed produces byte-identical WAVs and manifest.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -508,50 +509,35 @@ def generate_dataset(cfg, count, out_dir, threads=1):
     with ProcessPoolExecutor(max_workers=threads) if parallel else nullcontext() as pool:
         build = pool.map if parallel else map
         for noisy, target, entry in build(_build_record, [cfg] * count, range(count)):
-            write_wav(out / entry["noisy_path"], noisy)
-            write_wav(out / entry["target_path"], target)
-            entries.append(entry)
+            write_wav(out / entry.noisy_path, noisy)
+            write_wav(out / entry.target_path, target)
+            entries.append(asdict(entry))
     with open(out / "manifest.jsonl", "w") as fh:
         for entry in entries:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
     return entries
 
 
-# The keys of a manifest entry that training and evaluation read, each with
-# the JSON type ``generate_dataset`` writes it in: int, str, or float for
-# any number, int or float (``sir_db`` may be Infinity). A bool is neither
-# an int nor a number here.
-MANIFEST_KEYS = {"id": int, "noisy_path": str, "target_path": str, "sir_db": float,
-                 "target_azimuth_deg": float, "duration_s": float, "speech_offset_s": float,
-                 "speech_len_s": float, "sample_rate": int}
-_TYPE_NAMES = {int: "an integer", str: "a string", float: "a number"}
-
-
 def load_manifest(path):
-    """The entries of the manifest at ``path`` as dicts, one per non-blank
-    line. A line that is not a JSON object holding every key in
-    ``MANIFEST_KEYS``, each of its type, is an error naming ``file:line``
-    and the key."""
+    """The parsed JSON objects of the manifest at ``path``, one per non-blank
+    line. A line that is not a ``ManifestEntry`` as ``config.load_section``
+    reads one is an error naming ``file:line`` and the key; so is no line."""
+    from .config import ConfigError, load_section  # config imports this module
+
     entries = []
-    with open(path) as fh:
+    with open(path, "rb") as fh:  # json decodes each line, so bad UTF-8 names its line too
         for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                entry = json.loads(line)
+                entries.append(json.loads(line))
+                load_section(ManifestEntry, entries[-1], "")
+            except ConfigError as exc:
+                raise ValueError(f"{path}:{number}: {exc}") from exc
             except ValueError as exc:
                 raise ValueError(f"{path}:{number}: not a JSON object ({exc})") from exc
-            if not isinstance(entry, dict):
-                raise ValueError(f"{path}:{number}: not a JSON object")
-            for key, kind in MANIFEST_KEYS.items():
-                if key not in entry:
-                    raise ValueError(f"{path}:{number}: no key {key!r}")
-                value = entry[key]
-                if isinstance(value, bool) or not isinstance(
-                        value, (int, float) if kind is float else kind):
-                    raise ValueError(
-                        f"{path}:{number}: {key!r} must be {_TYPE_NAMES[kind]}, not {value!r}")
-            entries.append(entry)
+    if not entries:
+        raise ValueError(f"dataset manifest {path} is empty")
     return entries
 
 

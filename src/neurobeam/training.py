@@ -116,6 +116,19 @@ def _save(out_dir, model, adam, cfg, step):
     save_checkpoint(out_dir / CHECKPOINT_NAME, arrays, checkpoint_meta(cfg, step))
 
 
+def _read_record_wav(base_dir, entry, key, sample_rate, mics):
+    """The record WAV ``entry[key]`` as ``read_wav`` reads it, which must also be
+    what its entry describes: ``round(duration_s * sample_rate)`` samples (as
+    synthesis and ``azimuth_track_from_entry`` round them) at its rate."""
+    path = Path(base_dir) / entry[key]
+    wave = read_wav(path, sample_rate, mics)
+    rate = entry["sample_rate"]
+    if wave.sample_rate != rate or wave.num_samples != np.rint(entry["duration_s"] * rate):
+        raise ValueError(f"{path} holds {wave.num_samples} samples at {wave.sample_rate} Hz, but "
+                         f"its entry has duration_s {entry['duration_s']} at sample_rate {rate}")
+    return wave
+
+
 def training_step(model, adam, cfg, entry, base_dir, steering=None):
     """One optimization step on one mixture.
 
@@ -124,8 +137,8 @@ def training_step(model, adam, cfg, entry, base_dir, steering=None):
     parameter whose gradient is non-finite), with the parameters untouched.
     """
     trn, stft_cfg = cfg.training, cfg.stft
-    noisy, target = (read_wav(base_dir / entry[key], cfg.dataset.sample_rate, cfg.array.mics)
-                     for key in ("noisy_path", "target_path"))
+    noisy, target = (_read_record_wav(base_dir, entry, key, cfg.dataset.sample_rate,
+                                      cfg.array.mics) for key in ("noisy_path", "target_path"))
     spec = stft(noisy, stft_cfg)
 
     weights = model.forward_weights(spec, training=True)
@@ -168,16 +181,16 @@ def _truncate_log(path, step):
     that is not a row is an error naming ``file:line``."""
     if not path.exists():
         return
-    with open(path) as fh:
-        lines = fh.read().split("\n")[:-1]  # drops what follows the last newline
+    with open(path, "rb") as fh:  # json decodes each line, so bad UTF-8 names its line too
+        lines = fh.read().split(b"\n")[:-1]  # drops what follows the last newline
     rows = []
     for number, line in enumerate(lines, 1):
         try:
             if line.strip() and json.loads(line)["step"] < step:
-                rows.append(line + "\n")
+                rows.append(line + b"\n")
         except (ValueError, TypeError, KeyError) as exc:
             raise ValueError(f"{path}:{number}: not a training log row ({exc!r})") from exc
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         fh.writelines(rows)
 
 
@@ -213,8 +226,6 @@ def train(cfg, manifest_path, out_dir, resume=None):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = load_manifest(manifest_path)
-    if not entries:
-        raise ValueError(f"dataset manifest {manifest_path} is empty")
     base_dir = manifest_path.parent
     model = build_model(cfg)
     adam = Adam(
@@ -292,18 +303,19 @@ def evaluate_records(
 
     The enhanced and the unprocessed signal are both scored against the
     target image at ``reference_mic``; a WAV with other channels than the
-    array's mics, or at another rate than ``sample_rate`` if given, is
-    rejected. A ``ValueError`` names its record.
+    array's mics, at another rate than ``sample_rate`` if given, or that is
+    not the record its entry describes, is rejected. A ``ValueError`` names
+    its record.
     """
     rows = []
     for entry in entries:
         with _naming(f"record {entry['id']}"):
-            noisy = read_wav(Path(base_dir) / entry["noisy_path"], sample_rate, array.mics)
+            noisy = _read_record_wav(base_dir, entry, "noisy_path", sample_rate, array.mics)
             enhanced, loc = enhance_utterance(
                 noisy, model, mode, zones, array, stft_cfg, vad_threshold
             )
             # Only scoring reads the target, so it is not held while enhancing.
-            target = read_wav(Path(base_dir) / entry["target_path"], sample_rate, array.mics)
+            target = _read_record_wav(base_dir, entry, "target_path", sample_rate, array.mics)
             n = enhanced.num_samples
             if n <= 2 * stft_cfg.window_length:
                 raise ValueError(
@@ -393,8 +405,6 @@ def evaluate(manifest_path, checkpoint_path, out_csv=None, mode=None):
     """Evaluate a trained checkpoint over a manifest; returns the summary."""
     manifest_path = Path(manifest_path)
     entries = load_manifest(manifest_path)
-    if not entries:
-        raise ValueError(f"dataset manifest {manifest_path} is empty")
     model, run = restore_checkpoint(checkpoint_path)
     loc, scoring = run.localization, run.training
     rows = evaluate_records(

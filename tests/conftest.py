@@ -6,9 +6,12 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import json
+
 import numpy as np
 import pytest
 
+from neurobeam import autodiff as ad
 from neurobeam.config import config_from_dict
 from neurobeam.roomsim import generate_dataset
 
@@ -32,6 +35,22 @@ def toy_config_dict(**training_overrides):
         },
         "training": training,
     }
+
+
+def write_config(path, cfg):
+    """Write the run config ``cfg`` as the JSON file ``load_config`` reads."""
+    with open(path, "w") as fh:
+        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def reduce_mean(a, axis=None, keepdims=False):
+    """The mean of the tensor ``a`` over ``axis`` (all axes if None), as a
+    graph of ``ad.reduce_sum`` and ``ad.mul``."""
+    count = a.data.size if axis is None else np.prod(
+        [a.shape[i] for i in (axis if isinstance(axis, tuple) else (axis,))])
+    s = ad.reduce_sum(a, axis=axis, keepdims=keepdims)
+    return ad.mul(s, ad.as_tensor(1.0 / float(count), like=a))
 
 
 @pytest.fixture

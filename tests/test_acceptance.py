@@ -7,6 +7,7 @@ Criterion 6 is the scaled training experiment and dominates the runtime
 
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from neurobeam.losses import (
 from neurobeam.metrics import loc_metrics
 from neurobeam.model import MimoDccrn, MimoDccrnConfig
 from neurobeam.roomsim import (
-    MixtureSpec,
+    ManifestEntry,
     RoomSpec,
     azimuth_track,
     image_source_rir,
@@ -118,9 +119,11 @@ def test_criterion_3_delay_and_sum_oracle():
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([3])))
     burst = rng.standard_normal(int(0.35 * fs))
     speech = Waveform(burst[np.newaxis], fs)
-    mix = MixtureSpec(duration=0.6, speech_len=0.35, speech_offset=0.12,
-                      sir_db=0.0, sensor_snr_db=np.inf, seed=4)
-    n, off = int(round(mix.duration * fs)), int(round(mix.speech_offset * fs))
+    mix = ManifestEntry(id=0, seed=4, target_azimuth_deg=0.0, interference_azimuth_deg=0.0,
+                        sir_db=0.0, snr_db=np.inf, t60_s=0.0, room_dims=room.dimensions,
+                        duration_s=0.6, speech_offset_s=0.12, speech_len_s=0.35,
+                        sample_rate=fs, noisy_path="n.wav", target_path="t.wav")
+    n, off = int(round(mix.duration_s * fs)), int(round(mix.speech_offset_s * fs))
     active = ~np.isnan(azimuth_track(n, off, burst.size, 0.0, cfg))
 
     # 5-degree sweep of the full circle, offset into zone interiors
@@ -131,7 +134,8 @@ def test_criterion_3_delay_and_sum_oracle():
     margin = int(np.ceil((8.0 / 343.0 + cfg.window_length / fs) / (cfg.hop / fs)))
     for theta in sweep:
         src = placement_from_azimuth(room, float(theta), 8.0)
-        noisy, _ = synthesize_mixture(room, array, src, None, speech, None, mix)
+        entry = replace(mix, target_azimuth_deg=float(theta))
+        noisy, _ = synthesize_mixture(room, array, src, None, speech, None, entry)
         spec = stft(noisy, cfg)
         power = np.mean(np.abs(spec), axis=(0, 2))
         weights = np.conj(spec) / (mics * (power[np.newaxis, :, np.newaxis] + 1e-12))

@@ -15,10 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neurobeam.cli import main
-from neurobeam.config import RunConfig, write_config
+from neurobeam.config import RunConfig
 from neurobeam.dsp import Waveform, write_wav
 
-from conftest import toy_config_dict
+from conftest import toy_config_dict, write_config
 
 
 @pytest.fixture
@@ -334,14 +334,28 @@ def _damages(frames):
 
 
 def _damage(path, damage):
-    """Cut the WAV at ``path`` or change one of its header bytes."""
+    """Cut the file at ``path``, change one of its bytes or change its k-th
+    decimal digit, at a position taken modulo the size or the digit count
+    (a WAV's ``_damages`` are all within its size)."""
     data = bytearray(path.read_bytes())
-    assert data.index(b"data") + 8 == 58
+    if path.suffix == ".wav":
+        assert data.index(b"data") + 8 == 58
     if damage[0] == "cut":
-        data = data[: damage[1]]
+        data = data[: damage[1] % len(data)]
+    elif damage[0] == "byte":
+        data[damage[1] % len(data)] = damage[2]
     else:
-        data[damage[1]] = damage[2]
+        digits = [i for i, byte in enumerate(data) if byte in b"0123456789"]
+        data[digits[damage[1] % len(digits)]] = damage[2]
     path.write_bytes(bytes(data))
+
+
+# A cut of a text file, one of its bytes changed to any byte (UTF-8 or not),
+# or one of the digits of its numbers changed, mostly into another number.
+_TEXT_DAMAGES = (st.tuples(st.just("cut"), st.integers(0, 2**16))
+                 | st.tuples(st.just("byte"), st.integers(0, 2**16), st.integers(0, 255))
+                 | st.tuples(st.just("digit"), st.integers(0, 2**16),
+                             st.sampled_from(b"0123456789-.e")))
 
 
 @example(damage=("cut", 4))
@@ -684,7 +698,7 @@ def test_a_one_channel_target_wav_is_named(trained, tmp_path, capsys, command, r
     (lambda lines: [json.dumps({k: v for k, v in json.loads(lines[0]).items()
                                 if k != "target_path"})] + lines[1:], ":1: no key 'target_path'"),
     (lambda lines: [json.dumps({**json.loads(lines[0]), "duration_s": "0.5"})] + lines[1:],
-     ":1: 'duration_s' must be a number, not '0.5'"),
+     ":1: key 'duration_s' expects a number, got '0.5'"),
 ], ids=["torn_last_line", "not_an_object", "no_target_path", "string_duration"])
 def test_a_bad_manifest_line_is_named(trained, tmp_path, capsys, command, damage, named):
     # A missing key used to end train and eval in a KeyError (exit 2), a
@@ -697,6 +711,27 @@ def test_a_bad_manifest_line_is_named(trained, tmp_path, capsys, command, damage
     manifest.write_text("\n".join(damage(lines)))  # no newline after a torn write
     assert _run_command(command, trained, manifest, tmp_path) == 1
     assert f"error: {manifest}{named}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("key, value, named", [
+    ("sample_rate", 8000, "mix_00000_noisy.wav holds 16000 samples at 16000 Hz, but its entry "
+                          "has duration_s 1.0 at sample_rate 8000"),
+    ("duration_s", 1.5, "mix_00000_noisy.wav holds 16000 samples at 16000 Hz, but its entry "
+                        "has duration_s 1.5 at sample_rate 16000"),
+    ("duration_s", 1e306, "mix_00000_noisy.wav holds 16000 samples at 16000 Hz, but its entry "
+                          "has duration_s 1e+306 at sample_rate 16000"),  # samples overflow
+])
+def test_a_wav_that_is_not_its_entrys_record_is_named(trained, tmp_path, capsys, command, key,
+                                                      value, named):
+    # A sample rate of 8000 on a 16 kHz record used to end train in a shape
+    # mismatch of the zone maps and eval in a track length error, naming
+    # neither the key nor the WAV.
+    data = _copy_data(trained, tmp_path)
+    manifest = data / "manifest.jsonl"
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), key: value}) + "\n")
+    assert _run_command(command, trained, manifest, tmp_path) == 1
+    assert f"error: record 0: {data / named}" in capsys.readouterr().err
 
 
 def test_selfcheck_passes_within_budget(capsys):
@@ -751,7 +786,8 @@ _TINY_RUN = {
 # none on purpose: a huge one asks for memory it may not get, a resource limit
 # and not bad input, so a MemoryError is out of this test's scope.
 _CAPPED = {"localization.zones", "localization.vad_threshold", "training.beta1",
-           "training.beta2"}
+           "training.beta2", "dataset.target_azimuth_grid", "dataset.interference_azimuth_grid",
+           "dataset.sir_range_db", "dataset.sir_values_db", "dataset.snr_range_db"}
 # Values that crashed, ran silently or failed naming no key, and one break of
 # each rule across items and fields; the keys a checkpoint's meta records are
 # also set in a meta (``model.lstm_hidden``, ``localization.zones``, ...).
@@ -907,6 +943,73 @@ def test_a_cut_or_damaged_record_wav_is_a_user_error_naming_it(tiny_run, wav, da
             assert code == 0 or str(path) in err, err
             if damage[0] == "cut":
                 assert code == 1, err
+
+
+@example(damage=("byte", 1, 0xFF))  # not UTF-8
+@example(damage=("cut", 1))
+@settings(max_examples=45, deadline=None, derandomize=True, database=None)
+@given(damage=_TEXT_DAMAGES)
+def test_a_damaged_manifest_is_a_user_error_naming_it(tiny_run, damage):
+    # The tiny run's manifest cut short or with one byte changed: train and
+    # eval exit 0 or 1, never 2, and an exit 1 names the manifest or a file
+    # of the dataset that a line of it points to.
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "data"
+        shutil.copytree(tiny_run / "data", data)
+        _damage(data / "manifest.jsonl", damage)
+        manifest = str(data / "manifest.jsonl")
+        for argv in (["train", str(tiny_run / "config.json"), "--manifest", manifest,
+                      "--out", str(Path(tmp) / "run")],
+                     ["eval", str(tiny_run / "run" / "checkpoint_last.nbcp"), manifest,
+                      "--out", str(Path(tmp) / "report.csv")]):
+            code, err = _quiet(argv)
+            assert code in (0, 1), err
+            assert code == 0 or str(data) in err, err
+
+
+@pytest.fixture(scope="module")
+def logged_run(tiny_run):
+    """A 2-step run of the tiny config: a log of two rows and its checkpoint."""
+    run = tiny_run / "logged"
+    assert _quiet(["train", str(tiny_run / "config.json"), "--steps", "2",
+                   "--manifest", str(tiny_run / "data" / "manifest.jsonl"),
+                   "--out", str(run)])[0] == 0
+    return run
+
+
+@example(damage=("byte", 2, 0xFF))  # not UTF-8
+@example(damage=("cut", 5))  # a torn first row
+@settings(max_examples=45, deadline=None, derandomize=True, database=None)
+@given(damage=_TEXT_DAMAGES)
+def test_a_damaged_training_log_is_a_user_error_naming_it(tiny_run, logged_run, damage):
+    # The 2-step run's log cut short or with one byte changed: a resume that
+    # runs step 2 exits 0 or 1, never 2, and an exit 1 names the log.
+    with tempfile.TemporaryDirectory() as tmp:
+        run = Path(tmp) / "run"
+        shutil.copytree(logged_run, run)
+        _damage(run / "train_log.jsonl", damage)
+        code, err = _quiet(["train", str(tiny_run / "config.json"), "--steps", "3",
+                            "--manifest", str(tiny_run / "data" / "manifest.jsonl"),
+                            "--out", str(run), "--resume", str(run / "checkpoint_last.nbcp")])
+    assert code in (0, 1), err
+    assert code == 0 or str(run / "train_log.jsonl") in err, err
+
+
+@example(damage=("byte", 3, 0xFF))  # not UTF-8
+@example(damage=("cut", 0))  # empty
+@settings(max_examples=45, deadline=None, derandomize=True, database=None)
+@given(damage=_TEXT_DAMAGES)
+def test_a_damaged_config_is_a_user_error_naming_it(tiny_run, damage):
+    # The tiny run's config cut short or with one byte changed: train exits 0
+    # or 1, never 2, and an exit 1 names the config file, a value error too.
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        shutil.copy(tiny_run / "config.json", config)
+        _damage(config, damage)
+        code, err = _quiet(["train", str(config), "--out", str(Path(tmp) / "run"),
+                            "--manifest", str(tiny_run / "data" / "manifest.jsonl")])
+    assert code in (0, 1), err
+    assert code == 0 or str(config) in err, err
 
 
 # Runs a toy synth, train, eval and enhance in a process that refuses to

@@ -15,8 +15,9 @@ from neurobeam.config import (
     apply_overrides,
     config_from_dict,
     load_config,
-    write_config,
 )
+
+from conftest import write_config
 
 
 def test_defaults_roundtrip_through_dict():
@@ -25,7 +26,7 @@ def test_defaults_roundtrip_through_dict():
 
 
 def test_unknown_top_level_key():
-    with pytest.raises(ConfigError, match="unknown config key 'bogus'"):
+    with pytest.raises(ConfigError, match="unknown key 'bogus'"):
         config_from_dict({"bogus": 1})
 
 
@@ -33,7 +34,7 @@ def test_unknown_nested_key_names_full_path():
     with pytest.raises(ConfigError, match="model.depth"):
         config_from_dict({"model": {"depth": 7}})
     # The model's bins follow the STFT; there is no key for them.
-    with pytest.raises(ConfigError, match="unknown config key 'model.freq_bins_model'"):
+    with pytest.raises(ConfigError, match="unknown key 'model.freq_bins_model'"):
         config_from_dict({"model": {"freq_bins_model": 256}})
 
 
@@ -110,7 +111,7 @@ def test_type_validation():
 ])
 def test_values_checked_against_field_annotations(data, key):
     # Optional fields and null are checked too; a bool is never a number.
-    with pytest.raises(ConfigError, match=f"config key '{re.escape(key)}' expects"):
+    with pytest.raises(ConfigError, match=f"key '{re.escape(key)}' expects"):
         config_from_dict(data)
 
 
@@ -175,7 +176,42 @@ def test_unbounded_float_may_be_infinite():
     assert cfg.dataset.sir_values_db == (float("inf"),)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("sir_range_db", [-np.inf, 5], "sir_range_db[0] must be finite, got -inf"),
+    ("snr_range_db", [0, np.inf], "snr_range_db[1] must be finite, got inf"),
+    ("snr_range_db", [1e308, 1e308], "snr_range_db[0] must be at most 3082, got 1e+308"),
+    ("sir_values_db", [-1e308], "sir_values_db[0] must be Infinity or in [-3076, 3082] dB"),
+    ("sir_values_db", [0, np.nan], "sir_values_db[1] must be Infinity or in [-3076, 3082] dB"),
+    ("sir_values_db", [-np.inf], "sir_values_db[0] must be Infinity or in [-3076, 3082] dB"),
+], ids=["sir_range_-inf", "snr_range_inf", "snr_range_1e308", "sir_value_-1e308",
+        "sir_value_nan", "sir_value_-inf"])
+def test_a_level_without_a_finite_power_ratio_is_named(tmp_path, capsys, key, value, message):
+    # Each of these used to load, then end synth in an OverflowError or a
+    # ZeroDivisionError (exit 2), or stop it midway naming no key.
+    from neurobeam.cli import main
+
+    data = {"dataset": {key: value}}
+    with pytest.raises(ConfigError, match=re.escape(f"dataset.{message}")):
+        config_from_dict(data)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert main(["synth", str(path), "--count", "1", "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and f"dataset.{message}" in err
+
+
+def test_levels_within_the_float_range_load():
+    # 10^(dB/10) is a normal finite float from about -3076 to +3082 dB; a
+    # subnormal one (-3200 dB) ended synth in a ZeroDivisionError (exit 2).
+    cfg = config_from_dict({"dataset": {"sir_range_db": [-3076, 3082],
+                                        "sir_values_db": [-3076, 3082, np.inf]}})
+    assert cfg.dataset.sir_values_db == (-3076.0, 3082.0, np.inf)
+    with pytest.raises(ConfigError, match=re.escape("dataset.sir_values_db[0] must be")):
+        config_from_dict({"dataset": {"sir_values_db": [-3200]}})
+
+
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_LEVELS = st.floats(-3000, 3000)  # dB whose power ratio is a positive finite float
 _POSITIVE = st.floats(min_value=0, exclude_min=True, allow_infinity=False)
 _UNIT = st.floats(0, 1)
 _COUNTS = st.integers(0, 2**40)
@@ -222,8 +258,8 @@ def _config_dicts(draw):
         stft=st.sampled_from(_COLA_STFTS),
         dataset=_section(
             rooms=_lists(_lists(_POSITIVE, 3), 3),  # paired with the 3 default T60 ranges
-            sir_range_db=_ordered_pairs(_FINITE),
-            sir_values_db=st.none() | _lists(_FINITE),
+            sir_range_db=_ordered_pairs(_LEVELS),
+            sir_values_db=st.none() | _lists(_LEVELS),
             speech_dir=st.none() | st.text(max_size=8),
             sample_rate=_WIDTHS,
             early_ms=_POSITIVE | _WIDTHS,

@@ -17,6 +17,8 @@ from neurobeam.layers import (
 )
 from neurobeam.optim import Adam
 
+from conftest import reduce_mean
+
 
 def _rng(seed=0):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
@@ -677,9 +679,9 @@ def _composite_batchnorm(t, gamma, beta, rmean, rvar, training, eps=1e-5, moment
     channels = gamma.shape[0]
     cshape = (1, channels, 1, 1)
     if training:
-        mu = ad.reduce_mean(t, axis=(0, 2, 3), keepdims=True)
+        mu = reduce_mean(t, axis=(0, 2, 3), keepdims=True)
         centered = t - mu
-        var = ad.reduce_mean(centered * centered, axis=(0, 2, 3), keepdims=True)
+        var = reduce_mean(centered * centered, axis=(0, 2, 3), keepdims=True)
         rmean *= 1.0 - momentum
         rmean += momentum * mu.data.reshape(channels)
         rvar *= 1.0 - momentum

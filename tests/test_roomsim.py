@@ -1,6 +1,7 @@
 import json
+import re
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from neurobeam.arraygeom import ArraySpec, ground_truth_map
 from neurobeam.dsp import StftConfig, Waveform, read_wav, write_wav
 from neurobeam.roomsim import (
     DatasetConfig,
-    MixtureSpec,
+    ManifestEntry,
     RoomSpec,
     _build_record,
     azimuth_track,
@@ -236,6 +237,14 @@ def test_mix_at_db_silent_reference_raises(rng):
         mix_at_db(np.zeros((1, 100)), rng.standard_normal((1, 100)), 0.0)
 
 
+# A manifest entry for 0.5 s of speech at 0.2 s of a 1 s mixture, without
+# the azimuth, SNR and seed that ``_toy_inputs`` vary.
+_ENTRY = {"id": 0, "interference_azimuth_deg": 250.0, "sir_db": 5.0, "t60_s": 0.2,
+          "room_dims": (5.0, 5.0, 3.0), "duration_s": 1.0, "speech_offset_s": 0.2,
+          "speech_len_s": 0.5, "sample_rate": 16000, "noisy_path": "n.wav",
+          "target_path": "t.wav"}
+
+
 def _toy_inputs(seed=5, azimuth=90.0, interference=True, snr=20.0):
     """``synthesize_mixture``'s arguments for 0.5 s of speech at 0.2 s of a 1 s mixture."""
     room = RoomSpec((5.0, 5.0, 3.0), t60=0.2)
@@ -245,11 +254,8 @@ def _toy_inputs(seed=5, azimuth=90.0, interference=True, snr=20.0):
     target = placement_from_azimuth(room, azimuth, 1.5)
     intf = placement_from_azimuth(room, 250.0, 2.0) if interference else None
     intf_sig = Waveform(np.random.default_rng(8).standard_normal((1, 8000)) * 0.1) if interference else None
-    spec = MixtureSpec(
-        duration=1.0, speech_len=0.5, speech_offset=0.2, sir_db=5.0,
-        sensor_snr_db=snr, seed=seed,
-    )
-    return room, array, target, intf, speech, intf_sig, spec
+    entry = ManifestEntry(**_ENTRY, target_azimuth_deg=azimuth, snr_db=snr, seed=seed)
+    return room, array, target, intf, speech, intf_sig, entry
 
 
 def _toy_mixture(**kwargs):
@@ -259,7 +265,7 @@ def _toy_mixture(**kwargs):
 def _toy_components(**kwargs):
     """The toy mixture's reverberant speech, scaled interference and scaled
     noise, rebuilt here from the simulator's parts as a reference."""
-    room, array, target, intf, speech, intf_sig, spec = _toy_inputs(**kwargs)
+    room, array, target, intf, speech, intf_sig, entry = _toy_inputs(**kwargs)
     mics = room.center() + array.mic_positions
     order = default_max_order(room)
     buffer = np.zeros(16000)
@@ -276,10 +282,10 @@ def _toy_components(**kwargs):
     intf_part = np.zeros_like(speech_part)
     if intf is not None:
         rev_intf = reverberant(intf, np.tile(intf_sig.samples[0], 2)[:16000])
-        intf_part = mix_at_db(speech_part[0], rev_intf[0], spec.sir_db, active) * rev_intf
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([spec.seed])))
+        intf_part = mix_at_db(speech_part[0], rev_intf[0], entry.sir_db, active) * rev_intf
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([entry.seed])))
     noise = rng.standard_normal((4, 16000))
-    noise_part = mix_at_db(speech_part[0], noise[0], spec.sensor_snr_db, active) * noise
+    noise_part = mix_at_db(speech_part[0], noise[0], entry.snr_db, active) * noise
     return speech_part, intf_part, noise_part
 
 
@@ -403,12 +409,26 @@ def test_manifest_roundtrip_and_track(tmp_path):
     entries = generate_dataset(cfg, 1, tmp_path)
     loaded = load_manifest(tmp_path / "manifest.jsonl")
     assert loaded == json.loads(json.dumps(entries))
+    # A line holds one ManifestEntry: the record's, read back as config reads one.
+    from neurobeam.config import load_section
+
+    assert asdict(load_section(ManifestEntry, loaded[0], "")) == entries[0]
     wave = read_wav(tmp_path / loaded[0]["noisy_path"])
     assert wave.channels == cfg.mics
     track = azimuth_track_from_entry(loaded[0], StftConfig())
     active = ~np.isnan(track)
     assert np.any(active)
     assert np.all(track[active] == loaded[0]["target_azimuth_deg"])
+
+
+# A complete manifest line: the toy entry with an azimuth, SNR and seed.
+_LINE = {**_ENTRY, "seed": 1, "target_azimuth_deg": 90, "snr_db": 20.0}
+
+
+def _write_manifest(tmp_path, entry):
+    path = tmp_path / "manifest.jsonl"
+    path.write_text(json.dumps(entry) + "\n")
+    return path
 
 
 @pytest.mark.parametrize("key, value, ok", [
@@ -420,15 +440,50 @@ def test_load_manifest_checks_value_types(tmp_path, key, value, ok):
     # Each key holds the JSON type generate_dataset writes: an integer id and
     # sample rate, string paths, numbers elsewhere (sir_db may be Infinity);
     # a bool is neither an integer nor a number.
-    entry = {"id": 0, "noisy_path": "n.wav", "target_path": "t.wav", "sir_db": 0.0,
-             "target_azimuth_deg": 90, "duration_s": 1.0, "speech_offset_s": 0.1,
-             "speech_len_s": 0.5, "sample_rate": 16000, key: value}
-    path = tmp_path / "manifest.jsonl"
-    path.write_text(json.dumps(entry) + "\n")
+    entry = {**_LINE, key: value}
+    path = _write_manifest(tmp_path, entry)
     if ok:
         assert load_manifest(path) == [json.loads(json.dumps(entry))]
     else:
-        with pytest.raises(ValueError, match=f"{path}:1: '{key}' must be "):
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: key '{key}' expects ")):
+            load_manifest(path)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("id", -1, "id must be at least 0, got -1"),
+    ("seed", -1, "seed must be at least 0, got -1"),
+    ("t60_s", -0.1, "t60_s must be at least 0, got -0.1"),
+    ("speech_offset_s", -5, "speech_offset_s must be at least 0, got -5.0"),
+    ("duration_s", 0, "duration_s must be greater than 0, got 0.0"),
+    ("duration_s", -1, "duration_s must be greater than 0, got -1.0"),
+    ("duration_s", float("inf"), "duration_s must be finite, got inf"),
+    ("speech_len_s", 0, "speech_len_s must be greater than 0, got 0.0"),
+    ("room_dims", [5, 0, 3], "room_dims[1] must be greater than 0, got 0.0"),
+    ("room_dims", [5, 5], "room_dims must list 3 items, got 2"),
+    ("sample_rate", 0, "sample_rate must be at least 1, got 0"),
+    ("sample_rate", -16000, "sample_rate must be at least 1, got -16000"),
+    ("target_azimuth_deg", 1e308, "target_azimuth_deg must be at most 360, got 1e+308"),
+    ("interference_azimuth_deg", -361, "interference_azimuth_deg must be at least -360, got -361"),
+    ("target_azimuth_deg", float("nan"), "target_azimuth_deg must be finite, got nan"),
+    ("speech_offset_s", 0.6, "speech_offset_s + speech_len_s exceeds duration_s 1.0"),
+    ("sir_db", float("nan"), "sir_db must be finite or Infinity, got nan"),
+    ("snr_db", float("-inf"), "snr_db must be finite or Infinity, got -inf"),
+    ("noisy_path", "", "noisy_path must not be empty"),
+    ("target_path", "", "target_path must not be empty"),
+    ("bogus", 1, "unknown key 'bogus'"),
+])
+def test_load_manifest_checks_bounds_and_rules(tmp_path, key, value, message):
+    # A value out of its declared bound, or a line that breaks a rule across
+    # keys, is an error naming file:line and the key, as a config's is.
+    path = _write_manifest(tmp_path, {**_LINE, key: value})
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: {message}")):
+        load_manifest(path)
+
+
+def test_load_manifest_names_a_missing_key(tmp_path):
+    for key in _LINE:
+        path = _write_manifest(tmp_path, {k: v for k, v in _LINE.items() if k != key})
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: no key '{key}'")):
             load_manifest(path)
 
 
@@ -460,7 +515,8 @@ def test_speech_dir_record_track_matches_manifest_track(tmp_path):
     # where the record's target sounds: silent before it (the direct path
     # takes at least one sample), and sounding through its last sample.
     cfg = replace(_small_dataset_config(), speech_dir=_speech_dir(tmp_path, 0.5, 16000))
-    _, target, entry = _build_record(cfg, 0)
+    _, target, record = _build_record(cfg, 0)
+    entry = asdict(record)  # as the manifest holds it
     track = azimuth_track_from_entry(entry, StftConfig())
     assert np.any(~np.isnan(track))
     off, length = (int(round(entry[k] * entry["sample_rate"]))
@@ -485,14 +541,15 @@ def test_record_and_manifest_agree_on_target_zone(monkeypatch):
             target_azimuth_grid=(float(azimuth), float(azimuth), 1.0),
         )
         _, _, entry = _build_record(cfg, 0)
-        assert entry["target_azimuth_deg"] == azimuth
+        assert entry.target_azimuth_deg == azimuth
 
 
-def test_mixture_spec_validation():
-    with pytest.raises(ValueError):
-        MixtureSpec(duration=1.0, speech_len=0.9, speech_offset=0.2)
-    with pytest.raises(ValueError):
-        MixtureSpec(sir_db=float("nan"))
+def test_manifest_entry_rules_hold_when_it_is_built():
+    # A record that _build_record draws is checked by the same rules.
+    with pytest.raises(ValueError, match=r"speech_offset_s \+ speech_len_s exceeds duration_s 1.0"):
+        ManifestEntry(**{**_LINE, "speech_len_s": 0.9})
+    with pytest.raises(ValueError, match="sir_db must be finite or Infinity, got nan"):
+        ManifestEntry(**{**_LINE, "sir_db": float("nan")})
 
 
 def test_dataset_config_checks_both_of_its_sections():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -333,6 +334,23 @@ def test_identity_model_improvement_is_zero(toy_dataset):
         cfg.stft, cfg.array, 12, "splm",
     )
     assert abs(rows[0]["si_snri_db"]) < 1e-3
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("sample_rate", 8000, "holds 16000 samples at 16000 Hz, but its entry has duration_s 1.0 at "
+                          "sample_rate 8000"),
+    ("duration_s", 1.5, "holds 16000 samples at 16000 Hz, but its entry has duration_s 1.5 at "
+                        "sample_rate 16000"),
+])
+def test_evaluate_records_checks_each_wav_against_its_entry(toy_dataset, key, value, message):
+    # Without a sample rate to check against (the benchmark's call), a WAV
+    # must still be the record its entry describes.
+    cfg = toy_dataset["config"]
+    entry = {**toy_dataset["entries"][0], key: value}
+    noisy = toy_dataset["dir"] / entry["noisy_path"]
+    with pytest.raises(ValueError, match=re.escape(f"record 0: {noisy} {message}")):
+        evaluate_records([entry], toy_dataset["dir"], _MicSelectorModel(), cfg.stft, cfg.array,
+                         12, "splm")
 
 
 def test_summary_buckets_and_report(tmp_path, toy_dataset):
