@@ -290,8 +290,14 @@ def read_wav(path, sample_rate=None, channels=None):
 
 def write_wav(path, wave):
     """Write a waveform as IEEE float-32: RIFF, an 18-byte ``fmt `` chunk,
-    ``fact`` and ``data``, the bytes ``scipy.io.wavfile.write`` writes."""
-    data = np.ascontiguousarray(wave.samples.T, dtype="<f4")
+    ``fact`` and ``data``, the bytes ``scipy.io.wavfile.write`` writes.
+    A sample beyond the float32 range is an error naming ``path``, which is
+    then not written: it would read back as inf, which ``read_wav`` rejects."""
+    with np.errstate(over="ignore"):
+        data = np.ascontiguousarray(wave.samples.T, dtype="<f4")
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: a sample exceeds the float32 range of a WAV file "
+                         f"(|x| > {np.finfo(np.float32).max:.4g})")
     frames, channels = data.shape
     rate = wave.sample_rate
     header = (b"WAVE" + b"fmt " + struct.pack("<IHHIIHHH", 18, _FLOAT, channels, rate,

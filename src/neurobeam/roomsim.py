@@ -6,12 +6,15 @@ interference convolved likewise and scaled to a target SIR; white sensor
 noise scaled to a target SNR. The training target is the speech convolved
 with only the direct + early part of each impulse response.
 
-Each source's images (Allen & Berkley, 1979) are enumerated once for all
-microphones, and each source buffer's spectrum is computed once per FFT
-size for all the responses it is convolved with; the waveforms are
-bit-identical to a per-microphone enumeration and
-``scipy.signal.fftconvolve``, whose FFT sizes and pocketfft transforms
-``fftconvolve`` reproduces with ``numpy.fft``.
+Each source's images (Allen & Berkley, 1979) are enumerated for all
+microphones at once in slabs of the order cube, with each response's
+partial sums carried from slab to slab, so a call's working set is bounded
+by the slab size rather than growing as T60 cubed; each source buffer's
+spectrum is computed once per FFT size for all the responses it is
+convolved with. The waveforms are bit-identical to a per-microphone
+enumeration of the whole cube and ``scipy.signal.fftconvolve``, whose FFT
+sizes and pocketfft transforms ``fftconvolve`` reproduces with
+``numpy.fft``.
 
 All randomness flows through numpy's PCG64 generator seeded from 64-bit
 integers; record i of a dataset uses SeedSequence([master_seed, i]), so
@@ -103,6 +106,14 @@ def default_max_order(room):
     return int(np.ceil(room.speed_of_sound * room.t60 / min(room.dimensions))) + 1
 
 
+# Order-cube cells (rounded down to whole y-z planes, at least one) whose
+# images exist at once in image_source_rir. At 131072 a call at 6 x 6 x 3 m,
+# T60 0.64 s (order 75, five planes a slab) traces about 5 MB; on a 2-vCPU
+# x86-64 machine it timed as fast as 65536 or 262144 at orders 47-116, and
+# faster than the whole cube.
+_SLAB_CELLS = 1 << 17
+
+
 def image_source_rir(room, src, mics, max_order, fs=DEFAULT_SAMPLE_RATE):
     """Image-source impulse responses from ``src`` to each row of ``mics``
     ``[M x 3]``, with nearest-sample delays; returns the M responses.
@@ -110,7 +121,9 @@ def image_source_rir(room, src, mics, max_order, fs=DEFAULT_SAMPLE_RATE):
     Images up to total reflection order ``max_order`` contribute an
     impulse of amplitude beta^order / (4 pi d) at the sample nearest to
     d / c, with beta the room's ``reflection_coefficient`` (0 when anechoic).
-    The images and their gains are enumerated once for all microphones.
+    The images and their gains are enumerated once for all microphones,
+    in slabs of about ``_SLAB_CELLS`` order-cube cells, so the working set
+    is bounded however long the reverberation.
     """
     src = _check_inside(room, src, "source")
     mics = [_check_inside(room, mic, f"microphone {m}") for m, mic in enumerate(mics)]
@@ -132,23 +145,32 @@ def image_source_rir(room, src, mics, max_order, fs=DEFAULT_SAMPLE_RATE):
     keep = hits <= max_order
     hits = hits[keep].astype(np.min_scalar_type(3 * max_order))
     coords = [np.concatenate([s + 2.0 * n * d, -s + 2.0 * n * d])[keep] for s, d in zip(src, dims)]
+    pows = beta ** np.arange(max_order + 1.0)
+    sq = [[(coord - p) ** 2 for coord, p in zip(coords, mic)] for mic in mics]
 
-    # The kept images in the C order of the (x, y, z) cube, as an x-y plane
-    # index and a z index. With the squares added as (x + y) + z, each
-    # response has the bits of a per-microphone enumeration of the cube:
-    # bincount adds in index order.
-    order = (hits[:, None, None] + hits[None, :, None] + hits[None, None, :]).ravel()
-    kept = np.flatnonzero(order <= max_order)
-    gains = (beta ** np.arange(max_order + 1.0))[order[kept]]
-    xy, z = np.divmod(kept, hits.size)
-
-    responses = []
-    for mic in mics:
-        dx2, dy2, dz2 = ((coord - p) ** 2 for coord, p in zip(coords, mic))
-        dist = np.sqrt((dx2[:, None] + dy2[None, :]).ravel()[xy] + dz2[z])
-        amp = gains / (4.0 * np.pi * dist)
-        samples = np.rint(dist / c * fs).astype(np.int64)
-        responses.append(np.bincount(samples, weights=amp))
+    # The (x, y, z) order cube is walked in C order, a slab of whole y-z
+    # planes at a time; within a slab a kept image is an x-y index and a z
+    # index. With the squares added as (x + y) + z, and each slab's images
+    # added into the carried responses in that order (``np.add.at`` adds
+    # repeated indices one after another), each response has the bits of a
+    # per-microphone enumeration of the whole cube.
+    yz = (hits[:, None] + hits[None, :]).ravel()
+    planes = max(1, _SLAB_CELLS // yz.size)
+    responses = [np.zeros(0) for _ in mics]
+    for x0 in range(0, hits.size, planes):
+        slab = slice(x0, x0 + planes)
+        order = (hits[slab, None] + yz[None, :]).ravel()
+        kept = np.flatnonzero(order <= max_order)  # never empty: hits holds a 0
+        gains = pows[order[kept]]
+        xy, z = np.divmod(kept, hits.size)
+        for m, (dx2, dy2, dz2) in enumerate(sq):
+            dist = np.sqrt((dx2[slab, None] + dy2[None, :]).ravel()[xy] + dz2[z])
+            amp = gains / (4.0 * np.pi * dist)
+            samples = np.rint(dist / c * fs).astype(np.int64)
+            grow = samples.max() + 1 - responses[m].size
+            if grow > 0:
+                responses[m] = np.concatenate([responses[m], np.zeros(grow)])
+            np.add.at(responses[m], samples, amp)
     return responses
 
 
@@ -505,8 +527,9 @@ def generate_dataset(cfg, count, out_dir, threads=1):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
-    parallel = threads > 1 and count > 1
-    with ProcessPoolExecutor(max_workers=threads) if parallel else nullcontext() as pool:
+    workers = min(threads, count)  # a fork pool starts all its workers at once
+    parallel = workers > 1
+    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
         build = pool.map if parallel else map
         for noisy, target, entry in build(_build_record, [cfg] * count, range(count)):
             write_wav(out / entry.noisy_path, noisy)

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,22 @@ def test_synth_rejects_unpaired_scenario_lists(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "dataset.t60_ranges" in err and "3, 1, 3 items" in err
     assert "internal error" not in err
+
+
+def test_synth_of_a_level_beyond_float32_is_a_user_error(tmp_path, capsys):
+    # At -800 dB SNR the noise reaches about 1e39: its float32 cast was inf,
+    # written with exit 0 into a WAV that every read_wav rejects.
+    path = tmp_path / "loud.json"
+    data = toy_config_dict()
+    data["dataset"].update(duration_s=0.5, speech_len_s=0.3, snr_range_db=[-800, -800])
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["synth", str(path), "--count", "1", "--out", str(tmp_path / "d")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "mix_00000_noisy.wav: a sample exceeds the float32 range" in err
+    assert not (tmp_path / "d" / "mix_00000_noisy.wav").exists()
 
 
 def test_synth_rejects_empty_scenario_lists(tmp_path, capsys):

@@ -1,7 +1,9 @@
 import json
 import re
+import tracemalloc
 import warnings
 from dataclasses import asdict, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -145,17 +147,16 @@ def _reference_rir(room, src, mic, max_order, fs=16000):
 _UNIT = st.floats(0.02, 0.98)
 
 
-@settings(max_examples=40, deadline=None)
-@given(
+_RIR_CASES = given(
     dims=st.tuples(*[st.floats(3.0, 8.0)] * 3),
     t60=st.sampled_from([0.0, 0.02]) | st.floats(0.1, 0.8),
     src=st.tuples(*[_UNIT] * 3),
     mics=st.lists(st.tuples(*[_UNIT] * 3), min_size=1, max_size=6),
     max_order=st.integers(0, 40),
 )
-def test_rir_matches_per_mic_reference(dims, t60, src, mics, max_order):
-    # One enumeration for all microphones gives each the bits of its own
-    # enumeration; t60 0 is anechoic and 0.02 s clamps beta to 0.
+
+
+def _check_rir_against_reference(dims, t60, src, mics, max_order):
     room = RoomSpec(dims, t60=t60)
     src = np.multiply(src, dims)
     mics = np.multiply(mics, dims)
@@ -167,6 +168,52 @@ def test_rir_matches_per_mic_reference(dims, t60, src, mics, max_order):
     assert len(rirs) == len(mics)
     for rir, reference in zip(rirs, references):
         assert rir.dtype == reference.dtype and rir.tobytes() == reference.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@_RIR_CASES
+def test_rir_matches_per_mic_reference(dims, t60, src, mics, max_order):
+    # One enumeration for all microphones gives each the bits of its own
+    # enumeration; t60 0 is anechoic and 0.02 s clamps beta to 0.
+    _check_rir_against_reference(dims, t60, src, mics, max_order)
+
+
+@settings(max_examples=40, deadline=None)
+@_RIR_CASES
+def test_rir_matches_per_mic_reference_one_plane_per_slab(dims, t60, src, mics, max_order):
+    # Every slab boundary is crossed: the partial sums carried from slab to
+    # slab keep the bits of one enumeration of the whole order cube.
+    with mock.patch.object(roomsim, "_SLAB_CELLS", 1):
+        _check_rir_against_reference(dims, t60, src, mics, max_order)
+
+
+def test_rir_of_the_largest_synth_cell_keeps_its_bits_one_plane_per_slab():
+    # 6 x 6 x 3 m at T60 0.64 s (order 75): the costliest record of the
+    # default scenarios, walked in 151 one-plane slabs.
+    room = RoomSpec((6.0, 6.0, 3.0), t60=0.64)
+    src = placement_from_azimuth(room, 40.0, 2.5)
+    mics = room.center() + ArraySpec().mic_positions[:2]
+    max_order = default_max_order(room)
+    with mock.patch.object(roomsim, "_SLAB_CELLS", 1):
+        rirs = image_source_rir(room, src, mics, max_order)
+    for rir, mic in zip(rirs, mics):
+        assert rir.tobytes() == _reference_rir(room, src, mic, max_order).tobytes()
+
+
+def test_rir_working_set_is_bounded_by_a_slab():
+    # The whole order cube of a 10 x 8 x 3 m room at T60 1.0 s (order 116)
+    # and its per-image arrays traced 178 MB; one slab at a time takes a few.
+    room = RoomSpec((10.0, 8.0, 3.0), t60=1.0)
+    src = placement_from_azimuth(room, 40.0, 2.0)
+    mics = room.center() + ArraySpec().mic_positions
+    assert len(mics) == 4
+    tracemalloc.start()
+    try:
+        image_source_rir(room, src, mics, default_max_order(room))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_fftconvolve_matches_scipy_bits(rng):
@@ -363,6 +410,33 @@ def test_generate_dataset_parallel_matches_serial(tmp_path):
     generate_dataset(cfg, 2, b, threads=2)
     assert (a / "manifest.jsonl").read_bytes() == (b / "manifest.jsonl").read_bytes()
     assert (a / "mix_00001_noisy.wav").read_bytes() == (b / "mix_00001_noisy.wav").read_bytes()
+
+
+def test_generate_dataset_starts_no_more_workers_than_records(tmp_path, monkeypatch):
+    # A fork pool starts all its workers at once: --count 2 --threads 64
+    # forked 64 processes. The recording pool runs the records in-process.
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(roomsim, "ProcessPoolExecutor", RecordingPool)
+    cfg = _small_dataset_config()
+    generate_dataset(cfg, 2, tmp_path / "two", threads=64)
+    generate_dataset(cfg, 1, tmp_path / "one", threads=64)
+    generate_dataset(cfg, 3, tmp_path / "three", threads=2)
+    assert asked == [2, 2]
+    assert (tmp_path / "one" / "mix_00000_noisy.wav").read_bytes() == (
+        tmp_path / "two" / "mix_00000_noisy.wav").read_bytes()
 
 
 def test_speed_of_sound_reaches_the_simulator(tmp_path, monkeypatch):
