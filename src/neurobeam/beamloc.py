@@ -24,25 +24,20 @@ DEFAULT_VAD_THRESHOLD = 0.5
 
 def complex_filters(w):
     """Filter tensor [2 x M x F x T] -> C-ordered complex128 filters
-    [M x T x F], the layout ``beamform`` and ``splm_map`` read."""
+    [M x T x F], the layout ``filter_and_sum`` and ``splm_map`` read."""
     return to_complex(w.transpose(0, 1, 3, 2))
 
 
-def beamform(weights, data):
-    """sum_m w[m,t,f] * y[m,t,f]: filters and spectra [M x T x F] -> [T x F].
-    Callers pass the C-ordered filters of ``complex_filters``, so nothing
-    is copied; a strided view is summed as a C-ordered copy (on [4 x 957 x
-    257] filters einsum took 17 ms on the transposed view and 9 ms on the
-    copy, copying included, 2-vCPU x86 machine, with the same bits)."""
-    if weights.shape != data.shape:
-        raise ValueError(f"weights shape {weights.shape} != spectrogram shape {data.shape}")
-    return np.einsum("mtf,mtf->tf", np.ascontiguousarray(weights), data)
-
-
 def filter_and_sum(weights, spec):
-    """Apply per-channel filters to spectra [M x T x F] and sum across
-    microphones -> the 1-channel spectrum [1 x T x F]."""
-    return beamform(weights, spec)[np.newaxis]
+    """sum_m w[m,t,f] * y[m,t,f]: filters and spectra [M x T x F] -> the
+    1-channel spectrum [1 x T x F]. Callers pass the C-ordered filters of
+    ``complex_filters``, so nothing is copied; a strided view is summed as
+    a C-ordered copy (on [4 x 957 x 257] filters einsum took 17 ms on the
+    transposed view and 9 ms on the copy, copying included, 2-vCPU x86
+    machine, with the same bits)."""
+    if weights.shape != spec.shape:
+        raise ValueError(f"weights shape {weights.shape} != spectrogram shape {spec.shape}")
+    return np.einsum("mtf,mtf->tf", np.ascontiguousarray(weights), spec)[np.newaxis]
 
 
 # splm_map sums |steered response| over chunks of this many frequency bins,
@@ -119,7 +114,8 @@ def enhance_utterance(noisy, model, mode, zones, array, stft_cfg,
 
     Returns (enhanced 1-channel waveform, LocalizationResult). The output
     waveform is window_length + (T-1)*hop samples long (framing edge
-    loss; see dsp.istft).
+    loss; see dsp.istft). In ``nlm`` mode the model's NLM head must have
+    ``zones`` zones, which is checked before any work.
 
     The whole pass runs under ``autodiff.no_grad()``: no graph is
     recorded, so each activation is freed once the next layer has read
@@ -131,6 +127,9 @@ def enhance_utterance(noisy, model, mode, zones, array, stft_cfg,
     """
     if mode not in ("splm", "nlm"):
         raise ValueError(f"unknown localization mode '{mode}' (expected splm or nlm)")
+    if mode == "nlm" and (model.nlm is None or model.nlm.zones != zones):
+        raise ValueError(f"mode nlm needs an NLM head of {zones} zones, not the model's "
+                         f"({'none' if model.nlm is None else model.nlm.zones}); use --mode splm")
     with ad.no_grad():
         spec = stft(noisy, stft_cfg)
         w = model.forward_weights(spec, training=False)

@@ -1,21 +1,24 @@
 """Checkpoint container: JSON manifest plus raw little-endian arrays.
 
 Layout: 4-byte magic, 8-byte little-endian header length, UTF-8 JSON
-header, then the concatenated array blobs. The header records name,
-dtype, shape, and byte offset per array, the ``zlib.crc32`` of the
-payload, and carries a free-form ``meta`` dict (model config, schema
-version). A file is written to a temporary name beside its target,
-flushed to disk and renamed into place, so a write that fails leaves the
-previous file intact. The loader rejects, with a ``ValueError`` naming
-the file, unknown versions and any file that is truncated, has a damaged
-header (one without a checksum among them) or fails its payload checksum.
-Shape mismatches are the caller's job via ``require_shapes``; the meta is
+header, then the array blobs in header order. The header records name,
+dtype and shape per array (and its byte offset and size, written for
+compatibility, never read: an array is placed by its header position),
+the ``zlib.crc32`` of the payload, and a free-form ``meta`` dict (model
+config, schema version). A write goes to a temporary file renamed into
+place once on disk, so a failed write leaves the previous file intact.
+The loader returns read-only views of the file's bytes; a file that is
+truncated, of another version, has a damaged header (one without a
+checksum among them), has bytes past its last array or fails its checksum
+is a ``ValueError`` naming it. ``fill_arrays`` checks loaded arrays by
+name, shape and dtype and copies them into a run's arrays; the meta is
 read by ``config.RunConfig.from_meta``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import zlib
 from pathlib import Path
@@ -69,7 +72,7 @@ def save_checkpoint(path, arrays, meta=None):
 
 
 def load_checkpoint(path):
-    """Returns (arrays: dict[str, ndarray], meta: dict)."""
+    """Returns (arrays: dict[str, read-only ndarray], meta: dict)."""
     path = Path(path)
     with open(path, "rb") as fh:
         data = memoryview(fh.read())
@@ -80,45 +83,55 @@ def load_checkpoint(path):
         raise ValueError(f"checkpoint {path} is truncated inside its header")
     try:
         header = json.loads(bytes(data[_PREFIX : _PREFIX + header_len]).decode("utf-8"))
-        version = header["version"]
-        meta = header["meta"]
-        crc = header["crc32"]
-        tensors = [
-            (e["name"], np.dtype("<" + e["dtype"]), tuple(e["shape"]), e["offset"], e["nbytes"])
-            for e in header["tensors"]
-        ]
+        version, meta, crc = header["version"], header["meta"], header["crc32"]
+        tensors = [(e["name"], np.dtype("<" + e["dtype"]), tuple(e["shape"]))
+                   for e in header["tensors"]]
+        for name, _, shape in tensors:  # a size is an int, not a bool
+            if not (isinstance(name, str) and all(type(n) is int and n >= 0 for n in shape)):
+                raise ValueError(f"tensor {name!r} has shape {list(shape)}")
     except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"checkpoint {path} has a corrupt header ({exc})") from exc
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version} in {path}")
     payload = data[_PREFIX + header_len :]
-    for name, dt, shape, offset, nbytes in tensors:
-        if offset + nbytes > len(payload):
-            raise ValueError(
-                f"checkpoint {path} is truncated: tensor '{name}' ends at payload byte "
-                f"{offset + nbytes}, but the payload has {len(payload)} bytes"
-            )
-        if nbytes != int(np.prod(shape)) * dt.itemsize:
-            raise ValueError(
-                f"checkpoint {path} is corrupt: tensor '{name}' has {nbytes} bytes "
-                f"for shape {shape} of {dt}"
-            )
+    placed, end = [], 0
+    for name, dt, shape in tensors:
+        count = math.prod(shape)
+        placed.append((name, dt, shape, count, end))
+        end += count * dt.itemsize
+    if end != len(payload):
+        raise ValueError(
+            f"checkpoint {path} is {'truncated' if end > len(payload) else 'corrupt'}: its "
+            f"tensors end at payload byte {end}, but the payload has {len(payload)} bytes")
     if zlib.crc32(payload) != crc:
         raise ValueError(f"checkpoint {path} is corrupt: payload CRC32 does not match its header")
-    arrays = {
-        name: np.frombuffer(payload, dtype=dt, count=nbytes // dt.itemsize, offset=offset)
-        .reshape(shape)
-        .copy()
-        for name, dt, shape, offset, nbytes in tensors
-    }
+    try:
+        arrays = {
+            name: np.frombuffer(payload, dtype=dt, count=count, offset=offset).reshape(shape)
+            for name, dt, shape, count, offset in placed
+        }
+    except ValueError as exc:  # a dtype no buffer holds, such as an object or a subarray
+        raise ValueError(f"checkpoint {path} has a corrupt header ({exc})") from exc
     return arrays, meta
 
 
-def require_shapes(arrays, expected):
-    """Raise if any expected array is absent or shaped differently."""
-    for name, shape in expected.items():
+def fill_arrays(arrays, targets, prefixes):
+    """Copy each loaded array into the target array of its name, in place.
+    Every target must be loaded with its shape and dtype, and every loaded
+    name under ``prefixes`` must be a target's, or a ``ValueError`` names the
+    tensor and no target is touched."""
+    unknown = sorted(k for k in arrays if k.startswith(tuple(prefixes)) and k not in targets)
+    if unknown:
+        raise ValueError(f"checkpoint has tensors the run lacks: {unknown}")
+    for name, target in targets.items():
         if name not in arrays:
             raise ValueError(f"checkpoint is missing tensor '{name}'")
-        got = tuple(arrays[name].shape)
-        if got != tuple(shape):
-            raise ValueError(f"checkpoint tensor '{name}' has shape {got}, expected {tuple(shape)}")
+        got = arrays[name]
+        if got.shape != target.shape:
+            raise ValueError(
+                f"checkpoint tensor '{name}' has shape {got.shape}, expected {target.shape}")
+        if got.dtype != target.dtype:
+            raise ValueError(
+                f"checkpoint tensor '{name}' has dtype {got.dtype}, expected {target.dtype}")
+    for name, target in targets.items():
+        target[...] = arrays[name]

@@ -139,11 +139,6 @@ def cmd_enhance(args):
     loc = run.localization
     mode = args.mode or loc.mode
     zones = loc.zones if args.zones is None else args.zones
-    if mode == "nlm" and model.nlm is not None and zones != model.nlm.zones:
-        raise ValueError(
-            f"--zones {zones} conflicts with the checkpoint's NLM head "
-            f"({model.nlm.zones} zones); use --mode splm for other grids"
-        )
     noisy = read_wav(args.input, run.dataset.sample_rate, run.array.mics)
     enhanced, result = enhance_utterance(
         noisy, model, mode, zones, run.array, run.stft,

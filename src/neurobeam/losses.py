@@ -2,7 +2,7 @@
 cross-entropy on zone maps, each one autodiff op, plus the ops (overlap-add
 inverse STFT, filter-and-sum, steered zone map) that connect the filter
 tensor to them. Each op's forward is the inference code itself (``si_snr``,
-``dsp.synthesize``, ``beamloc.beamform``, ``beamloc.splm_map``) or, for BCE,
+``dsp.synthesize``, ``beamloc.filter_and_sum``, ``beamloc.splm_map``) or, for BCE,
 the loss's own arithmetic; the op adds only the analytic adjoint. Complex operands follow the part-axis
 layout of ``layers``: the filters are [2 x M x F x T] (re, im) and the
 beamformed spectrum [2 x T x F].
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .beamloc import beamform, complex_filters, splm_bands, splm_map, steered_response
+from .beamloc import complex_filters, filter_and_sum, splm_bands, splm_map, steered_response
 from .dsp import frame_signal, synthesize, wola_inverse
 from .layers import to_complex
 
@@ -167,11 +167,11 @@ def _weights_op(weights, out, grad_fn):
 
 
 def filter_and_sum_tensor(weights, spec_data):
-    """``beamloc.beamform`` of the filter tensor [2 x M x F x T] and a fixed
+    """``beamloc.filter_and_sum`` of the filter tensor [2 x M x F x T] and a fixed
     spectrogram [M x T x F] -> [2 x T x F]; the filters' complex gradient
     is g * conj(y)."""
     y = np.asarray(spec_data)
-    out = beamform(complex_filters(weights.data), y)
+    out = filter_and_sum(complex_filters(weights.data), y)[0]
     return _weights_op(
         weights, np.stack([out.real, out.imag]),
         lambda g: ((g[0] + 1j * g[1]) * np.conj(y)).transpose(0, 2, 1),

@@ -28,8 +28,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .checkpoint import require_shapes
 from .beamloc import complex_filters
+from .checkpoint import fill_arrays
 from .layers import ComplexConvBlock, ComplexLSTM, ComplexLinear, Linear
 
 MAGNITUDE_EPS = 1e-12
@@ -250,17 +250,8 @@ class MimoDccrn:
         return arrays
 
     def load_arrays(self, arrays):
-        params, buffers = self.params(), self.buffers()
-        expected = {f"param.{k}": p.shape for k, p in params.items()}
-        expected.update({f"buffer.{k}": b.shape for k, b in buffers.items()})
-        require_shapes(arrays, expected)
-        extra = {k for k in arrays if k.startswith(("param.", "buffer."))} - set(expected)
-        if extra:
-            raise ValueError(f"checkpoint has tensors the model lacks: {sorted(extra)}")
-        for k, p in params.items():
-            p.data = arrays[f"param.{k}"].astype(self.dtype)
-        for k, b in buffers.items():
-            b[...] = arrays[f"buffer.{k}"].astype(self.dtype)
+        """Fill the parameters and buffers from checkpoint ``arrays`` (``fill_arrays``)."""
+        fill_arrays(arrays, self.checkpoint_arrays(), ("param.", "buffer."))
 
     @classmethod
     def from_meta(cls, meta, seed=0):

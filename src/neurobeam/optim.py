@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .checkpoint import require_shapes
-
 
 class Adam:
     """Standard Adam with bias correction.
@@ -50,10 +48,3 @@ class Adam:
             out[f"adam.m.{name}"] = self.m[name]
             out[f"adam.v.{name}"] = self.v[name]
         return out
-
-    def load_state_arrays(self, arrays):
-        require_shapes(arrays, {k: v.shape for k, v in self.state_arrays().items()})
-        self.step_count = int(arrays["adam.step"][0])
-        for name in self.params:
-            self.m[name][...] = arrays[f"adam.m.{name}"]
-            self.v[name][...] = arrays[f"adam.v.{name}"]

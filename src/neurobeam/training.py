@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .arraygeom import ground_truth_map, steering_set
 from .beamloc import enhance_utterance, localize
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import fill_arrays, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, meta_dtype
 from .dsp import read_wav, stft
 from .losses import (
@@ -110,10 +111,13 @@ def restore_checkpoint(path):
     return model, run
 
 
+def _state(model, adam):
+    """A training checkpoint's arrays by name: the model's, then the optimizer's."""
+    return {**model.checkpoint_arrays(), **adam.state_arrays()}
+
+
 def _save(out_dir, model, adam, cfg, step):
-    arrays = model.checkpoint_arrays()
-    arrays.update(adam.state_arrays())
-    save_checkpoint(out_dir / CHECKPOINT_NAME, arrays, checkpoint_meta(cfg, step))
+    save_checkpoint(out_dir / CHECKPOINT_NAME, _state(model, adam), checkpoint_meta(cfg, step))
 
 
 def _read_record_wav(base_dir, entry, key, sample_rate, mics):
@@ -194,22 +198,26 @@ def _truncate_log(path, step):
         fh.writelines(rows)
 
 
+# The settings a resumed run must share with its checkpoint: what builds the
+# model, its input and its losses (``vad_threshold`` is read only by scoring).
+_RESUME_KEYS = ("model", "stft", "array", "dataset.sample_rate", "localization.mode",
+                "localization.zones", "training.reference_mic", "training.sisnr_convention")
+
+
 def _resume(arrays, meta, cfg, model, adam):
-    """Load a resume checkpoint into ``model`` and ``adam``, each checking its arrays'
-    shapes. Reject one recorded under other STFT, array or sample-rate settings than
-    ``cfg``, in another dtype than ``model``, or whose step is not its optimizer's."""
+    """Fill ``model`` and ``adam`` from a resume checkpoint (``fill_arrays`` over
+    ``_state``). Reject one recorded in another dtype than ``model``, under other
+    ``_RESUME_KEYS`` settings than ``cfg``, or whose step is not its optimizer's."""
     run = RunConfig.from_meta(meta)
-    checks = [
-        ("dtype", meta_dtype(meta), model.dtype, "the model's"),
-        ("stft", run.stft, cfg.stft, "the config's"),
-        ("array", run.array, cfg.array, "the config's"),
-        ("dataset.sample_rate", run.dataset.sample_rate, cfg.dataset.sample_rate, "the config's"),
-    ]
-    for key, recorded, wanted, source in checks:
+    if meta_dtype(meta) != model.dtype:
+        raise ValueError(f"records dtype {meta_dtype(meta)}, but the model's is {model.dtype}")
+    for key in _RESUME_KEYS:
+        recorded, wanted = (reduce(getattr, key.split("."), c) for c in (run, cfg))
         if recorded != wanted:
-            raise ValueError(f"records {key} {recorded}, but {source} is {wanted}")
-    model.load_arrays(arrays)
-    adam.load_state_arrays(arrays)
+            raise ValueError(f"records {key} {recorded}, but the config's is {wanted}")
+    state = _state(model, adam)
+    fill_arrays(arrays, state, ("param.", "buffer.", "adam."))
+    adam.step_count = int(state["adam.step"][0])
     if meta.get("train_step") != adam.step_count:
         raise ValueError(
             f"records train_step {meta.get('train_step')}, but its adam.step is {adam.step_count}")

@@ -1,4 +1,5 @@
-"""The checkpoint container: durable writes, and loud errors on bad files."""
+"""The checkpoint container: durable writes, loud errors on bad files, and
+the one checked copy of loaded arrays into a run's arrays."""
 
 import io
 import json
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from neurobeam import checkpoint
-from neurobeam.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from neurobeam.checkpoint import MAGIC, fill_arrays, load_checkpoint, save_checkpoint
 
 
 def _arrays(rng):
@@ -161,3 +162,87 @@ def test_checkpoint_without_checksum_is_rejected(tmp_path, rng):
     path.write_bytes(MAGIC + len(header).to_bytes(8, "little") + header + b"".join(blobs))
     with pytest.raises(ValueError, match=f"checkpoint {path} has a corrupt header"):
         load_checkpoint(path)
+
+
+def _rewrite_header(path, edit):
+    """Rewrite the checkpoint at ``path`` with ``edit(header)`` applied."""
+    data = path.read_bytes()
+    end = _header_end(data)
+    header = json.loads(data[12:end])
+    edit(header)
+    raw = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(MAGIC + len(raw).to_bytes(8, "little") + raw + data[end:])
+
+
+def test_arrays_are_read_only_views_placed_by_header_order(tmp_path, rng):
+    # Offsets and sizes are written but not read: swapping two entries'
+    # offsets and sizes changes nothing, and nothing is copied.
+    arrays = _arrays(rng)
+    path = tmp_path / "ck.nbcp"
+    save_checkpoint(path, arrays)
+
+    def swap(header):
+        w, b = header["tensors"][:2]
+        w["offset"], b["offset"], w["nbytes"], b["nbytes"] = b["offset"], w["offset"], 7, 9
+
+    _rewrite_header(path, swap)
+    loaded, _ = load_checkpoint(path)
+    _assert_same(loaded, arrays)
+    assert not any(a.flags.writeable or a.flags.owndata for a in loaded.values())
+
+
+@pytest.mark.parametrize("entry", [{"shape": shape} for shape in
+                                   ([-1, 4], [3.0, 4], [True, 4], ["3", 4], [None, 4], 12)]
+                         + [{"dtype": "O8"}, {"dtype": "(2,)f4"}, {"name": 5}])
+def test_entry_that_no_array_has_is_a_corrupt_header(tmp_path, rng, entry):
+    # Shape items that are not sizes, and dtypes no buffer holds (an object,
+    # a subarray); each keeps or changes the payload's layout.
+    path = tmp_path / "ck.nbcp"
+    save_checkpoint(path, _arrays(rng))
+    key = {"shape": "w", "dtype": "b", "name": "s"}[next(iter(entry))]
+    _rewrite_header(path, lambda header: next(
+        e for e in header["tensors"] if e["name"] == key).update(entry))
+    with pytest.raises(ValueError, match=f"checkpoint {re.escape(str(path))} has a corrupt header"):
+        load_checkpoint(path)
+
+
+def test_payload_past_the_last_array_is_rejected(tmp_path, rng):
+    path = tmp_path / "ck.nbcp"
+    save_checkpoint(path, _arrays(rng))
+    _rewrite_header(path, lambda header: header["tensors"][0].update(shape=[3, 3]))
+    with pytest.raises(ValueError, match="ck.nbcp is corrupt: its tensors end at payload byte"):
+        load_checkpoint(path)
+
+
+def _targets():
+    return {"adam.step": np.zeros(1, np.int64), "adam.m.w": np.zeros((3, 4), np.float32)}
+
+
+def _loaded():
+    return {"adam.step": np.array([7]), "adam.m.w": np.ones((3, 4), np.float32),
+            "param.w": np.ones(2)}
+
+
+def test_fill_arrays_copies_into_the_targets():
+    targets = _targets()
+    before = {name: id(array) for name, array in targets.items()}
+    fill_arrays(_loaded(), targets, ("adam.",))
+    assert targets["adam.step"][0] == 7 and np.all(targets["adam.m.w"] == 1)
+    assert {name: id(array) for name, array in targets.items()} == before
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda a: a.update({"adam.m.w": a["adam.m.w"].astype(np.int32)}),
+     r"tensor 'adam.m.w' has dtype int32, expected float32"),
+    (lambda a: a.update({"adam.m.w": np.ones((4, 3), np.float32)}),
+     r"tensor 'adam.m.w' has shape \(4, 3\), expected \(3, 4\)"),
+    (lambda a: a.pop("adam.step"), "checkpoint is missing tensor 'adam.step'"),
+    (lambda a: a.update({"adam.v.w": np.ones((3, 4), np.float32)}),
+     r"tensors the run lacks: \['adam.v.w'\]"),
+], ids=["dtype", "shape", "missing", "unknown"])
+def test_fill_arrays_rejects_and_touches_nothing(edit, message):
+    loaded, targets = _loaded(), _targets()
+    edit(loaded)
+    with pytest.raises(ValueError, match=message):
+        fill_arrays(loaded, targets, ("adam.",))
+    assert not any(array.any() for array in targets.values())

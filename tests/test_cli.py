@@ -295,6 +295,42 @@ def test_enhance_rejects_zones_below_two(trained, tmp_path, capsys, zones):
     assert not (tmp_path / "o.wav").exists()
 
 
+@pytest.fixture(scope="module")
+def splm_checkpoint(trained):
+    """A zero-step checkpoint of the toy run in ``splm`` mode: no NLM head."""
+    out = trained["base"] / "splm_run"
+    assert main(["train", str(trained["config"]), "--steps", "0", "--out", str(out),
+                 "--manifest", str(trained["manifest"]), "--set", "localization.mode=splm"]) == 0
+    return out / "checkpoint_last.nbcp"
+
+
+@pytest.mark.parametrize("command", ["enhance", "eval", "enhance_zones"])
+def test_mode_nlm_without_the_head_fails_before_the_stft(
+        trained, splm_checkpoint, tmp_path, capsys, monkeypatch, command):
+    # An splm checkpoint has no NLM head, and an nlm one has its zone count:
+    # ``--mode nlm`` without that head is a user error before any work.
+    from neurobeam import beamloc
+
+    def no_stft(*args, **kwargs):
+        raise AssertionError("the STFT ran")
+
+    monkeypatch.setattr(beamloc, "stft", no_stft)
+    out = str(tmp_path / "out")
+    if command == "eval":
+        argv = ["eval", str(splm_checkpoint), str(trained["manifest"]), "--out", out]
+        message = "needs an NLM head of 12 zones, not the model's (none); use --mode splm"
+    elif command == "enhance":
+        argv = ["enhance", str(splm_checkpoint), str(trained["noisy"]), "--out", out]
+        message = "needs an NLM head of 12 zones, not the model's (none); use --mode splm"
+    else:
+        argv = ["enhance", str(trained["checkpoint"]), str(trained["noisy"]), "--zones", "8",
+                "--out", out]
+        message = "needs an NLM head of 8 zones, not the model's (12); use --mode splm"
+    assert main(argv + ["--mode", "nlm"]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_enhance_channel_mismatch_exit_code(trained, tmp_path, capsys):
     bad = tmp_path / "bad.wav"
     write_wav(bad, Waveform(np.zeros((3, 2000))))
@@ -982,6 +1018,119 @@ def test_a_damaged_manifest_is_a_user_error_naming_it(tiny_run, damage):
             code, err = _quiet(argv)
             assert code in (0, 1), err
             assert code == 0 or str(data) in err, err
+
+
+def _edit_header(src, dst, edit):
+    """Copy the checkpoint ``src`` to ``dst`` with ``edit(tensors)`` applied to
+    the entries of its header; returns the edit's result."""
+    from neurobeam.checkpoint import MAGIC
+
+    data = src.read_bytes()
+    start = len(MAGIC) + 8
+    end = start + int.from_bytes(data[len(MAGIC):start], "little")
+    header = json.loads(data[start:end])
+    result = edit(header["tensors"])
+    raw = json.dumps(header, sort_keys=True).encode()
+    dst.write_bytes(MAGIC + len(raw).to_bytes(8, "little") + raw + data[end:])
+    return result
+
+
+def _set_char(text, place, pick, alphabet):
+    """``text`` with its character at ``place`` (modulo its length) set to the
+    ``pick``-th (modulo) character of ``alphabet`` other than the old one."""
+    place %= len(text)
+    others = [c for c in alphabet if c != text[place]]
+    return text[:place] + others[pick % len(others)] + text[place + 1:]
+
+
+def _edit_entry(key, index, place, pick):
+    """An ``_edit_header`` edit of one character of the ``key`` of one tensor
+    entry: the dtype's kind letter, one digit of one shape item or one digit
+    of the offset. Returns the entry's name."""
+    def edit(tensors):
+        if key == "shape":
+            tensors = [e for e in tensors if e["shape"]]
+        entry = tensors[index % len(tensors)]
+        if key == "dtype":
+            entry["dtype"] = _set_char(entry["dtype"], 0, pick, "fiucbV?OSUmM")
+        elif key == "shape":
+            item = place % len(entry["shape"])
+            entry["shape"][item] = int(_set_char(str(entry["shape"][item]), place // 7, pick,
+                                                 "0123456789"))
+        else:
+            entry["offset"] = int(_set_char(str(entry["offset"]), place, pick, "0123456789"))
+        return entry["name"]
+    return edit
+
+
+def _enhance_and_resume(tiny_run, checkpoint, out):
+    """(exit code, stderr) of ``enhance`` and of a zero-step ``train --resume``
+    of the tiny run on ``checkpoint``."""
+    noisy = tiny_run / "data" / "mix_00000_noisy.wav"
+    return {
+        "enhance": _quiet(["enhance", str(checkpoint), str(noisy), "--out", str(out / "enh.wav")]),
+        "train": _quiet(["train", str(tiny_run / "config.json"), "--steps", "0",
+                         "--manifest", str(tiny_run / "data" / "manifest.jsonl"),
+                         "--out", str(out / "run"), "--resume", str(checkpoint)]),
+    }
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(index=st.integers(0, 2**16), place=st.integers(0, 2**16), pick=st.integers(0, 2**16))
+@pytest.mark.parametrize("key", ["dtype", "shape", "offset"])
+def test_a_damaged_checkpoint_header_is_a_user_error_naming_it(tiny_run, key, index, place, pick):
+    # One character of one tensor entry of the header changed (the header is
+    # not under the checksum): a dtype or a shape edit is an exit 1 naming the
+    # file, never a load of other bits or an exit 2. An offset is not read, so
+    # an offset edit loads the original arrays. ``enhance`` reads only the
+    # model's arrays, so an optimizer entry's dtype edit may pass it.
+    from neurobeam.checkpoint import load_checkpoint
+
+    original = tiny_run / "run" / "checkpoint_last.nbcp"
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        path = out / "edited.nbcp"
+        name = _edit_header(original, path, _edit_entry(key, index, place, pick))
+        for command, (code, err) in _enhance_and_resume(tiny_run, path, out).items():
+            if key == "offset":
+                assert code == 0, err
+            elif key == "dtype" and command == "enhance" and name.startswith("adam."):
+                assert code in (0, 1) and (code == 0 or str(path) in err), err
+            else:
+                assert code == 1 and str(path) in err, err
+        if key == "offset":
+            (loaded, _), (expect, _) = load_checkpoint(path), load_checkpoint(original)
+            assert list(loaded) == list(expect)
+            for k, array in expect.items():
+                assert loaded[k].dtype == array.dtype and np.array_equal(loaded[k], array), k
+
+
+def test_a_checkpoint_header_edit_names_the_tensor_or_is_not_read(tiny_run, tmp_path):
+    # A float32 tensor read as int32 would restore weights near 1e9; an
+    # offset pointing at another tensor would restore that tensor's bytes.
+    from neurobeam.checkpoint import load_checkpoint
+
+    original = tiny_run / "run" / "checkpoint_last.nbcp"
+
+    def as_int32(tensors):
+        entry = next(e for e in tensors if e["name"] == "param.dec4.conv.w")
+        assert entry["dtype"] == "f4"
+        entry["dtype"] = "i4"
+
+    def offset_of_enc0(tensors):
+        by_name = {e["name"]: e for e in tensors}
+        by_name["param.dec4.conv.w"]["offset"] = by_name["param.enc0.conv.w"]["offset"]
+
+    _edit_header(original, tmp_path / "i4.nbcp", as_int32)
+    for code, err in _enhance_and_resume(tiny_run, tmp_path / "i4.nbcp", tmp_path).values():
+        assert code == 1, err
+        assert str(tmp_path / "i4.nbcp") in err and "'param.dec4.conv.w' has dtype int32" in err
+    _edit_header(original, tmp_path / "moved.nbcp", offset_of_enc0)
+    for code, err in _enhance_and_resume(tiny_run, tmp_path / "moved.nbcp", tmp_path).values():
+        assert code == 0, err
+    moved, _ = load_checkpoint(tmp_path / "moved.nbcp")
+    assert np.array_equal(moved["param.dec4.conv.w"],
+                          load_checkpoint(original)[0]["param.dec4.conv.w"])
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from neurobeam import autodiff as ad
 from neurobeam.autodiff import Tensor, constant
-from neurobeam.beamloc import beamform, splm_map
+from neurobeam.beamloc import filter_and_sum, splm_map
 from neurobeam.dsp import StftConfig, istft
 from neurobeam.gradcheck import check_gradients
 from neurobeam.layers import to_complex
@@ -205,14 +205,14 @@ def test_splm_map_tensor_zero_weights_give_zero_map_and_gradient(rng):
 
 
 def test_filter_ops_forward_is_the_inference_code(rng):
-    # The training ops wrap beamform and splm_map: their forwards agree bit
+    # The training ops wrap filter_and_sum and splm_map: their forwards agree bit
     # for bit, also for a record spanning several splm chunks of bins.
     m, f, t, n = 4, 257, 9, 12
     w = rng.standard_normal((2, m, f, t)).astype(np.float32)
     spec = rng.standard_normal((m, t, f)) + 1j * rng.standard_normal((m, t, f))
     steering = np.exp(2j * np.pi * rng.uniform(size=(n, f, m)))
     weights = to_complex(w).transpose(0, 2, 1)
-    enhanced = beamform(weights, spec)
+    enhanced = filter_and_sum(weights, spec)[0]
     out = filter_and_sum_tensor(Tensor(w), spec)
     assert np.array_equal(out.data, np.stack([enhanced.real, enhanced.imag]).astype(np.float32))
     zmap = splm_map_tensor(Tensor(w), steering)

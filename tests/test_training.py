@@ -137,8 +137,15 @@ def test_resume_logs_each_step_once(tmp_path, toy_dataset):
     ("stft", {"window_length": 512, "hop": 128}, "stft"),
     ("array", {"radius_m": 0.06}, "array"),
     ("dataset", {"sample_rate": 8000}, "dataset.sample_rate"),
+    ("model", {"lstm_hidden": 128}, "model"),
+    ("localization", {"mode": "splm"}, "localization.mode"),
+    ("localization", {"zones": 8}, "localization.zones"),
+    ("training", {"reference_mic": 2}, "training.reference_mic"),
+    ("training", {"sisnr_convention": "printed"}, "training.sisnr_convention"),
 ])
 def test_resume_rejects_checkpoint_of_other_settings(tmp_path, toy_dataset, section, values, key):
+    # Each of these settings builds the model, its input or its losses: a
+    # resumed run under another value would train on from another run's state.
     train(config_from_dict(toy_config_dict(steps=1)), toy_dataset["manifest"], tmp_path / "run")
     other = toy_config_dict(steps=2)
     other[section] = {**other.get(section, {}), **values}
