@@ -1,12 +1,12 @@
 """Checkpoint container: JSON manifest plus raw little-endian arrays.
 
 Layout: 4-byte magic, 8-byte little-endian header length, UTF-8 JSON
-header, then the array blobs in header order. The header records name,
-dtype and shape per array (and its byte offset and size, written for
-compatibility, never read: an array is placed by its header position),
-the ``zlib.crc32`` of the payload, and a free-form ``meta`` dict (model
-config, schema version). A write goes to a temporary file renamed into
-place once on disk, so a failed write leaves the previous file intact.
+header, then the array blobs in header order. The header records each
+array's name, dtype and shape (an array is placed by its header
+position), the ``zlib.crc32`` of the payload, and a free-form ``meta``
+dict (model config, schema version). A write goes to a temporary file
+renamed into place once on disk, so a failed write leaves the previous
+file intact.
 The loader returns read-only views of the file's bytes; a file that is
 truncated, of another version, has a damaged header (one without a
 checksum among them), has bytes past its last array or fails its checksum
@@ -33,24 +33,15 @@ _PREFIX = len(MAGIC) + 8
 def save_checkpoint(path, arrays, meta=None):
     path = Path(path)
     entries = []
-    offset = 0
     blobs = []
     crc = 0
     for name, arr in arrays.items():
         arr = np.asarray(arr, order="C")  # unlike ascontiguousarray, keeps 0-d arrays
         blob = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-        entries.append(
-            {
-                "name": name,
-                "dtype": np.dtype(arr.dtype).str.lstrip("<>=|"),
-                "shape": list(arr.shape),
-                "offset": offset,
-                "nbytes": blob.nbytes,
-            }
-        )
+        entries.append({"name": name, "dtype": arr.dtype.str.lstrip("<>=|"),
+                        "shape": list(arr.shape)})
         blobs.append(blob)
         crc = zlib.crc32(blob, crc)
-        offset += blob.nbytes
     header = json.dumps(
         {"version": FORMAT_VERSION, "meta": meta or {}, "tensors": entries, "crc32": crc},
         sort_keys=True,

@@ -19,8 +19,6 @@ import operator
 import typing
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .arraygeom import ArraySpec
 from .dsp import StftConfig
 from .model import CHECKPOINT_SCHEMA, MimoDccrnConfig
@@ -50,7 +48,6 @@ class TrainingSection:
     gamma: float = field(default=1.0, metadata={"at least": 0})
     checkpoint_every: int = field(default=100, metadata={"at least": 1})
     log_every: int = field(default=1, metadata={"at least": 1})
-    sisnr_convention: typing.Literal["standard", "printed"] = "standard"
     reference_mic: int = 0
 
 
@@ -81,12 +78,10 @@ class RunConfig:
     def from_meta(cls, meta):
         """The run settings a checkpoint's ``meta`` records, checked as a
         config's: its ``stft``, ``array``, ``model`` and ``localization``
-        sections, ``dataset.sample_rate`` and the ``training`` scoring keys.
-        A meta of another ``schema`` than ``CHECKPOINT_SCHEMA`` or without
-        one of these sections is a ``ConfigError`` naming the key. Metas
-        written before the model section was the network's own config repeat
-        ``array.mics``, the bins and ``localization.zones`` as ``model.mics``,
-        ``model.freq_bins_model`` and ``nlm``: not read."""
+        sections, ``dataset.sample_rate`` and ``training.reference_mic``.
+        A meta of another ``schema`` than ``CHECKPOINT_SCHEMA``, without one
+        of these sections or with a key its section does not declare is a
+        ``ConfigError`` naming the key."""
         if "schema" not in meta:
             raise ConfigError("checkpoint meta has no 'schema'")
         if meta["schema"] != CHECKPOINT_SCHEMA:
@@ -97,9 +92,6 @@ class RunConfig:
             if key not in meta:
                 raise ConfigError(f"checkpoint meta has no '{key}' section")
             sections[key] = meta[key]
-        if isinstance(sections["model"], dict):
-            sections["model"] = {k: v for k, v in sections["model"].items()
-                                 if k not in ("mics", "freq_bins_model")}
         return load_section(cls, sections, "")
 
     # -- assembled objects ---------------------------------------------------
@@ -112,14 +104,6 @@ class RunConfig:
 
     def to_dict(self):
         return _as_plain(self)
-
-
-def meta_dtype(meta):
-    """The dtype of the model arrays a checkpoint's ``meta`` records as
-    ``dtype``; a missing or unreadable one is a ``ConfigError``."""
-    if "dtype" not in meta:
-        raise ConfigError("checkpoint meta has no 'dtype'")
-    return np.dtype(_load_value(typing.Literal["float32", "float64"], {}, meta["dtype"], "dtype"))
 
 
 def _as_plain(obj):

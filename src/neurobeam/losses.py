@@ -7,13 +7,10 @@ the loss's own arithmetic; the op adds only the analytic adjoint. Complex operan
 layout of ``layers``: the filters are [2 x M x F x T] (re, im) and the
 beamformed spectrum [2 x T x F].
 
-The printed SI-SNR definition in the source material uses 20*log10 of an
-energy ratio, twice the usual convention; ``convention`` selects
-"standard" (10*log10 of powers, the default used for reported dB) or
-"printed". The choice changes training: "printed" doubles the SI-SNR term
-against the BCE term, as gamma = 2 would under "standard", and its +/-60
-dB clamp binds at +/-30 dB of the standard scale, beyond which the term
-has no gradient.
+SI-SNR is 10*log10 of a power ratio, as in DCCRN and the SI-SDR
+definition, for the loss and for reported dB alike. The source material
+prints 20*log10 of that ratio; within +/-30 dB that is exactly this loss
+under ``training.gamma`` 2 (the factor 2 is exact in floating point).
 """
 
 from __future__ import annotations
@@ -34,12 +31,10 @@ BCE_EPS = 1e-7
 # invariance; it only binds beyond the +/-60 dB clamp.
 _RATIO_FLOOR = 1e-12
 
-_LOG_FACTOR = {"standard": 10.0, "printed": 20.0}
 
-
-def _si_snr(est, ref, convention):
+def _si_snr(est, ref):
     """``si_snr`` of 1-d arrays, and a function returning its gradient in
-    ``est``: c (2t/T - 2(err_perp + floor t)/E), c the log factor over ln 10,
+    ``est``: c (2t/T - 2(err_perp + floor t)/E), c = 10 / ln 10,
     t the target, T and E the target and floored error energies, err_perp the
     error less its part along the reference; 0 where the raw dB lies beyond +/-60 or T = 0."""
     if est.shape != ref.shape:
@@ -53,31 +48,31 @@ def _si_snr(est, ref, convention):
     err_energy = np.dot(err, err) + _RATIO_FLOOR * target_energy
     db = -np.inf
     if target_energy:
-        db = _LOG_FACTOR[convention] * np.log10(target_energy / err_energy)
+        db = 10.0 * np.log10(target_energy / err_energy)
 
     def gradient():
         if not -SI_SNR_CLAMP_DB <= db <= SI_SNR_CLAMP_DB:
             return np.zeros(est.shape)
         err_perp = err - ref * (np.dot(ref, err) / ref_energy)
-        scale = 2.0 * _LOG_FACTOR[convention] / np.log(10.0)
+        scale = 20.0 / np.log(10.0)
         return scale * (target / target_energy - (err_perp + _RATIO_FLOOR * target) / err_energy)
 
     return float(np.clip(db, -SI_SNR_CLAMP_DB, SI_SNR_CLAMP_DB)), gradient
 
 
-def si_snr(estimate, reference, convention="standard"):
+def si_snr(estimate, reference):
     """Scale-invariant SNR in dB, clamped to +/-60.
 
     Project the estimate onto the reference, compare target and error
     energies. Inputs are 1-d arrays of equal length; the reference must not
     be silent.
     """
-    return _si_snr(np.asarray(estimate), np.asarray(reference), convention)[0]
+    return _si_snr(np.asarray(estimate), np.asarray(reference))[0]
 
 
-def si_snr_loss(estimate, reference, convention="standard"):
+def si_snr_loss(estimate, reference):
     """-``si_snr`` of an estimate tensor against a fixed reference array, as one op."""
-    value, gradient = _si_snr(estimate.data, np.asarray(reference), convention)
+    value, gradient = _si_snr(estimate.data, np.asarray(reference))
 
     def backward_fn(g):
         estimate.accumulate(-g * gradient(), owned=True)

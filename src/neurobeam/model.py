@@ -34,8 +34,9 @@ from .layers import ComplexConvBlock, ComplexLSTM, ComplexLinear, Linear
 
 MAGNITUDE_EPS = 1e-12
 
-# The only layout of checkpoint arrays read: complex arrays stacked [2 x ...].
-CHECKPOINT_SCHEMA = 3
+# The only checkpoint layout read: float32 arrays, complex ones stacked
+# [2 x ...], under a meta without a dtype of its own.
+CHECKPOINT_SCHEMA = 4
 
 
 NLM_HIDDEN = 32  # width of the NLM head's scalar MLP
@@ -171,12 +172,12 @@ class MimoDccrn:
         self.nlm = None if zones is None else NlmHead(mics, zones, kernel, stride, rng, self.dtype)
 
     @classmethod
-    def for_run(cls, cfg, seed=0, dtype=np.float32):
-        """The network of the run config ``cfg``: ``cfg.model`` for
+    def for_run(cls, cfg, seed=0):
+        """The float32 network of the run config ``cfg``: ``cfg.model`` for
         ``cfg.array.mics`` channels and every analysis bin but DC, with an
         NLM head over ``cfg.localization.zones`` zones in ``nlm`` mode only."""
         zones = cfg.localization.zones if cfg.localization.mode == "nlm" else None
-        return cls(cfg.model, cfg.array.mics, cfg.stft.num_bins - 1, zones, seed, dtype)
+        return cls(cfg.model, cfg.array.mics, cfg.stft.num_bins - 1, zones, seed)
 
     # -- parameter plumbing ------------------------------------------------
     def _parts(self):
@@ -255,13 +256,12 @@ class MimoDccrn:
 
     @classmethod
     def from_meta(cls, meta, seed=0):
-        """The model described by a checkpoint's ``meta``, built by
-        ``for_run`` from ``RunConfig.from_meta(meta)`` in its ``dtype``; a
-        key missing, of the wrong type or out of range raises a
-        ``ConfigError`` naming it."""
-        from .config import RunConfig, meta_dtype
+        """The float32 model described by a checkpoint's ``meta``, built by
+        ``for_run`` from ``RunConfig.from_meta(meta)``; a key missing, of
+        the wrong type or out of range raises a ``ConfigError`` naming it."""
+        from .config import RunConfig
 
-        return cls.for_run(RunConfig.from_meta(meta), seed, meta_dtype(meta))
+        return cls.for_run(RunConfig.from_meta(meta), seed)
 
 
 def pack_input(spec_data, bins, dtype):

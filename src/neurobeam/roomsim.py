@@ -271,9 +271,11 @@ def placement_from_azimuth(room, azimuth_deg, distance):
 
 
 _ONE_TURN = {"at least": -360, "at most": 360}  # an azimuth, one turn either way of +x
-# A level in dB whose power ratio 10^(dB/10) is a normal float: mix_at_db's
-# product of powers can vanish with a subnormal one.
-_LEVEL_DB = {"at least": -3076, "at most": 3082}
+# A level in dB. Up to +3082 dB its power ratio 10^(dB/10) is a normal float
+# (mix_at_db's product of powers can vanish with a subnormal one). Down at
+# -400 dB a toy record's training step overflows float32 (-300 dB still
+# trains), so -200 dB leaves 100 dB of margin for full-scale speech.
+_LEVEL_DB = {"at least": -200, "at most": 3082}
 
 
 @dataclass(frozen=True)

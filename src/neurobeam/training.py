@@ -24,7 +24,7 @@ from . import autodiff as ad
 from .arraygeom import ground_truth_map, steering_set
 from .beamloc import enhance_utterance, localize
 from .checkpoint import fill_arrays, load_checkpoint, save_checkpoint
-from .config import ConfigError, RunConfig, meta_dtype
+from .config import ConfigError, RunConfig
 from .dsp import read_wav, stft
 from .losses import (
     LossBreakdown,
@@ -55,28 +55,24 @@ class TrainingDiverged(RuntimeError):
 def build_model(cfg, seed=None):
     """The float32 network of ``cfg`` (``MimoDccrn.for_run``), seeded by
     ``cfg.seed`` unless ``seed`` is given."""
-    return MimoDccrn.for_run(cfg, cfg.seed if seed is None else seed, np.float32)
+    return MimoDccrn.for_run(cfg, cfg.seed if seed is None else seed)
 
 
 def checkpoint_meta(cfg, step):
     """The meta of a checkpoint of ``build_model(cfg)`` after ``step``
-    steps: the arrays' schema and dtype, the sections the model is rebuilt
-    from (``RunConfig.from_meta``), and the sample rate and scoring keys
-    that evaluation uses."""
+    steps: the arrays' schema, the sections the model is rebuilt from
+    (``RunConfig.from_meta``), and the sample rate and reference mic that
+    evaluation uses."""
     plain = cfg.to_dict()
     return {
         "schema": CHECKPOINT_SCHEMA,
-        "dtype": np.dtype(np.float32).name,
         "train_step": step,
         "stft": plain["stft"],
         "array": {key: value for key, value in plain["array"].items() if value is not None},
         "model": plain["model"],
         "localization": plain["localization"],
         "dataset": {"sample_rate": cfg.dataset.sample_rate},
-        "training": {
-            "reference_mic": cfg.training.reference_mic,
-            "sisnr_convention": cfg.training.sisnr_convention,
-        },
+        "training": {"reference_mic": cfg.training.reference_mic},
     }
 
 
@@ -100,13 +96,13 @@ def restore_checkpoint(path):
     """(model, run config) of the checkpoint at ``path``. The checksum
     covers only the arrays, so the meta's settings are read as a run config
     (``RunConfig.from_meta``), with the config's checks (a ``ConfigError``
-    names a missing or wrong key), and the model is built from it by the
-    training rule in the meta's ``dtype`` and loaded (a ``ValueError``
-    names an array the model does not fit); either names the file."""
+    names a missing or wrong key), and the float32 model is built from it
+    by the training rule and loaded (a ``ValueError`` names an array the
+    model does not fit by name, shape or dtype); either names the file."""
     arrays, meta = load_checkpoint(path)
     with _naming(f"checkpoint {path}"):
         run = RunConfig.from_meta(meta)
-        model = MimoDccrn.for_run(run, dtype=meta_dtype(meta))
+        model = MimoDccrn.for_run(run)
         model.load_arrays(arrays)
     return model, run
 
@@ -149,7 +145,7 @@ def training_step(model, adam, cfg, entry, base_dir, steering=None):
     enhanced = filter_and_sum_tensor(weights, spec)
     estimate = synthesize_waveform(enhanced, stft_cfg)
     reference = target.samples[trn.reference_mic][: estimate.shape[0]]
-    loss_sisnr = si_snr_loss(estimate, reference, trn.sisnr_convention)
+    loss_sisnr = si_snr_loss(estimate, reference)
 
     track = azimuth_track_from_entry(entry, stft_cfg)
     truth = ground_truth_map(track, cfg.localization.zones)
@@ -201,16 +197,14 @@ def _truncate_log(path, step):
 # The settings a resumed run must share with its checkpoint: what builds the
 # model, its input and its losses (``vad_threshold`` is read only by scoring).
 _RESUME_KEYS = ("model", "stft", "array", "dataset.sample_rate", "localization.mode",
-                "localization.zones", "training.reference_mic", "training.sisnr_convention")
+                "localization.zones", "training.reference_mic")
 
 
 def _resume(arrays, meta, cfg, model, adam):
     """Fill ``model`` and ``adam`` from a resume checkpoint (``fill_arrays`` over
-    ``_state``). Reject one recorded in another dtype than ``model``, under other
-    ``_RESUME_KEYS`` settings than ``cfg``, or whose step is not its optimizer's."""
+    ``_state``). Reject one recorded under other ``_RESUME_KEYS`` settings than
+    ``cfg``, or whose step is not its optimizer's."""
     run = RunConfig.from_meta(meta)
-    if meta_dtype(meta) != model.dtype:
-        raise ValueError(f"records dtype {meta_dtype(meta)}, but the model's is {model.dtype}")
     for key in _RESUME_KEYS:
         recorded, wanted = (reduce(getattr, key.split("."), c) for c in (run, cfg))
         if recorded != wanted:
@@ -305,7 +299,7 @@ def interior_slice(stft_cfg, length):
 
 def evaluate_records(
     entries, base_dir, model, stft_cfg, array, zones, mode,
-    convention="standard", vad_threshold=0.5, reference_mic=0, sample_rate=None,
+    vad_threshold=0.5, reference_mic=0, sample_rate=None,
 ):
     """Per-record SI-SNR improvement and localization metrics.
 
@@ -333,8 +327,8 @@ def evaluate_records(
             ref = target.samples[reference_mic][:n][sl]
             est = enhanced.samples[0][sl]
             unprocessed = noisy.samples[reference_mic][:n][sl]
-            si_noisy = si_snr(unprocessed, ref, convention)
-            si_enh = si_snr(est, ref, convention)
+            si_noisy = si_snr(unprocessed, ref)
+            si_enh = si_snr(est, ref)
 
             track = azimuth_track_from_entry(entry, stft_cfg)
             truth = localize(ground_truth_map(track, zones))  # zone 1 where inactive
@@ -384,7 +378,7 @@ def _pool(rows):
     }
 
 
-def write_report(path, summary, convention="standard"):
+def write_report(path, summary):
     """CSV mirroring the SIR-bucket table layout, one metric per row."""
     cols = [b for b in SIR_BUCKETS if b in summary] + ["avg"]
 
@@ -404,7 +398,7 @@ def write_report(path, summary, convention="standard"):
                 vals.append(str(v) if name == "count" else f"{v:.4f}")
             fh.write(name + "," + ",".join(vals) + "\n")
         fh.write(
-            f"# si_snr convention={convention}; values clamped to +/-60 dB; "
+            "# si_snr 10*log10 of powers; values clamped to +/-60 dB; "
             "scored on the interior (one analysis window trimmed per edge)\n"
         )
 
@@ -414,14 +408,13 @@ def evaluate(manifest_path, checkpoint_path, out_csv=None, mode=None):
     manifest_path = Path(manifest_path)
     entries = load_manifest(manifest_path)
     model, run = restore_checkpoint(checkpoint_path)
-    loc, scoring = run.localization, run.training
+    loc = run.localization
     rows = evaluate_records(
         entries, manifest_path.parent, model, run.stft, run.array, loc.zones,
-        mode or loc.mode, convention=scoring.sisnr_convention,
-        vad_threshold=loc.vad_threshold, reference_mic=scoring.reference_mic,
-        sample_rate=run.dataset.sample_rate,
+        mode or loc.mode, vad_threshold=loc.vad_threshold,
+        reference_mic=run.training.reference_mic, sample_rate=run.dataset.sample_rate,
     )
     summary = summarize(rows)
     if out_csv is not None:
-        write_report(out_csv, summary, scoring.sisnr_convention)
+        write_report(out_csv, summary)
     return summary

@@ -182,7 +182,8 @@ def test_synth_rejects_unpaired_scenario_lists(tmp_path, capsys):
 
 def test_synth_of_a_level_beyond_float32_is_a_user_error(tmp_path, capsys):
     # At -800 dB SNR the noise reaches about 1e39: its float32 cast was inf,
-    # written with exit 0 into a WAV that every read_wav rejects.
+    # written with exit 0 into a WAV that every read_wav rejects. Such a
+    # level is out of its declared range, so the config is rejected first.
     path = tmp_path / "loud.json"
     data = toy_config_dict()
     data["dataset"].update(duration_s=0.5, speech_len_s=0.3, snr_range_db=[-800, -800])
@@ -192,8 +193,24 @@ def test_synth_of_a_level_beyond_float32_is_a_user_error(tmp_path, capsys):
         rc = main(["synth", str(path), "--count", "1", "--out", str(tmp_path / "d")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "mix_00000_noisy.wav: a sample exceeds the float32 range" in err
-    assert not (tmp_path / "d" / "mix_00000_noisy.wav").exists()
+    assert "dataset.snr_range_db[0] must be at least -200, got -800.0" in err
+    assert not (tmp_path / "d").exists()
+
+
+def test_a_record_at_the_lowest_level_trains_a_step(tmp_path):
+    # -200 dB SNR and SIR, the bound, scales noise and interference by 1e10
+    # against the target; a step trains without an overflow anywhere.
+    path = tmp_path / "quiet.json"
+    data = json.loads(json.dumps(_TINY_RUN))
+    data["dataset"].update(sir_values_db=[-200], snr_range_db=[-200, -200])
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["synth", str(path), "--count", "1", "--out", str(tmp_path / "d")]) == 0
+        assert main(["train", str(path), "--manifest", str(tmp_path / "d" / "manifest.jsonl"),
+                     "--out", str(tmp_path / "run")]) == 0
+    row = json.loads((tmp_path / "run" / "train_log.jsonl").read_text())
+    assert np.isfinite(row["total"])
 
 
 def test_synth_rejects_empty_scenario_lists(tmp_path, capsys):
@@ -502,20 +519,20 @@ def _drop(key):
 
 
 _META_FORMS = {
-    "schema1": (_set_schema(1), "'schema' is 1; only schema 3 is read"),
-    "schema2": (_set_schema(2), "'schema' is 2; only schema 3 is read"),
-    "schema99": (_set_schema(99), "'schema' is 99; only schema 3 is read"),
+    "schema1": (_set_schema(1), "'schema' is 1; only schema 4 is read"),
+    "schema2": (_set_schema(2), "'schema' is 2; only schema 4 is read"),
+    "schema3": (_set_schema(3), "'schema' is 3; only schema 4 is read"),
+    "schema99": (_set_schema(99), "'schema' is 99; only schema 4 is read"),
     "no_schema": (_drop("schema"), "has no 'schema'"),
     **{f"no_{key}": (_drop(key), f"has no '{key}' section")
        for key in ("stft", "array", "model", "localization", "dataset", "training")},
-    "no_dtype": (_drop("dtype"), "has no 'dtype'"),
 }
 
 
 @pytest.mark.parametrize("command", ["eval", "enhance", "train"])
 @pytest.mark.parametrize("form", list(_META_FORMS))
 def test_checkpoint_meta_of_other_form_exit_code(trained, tmp_path, capsys, form, command):
-    # Schema 3 is the only checkpoint layout read, and every section of
+    # Schema 4 is the only checkpoint layout read, and every section of
     # its meta is required: any other form is a user error naming the file
     # and the key, never a silent load (exit 0) or a KeyError (exit 2).
     from neurobeam.checkpoint import load_checkpoint, save_checkpoint
@@ -528,6 +545,23 @@ def test_checkpoint_meta_of_other_form_exit_code(trained, tmp_path, capsys, form
     assert _run_on(command, path, trained, tmp_path) == 1
     err = capsys.readouterr().err
     assert f"checkpoint {path}: checkpoint meta {message}" in err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("command", ["eval", "enhance", "train"])
+def test_checkpoint_of_float64_arrays_exit_code(trained, tmp_path, capsys, command):
+    # Training writes float32 arrays, and restore builds the float32 model:
+    # arrays of another dtype are a user error naming the file and the first
+    # tensor, never a cast (exit 0) or a float64 model.
+    from neurobeam.checkpoint import load_checkpoint, save_checkpoint
+
+    arrays, meta = load_checkpoint(trained["checkpoint"])
+    path = tmp_path / "float64.nbcp"
+    save_checkpoint(path, {name: a.astype(np.float64) for name, a in arrays.items()}, meta)
+    assert _run_on(command, path, trained, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert (f"checkpoint {path}: checkpoint tensor 'param.enc0.conv.w' has dtype float64, "
+            "expected float32") in err
     assert "internal error" not in err
 
 
@@ -1045,20 +1079,18 @@ def _set_char(text, place, pick, alphabet):
 
 def _edit_entry(key, index, place, pick):
     """An ``_edit_header`` edit of one character of the ``key`` of one tensor
-    entry: the dtype's kind letter, one digit of one shape item or one digit
-    of the offset. Returns the entry's name."""
+    entry: the dtype's kind letter or one digit of one shape item. Returns
+    the entry's name."""
     def edit(tensors):
         if key == "shape":
             tensors = [e for e in tensors if e["shape"]]
         entry = tensors[index % len(tensors)]
         if key == "dtype":
             entry["dtype"] = _set_char(entry["dtype"], 0, pick, "fiucbV?OSUmM")
-        elif key == "shape":
+        else:
             item = place % len(entry["shape"])
             entry["shape"][item] = int(_set_char(str(entry["shape"][item]), place // 7, pick,
                                                  "0123456789"))
-        else:
-            entry["offset"] = int(_set_char(str(entry["offset"]), place, pick, "0123456789"))
         return entry["name"]
     return edit
 
@@ -1077,39 +1109,26 @@ def _enhance_and_resume(tiny_run, checkpoint, out):
 
 @settings(max_examples=8, deadline=None, derandomize=True, database=None)
 @given(index=st.integers(0, 2**16), place=st.integers(0, 2**16), pick=st.integers(0, 2**16))
-@pytest.mark.parametrize("key", ["dtype", "shape", "offset"])
+@pytest.mark.parametrize("key", ["dtype", "shape"])
 def test_a_damaged_checkpoint_header_is_a_user_error_naming_it(tiny_run, key, index, place, pick):
     # One character of one tensor entry of the header changed (the header is
     # not under the checksum): a dtype or a shape edit is an exit 1 naming the
-    # file, never a load of other bits or an exit 2. An offset is not read, so
-    # an offset edit loads the original arrays. ``enhance`` reads only the
+    # file, never a load of other bits or an exit 2. ``enhance`` reads only the
     # model's arrays, so an optimizer entry's dtype edit may pass it.
-    from neurobeam.checkpoint import load_checkpoint
-
     original = tiny_run / "run" / "checkpoint_last.nbcp"
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         path = out / "edited.nbcp"
         name = _edit_header(original, path, _edit_entry(key, index, place, pick))
         for command, (code, err) in _enhance_and_resume(tiny_run, path, out).items():
-            if key == "offset":
-                assert code == 0, err
-            elif key == "dtype" and command == "enhance" and name.startswith("adam."):
+            if key == "dtype" and command == "enhance" and name.startswith("adam."):
                 assert code in (0, 1) and (code == 0 or str(path) in err), err
             else:
                 assert code == 1 and str(path) in err, err
-        if key == "offset":
-            (loaded, _), (expect, _) = load_checkpoint(path), load_checkpoint(original)
-            assert list(loaded) == list(expect)
-            for k, array in expect.items():
-                assert loaded[k].dtype == array.dtype and np.array_equal(loaded[k], array), k
 
 
-def test_a_checkpoint_header_edit_names_the_tensor_or_is_not_read(tiny_run, tmp_path):
-    # A float32 tensor read as int32 would restore weights near 1e9; an
-    # offset pointing at another tensor would restore that tensor's bytes.
-    from neurobeam.checkpoint import load_checkpoint
-
+def test_a_checkpoint_header_dtype_edit_names_the_tensor(tiny_run, tmp_path):
+    # A float32 tensor read as int32 would restore weights near 1e9.
     original = tiny_run / "run" / "checkpoint_last.nbcp"
 
     def as_int32(tensors):
@@ -1117,20 +1136,10 @@ def test_a_checkpoint_header_edit_names_the_tensor_or_is_not_read(tiny_run, tmp_
         assert entry["dtype"] == "f4"
         entry["dtype"] = "i4"
 
-    def offset_of_enc0(tensors):
-        by_name = {e["name"]: e for e in tensors}
-        by_name["param.dec4.conv.w"]["offset"] = by_name["param.enc0.conv.w"]["offset"]
-
     _edit_header(original, tmp_path / "i4.nbcp", as_int32)
     for code, err in _enhance_and_resume(tiny_run, tmp_path / "i4.nbcp", tmp_path).values():
         assert code == 1, err
         assert str(tmp_path / "i4.nbcp") in err and "'param.dec4.conv.w' has dtype int32" in err
-    _edit_header(original, tmp_path / "moved.nbcp", offset_of_enc0)
-    for code, err in _enhance_and_resume(tiny_run, tmp_path / "moved.nbcp", tmp_path).values():
-        assert code == 0, err
-    moved, _ = load_checkpoint(tmp_path / "moved.nbcp")
-    assert np.array_equal(moved["param.dec4.conv.w"],
-                          load_checkpoint(original)[0]["param.dec4.conv.w"])
 
 
 @pytest.fixture(scope="module")

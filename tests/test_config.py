@@ -48,9 +48,32 @@ def test_bad_mode_rejected():
         config_from_dict({"localization": {"mode": "magic"}})
 
 
-def test_bad_convention_rejected():
-    with pytest.raises(ConfigError, match="sisnr_convention"):
-        config_from_dict({"training": {"sisnr_convention": "db"}})
+def test_bad_convention_rejected(tmp_path, capsys):
+    # SI-SNR has one scale, 10*log10 of powers: the key that chose another is
+    # unknown in a config file, a --set and a checkpoint's meta alike (exit 1).
+    from neurobeam.checkpoint import save_checkpoint
+    from neurobeam.cli import main
+    from neurobeam.training import checkpoint_meta
+
+    unknown = "unknown key 'training.sisnr_convention'"
+    for value in ("standard", "printed"):
+        with pytest.raises(ConfigError, match=re.escape(unknown)):
+            config_from_dict({"training": {"sisnr_convention": value}})
+        with pytest.raises(ConfigError, match=re.escape(unknown)):
+            apply_overrides(RunConfig(), {"training.sisnr_convention": value})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"training": {"sisnr_convention": "standard"}}))
+    meta = checkpoint_meta(RunConfig(), 0)
+    meta["training"]["sisnr_convention"] = "standard"
+    save_checkpoint(tmp_path / "ck.nbcp", {}, meta)
+    write_config(tmp_path / "plain.json", RunConfig())
+    for argv in (["synth", str(path), "--count", "1", "--out", str(tmp_path / "d")],
+                 ["train", str(tmp_path / "plain.json"), "--set", "training.sisnr_convention=printed",
+                  "--manifest", str(tmp_path / "m.jsonl"), "--out", str(tmp_path / "r")],
+                 ["enhance", str(tmp_path / "ck.nbcp"), str(tmp_path / "in.wav"),
+                  "--out", str(tmp_path / "out.wav")]):
+        assert main(argv) == 1
+        assert unknown in capsys.readouterr().err
 
 
 def test_lists_become_tuples():
@@ -180,9 +203,9 @@ def test_unbounded_float_may_be_infinite():
     ("sir_range_db", [-np.inf, 5], "sir_range_db[0] must be finite, got -inf"),
     ("snr_range_db", [0, np.inf], "snr_range_db[1] must be finite, got inf"),
     ("snr_range_db", [1e308, 1e308], "snr_range_db[0] must be at most 3082, got 1e+308"),
-    ("sir_values_db", [-1e308], "sir_values_db[0] must be Infinity or in [-3076, 3082] dB"),
-    ("sir_values_db", [0, np.nan], "sir_values_db[1] must be Infinity or in [-3076, 3082] dB"),
-    ("sir_values_db", [-np.inf], "sir_values_db[0] must be Infinity or in [-3076, 3082] dB"),
+    ("sir_values_db", [-1e308], "sir_values_db[0] must be Infinity or in [-200, 3082] dB"),
+    ("sir_values_db", [0, np.nan], "sir_values_db[1] must be Infinity or in [-200, 3082] dB"),
+    ("sir_values_db", [-np.inf], "sir_values_db[0] must be Infinity or in [-200, 3082] dB"),
 ], ids=["sir_range_-inf", "snr_range_inf", "snr_range_1e308", "sir_value_-1e308",
         "sir_value_nan", "sir_value_-inf"])
 def test_a_level_without_a_finite_power_ratio_is_named(tmp_path, capsys, key, value, message):
@@ -201,17 +224,26 @@ def test_a_level_without_a_finite_power_ratio_is_named(tmp_path, capsys, key, va
 
 
 def test_levels_within_the_float_range_load():
-    # 10^(dB/10) is a normal finite float from about -3076 to +3082 dB; a
-    # subnormal one (-3200 dB) ended synth in a ZeroDivisionError (exit 2).
-    cfg = config_from_dict({"dataset": {"sir_range_db": [-3076, 3082],
-                                        "sir_values_db": [-3076, 3082, np.inf]}})
-    assert cfg.dataset.sir_values_db == (-3076.0, 3082.0, np.inf)
-    with pytest.raises(ConfigError, match=re.escape("dataset.sir_values_db[0] must be")):
-        config_from_dict({"dataset": {"sir_values_db": [-3200]}})
+    # Up to +3082 dB, 10^(dB/10) is a normal finite float. Below -200 dB a
+    # level leaves too little margin to train: at -400 dB a step overflows
+    # float32, and a subnormal ratio (-3200 dB) ended synth in a
+    # ZeroDivisionError (exit 2).
+    cfg = config_from_dict({"dataset": {"sir_range_db": [-200, 3082],
+                                        "snr_range_db": [-200, 3082],
+                                        "sir_values_db": [-200, 3082, np.inf]}})
+    assert cfg.dataset.sir_values_db == (-200.0, 3082.0, np.inf)
+    for key, value, message in [
+        ("sir_range_db", [-201, 0], "sir_range_db[0] must be at least -200, got -201.0"),
+        ("snr_range_db", [-201, 0], "snr_range_db[0] must be at least -200, got -201.0"),
+        ("sir_values_db", [-201], "sir_values_db[0] must be Infinity or in [-200, 3082] dB"),
+        ("sir_values_db", [-3200], "sir_values_db[0] must be Infinity or in [-200, 3082] dB"),
+    ]:
+        with pytest.raises(ConfigError, match=re.escape(f"dataset.{message}")):
+            config_from_dict({"dataset": {key: value}})
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
-_LEVELS = st.floats(-3000, 3000)  # dB whose power ratio is a positive finite float
+_LEVELS = st.floats(-200, 3000)  # dB a record trains at
 _POSITIVE = st.floats(min_value=0, exclude_min=True, allow_infinity=False)
 _UNIT = st.floats(0, 1)
 _COUNTS = st.integers(0, 2**40)
@@ -274,7 +306,6 @@ def _config_dicts(draw):
         training=_section(
             lr=_POSITIVE,
             steps=_COUNTS,
-            sisnr_convention=st.sampled_from(["standard", "printed"]),
             reference_mic=st.integers(0, mics - 1),
         ),
     ))

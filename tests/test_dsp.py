@@ -269,6 +269,18 @@ def test_write_wav_writes_scipy_bytes(tmp_path, rng, shape):
     assert (tmp_path / "x.wav").read_bytes() == (tmp_path / "ref.wav").read_bytes()
 
 
+def test_write_wav_rejects_a_sample_beyond_float32_naming_the_file(tmp_path):
+    # A float64 sample past 3.4e38 casts to inf, which read_wav would reject
+    # on every read; the file is not written.
+    path = tmp_path / "loud.wav"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: a sample exceeds the "
+                                             "float32 range"):
+            write_wav(path, Waveform(np.array([[0.5, -1e39]])))
+    assert not path.exists()
+
+
 # The last 12 bytes of WAVE_FORMAT_EXTENSIBLE's subformat GUID (RFC 2361).
 _GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 # The scaling of scipy's sample types that read_wav applied to wavfile.read.

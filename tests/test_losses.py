@@ -44,14 +44,15 @@ def test_si_snr_scale_invariance_property(alpha, seed):
 def test_si_snr_orthogonal_error_is_zero_db():
     s = np.array([1.0, 0.0])
     est = np.array([1.0, 1.0])
-    assert si_snr(est, s, convention="standard") == pytest.approx(0.0, abs=1e-9)
-    assert si_snr(est, s, convention="printed") == pytest.approx(0.0, abs=1e-9)
+    assert si_snr(est, s) == pytest.approx(0.0, abs=1e-9)
 
 
-def test_si_snr_printed_is_twice_standard(rng):
-    s = rng.standard_normal(300)
-    est = s + 0.5 * rng.standard_normal(300)
-    assert si_snr(est, s, "printed") == pytest.approx(2 * si_snr(est, s, "standard"), rel=1e-9)
+def test_si_snr_is_ten_log10_of_the_power_ratio():
+    # DCCRN's and SI-SDR's scale: a tenth of the target's power as an
+    # orthogonal error reads 10 dB (the paper's printed 20*log10 would read 20).
+    s = np.array([1.0, 0.0])
+    est = np.array([1.0, np.sqrt(0.1)])
+    assert si_snr(est, s) == pytest.approx(10.0, abs=1e-9)
 
 
 def test_si_snr_silent_reference_raises(rng):
@@ -89,19 +90,18 @@ def test_si_snr_gradient(rng):
     assert check_gradients(build, [0.05 * s + rng.standard_normal(32)]) < 1e-4
 
 
-@pytest.mark.parametrize("case", ["perfect", "orthogonal", "printed_beyond_30db"])
+@pytest.mark.parametrize("case", ["perfect", "orthogonal"])
 def test_si_snr_loss_gradient_is_zero_where_clamped(rng, case):
-    # Before the clamp, e = s reads 120 dB, an estimate orthogonal to s far
-    # below -60 dB, and 40 dB (standard) reads 80 dB printed.
+    # Before the clamp, e = s reads 120 dB and an estimate orthogonal to s
+    # far below -60 dB.
     s = rng.standard_normal(64)
     noise = rng.standard_normal(64)
     noise -= s * (noise @ s) / (s @ s)
     noise *= np.linalg.norm(s) / np.linalg.norm(noise)
-    est = {"perfect": s.copy(), "orthogonal": noise, "printed_beyond_30db": s + 0.01 * noise}[case]
-    convention = "printed" if case.startswith("printed") else "standard"
+    est = {"perfect": s.copy(), "orthogonal": noise}[case]
     e = Tensor(est.copy())
-    ad.backward(si_snr_loss(e, s, convention))
-    assert abs(si_snr(est, s, convention)) == 60.0
+    ad.backward(si_snr_loss(e, s))
+    assert abs(si_snr(est, s)) == 60.0
     assert not e.grad.any()
 
 

@@ -141,7 +141,6 @@ def test_resume_logs_each_step_once(tmp_path, toy_dataset):
     ("localization", {"mode": "splm"}, "localization.mode"),
     ("localization", {"zones": 8}, "localization.zones"),
     ("training", {"reference_mic": 2}, "training.reference_mic"),
-    ("training", {"sisnr_convention": "printed"}, "training.sisnr_convention"),
 ])
 def test_resume_rejects_checkpoint_of_other_settings(tmp_path, toy_dataset, section, values, key):
     # Each of these settings builds the model, its input or its losses: a
@@ -414,7 +413,8 @@ def test_checkpoint_meta_carries_run_settings(tmp_path, toy_dataset):
     assert meta["localization"]["mode"] == "nlm"
     assert meta["train_step"] == 1
     assert meta["dataset"]["sample_rate"] == 16000
-    assert meta["training"] == {"reference_mic": 0, "sisnr_convention": "standard"}
+    assert meta["training"] == {"reference_mic": 0}
+    assert meta["schema"] == 4 and "dtype" not in meta
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -479,42 +479,6 @@ def test_restore_rejects_meta_value_the_model_contradicts(
     with pytest.raises(error, match=message):
         restore_checkpoint(path)
     assert _eval_exit_code(path, tmp_path, toy_dataset) == 1
-
-
-def test_old_form_schema3_meta_restores_as_the_new_form(tmp_path, toy_dataset):
-    # A meta written before the model section was the network's own config
-    # repeats the mic, bin and zone counts as model.mics,
-    # model.freq_bins_model and nlm. Those keys are not read: the checkpoint
-    # restores, evaluates and enhances exactly as the meta without them.
-    from neurobeam.checkpoint import load_checkpoint, save_checkpoint
-    from neurobeam.cli import main
-    from neurobeam.training import restore_checkpoint
-
-    train(config_from_dict(toy_config_dict(steps=1)), toy_dataset["manifest"], tmp_path / "run")
-    paths = {"new": tmp_path / "run" / CHECKPOINT_NAME, "old": tmp_path / "old.nbcp"}
-    arrays, meta = load_checkpoint(paths["new"])
-    assert "nlm" not in meta and not {"mics", "freq_bins_model"} & set(meta["model"])
-    meta["model"].update(mics=4, freq_bins_model=256)
-    meta["nlm"] = {"zones": 12, "linear_hidden": 32}
-    save_checkpoint(paths["old"], arrays, meta)
-
-    restored = {name: restore_checkpoint(path) for name, path in paths.items()}
-    (new_model, new_run), (old_model, old_run) = restored["new"], restored["old"]
-    assert old_run == new_run
-    assert old_model.checkpoint_arrays().keys() == new_model.checkpoint_arrays().keys()
-    assert all(np.array_equal(a, new_model.checkpoint_arrays()[k])
-               for k, a in old_model.checkpoint_arrays().items())
-    noisy = toy_dataset["dir"] / toy_dataset["entries"][0]["noisy_path"]
-    outputs = {}
-    for name, path in paths.items():
-        out = tmp_path / name
-        out.mkdir()
-        assert main(["eval", str(path), str(toy_dataset["manifest"]),
-                     "--out", str(out / "report.csv")]) == 0
-        assert main(["enhance", str(path), str(noisy), "--out", str(out / "enh.wav")]) == 0
-        outputs[name] = [(out / f).read_bytes()
-                         for f in ("report.csv", "enh.wav", "enh.wav.loc.csv")]
-    assert outputs["old"] == outputs["new"]
 
 
 def _drop_running_mean(arrays):
@@ -599,7 +563,7 @@ def test_train_and_eval_reject_wav_at_another_rate(tmp_path, toy_dataset):
         evaluate(data / "manifest.jsonl", tmp_path / "run" / CHECKPOINT_NAME)
 
 
-def _noisy_si_snr(toy_dataset, mic, convention):
+def _noisy_si_snr(toy_dataset, mic):
     """SI-SNR of the unprocessed mixture at ``mic`` as evaluation scores it."""
     from neurobeam.losses import si_snr
 
@@ -609,26 +573,24 @@ def _noisy_si_snr(toy_dataset, mic, convention):
     target = read_wav(toy_dataset["dir"] / entry["target_path"])
     n = stft_cfg.window_length + (stft(noisy, stft_cfg).data.shape[1] - 1) * stft_cfg.hop
     sl = interior_slice(stft_cfg, n)
-    return si_snr(noisy.samples[mic][:n][sl], target.samples[mic][:n][sl], convention)
+    return si_snr(noisy.samples[mic][:n][sl], target.samples[mic][:n][sl])
 
 
 def test_evaluate_scores_at_the_recorded_mic_and_convention(tmp_path, toy_dataset):
     from neurobeam.checkpoint import load_checkpoint, save_checkpoint
 
-    cfg = config_from_dict(
-        toy_config_dict(steps=0, reference_mic=2, sisnr_convention="printed")
-    )
+    cfg = config_from_dict(toy_config_dict(steps=0, reference_mic=2))
     train(cfg, toy_dataset["manifest"], tmp_path / "run")
     ckpt = tmp_path / "run" / CHECKPOINT_NAME
     report = tmp_path / "report.csv"
     summary = evaluate(toy_dataset["manifest"], ckpt, out_csv=report)
-    expect = _noisy_si_snr(toy_dataset, 2, "printed")
-    assert expect != _noisy_si_snr(toy_dataset, 0, "standard")
+    expect = _noisy_si_snr(toy_dataset, 2)
+    assert expect != _noisy_si_snr(toy_dataset, 0)
     assert summary["avg"]["si_snr_noisy_db"] == expect
-    assert "convention=printed" in report.read_text().splitlines()[-1]
+    assert "si_snr 10*log10 of powers" in report.read_text().splitlines()[-1]  # the one scale
 
     # A meta without the recorded scoring settings and rate is rejected:
-    # it would otherwise score at mic 0, "standard", and accept any rate.
+    # it would otherwise score at mic 0 and accept any rate.
     arrays, meta = load_checkpoint(ckpt)
     del meta["training"], meta["dataset"]
     save_checkpoint(ckpt, arrays, meta)
