@@ -45,6 +45,9 @@ count, because the split keeps the serial arithmetic: every half keeps the
 serial band partition, since a GEMM's bits depend on its column count, and
 the kernel gradient adds the bands' products in serial band order. The
 calling thread makes every buffer, and only it calls the public kernels.
+The simulator shares the worker through ``_run_halves`` and ``_buffers``:
+``roomsim.fftconvolve`` splits its response rows in two, and
+``roomsim.speech_surrogate`` the time axis of its harmonic sum.
 The complex LSTM is one op, ``lstm``: both real LSTMs over both parts in a
 single time loop, combined by the complex product rule inside the op.
 """
@@ -112,7 +115,7 @@ _WORKERS = _worker_count()
 # fork: Windows has no fork).
 def _new_worker():
     global _worker
-    _worker = ThreadPoolExecutor(1, thread_name_prefix="neurobeam-conv")
+    _worker = ThreadPoolExecutor(1, thread_name_prefix="neurobeam-half")
 
 
 _new_worker()
@@ -121,7 +124,7 @@ if hasattr(os, "register_at_fork"):
 
 
 def _run_halves(calls):
-    """Run ``calls``, the one or two halves of a kernel call: with two
+    """Run ``calls``, the one or two halves of a call: with two
     workers the second runs on the worker thread while the caller runs the
     first, else the caller runs them in order."""
     if len(calls) == 1 or _WORKERS < 2:

@@ -28,12 +28,14 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .arraygeom import SPEED_OF_SOUND, ArraySpec, doa_unit_vector
 from .dsp import DEFAULT_SAMPLE_RATE, Waveform, num_frames, read_wav, write_wav
+from .layers import _buffers, _run_halves
 
 SABINE_CONSTANT = 0.161
 DEFAULT_EARLY_MS = 50.0
@@ -197,19 +199,30 @@ def fftconvolve(signal, responses, n):
 
     Each row is bit-identical to ``scipy.signal.fftconvolve(signal, h)[:n]``:
     the same FFT sizes, transforms (numpy's pocketfft) and products, with
-    the signal's spectrum computed once per FFT size.
+    the signal's spectrum computed once per FFT size. The rows run as two
+    halves (``layers._run_halves``), each in its own spectrum and waveform
+    buffers; a row's bits do not depend on its half.
     """
+    sizes = [next_fast_len(len(signal) + len(h) - 1) for h in responses]
+    spectra = {size: np.fft.rfft(signal, size) for size in dict.fromkeys(sizes)}
     out = np.empty((len(responses), n))
-    spectra = {}
-    for row, h in zip(out, responses):
-        size = next_fast_len(len(signal) + len(h) - 1)
-        if size not in spectra:
-            spectra[size] = np.fft.rfft(signal, size)
-        # Both operands named, in scipy's order: numpy's complex multiply is
-        # not bit-commutative, and a temporary operand may be reused in place.
-        signal_spec = spectra[size]
-        response_spec = np.fft.rfft(h, size)
-        row[:] = np.fft.irfft(signal_spec * response_spec, size)[:n]
+    cut = (len(responses) + 1) // 2
+    halves = [range(cut), range(cut, len(responses))] if len(responses) > 1 else [range(cut)]
+    largest = [max((sizes[r] for r in rows), default=0) for rows in halves]
+    spec_bufs = _buffers([size // 2 + 1 for size in largest], np.complex128)
+    wave_bufs = _buffers(largest, np.float64)
+
+    def run(rows, spec_buf, wave_buf):
+        for r in rows:
+            size = sizes[r]
+            # Both operands named, in scipy's order: numpy's complex multiply
+            # is not bit-commutative.
+            signal_spec = spectra[size]
+            response_spec = np.fft.rfft(responses[r], size, out=spec_buf[: size // 2 + 1])
+            np.multiply(signal_spec, response_spec, out=response_spec)
+            out[r] = np.fft.irfft(response_spec, size, out=wave_buf[:size])[:n]
+
+    _run_halves([partial(run, *half) for half in zip(halves, spec_bufs, wave_bufs)])
     return out
 
 
@@ -338,22 +351,24 @@ def synthesize_mixture(room, array, target_src, interference_src, clean_speech,
     speech = fftconvolve(buffer, rirs + early, n)
     rev_speech, target = speech[: array.mics], speech[array.mics :]
 
-    scaled_intf = np.zeros((array.mics, n))
+    rev_intf = None
     if interference_src is not None and interference_signal is not None:
         intf_sig = interference_signal.samples[0]
         reps = -(-n // intf_sig.shape[0])
         intf_buffer = np.tile(intf_sig, reps)[:n]
         intf_rirs = image_source_rir(room, interference_src, mics, max_order, fs)
         rev_intf = fftconvolve(intf_buffer, intf_rirs, n)
-        sir_scale = mix_at_db(rev_speech[0:1], rev_intf[0:1], entry.sir_db, active)
-        scaled_intf = sir_scale * rev_intf
+        rev_intf *= mix_at_db(rev_speech[0:1], rev_intf[0:1], entry.sir_db, active)
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([entry.seed])))
     noise = rng.standard_normal((array.mics, n))
-    snr_scale = mix_at_db(rev_speech[0:1], noise[0:1], entry.snr_db, active)
-    scaled_noise = snr_scale * noise
+    noise *= mix_at_db(rev_speech[0:1], noise[0:1], entry.snr_db, active)
 
-    noisy = rev_speech + scaled_intf + scaled_noise
+    # speech + interference + noise, summed in place in that order; without
+    # interference the speech gets + 0.0, which turns its -0.0s into +0.0s.
+    noisy = rev_speech.copy()
+    noisy += 0.0 if rev_intf is None else rev_intf
+    noisy += noise
     return Waveform(noisy, fs), Waveform(target, fs)
 
 
@@ -371,9 +386,24 @@ def speech_surrogate(rng, duration, fs=DEFAULT_SAMPLE_RATE):
     f0 = np.interp(np.linspace(0, knots - 1, n), np.arange(knots), f0_pts)
     phase = 2.0 * np.pi * np.cumsum(f0) / fs
     max_harm = max(2, int(4000.0 / f0.max()))
+    offsets = [rng.uniform(0, 2 * np.pi) for _ in range(max_harm)]
+    # sig = sum over h = 1..H, in order, of (1/h) sin(h phase + offset_h):
+    # elementwise, so the two halves of the time axis (``layers._run_halves``)
+    # hold the bits of one loop over the whole buffer.
     sig = np.zeros(n)
-    for h in range(1, max_harm + 1):
-        sig += (1.0 / h) * np.sin(h * phase + rng.uniform(0, 2 * np.pi))
+    parts = [slice(0, n // 2), slice(n // 2, n)]
+    scratch = _buffers([part.stop - part.start for part in parts], np.float64)
+
+    def run(part, buf):
+        acc, term = sig[part], buf[: part.stop - part.start]
+        for h, offset in enumerate(offsets, 1):
+            np.multiply(h, phase[part], out=term)
+            term += offset
+            np.sin(term, out=term)
+            term *= 1.0 / h
+            acc += term
+
+    _run_halves([partial(run, *half) for half in zip(parts, scratch)])
     # Syllabic amplitude bursts at 2-5 Hz plus an edge fade.
     rate = rng.uniform(2.0, 5.0)
     env = np.clip(np.sin(2.0 * np.pi * rate * t + rng.uniform(0, 2 * np.pi)), 0.0, None)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
-from neurobeam import roomsim
+from neurobeam import layers, roomsim
 from neurobeam.arraygeom import ArraySpec, ground_truth_map
 from neurobeam.dsp import StftConfig, Waveform, read_wav, write_wav
 from neurobeam.roomsim import (
@@ -233,6 +233,90 @@ def test_fftconvolve_matches_scipy_bits(rng):
         assert out.shape == (3, n)
         for row, h in zip(out, responses):
             assert row.tobytes() == fftconvolve(signal, h)[:n].tobytes()
+
+
+@pytest.fixture
+def submitted(monkeypatch):
+    """The halves submitted to the worker thread, recorded as they run there."""
+    calls, submit = [], layers._worker.submit
+    monkeypatch.setattr(layers._worker, "submit", lambda fn: calls.append(fn) or submit(fn))
+    return calls
+
+
+@pytest.mark.parametrize("rows", [0, 1, 3, 8])
+def test_fftconvolve_halves_keep_scipy_bits(rng, monkeypatch, submitted, rows):
+    # From two rows on, the rows run as two halves, the second on the worker
+    # thread when there are two workers. Each row keeps scipy's bits either
+    # way, and a half may mix FFT sizes; no rows give an empty [0 x n].
+    signal = rng.standard_normal(8001)
+    lengths = [300, 5000, 40, 2500, 2, 5000, 777, 300][:rows]
+    responses = [rng.standard_normal(k) * np.exp(-np.arange(k) / (k / 4 + 1)) for k in lengths]
+    sizes = [next_fast_len(signal.size + k - 1, True) for k in lengths]
+    assert len(set(sizes)) == min(rows, 5)  # at 8 rows, each half has 4 sizes
+    for workers in (1, 2):
+        monkeypatch.setattr(layers, "_WORKERS", workers)
+        submitted.clear()
+        out = roomsim.fftconvolve(signal, responses, 6000)
+        assert out.shape == (rows, 6000)
+        assert len(submitted) == (workers == 2 and rows > 1)
+        for row, h in zip(out, responses):
+            assert row.tobytes() == fftconvolve(signal, h)[:6000].tobytes()
+
+
+def _serial_speech_surrogate(rng, duration, fs):
+    """``speech_surrogate`` as one loop over the harmonics of the whole buffer."""
+    n = int(round(duration * fs))
+    t = np.arange(n) / fs
+    f0 = np.interp(np.linspace(0, 7, n), np.arange(8), rng.uniform(100.0, 220.0, size=8))
+    phase = 2.0 * np.pi * np.cumsum(f0) / fs
+    sig = np.zeros(n)
+    for h in range(1, max(2, int(4000.0 / f0.max())) + 1):
+        sig += (1.0 / h) * np.sin(h * phase + rng.uniform(0, 2 * np.pi))
+    env = np.clip(np.sin(2.0 * np.pi * rng.uniform(2.0, 5.0) * t + rng.uniform(0, 2 * np.pi)),
+                  0.0, None)
+    fade = min(n // 20, int(0.05 * fs))
+    ramp = np.ones(n)
+    ramp[:fade] = np.linspace(0, 1, fade)
+    ramp[n - fade :] = np.linspace(1, 0, fade)
+    sig *= (0.1 + 0.9 * env) * ramp
+    sig *= 0.1 / np.sqrt(np.mean(sig**2))
+    return sig
+
+
+def test_speech_surrogate_halves_keep_the_serial_bits(monkeypatch, submitted):
+    # The harmonic sum runs as two halves of the time axis (here 2400 and
+    # 2401 samples) and draws the same numbers from the generator.
+    duration = 4801 / 16000
+    oracle_rng = np.random.default_rng(9)
+    expected = _serial_speech_surrogate(oracle_rng, duration, 16000)
+    for workers in (1, 2):
+        monkeypatch.setattr(layers, "_WORKERS", workers)
+        submitted.clear()
+        rng = np.random.default_rng(9)
+        wave = speech_surrogate(rng, duration, 16000)
+        assert len(submitted) == workers - 1
+        assert wave.samples.shape == (1, 4801)
+        assert wave.samples[0].tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("cell", [
+    {"rooms": ((6.0, 6.0, 3.0),), "t60_ranges": ((0.6, 0.6),), "target_distance_ranges": ((1.0, 2.5),)},
+    {"sir_values_db": (np.inf,)},
+], ids=["reverberant", "no_interference"])
+def test_generate_dataset_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, submitted,
+                                                                  cell):
+    cfg = DatasetConfig(master_seed=13, duration_s=0.8, speech_len_s=0.4, **cell)
+    for workers in (1, 2):
+        monkeypatch.setattr(layers, "_WORKERS", workers)
+        submitted.clear()
+        generate_dataset(cfg, 1, tmp_path / str(workers))
+        assert bool(submitted) == (workers == 2)
+    one, two = tmp_path / "1", tmp_path / "2"
+    names = sorted(p.name for p in one.iterdir())
+    assert names == sorted(p.name for p in two.iterdir()) and len(names) == 3
+    for name in names:
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
 
 
 def test_next_fast_len_matches_scipy():
