@@ -1,7 +1,9 @@
 """Filter-and-sum enhancement and localization/VAD from the filter tensor.
 
-Filter weights are stored in conjugated form, so both the beamformer
-output and the steered response are plain (non-conjugated) products:
+Both stages read the filters [2 x M x F x T] as ``MimoDccrn.forward_weights``
+returns them and convert one chunk of bins at a time to complex128. Filter
+weights are stored in conjugated form, so both the beamformer output and
+the steered response are plain (non-conjugated) products:
 enhanced(t,f) = sum_m w[m,t,f] * y[m,t,f], and the distortionless index
 of zone n is the frequency-averaged |sum_m w[m,t,f] * a[n,f,m]|.
 These are the only forward implementations: the training ops in
@@ -22,40 +24,10 @@ from .layers import to_complex
 DEFAULT_VAD_THRESHOLD = 0.5
 
 
-def complex_filters(w):
-    """Filter tensor [2 x M x F x T] -> C-ordered complex128 filters
-    [M x T x F], the layout ``filter_and_sum`` and ``splm_map`` read."""
-    return to_complex(w.transpose(0, 1, 3, 2))
-
-
-def filter_and_sum(weights, spec):
-    """sum_m w[m,t,f] * y[m,t,f]: filters and spectra [M x T x F] -> the
-    1-channel spectrum [1 x T x F]. Callers pass the C-ordered filters of
-    ``complex_filters``, so nothing is copied; a strided view is summed as
-    a C-ordered copy (on [4 x 957 x 257] filters einsum took 17 ms on the
-    transposed view and 9 ms on the copy, copying included, 2-vCPU x86
-    machine, with the same bits)."""
-    if weights.shape != spec.shape:
-        raise ValueError(f"weights shape {weights.shape} != spectrogram shape {spec.shape}")
-    return np.einsum("mtf,mtf->tf", np.ascontiguousarray(weights), spec)[np.newaxis]
-
-
-# splm_map sums |steered response| over chunks of this many frequency bins,
-# so it never holds a whole record's [F x T x N] response (47 MB for 6 s).
+# Both stages convert the filters one chunk of this many bins at a time, so
+# neither holds a record's complex filters (15.7 MB for 6 s) or, in the zone
+# map, its [F x T x N] steered response (47 MB).
 _SPLM_CHUNK_BINS = 16
-
-
-def steered_response(weights, steering, bins=slice(None)):
-    """[F x T x N] response sum_m w[m,t,f] * a[n,f,m] of [M x T x F] filters
-    to [N x F x M] steering vectors at the frequency ``bins``: one batched
-    matmul over frequency."""
-    n_zones, f_bins, mics = steering.shape
-    if weights.shape[0] != mics or weights.shape[2] != f_bins:
-        raise ValueError(
-            f"weights [M x T x F] = {weights.shape} incompatible with steering "
-            f"[N x F x M] = {steering.shape}"
-        )
-    return np.matmul(weights[..., bins].transpose(2, 1, 0), steering[:, bins].transpose(1, 2, 0))
 
 
 def splm_bands(f_bins):
@@ -64,12 +36,38 @@ def splm_bands(f_bins):
     return [slice(f0, f0 + step) for f0 in range(0, f_bins, step)]
 
 
+def filter_and_sum(weights, spec):
+    """sum_m w[m,t,f] * y[m,t,f]: filters [2 x M x F x T] and spectra [M x T x F]
+    -> the 1-channel spectrum [1 x T x F], one chunk of ``splm_bands`` at a
+    time; each bin sums only over the mics, so the chunk size sets no bits."""
+    mics, t_frames, f_bins = spec.shape
+    if weights.shape != (2, mics, f_bins, t_frames):
+        raise ValueError(f"weights [2 x M x F x T] = {weights.shape} incompatible with "
+                         f"spectrogram [M x T x F] = {spec.shape}")
+    out = np.empty((1, t_frames, f_bins), dtype=np.complex128)
+    for bins in splm_bands(f_bins):
+        band = to_complex(weights[:, :, bins].transpose(0, 1, 3, 2))  # [M x T x F'], as spec
+        np.einsum("mtf,mtf->tf", band, spec[:, :, bins], out=out[0, :, bins])
+    return out
+
+
+def steered_response(weights, steering, bins=slice(None)):
+    """[F' x T x N] response sum_m w[m,t,f] * a[n,f,m] of filters [2 x M x F x T] to
+    [N x F x M] steering vectors at the ``bins``: one batched matmul over frequency."""
+    n_zones, f_bins, mics = steering.shape
+    if weights.shape[1:3] != (mics, f_bins):
+        raise ValueError(f"weights [2 x M x F x T] = {weights.shape} incompatible with "
+                         f"steering [N x F x M] = {steering.shape}")
+    band = to_complex(weights[:, :, bins])  # [M x F' x T]: each bin's [T x M] is BLAS-shaped
+    return np.matmul(band.transpose(1, 2, 0), steering[:, bins].transpose(1, 2, 0))
+
+
 def splm_map(weights, steering):
     """Distortionless index per zone: [T x N] frequency-averaged |w^H a|,
     summed over the chunks of bins of ``splm_bands``."""
     f_bins = steering.shape[1]
-    bands = splm_bands(f_bins)
-    return sum(np.abs(steered_response(weights, steering, b)).sum(axis=0) for b in bands) / f_bins
+    return sum(np.abs(steered_response(weights, steering, b)).sum(axis=0)
+               for b in splm_bands(f_bins)) / f_bins
 
 
 def localize(zmap):
@@ -119,11 +117,11 @@ def enhance_utterance(noisy, model, mode, zones, array, stft_cfg,
 
     The whole pass runs under ``autodiff.no_grad()``: no graph is
     recorded, so each activation is freed once the next layer has read
-    it. One ``forward_weights`` call makes the filters; their complex128
-    form [M x T x F] feeds filter-and-sum and, in ``splm`` mode, the zone
-    map. The spectrogram and the complex filters are dropped before the
-    ISTFT, so in ``nlm`` mode the NLM head, which runs last on the float32
-    filter tensor, does not hold them.
+    it. One ``forward_weights`` call makes the filter tensor; filter-and-sum
+    and, in ``splm`` mode, the zone map read it as it is, one chunk of bins
+    at a time. The spectrogram is dropped before the ISTFT, so in ``nlm``
+    mode the NLM head, which runs last on the same filter tensor, does not
+    hold it.
     """
     if mode not in ("splm", "nlm"):
         raise ValueError(f"unknown localization mode '{mode}' (expected splm or nlm)")
@@ -133,12 +131,11 @@ def enhance_utterance(noisy, model, mode, zones, array, stft_cfg,
     with ad.no_grad():
         spec = stft(noisy, stft_cfg)
         w = model.forward_weights(spec, training=False)
-        weights = complex_filters(w.data)
         if mode == "splm":
             steering = steering_set(array, zones, stft_cfg.frequencies(noisy.sample_rate))
-            zmap = splm_map(weights, steering)
-        enhanced = filter_and_sum(weights, spec)
-        del spec, weights
+            zmap = splm_map(w.data, steering)
+        enhanced = filter_and_sum(w.data, spec)
+        del spec
         enhanced = istft(enhanced, stft_cfg, noisy.sample_rate)
         if mode == "nlm":
             zmap = model.localize(w, training=False).data.astype(np.float64)

@@ -7,9 +7,8 @@ the filters [2 x M x F x T], the beamformed spectrum [2 x T x F], the LSTM
 input [2 x T x D], a kernel [2 x O x C x kf x kt], a bias or a BN vector
 [2 x C]. Only a complex matmul's sequence, [T x 2D], sets its parts side
 by side. ``to_complex`` turns a part-axis array into a complex128 array;
-``beamloc.complex_filters`` is the one place that turns the filters into
-the C-ordered complex128 [M x T x F] that filter-and-sum and the zone map
-read.
+filter-and-sum and the zone map read the filters [2 x M x F x T] as they
+are and convert one chunk of frequency bins at a time (``beamloc``).
 
 The conv ops read a map [P x C x F x T] as the kernels' [1 x PC x F x T]
 view and return [P x O x F' x T']. A deconv also reads an (h, skip) pair of

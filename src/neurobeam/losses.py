@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .beamloc import complex_filters, filter_and_sum, splm_bands, splm_map, steered_response
+from .beamloc import filter_and_sum, splm_bands, splm_map, steered_response
 from .dsp import frame_signal, synthesize, wola_inverse
 from .layers import to_complex
 
@@ -166,7 +166,7 @@ def filter_and_sum_tensor(weights, spec_data):
     spectrogram [M x T x F] -> [2 x T x F]; the filters' complex gradient
     is g * conj(y)."""
     y = np.asarray(spec_data)
-    out = filter_and_sum(complex_filters(weights.data), y)[0]
+    out = filter_and_sum(weights.data, y)[0]
     return _weights_op(
         weights, np.stack([out.real, out.imag]),
         lambda g: ((g[0] + 1j * g[1]) * np.conj(y)).transpose(0, 2, 1),
@@ -178,18 +178,17 @@ def splm_map_tensor(weights, steering):
     steering vectors -> [T x N]. With r the steered response, the filters'
     complex gradient is sum_n (g/F) (r/|r|) conj(a), r/|r| = 0 at r = 0;
     backward recomputes r in the chunks of bins ``splm_map`` sums over
-    (``splm_bands``), so no [F x T x N] array is kept or built."""
-    w = complex_filters(weights.data)  # [M x T x F]
+    (``splm_bands``) from the tensor's data: no complex filters or [F x T x N] array is kept."""
     f_bins = steering.shape[1]
 
     def grad_fn(g):
         grad = np.empty(weights.shape[1:], dtype=np.complex128)  # [M x F x T]
         for bins in splm_bands(f_bins):
-            r = steered_response(w, steering, bins)  # [F' x T x N]
+            r = steered_response(weights.data, steering, bins)  # [F' x T x N]
             mag = np.abs(r)
             unit = np.divide(r, mag, out=np.zeros_like(r), where=mag > 0)
             part = np.matmul(unit * (g / f_bins), np.conj(steering[:, bins]).transpose(1, 0, 2))
             grad[:, bins] = part.transpose(2, 0, 1)
         return grad
 
-    return _weights_op(weights, splm_map(w, steering), grad_fn)
+    return _weights_op(weights, splm_map(weights.data, steering), grad_fn)

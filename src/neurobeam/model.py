@@ -28,9 +28,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .beamloc import complex_filters
 from .checkpoint import fill_arrays
-from .layers import ComplexConvBlock, ComplexLSTM, ComplexLinear, Linear
+from .layers import ComplexConvBlock, ComplexLSTM, ComplexLinear, Linear, to_complex
 
 MAGNITUDE_EPS = 1e-12
 
@@ -231,11 +230,11 @@ class MimoDccrn:
         return ad.concat([ad.narrow(w, 2, 0, 1), w], axis=2)
 
     def infer_weights(self, spec_data):
-        """Inference filters: [M x T x F] complex weights from an eval
-        forward run under ``autodiff.no_grad()``, so no graph is kept."""
+        """Inference filters: [M x T x F] complex weights (a transposed view) from
+        an eval forward run under ``autodiff.no_grad()``, so no graph is kept."""
         with ad.no_grad():
             w = self.forward_weights(spec_data, training=False)
-        return complex_filters(w.data)
+        return to_complex(w.data).transpose(0, 2, 1)
 
     def localize(self, w, training=False):
         """Zone probabilities [T x N] from the filters [2 x M x F x T] of

@@ -197,11 +197,15 @@ def fftconvolve(signal, responses, n):
     as ``[len(responses) x n]``; ``n`` is at most each full length
     ``len(signal) + len(h) - 1``.
 
-    Each row is bit-identical to ``scipy.signal.fftconvolve(signal, h)[:n]``:
-    the same FFT sizes, transforms (numpy's pocketfft) and products, with
-    the signal's spectrum computed once per FFT size. The rows run as two
-    halves (``layers._run_halves``), each in its own spectrum and waveform
-    buffers; a row's bits do not depend on its half.
+    Each row of a response of two or more samples is bit-identical to
+    ``scipy.signal.fftconvolve(signal, h)[:n]``: the same FFT sizes,
+    transforms (numpy's pocketfft) and products, with the signal's spectrum
+    computed once per FFT size. scipy multiplies by a 1-sample response
+    directly, so that row differs by roundoff; ``image_source_rir`` returns
+    one only in an anechoic room with a microphone within half a sample of
+    the source. The rows run as two halves (``layers._run_halves``), each
+    in its own spectrum and waveform buffers; a row's bits do not depend on
+    its half.
     """
     sizes = [next_fast_len(len(signal) + len(h) - 1) for h in responses]
     spectra = {size: np.fft.rfft(signal, size) for size in dict.fromkeys(sizes)}

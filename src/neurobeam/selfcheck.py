@@ -227,8 +227,8 @@ def _check_steering():
 
     zone = 4
     a = steering[zone - 1]  # [F x M]
-    w = np.conj(a).T[:, np.newaxis, :] / array.mics  # stored form, [M x 1 x F]
-    zmap = splm_map(w, steering)
+    w = np.conj(a).T[:, :, np.newaxis] / array.mics  # stored form, [M x F x 1]
+    zmap = splm_map(np.stack([w.real, w.imag]), steering)
     dev = abs(zmap[0, zone - 1] - 1.0)
     results.append(("distortionless_identity", dev < 1e-9, f"dev {dev:.2e}"))
     return results

@@ -89,8 +89,8 @@ def test_criterion_2_distortionless_identity():
         zone = int(rng.integers(1, zones + 1))
         a = steering[zone - 1]  # [F x M]
         frames = 3
-        w = np.repeat(np.conj(a).T[:, np.newaxis, :], frames, axis=1) / mics
-        zmap = splm_map(w, steering)
+        w = np.repeat(np.conj(a).T[:, :, np.newaxis], frames, axis=2) / mics  # [M x F x T]
+        zmap = splm_map(np.stack([w.real, w.imag]), steering)
         devs.append(np.abs(zmap[:, zone - 1] - 1.0).max())
     worst = np.max(devs)  # NaN propagates, unlike the builtin max
     _report(
@@ -139,7 +139,8 @@ def test_criterion_3_delay_and_sum_oracle():
         spec = stft(noisy, cfg)
         power = np.mean(np.abs(spec), axis=(0, 2))
         weights = np.conj(spec) / (mics * (power[np.newaxis, :, np.newaxis] + 1e-12))
-        zmap = splm_map(weights, steering)
+        weights = weights.transpose(0, 2, 1)  # [M x F x T]
+        zmap = splm_map(np.stack([weights.real, weights.imag]), steering)
         pred = int(np.argmax(zmap[active].mean(axis=0))) + 1
         correct += pred == zone_of_angle(float(theta), zones)
 

@@ -4,7 +4,6 @@ import pytest
 from neurobeam.arraygeom import ArraySpec, steering_set
 from neurobeam.beamloc import (
     LocalizationResult,
-    complex_filters,
     enhance_utterance,
     filter_and_sum,
     localization_from_map,
@@ -14,6 +13,7 @@ from neurobeam.beamloc import (
     write_localization_csv,
 )
 from neurobeam.dsp import StftConfig, Waveform, num_frames
+from neurobeam.layers import to_complex
 from neurobeam.model import MimoDccrn, MimoDccrnConfig
 
 
@@ -24,17 +24,21 @@ def _spec(rng, mics=3, frames=4, cfg=None):
     )
 
 
-def test_complex_filters_are_c_ordered(rng):
-    w = rng.standard_normal((2, 3, 5, 4)).astype(np.float32)  # [2 x M x F x T]
-    z = complex_filters(w)
-    assert z.dtype == np.complex128 and z.flags.c_contiguous
-    assert np.array_equal(z, (w[0] + 1j * w[1]).transpose(0, 2, 1))  # [M x T x F]
+def _tensor(z):
+    """Complex filters [M x F x T] -> the filter tensor [2 x M x F x T]."""
+    return np.stack([z.real, z.imag])
+
+
+def _filters_for(spec):
+    """A zero filter tensor [2 x M x F x T] for a spectrogram [M x T x F]."""
+    mics, frames, bins = spec.shape
+    return np.zeros((2, mics, bins, frames))
 
 
 def test_filter_and_sum_mic_selector(rng):
     spec = _spec(rng)
-    w = np.zeros_like(spec)
-    w[0] = 1.0
+    w = _filters_for(spec)
+    w[0, 0] = 1.0
     out = filter_and_sum(w, spec)
     assert out.shape == (1, *spec.shape[1:])
     assert np.array_equal(out[0], spec[0])
@@ -42,7 +46,7 @@ def test_filter_and_sum_mic_selector(rng):
 
 def test_filter_and_sum_zero_weights_silence(rng):
     spec = _spec(rng)
-    out = filter_and_sum(np.zeros_like(spec), spec)
+    out = filter_and_sum(_filters_for(spec), spec)
     assert np.all(out == 0)
 
 
@@ -52,25 +56,29 @@ def test_filter_and_sum_average_of_identical_channels(rng):
         (1, 4, cfg.num_bins)
     )
     spec = np.repeat(common, 3, axis=0)
-    w = np.full_like(spec, 1.0 / 3.0)
+    w = _filters_for(spec)
+    w[0] = 1.0 / 3.0
     out = filter_and_sum(w, spec)
     assert np.allclose(out[0], common[0])
 
 
 def test_filter_and_sum_bilinear(rng):
     spec = _spec(rng)
-    w1 = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
-    w2 = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
+    shape = _filters_for(spec).shape[1:]
+    w1 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    w2 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     a, b = 1.7 - 0.3j, -0.6 + 2.0j
-    lhs = filter_and_sum(a * w1 + b * w2, spec)
-    rhs = a * filter_and_sum(w1, spec) + b * filter_and_sum(w2, spec)
+    lhs = filter_and_sum(_tensor(a * w1 + b * w2), spec)
+    rhs = a * filter_and_sum(_tensor(w1), spec) + b * filter_and_sum(_tensor(w2), spec)
     assert np.allclose(lhs, rhs)
 
 
 def test_filter_and_sum_shape_mismatch(rng):
     spec = _spec(rng)
-    with pytest.raises(ValueError):
-        filter_and_sum(np.zeros((2, 4, spec.shape[2]), dtype=complex), spec)
+    with pytest.raises(ValueError, match="incompatible"):
+        filter_and_sum(_filters_for(spec[:2]), spec)
+    with pytest.raises(ValueError, match="incompatible"):
+        filter_and_sum(_filters_for(spec).transpose(0, 1, 3, 2), spec)
 
 
 def _steering(zones=12, mics=6):
@@ -82,22 +90,22 @@ def test_splm_matched_filter_identity():
     mics = steering.shape[2]
     for zone in (1, 4, 12):
         a = steering[zone - 1]  # [F x M]
-        w = np.conj(a).T[:, np.newaxis, :] / mics  # stored form [M x T=1 x F]
-        zmap = splm_map(w, steering)
+        w = np.conj(a).T[:, :, np.newaxis] / mics  # stored form [M x F x T=1]
+        zmap = splm_map(_tensor(w), steering)
         assert zmap[0, zone - 1] == pytest.approx(1.0, abs=1e-9)
         assert np.argmax(zmap[0]) == zone - 1
 
 
 def test_splm_zero_weights():
     steering = _steering()
-    w = np.zeros((steering.shape[2], 3, steering.shape[1]), dtype=complex)
+    w = np.zeros((2, steering.shape[2], steering.shape[1], 3))
     assert np.all(splm_map(w, steering) == 0)
 
 
 def test_splm_positive_homogeneity(rng):
     steering = _steering()
     mics, f = steering.shape[2], steering.shape[1]
-    w = rng.standard_normal((mics, 2, f)) + 1j * rng.standard_normal((mics, 2, f))
+    w = rng.standard_normal((2, mics, f, 2))
     z1 = splm_map(w, steering)
     z3 = splm_map(3.0 * w, steering)
     assert np.allclose(z3, 3.0 * z1)
@@ -111,14 +119,14 @@ def test_splm_chunks_match_the_whole_response(rng, monkeypatch, chunk):
 
     steering = _steering()
     mics, f = steering.shape[2], steering.shape[1]
-    w = rng.standard_normal((mics, 5, f)) + 1j * rng.standard_normal((mics, 5, f))
+    w = rng.standard_normal((2, mics, f, 5))
     whole = np.abs(steered_response(w, steering)).mean(axis=0)
     monkeypatch.setattr(beamloc, "_SPLM_CHUNK_BINS", chunk)
     zmap = splm_map(w, steering)
     assert zmap.shape == whole.shape
     assert np.abs(zmap - whole).max() <= 1e-12 * np.abs(whole).max()
     with pytest.raises(ValueError, match="incompatible"):
-        splm_map(w[..., : f - 1], steering)
+        splm_map(w[:, :, : f - 1], steering)
 
 
 def test_localize_rules():
@@ -193,19 +201,20 @@ def test_enhance_unknown_mode(rng):
         enhance_utterance(noisy, model, "mvdr", 12, array, StftConfig())
 
 
-def test_nlm_head_runs_after_the_spectrogram_and_filters_are_dropped(rng, monkeypatch):
-    # Only filter-and-sum reads the complex128 spectrogram and filters; in
-    # nlm mode the head runs after the ISTFT, on the float32 filter tensor,
-    # when both arrays are dead.
+def test_nlm_head_runs_after_the_spectrogram_is_dropped(rng, monkeypatch):
+    # Filter-and-sum reads the model's float32 filter tensor as it is, and
+    # the complex128 spectrogram; in nlm mode the head runs after the ISTFT,
+    # on that same filter tensor, when the spectrogram is dead.
     import weakref
 
     from neurobeam import beamloc
 
-    refs, dead = [], []
+    refs, filters, dead = [], [], []
     real_filter_and_sum = beamloc.filter_and_sum
 
     def filter_and_sum_spy(weights, spec):
-        refs.extend([weakref.ref(weights), weakref.ref(spec)])
+        refs.append(weakref.ref(spec))
+        filters.append(weights)
         return real_filter_and_sum(weights, spec)
 
     model = _toy_model()
@@ -213,21 +222,22 @@ def test_nlm_head_runs_after_the_spectrogram_and_filters_are_dropped(rng, monkey
 
     def localize_spy(w, training=False):
         dead.append([ref() is None for ref in refs])
+        assert w.data is filters[0]
         return real_localize(w, training)
 
     monkeypatch.setattr(beamloc, "filter_and_sum", filter_and_sum_spy)
     monkeypatch.setattr(model, "localize", localize_spy)
     noisy = Waveform(0.1 * rng.standard_normal((4, 4000)))
     enhance_utterance(noisy, model, "nlm", 12, ArraySpec(), StftConfig())
-    assert dead == [[True, True]]
+    assert dead == [[True]]
 
 
 def test_nlm_zone_map_matches_complex_round_trip(toy_dataset):
     # ``enhance_utterance`` runs without a graph; in both modes its
     # waveform, zone map and VAD must be bit-identical to those of a
-    # forward that records one. In ``nlm`` mode the head reads the float32
-    # filter tensors directly, which is the complex128 round trip's input
-    # exactly, since float32 -> float64 -> float32 is exact.
+    # forward that records one. Every stage reads the float32 filter
+    # tensor; a complex128 round trip of it is exact, since float32 ->
+    # float64 -> float32 is exact.
     from neurobeam.autodiff import Tensor
     from neurobeam.dsp import istft, read_wav, stft
 
@@ -238,17 +248,15 @@ def test_nlm_zone_map_matches_complex_round_trip(toy_dataset):
     spec = stft(noisy, stft_cfg)
     w = model.forward_weights(spec, training=False)
     assert w.needs_grad and w.parents
-    weights = complex_filters(w.data)
-    wt = weights.transpose(0, 2, 1)
-    w_parts = np.stack([wt.real, wt.imag]).astype(model.dtype)
+    w_parts = _tensor(to_complex(w.data)).astype(model.dtype)
     zmaps = {
         "nlm": model.localize(Tensor(w_parts), training=False).data.astype(np.float64),
         "splm": splm_map(
-            weights,
+            w.data,
             steering_set(cfg.array, 12, stft_cfg.frequencies(noisy.sample_rate)),
         ),
     }
-    expect_enhanced = istft(filter_and_sum(weights, spec), stft_cfg, noisy.sample_rate).samples
+    expect_enhanced = istft(filter_and_sum(w.data, spec), stft_cfg, noisy.sample_rate).samples
     for mode, zmap in zmaps.items():
         enhanced, result = enhance_utterance(noisy, model, mode, 12, cfg.array, stft_cfg)
         expect = localization_from_map(zmap)
