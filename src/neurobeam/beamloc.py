@@ -6,8 +6,10 @@ weights are stored in conjugated form, so both the beamformer output and
 the steered response are plain (non-conjugated) products:
 enhanced(t,f) = sum_m w[m,t,f] * y[m,t,f], and the distortionless index
 of zone n is the frequency-averaged |sum_m w[m,t,f] * a[n,f,m]|.
-These are the only forward implementations: the training ops in
-``losses`` call them and add only the adjoints.
+These are the only forward implementations. The training ops
+``filter_and_sum_tensor`` and ``splm_map_tensor`` call them and add the
+adjoints, which walk the same chunks and add each chunk's (re, im) parts
+into the filters' gradient: no filter gradient is ever complex.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .autodiff import Tensor
 from .arraygeom import steering_set
 from .dsp import istft, stft
 from .layers import to_complex
@@ -24,9 +27,9 @@ from .layers import to_complex
 DEFAULT_VAD_THRESHOLD = 0.5
 
 
-# Both stages convert the filters one chunk of this many bins at a time, so
-# neither holds a record's complex filters (15.7 MB for 6 s) or, in the zone
-# map, its [F x T x N] steered response (47 MB).
+# Both stages and their adjoints convert the filters one chunk of this many
+# bins at a time, so none holds a record's complex filters or gradient (15.7
+# MB for 6 s) or, in the zone map, its [F x T x N] steered response (47 MB).
 _SPLM_CHUNK_BINS = 16
 
 
@@ -68,6 +71,54 @@ def splm_map(weights, steering):
     f_bins = steering.shape[1]
     return sum(np.abs(steered_response(weights, steering, b)).sum(axis=0)
                for b in splm_bands(f_bins)) / f_bins
+
+
+def _add_filter_gradient(weights, part, bins):
+    """Add the filters' complex gradient d/d re + j d/d im [M x F' x T] at the
+    ``bins`` into their gradient as its (re, im) parts, float64, so that the
+    sum with another contribution (the NLM head's) rounds once; the first
+    chunk lands in a zero gradient."""
+    weights.accumulate(np.stack([part.real, part.imag]), (slice(None), slice(None), bins))
+
+
+def filter_and_sum_tensor(weights, spec_data):
+    """``filter_and_sum`` of the filter tensor [2 x M x F x T] and a fixed
+    spectrogram [M x T x F] -> [2 x T x F] as one autodiff op; the filters'
+    complex gradient is g * conj(y), added one chunk of ``splm_bands`` at a time."""
+    y = np.asarray(spec_data)
+    out = filter_and_sum(weights.data, y)[0]
+
+    def backward_fn(g):
+        for bins in splm_bands(y.shape[2]):
+            part = (g[0][:, bins] + 1j * g[1][:, bins]) * np.conj(y[:, :, bins])
+            _add_filter_gradient(weights, part.transpose(0, 2, 1), bins)
+
+    return Tensor(np.stack([out.real, out.imag]).astype(weights.dtype), (weights,), backward_fn)
+
+
+def splm_map_tensor(weights, steering):
+    """``splm_map`` of the filter tensor [2 x M x F x T] and [N x F x M]
+    steering vectors -> [T x N] as one autodiff op. With r the steered
+    response, the filters' complex gradient is sum_n (g/F) (r/|r|) conj(a),
+    r/|r| = 0 at r = 0; backward recomputes r in the chunks of bins
+    ``splm_map`` sums over from the tensor's data: no complex filters or
+    [F x T x N] array is kept."""
+    f_bins = steering.shape[1]
+
+    def chunk_grad(g, bins):  # [F' x T x M]; its temporaries go when it returns
+        unit = steered_response(weights.data, steering, bins)  # r [F' x T x N], then r/|r|
+        mag = np.abs(unit)
+        live = mag > 0
+        np.divide(unit, mag, out=unit, where=live)
+        unit[~live] = 0
+        unit *= g / f_bins
+        return np.matmul(unit, np.conj(steering[:, bins]).transpose(1, 0, 2))
+
+    def backward_fn(g):
+        for bins in splm_bands(f_bins):
+            _add_filter_gradient(weights, chunk_grad(g, bins).transpose(2, 0, 1), bins)
+
+    return Tensor(splm_map(weights.data, steering).astype(weights.dtype), (weights,), backward_fn)
 
 
 def localize(zmap):

@@ -9,10 +9,10 @@ renamed into place once on disk, so a failed write leaves the previous
 file intact.
 The loader returns read-only views of the file's bytes; a file that is
 truncated, of another version, has a damaged header (one without a
-checksum among them), has bytes past its last array or fails its checksum
-is a ``ValueError`` naming it. ``fill_arrays`` checks loaded arrays by
-name, shape and dtype and copies them into a run's arrays; the meta is
-read by ``config.RunConfig.from_meta``.
+checksum or with a ``meta`` that is not an object among them), has bytes
+past its last array or fails its checksum is a ``ValueError`` naming it.
+``fill_arrays`` checks loaded arrays by name, shape and dtype and copies
+them into a run's arrays; the meta is read by ``config.RunConfig.from_meta``.
 """
 
 from __future__ import annotations
@@ -75,6 +75,8 @@ def load_checkpoint(path):
     try:
         header = json.loads(bytes(data[_PREFIX : _PREFIX + header_len]).decode("utf-8"))
         version, meta, crc = header["version"], header["meta"], header["crc32"]
+        if not isinstance(meta, dict):
+            raise ValueError(f"meta is {json.dumps(meta)}, not an object")
         tensors = [(e["name"], np.dtype("<" + e["dtype"]), tuple(e["shape"]))
                    for e in header["tensors"]]
         for name, _, shape in tensors:  # a size is an int, not a bool

@@ -20,6 +20,7 @@ import typing
 from dataclasses import dataclass, field
 
 from .arraygeom import ArraySpec
+from .beamloc import DEFAULT_VAD_THRESHOLD
 from .dsp import StftConfig
 from .model import CHECKPOINT_SCHEMA, MimoDccrnConfig
 from .roomsim import DatasetConfig, MixtureRanges
@@ -35,7 +36,8 @@ class ConfigError(ValueError):
 class LocalizationSection:
     zones: int = field(default=12, metadata={"at least": 2, "at most": 360})  # one per degree
     mode: typing.Literal["splm", "nlm"] = "nlm"
-    vad_threshold: float = field(default=0.5, metadata={"at least": 0, "at most": 1})
+    vad_threshold: float = field(default=DEFAULT_VAD_THRESHOLD,
+                                 metadata={"at least": 0, "at most": 1})
 
 
 @dataclass(frozen=True)

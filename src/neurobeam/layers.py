@@ -8,7 +8,8 @@ input [2 x T x D], a kernel [2 x O x C x kf x kt], a bias or a BN vector
 [2 x C]. Only a complex matmul's sequence, [T x 2D], sets its parts side
 by side. ``to_complex`` turns a part-axis array into a complex128 array;
 filter-and-sum and the zone map read the filters [2 x M x F x T] as they
-are and convert one chunk of frequency bins at a time (``beamloc``).
+are, one chunk of frequency bins at a time, and their adjoints add each
+chunk's parts into the filters' gradient (``beamloc``).
 
 The conv ops read a map [P x C x F x T] as the kernels' [1 x PC x F x T]
 view and return [P x O x F' x T']. A deconv also reads an (h, skip) pair of

@@ -1,11 +1,11 @@
 """Training objectives: scale-invariant SNR on waveforms and binary
-cross-entropy on zone maps, each one autodiff op, plus the ops (overlap-add
-inverse STFT, filter-and-sum, steered zone map) that connect the filter
-tensor to them. Each op's forward is the inference code itself (``si_snr``,
-``dsp.synthesize``, ``beamloc.filter_and_sum``, ``beamloc.splm_map``) or, for BCE,
-the loss's own arithmetic; the op adds only the analytic adjoint. Complex operands follow the part-axis
-layout of ``layers``: the filters are [2 x M x F x T] (re, im) and the
-beamformed spectrum [2 x T x F].
+cross-entropy on zone maps, each one autodiff op, plus the overlap-add
+inverse STFT that connects the beamformed spectrum to SI-SNR (the filter
+ops that make that spectrum and the zone map live in ``beamloc``). Each
+op's forward is the inference code itself (``si_snr``, ``dsp.synthesize``)
+or, for BCE, the loss's own arithmetic; the op adds only the analytic
+adjoint. The beamformed spectrum follows the part-axis layout of
+``layers``: [2 x T x F] (re, im).
 
 SI-SNR is 10*log10 of a power ratio, as in DCCRN and the SI-SDR
 definition, for the loss and for reported dB alike. The source material
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .beamloc import filter_and_sum, splm_bands, splm_map, steered_response
 from .dsp import frame_signal, synthesize, wola_inverse
 from .layers import to_complex
 
@@ -144,51 +143,3 @@ def synthesize_waveform(spec, cfg):
 
     out = synthesize(to_complex(spec.data), cfg).astype(spec.dtype)
     return Tensor(out, (spec,), backward_fn)
-
-
-def _weights_op(weights, out, grad_fn):
-    """One op from the filter tensor [2 x M x F x T] to the array ``out``;
-    ``grad_fn(g)`` is the filters' complex gradient d/d re + j d/d im
-    [M x F x T]. Its parts are added to the filters' gradient as they are
-    (float64), so the sum with another contribution (the NLM head's) rounds
-    once."""
-
-    def backward_fn(g):
-        grad = grad_fn(g)
-        weights.accumulate(grad.real, 0)
-        weights.accumulate(grad.imag, 1)
-
-    return Tensor(out.astype(weights.dtype), (weights,), backward_fn)
-
-
-def filter_and_sum_tensor(weights, spec_data):
-    """``beamloc.filter_and_sum`` of the filter tensor [2 x M x F x T] and a fixed
-    spectrogram [M x T x F] -> [2 x T x F]; the filters' complex gradient
-    is g * conj(y)."""
-    y = np.asarray(spec_data)
-    out = filter_and_sum(weights.data, y)[0]
-    return _weights_op(
-        weights, np.stack([out.real, out.imag]),
-        lambda g: ((g[0] + 1j * g[1]) * np.conj(y)).transpose(0, 2, 1),
-    )
-
-
-def splm_map_tensor(weights, steering):
-    """``beamloc.splm_map`` of the filter tensor [2 x M x F x T] and [N x F x M]
-    steering vectors -> [T x N]. With r the steered response, the filters'
-    complex gradient is sum_n (g/F) (r/|r|) conj(a), r/|r| = 0 at r = 0;
-    backward recomputes r in the chunks of bins ``splm_map`` sums over
-    (``splm_bands``) from the tensor's data: no complex filters or [F x T x N] array is kept."""
-    f_bins = steering.shape[1]
-
-    def grad_fn(g):
-        grad = np.empty(weights.shape[1:], dtype=np.complex128)  # [M x F x T]
-        for bins in splm_bands(f_bins):
-            r = steered_response(weights.data, steering, bins)  # [F' x T x N]
-            mag = np.abs(r)
-            unit = np.divide(r, mag, out=np.zeros_like(r), where=mag > 0)
-            part = np.matmul(unit * (g / f_bins), np.conj(steering[:, bins]).transpose(1, 0, 2))
-            grad[:, bins] = part.transpose(2, 0, 1)
-        return grad
-
-    return _weights_op(weights, splm_map(weights.data, steering), grad_fn)

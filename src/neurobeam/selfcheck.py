@@ -9,6 +9,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .arraygeom import ArraySpec, steering_set, zone_of_angle
+from .beamloc import filter_and_sum_tensor, splm_map, splm_map_tensor
 from .dsp import StftConfig, Waveform, istft, stft
 from .gradcheck import check_gradients
 from .layers import (
@@ -21,9 +22,7 @@ from .layers import (
     conv2d_raw,
     lstm,
 )
-from .losses import (
-    bce_loss, filter_and_sum_tensor, si_snr_loss, splm_map_tensor, synthesize_waveform,
-)
+from .losses import bce_loss, si_snr_loss, synthesize_waveform
 from .metrics import loc_metrics
 from .model import zone_scores
 
@@ -222,8 +221,6 @@ def _check_steering():
     steering = steering_set(array, 12, cfg.frequencies(16000))
     unit = np.abs(np.abs(steering) - 1.0).max()
     results = [("steering_unit_modulus", unit < 1e-12, f"|a| dev {unit:.2e}")]
-
-    from .beamloc import splm_map
 
     zone = 4
     a = steering[zone - 1]  # [F x M]

@@ -22,20 +22,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .arraygeom import ground_truth_map, steering_set
-from .beamloc import enhance_utterance, localize
+from .beamloc import (
+    DEFAULT_VAD_THRESHOLD, enhance_utterance, filter_and_sum_tensor, localize, splm_map_tensor,
+)
 from .checkpoint import fill_arrays, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig
 from .dsp import read_wav, stft
-from .losses import (
-    LossBreakdown,
-    bce_loss,
-    filter_and_sum_tensor,
-    si_snr,
-    si_snr_loss,
-    splm_map_tensor,
-    synthesize_waveform,
-    total_loss,
-)
+from .losses import LossBreakdown, bce_loss, si_snr, si_snr_loss, synthesize_waveform, total_loss
 from .metrics import loc_metrics, merge_metrics
 from .model import CHECKPOINT_SCHEMA, MimoDccrn
 from .optim import Adam
@@ -299,7 +292,7 @@ def interior_slice(stft_cfg, length):
 
 def evaluate_records(
     entries, base_dir, model, stft_cfg, array, zones, mode,
-    vad_threshold=0.5, reference_mic=0, sample_rate=None,
+    vad_threshold=DEFAULT_VAD_THRESHOLD, reference_mic=0, sample_rate=None,
 ):
     """Per-record SI-SNR improvement and localization metrics.
 

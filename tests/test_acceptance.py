@@ -15,19 +15,12 @@ import numpy as np
 from neurobeam import autodiff as ad
 from neurobeam import roomsim
 from neurobeam.arraygeom import ArraySpec, steering_set, zone_of_angle
-from neurobeam.beamloc import localize, splm_map, vad
+from neurobeam.beamloc import filter_and_sum_tensor, localize, splm_map, splm_map_tensor, vad
 from neurobeam.cli import main as cli_main
 from neurobeam.config import config_from_dict
 from neurobeam.dsp import StftConfig, Waveform, istft, stft
 from neurobeam.gradcheck import _central_difference, check_gradients
-from neurobeam.losses import (
-    bce_loss,
-    filter_and_sum_tensor,
-    si_snr_loss,
-    splm_map_tensor,
-    synthesize_waveform,
-    total_loss,
-)
+from neurobeam.losses import bce_loss, si_snr_loss, synthesize_waveform, total_loss
 from neurobeam.metrics import loc_metrics
 from neurobeam.model import MimoDccrn, MimoDccrnConfig
 from neurobeam.roomsim import (

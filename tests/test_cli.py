@@ -1127,6 +1127,22 @@ def test_a_damaged_checkpoint_header_is_a_user_error_naming_it(tiny_run, key, in
                 assert code == 1 and str(path) in err, err
 
 
+@pytest.mark.parametrize("meta", [5, "schema", ["schema"]], ids=["int", "str", "list"])
+def test_a_checkpoint_meta_that_is_not_an_object_is_a_user_error_naming_it(
+        tiny_run, tmp_path, meta):
+    # The header's meta must be a JSON object: any other value is a corrupt
+    # header, an exit 1 naming the file, never a TypeError (exit 2).
+    from neurobeam.checkpoint import load_checkpoint, save_checkpoint
+
+    arrays, _ = load_checkpoint(tiny_run / "run" / "checkpoint_last.nbcp")
+    path = tmp_path / "meta.nbcp"
+    save_checkpoint(path, arrays, meta)
+    results = _enhance_and_resume(tiny_run, path, tmp_path)
+    results["eval"] = _quiet(["eval", str(path), str(tiny_run / "data" / "manifest.jsonl"),
+                              "--out", str(tmp_path / "report.csv")])
+    for command, (code, err) in results.items():
+        assert code == 1 and f"checkpoint {path} has a corrupt header" in err, (command, err)
+
 def test_a_checkpoint_header_dtype_edit_names_the_tensor(tiny_run, tmp_path):
     # A float32 tensor read as int32 would restore weights near 1e9.
     original = tiny_run / "run" / "checkpoint_last.nbcp"

@@ -5,20 +5,11 @@ from hypothesis import strategies as st
 
 from neurobeam import autodiff as ad
 from neurobeam.autodiff import Tensor, constant
-from neurobeam.beamloc import filter_and_sum, splm_map
+from neurobeam.beamloc import filter_and_sum, filter_and_sum_tensor, splm_map, splm_map_tensor
 from neurobeam.dsp import StftConfig, istft
 from neurobeam.gradcheck import check_gradients
 from neurobeam.layers import to_complex
-from neurobeam.losses import (
-    BCE_EPS,
-    bce_loss,
-    filter_and_sum_tensor,
-    si_snr,
-    si_snr_loss,
-    splm_map_tensor,
-    synthesize_waveform,
-    total_loss,
-)
+from neurobeam.losses import BCE_EPS, bce_loss, si_snr, si_snr_loss, synthesize_waveform, total_loss
 
 
 def test_si_snr_perfect_estimate_clamps(rng):
@@ -220,16 +211,19 @@ def test_filter_ops_forward_is_the_inference_code(rng):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_filter_stages_keep_the_bits_of_a_whole_complex_copy(rng, dtype):
-    # The stages convert the filter tensor one 16-bin chunk at a time; their
-    # bits are those of the same formulas on a whole C-ordered complex128
-    # [M x T x F] copy: an einsum over the mics, and per chunk a matmul with
-    # the steering, abs and a sum, then the chunked adjoint. 257 bins leave a
-    # 1-bin last chunk.
+    # The stages and their adjoints convert the filter tensor one 16-bin
+    # chunk at a time; their bits are those of the same formulas on a whole
+    # C-ordered complex128 [M x T x F] copy: an einsum over the mics, and per
+    # chunk a matmul with the steering, abs and a sum; each adjoint's whole
+    # complex gradient has its parts added into the filters' gradient, a zero
+    # one or one that already holds another contribution (the NLM head's).
+    # 257 bins leave a 1-bin last chunk.
     m, f, t, n = 4, 257, 23, 12
     w = rng.standard_normal((2, m, f, t)).astype(dtype)
     spec = rng.standard_normal((m, t, f)) + 1j * rng.standard_normal((m, t, f))
     steering = np.exp(2j * np.pi * rng.uniform(size=(n, f, m)))
     weight = rng.standard_normal((t, n)).astype(np.float32)
+    out_weight = rng.standard_normal((2, t, f)).astype(np.float32)
     whole = to_complex(w.transpose(0, 1, 3, 2))  # [M x T x F], C-ordered
     bands = [slice(f0, f0 + 16) for f0 in range(0, f, 16)]
     assert bands[-1].start == f - 1
@@ -240,19 +234,29 @@ def test_filter_stages_keep_the_bits_of_a_whole_complex_copy(rng, dtype):
     expect_map = sum(np.abs(r).sum(axis=0) for r in responses) / f
     assert np.array_equal(splm_map(w, steering), expect_map)
 
-    g = weight.astype(dtype)  # the gradient reaching the op, in its dtype
-    expect = np.empty((m, f, t), dtype=np.complex128)
+    g = out_weight.astype(dtype)  # the gradients reaching the ops, in their dtype
+    fas_grad = ((g[0] + 1j * g[1]) * np.conj(spec)).transpose(0, 2, 1)
+    g = weight.astype(dtype)
+    map_grad = np.empty((m, f, t), dtype=np.complex128)
     for b, r in zip(bands, responses):
         mag = np.abs(r)
         unit = np.divide(r, mag, out=np.zeros_like(r), where=mag > 0)
         part = np.matmul(unit * (g / f), np.conj(steering[:, b]).transpose(1, 0, 2))
-        expect[:, b] = part.transpose(2, 0, 1)
-    expect_grad = np.zeros(w.shape, dtype)
-    expect_grad[0] += expect.real
-    expect_grad[1] += expect.imag
-    wt = Tensor(w)
-    ad.backward(ad.reduce_sum(splm_map_tensor(wt, steering) * constant(weight)))
-    assert np.array_equal(wt.grad, expect_grad)
+        map_grad[:, b] = part.transpose(2, 0, 1)
+    cases = [
+        (lambda wt: filter_and_sum_tensor(wt, spec), out_weight, fas_grad),
+        (lambda wt: splm_map_tensor(wt, steering), weight, map_grad),
+    ]
+    for op, op_weight, grad in cases:
+        for earlier in (None, rng.standard_normal(w.shape).astype(dtype)):
+            wt = Tensor(w)
+            expect = np.zeros(w.shape, dtype)
+            if earlier is not None:  # another contribution (the NLM head's) came first
+                wt.grad, expect = earlier.copy(), earlier.copy()
+            expect[0] += grad.real
+            expect[1] += grad.imag
+            ad.backward(ad.reduce_sum(op(wt) * constant(op_weight)))
+            assert np.array_equal(wt.grad, expect)
 
 
 def test_splm_map_tensor_gradient_across_chunks(rng):
@@ -267,24 +271,35 @@ def test_splm_map_tensor_gradient_across_chunks(rng):
 
 
 def test_splm_map_tensor_memory_on_a_6s_record(rng):
-    # A 6 s record of 4 mics and 12 zones: the op keeps only its [T x N]
-    # map, neither complex128 filters (15.7 MB) nor the [F x T x N] steered
-    # response (47 MB), and its backward builds the response one chunk of
-    # bins at a time.
+    # A 6 s record of 4 mics and 12 zones. The zone map op keeps only its
+    # [T x N] map, neither complex128 filters (15.7 MB) nor the [F x T x N]
+    # steered response (47 MB). Each op's backward works one chunk of bins at
+    # a time: beyond the float32 gradient it writes (7.9 MB), it holds
+    # neither a whole complex128 gradient (15.7 MB) nor a whole response.
     import tracemalloc
 
     m, f, t, n = 4, 257, 957, 12
-    w = Tensor(rng.standard_normal((2, m, f, t), dtype=np.float32))
+    w = rng.standard_normal((2, m, f, t), dtype=np.float32)
+    spec = rng.standard_normal((m, t, f)) + 1j * rng.standard_normal((m, t, f))
     steering = np.exp(2j * np.pi * rng.uniform(size=(n, f, m)))
-    weight = constant(rng.standard_normal((t, n)).astype(np.float32))
-    tracemalloc.start()
-    try:
-        zmap = splm_map_tensor(w, steering)
-        kept = tracemalloc.get_traced_memory()[0]
-        ad.backward(ad.reduce_sum(zmap * weight))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert w.grad.shape == w.shape
-    assert kept < 1e6, kept
-    assert peak < 64e6, peak
+    cases = [
+        (lambda wt: filter_and_sum_tensor(wt, spec), (2, t, f)),
+        (lambda wt: splm_map_tensor(wt, steering), (t, n)),
+    ]
+    for op, out_shape in cases:
+        wt = Tensor(w)
+        weight = constant(rng.standard_normal(out_shape).astype(np.float32))
+        tracemalloc.start()
+        try:
+            out = op(wt)
+            kept = tracemalloc.get_traced_memory()[0]  # the op's output and what it keeps
+            loss = ad.reduce_sum(out * weight)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ad.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert wt.grad.shape == w.shape
+        assert kept < out.data.nbytes + 1e6, kept
+        assert peak - held < 16e6, peak - held

@@ -74,9 +74,8 @@ def test_complex_parameters_are_stacked_and_read_without_restacking(rng):
     # other parameter as it is, so few op nodes of a full NLM training loss
     # are computed from parameters alone.
     from neurobeam.dsp import StftConfig
-    from neurobeam.losses import (
-        bce_loss, filter_and_sum_tensor, si_snr_loss, synthesize_waveform, total_loss,
-    )
+    from neurobeam.beamloc import filter_and_sum_tensor
+    from neurobeam.losses import bce_loss, si_snr_loss, synthesize_waveform, total_loss
 
     model = MimoDccrn(MimoDccrnConfig(scale=1), mics=4, bins=256, zones=12)
     params, buffers = model.params(), model.buffers()

@@ -7,13 +7,8 @@ import pytest
 from neurobeam import autodiff as ad
 from neurobeam.config import ConfigError, config_from_dict
 from neurobeam.dsp import read_wav, stft
-from neurobeam.losses import (
-    bce_loss,
-    filter_and_sum_tensor,
-    si_snr_loss,
-    synthesize_waveform,
-    total_loss,
-)
+from neurobeam.beamloc import filter_and_sum_tensor
+from neurobeam.losses import bce_loss, si_snr_loss, synthesize_waveform, total_loss
 from neurobeam.training import (
     CHECKPOINT_NAME,
     LOG_NAME,
@@ -291,15 +286,16 @@ def test_training_step_after_no_grad_block_still_trains(toy_dataset):
 # made the op).
 _STEP_OPS = {
     "nlm": {
-        "_weights_op": 1, "add": 4, "bce_loss": 1, "block_kernel": 15, "concat": 1,
-        "conv2d": 1, "conv_bn_prelu": 13, "lstm": 1, "matmul": 3, "mul": 1, "narrow": 1,
-        "prelu": 1, "reshape": 5, "si_snr_loss": 1, "sigmoid": 1, "synthesize_waveform": 1,
-        "transpose": 6, "zone_scores": 1,
+        "add": 4, "bce_loss": 1, "block_kernel": 15, "concat": 1, "conv2d": 1,
+        "conv_bn_prelu": 13, "filter_and_sum_tensor": 1, "lstm": 1, "matmul": 3, "mul": 1,
+        "narrow": 1, "prelu": 1, "reshape": 5, "si_snr_loss": 1, "sigmoid": 1,
+        "synthesize_waveform": 1, "transpose": 6, "zone_scores": 1,
     },
     "splm": {
-        "_weights_op": 2, "add": 2, "bce_loss": 1, "block_kernel": 13, "concat": 1,
-        "conv2d": 1, "conv_bn_prelu": 11, "lstm": 1, "matmul": 1, "mul": 1, "narrow": 1,
-        "reshape": 3, "si_snr_loss": 1, "synthesize_waveform": 1, "transpose": 3,
+        "add": 2, "bce_loss": 1, "block_kernel": 13, "concat": 1, "conv2d": 1,
+        "conv_bn_prelu": 11, "filter_and_sum_tensor": 1, "lstm": 1, "matmul": 1, "mul": 1,
+        "narrow": 1, "reshape": 3, "si_snr_loss": 1, "splm_map_tensor": 1,
+        "synthesize_waveform": 1, "transpose": 3,
     },
 }
 
