@@ -1143,6 +1143,7 @@ def test_a_checkpoint_meta_that_is_not_an_object_is_a_user_error_naming_it(
     for command, (code, err) in results.items():
         assert code == 1 and f"checkpoint {path} has a corrupt header" in err, (command, err)
 
+
 def test_a_checkpoint_header_dtype_edit_names_the_tensor(tiny_run, tmp_path):
     # A float32 tensor read as int32 would restore weights near 1e9.
     original = tiny_run / "run" / "checkpoint_last.nbcp"
